@@ -13,16 +13,14 @@ import csv
 import hashlib
 import io
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import duality, ic, sheaves, spaces
 from .examples import UnknownExample, get_example, list_examples
-from .linalg import ExactMatrix, FGAbelianGroup, rank
+from .linalg import ExactMatrix, FGAbelianGroup, kernel_basis, rank
 
 
 class BadInput(Exception):
@@ -207,6 +205,11 @@ def load_space(path):
         for j, v in enumerate(s):
             _expect(isinstance(v, int) and not isinstance(v, bool),
                     "vertex must be an integer", "/simplices/%d/%d" % (i, j))
+        _expect(all(0 <= v < doc["n_vertices"] for v in s),
+                "vertex out of range 0..%d" % (doc["n_vertices"] - 1),
+                "/simplices/%d" % i)
+        _expect(len(set(s)) == len(s), "simplex has repeated vertices",
+                "/simplices/%d" % i)
     filtration = doc.get("filtration")
     _expect(isinstance(filtration, dict), "filtration must be an object",
             "/filtration")
@@ -648,7 +651,7 @@ _SCENARIOS = [
 ]
 
 
-def reproduce_paper(suite="all", threads=None):
+def reproduce_paper(suite="all"):
     """Run the shipped scenarios, comparing computed rows to targets."""
     names = [n for n, _f in _SCENARIOS]
     if suite != "all":
@@ -657,24 +660,10 @@ def reproduce_paper(suite="all", threads=None):
                            % (suite, ", ".join(names + ["all"])), "/example")
         names = [suite]
     chosen = [(n, f) for n, f in _SCENARIOS if n in names]
-    if threads is None:
-        threads = max(1, int(os.environ.get("STRAT_IC_THREADS", "1")))
     bundles = {}
-
-    def run(item):
-        name, fn = item
-        b = ReportBundle(name, "")
-        fn(b)
-        return name, b
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for name, b in pool.map(run, chosen):
-                bundles[name] = b
-    else:
-        for item in chosen:
-            name, b = run(item)
-            bundles[name] = b
+    for name, fn in chosen:
+        bundles[name] = ReportBundle(name, "")
+        fn(bundles[name])
     out = ReportBundle("reproduce", hashlib.sha256(
         ("reproduce:" + ",".join(names)).encode()).hexdigest()[:16])
     for name, _fn in chosen:
@@ -739,14 +728,9 @@ def _check_rank_nullity(space):
     cc = space.complex.cochain_complex()
     for k in range(cc.lo, cc.hi + 1):
         d = cc.diff(k)
-        if d.cols and rank(d) + len(_kernel(d)) != d.cols:
+        if d.cols and rank(d) + len(kernel_basis(d)) != d.cols:
             return False
     return True
-
-
-def _kernel(d):
-    from .linalg import kernel_basis
-    return kernel_basis(d)
 
 
 def _check_gluing(space):

@@ -9,7 +9,7 @@ intersection sheaves, Kunneth comparisons, and intersection numbers.
 
 from fractions import Fraction
 
-from .linalg import ExactMatrix, FGAbelianGroup, rank, tensor_complex
+from .linalg import ExactMatrix, FGAbelianGroup, rank, solve, tensor_complex
 from . import spaces
 from . import sheaves
 
@@ -306,7 +306,7 @@ def _clear_overshoot(prep, R, z, degree, cutoff):
                 continue
             sgn = -1 if (len(cell) - 1) % 2 else 1
             d = R.stalks[cell].diff(q - 1)
-            u = _linalg_solve(d, [sgn * v for v in part])
+            u = solve(d, [sgn * v for v in part])
             if u is None:
                 raise DualityError(
                     "product class does not descend below stalk degree %d "
@@ -362,7 +362,7 @@ def _pairing_context(result_low, result_high):
         raise DualityError(
             "top truncation has H^%d of rank %d, cannot normalize"
             % (n, len(gens)))
-    gen_col = ExactMatrix.from_rows([[v] for v in gens[0]])
+    gen_col = ExactMatrix.from_columns(len(gens[0]), gens)
     read = gen_col.stack_cols(cxT.diff(n - 1))
 
     def pair(xa, k, yb, layA, layB):
@@ -371,7 +371,7 @@ def _pairing_context(result_low, result_high):
         z = _ambient_cup(prep, R, x, k, y, n - k)
         z = _clear_overshoot(prep, R, z, n, cut_top)
         zt = _project_into(prep, T, layT, z, n)
-        sol = _linalg_solve(read, zt)
+        sol = solve(read, zt)
         assert sol is not None, "product is not a class of the truncation"
         return sol[0]
 
@@ -416,7 +416,9 @@ def _project_into(prep, T, layT, z, degree):
             for i, v in enumerate(part):
                 out[off + i] = v
         else:
-            coords = _solve_block(T.inclusions[cell], part)
+            coords = solve(T.inclusions[cell], part)
+            assert coords is not None, \
+                "component outside the truncated subspace"
             for i, v in enumerate(coords):
                 out[off + i] = v
     # anything in the ambient complex outside the window must be gone
@@ -426,20 +428,6 @@ def _project_into(prep, T, layT, z, degree):
             assert not any(z[off:off + size]), \
                 "cochain still sticks out of the truncation window"
     return out
-
-
-def _solve_block(inclusion, part):
-    if inclusion.cols == 0:
-        assert not any(part), "component outside the truncated subspace"
-        return []
-    sol = _linalg_solve(inclusion, part)
-    assert sol is not None, "component outside the truncated subspace"
-    return sol
-
-
-def _linalg_solve(m, target):
-    from .linalg import solve
-    return solve(m, target)
 
 
 def stratumwise_duality(space, perversity=None):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .linalg import (CochainComplex, ExactMatrix, kernel_basis, rank)
+from .linalg import CochainComplex, ExactMatrix, kernel_basis, rank, rref
 from . import sheaves
 from .sheaves import (SheafError, constant_sheaf, derived_pushforward,
                       sheaf_cohomology, truncate)
@@ -464,10 +464,7 @@ def lagrangian_perp(form, w):
     """Symplectic complement of the span of w's columns, as a basis matrix."""
     j = skew_gram_matrix(form)
     rows = w.transpose() * j
-    vecs = kernel_basis(rows)
-    if not vecs:
-        return ExactMatrix(j.rows, 0, {})
-    return ExactMatrix.from_rows([list(v) for v in vecs]).transpose()
+    return ExactMatrix.from_columns(j.rows, kernel_basis(rows))
 
 
 def is_lagrangian(form, w):
@@ -619,35 +616,14 @@ def refined_ic(space, mezzo, coefficient=1):
         # the transported classes must be cocycles in the stalk
         assert (stalk.diff(mid) * lifted).is_zero(), \
             "transported classes fail to be cocycles"
-        img = stalk.diff(mid - 1)
-        cols = [img.column(j) for j in range(img.cols)]
-        cols += [lifted.column(j) for j in range(lifted.cols)]
-        nonzero = [list(col) for col in cols if any(col)]
-        base = ExactMatrix.from_rows(nonzero).transpose() if nonzero \
-            else ExactMatrix(stalk.dim(mid), 0, {})
-        subspaces[vertex] = _column_reduce(base)
+        # the image plus the lifted classes, keeping independent columns in
+        # order (zero columns are never pivots)
+        base = stalk.diff(mid - 1).stack_cols(lifted)
+        _, keep = rref(base)
+        subspaces[vertex] = base.submatrix_cols(keep)
     G = truncate(F, mid, subspaces=subspaces)
     coh = sheaf_cohomology(G)
     return ICResult(space, G, coh, cutoffs, "IC_L")
-
-
-def _column_reduce(m):
-    """Independent columns of m, kept in order."""
-    if m.cols == 0:
-        return m
-    keep = []
-    cur = 0
-    rows = []
-    for j in range(m.cols):
-        col = m.column(j)
-        rows.append(list(col))
-        r = rank(ExactMatrix.from_rows(rows))
-        if r > cur:
-            keep.append(j)
-            cur = r
-        else:
-            rows.pop()
-    return m.submatrix_cols(keep)
 
 
 def dual_mezzoperversity(space, mezzo):

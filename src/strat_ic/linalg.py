@@ -9,6 +9,18 @@ rational entries are `fractions.Fraction`, integer entries plain `int`.
 Matrices act on column vectors: a matrix with shape (rows, cols) sends Q^cols
 to Q^rows.  A differential d^k of a cochain complex is stored as the matrix of
 shape (dim^{k+1}, dim^k).
+
+Row elimination happens in exactly three routines:
+
+- `rref` (over Q, pivots in column order) answers every span query:
+  `kernel_basis`, `solve` and `solve_many` (one elimination of
+  [m | targets]), and `CochainComplex.cohomology_basis` (pivot columns of
+  [image | kernel vectors]).  RREF is unique, so every basis it picks is
+  deterministic.
+- `rank` (over Q, sparsest pivots first) gives the rank alone; it drives
+  `CochainComplex.betti_numbers` and independence checks.
+- `smith_normal_form` (over Z, with the `_det_bareiss` determinant check)
+  drives integral cohomology and presentations.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ __all__ = [
     "rref",
     "kernel_basis",
     "solve",
+    "solve_many",
     "smith_normal_form",
     "tensor_complex",
     "tor1",
@@ -86,6 +99,17 @@ class ExactMatrix:
             if v:
                 ent[(i, j)] = ent.get((i, j), Fraction(0)) + v
         return cls(rows, cols, {k: v for k, v in ent.items() if v})
+
+    @classmethod
+    def from_columns(cls, rows, vecs):
+        """Matrix whose columns are `vecs`, each of length `rows`."""
+        ent = {}
+        for j, vec in enumerate(vecs):
+            assert len(vec) == rows, "column %d has length %d, not %d" % (
+                j, len(vec), rows)
+            for i, v in enumerate(vec):
+                ent[(i, j)] = v
+        return cls(rows, len(vecs), ent)
 
     @classmethod
     def identity(cls, n):
@@ -315,25 +339,37 @@ def kernel_basis(m):
     return basis
 
 
+def solve_many(m, targets):
+    """Matrix X with m * X == targets, or None if some column is inconsistent.
+
+    One elimination of [m | targets]: a target column lies in the column span
+    of m exactly when no pivot lands in the target block.  Deterministic: free
+    variables are set to zero, so X is read off the pivot rows.
+
+    >>> m = ExactMatrix.from_rows([[1, 1], [0, 0]])
+    >>> solve_many(m, ExactMatrix.from_rows([[2, 3], [0, 0]])).to_triples()
+    [(0, 0, '2/1'), (0, 1, '3/1')]
+    >>> solve_many(m, ExactMatrix.from_rows([[0], [1]])) is None
+    True
+    """
+    assert targets.rows == m.rows, (m.shape, targets.shape)
+    r, pivot_cols = rref(m.stack_cols(targets))
+    if pivot_cols and pivot_cols[-1] >= m.cols:
+        return None
+    # rows past the last pivot are zero, so only pivot rows carry entries
+    ent = {(pivot_cols[i], j - m.cols): v
+           for (i, j), v in r.entries.items() if j >= m.cols}
+    return ExactMatrix(m.cols, targets.cols, ent)
+
+
 def solve(m, target):
     """One solution x of m x = target, or None if inconsistent.
 
-    Deterministic: free variables are set to zero.
+    The one-column case of `solve_many`; free variables are set to zero.
     """
     assert len(target) == m.rows
-    ent = dict(m.entries)
-    for i, v in enumerate(target):
-        v = _frac(v)
-        if v:
-            ent[(i, m.cols)] = v
-    aug = ExactMatrix(m.rows, m.cols + 1, ent)
-    r, pivot_cols = rref(aug)
-    if m.cols in pivot_cols:
-        return None
-    x = [Fraction(0)] * m.cols
-    for pi, pc in enumerate(pivot_cols):
-        x[pc] = r.entry(pi, m.cols)
-    return tuple(x)
+    x = solve_many(m, ExactMatrix.from_columns(m.rows, [target]))
+    return None if x is None else x.column(0)
 
 
 def _det_bareiss(entries, n):
@@ -753,42 +789,10 @@ class CochainComplex:
         """
         ker = kernel_basis(self.diff(k))
         img = self.diff(k - 1)
-        # incremental elimination; pivots maps coordinate -> reduced vector
-        # with a 1 at that coordinate and zeros at other pivots
-        pivots = {}
-
-        def reduce(vec):
-            v = list(vec)
-            for p in sorted(pivots):
-                c = v[p]
-                if c:
-                    pv = pivots[p]
-                    for i in range(len(v)):
-                        if pv[i]:
-                            v[i] -= c * pv[i]
-            return v
-
-        def insert(vec):
-            v = reduce(vec)
-            for i, x in enumerate(v):
-                if x:
-                    row = [y / x for y in v]
-                    # keep stored rows reduced at the new pivot coordinate
-                    for p, pv in pivots.items():
-                        c = pv[i]
-                        if c:
-                            pivots[p] = [a - c * b for a, b in zip(pv, row)]
-                    pivots[i] = row
-                    return True
-            return False
-
-        for j in range(img.cols):
-            insert(img.column(j))
-        reps = []
-        for vec in ker:
-            if insert(vec):
-                reps.append(vec)
-        return reps
+        # a pivot column of [img | ker] is independent of the columns before it
+        both = img.stack_cols(ExactMatrix.from_columns(img.rows, ker))
+        _, pivot_cols = rref(both)
+        return [ker[j - img.cols] for j in pivot_cols if j >= img.cols]
 
     def cohomology_groups(self):
         """Integral cohomology per degree as FGAbelianGroup.

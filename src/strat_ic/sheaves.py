@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import CochainComplex, ExactMatrix, FGAbelianGroup, kernel_basis, solve
+from .linalg import (CochainComplex, ExactMatrix, FGAbelianGroup, kernel_basis,
+                     solve_many)
 from .spaces import FacePoset
 
 
@@ -43,23 +44,15 @@ _CHECK_LIMIT = 1500
 
 
 def solve_columns(basis, target):
-    """Matrix Y with basis * Y == target, solved column by column.
+    """Matrix Y with basis * Y == target, from one elimination of both.
 
     Raises SheafError when some column is not in the span: the caller picked
     a subspace that is not stable under the maps being expressed.
     """
-    cols = []
-    for j in range(target.cols):
-        y = solve(basis, target.column(j))
-        if y is None:
-            raise SheafError("vector outside the chosen subspace")
-        cols.append(y)
-    ent = {}
-    for j, y in enumerate(cols):
-        for i, v in enumerate(y):
-            if v:
-                ent[(i, j)] = v
-    return ExactMatrix(basis.cols, target.cols, ent)
+    y = solve_many(basis, target)
+    if y is None:
+        raise SheafError("vector outside the chosen subspace")
+    return y
 
 
 class SheafComplex:
@@ -489,26 +482,18 @@ def global_sections(sheaf, open_cells=None):
     dims = {q: len(vecs[q]) for q in degrees}
     diffs = {}
     for q in degrees[:-1]:
-        cols = []
-        tgt_basis = ExactMatrix.from_rows(
-            [list(v) for v in vecs[q + 1]]).transpose() if vecs[q + 1] else \
-            ExactMatrix(sum(sheaf.stalks[c].dim(q + 1) for c in cells), 0, {})
-        ent = {}
-        for j, vec in enumerate(vecs[q]):
+        tgt_basis = ExactMatrix.from_columns(
+            sum(sheaf.stalks[c].dim(q + 1) for c in cells), vecs[q + 1])
+        images = []
+        for vec in vecs[q]:
             img = []
             for c in cells:
                 n = sheaf.stalks[c].dim(q)
                 chunk = tuple(vec[offs[q][c] + k] for k in range(n))
-                img_c = sheaf.stalks[c].diff(q).apply(chunk)
-                img.extend(img_c)
-            if vecs[q + 1]:
-                target = ExactMatrix.from_rows([[v] for v in img])
-                y = solve_columns(tgt_basis, target)
-                for (i, _z), v in y.entries.items():
-                    ent[(i, j)] = v
-            else:
-                assert not any(img), "differential leaves the section space"
-        diffs[q] = ExactMatrix(dims[q + 1], dims[q], ent)
+                img.extend(sheaf.stalks[c].diff(q).apply(chunk))
+            images.append(img)
+        diffs[q] = solve_columns(
+            tgt_basis, ExactMatrix.from_columns(tgt_basis.rows, images))
     return SectionSpace(cells, degrees, basis,
                         CochainComplex(dims, diffs))
 
@@ -663,10 +648,7 @@ def truncate(sheaf, degree, subspaces=None):
         if c in subspaces:
             kb = subspaces[c]
         else:
-            vecs = kernel_basis(cx.diff(k))
-            kb = ExactMatrix.from_rows(
-                [list(v) for v in vecs]).transpose() if vecs else \
-                ExactMatrix(cx.dim(k), 0, {})
+            kb = ExactMatrix.from_columns(cx.dim(k), kernel_basis(cx.diff(k)))
         bases[c] = kb
         dims = {}
         diffs = {}

@@ -4,8 +4,25 @@ Every comparison here is exact; there are no tolerances anywhere.  Rows
 that depend on a choice of model are cross-checked against independent
 in-test oracles rather than against the library's own output.  Claims
 the shipped models provably cannot attain are asserted in their exact
-failing shape and then marked expected-failure with a pointer to
-notes/decisions.md.
+failing shape and then marked expected-failure.
+
+Three such expected failures are pinned, all in the fibration
+decomposition, and all for one reason.  `duality.fibration_decomposition`
+models the fibration as section x interval with the bottom slice collapsed
+to a cone point, so the one nontrivial fiber is one-dimensional.  The
+truncated pushforward (cut at d - 1 for a d-dimensional section) then
+loses the section's cohomology above the cutoff unshifted: the skyscraper
+row is H^q(section) in the same degree q.  The literal shifted-row
+identity total = IH + H^(k-2)(section), and a degree-two gain on the
+collapsed circle, both need a two-dimensional fiber (collapsing a disk
+bundle shifts every section class up by two).  Under the interval model:
+
+- the collapsed circle's extra class sits in degree one, not two;
+- the shifted-row identity fails in degrees 1 and 2 for the circle and in
+  degree 3 for the genus-two surface.
+
+The tests assert these exact degrees, so any change in the model's
+behaviour turns an expected failure into a failure.
 """
 
 import json
@@ -285,7 +302,7 @@ class TestFibrationDecomposition:
             pytest.fail("degree-two class appeared; revisit the model notes")
         pytest.xfail("the degree-two gain needs a two-dimensional fiber; "
                      "the interval model carries it in degree one "
-                     "(notes/decisions.md)")
+                     "(see the module docstring)")
 
     @pytest.mark.parametrize("name,bad_degrees", [
         ("s1", [1, 2]), ("genus2", [3])])
@@ -300,7 +317,7 @@ class TestFibrationDecomposition:
         assert failing == bad_degrees
         pytest.xfail("degree-shifted base row cannot balance over the "
                      "interval model; exact failing degrees asserted "
-                     "above (notes/decisions.md)")
+                     "above (see the module docstring)")
 
 
 # -- 9: one local class per singular point under any Lagrangian ------------

@@ -38,16 +38,6 @@ def test_ih_bytes_reproducible(tmp_path):
     assert b1 == b2
 
 
-def test_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
-    monkeypatch.setenv("STRAT_IC_THREADS", "1")
-    _, b1 = run(["reproduce", "--example", "tor-correction"], tmp_path,
-                "a.json")
-    monkeypatch.setenv("STRAT_IC_THREADS", "3")
-    _, b2 = run(["reproduce", "--example", "tor-correction"], tmp_path,
-                "b.json")
-    assert b1 == b2
-
-
 # -- exit codes ------------------------------------------------------------
 
 def test_exit_zero_on_pass(capsys):
@@ -105,6 +95,37 @@ def test_unplaced_cell_rejected(tmp_path, capsys):
     }))
     assert cli.main(["build", "--input", str(p)]) == 2
     assert "/filtration" in capsys.readouterr().err
+
+
+bad_simplices = pytest.mark.parametrize(
+    "simplices", [[[0, 1, 5]], [[0, 0, 1]]], ids=["out-of-range", "repeated"])
+
+
+def _write_space(tmp_path, simplices):
+    p = tmp_path / "space.json"
+    p.write_text(json.dumps({
+        "schema": 1, "n_vertices": 3, "simplices": simplices,
+        "filtration": {"2": [[0, 1, 2]]},
+    }))
+    return p
+
+
+@bad_simplices
+def test_bad_simplex_points_at_simplex(tmp_path, capsys, simplices):
+    p = _write_space(tmp_path, simplices)
+    assert cli.main(["build", "--input", str(p)]) == 2
+    assert "'/simplices/0'" in capsys.readouterr().err
+
+
+@bad_simplices
+def test_bad_simplex_rejected_under_optimize(tmp_path, simplices):
+    # -O strips asserts, so the input checks must not be asserts
+    p = _write_space(tmp_path, simplices)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "strat_ic.cli", "build", "--input",
+         str(p)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "'/simplices/0'" in proc.stderr
 
 
 def test_file_input_builds(tmp_path):

@@ -16,6 +16,7 @@ from strat_ic.linalg import (
     rref,
     smith_normal_form,
     solve,
+    solve_many,
     tensor_complex,
     tor1,
 )
@@ -157,10 +158,15 @@ def test_tensor_complex_euler_multiplicative():
 small_entries = st.integers(min_value=-4, max_value=4)
 
 
-def matrix_strategy(max_dim=4):
+# mostly zeros, the rest small rationals
+sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                             st.fractions(-3, 3, max_denominator=4))
+
+
+def matrix_strategy(max_dim=4, entries=small_entries):
     return st.integers(1, max_dim).flatmap(
         lambda r: st.integers(1, max_dim).flatmap(
-            lambda c: st.lists(st.lists(small_entries, min_size=c, max_size=c),
+            lambda c: st.lists(st.lists(entries, min_size=c, max_size=c),
                                min_size=r, max_size=r)))
 
 
@@ -210,7 +216,7 @@ def test_tensor_unit(g):
     assert g.tensor(FGAbelianGroup.free(1)) == g
 
 
-def two_step_complex():
+def two_step_complex(entries=small_entries):
     """Random three-degree complex with d1 built inside ker of composition."""
     def build(data):
         a_rows, combos = data
@@ -229,8 +235,8 @@ def two_step_complex():
             return CochainComplex(dims, {0: a, 1: b})
         return CochainComplex({0: a.cols, 1: a.rows}, {0: a})
     return st.tuples(
-        matrix_strategy(3),
-        st.lists(st.lists(small_entries, min_size=3, max_size=3), max_size=2),
+        matrix_strategy(3, entries),
+        st.lists(st.lists(entries, min_size=3, max_size=3), max_size=2),
     ).map(build)
 
 
@@ -247,3 +253,93 @@ def test_kunneth_over_q(x, y):
 def test_euler_is_alternating_betti_sum(c):
     b = c.betti_numbers()
     assert c.euler_characteristic() == sum((-1) ** k * v for k, v in b.items())
+
+
+# ----------------------------------------------- span queries vs references
+
+def _gauss_solve(a, b):
+    """Reference: X with a X == b over plain Fractions, free variables zero;
+    None if some column of b is outside the column span of a."""
+    cols, nb = len(a[0]), len(b[0])
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    pivots = []
+    for c in range(cols + nb):
+        r = len(pivots)
+        p = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        aug[r] = [v / aug[r][c] for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+    if any(c >= cols for c in pivots):
+        return None
+    x = [[Fraction(0)] * nb for _ in range(cols)]
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][cols:]
+    return x
+
+
+def _dense(m):
+    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def _greedy_columns(m):
+    """Reference: keep a column when it makes linalg.rank grow."""
+    keep = []
+    for j in range(m.cols):
+        if rank(m.submatrix_cols(keep + [j])) > len(keep):
+            keep.append(j)
+    return keep
+
+
+@st.composite
+def system(draw):
+    a = draw(matrix_strategy(5, sparse_rationals))
+    m = ExactMatrix.from_rows(a)
+    nb = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        # consistent by construction
+        y = draw(st.lists(st.lists(sparse_rationals, min_size=nb,
+                                   max_size=nb),
+                          min_size=m.cols, max_size=m.cols))
+        return m, m * ExactMatrix.from_rows(y)
+    b = draw(st.lists(st.lists(sparse_rationals, min_size=nb, max_size=nb),
+                      min_size=m.rows, max_size=m.rows))
+    return m, ExactMatrix.from_rows(b)
+
+
+@given(system())
+def test_solve_many_matches_gauss_reference(sys_):
+    m, targets = sys_
+    x = solve_many(m, targets)
+    ref = _gauss_solve(_dense(m), _dense(targets))
+    assert (x is None) == (rank(m.stack_cols(targets)) > rank(m))
+    if x is None:
+        assert ref is None
+        return
+    assert m * x == targets
+    assert ref is not None and x == ExactMatrix.from_rows(ref)
+    for j in range(targets.cols):
+        assert solve(m, targets.column(j)) == x.column(j)
+
+
+@given(matrix_strategy(5, sparse_rationals))
+def test_rref_pivots_are_greedy_rank_columns(data):
+    m = ExactMatrix.from_rows(data)
+    assert rref(m)[1] == _greedy_columns(m)
+
+
+@given(two_step_complex(sparse_rationals))
+def test_cohomology_basis_is_greedy_extension(c):
+    for k in c.degrees():
+        img = c.diff(k - 1)
+        ker = kernel_basis(c.diff(k))
+        both = img.stack_cols(ExactMatrix.from_columns(img.rows, ker))
+        want = [ker[j - img.cols] for j in _greedy_columns(both)
+                if j >= img.cols]
+        assert c.cohomology_basis(k) == want
+        assert len(want) == c.betti_numbers()[k]
