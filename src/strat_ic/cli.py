@@ -228,6 +228,11 @@ def load_space(path):
                         for v in c),
                     "cell must be a list of integers",
                     "/filtration/%s/%d" % (key, i))
+            _expect(all(0 <= v < doc["n_vertices"] for v in c),
+                    "vertex out of range 0..%d" % (doc["n_vertices"] - 1),
+                    "/filtration/%s/%d" % (key, i))
+            _expect(len(set(c)) == len(c), "cell has repeated vertices",
+                    "/filtration/%s/%d" % (key, i))
         stages[level] = [tuple(c) for c in cells]
     try:
         cx = spaces.SimplicialComplex(doc["n_vertices"],

@@ -19,16 +19,21 @@ Row elimination happens in exactly three routines:
   deterministic.
 - `rank` (over Q, sparsest pivots first) gives the rank alone; it drives
   `CochainComplex.betti_numbers` and independence checks.
-- `smith_normal_form` (over Z, with the `_det_bareiss` determinant check)
-  drives integral cohomology and presentations.
+- `smith_normal_form` (over Z) drives integral cohomology and
+  presentations.  It tracks u^-1 and v^-1 next to u and v and certifies
+  u * m * v == d, u * u^-1 == I and v * v^-1 == I in exact integers; an
+  integer matrix with an integer inverse is unimodular.  A failed check
+  raises `CertificateError`, also under `python -O`.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import gcd
 
 __all__ = [
+    "CertificateError",
     "ExactMatrix",
     "FGAbelianGroup",
     "CochainComplex",
@@ -41,6 +46,10 @@ __all__ = [
     "tensor_complex",
     "tor1",
 ]
+
+
+class CertificateError(Exception):
+    """An exact re-check of a computed result failed: a bug, not bad input."""
 
 
 def _frac(x):
@@ -277,24 +286,31 @@ def rref(m):
 
 
 def rank(m):
-    """Exact rank.  Pivots on the sparsest available row and column to limit
-    fill-in; the answer does not depend on the pivot order, only the speed."""
+    """Exact rank.  Pivots on the sparsest row, then the sparsest column in
+    it, to limit fill-in; ties go to the lower index.  The answer does not
+    depend on the pivot order, only the speed."""
     rows = {}
     col_rows = {}
     for (i, j), v in m.entries.items():
         rows.setdefault(i, {})[j] = v
         col_rows.setdefault(j, set()).add(i)
-    alive = set(rows)
+    # (length, row) for every live row; a row whose length changes is pushed
+    # again, and entries that no longer match their row are skipped
+    heap = [(len(row), r) for r, row in rows.items()]
+    heapq.heapify(heap)
     rnk = 0
-    while alive:
-        pr = min(alive, key=lambda r: (len(rows[r]), r))
-        prow = rows[pr]
+    while heap:
+        n, pr = heapq.heappop(heap)
+        prow = rows.get(pr)
+        if prow is None or len(prow) != n:
+            continue
         pc = min(prow, key=lambda c: (len(col_rows[c]), c))
         pv = prow[pc]
         for r2 in list(col_rows[pc]):
             if r2 == pr:
                 continue
             row2 = rows[r2]
+            n2 = len(row2)
             f = row2[pc] / pv
             for c, v in prow.items():
                 w = row2.get(c, Fraction(0)) - f * v
@@ -306,10 +322,12 @@ def rank(m):
                     del row2[c]
                     col_rows[c].discard(r2)
             if not row2:
-                alive.discard(r2)
+                del rows[r2]
+            elif len(row2) != n2:
+                heapq.heappush(heap, (len(row2), r2))
         for c in prow:
             col_rows[c].discard(pr)
-        alive.discard(pr)
+        del rows[pr]
         rnk += 1
     return rnk
 
@@ -372,30 +390,43 @@ def solve(m, target):
     return None if x is None else x.column(0)
 
 
-def _det_bareiss(entries, n):
-    # fraction-free exact determinant of a dense integer matrix
-    if n == 0:
-        return 1
-    a = [[entries.get((i, j), 0) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = None
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    swap = r
-                    break
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _axpy(y, x, c):
+    """y += c * x in place, on sparse dict vectors; zeros are dropped."""
+    for k, xv in x.items():
+        w = y.get(k, 0) + c * xv
+        if w:
+            y[k] = w
+        else:
+            del y[k]
+
+
+def _transpose(vecs, n):
+    """Rows of a matrix given by its columns, or columns given its rows;
+    `n` is the length of each vector in `vecs`."""
+    out = [{} for _ in range(n)]
+    for i, vec in enumerate(vecs):
+        for j, x in vec.items():
+            out[j][i] = x
+    return out
+
+
+def _mul_rows(x_rows, y_rows):
+    """Rows of x * y from the rows of both factors, in exact ints."""
+    out = []
+    for xr in x_rows:
+        acc = {}
+        for k, c in xr.items():
+            for j, y in y_rows[k].items():
+                acc[j] = acc.get(j, 0) + c * y
+        out.append({j: s for j, s in acc.items() if s})
+    return out
+
+
+def _matrix(nr, nc, int_rows):
+    """ExactMatrix of shape (nr, nc) from integer row dicts."""
+    return ExactMatrix(nr, nc, {(i, j): Fraction(x)
+                                for i, r in enumerate(int_rows)
+                                for j, x in r.items()})
 
 
 def smith_normal_form(m):
@@ -403,100 +434,108 @@ def smith_normal_form(m):
 
     Returns (d, u, v, vinv) where u * m * v == d exactly, d is diagonal with
     divisibility d_1 | d_2 | ..., u and v are unimodular integer matrices, and
-    vinv is the inverse of v.  Raises AssertionError if m has a non-integer
-    entry.  The transforms are re-multiplied and the determinants recomputed
-    as part of the call; a failed check is a bug, not an input error.
+    vinv is the inverse of v.  Raises ValueError if m has a non-integer
+    entry.  The call certifies its answer in exact integers: u * m * v is
+    re-multiplied and must be diagonal with the invariant factors, and
+    u * u^-1 == I and v * v^-1 == I must hold for the tracked inverses (an
+    integer matrix with an integer inverse is unimodular).  A failed check
+    raises CertificateError; it is a bug, not an input error.
+
+    Only nonzeros are touched: the working copy `a` of m is kept as row
+    dicts plus a column -> rows index, u and vinv as rows, v and u^-1 as
+    columns.
 
     >>> d, u, v, vinv = smith_normal_form(ExactMatrix.from_rows([[1, 2], [3, 4]]))
     >>> [int(d.entry(i, i)) for i in range(2)]
     [1, 2]
     """
-    assert m.is_integral(), "smith_normal_form needs integer entries"
-    rows, cols = m.rows, m.cols
-    a = {}
+    if not m.is_integral():
+        raise ValueError("smith_normal_form needs integer entries")
+    nr, nc = m.rows, m.cols
+    a = [{} for _ in range(nr)]            # rows of the working copy
+    a_cols = [set() for _ in range(nc)]    # column -> rows with a nonzero
     for (i, j), val in m.entries.items():
-        a[(i, j)] = int(val)
+        a[i][j] = int(val)
+        a_cols[j].add(i)
+    m_rows = [dict(r) for r in a]
 
-    # row transform u (rows x rows), column transform v and its inverse
-    u = {(i, i): 1 for i in range(rows)}
-    v = {(j, j): 1 for j in range(cols)}
-    vinv = {(j, j): 1 for j in range(cols)}
+    u = [{i: 1} for i in range(nr)]
+    uinv = [{i: 1} for i in range(nr)]
+    v = [{j: 1} for j in range(nc)]
+    vinv = [{j: 1} for j in range(nc)]
 
     def row_op(i1, i2, c):
-        # row i1 += c * row i2, on a and u
-        for j in range(cols):
-            w = a.get((i1, j), 0) + c * a.get((i2, j), 0)
+        # row i1 += c * row i2 on a and u; column i2 -= c * column i1 of u^-1
+        r1 = a[i1]
+        for j, x in a[i2].items():
+            w = r1.get(j, 0) + c * x
             if w:
-                a[(i1, j)] = w
+                if j not in r1:
+                    a_cols[j].add(i1)
+                r1[j] = w
             else:
-                a.pop((i1, j), None)
-        for j in range(rows):
-            w = u.get((i1, j), 0) + c * u.get((i2, j), 0)
-            if w:
-                u[(i1, j)] = w
-            else:
-                u.pop((i1, j), None)
+                del r1[j]
+                a_cols[j].discard(i1)
+        _axpy(u[i1], u[i2], c)
+        _axpy(uinv[i2], uinv[i1], -c)
 
     def col_op(j1, j2, c):
-        # col j1 += c * col j2 on a and v; inverse op on vinv rows
-        for i in range(rows):
-            w = a.get((i, j1), 0) + c * a.get((i, j2), 0)
+        # col j1 += c * col j2 on a and v; row j2 -= c * row j1 of v^-1
+        for i in a_cols[j2]:
+            r = a[i]
+            w = r.get(j1, 0) + c * r[j2]
             if w:
-                a[(i, j1)] = w
+                if j1 not in r:
+                    a_cols[j1].add(i)
+                r[j1] = w
             else:
-                a.pop((i, j1), None)
-        for i in range(cols):
-            w = v.get((i, j1), 0) + c * v.get((i, j2), 0)
-            if w:
-                v[(i, j1)] = w
-            else:
-                v.pop((i, j1), None)
-        for j in range(cols):
-            w = vinv.get((j2, j), 0) - c * vinv.get((j1, j), 0)
-            if w:
-                vinv[(j2, j)] = w
-            else:
-                vinv.pop((j2, j), None)
+                del r[j1]
+                a_cols[j1].discard(i)
+        _axpy(v[j1], v[j2], c)
+        _axpy(vinv[j2], vinv[j1], -c)
 
     def row_swap(i1, i2):
-        for j in range(cols):
-            a[(i1, j)], a[(i2, j)] = a.get((i2, j), 0), a.get((i1, j), 0)
-            for key in ((i1, j), (i2, j)):
-                if a.get(key, 0) == 0:
-                    a.pop(key, None)
-        for j in range(rows):
-            u[(i1, j)], u[(i2, j)] = u.get((i2, j), 0), u.get((i1, j), 0)
-            for key in ((i1, j), (i2, j)):
-                if u.get(key, 0) == 0:
-                    u.pop(key, None)
+        r1, r2 = a[i1], a[i2]
+        for j in r1:
+            a_cols[j].discard(i1)
+        for j in r2:
+            a_cols[j].discard(i2)
+        for j in r1:
+            a_cols[j].add(i2)
+        for j in r2:
+            a_cols[j].add(i1)
+        a[i1], a[i2] = r2, r1
+        u[i1], u[i2] = u[i2], u[i1]
+        uinv[i1], uinv[i2] = uinv[i2], uinv[i1]
 
     def col_swap(j1, j2):
-        for i in range(rows):
-            a[(i, j1)], a[(i, j2)] = a.get((i, j2), 0), a.get((i, j1), 0)
-            for key in ((i, j1), (i, j2)):
-                if a.get(key, 0) == 0:
-                    a.pop(key, None)
-        for i in range(cols):
-            v[(i, j1)], v[(i, j2)] = v.get((i, j2), 0), v.get((i, j1), 0)
-            for key in ((i, j1), (i, j2)):
-                if v.get(key, 0) == 0:
-                    v.pop(key, None)
-        for j in range(cols):
-            vinv[(j1, j)], vinv[(j2, j)] = vinv.get((j2, j), 0), vinv.get((j1, j), 0)
-            for key in ((j1, j), (j2, j)):
-                if vinv.get(key, 0) == 0:
-                    vinv.pop(key, None)
+        for i in a_cols[j1] | a_cols[j2]:
+            r = a[i]
+            x1, x2 = r.pop(j1, 0), r.pop(j2, 0)
+            if x2:
+                r[j1] = x2
+            if x1:
+                r[j2] = x1
+        a_cols[j1], a_cols[j2] = a_cols[j2], a_cols[j1]
+        v[j1], v[j2] = v[j2], v[j1]
+        vinv[j1], vinv[j2] = vinv[j2], vinv[j1]
+
+    def negate_row(t):
+        # its own inverse: negate row t of a and u and column t of u^-1
+        for vecs in (a, u, uinv):
+            vecs[t] = {k: -x for k, x in vecs[t].items()}
 
     t = 0
-    limit = min(rows, cols)
+    limit = min(nr, nc)
     while t < limit:
         # smallest nonzero entry in the remaining block, ties by (row, col)
         best = None
-        for (i, j), val in a.items():
-            if i >= t and j >= t and val:
-                key = (abs(val), i, j)
-                if best is None or key < best:
-                    best = key
+        for i in range(t, nr):
+            for j, val in a[i].items():
+                if j >= t:
+                    key = (abs(val), i, j)
+                    if best is None or key < best:
+                        best = key
         if best is None:
             break
         _, bi, bj = best
@@ -504,69 +543,55 @@ def smith_normal_form(m):
             row_swap(t, bi)
         if bj != t:
             col_swap(t, bj)
-        piv = a[(t, t)]
-        dirty = False
-        for i in range(t + 1, rows):
-            val = a.get((i, t), 0)
-            if val:
-                q = val // piv
-                if q:
-                    row_op(i, t, -q)
-                if a.get((i, t), 0):
-                    dirty = True
-        for j in range(t + 1, cols):
-            val = a.get((t, j), 0)
-            if val:
-                q = val // piv
-                if q:
-                    col_op(j, t, -q)
-                if a.get((t, j), 0):
-                    dirty = True
-        if dirty:
+        piv = a[t][t]
+        # each op reads only row or column t, which it leaves alone, so the
+        # order within a sweep does not change the result
+        for i in [i for i in a_cols[t] if i > t]:
+            q = a[i][t] // piv
+            if q:
+                row_op(i, t, -q)
+        for j in [j for j in a[t] if j > t]:
+            q = a[t][j] // piv
+            if q:
+                col_op(j, t, -q)
+        if len(a_cols[t]) > 1 or len(a[t]) > 1:
             continue
-        # pivot must divide every remaining entry; if not, fold that row in
-        offender = None
-        for (i, j), val in a.items():
-            if i > t and j > t and val % piv != 0:
-                offender = (i, j)
-                break
+        # pivot must divide every remaining entry; if not, fold in the row
+        # of the smallest (row, col) offender
+        offender = next((i for i in range(t + 1, nr)
+                         if any(j > t and val % piv
+                                for j, val in a[i].items())), None)
         if offender is not None:
-            row_op(t, offender[0], 1)
+            row_op(t, offender, 1)
             continue
         if piv < 0:
-            row_op(t, t, -2)  # negate row t: r_t += -2 r_t
+            negate_row(t)
         t += 1
 
     # sort diagonal ascending; entries already divide each other pairwise
-    diag = []
-    for i in range(limit):
-        val = a.get((i, i), 0)
-        if val:
-            diag.append(val)
+    diag = [a[i][i] for i in range(limit) if a[i].get(i)]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             g = gcd(diag[i], diag[j])
             l = diag[i] * diag[j] // g
             diag[i], diag[j] = g, l
 
-    d = ExactMatrix(rows, cols, {(i, i): diag[i] for i in range(len(diag))})
-    um = ExactMatrix(rows, rows, {k: Fraction(val) for k, val in u.items()})
-    vm = ExactMatrix(cols, cols, {k: Fraction(val) for k, val in v.items()})
-    vim = ExactMatrix(cols, cols, {k: Fraction(val) for k, val in vinv.items()})
-
-    prod = um * m * vm
-    # the diagonal sort above re-derives invariant factors; recompute the
-    # transform product's diagonal and resort it the same way to compare
-    got = sorted(abs(int(val)) for val in prod.entries.values())
-    want = sorted(abs(int(val)) for val in d.entries.values())
-    assert got == want and all(i == j for (i, j) in prod.entries), \
-        "SNF transform check failed"
-    assert (vm * vim) == ExactMatrix.identity(cols), "SNF inverse check failed"
-    assert abs(_det_bareiss({k: int(val) for k, val in um.entries.items()}, rows)) == 1
-    assert abs(_det_bareiss({k: int(val) for k, val in vm.entries.items()}, cols)) == 1
-    # prod is diagonal with the same multiset; use prod itself as d so that
+    v_rows = _transpose(v, nc)
+    prod = _mul_rows(_mul_rows(u, m_rows), v_rows)
+    # the diagonal sort above re-derives invariant factors; compare the
+    # transform product's diagonal against it as a multiset
+    got = sorted(abs(x) for r in prod for x in r.values())
+    if (got != sorted(abs(x) for x in diag)
+            or any(j != i for i, r in enumerate(prod) for j in r)):
+        raise CertificateError("SNF transform check failed")
+    if _mul_rows(u, _transpose(uinv, nr)) != [{i: 1} for i in range(nr)]:
+        raise CertificateError("SNF inverse check failed for u")
+    if _mul_rows(v_rows, vinv) != [{j: 1} for j in range(nc)]:
+        raise CertificateError("SNF inverse check failed for v")
+    # prod is diagonal with the same multiset; return it as d so that
     # u * m * v == d holds literally
-    return prod, um, vm, vim
+    return (_matrix(nr, nc, prod), _matrix(nr, nr, u),
+            _matrix(nc, nc, v_rows), _matrix(nc, nc, vinv))
 
 
 def _normalize_torsion(factors):

@@ -128,6 +128,52 @@ def test_bad_simplex_rejected_under_optimize(tmp_path, simplices):
     assert "'/simplices/0'" in proc.stderr
 
 
+bad_cells = pytest.mark.parametrize(
+    "cell", [[7], [0, 0]], ids=["out-of-range", "repeated"])
+
+
+def _write_filtration(tmp_path, cell):
+    # a valid triangle boundary, plus one bad cell at the end of the stage
+    p = tmp_path / "space.json"
+    p.write_text(json.dumps({
+        "schema": 1, "n_vertices": 3,
+        "simplices": [[0, 1], [1, 2], [0, 2]],
+        "filtration": {"1": [[0, 1], [1, 2], [0, 2], [0], [1], [2], cell]},
+    }))
+    return p
+
+
+@bad_cells
+def test_bad_filtration_cell_points_at_cell(tmp_path, capsys, cell):
+    p = _write_filtration(tmp_path, cell)
+    assert cli.main(["build", "--input", str(p)]) == 2
+    assert "'/filtration/1/6'" in capsys.readouterr().err
+
+
+@bad_cells
+def test_bad_filtration_cell_rejected_under_optimize(tmp_path, cell):
+    p = _write_filtration(tmp_path, cell)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "strat_ic.cli", "build", "--input",
+         str(p)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "'/filtration/1/6'" in proc.stderr
+
+
+def test_integral_kunneth_bytes_same_under_optimize(tmp_path):
+    # the Smith form certificates are raises, not asserts, so -O runs them
+    # too and the report must not change
+    args = ["kunneth", "--example", "product:s1,s1", "--mode", "integral"]
+    code, want = run(args, tmp_path, "plain.json")
+    assert code == 0
+    out = tmp_path / "optimized.json"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "strat_ic.cli"] + args +
+        ["--output", str(out)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == want
+
+
 def test_file_input_builds(tmp_path):
     p = tmp_path / "square.json"
     p.write_text(json.dumps({

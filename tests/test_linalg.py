@@ -1,13 +1,18 @@
 """Exact linear algebra: frozen oracles first, then property invariants."""
 
 import doctest
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import strat_ic.linalg as linalg
 from strat_ic.linalg import (
+    CertificateError,
     CochainComplex,
     ExactMatrix,
     FGAbelianGroup,
@@ -87,10 +92,68 @@ def test_snf_divisibility_fold():
     assert u * m * v == d
 
 
+def test_snf_divisibility_fold_late_offender():
+    # after the pivot 2, only the second entry of [4, 3] breaks divisibility
+    m = ExactMatrix.from_rows([[2, 0, 0], [0, 4, 3]])
+    d, u, v, _ = smith_normal_form(m)
+    assert [int(d.entry(i, i)) for i in range(2)] == [1, 2]
+    assert u * m * v == d
+
+
 def test_snf_rectangular_with_zero_rows():
     m = ExactMatrix.from_rows([[6, 0, 0], [0, 10, 0]])
     d, u, v, _ = smith_normal_form(m)
     assert [int(d.entry(i, i)) for i in range(2)] == [2, 30]
+
+
+def test_snf_rejects_non_integers():
+    with pytest.raises(ValueError):
+        smith_normal_form(ExactMatrix.from_rows([[Fraction(1, 2), 0], [0, 3]]))
+    with pytest.raises(ValueError):
+        FGAbelianGroup.from_presentation(
+            ExactMatrix.from_rows([[Fraction(1, 2)]]))
+
+
+def test_snf_rejects_non_integers_under_optimize():
+    # -O strips asserts, so the integrality check must not be one
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    code = "\n".join([
+        "from fractions import Fraction",
+        "from strat_ic.linalg import ExactMatrix, FGAbelianGroup, "
+        "smith_normal_form",
+        "half = ExactMatrix.from_rows([[Fraction(1, 2)]])",
+        "for call in (lambda: smith_normal_form(half),",
+        "             lambda: FGAbelianGroup.from_presentation(half)):",
+        "    try:",
+        "        print(call())",
+        "    except ValueError:",
+        "        print('rejected')",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["rejected", "rejected"]
+
+
+@pytest.mark.parametrize("call,message", [
+    (2, "transform check"), (3, "check failed for u"),
+    (4, "check failed for v")])
+def test_snf_certificate_raises(monkeypatch, call, message):
+    # products in order: u*m, (u*m)*v, u*u^-1, v*v^-1; corrupt one of them
+    mul_rows = linalg._mul_rows
+    calls = []
+
+    def corrupt(x_rows, y_rows):
+        out = mul_rows(x_rows, y_rows)
+        calls.append(None)
+        if len(calls) == call:
+            out[0][0] = out[0].get(0, 0) + 1
+        return out
+
+    monkeypatch.setattr(linalg, "_mul_rows", corrupt)
+    with pytest.raises(CertificateError, match=message):
+        smith_normal_form(ExactMatrix.from_rows([[1, 2], [3, 4]]))
 
 
 def test_group_normalization_to_chain():
@@ -176,7 +239,7 @@ def test_rank_nullity(data):
     assert rank(m) + len(kernel_basis(m)) == m.cols
 
 
-@given(matrix_strategy())
+@given(st.one_of(matrix_strategy(), matrix_strategy(12, sparse_rationals)))
 def test_rank_agrees_with_rref(data):
     m = ExactMatrix.from_rows(data)
     _, pivots = rref(m)
@@ -192,6 +255,46 @@ def test_snf_self_verifies(data):
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
     assert u * m * v == d
+
+
+sparse_ints = st.one_of(st.just(0), st.just(0), st.integers(-6, 6))
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Sparse integer matrices up to 8x8 with up to two zero rows and two
+    zero columns, and half the time a last row that combines the first two."""
+    data = draw(matrix_strategy(8, sparse_ints))
+    r, c = len(data), len(data[0])
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=2)):
+        data[i] = [0] * c
+    for j in draw(st.sets(st.integers(0, c - 1), max_size=2)):
+        for row in data:
+            row[j] = 0
+    if r >= 3 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        data[-1] = [a * x + b * y for x, y in zip(data[0], data[1])]
+    return ExactMatrix.from_rows(data)
+
+
+@pytest.fixture(scope="module")
+def sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    return lambda m: invariant_factors(
+        sympy.Matrix(m.rows, m.cols, lambda i, j: int(m.entry(i, j))),
+        domain=sympy.ZZ)
+
+
+@given(sparse_integer_matrices())
+def test_snf_matches_sympy(sympy_invariant_factors, m):
+    d, u, v, vinv = smith_normal_form(m)
+    assert all(i == j for (i, j) in d.entries)
+    diag = [int(d.entry(i, i)) for i in range(min(m.rows, m.cols))]
+    assert diag == [int(x) for x in sympy_invariant_factors(m)]
+    assert u.is_integral() and v.is_integral()
+    assert u * m * v == d
+    assert v * vinv == ExactMatrix.identity(m.cols)
 
 
 groups = st.builds(
