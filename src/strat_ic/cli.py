@@ -286,10 +286,7 @@ def _resolve_space(config):
     if config.input_path:
         space, payload = load_space(config.input_path)
         return space, _digest(config, payload)
-    try:
-        return get_example(config.example), _digest(config)
-    except UnknownExample:
-        raise
+    return get_example(config.example), _digest(config)
 
 
 def _perversity(name):
@@ -581,9 +578,9 @@ def _scenario_refined(bundle):
         results.append(res)
         bundle.add("refined W%d dims" % (i + 1), dims,
                    verdict=dims == dims[::-1])
-    first = results[0]
+    context = duality.PairingContext(results[0], results[0])
     for k in range(4):
-        pm = duality.ic_pairing(first, first, k)
+        pm = context.matrix(k)
         bundle.add("refined W1 pairing %d-%d" % (k, 3 - k),
                    pm.matrix, verdict=pm.nondegenerate())
 
@@ -688,11 +685,9 @@ def cmd_reproduce(config):
 
 def _space_doc(space):
     cx = space.complex
-    maximal = [c for c in cx.cells
-               if not any(set(c) < set(d) for d in cx.cells)]
     return {
         "n_vertices": cx.n_vertices,
-        "simplices": sorted([list(c) for c in maximal]),
+        "simplices": sorted([list(c) for c in _maximal_cells(cx)]),
         "levels": sorted([[list(c), space.levels[c]] for c in cx.cells]),
     }
 

@@ -9,7 +9,8 @@ intersection sheaves, Kunneth comparisons, and intersection numbers.
 
 from fractions import Fraction
 
-from .linalg import ExactMatrix, FGAbelianGroup, rank, solve, tensor_complex
+from .linalg import (CertificateError, ExactMatrix, FGAbelianGroup, rank,
+                     solve)
 from . import spaces
 from . import sheaves
 
@@ -189,138 +190,132 @@ def duality_pairing(space, k):
 # which is exactly where the Lagrangian condition enters) and is read off
 # against the canonical top-degree generator.
 
-_prep_cache = {}
+class _Ambient:
+    """Index structures for cupping inside an untruncated pushforward R."""
 
+    def __init__(self, R):
+        self.R = R
+        self.cx, self.layout = sheaves.incidence_complex(R)
+        self.lmap = {}
+        for k, blocks in self.layout.items():
+            for cell, q, off, size in blocks:
+                self.lmap[(cell, q)] = (k, off, size)
+        self.fidx = {}
+        for cell, lay in R.stalk_layouts.items():
+            d = {}
+            for blocks in lay.values():
+                for flag, q, off, size in blocks:
+                    assert q == 0 and size == 1, \
+                        "pairing needs rank-one scalar coefficients"
+                    d[flag] = off
+            self.fidx[cell] = d
 
-def _prepare_ambient(R):
-    """Index structures for cupping inside an untruncated pushforward."""
-    key = id(R)
-    hit = _prep_cache.get(key)
-    if hit is not None and hit[0] is R:
-        return hit[1]
-    cx, layout = sheaves.incidence_complex(R)
-    lmap = {}
-    for k, blocks in layout.items():
-        for cell, q, off, size in blocks:
-            lmap[(cell, q)] = (k, off, size)
-    fidx = {}
-    for cell, lay in R.stalk_layouts.items():
-        d = {}
-        for blocks in lay.values():
-            for flag, q, off, size in blocks:
-                assert q == 0 and size == 1, \
-                    "pairing needs rank-one scalar coefficients"
-                d[flag] = off
-        fidx[cell] = d
-    prep = {"cx": cx, "layout": layout, "lmap": lmap, "fidx": fidx}
-    _prep_cache[key] = (R, prep)
-    return prep
-
-
-def _embed_truncated(prep, sheaf, vec, degree, inc_layout):
-    """Coordinates of a truncated total cochain inside the ambient complex."""
-    out = [Fraction(0)] * prep["cx"].dim(degree)
-    for cell, q, off, size in inc_layout.get(degree, ()):
-        block = vec[off:off + size]
-        if not any(block):
-            continue
-        spot = prep["lmap"].get((cell, q))
-        assert spot is not None and spot[0] == degree
-        _, roff, rsize = spot
-        if q < sheaf.cutoff:
-            assert rsize == size
-            for i, v in enumerate(block):
-                out[roff + i] += v
-        else:
-            assert q == sheaf.cutoff
-            lifted = sheaf.inclusions[cell].apply(block)
-            for i, v in enumerate(lifted):
-                out[roff + i] += v
-    return out
-
-
-def _ambient_cup(prep, R, x, k, y, l):
-    """Front-face / back-face product of ambient total cochains.
-
-    Component at a cell tau of dimension p with stalk degree q: sum over
-    splits of tau at position i of the stalk product of the restricted
-    front component of x (stalk degree k - i) with the restricted back
-    component of y, with the double-complex sign (-1)^(q1 (p - i)).
-    """
-    n = k + l
-    z = [Fraction(0)] * prep["cx"].dim(n)
-    for tau, q, off, size in prep["layout"].get(n, ()):
-        p = len(tau) - 1
-        fidx = prep["fidx"][tau]
-        flags = [f for f, _off in sorted(fidx.items(), key=lambda kv: kv[1])
-                 if len(f) == q + 1]
-        for i in range(p + 1):
-            q1 = k - i
-            q2 = l - (p - i)
-            if q1 < 0 or q2 < 0:
+    def embed(self, result, vec, degree):
+        """Coordinates of a class of `result` inside the ambient complex."""
+        sheaf = result.sheaf
+        out = [Fraction(0)] * self.cx.dim(degree)
+        for cell, q, off, size in result.layout.get(degree, ()):
+            block = vec[off:off + size]
+            if not any(block):
                 continue
-            front, back = tau[:i + 1], tau[i:]
-            sa = prep["lmap"].get((front, q1))
-            sb = prep["lmap"].get((back, q2))
-            if sa is None or sb is None:
-                continue
-            xa = x[sa[1]:sa[1] + sa[2]]
-            yb = y[sb[1]:sb[1] + sb[2]]
-            if not any(xa) or not any(yb):
-                continue
-            a = xa if front == tau else R.restriction(front, tau, q1).apply(xa)
-            b = yb if back == tau else R.restriction(back, tau, q2).apply(yb)
-            if not any(a) or not any(b):
-                continue
-            sign = -1 if (q1 * (p - i)) % 2 else 1
-            for g in flags:
-                va = a[fidx[g[:q1 + 1]]]
-                if not va:
+            spot = self.lmap.get((cell, q))
+            assert spot is not None and spot[0] == degree
+            _, roff, rsize = spot
+            if q < sheaf.cutoff:
+                assert rsize == size
+                for i, v in enumerate(block):
+                    out[roff + i] += v
+            else:
+                assert q == sheaf.cutoff
+                lifted = sheaf.inclusions[cell].apply(block)
+                for i, v in enumerate(lifted):
+                    out[roff + i] += v
+        return out
+
+    def cup(self, x, k, y, l):
+        """Front-face / back-face product of ambient total cochains.
+
+        Component at a cell tau of dimension p with stalk degree q: sum over
+        splits of tau at position i of the stalk product of the restricted
+        front component of x (stalk degree k - i) with the restricted back
+        component of y, with the double-complex sign (-1)^(q1 (p - i)).
+        """
+        R = self.R
+        n = k + l
+        z = [Fraction(0)] * self.cx.dim(n)
+        for tau, q, off, size in self.layout.get(n, ()):
+            p = len(tau) - 1
+            fidx = self.fidx[tau]
+            flags = [f for f, _off in sorted(fidx.items(), key=lambda kv: kv[1])
+                     if len(f) == q + 1]
+            for i in range(p + 1):
+                q1 = k - i
+                q2 = l - (p - i)
+                if q1 < 0 or q2 < 0:
                     continue
-                vb = b[fidx[g[q1:]]]
-                if vb:
-                    z[off + fidx[g]] += sign * va * vb
-    return z
+                front, back = tau[:i + 1], tau[i:]
+                sa = self.lmap.get((front, q1))
+                sb = self.lmap.get((back, q2))
+                if sa is None or sb is None:
+                    continue
+                xa = x[sa[1]:sa[1] + sa[2]]
+                yb = y[sb[1]:sb[1] + sb[2]]
+                if not any(xa) or not any(yb):
+                    continue
+                a = xa if front == tau else \
+                    R.restriction(front, tau, q1).apply(xa)
+                b = yb if back == tau else \
+                    R.restriction(back, tau, q2).apply(yb)
+                if not any(a) or not any(b):
+                    continue
+                sign = -1 if (q1 * (p - i)) % 2 else 1
+                for g in flags:
+                    va = a[fidx[g[:q1 + 1]]]
+                    if not va:
+                        continue
+                    vb = b[fidx[g[q1:]]]
+                    if vb:
+                        z[off + fidx[g]] += sign * va * vb
+        return z
 
+    def clear_overshoot(self, z, degree, cutoff):
+        """Push a top-degree ambient cocycle into stalk degrees <= cutoff.
 
-def _clear_overshoot(prep, R, z, degree, cutoff):
-    """Push a top-degree ambient cocycle into stalk degrees <= cutoff.
-
-    Components above the cutoff are removed by subtracting the total
-    differential of a stalkwise preimage; solvability is exactly the
-    vanishing of the offending stalk classes (for refined sheaves, the
-    Lagrangian condition).
-    """
-    blocks = prep["layout"].get(degree, ())
-    qs = sorted({q for _c, q, _o, _s in blocks}, reverse=True)
-    for q in qs:
-        if q <= cutoff:
-            break
-        w = [Fraction(0)] * prep["cx"].dim(degree - 1)
-        dirty = False
-        for cell, bq, off, size in blocks:
-            if bq != q:
-                continue
-            part = z[off:off + size]
-            if not any(part):
-                continue
-            sgn = -1 if (len(cell) - 1) % 2 else 1
-            d = R.stalks[cell].diff(q - 1)
-            u = solve(d, [sgn * v for v in part])
-            if u is None:
-                raise DualityError(
-                    "product class does not descend below stalk degree %d "
-                    "at cell %r; the middle conditions are not "
-                    "complementary" % (q, cell))
-            spot = prep["lmap"].get((cell, q - 1))
-            assert spot is not None and spot[0] == degree - 1
-            for i, v in enumerate(u):
-                w[spot[1] + i] += v
-            dirty = True
-        if dirty:
-            dw = prep["cx"].diff(degree - 1).apply(w)
-            z = [a - b for a, b in zip(z, dw)]
-    return z
+        Components above the cutoff are removed by subtracting the total
+        differential of a stalkwise preimage; solvability is exactly the
+        vanishing of the offending stalk classes (for refined sheaves, the
+        Lagrangian condition).
+        """
+        blocks = self.layout.get(degree, ())
+        qs = sorted({q for _c, q, _o, _s in blocks}, reverse=True)
+        for q in qs:
+            if q <= cutoff:
+                break
+            w = [Fraction(0)] * self.cx.dim(degree - 1)
+            dirty = False
+            for cell, bq, off, size in blocks:
+                if bq != q:
+                    continue
+                part = z[off:off + size]
+                if not any(part):
+                    continue
+                sgn = -1 if (len(cell) - 1) % 2 else 1
+                d = self.R.stalks[cell].diff(q - 1)
+                u = solve(d, [sgn * v for v in part])
+                if u is None:
+                    raise DualityError(
+                        "product class does not descend below stalk degree "
+                        "%d at cell %r; the middle conditions are not "
+                        "complementary" % (q, cell))
+                spot = self.lmap.get((cell, q - 1))
+                assert spot is not None and spot[0] == degree - 1
+                for i, v in enumerate(u):
+                    w[spot[1] + i] += v
+                dirty = True
+            if dirty:
+                dw = self.cx.diff(degree - 1).apply(w)
+                z = [a - b for a, b in zip(z, dw)]
+        return z
 
 
 def _single_step_data(result):
@@ -333,49 +328,109 @@ def _single_step_data(result):
     return R
 
 
-def _pairing_context(result_low, result_high):
-    """Shared ambient data for pairing two truncation results."""
-    space = result_low.space
-    if result_high.space is not space and \
-            result_high.space.complex.cells != space.complex.cells:
-        raise DualityError("results live on different spaces")
-    n = space.dim
-    levels = space.singular_levels()
-    if len(levels) != 1:
-        raise DualityError(
-            "pairing supports exactly one singular stratum, got %r" % levels)
-    codim = space.top - levels[0]
-    cut_top = codim - 2
-    if cut_top < 0:
-        raise DualityError("singular stratum has codimension below two")
-    R = _single_step_data(result_low)
-    RB = _single_step_data(result_high)
-    prep = _prepare_ambient(R)
-    if RB is not R:
-        for c, cx in R.stalks.items():
-            assert RB.stalks[c].dims == cx.dims, \
-                "ambient pushforwards differ; rebuild both results alike"
-    T = sheaves.truncate(R, cut_top)
-    cxT, layT = sheaves.incidence_complex(T)
-    gens = cxT.cohomology_basis(n)
-    if len(gens) != 1:
-        raise DualityError(
-            "top truncation has H^%d of rank %d, cannot normalize"
-            % (n, len(gens)))
-    gen_col = ExactMatrix.from_columns(len(gens[0]), gens)
-    read = gen_col.stack_cols(cxT.diff(n - 1))
+class PairingContext:
+    """Everything needed to pair classes of two truncation results.
 
-    def pair(xa, k, yb, layA, layB):
-        x = _embed_truncated(prep, result_low.sheaf, xa, k, layA)
-        y = _embed_truncated(prep, result_high.sheaf, yb, n - k, layB)
-        z = _ambient_cup(prep, R, x, k, y, n - k)
-        z = _clear_overshoot(prep, R, z, n, cut_top)
-        zt = _project_into(prep, T, layT, z, n)
-        sol = solve(read, zt)
-        assert sol is not None, "product is not a class of the truncation"
+    Built once per pair of results and owned by the caller: the ambient
+    pushforward's index structures, the top truncation T of the ambient
+    sheaf, its layout, and the [generator | d^(n-1)] matrix that reads a
+    top class of T against the canonical generator.  `value` pairs two
+    cochains, `matrix` pairs the cohomology bases of complementary degrees.
+    Only spaces with a single attachment step are supported.
+    """
+
+    def __init__(self, result_low, result_high):
+        space = result_low.space
+        if result_high.space is not space and \
+                result_high.space.complex.cells != space.complex.cells:
+            raise DualityError("results live on different spaces")
+        n = space.dim
+        levels = space.singular_levels()
+        if len(levels) != 1:
+            raise DualityError(
+                "pairing supports exactly one singular stratum, got %r"
+                % levels)
+        cut_top = space.top - levels[0] - 2
+        if cut_top < 0:
+            raise DualityError("singular stratum has codimension below two")
+        R = _single_step_data(result_low)
+        RB = _single_step_data(result_high)
+        if RB is not R:
+            for c, cx in R.stalks.items():
+                assert RB.stalks[c].dims == cx.dims, \
+                    "ambient pushforwards differ; rebuild both results alike"
+        self.low, self.high = result_low, result_high
+        self.n, self.cut_top = n, cut_top
+        self.ambient = _Ambient(R)
+        self.top = sheaves.truncate(R, cut_top)
+        cxT, self.top_layout = sheaves.incidence_complex(self.top)
+        gens = cxT.cohomology_basis(n)
+        if len(gens) != 1:
+            raise DualityError(
+                "top truncation has H^%d of rank %d, cannot normalize"
+                % (n, len(gens)))
+        gen_col = ExactMatrix.from_columns(len(gens[0]), gens)
+        self.read = gen_col.stack_cols(cxT.diff(n - 1))
+
+    def project_into(self, z, degree):
+        """Coordinates of an ambient window cochain in the top truncation."""
+        amb, T, layT = self.ambient, self.top, self.top_layout
+        out = [Fraction(0)] * sum(s for _c, _q, _o, s in layT.get(degree, ()))
+        for cell, q, off, size in layT.get(degree, ()):
+            spot = amb.lmap.get((cell, q))
+            if spot is None:
+                continue
+            _, roff, rsize = spot
+            part = z[roff:roff + rsize]
+            if q < T.cutoff:
+                assert rsize == size
+                for i, v in enumerate(part):
+                    out[off + i] = v
+            else:
+                coords = solve(T.inclusions[cell], part)
+                if coords is None:
+                    raise CertificateError(
+                        "component outside the truncated subspace at %r"
+                        % (cell,))
+                for i, v in enumerate(coords):
+                    out[off + i] = v
+        # anything in the ambient complex outside the window must be gone
+        covered = {(c, q) for c, q, _o, _s in layT.get(degree, ())}
+        for cell, q, off, size in amb.layout.get(degree, ()):
+            if (cell, q) not in covered and any(z[off:off + size]):
+                raise CertificateError(
+                    "cochain still sticks out of the truncation window at %r"
+                    % (cell,))
+        return out
+
+    def value(self, xa, k, yb):
+        """Pairing of a degree-k cochain of the first result with a
+        degree-(n-k) cochain of the second (coordinate vectors of their
+        incidence complexes)."""
+        amb, n = self.ambient, self.n
+        x = amb.embed(self.low, xa, k)
+        y = amb.embed(self.high, yb, n - k)
+        z = amb.cup(x, k, y, n - k)
+        z = amb.clear_overshoot(z, n, self.cut_top)
+        zt = self.project_into(z, n)
+        sol = solve(self.read, zt)
+        if sol is None:
+            raise CertificateError("product is not a class of the truncation")
         return sol[0]
 
-    return n, pair
+    def matrix(self, k):
+        """PairingMatrix of H^k of the first result against H^(n-k) of the
+        second, in their deterministic cohomology bases."""
+        n = self.n
+        if k < 0 or k > n:
+            raise DegreeOutOfRange("degree %d outside 0..%d" % (k, n))
+        basis_a = self.low.complex.cohomology_basis(k)
+        basis_b = self.high.complex.cohomology_basis(n - k)
+        rows = [[self.value(xa, k, yb) for yb in basis_b] for xa in basis_a]
+        mat = ExactMatrix.from_rows(rows) if rows else \
+            ExactMatrix.zeros(0, len(basis_b))
+        return PairingMatrix(mat, k, n - k, label="%s x %s" % (
+            self.low.label, self.high.label))
 
 
 def ic_pairing(result_low, result_high, k):
@@ -385,49 +440,10 @@ def ic_pairing(result_low, result_high, k):
     the second inside the shared untruncated pushforward; the product is a
     top-degree class of the top truncation and its coefficient against the
     canonical generator is the pairing value.  Only spaces with a single
-    attachment step are supported.
+    attachment step are supported.  To pair several degrees, build one
+    PairingContext and ask it for each.
     """
-    n, pair = _pairing_context(result_low, result_high)
-    if k < 0 or k > n:
-        raise DegreeOutOfRange("degree %d outside 0..%d" % (k, n))
-    cxA, layA = sheaves.incidence_complex(result_low.sheaf)
-    cxB, layB = sheaves.incidence_complex(result_high.sheaf)
-    basis_a = cxA.cohomology_basis(k)
-    basis_b = cxB.cohomology_basis(n - k)
-    rows = [[pair(xa, k, yb, layA, layB) for yb in basis_b]
-            for xa in basis_a]
-    mat = ExactMatrix.from_rows(rows) if rows else \
-        ExactMatrix.zeros(0, len(basis_b))
-    return PairingMatrix(mat, k, n - k,
-                         label="%s x %s" % (result_low.label, result_high.label))
-
-
-def _project_into(prep, T, layT, z, degree):
-    """Coordinates of an ambient window cochain in the truncation."""
-    out = [Fraction(0)] * sum(s for _c, _q, _o, s in layT.get(degree, ()))
-    for cell, q, off, size in layT.get(degree, ()):
-        spot = prep["lmap"].get((cell, q))
-        if spot is None:
-            continue
-        _, roff, rsize = spot
-        part = z[roff:roff + rsize]
-        if q < T.cutoff:
-            assert rsize == size
-            for i, v in enumerate(part):
-                out[off + i] = v
-        else:
-            coords = solve(T.inclusions[cell], part)
-            assert coords is not None, \
-                "component outside the truncated subspace"
-            for i, v in enumerate(coords):
-                out[off + i] = v
-    # anything in the ambient complex outside the window must be gone
-    covered = {(c, q) for c, q, _o, _s in layT.get(degree, ())}
-    for cell, q, off, size in prep["layout"].get(degree, ()):
-        if (cell, q) not in covered:
-            assert not any(z[off:off + size]), \
-                "cochain still sticks out of the truncation window"
-    return out
+    return PairingContext(result_low, result_high).matrix(k)
 
 
 def stratumwise_duality(space, perversity=None):
@@ -507,9 +523,6 @@ def integral_prediction(ga, gb, width):
     return out
 
 
-_integral_prediction = integral_prediction
-
-
 def kunneth(left, right, mode="rational"):
     """Product comparison in one of three modes.
 
@@ -532,7 +545,7 @@ def kunneth(left, right, mode="rational"):
     if mode == "integral":
         lhs = prod.complex.cochain_complex().cohomology_groups()
         lhs = {k: lhs.get(k, FGAbelianGroup.zero()) for k in range(width)}
-        rhs = _integral_prediction(
+        rhs = integral_prediction(
             left.complex.cochain_complex().cohomology_groups(),
             right.complex.cochain_complex().cohomology_groups(), width)
         detail = [{"degree": k, "computed": lhs[k].describe(),
@@ -718,10 +731,7 @@ def intersection_number(first, second, class_a, class_b, p, q):
         cx = space.complex
         signs = orient_top_cells(cx)
         return _cup_eval(cx, signs, p, class_a, class_b)
-    _n, pair = _pairing_context(first, second)
-    _cxa, layA = sheaves.incidence_complex(first.sheaf)
-    _cxb, layB = sheaves.incidence_complex(second.sheaf)
-    return pair(class_a, p, class_b, layA, layB)
+    return PairingContext(first, second).value(class_a, p, class_b)
 
 
 def local_contribution(space, mezzo, level=None):

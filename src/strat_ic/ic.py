@@ -122,12 +122,18 @@ class Perversity:
 
 
 class ICResult:
-    """Constructed intersection sheaf plus its global invariants."""
+    """Constructed intersection sheaf plus its global invariants.
 
-    def __init__(self, space, sheaf, cohomology, cutoffs, label):
+    `complex` and `layout` are the sheaf's incidence total complex and its
+    block layout (see sheaves.incidence_complex); classes of the result are
+    coordinate vectors of that complex.
+    """
+
+    def __init__(self, space, sheaf, cutoffs, label):
         self.space = space
         self.sheaf = sheaf
-        self.cohomology = cohomology
+        self.complex, self.layout = sheaves.incidence_complex(sheaf)
+        self.cohomology = self.complex.betti_numbers()
         self.cutoffs = cutoffs  # stratum level -> stalk degree cutoff
         self.label = label
 
@@ -172,8 +178,7 @@ def deligne_construction(space, perversity, coefficient=1):
         cut = perversity(top - p)
         cutoffs[p] = cut
         F = truncate(F, cut)
-    coh = sheaf_cohomology(F)
-    return ICResult(space, F, coh, cutoffs,
+    return ICResult(space, F, cutoffs,
                     "IC^%s(%s)" % (perversity.name, getattr(space, "name", "X")))
 
 
@@ -622,8 +627,7 @@ def refined_ic(space, mezzo, coefficient=1):
         _, keep = rref(base)
         subspaces[vertex] = base.submatrix_cols(keep)
     G = truncate(F, mid, subspaces=subspaces)
-    coh = sheaf_cohomology(G)
-    return ICResult(space, G, coh, cutoffs, "IC_L")
+    return ICResult(space, G, cutoffs, "IC_L")
 
 
 def dual_mezzoperversity(space, mezzo):

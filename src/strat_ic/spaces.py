@@ -84,9 +84,6 @@ class SimplicialComplex:
     def cells_of_dim(self, d):
         return [c for c in self.cells if len(c) == d + 1]
 
-    def has_cell(self, c):
-        return tuple(c) in self.cell_index
-
     def coboundary_matrix(self, k):
         """Matrix of d^k from k-cochains to (k+1)-cochains, integer entries.
 

@@ -6,7 +6,13 @@ symplectic form of the cup product); the decomposition rows come from the
 cone formula and the cohomology of the cylinder.
 """
 
+import gc
+import os
+import subprocess
+import sys
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,14 +22,14 @@ from strat_ic.ic import (
     ExactMatrix, Mezzoperversity, Perversity, deligne_construction,
     lagrangian_subspaces, link_middle_form, refined_ic,
 )
-from strat_ic.linalg import rank
+from strat_ic.linalg import CertificateError, rank, solve
 from strat_ic import duality
 from strat_ic.duality import (
     DegreeMismatch, DegreeOutOfRange, DualityError, InconsistentCollapse,
     ModeMismatch, NotOrientable, StratumNotFound, cup_pairing_matrix,
-    duality_pairing, fibration_decomposition, fundamental_class,
-    ic_pairing, intersection_number, kunneth, local_contribution,
-    orient_top_cells, stratumwise_duality,
+    PairingContext, duality_pairing, fibration_decomposition,
+    fundamental_class, ic_pairing, intersection_number, kunneth,
+    local_contribution, orient_top_cells, stratumwise_duality,
 )
 
 
@@ -136,7 +142,7 @@ def test_ambient_product_satisfies_leibniz():
     sp = get_example("cone-s1")
     F = sheaves.constant_sheaf(sp)
     R = sheaves.derived_pushforward(F, sp.filtration_stage(0))
-    prep = duality._prepare_ambient(R)
+    amb = duality._Ambient(R)
     cx, _lay = sheaves.incidence_complex(R)
     for k, l in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         for i in range(cx.dim(k)):
@@ -147,10 +153,10 @@ def test_ambient_product_satisfies_leibniz():
                 y = [Fraction(0)] * cx.dim(l)
                 y[j] = Fraction(1)
                 dy = list(cx.diff(l).apply(y))
-                z = duality._ambient_cup(prep, R, x, k, y, l)
+                z = amb.cup(x, k, y, l)
                 dz = list(cx.diff(k + l).apply(z))
-                lhs = duality._ambient_cup(prep, R, dx, k + 1, y, l)
-                rhs = duality._ambient_cup(prep, R, x, k, dy, l + 1)
+                lhs = amb.cup(dx, k + 1, y, l)
+                rhs = amb.cup(x, k, dy, l + 1)
                 sign = (-1) ** k
                 assert all(a == b + sign * c
                            for a, b, c in zip(dz, lhs, rhs)), (k, l, i, j)
@@ -179,17 +185,108 @@ def test_refined_pairing_nondegenerate_every_degree(res_w):
 
 
 def test_pairing_value_is_class_invariant(res_m, res_n):
-    from strat_ic import sheaves
-    cxa, layA = sheaves.incidence_complex(res_m.sheaf)
-    cxb, layB = sheaves.incidence_complex(res_n.sheaf)
-    n, pair = duality._pairing_context(res_m, res_n)
+    cxa = res_m.complex
+    context = PairingContext(res_m, res_n)
     x = cxa.cohomology_basis(2)[0]
-    y = cxb.cohomology_basis(1)[0]
-    base = pair(x, 2, y, layA, layB)
+    y = res_n.complex.cohomology_basis(1)[0]
+    base = context.value(x, 2, y)
     w = [Fraction(0)] * cxa.dim(1)
     w[0] = Fraction(3)
     shifted = [a + b for a, b in zip(x, cxa.diff(1).apply(w))]
-    assert pair(shifted, 2, y, layA, layB) == base
+    assert context.value(shifted, 2, y) == base
+
+
+@pytest.fixture(scope="module")
+def susp_s1():
+    return deligne_construction(get_example("suspension-s1"),
+                                Perversity.lower_middle())
+
+
+def test_pairing_context_answers_every_degree(susp_s1):
+    # one context serves all degrees, in any order, like fresh ones do
+    context = PairingContext(susp_s1, susp_s1)
+    for k in (2, 0, 1, 2):
+        assert context.matrix(k).matrix == \
+            ic_pairing(susp_s1, susp_s1, k).matrix
+    assert context.matrix(0).matrix.to_triples() == [(0, 0, "1/1")]
+    with pytest.raises(DegreeOutOfRange):
+        context.matrix(3)
+
+
+def _unit(n, i):
+    v = [Fraction(0)] * n
+    v[i] = Fraction(1)
+    return v
+
+
+def test_pairing_certificate_sticks_out(susp_s1):
+    context = PairingContext(susp_s1, susp_s1)
+    amb, n = context.ambient, context.n
+    covered = {(c, q) for c, q, _o, _s in context.top_layout[n]}
+    _c, _q, off, _s = next(b for b in amb.layout[n]
+                               if (b[0], b[1]) not in covered)
+    with pytest.raises(CertificateError, match="sticks out"):
+        context.project_into(_unit(amb.cx.dim(n), off), n)
+
+
+def test_pairing_certificate_outside_subspace(susp_s1):
+    context = PairingContext(susp_s1, susp_s1)
+    amb, T = context.ambient, context.top
+    # a unit cochain at the cutoff stalk degree outside the truncation's
+    # kernel subspace, in whatever total degree one exists
+    k, z = next((k, _unit(amb.cx.dim(k), off + i))
+                for k, blocks in sorted(amb.layout.items())
+                for c, q, off, size in blocks if q == T.cutoff
+                for i in range(size)
+                if solve(T.inclusions[c], _unit(size, i)) is None)
+    with pytest.raises(CertificateError, match="truncated subspace"):
+        context.project_into(z, k)
+
+
+def test_pairing_certificate_not_a_class(monkeypatch, susp_s1):
+    context = PairingContext(susp_s1, susp_s1)
+    x = susp_s1.complex.cohomology_basis(0)[0]
+    y = susp_s1.complex.cohomology_basis(2)[0]
+    assert context.value(x, 0, y) != 0
+    real = duality.solve
+    monkeypatch.setattr(duality, "solve", lambda m, t: None
+                        if m is context.read else real(m, t))
+    with pytest.raises(CertificateError, match="not a class"):
+        context.value(x, 0, y)
+
+
+def test_ic_pairing_same_under_optimize(susp_s1):
+    # the pairing certificates are raises, not asserts, so -O keeps them
+    # and must not change the answer
+    src = str(Path(duality.__file__).resolve().parents[1])
+    code = "\n".join([
+        "from strat_ic import duality, ic",
+        "from strat_ic.examples import get_example",
+        "res = ic.deligne_construction(get_example('suspension-s1'),",
+        "                              ic.Perversity.lower_middle())",
+        "for k in range(3):",
+        "    print(duality.ic_pairing(res, res, k).matrix.to_triples())",
+    ])
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable] + flags + ["-c", code],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    want = "".join("%s\n" % ic_pairing(susp_s1, susp_s1, k).matrix.to_triples()
+                   for k in range(3))
+    assert outs == [want, want]
+
+
+def test_pairing_keeps_no_ambient_sheaf_alive():
+    res = deligne_construction(get_example("suspension-s1"),
+                               Perversity.lower_middle())
+    ambient = weakref.ref(res.sheaf.untruncated)
+    ic_pairing(res, res, 0)
+    del res
+    gc.collect()
+    assert ambient() is None
 
 
 def test_pairing_rejects_second_space(res_m):
@@ -336,11 +433,8 @@ def test_intersection_number_torus_sections():
 
 
 def test_intersection_number_singular_route(res_m, res_n):
-    from strat_ic import sheaves
-    cxa, _ = sheaves.incidence_complex(res_m.sheaf)
-    cxb, _ = sheaves.incidence_complex(res_n.sheaf)
-    a0 = cxa.cohomology_basis(0)[0]
-    b3 = cxb.cohomology_basis(3)[0]
+    a0 = res_m.complex.cohomology_basis(0)[0]
+    b3 = res_n.complex.cohomology_basis(3)[0]
     assert intersection_number(res_m, res_n, a0, b3, 0, 3) == 1
     assert intersection_number(res_m, res_n, a0, a0, 0, 0) == 0
 

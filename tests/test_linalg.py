@@ -446,3 +446,72 @@ def test_cohomology_basis_is_greedy_extension(c):
                 if j >= img.cols]
         assert c.cohomology_basis(k) == want
         assert len(want) == c.betti_numbers()[k]
+
+
+# -------------------------------------- integral cohomology vs a reference
+
+def _two_snf_cohomology_groups(c):
+    """H^k = ker d^k / im d^{k-1} through two Smith forms: the kernel from
+    the column transform of d^k, the image rewritten in those coordinates
+    through the inverse transform, and the quotient's invariant factors."""
+    out = {}
+    for k in c.degrees():
+        a, b = c.diff(k), c.diff(k - 1)
+        n = c.dim(k)
+        if n == 0:
+            out[k] = FGAbelianGroup.zero()
+            continue
+        if a.is_zero():
+            vinv, ra = ExactMatrix.identity(n), 0
+        else:
+            d, _, _, vinv = smith_normal_form(a)
+            ra = sum(1 for (i, j) in d.entries if i == j)
+        if ra == n:
+            out[k] = FGAbelianGroup.zero()
+            continue
+        if b.is_zero():
+            out[k] = FGAbelianGroup.free(n - ra)
+            continue
+        coords = vinv * b
+        assert all(i >= ra for (i, j) in coords.entries)
+        pres = ExactMatrix(n - ra, b.cols, {(i - ra, j): v for (i, j), v
+                                            in coords.entries.items()})
+        out[k] = FGAbelianGroup.from_presentation(pres)
+    return out
+
+
+@st.composite
+def integer_complexes(draw):
+    """Tensor products of two or three one-step complexes Z^a -M-> Z^b:
+    integral, d o d = 0 by construction, torsion from the entries of M."""
+    def one_step():
+        rows = draw(matrix_strategy(3))
+        m = ExactMatrix.from_rows(rows)
+        return CochainComplex({0: m.cols, 1: m.rows}, {0: m})
+    c = one_step()
+    for _ in range(draw(st.integers(1, 2))):
+        c, _layout = tensor_complex(c, one_step())
+    return c
+
+
+@given(integer_complexes())
+def test_cohomology_groups_match_two_snf_reference(c):
+    got = c.cohomology_groups()
+    assert got == _two_snf_cohomology_groups(c)
+    assert {k: g.free_rank for k, g in got.items()} == c.betti_numbers()
+
+
+def test_cohomology_groups_certify_d_squared():
+    # d o d != 0 slips past construction with check=False; the integral
+    # computation must still refuse it, also under python -O
+    d0 = ExactMatrix.from_rows([[1], [0]])
+    d1 = ExactMatrix.from_rows([[1, 0]])
+    c = CochainComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1}, check=False)
+    with pytest.raises(CertificateError, match="degree 1"):
+        c.cohomology_groups()
+
+
+def test_cohomology_groups_reject_non_integers():
+    c = CochainComplex({0: 1, 1: 1}, {0: ExactMatrix.from_rows([[Fraction(1, 2)]])})
+    with pytest.raises(ValueError):
+        c.cohomology_groups()
