@@ -19,6 +19,9 @@ Row elimination happens in exactly three routines:
   deterministic.
 - `rank` (over Q, sparsest pivots first) gives the rank alone; it drives
   `CochainComplex.betti_numbers` and independence checks.
+
+  Both work fraction-free (after Bareiss, Math. Comp. 1968) on primitive
+  integer rows with a column -> rows index; see `_eliminate`.
 - `smith_normal_form` (over Z) drives integral cohomology and
   presentations.  It tracks u^-1 and v^-1 next to u and v and certifies
   u * m * v == d, u * u^-1 == I and v * v^-1 == I in exact integers; an
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "CertificateError",
@@ -224,100 +227,74 @@ class ExactMatrix:
         return "ExactMatrix(%d, %d, nnz=%d)" % (self.rows, self.cols, len(self.entries))
 
 
-def _rows_of(m):
-    rows = [dict() for _ in range(m.rows)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = v
-    return rows
-
-
 def rref(m):
     """Reduced row echelon form with pivots chosen in column order.
 
     Returns (R, pivot_cols) where R is the RREF of m and pivot_cols the sorted
-    pivot column indices.  The pivot in each column is the first available row,
-    which makes every downstream basis choice deterministic.
+    pivot column indices.  The RREF is unique, so R and every basis read
+    off it do not depend on the pivot rows: each pivot is the sparsest
+    unused row with a nonzero in its column (ties to the lower index) and
+    touches only the rows with a nonzero there.  Rows stay primitive integer
+    vectors until the pivot rows are divided by their pivots, at the end.
     """
-    rows = _rows_of(m)
-    pivot_cols = []
-    cur = 0
+    rows = [_primitive(row) for row in _int_rows(m)]
+    cols = [set() for _ in range(m.cols)]
+    for i, j in m.entries:
+        cols[j].add(i)
+    used = [False] * m.rows
+    pivots = []
     for col in range(m.cols):
-        piv = None
-        for r in range(cur, m.rows):
-            if rows[r].get(col):
-                piv = r
-                break
-        if piv is None:
+        cand = [r for r in cols[col] if not used[r]]
+        if not cand:
             continue
-        rows[cur], rows[piv] = rows[piv], rows[cur]
-        pv = rows[cur][col]
-        if pv != 1:
-            rows[cur] = {j: v / pv for j, v in rows[cur].items()}
-        for r in range(m.rows):
-            if r != cur:
-                f = rows[r].get(col)
-                if f:
-                    rr = rows[r]
-                    for j, v in rows[cur].items():
-                        w = rr.get(j, Fraction(0)) - f * v
-                        if w:
-                            rr[j] = w
-                        elif j in rr:
-                            del rr[j]
-        pivot_cols.append(col)
-        cur += 1
-        if cur == m.rows:
+        pr = min(cand, key=lambda r: (len(rows[r]), r))
+        prow = rows[pr]
+        for r in list(cols[col]):
+            if r != pr:
+                _eliminate(rows[r], prow, col, cols, r)
+        used[pr] = True
+        pivots.append((col, pr))
+        if len(pivots) == m.rows:
             break
     ent = {}
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            ent[(i, j)] = v
-    return ExactMatrix(m.rows, m.cols, ent), pivot_cols
+    for i, (col, r) in enumerate(pivots):
+        p = rows[r][col]
+        for j, x in rows[r].items():
+            ent[(i, j)] = Fraction(x, p)
+    return ExactMatrix(m.rows, m.cols, ent), [col for col, _ in pivots]
 
 
 def rank(m):
-    """Exact rank.  Pivots on the sparsest row, then the sparsest column in
-    it, to limit fill-in; ties go to the lower index.  The answer does not
-    depend on the pivot order, only the speed."""
-    rows = {}
-    col_rows = {}
-    for (i, j), v in m.entries.items():
-        rows.setdefault(i, {})[j] = v
-        col_rows.setdefault(j, set()).add(i)
+    """Exact rank.  Eliminates primitive integer rows like `rref`, but
+    pivots on the sparsest row, then the sparsest column in it, to limit
+    fill-in; ties go to the lower index.  The answer does not depend on the
+    pivot order, only the speed."""
+    rows = [_primitive(row) for row in _int_rows(m)]
+    cols = [set() for _ in range(m.cols)]
+    for i, j in m.entries:
+        cols[j].add(i)
     # (length, row) for every live row; a row whose length changes is pushed
     # again, and entries that no longer match their row are skipped
-    heap = [(len(row), r) for r, row in rows.items()]
+    heap = [(len(row), r) for r, row in enumerate(rows) if row]
     heapq.heapify(heap)
     rnk = 0
     while heap:
         n, pr = heapq.heappop(heap)
-        prow = rows.get(pr)
+        prow = rows[pr]
         if prow is None or len(prow) != n:
             continue
-        pc = min(prow, key=lambda c: (len(col_rows[c]), c))
-        pv = prow[pc]
-        for r2 in list(col_rows[pc]):
-            if r2 == pr:
+        pc = min(prow, key=lambda c: (len(cols[c]), c))
+        for r in list(cols[pc]):
+            if r == pr:
                 continue
-            row2 = rows[r2]
-            n2 = len(row2)
-            f = row2[pc] / pv
-            for c, v in prow.items():
-                w = row2.get(c, Fraction(0)) - f * v
-                if w:
-                    if c not in row2:
-                        col_rows[c].add(r2)
-                    row2[c] = w
-                elif c in row2:
-                    del row2[c]
-                    col_rows[c].discard(r2)
-            if not row2:
-                del rows[r2]
-            elif len(row2) != n2:
-                heapq.heappush(heap, (len(row2), r2))
+            row = rows[r]
+            n2 = len(row)
+            _eliminate(row, prow, pc, cols, r)
+            if row and len(row) != n2:
+                heapq.heappush(heap, (len(row), r))
         for c in prow:
-            col_rows[c].discard(pr)
-        del rows[pr]
+            cols[c].discard(pr)
+        rows[pr] = None
         rnk += 1
     return rnk
 
@@ -334,17 +311,16 @@ def kernel_basis(m):
     """
     r, pivot_cols = rref(m)
     pivset = set(pivot_cols)
-    free = [j for j in range(m.cols) if j not in pivset]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * m.cols
+    basis = {f: [Fraction(0)] * m.cols for f in range(m.cols)
+             if f not in pivset}
+    for f, vec in basis.items():
         vec[f] = Fraction(1)
-        for pi, pc in enumerate(pivot_cols):
-            v = r.entry(pi, f)
-            if v:
-                vec[pc] = -v
-        basis.append(tuple(vec))
-    return basis
+    # entry (i, f) of a pivot row is minus coordinate pivot_cols[i] of the
+    # basis vector of the free column f
+    for (i, f), v in r.entries.items():
+        if f not in pivset:
+            basis[f][pivot_cols[i]] = -v
+    return [tuple(vec) for vec in basis.values()]
 
 
 def solve_many(m, targets):
@@ -380,14 +356,45 @@ def solve(m, target):
     return None if x is None else x.column(0)
 
 
-def _axpy(y, x, c):
-    """y += c * x in place, on sparse dict vectors; zeros are dropped."""
+def _axpy(y, x, c, a=1, cols=None, i=None):
+    """y = a * y + c * x in place, on sparse dict vectors; zeros are dropped.
+
+    With `cols`, a column -> rows index, y is row i and the index follows
+    the entries that appear and vanish."""
+    if a != 1:
+        for k in y:
+            y[k] *= a
     for k, xv in x.items():
         w = y.get(k, 0) + c * xv
         if w:
+            if cols is not None and k not in y:
+                cols[k].add(i)
             y[k] = w
         else:
             del y[k]
+            if cols is not None:
+                cols[k].discard(i)
+
+
+def _primitive(y):
+    """y divided in place by the gcd of its integer entries."""
+    g = gcd(*y.values())
+    if g > 1:
+        for k in y:
+            y[k] //= g
+    return y
+
+
+def _eliminate(y, x, col, cols, i):
+    """Clear column `col` of the integer row y (row i of the index `cols`)
+    with the pivot row x: y = (p/g) y - (f/g) x for p = x[col], f = y[col],
+    g = gcd(p, f), then divided by its content.  Row scaling keeps the RREF;
+    the per-row gcd replaces Bareiss's division by the previous pivot,
+    which needs a fixed pivot order."""
+    p, f = x[col], y[col]
+    g = gcd(p, f)
+    _axpy(y, x, -(f // g), p // g, cols, i)
+    _primitive(y)
 
 
 def _transpose(vecs, n):
@@ -413,11 +420,23 @@ def _mul_rows(x_rows, y_rows):
 
 
 def _int_rows(m):
-    """Integer row dicts of an integral ExactMatrix."""
+    """Integer row dicts of m, each row scaled by the lcm of its
+    denominators; the rows of an integral matrix are its own entries."""
     rows = [{} for _ in range(m.rows)]
     for (i, j), v in m.entries.items():
-        rows[i][j] = int(v)
+        rows[i][j] = v
+    for row in rows:
+        den = lcm(*(v.denominator for v in row.values()))
+        for j, v in row.items():
+            row[j] = v.numerator * (den // v.denominator)
     return rows
+
+
+def _is_zero_product(a, b):
+    """Whether a * b == 0, in exact ints when both are integral."""
+    if a.is_integral() and b.is_integral():
+        return not any(_mul_rows(_int_rows(a), _int_rows(b)))
+    return (a * b).is_zero()
 
 
 def _matrix(nr, nc, int_rows):
@@ -463,16 +482,7 @@ def smith_normal_form(m):
 
     def row_op(i1, i2, c):
         # row i1 += c * row i2 on a and u; column i2 -= c * column i1 of u^-1
-        r1 = a[i1]
-        for j, x in a[i2].items():
-            w = r1.get(j, 0) + c * x
-            if w:
-                if j not in r1:
-                    a_cols[j].add(i1)
-                r1[j] = w
-            else:
-                del r1[j]
-                a_cols[j].discard(i1)
+        _axpy(a[i1], a[i2], c, cols=a_cols, i=i1)
         _axpy(u[i1], u[i2], c)
         _axpy(uinv[i2], uinv[i1], -c)
 
@@ -746,7 +756,9 @@ class CochainComplex:
 
     `dims` maps each degree in [lo, hi] to a dimension (zero allowed);
     `diffs` maps degree k to the matrix of d^k with shape (dims[k+1], dims[k]).
-    Missing differentials are zero.  d o d = 0 is checked at construction.
+    Missing differentials are zero.  d o d = 0 is checked at construction,
+    in exact ints when the differentials are integral, and raises
+    CertificateError when it fails (also under python -O).
     """
 
     __slots__ = ("lo", "hi", "dims", "diffs")
@@ -769,8 +781,8 @@ class CochainComplex:
         if check:
             for k in self.diffs:
                 nxt = self.diffs.get(k + 1)
-                if nxt is not None:
-                    assert (nxt * self.diffs[k]).is_zero(), "d o d != 0 at degree %d" % k
+                if nxt is not None and not _is_zero_product(nxt, self.diffs[k]):
+                    raise CertificateError("d o d != 0 at degree %d" % k)
 
     def dim(self, k):
         return self.dims.get(k, 0)
@@ -833,18 +845,12 @@ class CochainComplex:
             if not (a.is_integral() and b.is_integral()):
                 raise ValueError("cohomology_groups needs integer "
                                  "differentials")
-            if any(_mul_rows(_int_rows(a), _int_rows(b))):
+            if not _is_zero_product(a, b):
                 raise CertificateError(
                     "image not contained in kernel at degree %d" % k)
             coker = FGAbelianGroup.from_presentation(b)
             out[k] = FGAbelianGroup(coker.free_rank - rank(a), coker.torsion)
         return out
-
-    def shifted(self, s):
-        """Same complex with degrees shifted up by s (no sign changes)."""
-        dims = {k + s: v for k, v in self.dims.items()}
-        diffs = {k + s: m for k, m in self.diffs.items()}
-        return CochainComplex(dims, diffs, check=False)
 
     def __repr__(self):
         spans = ", ".join("%d:%d" % (k, self.dims[k]) for k in self.degrees())

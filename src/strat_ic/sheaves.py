@@ -37,8 +37,8 @@ class NotOpenComplement(SheafError):
     pass
 
 
-# how large a total complex may get before we stop asserting D compose D = 0
-# directly (it holds by the certified sheaf axioms; the assert is belt and
+# how large a total complex may get before we stop checking D compose D = 0
+# directly (it holds by the certified sheaf axioms; the check is belt and
 # braces on small instances)
 _CHECK_LIMIT = 1500
 

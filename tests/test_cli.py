@@ -160,10 +160,7 @@ def test_bad_filtration_cell_rejected_under_optimize(tmp_path, cell):
     assert "'/filtration/1/6'" in proc.stderr
 
 
-def test_integral_kunneth_bytes_same_under_optimize(tmp_path):
-    # the Smith form certificates are raises, not asserts, so -O runs them
-    # too and the report must not change
-    args = ["kunneth", "--example", "product:s1,s1", "--mode", "integral"]
+def _assert_same_bytes_under_optimize(args, tmp_path):
     code, want = run(args, tmp_path, "plain.json")
     assert code == 0
     out = tmp_path / "optimized.json"
@@ -172,6 +169,21 @@ def test_integral_kunneth_bytes_same_under_optimize(tmp_path):
         ["--output", str(out)], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == want
+
+
+def test_integral_kunneth_bytes_same_under_optimize(tmp_path):
+    # the Smith form certificates are raises, not asserts, so -O runs them
+    # too and the report must not change
+    _assert_same_bytes_under_optimize(
+        ["kunneth", "--example", "product:s1,s1", "--mode", "integral"],
+        tmp_path)
+
+
+def test_ih_bytes_same_under_optimize(tmp_path):
+    # no assert may carry work that the ih report depends on
+    _assert_same_bytes_under_optimize(
+        ["ih", "--example", "cone-s1", "--perversity", "lower-middle"],
+        tmp_path)
 
 
 def test_file_input_builds(tmp_path):

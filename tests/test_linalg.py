@@ -1,6 +1,7 @@
 """Exact linear algebra: frozen oracles first, then property invariants."""
 
 import doctest
+import heapq
 import os
 import subprocess
 import sys
@@ -196,8 +197,32 @@ def test_integral_cohomology_torsion():
 def test_complex_rejects_bad_differential():
     d0 = ExactMatrix.from_rows([[1], [0]])
     d1 = ExactMatrix.from_rows([[1, 0]])
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateError, match="degree 0"):
         CochainComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1})
+    # a rational differential takes the Fraction product
+    half = ExactMatrix.from_rows([[Fraction(1, 2), 0]])
+    with pytest.raises(CertificateError, match="degree 0"):
+        CochainComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: half})
+
+
+def test_complex_rejects_bad_differential_under_optimize():
+    # -O strips asserts, so the d o d check must not be one
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    code = "\n".join([
+        "from strat_ic.linalg import CertificateError, CochainComplex, "
+        "ExactMatrix",
+        "d0 = ExactMatrix.from_rows([[1], [0]])",
+        "d1 = ExactMatrix.from_rows([[1, 0]])",
+        "try:",
+        "    print(CochainComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1}))",
+        "except CertificateError as e:",
+        "    print('rejected:', e)",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected: d o d != 0 at degree 0"
 
 
 def test_cohomology_basis_deterministic():
@@ -515,3 +540,184 @@ def test_cohomology_groups_reject_non_integers():
     c = CochainComplex({0: 1, 1: 1}, {0: ExactMatrix.from_rows([[Fraction(1, 2)]])})
     with pytest.raises(ValueError):
         c.cohomology_groups()
+
+
+# ------------------------------------ elimination vs plain-Fraction loops
+
+def _rows_of(m):
+    rows = [dict() for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = v
+    return rows
+
+
+def _reference_rref(m):
+    """Reference: the plain-Fraction RREF loop, pivot in each column the
+    first available row, every row scanned for every pivot."""
+    rows = _rows_of(m)
+    pivot_cols = []
+    cur = 0
+    for col in range(m.cols):
+        piv = None
+        for r in range(cur, m.rows):
+            if rows[r].get(col):
+                piv = r
+                break
+        if piv is None:
+            continue
+        rows[cur], rows[piv] = rows[piv], rows[cur]
+        pv = rows[cur][col]
+        if pv != 1:
+            rows[cur] = {j: v / pv for j, v in rows[cur].items()}
+        for r in range(m.rows):
+            if r != cur:
+                f = rows[r].get(col)
+                if f:
+                    rr = rows[r]
+                    for j, v in rows[cur].items():
+                        w = rr.get(j, Fraction(0)) - f * v
+                        if w:
+                            rr[j] = w
+                        elif j in rr:
+                            del rr[j]
+        pivot_cols.append(col)
+        cur += 1
+        if cur == m.rows:
+            break
+    ent = {}
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            ent[(i, j)] = v
+    return ExactMatrix(m.rows, m.cols, ent), pivot_cols
+
+
+def _reference_rank(m):
+    """Reference: the plain-Fraction Markowitz rank loop (sparsest row from
+    a heap, then sparsest column, ties to the lower index)."""
+    rows = {}
+    col_rows = {}
+    for (i, j), v in m.entries.items():
+        rows.setdefault(i, {})[j] = v
+        col_rows.setdefault(j, set()).add(i)
+    heap = [(len(row), r) for r, row in rows.items()]
+    heapq.heapify(heap)
+    rnk = 0
+    while heap:
+        n, pr = heapq.heappop(heap)
+        prow = rows.get(pr)
+        if prow is None or len(prow) != n:
+            continue
+        pc = min(prow, key=lambda c: (len(col_rows[c]), c))
+        pv = prow[pc]
+        for r2 in list(col_rows[pc]):
+            if r2 == pr:
+                continue
+            row2 = rows[r2]
+            n2 = len(row2)
+            f = row2[pc] / pv
+            for c, v in prow.items():
+                w = row2.get(c, Fraction(0)) - f * v
+                if w:
+                    if c not in row2:
+                        col_rows[c].add(r2)
+                    row2[c] = w
+                elif c in row2:
+                    del row2[c]
+                    col_rows[c].discard(r2)
+            if not row2:
+                del rows[r2]
+            elif len(row2) != n2:
+                heapq.heappush(heap, (len(row2), r2))
+        for c in prow:
+            col_rows[c].discard(pr)
+        del rows[pr]
+        rnk += 1
+    return rnk
+
+
+def _assert_matches_references(m):
+    r, pivots = rref(m)
+    want_r, want_pivots = _reference_rref(m)
+    assert pivots == want_pivots
+    assert r == want_r
+    assert all(type(v) is Fraction for v in r.entries.values())
+    assert rank(m) == _reference_rank(m) == len(pivots)
+
+
+# mixed denominators, non-unit and negative pivots
+mixed_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                            st.just(Fraction(0)),
+                            st.fractions(-6, 6, max_denominator=7))
+
+
+@st.composite
+def sparse_rational_matrices(draw):
+    """Sparse rational matrices up to 12x12 with up to two zero rows and two
+    zero columns, and half the time a last row that combines the first
+    two."""
+    data = draw(matrix_strategy(12, mixed_rationals))
+    r, c = len(data), len(data[0])
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=2)):
+        data[i] = [Fraction(0)] * c
+    for j in draw(st.sets(st.integers(0, c - 1), max_size=2)):
+        for row in data:
+            row[j] = Fraction(0)
+    if r >= 3 and draw(st.booleans()):
+        a, b = draw(mixed_rationals), draw(mixed_rationals)
+        data[-1] = [a * x + b * y for x, y in zip(data[0], data[1])]
+    return ExactMatrix.from_rows(data)
+
+
+@given(sparse_rational_matrices())
+def test_elimination_matches_fraction_reference(m):
+    _assert_matches_references(m)
+
+
+@st.composite
+def wide_with_identity(draw):
+    """[A | I] with A sparse and three or four times wider than tall: the
+    shape of the top-degree cohomology_basis call, [d^(n-1) | ker d^n]
+    with d^n = 0."""
+    r = draw(st.integers(1, 8))
+    c = draw(st.integers(3 * r, 4 * r))
+    a = draw(st.lists(st.lists(mixed_rationals, min_size=c, max_size=c),
+                      min_size=r, max_size=r))
+    return ExactMatrix.from_rows(a).stack_cols(ExactMatrix.identity(r))
+
+
+@given(wide_with_identity())
+def test_wide_elimination_matches_fraction_reference(m):
+    _assert_matches_references(m)
+
+
+def test_rref_content_above_one():
+    # rows with content 2 and 2 (and 3 once the denominators are cleared),
+    # and pivots that do not divide the entries below them
+    m = ExactMatrix.from_rows([[6, 4, 2, 0],
+                               [4, 0, 8, 10],
+                               [Fraction(3, 2), 3, 0, Fraction(9, 2)]])
+    _assert_matches_references(m)
+    r, pivots = rref(m)
+    assert pivots == [0, 1, 2]
+    assert r.to_triples() == [(0, 0, '1/1'), (0, 3, '-17/6'),
+                              (1, 1, '1/1'), (1, 3, '35/12'),
+                              (2, 2, '1/1'), (2, 3, '8/3')]
+
+
+def test_eliminate_scales_and_divides_by_content():
+    # p = 6, f = 4, g = 2: y = 3 y - 2 x = (0, 18, 6, -6), content 6
+    y, x = {0: 4, 1: 6, 2: 2}, {0: 6, 3: 3}
+    cols = [{0, 1}, {0}, {0}, {1}]
+    linalg._eliminate(y, x, 0, cols, 0)
+    assert y == {1: 3, 2: 1, 3: -1}
+    assert cols == [{1}, {0}, {0}, {0, 1}]
+
+
+def test_rref_pivots_on_sparsest_row():
+    # column 0 is nonzero in rows 0 and 2; row 2 is the sparser one and
+    # takes the pivot, and row 0 stays available for column 1
+    m = ExactMatrix.from_rows([[2, 1, 1], [0, 0, 3], [-4, 0, 0]])
+    _assert_matches_references(m)
+    r, pivots = rref(m)
+    assert pivots == [0, 1, 2]
+    assert r == ExactMatrix.identity(3)
