@@ -728,7 +728,7 @@ def _check_rank_nullity(space):
     cc = space.complex.cochain_complex()
     for k in range(cc.lo, cc.hi + 1):
         d = cc.diff(k)
-        if d.cols and rank(d) + len(kernel_basis(d)) != d.cols:
+        if d.cols and rank(d) + kernel_basis(d).cols != d.cols:
             return False
     return True
 

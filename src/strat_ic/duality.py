@@ -369,7 +369,8 @@ class PairingContext:
             raise DualityError(
                 "top truncation has H^%d of rank %d, cannot normalize"
                 % (n, len(gens)))
-        gen_col = ExactMatrix.from_columns(len(gens[0]), gens)
+        gen_col = ExactMatrix(len(gens[0]), 1,
+                              {(i, 0): v for i, v in enumerate(gens[0])})
         self.read = gen_col.stack_cols(cxT.diff(n - 1))
 
     def project_into(self, z, degree):

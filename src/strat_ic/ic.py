@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .linalg import CochainComplex, ExactMatrix, kernel_basis, rank, rref
+from .linalg import (CertificateError, CochainComplex, ExactMatrix,
+                     kernel_basis, rank, rref)
 from . import sheaves
 from .sheaves import (SheafError, constant_sheaf, derived_pushforward,
                       sheaf_cohomology, truncate)
@@ -66,16 +67,17 @@ class Perversity:
 
     def __call__(self, codim):
         c = int(codim)
-        assert c >= 2, "perversities are indexed by codimension >= 2"
-        v = int(self.rule(c))
-        return v
+        if c < 2:
+            raise ICError("perversities are indexed by codimension >= 2")
+        return int(self.rule(c))
 
     def check_growth(self, max_codim):
-        assert self(2) == 0, "perversity must vanish at codimension 2"
+        if self(2) != 0:
+            raise ICError("perversity must vanish at codimension 2")
         for c in range(2, max_codim):
-            step = self(c + 1) - self(c)
-            assert step in (0, 1), \
-                "perversity grows by 0 or 1 per codimension (at %d)" % c
+            if self(c + 1) - self(c) not in (0, 1):
+                raise ICError(
+                    "perversity grows by 0 or 1 per codimension (at %d)" % c)
 
     def dual(self):
         return Perversity(lambda c: c - 2 - self.rule(c),
@@ -103,7 +105,8 @@ class Perversity:
         vals = {int(c): int(v) for c, v in values.items()}
 
         def rule(c):
-            assert c in vals, "no perversity value at codimension %d" % c
+            if c not in vals:
+                raise ICError("no perversity value at codimension %d" % c)
             return vals[c]
         return cls(rule, name)
 
@@ -287,13 +290,12 @@ def stratumwise_rows(space, width=None):
         cells = space.stratum(p)
         d = max(len(c) - 1 for c in cells)
         row = [0] * width
+        coh = _order_cohomology(cells)
         if _is_closed_stratum(space, cells):
-            coh = _order_cohomology(cells)
             for k, v in coh.items():
                 if k < width:
                     row[k] = v
         else:
-            coh = _order_cohomology(cells)
             for k, v in coh.items():
                 if k < min(d, width):
                     row[k] = v
@@ -469,7 +471,7 @@ def lagrangian_perp(form, w):
     """Symplectic complement of the span of w's columns, as a basis matrix."""
     j = skew_gram_matrix(form)
     rows = w.transpose() * j
-    return ExactMatrix.from_columns(j.rows, kernel_basis(rows))
+    return kernel_basis(rows)
 
 
 def is_lagrangian(form, w):
@@ -619,8 +621,8 @@ def refined_ic(space, mezzo, coefficient=1):
         lam = last_vertex_cochain_map(vertex, layout, stalk.dim(mid), lk, mid)
         lifted = lam * w_cochain
         # the transported classes must be cocycles in the stalk
-        assert (stalk.diff(mid) * lifted).is_zero(), \
-            "transported classes fail to be cocycles"
+        if not (stalk.diff(mid) * lifted).is_zero():
+            raise CertificateError("transported classes fail to be cocycles")
         # the image plus the lifted classes, keeping independent columns in
         # order (zero columns are never pivots)
         base = stalk.diff(mid - 1).stack_cols(lifted)

@@ -15,8 +15,12 @@ Row elimination happens in exactly three routines:
 - `rref` (over Q, pivots in column order) answers every span query:
   `kernel_basis`, `solve` and `solve_many` (one elimination of
   [m | targets]), and `CochainComplex.cohomology_basis` (pivot columns of
-  [image | kernel vectors]).  RREF is unique, so every basis it picks is
-  deterministic.
+  [image | kernel basis]).  RREF is unique, so every basis it picks is
+  deterministic.  `kernel_basis` returns a sparse matrix whose columns are
+  the basis; it is the identity on the rows of the free columns, so
+  `solve_many` against it, or against any matrix with such rows, reads the
+  answer off those rows and certifies it with one exact product (in ints
+  when everything is integral) instead of eliminating.
 - `rank` (over Q, sparsest pivots first) gives the rank alone; it drives
   `CochainComplex.betti_numbers` and independence checks.
 
@@ -32,6 +36,7 @@ Row elimination happens in exactly three routines:
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -101,17 +106,6 @@ class ExactMatrix:
                 if v:
                     ent[(i, j)] = v
         return cls(rows, cols, ent)
-
-    @classmethod
-    def from_columns(cls, rows, vecs):
-        """Matrix whose columns are `vecs`, each of length `rows`."""
-        ent = {}
-        for j, vec in enumerate(vecs):
-            assert len(vec) == rows, "column %d has length %d, not %d" % (
-                j, len(vec), rows)
-            for i, v in enumerate(vec):
-                ent[(i, j)] = v
-        return cls(rows, len(vecs), ent)
 
     @classmethod
     def identity(cls, n):
@@ -207,13 +201,11 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols + other.cols, ent)
 
     def submatrix_cols(self, col_indices):
-        ent = {}
-        for new_j, j in enumerate(col_indices):
-            for i in range(self.rows):
-                v = self.entries.get((i, j))
-                if v:
-                    ent[(i, new_j)] = v
-        return ExactMatrix(self.rows, len(col_indices), ent)
+        """The columns at `col_indices` (distinct), in that order."""
+        pos = {j: new_j for new_j, j in enumerate(col_indices)}
+        return ExactMatrix(self.rows, len(col_indices),
+                           {(i, pos[j]): v for (i, j), v in self.entries.items()
+                            if j in pos})
 
     def to_triples(self):
         """Sorted (row, col, "num/den") triples, the canonical dump format."""
@@ -300,43 +292,58 @@ def rank(m):
 
 
 def kernel_basis(m):
-    """Deterministic basis of ker(m) as column vectors (tuples of Fractions).
+    """Deterministic basis of ker(m), as the columns of a sparse matrix.
 
-    Free columns are parametrized in increasing index order; each basis vector
-    has a 1 in its free coordinate.
+    Free columns are parametrized in increasing index order; basis column t
+    belongs to the t-th free column f and has a 1 in row f.  That row has no
+    other nonzero, so the basis is the identity on the free rows (see
+    `solve_many`).
 
     >>> m = ExactMatrix.from_rows([[1, 1, 0], [0, 0, 1]])
-    >>> kernel_basis(m)
-    [(Fraction(-1, 1), Fraction(1, 1), Fraction(0, 1))]
+    >>> kernel_basis(m).to_triples()
+    [(0, 0, '-1/1'), (1, 0, '1/1')]
     """
     r, pivot_cols = rref(m)
     pivset = set(pivot_cols)
-    basis = {f: [Fraction(0)] * m.cols for f in range(m.cols)
-             if f not in pivset}
-    for f, vec in basis.items():
-        vec[f] = Fraction(1)
+    free = {f: t for t, f in enumerate(f for f in range(m.cols)
+                                       if f not in pivset)}
+    ent = {(f, t): Fraction(1) for f, t in free.items()}
     # entry (i, f) of a pivot row is minus coordinate pivot_cols[i] of the
     # basis vector of the free column f
     for (i, f), v in r.entries.items():
-        if f not in pivset:
-            basis[f][pivot_cols[i]] = -v
-    return [tuple(vec) for vec in basis.values()]
+        if f in free:
+            ent[(pivot_cols[i], free[f])] = -v
+    return ExactMatrix(m.cols, len(free), ent)
 
 
 def solve_many(m, targets):
     """Matrix X with m * X == targets, or None if some column is inconsistent.
 
-    One elimination of [m | targets]: a target column lies in the column span
-    of m exactly when no pivot lands in the target block.  Deterministic: free
-    variables are set to zero, so X is read off the pivot rows.
+    When every column j of m has a row whose only nonzero is a 1 at j, as
+    every `kernel_basis` result does, row j of X is forced to be the
+    targets' row there, and the exact product m * X == targets certifies
+    it (if it fails, nothing solves).  Such columns are independent, so the
+    answer is unique.  Otherwise one elimination of [m | targets]: a column
+    lies in the span of m exactly when no pivot lands in the target block;
+    free variables are set to zero, so X is read off the pivot rows.
 
     >>> m = ExactMatrix.from_rows([[1, 1], [0, 0]])
     >>> solve_many(m, ExactMatrix.from_rows([[2, 3], [0, 0]])).to_triples()
     [(0, 0, '2/1'), (0, 1, '3/1')]
     >>> solve_many(m, ExactMatrix.from_rows([[0], [1]])) is None
     True
+    >>> k = ExactMatrix.from_rows([[2], [1]])
+    >>> solve_many(k, ExactMatrix.from_rows([[6], [3]])).to_triples()
+    [(0, 0, '3/1')]
     """
     assert targets.rows == m.rows, (m.shape, targets.shape)
+    count = Counter(i for i, _j in m.entries)
+    unit = {i: j for (i, j), v in m.entries.items() if v == 1 and count[i] == 1}
+    if len(set(unit.values())) == m.cols:
+        x = ExactMatrix(m.cols, targets.cols,
+                        {(unit[i], c): v for (i, c), v in targets.entries.items()
+                         if i in unit})
+        return x if _product_equals(m, x, targets) else None
     r, pivot_cols = rref(m.stack_cols(targets))
     if pivot_cols and pivot_cols[-1] >= m.cols:
         return None
@@ -352,7 +359,8 @@ def solve(m, target):
     The one-column case of `solve_many`; free variables are set to zero.
     """
     assert len(target) == m.rows
-    x = solve_many(m, ExactMatrix.from_columns(m.rows, [target]))
+    x = solve_many(m, ExactMatrix(m.rows, 1, {(i, 0): v
+                                              for i, v in enumerate(target)}))
     return None if x is None else x.column(0)
 
 
@@ -432,11 +440,11 @@ def _int_rows(m):
     return rows
 
 
-def _is_zero_product(a, b):
-    """Whether a * b == 0, in exact ints when both are integral."""
-    if a.is_integral() and b.is_integral():
-        return not any(_mul_rows(_int_rows(a), _int_rows(b)))
-    return (a * b).is_zero()
+def _product_equals(a, b, c):
+    """Whether a * b == c, in exact ints when all three are integral."""
+    if a.is_integral() and b.is_integral() and c.is_integral():
+        return _mul_rows(_int_rows(a), _int_rows(b)) == _int_rows(c)
+    return a * b == c
 
 
 def _matrix(nr, nc, int_rows):
@@ -779,9 +787,10 @@ class CochainComplex:
                 (k, m.shape, self.dims[k + 1], self.dims[k])
             self.diffs[k] = m
         if check:
-            for k in self.diffs:
+            for k, d in self.diffs.items():
                 nxt = self.diffs.get(k + 1)
-                if nxt is not None and not _is_zero_product(nxt, self.diffs[k]):
+                if nxt is not None and not _product_equals(
+                        nxt, d, ExactMatrix.zeros(nxt.rows, d.cols)):
                     raise CertificateError("d o d != 0 at degree %d" % k)
 
     def dim(self, k):
@@ -824,9 +833,8 @@ class CochainComplex:
         ker = kernel_basis(self.diff(k))
         img = self.diff(k - 1)
         # a pivot column of [img | ker] is independent of the columns before it
-        both = img.stack_cols(ExactMatrix.from_columns(img.rows, ker))
-        _, pivot_cols = rref(both)
-        return [ker[j - img.cols] for j in pivot_cols if j >= img.cols]
+        _, pivot_cols = rref(img.stack_cols(ker))
+        return [ker.column(j - img.cols) for j in pivot_cols if j >= img.cols]
 
     def cohomology_groups(self):
         """Integral cohomology per degree as FGAbelianGroup.
@@ -845,7 +853,7 @@ class CochainComplex:
             if not (a.is_integral() and b.is_integral()):
                 raise ValueError("cohomology_groups needs integer "
                                  "differentials")
-            if not _is_zero_product(a, b):
+            if not _product_equals(a, b, ExactMatrix.zeros(a.rows, b.cols)):
                 raise CertificateError(
                     "image not contained in kernel at degree %d" % k)
             coker = FGAbelianGroup.from_presentation(b)

@@ -131,9 +131,10 @@ class SheafComplex:
                 for q in range(lo, hi):
                     left = self.restriction(sig, tau, q + 1) * sx.diff(q)
                     right = tx.diff(q) * self.restriction(sig, tau, q)
-                    assert left == right, \
-                        "restriction %r -> %r not a chain map at degree %d" \
-                        % (sig, tau, q)
+                    if left != right:
+                        raise SheafError(
+                            "restriction %r -> %r not a chain map at degree %d"
+                            % (sig, tau, q))
         # strict functoriality across codimension-2 diamonds
         for rho in cells:
             if len(rho) < 3:
@@ -144,8 +145,10 @@ class SheafComplex:
                         via = (self.restriction(mid, rho, q)
                                * self.restriction(sig, mid, q))
                         flat = self.restriction(sig, rho, q)
-                        assert via == flat, \
-                            "restrictions %r -> %r not functorial" % (sig, rho)
+                        if via != flat:
+                            raise SheafError(
+                                "restrictions %r -> %r not functorial"
+                                % (sig, rho))
 
     def total_dimension(self):
         return sum(cx.dim(q) for cx in self.stalks.values()
@@ -410,9 +413,10 @@ def sheaf_cohomology(sheaf, open_cells=None, integral=False):
 class SectionSpace:
     """Compatible families of stalk vectors over an open set, degreewise.
 
-    `basis[q]` lists sections; each section maps cell -> coefficient tuple.
-    The induced differential acts sectionwise, making Gamma(U, F) itself a
-    cochain complex (available as .complex).
+    The columns of the matrix `basis[q]` are sections, each one the stalk
+    vectors of `cells` stacked in that order.  The induced differential acts
+    sectionwise, making Gamma(U, F) itself a cochain complex (available as
+    .complex).
     """
 
     def __init__(self, cells, degrees, basis, complex_):
@@ -422,7 +426,7 @@ class SectionSpace:
         self.complex = complex_
 
     def dim(self, q):
-        return len(self.basis.get(q, []))
+        return self.basis[q].cols if q in self.basis else 0
 
     def __repr__(self):
         dims = {q: self.dim(q) for q in self.degrees}
@@ -447,55 +451,35 @@ def global_sections(sheaf, open_cells=None):
     degrees = list(range(lo, hi + 1))
     offs = {}
     basis = {}
-    vecs = {}
     for q in degrees:
         off = 0
         offs[q] = {}
         for c in cells:
             offs[q][c] = off
             off += sheaf.stalks[c].dim(q)
-        rows = []
         ent = {}
         r = 0
         for (a, b) in covers:
-            m = sheaf.restriction(a, b, q)
+            # r(x_a) - x_b = 0, one row per coordinate of the stalk at b
+            for (i, j), v in sheaf.restriction(a, b, q).entries.items():
+                ent[(r + i, offs[q][a] + j)] = v
             nb = sheaf.stalks[b].dim(q)
             for i in range(nb):
-                # r(x_a) - x_b = 0
-                for (ii, j), v in m.entries.items():
-                    if ii == i:
-                        ent[(r, offs[q][a] + j)] = v
-                ent[(r, offs[q][b] + i)] = Fraction(-1)
-                r += 1
-        mism = ExactMatrix(r, off, ent)
-        ker = kernel_basis(mism)
-        vecs[q] = ker
-        basis[q] = []
-        for vec in ker:
-            sec = {}
-            for c in cells:
-                n = sheaf.stalks[c].dim(q)
-                sec[c] = tuple(vec[offs[q][c] + k] for k in range(n))
-            basis[q].append(sec)
-    # induced differential: d(section) is again a section; express it in
-    # the next degree's basis
-    dims = {q: len(vecs[q]) for q in degrees}
+                ent[(r + i, offs[q][b] + i)] = Fraction(-1)
+            r += nb
+        basis[q] = kernel_basis(ExactMatrix(r, off, ent))
+    # induced differential: the stalk differentials, one diagonal block per
+    # cell, send sections to sections; express them in the next basis
     diffs = {}
     for q in degrees[:-1]:
-        tgt_basis = ExactMatrix.from_columns(
-            sum(sheaf.stalks[c].dim(q + 1) for c in cells), vecs[q + 1])
-        images = []
-        for vec in vecs[q]:
-            img = []
-            for c in cells:
-                n = sheaf.stalks[c].dim(q)
-                chunk = tuple(vec[offs[q][c] + k] for k in range(n))
-                img.extend(sheaf.stalks[c].diff(q).apply(chunk))
-            images.append(img)
-        diffs[q] = solve_columns(
-            tgt_basis, ExactMatrix.from_columns(tgt_basis.rows, images))
-    return SectionSpace(cells, degrees, basis,
-                        CochainComplex(dims, diffs))
+        ent = {}
+        for c in cells:
+            for (i, j), v in sheaf.stalks[c].diff(q).entries.items():
+                ent[(offs[q + 1][c] + i, offs[q][c] + j)] = v
+        d = ExactMatrix(basis[q + 1].rows, basis[q].rows, ent)
+        diffs[q] = solve_columns(basis[q + 1], d * basis[q])
+    dims = {q: basis[q].cols for q in degrees}
+    return SectionSpace(cells, degrees, basis, CochainComplex(dims, diffs))
 
 
 # -- pushforward -----------------------------------------------------------
@@ -648,7 +632,7 @@ def truncate(sheaf, degree, subspaces=None):
         if c in subspaces:
             kb = subspaces[c]
         else:
-            kb = ExactMatrix.from_columns(cx.dim(k), kernel_basis(cx.diff(k)))
+            kb = kernel_basis(cx.diff(k))
         bases[c] = kb
         dims = {}
         diffs = {}

@@ -6,8 +6,14 @@ freeze) before the construction ran; the construction has to reproduce
 them exactly.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import strat_ic
 from strat_ic import spaces
 from strat_ic.examples import get_example
 from strat_ic.ic import (
@@ -47,13 +53,44 @@ def test_perversity_growth_and_duality():
 def test_perversity_from_values_and_errors():
     p = Perversity.from_values({2: 0, 3: 1})
     assert p(3) == 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(ICError):
         p(4)
     with pytest.raises(ICError):
         Perversity.named("middle-ish")
     bad = Perversity.from_values({2: 0, 3: 2})
-    with pytest.raises(AssertionError):
+    with pytest.raises(ICError):
         bad.check_growth(3)
+
+
+def test_growth_and_functoriality_checks_run_under_optimize():
+    # -O strips asserts, so neither input check may be one
+    src = str(Path(strat_ic.__file__).resolve().parents[1])
+    code = "\n".join([
+        "from strat_ic.examples import get_example",
+        "from strat_ic.ic import ICError, Perversity",
+        "from strat_ic.sheaves import SheafComplex, SheafError, constant_sheaf",
+        "F = constant_sheaf(get_example('s2'), 1)",
+        "bad = dict(F.restrictions)",
+        "key = ((0, 1), (0, 1, 2))",
+        "bad[key] = {0: bad[key][0].scale(2)}",
+        "for call, err in (",
+        "        (lambda: SheafComplex(F.space, F.stalks, bad), SheafError),",
+        "        (lambda: Perversity.from_values({2: 0, 3: 2}).check_growth(3),",
+        "         ICError)):",
+        "    try:",
+        "        call()",
+        "        print('accepted')",
+        "    except err as e:",
+        "        print('rejected:', e)",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: restrictions (1,) -> (0, 1, 2) not functorial",
+        "rejected: perversity grows by 0 or 1 per codimension (at 2)",
+    ]
 
 
 # -- Deligne construction oracles ------------------------------------------

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,9 +50,9 @@ def test_circle_coboundary_rank_and_kernel():
     d0 = ExactMatrix.from_rows([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
     assert rank(d0) == 2
     ker = kernel_basis(d0)
-    assert len(ker) == 1
+    assert ker.cols == 1
     # the kernel is spanned by the constant function
-    v = ker[0]
+    v = ker.column(0)
     assert v[0] == v[1] == v[2] != 0
 
 
@@ -261,7 +262,7 @@ def matrix_strategy(max_dim=4, entries=small_entries):
 @given(matrix_strategy())
 def test_rank_nullity(data):
     m = ExactMatrix.from_rows(data)
-    assert rank(m) + len(kernel_basis(m)) == m.cols
+    assert rank(m) + kernel_basis(m).cols == m.cols
 
 
 @given(st.one_of(matrix_strategy(), matrix_strategy(12, sparse_rationals)))
@@ -353,8 +354,8 @@ def two_step_complex(entries=small_entries):
         rows = []
         for combo in combos:
             vec = [Fraction(0)] * a.rows
-            for coeff, kv in zip(combo, ker_t):
-                for i, x in enumerate(kv):
+            for coeff, t in zip(combo, range(ker_t.cols)):
+                for i, x in enumerate(ker_t.column(t)):
                     vec[i] += coeff * x
             rows.append(vec)
         if rows:
@@ -455,6 +456,84 @@ def test_solve_many_matches_gauss_reference(sys_):
         assert solve(m, targets.column(j)) == x.column(j)
 
 
+def _rref_solve(m, targets):
+    """Reference: X read off the RREF of [m | targets], free variables
+    zero; None if a pivot lands in the target block."""
+    r, pivots = rref(m.stack_cols(targets))
+    if pivots and pivots[-1] >= m.cols:
+        return None
+    return ExactMatrix(m.cols, targets.cols,
+                       {(pivots[i], j - m.cols): v
+                        for (i, j), v in r.entries.items() if j >= m.cols})
+
+
+nonzero_rationals = st.fractions(-3, 3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def identity_row_systems(draw):
+    """(m, targets, fast, outside) for the identity-row path of solve_many.
+
+    m is a kernel basis, a row-permuted [I; A], or a near miss of the
+    latter: the identity row of one column (whose A part is zeroed) holds a
+    2, or a second nonzero.  `fast` says whether every column keeps a row
+    with a lone 1.  targets is m * C, and when `outside` is set one entry in
+    a row off the identity is perturbed, which leaves the span.
+    """
+    kind = draw(st.sampled_from(["kernel", "stacked", "two", "second"]))
+    if kind == "kernel":
+        a = ExactMatrix.from_rows(draw(matrix_strategy(6, sparse_rationals)))
+        m = kernel_basis(a)
+        off_identity = rref(a)[1]
+    else:
+        r = draw(st.integers(1, 4))
+        extra = draw(st.integers(0, 4))
+        ent = {(i, i): 1 for i in range(r)}
+        for i in range(r, r + extra):
+            for j in range(r):
+                ent[(i, j)] = draw(sparse_rationals)
+        if kind != "stacked":
+            j0 = draw(st.integers(0, r - 1))
+            for i in range(r, r + extra):
+                ent[(i, j0)] = 0
+            if kind == "two" or r == 1:
+                ent[(j0, j0)] = 2
+            else:
+                j1 = draw(st.integers(0, r - 1).filter(lambda j: j != j0))
+                ent[(j0, j1)] = draw(nonzero_rationals)
+        perm = draw(st.permutations(range(r + extra)))
+        m = ExactMatrix(r + extra, r,
+                        {(perm[i], j): v for (i, j), v in ent.items()})
+        off_identity = [perm[i] for i in range(r, r + extra)]
+    nb = draw(st.integers(1, 3))
+    c = draw(st.lists(st.lists(sparse_rationals, min_size=nb, max_size=nb),
+                      min_size=m.cols, max_size=m.cols))
+    targets = m * ExactMatrix(m.cols, nb, {(i, j): v for i, row in enumerate(c)
+                                           for j, v in enumerate(row)})
+    outside = bool(off_identity) and draw(st.booleans())
+    if outside:
+        i = draw(st.sampled_from(off_identity))
+        j = draw(st.integers(0, nb - 1))
+        delta = ExactMatrix(m.rows, nb, {(i, j): draw(nonzero_rationals)})
+        targets = targets + delta
+    return m, targets, kind in ("kernel", "stacked"), outside
+
+
+@given(identity_row_systems())
+def test_solve_many_identity_rows_match_references(case):
+    m, targets, fast, outside = case
+    with mock.patch.object(linalg, "rref", wraps=linalg.rref) as spy:
+        x = solve_many(m, targets)
+    assert spy.called == (not fast)
+    assert x == _rref_solve(m, targets)
+    ref = _gauss_solve(_dense(m), _dense(targets))
+    if x is None:
+        assert ref is None
+    else:
+        assert not outside
+        assert m * x == targets and _dense(x) == ref
+
+
 @given(matrix_strategy(5, sparse_rationals))
 def test_rref_pivots_are_greedy_rank_columns(data):
     m = ExactMatrix.from_rows(data)
@@ -466,8 +545,8 @@ def test_cohomology_basis_is_greedy_extension(c):
     for k in c.degrees():
         img = c.diff(k - 1)
         ker = kernel_basis(c.diff(k))
-        both = img.stack_cols(ExactMatrix.from_columns(img.rows, ker))
-        want = [ker[j - img.cols] for j in _greedy_columns(both)
+        both = img.stack_cols(ker)
+        want = [ker.column(j - img.cols) for j in _greedy_columns(both)
                 if j >= img.cols]
         assert c.cohomology_basis(k) == want
         assert len(want) == c.betti_numbers()[k]
