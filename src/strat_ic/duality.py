@@ -196,17 +196,15 @@ class _Ambient:
     def __init__(self, R):
         self.R = R
         self.cx, self.layout = sheaves.incidence_complex(R)
-        self.lmap = {}
-        for k, blocks in self.layout.items():
-            for cell, q, off, size in blocks:
-                self.lmap[(cell, q)] = (k, off, size)
+        self.lmap = sheaves._block_index(self.layout)
         self.fidx = {}
         for cell, lay in R.stalk_layouts.items():
             d = {}
             for blocks in lay.values():
                 for flag, q, off, size in blocks:
-                    assert q == 0 and size == 1, \
-                        "pairing needs rank-one scalar coefficients"
+                    if q != 0 or size != 1:
+                        raise DualityError(
+                            "pairing needs rank-one scalar coefficients")
                     d[flag] = off
             self.fidx[cell] = d
 
@@ -246,8 +244,8 @@ class _Ambient:
         for tau, q, off, size in self.layout.get(n, ()):
             p = len(tau) - 1
             fidx = self.fidx[tau]
-            flags = [f for f, _off in sorted(fidx.items(), key=lambda kv: kv[1])
-                     if len(f) == q + 1]
+            flags = [f for f, _q, _off, _size
+                     in R.stalk_layouts[tau].get(q, ())]
             for i in range(p + 1):
                 q1 = k - i
                 q2 = l - (p - i)

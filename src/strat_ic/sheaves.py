@@ -19,6 +19,7 @@ of up-to-homotopy.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .linalg import (CochainComplex, ExactMatrix, FGAbelianGroup, kernel_basis,
                      solve_many)
@@ -68,8 +69,8 @@ class SheafComplex:
         self.space = space
         self.poset = FacePoset(space.complex)
         self.stalks = {tuple(c): cx for c, cx in stalks.items()}
-        assert set(self.stalks) == set(space.complex.cells), \
-            "stalks must cover all cells"
+        if set(self.stalks) != set(space.complex.cells):
+            raise SheafError("stalks must cover all cells")
         self.restrictions = {}
         for (a, b), mats in restrictions.items():
             a, b = tuple(a), tuple(b)
@@ -96,11 +97,12 @@ class SheafComplex:
     def restriction(self, a, b, q):
         """Degree-q component of the restriction along a <= b."""
         a, b = tuple(a), tuple(b)
-        if a == b:
-            return ExactMatrix.identity(self.stalks[a].dim(q))
         key = (a, b, q)
         if key not in self._composed:
-            if (a, b) in self.restrictions or len(b) == len(a) + 1:
+            if a == b:
+                self._composed[key] = ExactMatrix.identity(
+                    self.stalks[a].dim(q))
+            elif (a, b) in self.restrictions or len(b) == len(a) + 1:
                 self._composed[key] = self._cover_matrix(a, b, q)
             else:
                 # peel one cover step off the top; any path gives the same map
@@ -119,9 +121,12 @@ class SheafComplex:
         cells = self.space.complex.cells
         index = self.space.complex.cell_index
         for (a, b) in self.restrictions:
-            assert a in index and b in index, "restriction off the complex"
-            assert set(a) < set(b) and len(b) == len(a) + 1, \
-                "stored restrictions must follow covering pairs"
+            if a not in index or b not in index:
+                raise SheafError("restriction %r -> %r off the complex"
+                                 % (a, b))
+            if not (set(a) < set(b) and len(b) == len(a) + 1):
+                raise SheafError("stored restrictions must follow covering "
+                                 "pairs, got %r -> %r" % (a, b))
         # restrictions are chain maps
         for tau in cells:
             for (sig, _sign) in self.poset.covers_down[tau]:
@@ -136,12 +141,13 @@ class SheafComplex:
                             "restriction %r -> %r not a chain map at degree %d"
                             % (sig, tau, q))
         # strict functoriality across codimension-2 diamonds
+        degrees = self.degrees()
         for rho in cells:
             if len(rho) < 3:
                 continue
             for (mid, _s1) in self.poset.covers_down[rho]:
                 for (sig, _s2) in self.poset.covers_down[mid]:
-                    for q in self.degrees():
+                    for q in degrees:
                         via = (self.restriction(mid, rho, q)
                                * self.restriction(sig, mid, q))
                         flat = self.restriction(sig, rho, q)
@@ -231,160 +237,113 @@ def incidence_complex(sheaf):
     Returns (complex, layout) where layout[k] is a list of blocks
     (cell, stalk_degree, offset, size).
     """
-    cells = sheaf.space.complex.cells
+    layout = _layout((c, len(c) - 1, sheaf.stalks[c])
+                     for c in sheaf.space.complex.cells)
+
+    def into(c, q):
+        yield c, (-1) ** (len(c) - 1), sheaf.stalks[c].diff(q - 1), q - 1
+        for (sig, sign) in sheaf.poset.covers_down[c]:
+            yield sig, sign, sheaf.restriction(sig, c, q), q
+    return _assemble_total(layout, into), layout
+
+
+def _layout(blocks):
+    """Blocks (key, q, offset, size) per total degree shift + q.
+
+    `blocks` yields (key, shift, stalk) triples; stalk degrees of dimension
+    zero get no block.  Within a degree, blocks run by (len(key), key, q).
+    """
     layout = {}
-    for c in cells:
-        p = len(c) - 1
-        cx = sheaf.stalks[c]
+    for key, shift, cx in blocks:
         for q in cx.degrees():
-            sz = cx.dim(q)
-            if sz:
-                layout.setdefault(p + q, []).append([c, q, 0, sz])
-    for k in sorted(layout):
+            if cx.dim(q):
+                layout.setdefault(shift + q, []).append((key, q, cx.dim(q)))
+    for group in layout.values():
+        group.sort(key=lambda blk: (len(blk[0]), blk[0], blk[1]))
         off = 0
-        blocks = layout[k]
-        blocks.sort(key=lambda blk: (len(blk[0]), blk[0], blk[1]))
-        for blk in blocks:
-            blk[2] = off
-            off += blk[3]
-        layout[k] = [tuple(blk) for blk in blocks]
-    return _assemble_total(sheaf, layout, _incidence_arrows(sheaf)), layout
+        for n, (key, q, size) in enumerate(group):
+            group[n] = (key, q, off, size)
+            off += size
+    return layout
 
 
-def _incidence_arrows(sheaf):
-    def arrows(cell_q):
-        c, q = cell_q
-        p = len(c) - 1
-        out = [((c, q + 1), (-1) ** p, sheaf.stalks[c].diff(q))]
-        for (tau, sign) in sheaf.poset.covers_up[c]:
-            out.append(((tau, q), sign, sheaf.restriction(c, tau, q)))
-        return out
-    return arrows
+def _block_index(layout):
+    """(key, q) -> (total degree, offset, size) for every block of a layout."""
+    return {(key, q): (k, off, size)
+            for k, blocks in layout.items() for (key, q, off, size) in blocks}
 
 
-def _assemble_total(sheaf, layout, arrows):
+def _assemble_total(layout, into):
+    """Total complex whose block (key, q) receives the arrows into(key, q).
+
+    `into` yields (source key, sign +-1, matrix, source stalk degree);
+    arrows from blocks absent from the layout (dimension zero) are skipped.
+    """
     if not layout:
         return CochainComplex({0: 0}, {})
     degrees = sorted(layout)
-    dims = {}
-    for k in range(degrees[0], degrees[-1] + 1):
-        blocks = layout.get(k, [])
-        dims[k] = sum(b[3] for b in blocks)
-    index = {}
-    for k, blocks in layout.items():
-        for (key_cell, key_q, off, sz) in blocks:
-            index[(key_cell, key_q)] = (k, off, sz)
+    dims = {k: sum(blk[3] for blk in layout.get(k, ()))
+            for k in range(degrees[0], degrees[-1] + 1)}
+    index = _block_index(layout)
     diffs = {}
     for k in dims:
         if k + 1 not in dims:
             continue
         ent = {}
-        for (c, q, off, sz) in layout.get(k, []):
-            for (target, sign, mat) in arrows((c, q)):
-                spot = index.get(target)
+        for (key, q, toff, _size) in layout.get(k + 1, ()):
+            for (src, sign, mat, sq) in into(key, q):
+                spot = index.get((src, sq))
                 if spot is None:
                     continue
-                tk, toff, tsz = spot
-                assert tk == k + 1, "arrow does not raise total degree by 1"
-                assert mat.rows == tsz and mat.cols == sz
+                soff = spot[1]
                 for (i, j), v in mat.entries.items():
-                    w = sign * v
-                    if w:
-                        key = (toff + i, off + j)
-                        cur = ent.get(key, 0)
-                        cur += w
-                        if cur:
-                            ent[key] = cur
-                        elif key in ent:
-                            del ent[key]
+                    ent[(toff + i, soff + j)] = v if sign > 0 else -v
         diffs[k] = ExactMatrix(dims[k + 1], dims[k], ent)
     total = sum(dims.values())
     return CochainComplex(dims, diffs, check=total <= _CHECK_LIMIT)
 
 
 def _flags(cells):
-    """Strict chains of cells ordered by face inclusion, longest first used
-    nowhere: enumeration is by increasing length, lexicographic within."""
-    cells = sorted(set(cells), key=lambda c: (len(c), c))
-    cellset = set(cells)
-    above = {}
-    for c in cells:
-        above[c] = [d for d in cells
-                    if len(d) > len(c) and set(c) < set(d)]
-    out = []
+    """Strict chains of the given cells under face inclusion.
 
-    def extend(flag):
-        out.append(tuple(flag))
-        for d in above[flag[-1]]:
-            flag.append(d)
-            extend(flag)
-            flag.pop()
-
-    for c in cells:
-        extend([c])
-    out.sort(key=lambda f: (len(f), f))
-    assert all(c in cellset for f in out for c in f)
-    return out
+    Cells are sorted vertex tuples.  Chains are enumerated by their top
+    cell: those topped by d are (d,) and every chain topped by a proper
+    face of d in the set, extended by d.  Returned in (length, chain) order.
+    """
+    topped = {}
+    for d in sorted(set(cells), key=len):
+        chains = [(d,)]
+        for r in range(1, len(d)):
+            for e in combinations(d, r):
+                chains.extend(f + (d,) for f in topped.get(e, ()))
+        topped[d] = chains
+    return sorted((f for chains in topped.values() for f in chains),
+                  key=lambda f: (len(f), f))
 
 
 def flag_complex(sheaf, cells):
     """Total complex over strict chains in an up-set of cells.
 
-    Block (flag, q) carries the stalk of the flag's largest cell.  The
-    differential drops flag entries with alternating signs; dropping the top
-    cell composes with the restriction into the new top.  Computes derived
-    sections over the open set.
+    Block (flag, q) carries the stalk of the flag's top cell in total degree
+    len(flag) - 1 + q.  The arrows into block (g, q) are the stalk
+    differential, signed (-1)^(len(g) - 1), and one arrow per drop of g:
+    removing entry pos gives a chain f of the same cells, with sign (-1)^pos
+    and the restriction from f's top cell to g's (the identity unless the
+    top cell was dropped).  Computes derived sections over the open set.
 
     Returns (complex, layout) like incidence_complex, with flags as keys.
     """
-    flags = _flags(cells)
-    layout = {}
-    for f in flags:
-        n = len(f) - 1
-        cx = sheaf.stalks[f[-1]]
-        for q in cx.degrees():
-            sz = cx.dim(q)
-            if sz:
-                layout.setdefault(n + q, []).append([f, q, 0, sz])
-    for k in sorted(layout):
-        off = 0
-        blocks = layout[k]
-        blocks.sort(key=lambda blk: (len(blk[0]), blk[0], blk[1]))
-        for blk in blocks:
-            blk[2] = off
-            off += blk[3]
-        layout[k] = [tuple(blk) for blk in blocks]
-    flagset = set(flags)
-    cand = sorted({c for f in flags for c in f}, key=lambda c: (len(c), c))
+    layout = _layout((f, len(f) - 1, sheaf.stalks[f[-1]])
+                     for f in _flags(cells))
 
-    def arrows(flag_q):
-        f, q = flag_q
-        n = len(f) - 1
-        out = [((f, q + 1), (-1) ** n, sheaf.stalks[f[-1]].diff(q))]
-        # (delta x)_g sums over drops of g; from the source side that means
-        # extending f by one cell at any position, with sign (-1)^position,
-        # composing with the restriction when the new cell lands on top
-        ident = ExactMatrix.identity(sheaf.stalks[f[-1]].dim(q))
-        seen = set(f)
-        for c in cand:
-            if c in seen:
-                continue
-            cs = set(c)
-            for pos in range(len(f) + 1):
-                if pos > 0 and not set(f[pos - 1]) < cs:
-                    continue
-                if pos < len(f) and not cs < set(f[pos]):
-                    continue
-                g = f[:pos] + (c,) + f[pos:]
-                if g not in flagset:
-                    continue
-                if pos == len(f):
-                    out.append(((g, q), (-1) ** pos,
-                                sheaf.restriction(f[-1], c, q)))
-                else:
-                    out.append(((g, q), (-1) ** pos, ident))
-        return out
-    return _assemble_total(sheaf, layout, arrows), layout
+    def into(g, q):
+        top = g[-1]
+        yield g, (-1) ** (len(g) - 1), sheaf.stalks[top].diff(q - 1), q - 1
+        if len(g) > 1:
+            for pos in range(len(g)):
+                f = g[:pos] + g[pos + 1:]
+                yield f, (-1) ** pos, sheaf.restriction(f[-1], top, q), q
+    return _assemble_total(layout, into), layout
 
 
 def sheaf_cohomology(sheaf, open_cells=None, integral=False):
@@ -495,9 +454,10 @@ def kan_pushforward(sheaf, cell_map, target_space, check=None):
     cmap = {tuple(a): tuple(b) for a, b in cell_map.items()}
     src = sheaf.space.complex
     for a, b in cmap.items():
-        assert a in src.cell_index, "source cell %r unknown" % (a,)
-        assert b in target_space.complex.cell_index, \
-            "target cell %r unknown" % (b,)
+        if a not in src.cell_index:
+            raise SheafError("source cell %r unknown" % (a,))
+        if b not in target_space.complex.cell_index:
+            raise SheafError("target cell %r unknown" % (b,))
     if (target_space is sheaf.space
             and all(a == b for a, b in cmap.items())
             and set(cmap) == set(src.cells)):
@@ -513,12 +473,7 @@ def kan_pushforward(sheaf, cell_map, target_space, check=None):
         cx, layout = flag_complex(sheaf, cells)
         stalks[t] = cx
         layouts[t] = layout
-    index = {}
-    for t, layout in layouts.items():
-        index[t] = {}
-        for k, blocks in layout.items():
-            for (f, q, off, sz) in blocks:
-                index[t][(f, q)] = (k, off, sz)
+    index = {t: _block_index(layout) for t, layout in layouts.items()}
     restrictions = {}
     tposet = FacePoset(target_space.complex)
     for tau in target_space.complex.cells:
@@ -530,8 +485,7 @@ def kan_pushforward(sheaf, cell_map, target_space, check=None):
                     spot = index[sig].get((f, q))
                     if spot is None:
                         continue
-                    sk, soff, ssz = spot
-                    assert sk == k and ssz == sz
+                    soff = spot[1]
                     for i in range(sz):
                         ent[(toff + i, soff + i)] = Fraction(1)
                 src_dim = stalks[sig].dim(k)

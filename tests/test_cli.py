@@ -1,5 +1,6 @@
 """Harness behavior: determinism, exit codes, schemas, error pointers."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -260,6 +261,26 @@ def test_golden_kunneth_torus(tmp_path):
     assert oracle["source"] == "oracle"
     assert oracle["verdict"] is True
     assert oracle["values"] == [1, 2, 1]
+
+
+# sha256 of whole reports: identical input must give identical bytes across
+# commits, not only within one run, so a refactor may not move a byte
+GOLDEN_REPORTS = [
+    (["ih", "--example", "cone-t2", "--perversity", "upper-middle"],
+     "7f86f77b324b8f1609c6a1db6d50c80d8fd99f52f20341b35f8e0dda824c47af"),
+    (["sheaf", "--example", "cone-s1"],
+     "4d6fb17513c4e5dfe6028295717bd176df820d4c5fe595ab1dabc1137fabe399"),
+    (["reproduce", "--example", "refined-duality"],
+     "e58514fe605c854d3e6c2dbab9c243ab0a870a643e634a6cabb2c6bf2706486f"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_REPORTS,
+                         ids=["ih-cone-t2", "sheaf-cone-s1", "refined-duality"])
+def test_report_bytes_match_golden_digest(tmp_path, args, digest):
+    code, data = run(args, tmp_path)
+    assert code == 0
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_perversity_long_names(tmp_path):

@@ -279,6 +279,34 @@ def test_ic_pairing_same_under_optimize(susp_s1):
     assert outs == [want, want]
 
 
+def test_pairing_rejects_rank_two_coefficients():
+    # a typed raise, so -O gives the same refusal instead of failing later
+    # on the rank of the top truncation
+    code = "\n".join([
+        "from strat_ic import duality, ic",
+        "from strat_ic.examples import get_example",
+        "res = ic.deligne_construction(get_example('suspension-s1'),",
+        "                              ic.Perversity.lower_middle(),",
+        "                              coefficient=2)",
+        "try:",
+        "    duality.ic_pairing(res, res, 0)",
+        "    print('accepted')",
+        "except duality.DualityError as e:",
+        "    print('rejected:', e)",
+    ])
+    res = deligne_construction(get_example("suspension-s1"),
+                               Perversity.lower_middle(), coefficient=2)
+    with pytest.raises(DualityError, match="rank-one scalar coefficients"):
+        ic_pairing(res, res, 0)
+    src = str(Path(duality.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == \
+        "rejected: pairing needs rank-one scalar coefficients\n"
+
+
 def test_pairing_keeps_no_ambient_sheaf_alive():
     res = deligne_construction(get_example("suspension-s1"),
                                Perversity.lower_middle())

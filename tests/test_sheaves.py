@@ -7,16 +7,22 @@ zero above); hypercohomology of a pushforward equals cohomology of the open
 part it came from.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from strat_ic.examples import get_example
-from strat_ic.linalg import FGAbelianGroup
+from strat_ic import sheaves
+from strat_ic.linalg import CochainComplex, ExactMatrix, FGAbelianGroup
 from strat_ic.sheaves import (
-    NotOpen, NotOpenComplement, SheafComplex, SheafError, constant_sheaf,
-    derived_pushforward, external_tensor, flag_complex, global_sections,
-    graded_sections_functor, incidence_complex, kan_pushforward,
-    resolution_complex, sheaf_cohomology, truncate,
+    NotOpen, NotOpenComplement, SheafComplex, SheafError, _flags,
+    constant_sheaf, derived_pushforward, external_tensor, flag_complex,
+    global_sections, graded_sections_functor, incidence_complex,
+    kan_pushforward, resolution_complex, sheaf_cohomology, truncate,
 )
 from strat_ic.spaces import product, single_stratum
 from strat_ic import examples
@@ -76,6 +82,42 @@ def test_validation_catches_broken_functoriality():
     bad[key] = {0: bad[key][0].scale(2)}
     with pytest.raises(SheafError):
         SheafComplex(s, F.stalks, bad)
+
+
+def test_malformed_sheaf_data_rejected():
+    # the input checks are raises, not asserts, so -O keeps them
+    src = str(Path(sheaves.__file__).resolve().parents[1])
+    code = "\n".join([
+        "from strat_ic.examples import get_example",
+        "from strat_ic.sheaves import (SheafComplex, SheafError,",
+        "                              constant_sheaf, kan_pushforward)",
+        "F = constant_sheaf(get_example('s2'), 1)",
+        "R = F.restrictions",
+        "for call in (",
+        "        lambda: SheafComplex(F.space, dict(list(F.stalks.items())[1:]), R),",
+        "        lambda: SheafComplex(F.space, F.stalks, {**R, ((0,), (0, 99)): {}}),",
+        "        lambda: SheafComplex(F.space, F.stalks, {**R, ((0,), (0, 1, 2)): {}}),",
+        "        lambda: kan_pushforward(F, {(99,): (0,)}, F.space),",
+        "        lambda: kan_pushforward(F, {(0,): (99,)}, F.space)):",
+        "    try:",
+        "        call()",
+        "        print('accepted')",
+        "    except SheafError as e:",
+        "        print('rejected:', e)",
+    ])
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable] + flags + ["-c", code],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "rejected: stalks must cover all cells",
+            "rejected: restriction (0,) -> (0, 99) off the complex",
+            "rejected: stored restrictions must follow covering pairs, "
+            "got (0,) -> (0, 1, 2)",
+            "rejected: source cell (99,) unknown",
+            "rejected: target cell (99,) unknown",
+        ]
 
 
 # -- sections --------------------------------------------------------------
@@ -270,3 +312,147 @@ def test_leray_random_closed_sets(case):
     rhs = sheaf_cohomology(F, open_cells=U) if U else {}
     for k in set(lhs) | set(rhs):
         assert lhs.get(k, 0) == rhs.get(k, 0), k
+
+
+# -- differential: target-side assembly against the source-side original ---
+#
+# The references below are the flag enumeration and total-complex assembly
+# that `sheaves` used before arrows were read off drops: `_ref_flags` walks
+# an `above` table, and the flag differential is found from the source side
+# by trying every candidate cell at every insert position.
+
+def _ref_flags(cells):
+    cells = sorted(set(cells), key=lambda c: (len(c), c))
+    above = {c: [d for d in cells if len(d) > len(c) and set(c) < set(d)]
+             for c in cells}
+    out = []
+
+    def extend(flag):
+        out.append(tuple(flag))
+        for d in above[flag[-1]]:
+            flag.append(d)
+            extend(flag)
+            flag.pop()
+
+    for c in cells:
+        extend([c])
+    out.sort(key=lambda f: (len(f), f))
+    return out
+
+
+def _ref_layout(sheaf, keys, top):
+    layout = {}
+    for key in keys:
+        cx = sheaf.stalks[top(key)]
+        for q in cx.degrees():
+            if cx.dim(q):
+                layout.setdefault(len(key) - 1 + q, []).append(
+                    [key, q, 0, cx.dim(q)])
+    for k in sorted(layout):
+        off = 0
+        blocks = layout[k]
+        blocks.sort(key=lambda blk: (len(blk[0]), blk[0], blk[1]))
+        for blk in blocks:
+            blk[2] = off
+            off += blk[3]
+        layout[k] = [tuple(blk) for blk in blocks]
+    return layout
+
+
+def _ref_assemble(layout, arrows):
+    if not layout:
+        return CochainComplex({0: 0}, {})
+    degrees = sorted(layout)
+    dims = {k: sum(b[3] for b in layout.get(k, []))
+            for k in range(degrees[0], degrees[-1] + 1)}
+    index = {(key, q): (k, off, sz)
+             for k, blocks in layout.items() for (key, q, off, sz) in blocks}
+    diffs = {}
+    for k in dims:
+        if k + 1 not in dims:
+            continue
+        ent = {}
+        for (key, q, off, sz) in layout.get(k, []):
+            for (target, sign, mat) in arrows(key, q):
+                spot = index.get(target)
+                if spot is None:
+                    continue
+                tk, toff, tsz = spot
+                assert tk == k + 1 and mat.shape == (tsz, sz)
+                for (i, j), v in mat.entries.items():
+                    cur = ent.get((toff + i, off + j), 0) + sign * v
+                    if cur:
+                        ent[(toff + i, off + j)] = cur
+                    else:
+                        ent.pop((toff + i, off + j), None)
+        diffs[k] = ExactMatrix(dims[k + 1], dims[k], ent)
+    return CochainComplex(dims, diffs)
+
+
+def _ref_incidence_complex(sheaf):
+    layout = _ref_layout(sheaf, sheaf.space.complex.cells, lambda c: c)
+
+    def arrows(c, q):
+        out = [((c, q + 1), (-1) ** (len(c) - 1), sheaf.stalks[c].diff(q))]
+        for (tau, sign) in sheaf.poset.covers_up[c]:
+            out.append(((tau, q), sign, sheaf.restriction(c, tau, q)))
+        return out
+    return _ref_assemble(layout, arrows), layout
+
+
+def _ref_flag_complex(sheaf, cells):
+    flags = _ref_flags(cells)
+    layout = _ref_layout(sheaf, flags, lambda f: f[-1])
+    flagset = set(flags)
+    cand = sorted({c for f in flags for c in f}, key=lambda c: (len(c), c))
+
+    def arrows(f, q):
+        out = [((f, q + 1), (-1) ** (len(f) - 1), sheaf.stalks[f[-1]].diff(q))]
+        ident = ExactMatrix.identity(sheaf.stalks[f[-1]].dim(q))
+        for c in cand:
+            if c in f:
+                continue
+            for pos in range(len(f) + 1):
+                if pos > 0 and not set(f[pos - 1]) < set(c):
+                    continue
+                if pos < len(f) and not set(c) < set(f[pos]):
+                    continue
+                g = f[:pos] + (c,) + f[pos:]
+                if g not in flagset:
+                    continue
+                mat = (sheaf.restriction(f[-1], c, q) if pos == len(f)
+                       else ident)
+                out.append(((g, q), (-1) ** pos, mat))
+        return out
+    return _ref_assemble(layout, arrows), layout
+
+
+def _assert_same_total(got, want):
+    (cx, layout), (ref_cx, ref_layout) = got, want
+    assert list(layout.items()) == list(ref_layout.items())
+    assert cx.dims == ref_cx.dims
+    for k in cx.degrees():
+        assert cx.diff(k).shape == ref_cx.diff(k).shape, k
+        assert cx.diff(k).entries == ref_cx.diff(k).entries, k
+
+
+@st.composite
+def _sheaf_and_up_set(draw):
+    # an up-set is the complement of a closed set; the sheaf is constant or
+    # a derived pushforward, whose stalks on the removed cells are flag
+    # complexes in several degrees with flag projections as restrictions
+    s, closed = draw(_closed_subsets())
+    _, removed = draw(_closed_subsets())
+    F = constant_sheaf(s, draw(st.sampled_from([1, 2])))
+    if draw(st.booleans()):
+        F = derived_pushforward(F, removed)
+    return F, [c for c in s.complex.cells if c not in set(closed)]
+
+
+@given(_sheaf_and_up_set())
+@settings(max_examples=25, deadline=None)
+def test_total_complexes_match_source_side_reference(case):
+    F, up = case
+    assert _flags(up) == _ref_flags(up)
+    _assert_same_total(flag_complex(F, up), _ref_flag_complex(F, up))
+    _assert_same_total(incidence_complex(F), _ref_incidence_complex(F))
