@@ -245,8 +245,10 @@ def load_space(path):
 def load_mezzo(path, space):
     """Mezzoperversity from {"schema": 1, "choices": {"<vertex>": rows}}.
 
-    Each matrix is given by rows of num/den strings or integers; columns
-    span the chosen subspace of the link's middle cohomology.
+    Each key is a vertex of the first odd-codimension stratum of `space`.
+    Each matrix is given by rows of num/den strings or integers, one row per
+    middle Betti number of the vertex's link; columns span the chosen
+    subspace of the link's middle cohomology.
     """
     try:
         with open(path, "rb") as fh:
@@ -257,6 +259,8 @@ def load_mezzo(path, space):
         raise BadInput("not UTF-8 JSON: %s" % e, "")
     _expect(isinstance(doc, dict) and isinstance(doc.get("choices"), dict),
             "mezzo document must carry a choices object", "/choices")
+    levels = ic.refinement_strata(space)
+    stratum = set(space.stratum(levels[0])) if levels else set()
     choices = {}
     for key, rows in doc["choices"].items():
         try:
@@ -264,11 +268,20 @@ def load_mezzo(path, space):
         except ValueError:
             raise BadInput("choice keys are vertex indices",
                            "/choices/%s" % key)
+        _expect(vertex in stratum, "choice keys are vertices of the "
+                "odd-codimension stratum", "/choices/%s" % key)
         _expect(isinstance(rows, list) and rows and
                 all(isinstance(r, list) for r in rows),
                 "matrix must be a list of rows", "/choices/%s" % key)
+        lk = spaces.link(space, vertex)
+        mid = (space.top - levels[0] - 1) // 2
+        _expect(len(rows) == lk.complex.cochain_complex().betti_numbers()[mid],
+                "matrix needs one row per middle Betti number of the link",
+                "/choices/%s" % key)
         parsed = []
         for i, row in enumerate(rows):
+            _expect(len(row) == len(rows[0]), "rows must have equal length",
+                    "/choices/%s/%d" % (key, i))
             out = []
             for j, v in enumerate(row):
                 try:
@@ -455,8 +468,7 @@ def cmd_intersect(config):
 def cmd_mezzo(config):
     space, digest = _resolve_space(config)
     bundle = ReportBundle("mezzo", digest)
-    levels = [p for p in space.singular_levels()
-              if (space.top - p) % 2 == 1]
+    levels = ic.refinement_strata(space)
     if not levels:
         raise BadInput("no odd-codimension stratum to refine", "/example")
     level = levels[0]

@@ -353,10 +353,10 @@ class PairingContext:
             raise DualityError("singular stratum has codimension below two")
         R = _single_step_data(result_low)
         RB = _single_step_data(result_high)
-        if RB is not R:
-            for c, cx in R.stalks.items():
-                assert RB.stalks[c].dims == cx.dims, \
-                    "ambient pushforwards differ; rebuild both results alike"
+        if RB is not R and any(RB.stalks[c].dims != cx.dims
+                               for c, cx in R.stalks.items()):
+            raise DualityError(
+                "ambient pushforwards differ; rebuild both results alike")
         self.low, self.high = result_low, result_high
         self.n, self.cut_top = n, cut_top
         self.ambient = _Ambient(R)
@@ -745,7 +745,9 @@ def local_contribution(space, mezzo, level=None):
     refinements = getattr(mezzo, "choices", mezzo)
     if level is None:
         levels = space.singular_levels()
-        assert len(levels) == 1, "pass level= when several strata exist"
+        if len(levels) != 1:
+            raise DualityError("pass level= unless there is exactly one "
+                               "singular stratum, got %r" % levels)
         level = levels[0]
     if level not in space.stratum_levels():
         raise StratumNotFound("no stratum at level %d" % level)

@@ -15,7 +15,6 @@ last-vertex map.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .linalg import (CertificateError, CochainComplex, ExactMatrix,
                      kernel_basis, rank, rref)
@@ -237,11 +236,7 @@ def _order_cohomology(cells):
                 j = index.get(sub)
                 if j is not None:
                     key = (i, j)
-                    cur = ent.get(key, 0) + (-1) ** pos
-                    if cur:
-                        ent[key] = Fraction(cur)
-                    elif key in ent:
-                        del ent[key]
+                    ent[key] = ent.get(key, 0) + (-1) ** pos
         diffs[n] = ExactMatrix(dims[n + 1], dims[n], ent)
     return CochainComplex(dims, diffs).betti_numbers()
 
@@ -450,10 +445,10 @@ def lagrangian_subspaces(form, count_limit=None):
                         continue
                     ent = {}
                     for col, pr in enumerate(pivots):
-                        ent[(pr, col)] = Fraction(1)
+                        ent[(pr, col)] = 1
                     for (rr, cc), v in zip(free_pos, combo):
                         if v:
-                            ent[(rr, cc)] = Fraction(v)
+                            ent[(rr, cc)] = v
                     w = ExactMatrix(n, m, ent)
                     if (w.transpose() * j * w).is_zero():
                         yield w
@@ -504,7 +499,7 @@ class Mezzoperversity:
             ", ".join("%r" % (c,) for c in self.cells()))
 
 
-def _refinement_strata(space):
+def refinement_strata(space):
     """Levels where the two middle perversities disagree: odd codimension."""
     return [p for p in space.singular_levels() if (space.top - p) % 2 == 1]
 
@@ -560,7 +555,7 @@ def last_vertex_cochain_map(vertex, flag_stalk_layout, n_rows, link, link_deg):
             continue
         sign = _permutation_sign(verts)
         assert sz == 1
-        ent[(off, idx)] = Fraction(sign)
+        ent[(off, idx)] = sign
     return ExactMatrix(n_rows, len(link_cells), ent)
 
 
@@ -583,7 +578,7 @@ def refined_ic(space, mezzo, coefficient=1):
     over the constant sheaf on the regular part.
     """
     _check_regular_part(space)
-    refine = _refinement_strata(space)
+    refine = refinement_strata(space)
     if len(space.singular_levels()) != 1 or not refine:
         raise MezzoStrataMismatch(
             "refinement needs exactly one singular stratum, of odd "
@@ -603,6 +598,9 @@ def refined_ic(space, mezzo, coefficient=1):
     c = space.top - level
     mid = (c - 1) // 2
     F = constant_sheaf(space, coefficient)
+    if any(cx.dims != {0: 1} for cx in F.stalks.values()):
+        raise ICError("refinement needs a rank-one coefficient, got %r"
+                      % (coefficient,))
     F = derived_pushforward(F, space.filtration_stage(level))
 
     subspaces = {}

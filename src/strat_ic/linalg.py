@@ -3,8 +3,9 @@
 Everything in this package reduces to the primitives in this module: ranks and
 kernels of sparse rational matrices, Smith normal forms with verified
 unimodular transforms, finitely generated abelian groups in invariant-factor
-form, and cochain complexes with exact differentials.  No floats anywhere;
-rational entries are `fractions.Fraction`, integer entries plain `int`.
+form, and cochain complexes with exact differentials.  No floats anywhere:
+a matrix entry is an `int` when integral and a `fractions.Fraction` otherwise,
+so integral matrices multiply and eliminate in `int`.
 
 Matrices act on column vectors: a matrix with shape (rows, cols) sends Q^cols
 to Q^rows.  A differential d^k of a cochain complex is stored as the matrix of
@@ -19,8 +20,8 @@ Row elimination happens in exactly three routines:
   deterministic.  `kernel_basis` returns a sparse matrix whose columns are
   the basis; it is the identity on the rows of the free columns, so
   `solve_many` against it, or against any matrix with such rows, reads the
-  answer off those rows and certifies it with one exact product (in ints
-  when everything is integral) instead of eliminating.
+  answer off those rows and certifies it with one exact product instead of
+  eliminating.
 - `rank` (over Q, sparsest pivots first) gives the rank alone; it drives
   `CochainComplex.betti_numbers` and independence checks.
 
@@ -60,18 +61,22 @@ class CertificateError(Exception):
     """An exact re-check of a computed result failed: a bug, not bad input."""
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
+def _exact(x):
+    """x as a matrix entry: an int when integral, else a Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError("exact entries must be int, Fraction, or 'num/den' string, got %r" % (x,))
 
 
 class ExactMatrix:
-    """Sparse matrix with Fraction entries, nonzero entries only.
+    """Sparse exact matrix, nonzero entries only: an `int` when integral,
+    else a `Fraction` with denominator > 1.  `__init__` normalizes every
+    entry given as int, Fraction or "num/den" string; `entry`, `column` and
+    `apply` hand out Fractions.
 
     >>> m = ExactMatrix.from_rows([[1, 2], [3, 4]])
     >>> m.shape
@@ -89,7 +94,7 @@ class ExactMatrix:
         self.entries = {}
         if entries:
             for (i, j), v in entries.items():
-                v = _frac(v)
+                v = _exact(v)
                 if v:
                     assert 0 <= i < rows and 0 <= j < cols, (i, j, rows, cols)
                     self.entries[(i, j)] = v
@@ -98,18 +103,13 @@ class ExactMatrix:
     def from_rows(cls, data):
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        ent = {}
-        for i, row in enumerate(data):
-            assert len(row) == cols, "ragged rows"
-            for j, v in enumerate(row):
-                v = _frac(v)
-                if v:
-                    ent[(i, j)] = v
-        return cls(rows, cols, ent)
+        assert all(len(row) == cols for row in data), "ragged rows"
+        return cls(rows, cols, {(i, j): v for i, row in enumerate(data)
+                                for j, v in enumerate(row)})
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -120,7 +120,7 @@ class ExactMatrix:
         return (self.rows, self.cols)
 
     def entry(self, i, j):
-        return self.entries.get((i, j), Fraction(0))
+        return Fraction(self.entries.get((i, j), 0))
 
     def is_zero(self):
         return not self.entries
@@ -143,18 +143,14 @@ class ExactMatrix:
         assert self.shape == other.shape
         ent = dict(self.entries)
         for k, v in other.entries.items():
-            w = ent.get(k, Fraction(0)) + v
-            if w:
-                ent[k] = w
-            elif k in ent:
-                del ent[k]
+            ent[k] = ent.get(k, 0) + v
         return ExactMatrix(self.rows, self.cols, ent)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = _frac(c)
+        c = _exact(c)
         if not c:
             return ExactMatrix.zeros(self.rows, self.cols)
         return ExactMatrix(self.rows, self.cols,
@@ -171,11 +167,7 @@ class ExactMatrix:
             for (j, k), w in other.entries.items():
                 for i, v in by_col.get(j, ()):
                     key = (i, k)
-                    s = ent.get(key, Fraction(0)) + v * w
-                    if s:
-                        ent[key] = s
-                    elif key in ent:
-                        del ent[key]
+                    ent[key] = ent.get(key, 0) + v * w
             return ExactMatrix(self.rows, other.cols, ent)
         return self.scale(other)
 
@@ -307,7 +299,7 @@ def kernel_basis(m):
     pivset = set(pivot_cols)
     free = {f: t for t, f in enumerate(f for f in range(m.cols)
                                        if f not in pivset)}
-    ent = {(f, t): Fraction(1) for f, t in free.items()}
+    ent = {(f, t): 1 for f, t in free.items()}
     # entry (i, f) of a pivot row is minus coordinate pivot_cols[i] of the
     # basis vector of the free column f
     for (i, f), v in r.entries.items():
@@ -343,7 +335,7 @@ def solve_many(m, targets):
         x = ExactMatrix(m.cols, targets.cols,
                         {(unit[i], c): v for (i, c), v in targets.entries.items()
                          if i in unit})
-        return x if _product_equals(m, x, targets) else None
+        return x if m * x == targets else None
     r, pivot_cols = rref(m.stack_cols(targets))
     if pivot_cols and pivot_cols[-1] >= m.cols:
         return None
@@ -435,21 +427,15 @@ def _int_rows(m):
         rows[i][j] = v
     for row in rows:
         den = lcm(*(v.denominator for v in row.values()))
-        for j, v in row.items():
-            row[j] = v.numerator * (den // v.denominator)
+        if den > 1:
+            for j, v in row.items():
+                row[j] = v.numerator * (den // v.denominator)
     return rows
-
-
-def _product_equals(a, b, c):
-    """Whether a * b == c, in exact ints when all three are integral."""
-    if a.is_integral() and b.is_integral() and c.is_integral():
-        return _mul_rows(_int_rows(a), _int_rows(b)) == _int_rows(c)
-    return a * b == c
 
 
 def _matrix(nr, nc, int_rows):
     """ExactMatrix of shape (nr, nc) from integer row dicts."""
-    return ExactMatrix(nr, nc, {(i, j): Fraction(x)
+    return ExactMatrix(nr, nc, {(i, j): x
                                 for i, r in enumerate(int_rows)
                                 for j, x in r.items()})
 
@@ -764,9 +750,8 @@ class CochainComplex:
 
     `dims` maps each degree in [lo, hi] to a dimension (zero allowed);
     `diffs` maps degree k to the matrix of d^k with shape (dims[k+1], dims[k]).
-    Missing differentials are zero.  d o d = 0 is checked at construction,
-    in exact ints when the differentials are integral, and raises
-    CertificateError when it fails (also under python -O).
+    Missing differentials are zero.  d o d = 0 is checked at construction
+    and raises CertificateError when it fails (also under python -O).
     """
 
     __slots__ = ("lo", "hi", "dims", "diffs")
@@ -789,8 +774,7 @@ class CochainComplex:
         if check:
             for k, d in self.diffs.items():
                 nxt = self.diffs.get(k + 1)
-                if nxt is not None and not _product_equals(
-                        nxt, d, ExactMatrix.zeros(nxt.rows, d.cols)):
+                if nxt is not None and not (nxt * d).is_zero():
                     raise CertificateError("d o d != 0 at degree %d" % k)
 
     def dim(self, k):
@@ -843,8 +827,8 @@ class CochainComplex:
         (C^k / ker d^k embeds in the free group C^{k+1}), so
         C^k / im d^{k-1} = H^k + Z^{rank d^k}: one Smith form of d^{k-1}
         gives the cokernel, whose free rank loses rank d^k.  The inclusion
-        im d^{k-1} in ker d^k, that is d^k d^{k-1} = 0, is re-checked in
-        exact integers and raises CertificateError when it fails.
+        im d^{k-1} in ker d^k, that is d^k d^{k-1} = 0, is re-checked
+        exactly and raises CertificateError when it fails.
         """
         out = {}
         for k in self.degrees():
@@ -853,7 +837,7 @@ class CochainComplex:
             if not (a.is_integral() and b.is_integral()):
                 raise ValueError("cohomology_groups needs integer "
                                  "differentials")
-            if not _product_equals(a, b, ExactMatrix.zeros(a.rows, b.cols)):
+            if not (a * b).is_zero():
                 raise CertificateError(
                     "image not contained in kernel at degree %d" % k)
             coker = FGAbelianGroup.from_presentation(b)
@@ -914,13 +898,13 @@ def tensor_complex(x, y):
             if dy is not None:
                 off2 = offset_of(n + 1, p)
                 if off2 is not None:
-                    sign = Fraction(-1 if p % 2 else 1)
+                    sign = -1 if p % 2 else 1
                     dyd = y.dim(q + 1)
                     dyq = y.dim(q)
                     for (j2, j1), val in dy.entries.items():
                         for i in range(x.dim(p)):
                             key = (off2 + i * dyd + j2, off + i * dyq + j1)
-                            ent[key] = ent.get(key, Fraction(0)) + sign * val
+                            ent[key] = ent.get(key, 0) + sign * val
         m = ExactMatrix(dims[n + 1], dims[n], ent)
         if not m.is_zero():
             diffs[n] = m

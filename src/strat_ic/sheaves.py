@@ -18,7 +18,6 @@ of up-to-homotopy.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .linalg import (CochainComplex, ExactMatrix, FGAbelianGroup, kernel_basis,
@@ -177,7 +176,7 @@ def resolution_complex(group):
     if not tor:
         return CochainComplex({0: r}, {})
     t = len(tor)
-    ent = {(r + i, i): Fraction(n) for i, n in enumerate(tor)}
+    ent = {(r + i, i): n for i, n in enumerate(tor)}
     d = ExactMatrix(r + t, t, ent)
     return CochainComplex({-1: t, 0: r + t}, {-1: d})
 
@@ -424,7 +423,7 @@ def global_sections(sheaf, open_cells=None):
                 ent[(r + i, offs[q][a] + j)] = v
             nb = sheaf.stalks[b].dim(q)
             for i in range(nb):
-                ent[(r + i, offs[q][b] + i)] = Fraction(-1)
+                ent[(r + i, offs[q][b] + i)] = -1
             r += nb
         basis[q] = kernel_basis(ExactMatrix(r, off, ent))
     # induced differential: the stalk differentials, one diagonal block per
@@ -487,7 +486,7 @@ def kan_pushforward(sheaf, cell_map, target_space, check=None):
                         continue
                     soff = spot[1]
                     for i in range(sz):
-                        ent[(toff + i, soff + i)] = Fraction(1)
+                        ent[(toff + i, soff + i)] = 1
                 src_dim = stalks[sig].dim(k)
                 tgt_dim = stalks[tau].dim(k)
                 if ent or (src_dim and tgt_dim):

@@ -226,6 +226,40 @@ def test_mezzo_file_input(tmp_path, capsys):
     assert "/choices/7/1/0" in capsys.readouterr().err
 
 
+# cone-t2: the cone point is vertex 7 and its link T^2 has H^1 of rank 2
+bad_mezzo_shapes = pytest.mark.parametrize("choices, pointer", [
+    ({"7": [[1, 0], [0]]}, "'/choices/7/1'"),
+    ({"7": [[1], [0], [0]]}, "'/choices/7'"),
+    ({"7": [[1], [0]], "0": [[1], [0]]}, "'/choices/0'"),
+], ids=["ragged", "wrong-row-count", "not-a-cone-point"])
+
+
+def _write_mezzo(tmp_path, choices):
+    p = tmp_path / "mezzo.json"
+    p.write_text(json.dumps({"schema": 1, "choices": choices}))
+    return p
+
+
+@bad_mezzo_shapes
+def test_bad_mezzo_shape_points_at_choice(tmp_path, capsys, choices,
+                                          pointer):
+    p = _write_mezzo(tmp_path, choices)
+    assert cli.main(["mezzo", "--example", "cone-t2", "--mezzo",
+                     str(p)]) == 2
+    assert pointer in capsys.readouterr().err
+
+
+@bad_mezzo_shapes
+def test_bad_mezzo_shape_rejected_under_optimize(tmp_path, choices, pointer):
+    p = _write_mezzo(tmp_path, choices)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "strat_ic.cli", "mezzo", "--example",
+         "cone-t2", "--mezzo", str(p)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stdout
+    assert pointer in proc.stderr
+
+
 # -- golden outputs --------------------------------------------------------
 
 def row(doc, label):
@@ -272,11 +306,26 @@ GOLDEN_REPORTS = [
      "4d6fb17513c4e5dfe6028295717bd176df820d4c5fe595ab1dabc1137fabe399"),
     (["reproduce", "--example", "refined-duality"],
      "e58514fe605c854d3e6c2dbab9c243ab0a870a643e634a6cabb2c6bf2706486f"),
+    # reports that render matrix entries and pairing values, where an int
+    # in place of a Fraction would print as a bare number
+    (["intersect", "--example", "t2"],
+     "bfa113d50689cc5fe621e56d00842136ca84286ec31afe913c706d514bedbf21"),
+    (["duality", "--example", "genus2"],
+     "2efc12c58887c761c1ea41335fd6f3770b4283da4cbd4611b013b28da6e50730"),
+    (["mezzo", "--example", "cone-t2", "--dump"],
+     "fb0873bdebff886c2039a9957441d5836cb9937734cb75b9c36e55dfe4d90c25"),
+    (["kunneth", "--example", "product:t2,s1", "--mode", "integral"],
+     "f4598752e1318a0279260a5f9f03e37e42ee02bc8db206ce7ad93b46860d8008"),
+    (["proptest", "--seed", "2"],
+     "d3238e207b78ead0a730502bebbdf2f140e0c451baa967453990416331143188"),
 ]
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN_REPORTS,
-                         ids=["ih-cone-t2", "sheaf-cone-s1", "refined-duality"])
+                         ids=["ih-cone-t2", "sheaf-cone-s1", "refined-duality",
+                              "intersect-t2", "duality-genus2",
+                              "mezzo-cone-t2-dump", "kunneth-t2-s1-integral",
+                              "proptest-seed-2"])
 def test_report_bytes_match_golden_digest(tmp_path, args, digest):
     code, data = run(args, tmp_path)
     assert code == 0

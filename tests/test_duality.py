@@ -279,6 +279,15 @@ def test_ic_pairing_same_under_optimize(susp_s1):
     assert outs == [want, want]
 
 
+def _run_optimized(code):
+    src = str(Path(duality.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_pairing_rejects_rank_two_coefficients():
     # a typed raise, so -O gives the same refusal instead of failing later
     # on the rank of the top truncation
@@ -298,13 +307,58 @@ def test_pairing_rejects_rank_two_coefficients():
                                Perversity.lower_middle(), coefficient=2)
     with pytest.raises(DualityError, match="rank-one scalar coefficients"):
         ic_pairing(res, res, 0)
-    src = str(Path(duality.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == \
+    assert _run_optimized(code) == \
         "rejected: pairing needs rank-one scalar coefficients\n"
+
+
+def test_pairing_rejects_different_ambients(st, res_w):
+    # the refined result's ambient has rank-one stalks, the other rank two;
+    # a typed raise, so -O refuses too instead of pairing the two
+    two = deligne_construction(st, Perversity.upper_middle(), coefficient=2)
+    with pytest.raises(DualityError, match="ambient pushforwards differ"):
+        PairingContext(res_w, two)
+    code = "\n".join([
+        "from strat_ic import duality, ic",
+        "from strat_ic.examples import get_example",
+        "st = get_example('suspension-t2')",
+        "choices = {}",
+        "for v in sorted(st.stratum(0)):",
+        "    _lk, _basis, form = ic.link_middle_form(st, v)",
+        "    choices[v] = ic.lagrangian_subspaces(form, count_limit=1)[0]",
+        "w = ic.refined_ic(st, ic.Mezzoperversity(choices))",
+        "two = ic.deligne_construction(st, ic.Perversity.upper_middle(),",
+        "                              coefficient=2)",
+        "try:",
+        "    print(duality.ic_pairing(w, two, 0).matrix.to_triples())",
+        "except duality.DualityError as e:",
+        "    print('rejected:', e)",
+    ])
+    assert _run_optimized(code) == ("rejected: ambient pushforwards differ; "
+                                    "rebuild both results alike\n")
+
+
+def test_local_contribution_needs_level_with_several_strata():
+    # cone-cone-s1 has singular strata at levels 0 and 1; a typed raise, so
+    # -O refuses too instead of picking level 0
+    cc = get_example("cone-cone-s1")
+    mezzo = Mezzoperversity({v: ExactMatrix(0, 0) for v in cc.stratum(0)})
+    with pytest.raises(DualityError, match="pass level="):
+        local_contribution(cc, mezzo)
+    code = "\n".join([
+        "from strat_ic import duality, ic",
+        "from strat_ic.examples import get_example",
+        "from strat_ic.linalg import ExactMatrix",
+        "cc = get_example('cone-cone-s1')",
+        "mezzo = ic.Mezzoperversity({v: ExactMatrix(0, 0)",
+        "                            for v in cc.stratum(0)})",
+        "try:",
+        "    print(duality.local_contribution(cc, mezzo))",
+        "except duality.DualityError as e:",
+        "    print('rejected:', e)",
+    ])
+    assert _run_optimized(code) == (
+        "rejected: pass level= unless there is exactly one singular "
+        "stratum, got [0, 1]\n")
 
 
 def test_pairing_keeps_no_ambient_sheaf_alive():

@@ -299,6 +299,35 @@ def test_refined_rejects_wrong_cells():
         refined_ic(st, mez)
 
 
+def test_refined_rejects_rank_two_coefficient():
+    # checked before the last-vertex transport; a typed raise, so -O
+    # refuses too instead of building a result
+    st = get_example("suspension-t2")
+    with pytest.raises(ICError, match="rank-one coefficient"):
+        refined_ic(st, _mezzo(st, [0, 0]), coefficient=2)
+    src = str(Path(strat_ic.__file__).resolve().parents[1])
+    code = "\n".join([
+        "from strat_ic import ic",
+        "from strat_ic.examples import get_example",
+        "st = get_example('suspension-t2')",
+        "choices = {}",
+        "for v in sorted(st.stratum(0)):",
+        "    _lk, _basis, form = ic.link_middle_form(st, v)",
+        "    choices[v] = ic.lagrangian_subspaces(form, count_limit=1)[0]",
+        "try:",
+        "    print(ic.refined_ic(st, ic.Mezzoperversity(choices),",
+        "                        coefficient=2).betti())",
+        "except ic.ICError as e:",
+        "    print('rejected:', e)",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == \
+        "rejected: refinement needs a rank-one coefficient, got 2\n"
+
+
 def test_refined_rejects_even_codimension():
     cs = get_example("cone-s1")
     with pytest.raises(MezzoStrataMismatch):

@@ -200,7 +200,7 @@ def test_complex_rejects_bad_differential():
     d1 = ExactMatrix.from_rows([[1, 0]])
     with pytest.raises(CertificateError, match="degree 0"):
         CochainComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1})
-    # a rational differential takes the Fraction product
+    # a rational differential is checked the same way
     half = ExactMatrix.from_rows([[Fraction(1, 2), 0]])
     with pytest.raises(CertificateError, match="degree 0"):
         CochainComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: half})
@@ -621,12 +621,127 @@ def test_cohomology_groups_reject_non_integers():
         c.cohomology_groups()
 
 
+# ------------------------------ ExactMatrix vs dense plain-Fraction lists
+
+def assert_normalized(m):
+    """The entry invariant: an int, or a Fraction with a true denominator;
+    never a float, never a Fraction with denominator 1."""
+    for v in m.entries.values():
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), \
+            repr(v)
+
+
+# halves and thirds, so sums and products often cancel to integers
+exact_rationals = st.one_of(st.just(Fraction(0)),
+                            st.fractions(-3, 3, max_denominator=3))
+
+
+def _as_form(q, form, k=1):
+    """q written as an int (when integral), a Fraction, or an unreduced
+    'n/d' string with both parts multiplied by k."""
+    if form == "int" and q.denominator == 1:
+        return int(q)
+    if form == "str":
+        return "%d/%d" % (q.numerator * k, q.denominator * k)
+    return q
+
+
+@st.composite
+def exact_inputs(draw):
+    """A rational written in one of the three accepted input forms."""
+    return _as_form(draw(exact_rationals),
+                    draw(st.sampled_from(["int", "fraction", "str"])),
+                    draw(st.integers(1, 3)))
+
+
+def _build(nr, nc, data):
+    return ExactMatrix(nr, nc, {(i, j): v for i, row in enumerate(data)
+                                for j, v in enumerate(row)})
+
+
+def _grid(draw, nr, nc):
+    return draw(st.lists(st.lists(exact_inputs(), min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+
+
+def _ref(data):
+    return [[Fraction(v) for v in row] for row in data]
+
+
+def _ref_mul(a, b, k, c):
+    return [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
+             for j in range(c)] for i in range(len(a))]
+
+
+@st.composite
+def operand_sets(draw):
+    """Shapes r x k, k x c and r x c2, with the inputs for a, a2 (r x k),
+    b (k x c), s (r x c2), a scalar, and a column selection of a."""
+    r, k, c, c2 = (draw(st.integers(0, 4)) for _ in range(4))
+    return dict(r=r, k=k, c=c, c2=c2, a=_grid(draw, r, k),
+                a2=_grid(draw, r, k), b=_grid(draw, k, c),
+                s=_grid(draw, r, c2), scalar=draw(exact_inputs()),
+                pick=draw(st.permutations(range(k)).flatmap(
+                    lambda p: st.integers(0, len(p)).map(lambda n: p[:n]))))
+
+
+@given(operand_sets())
+def test_exact_matrix_matches_dense_fraction_reference(ops):
+    r, k, c, c2 = ops["r"], ops["k"], ops["c"], ops["c2"]
+    a, a2 = _build(r, k, ops["a"]), _build(r, k, ops["a2"])
+    b, s = _build(k, c, ops["b"]), _build(r, c2, ops["s"])
+    ra, ra2, rb, rs = (_ref(ops[n]) for n in ("a", "a2", "b", "s"))
+    q = Fraction(ops["scalar"])
+    want = {
+        "a": (a, ra),
+        "a*b": (a * b, _ref_mul(ra, rb, k, c)),
+        "a+a2": (a + a2, [[x + y for x, y in zip(u, w)]
+                          for u, w in zip(ra, ra2)]),
+        "a-a2": (a - a2, [[x - y for x, y in zip(u, w)]
+                          for u, w in zip(ra, ra2)]),
+        "a-a": (a - a, [[Fraction(0)] * k for _ in range(r)]),
+        "scale": (a.scale(ops["scalar"]), [[q * x for x in u] for u in ra]),
+        "a*scalar": (a * ops["scalar"], [[q * x for x in u] for u in ra]),
+        "transpose": (a.transpose(), [list(col) for col in zip(*ra)]
+                      if r else [[] for _ in range(k)]),
+        "stack_cols": (a.stack_cols(s), [u + w for u, w in zip(ra, rs)]),
+        "submatrix_cols": (a.submatrix_cols(ops["pick"]),
+                           [[u[j] for j in ops["pick"]] for u in ra]),
+    }
+    for name, (got, ref) in want.items():
+        assert_normalized(got)
+        dense = _dense(got)
+        assert all(type(x) is Fraction for row in dense for x in row), name
+        assert dense == ref, name
+        # the same values written as Fractions, then as unreduced strings,
+        # give an equal matrix with an equal hash
+        for form in ("fraction", "str"):
+            again = _build(got.rows, got.cols,
+                           [[_as_form(x, form, 2) for x in row] for row in ref])
+            assert again == got and hash(again) == hash(got), (name, form)
+    if r:
+        assert ExactMatrix.from_rows(ops["a"]) == a
+
+
+def test_entries_cancelling_to_integers_are_ints():
+    half = ExactMatrix.from_rows([["1/2", Fraction(3, 2)]])
+    total = half + ExactMatrix.from_rows([[Fraction(1, 2), "1/2"]])
+    assert total.entries == {(0, 0): 1, (0, 1): 2}
+    assert_normalized(total)
+    assert (half.scale(2)).entries == {(0, 0): 1, (0, 1): 3}
+    assert_normalized(half.scale(2))
+    assert ExactMatrix.from_rows([["4/2", Fraction(6, 3)]]).entries == \
+        {(0, 0): 2, (0, 1): 2}
+    with pytest.raises(TypeError):
+        ExactMatrix.from_rows([[0.5]])
+
+
 # ------------------------------------ elimination vs plain-Fraction loops
 
 def _rows_of(m):
     rows = [dict() for _ in range(m.rows)]
     for (i, j), v in m.entries.items():
-        rows[i][j] = v
+        rows[i][j] = Fraction(v)
     return rows
 
 
@@ -676,7 +791,7 @@ def _reference_rank(m):
     rows = {}
     col_rows = {}
     for (i, j), v in m.entries.items():
-        rows.setdefault(i, {})[j] = v
+        rows.setdefault(i, {})[j] = Fraction(v)
         col_rows.setdefault(j, set()).add(i)
     heap = [(len(row), r) for r, row in rows.items()]
     heapq.heapify(heap)
@@ -719,7 +834,7 @@ def _assert_matches_references(m):
     want_r, want_pivots = _reference_rref(m)
     assert pivots == want_pivots
     assert r == want_r
-    assert all(type(v) is Fraction for v in r.entries.values())
+    assert_normalized(r)
     assert rank(m) == _reference_rank(m) == len(pivots)
 
 
