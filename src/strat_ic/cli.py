@@ -937,29 +937,30 @@ _COMMANDS = {
 
 
 def _parser():
+    """One flat parser: a `command` positional and the options all commands
+    share, each declared once.  Options may come before or after the
+    command.  Built per call, so the module holds no parser state."""
     p = argparse.ArgumentParser(
         prog="strat-ic",
         description="Exact intersection-cohomology toolkit over "
                     "simplicial stratified spaces.")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--example", default=None,
-                        help="built-in id (see list: %s)"
-                        % ", ".join(list_examples()))
-        sp.add_argument("--input", dest="input_path", default=None,
-                        help="UTF-8 JSON space description")
-        sp.add_argument("--output", default=None)
-        sp.add_argument("--format", dest="fmt", default="json",
-                        choices=["json", "csv", "text"])
-        sp.add_argument("--perversity", default="lower-middle")
-        sp.add_argument("--mezzo", dest="mezzo_path", default=None)
-        sp.add_argument("--mode", default="rational")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--degree", type=int, default=None)
-        sp.add_argument("--table", default="both",
-                        choices=["stratumwise", "ladder", "both"])
-        sp.add_argument("--dump", action="store_true")
+    p.add_argument("command", choices=list(_COMMANDS))
+    p.add_argument("--example", default=None,
+                   help="built-in id (see list: %s)"
+                   % ", ".join(list_examples()))
+    p.add_argument("--input", dest="input_path", default=None,
+                   help="UTF-8 JSON space description")
+    p.add_argument("--output", default=None)
+    p.add_argument("--format", dest="fmt", default="json",
+                   choices=["json", "csv", "text"])
+    p.add_argument("--perversity", default="lower-middle")
+    p.add_argument("--mezzo", dest="mezzo_path", default=None)
+    p.add_argument("--mode", default="rational")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--table", default="both",
+                   choices=["stratumwise", "ladder", "both"])
+    p.add_argument("--dump", action="store_true")
     return p
 
 

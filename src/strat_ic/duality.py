@@ -49,9 +49,12 @@ class StratumNotFound(DualityError):
 def orient_top_cells(cx):
     """Coherent signs on the top cells, as a dict cell -> +1/-1.
 
-    Requires every codimension-one cell to bound exactly two top cells;
+    Requires every cell below the top dimension to be a face of a larger
+    cell, and every codimension-one cell to bound exactly two top cells;
     signs are propagated from the lexicographically first top cell of each
-    dual-graph component.
+    dual-graph component.  The first check is linear: a complex is closed
+    under faces, so a cell is a proper face of some cell exactly when it is
+    a facet of some cell.
 
     >>> from .examples import get_example
     >>> o = orient_top_cells(get_example("s2").complex)
@@ -62,9 +65,9 @@ def orient_top_cells(cx):
     tops = cx.cells_of_dim(n)
     if not tops:
         raise NotOrientable("no top cells")
+    facets = {t[:i] + t[i + 1:] for t in cx.cells for i in range(len(t))}
     for c in cx.cells:
-        if len(c) - 1 < n and not any(len(t) > len(c) and set(c) <= set(t)
-                                      for t in cx.cells):
+        if len(c) - 1 < n and c not in facets:
             raise NotOrientable("cell %r is not a face of a top cell" % (c,))
     cofaces = {}
     for t in tops:
@@ -333,7 +336,8 @@ class PairingContext:
     pushforward's index structures, the top truncation T of the ambient
     sheaf, its layout, and the [generator | d^(n-1)] matrix that reads a
     top class of T against the canonical generator.  `value` pairs two
-    cochains, `matrix` pairs the cohomology bases of complementary degrees.
+    cochains, `matrix` pairs the cohomology bases of complementary degrees;
+    each basis is computed on first use and kept for the context's life.
     Only spaces with a single attachment step are supported.
     """
 
@@ -359,6 +363,7 @@ class PairingContext:
                 "ambient pushforwards differ; rebuild both results alike")
         self.low, self.high = result_low, result_high
         self.n, self.cut_top = n, cut_top
+        self._bases = {}  # (result, degree) -> cohomology basis
         self.ambient = _Ambient(R)
         self.top = sheaves.truncate(R, cut_top)
         cxT, self.top_layout = sheaves.incidence_complex(self.top)
@@ -417,14 +422,23 @@ class PairingContext:
             raise CertificateError("product is not a class of the truncation")
         return sol[0]
 
+    def _basis(self, result, k):
+        """Cohomology basis of `result` in degree k, computed once per
+        context; results have identity hashes, so one result paired with
+        itself shares its entries."""
+        key = (result, k)
+        if key not in self._bases:
+            self._bases[key] = result.complex.cohomology_basis(k)
+        return self._bases[key]
+
     def matrix(self, k):
         """PairingMatrix of H^k of the first result against H^(n-k) of the
         second, in their deterministic cohomology bases."""
         n = self.n
         if k < 0 or k > n:
             raise DegreeOutOfRange("degree %d outside 0..%d" % (k, n))
-        basis_a = self.low.complex.cohomology_basis(k)
-        basis_b = self.high.complex.cohomology_basis(n - k)
+        basis_a = self._basis(self.low, k)
+        basis_b = self._basis(self.high, n - k)
         rows = [[self.value(xa, k, yb) for yb in basis_b] for xa in basis_a]
         mat = ExactMatrix.from_rows(rows) if rows else \
             ExactMatrix.zeros(0, len(basis_b))
@@ -553,7 +567,7 @@ def kunneth(left, right, mode="rational"):
                              {k: v.describe() for k, v in rhs.items()}, detail)
     # stratumwise: table of the product vs convolved factor tables, and a
     # direct recomputation of every closed product stratum
-    from .ic import stratumwise_rows, _order_cohomology, _is_closed_stratum
+    from .ic import stratumwise_rows, _closed_cohomology, _is_closed_stratum
     prod_rows = stratumwise_rows(prod)
     total = tuple(sum(r[k] for r in prod_rows.values()) for k in range(width))
     lrows = stratumwise_rows(left)
@@ -568,7 +582,7 @@ def kunneth(left, right, mode="rational"):
     for p in sorted(prod_rows):
         if not _is_closed_stratum(prod, prod.stratum(p)):
             continue
-        direct = _order_cohomology(prod.stratum(p))
+        direct = _closed_cohomology(prod, prod.stratum(p))
         direct = tuple(direct.get(k, 0) for k in range(width))
         row = tuple(prod_rows[p])
         detail.append({"level": p, "direct": list(direct), "table": list(row),

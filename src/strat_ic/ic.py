@@ -241,6 +241,14 @@ def _order_cohomology(cells):
     return CochainComplex(dims, diffs).betti_numbers()
 
 
+def _closed_cohomology(space, cells):
+    """Cohomology of a closed union of cells from its simplicial cochains;
+    equals `_order_cohomology(cells)` (subdivision invariance)."""
+    sub = spaces_mod.SimplicialComplex(space.complex.n_vertices, cells,
+                                       close=False)
+    return sub.cochain_complex().betti_numbers()
+
+
 def _is_closed_stratum(space, cells):
     cellset = set(cells)
     for c in cells:
@@ -255,9 +263,10 @@ def _is_closed_stratum(space, cells):
 def stratumwise_rows(space, width=None):
     """One cohomology row per stratum level.
 
-    A closed stratum contributes its own cohomology.  A stratum of dimension
-    d that is not closed contributes its cohomology in degrees below d and
-    one class per component at degree d.  On a product the rows are the
+    A closed stratum contributes its own cohomology, read off its simplicial
+    cochains.  A stratum of dimension d that is not closed contributes the
+    cohomology of its order complex in degrees below d and one class per
+    component at degree d.  On a product the rows are the
     degreewise convolutions of the factor rows, stratum pair by stratum
     pair; this is what makes the table multiplicative.
     """
@@ -285,13 +294,12 @@ def stratumwise_rows(space, width=None):
         cells = space.stratum(p)
         d = max(len(c) - 1 for c in cells)
         row = [0] * width
-        coh = _order_cohomology(cells)
         if _is_closed_stratum(space, cells):
-            for k, v in coh.items():
+            for k, v in _closed_cohomology(space, cells).items():
                 if k < width:
                     row[k] = v
         else:
-            for k, v in coh.items():
+            for k, v in _order_cohomology(cells).items():
                 if k < min(d, width):
                     row[k] = v
             if d < width:

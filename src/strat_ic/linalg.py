@@ -805,7 +805,10 @@ class CochainComplex:
         out = {}
         for k in self.degrees():
             out[k] = self.dim(k) - rks.get(k, 0) - rks.get(k - 1, 0)
-            assert out[k] >= 0
+            if out[k] < 0:
+                raise CertificateError(
+                    "negative Betti number %d in degree %d: the ranks exceed "
+                    "the cochain dimension" % (out[k], k))
         return out
 
     def cohomology_basis(self, k):

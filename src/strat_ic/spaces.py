@@ -35,9 +35,15 @@ class CellNotFound(StratificationError):
     pass
 
 
+class BadSimplex(StratificationError):
+    """A simplex that is empty, repeats a vertex or names a vertex out of
+    range."""
+
+
 def _normalize_cell(c):
     t = tuple(sorted(set(int(v) for v in c)))
-    assert len(t) == len(tuple(c)), "cell has repeated vertices: %r" % (c,)
+    if len(t) != len(tuple(c)):
+        raise BadSimplex("cell has repeated vertices: %r" % (c,))
     return t
 
 
@@ -49,8 +55,10 @@ class SimplicialComplex:
         cells = set()
         for s in simplices:
             t = _normalize_cell(s)
-            assert t, "empty simplex"
-            assert t[-1] < self.n_vertices, "vertex out of range in %r" % (t,)
+            if not t:
+                raise BadSimplex("empty simplex")
+            if t[0] < 0 or t[-1] >= self.n_vertices:
+                raise BadSimplex("vertex out of range in %r" % (t,))
             cells.add(t)
             if close:
                 # all nonempty proper faces

@@ -318,6 +318,18 @@ GOLDEN_REPORTS = [
      "f4598752e1318a0279260a5f9f03e37e42ee02bc8db206ce7ad93b46860d8008"),
     (["proptest", "--seed", "2"],
      "d3238e207b78ead0a730502bebbdf2f140e0c451baa967453990416331143188"),
+    # closed-manifold reports read off the orientation check and the
+    # closed-stratum cohomology
+    (["intersect", "--example", "product:t2,s1"],
+     "c50596e72289663dbfb295433e3cad3bc59e80a14b91dc1161b07e82c88c7f36"),
+    (["kunneth", "--example", "product:t2,s1", "--mode", "stratumwise"],
+     "4f5b7fe34c2d21cf3454ca2edca32daeb86cb42825b9d494df165427f4df019f"),
+    (["kunneth", "--example", "product:s2,s1", "--mode", "stratumwise"],
+     "397b6ac5aa7e174c91e2331b9af7da281323990b33198635e6b41d531f6cbe64"),
+    (["derham", "--example", "cone-genus2"],
+     "b385672bfbc3ad1aecf0b80ba8aeb629e160b20cb26bdcad0496e820b8d16ed4"),
+    (["derham", "--example", "product:t2,s1"],
+     "71e2f3773125b902c18455d97bf166922fc48802b42e9b44af9e9b6d3e6659a1"),
 ]
 
 
@@ -325,7 +337,10 @@ GOLDEN_REPORTS = [
                          ids=["ih-cone-t2", "sheaf-cone-s1", "refined-duality",
                               "intersect-t2", "duality-genus2",
                               "mezzo-cone-t2-dump", "kunneth-t2-s1-integral",
-                              "proptest-seed-2"])
+                              "proptest-seed-2", "intersect-t2-s1",
+                              "kunneth-t2-s1-stratumwise",
+                              "kunneth-s2-s1-stratumwise",
+                              "derham-cone-genus2", "derham-t2-s1"])
 def test_report_bytes_match_golden_digest(tmp_path, args, digest):
     code, data = run(args, tmp_path)
     assert code == 0
@@ -401,6 +416,51 @@ def test_every_row_carries_provenance(tmp_path):
         for r in json.loads(payload)["rows"]:
             assert r["source"] in ("computed", "oracle", "target")
             assert isinstance(r["informational"], bool)
+
+
+# -- argument parsing ------------------------------------------------------
+
+EVERY_OPTION = ["--example", "s1", "--input", "space.json",
+                "--output", "out.json", "--format", "csv",
+                "--perversity", "upper-middle", "--mezzo", "mezzo.json",
+                "--mode", "integral", "--seed", "3", "--degree", "1",
+                "--table", "ladder", "--dump"]
+PARSED = {"example": "s1", "input_path": "space.json", "output": "out.json",
+          "fmt": "csv", "perversity": "upper-middle",
+          "mezzo_path": "mezzo.json", "mode": "integral", "seed": 3,
+          "degree": 1, "table": "ladder", "dump": True}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_command_takes_every_option(command):
+    for argv in ([command] + EVERY_OPTION, EVERY_OPTION + [command]):
+        args = vars(cli._parser().parse_args(argv))
+        assert args == dict(PARSED, command=command)
+
+
+bad_argv = pytest.mark.parametrize(
+    "argv", [["nope", "--example", "s1"],
+             ["build", "--example", "s1", "--format", "xml"],
+             ["derham", "--example", "s1", "--table", "foo"], []],
+    ids=["unknown-command", "bad-format", "bad-table", "no-command"])
+
+
+@bad_argv
+def test_bad_arguments_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "usage: strat-ic" in capsys.readouterr().err
+
+
+@bad_argv
+def test_bad_arguments_exit_two_under_optimize(argv):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "strat_ic.cli"] + argv,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "usage: strat-ic" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # -- console entry point ---------------------------------------------------

@@ -15,8 +15,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from strat_ic import spaces
+from strat_ic import linalg, spaces
 from strat_ic.examples import get_example
 from strat_ic.ic import (
     ExactMatrix, Mezzoperversity, Perversity, deligne_construction,
@@ -84,6 +85,107 @@ def test_orientation_rejects_boundary():
 def test_orientation_rejects_projective_plane():
     with pytest.raises(NotOrientable):
         orient_top_cells(_rp2().complex)
+
+
+def _reference_orient_top_cells(cx):
+    """The quadratic orientation check, kept as the reference for the
+    facet-set version: a lower cell is tested against every cell for
+    containment."""
+    n = cx.dim
+    tops = cx.cells_of_dim(n)
+    if not tops:
+        raise NotOrientable("no top cells")
+    for c in cx.cells:
+        if len(c) - 1 < n and not any(len(t) > len(c) and set(c) <= set(t)
+                                      for t in cx.cells):
+            raise NotOrientable("cell %r is not a face of a top cell" % (c,))
+    cofaces = {}
+    for t in tops:
+        for i in range(len(t)):
+            r = t[:i] + t[i + 1:]
+            cofaces.setdefault(r, []).append((t, -1 if i % 2 else 1))
+    for r, pair in sorted(cofaces.items()):
+        if len(pair) != 2:
+            raise NotOrientable(
+                "ridge %r lies in %d top cells, need exactly 2" % (r, len(pair)))
+    signs = {}
+    for start in tops:
+        if start in signs:
+            continue
+        signs[start] = 1
+        queue = [start]
+        while queue:
+            t = queue.pop()
+            for i in range(len(t)):
+                r = t[:i] + t[i + 1:]
+                (t1, s1), (t2, s2) = cofaces[r]
+                other, so = (t2, s2) if t1 == t else (t1, s1)
+                st = s1 if t1 == t else s2
+                want = -signs[t] * st * so
+                if other in signs:
+                    if signs[other] != want:
+                        raise NotOrientable(
+                            "orientation conflict across ridge %r" % (r,))
+                else:
+                    signs[other] = want
+                    queue.append(other)
+    return signs
+
+
+def _outcome(orient, cx):
+    try:
+        return orient(cx)
+    except NotOrientable as e:
+        return "NotOrientable: %s" % e
+
+
+def _assert_orientation_matches_reference(cx):
+    assert _outcome(orient_top_cells, cx) == \
+        _outcome(_reference_orient_top_cells, cx)
+
+
+BASE_IDS = ("point", "interval", "s1", "s2", "t2", "genus2")
+BUILTIN_IDS = (list(BASE_IDS) + ["cone-%s" % b for b in BASE_IDS]
+               + ["suspension-%s" % b for b in BASE_IDS]
+               + ["product:%s,%s" % (a, b) for a in BASE_IDS[:5]
+                  for b in ("point", "interval", "s1")]
+               + ["product:s2,s2", "product:t2,s2"])
+
+
+@pytest.mark.parametrize("name", BUILTIN_IDS)
+def test_orientation_matches_reference_on_examples(name):
+    _assert_orientation_matches_reference(get_example(name).complex)
+
+
+@pytest.mark.parametrize("extra", [[(3,)], [(2, 3)], [(3, 4)]],
+                         ids=["isolated-vertex", "dangling-edge",
+                              "separate-edge"])
+def test_orientation_matches_reference_off_pure(extra):
+    # a lower cell that is a face of nothing sits beside a top cell
+    for top in ([(0, 1, 2)], [(0, 1), (1, 2), (0, 2)]):
+        cx = spaces.SimplicialComplex(5, top + extra)
+        _assert_orientation_matches_reference(cx)
+        with pytest.raises(NotOrientable):
+            orient_top_cells(cx)
+
+
+_SIMPLICES = hst.lists(
+    hst.lists(hst.integers(0, 6), min_size=1, max_size=4, unique=True),
+    max_size=8)
+# closed orientable and non-orientable seeds, so random extras land on
+# both sides of every check
+_SEEDS = hst.sampled_from([
+    [], [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], [(0, 1), (1, 2), (0, 2)],
+    RP2_TRIANGLES, [(0, 1, 2, 3)]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SEEDS, _SIMPLICES)
+def test_orientation_matches_reference_on_drawn_complexes(seed, extra):
+    simplices = seed + [tuple(s) for s in extra]
+    if simplices:
+        _assert_orientation_matches_reference(
+            spaces.SimplicialComplex(7, simplices))
 
 
 def test_fundamental_class_is_a_cycle(st):
@@ -211,6 +313,41 @@ def test_pairing_context_answers_every_degree(susp_s1):
     assert context.matrix(0).matrix.to_triples() == [(0, 0, "1/1")]
     with pytest.raises(DegreeOutOfRange):
         context.matrix(3)
+
+
+def _count_cohomology_bases(monkeypatch):
+    calls = []
+    real = linalg.CochainComplex.cohomology_basis
+
+    def counted(self, k):
+        calls.append((id(self), k))
+        return real(self, k)
+
+    monkeypatch.setattr(linalg.CochainComplex, "cohomology_basis", counted)
+    return calls
+
+
+def test_pairing_context_computes_each_basis_once(monkeypatch, res_w):
+    # the refined-duality scenario: one context, the same result on both
+    # sides, degrees 0..3; each of the four bases is computed once
+    context = PairingContext(res_w, res_w)
+    calls = _count_cohomology_bases(monkeypatch)
+    got = [context.matrix(k).matrix for k in range(4)]
+    assert sorted(calls) == [(id(res_w.complex), k) for k in range(4)]
+    calls.clear()
+    assert [context.matrix(k).matrix for k in range(4)] == got
+    assert calls == []
+
+
+def test_pairing_context_keeps_two_results_apart(monkeypatch, res_m, res_n):
+    context = PairingContext(res_m, res_n)
+    calls = _count_cohomology_bases(monkeypatch)
+    for k in (1, 2, 1):
+        context.matrix(k)
+    assert sorted(calls) == sorted([(id(res_m.complex), 1),
+                                    (id(res_n.complex), 2),
+                                    (id(res_m.complex), 2),
+                                    (id(res_n.complex), 1)])
 
 
 def _unit(n, i):

@@ -12,9 +12,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 import strat_ic
-from strat_ic import spaces
+from strat_ic import ic, spaces
 from strat_ic.examples import get_example
 from strat_ic.ic import (
     EmptyRegularPart, FormDegenerate, ICError, Mezzoperversity,
@@ -182,6 +183,60 @@ def test_stratumwise_rows_product():
     prod = spaces.product(get_example("cone-s1"), get_example("s1"))
     rows = stratumwise_rows(prod)
     assert rows == {1: (1, 1, 0, 0), 3: (1, 2, 2, 1)}
+
+
+# Closed strata take their cohomology from their own simplicial cochains;
+# `ic._order_cohomology`, the route every stratum took before, is the
+# reference: barycentric subdivision does not change cohomology.
+
+_BASE_IDS = ("point", "interval", "s1", "s2", "t2", "genus2")
+_CLOSED_STRATUM_IDS = (
+    list(_BASE_IDS) + ["cone-%s" % b for b in _BASE_IDS]
+    + ["suspension-%s" % b for b in _BASE_IDS]
+    + ["product:%s,%s" % (a, b) for a in ("interval", "s1", "s2", "t2")
+       for b in ("point", "interval", "s1")]
+    + ["product:cone-s1,s1", "product:cone-s1,cone-s1",
+       "product:suspension-s1,interval", "cone-cone-s1"])
+
+
+@pytest.mark.parametrize("name", _CLOSED_STRATUM_IDS)
+def test_closed_strata_cohomology_matches_order_complex(name):
+    space = get_example(name)
+    closed = [p for p in space.stratum_levels()
+              if ic._is_closed_stratum(space, space.stratum(p))]
+    assert closed
+    for p in closed:
+        cells = space.stratum(p)
+        assert ic._closed_cohomology(space, cells) == \
+            ic._order_cohomology(cells), p
+
+
+@settings(max_examples=100, deadline=None)
+@given(hst.lists(hst.lists(hst.integers(0, 5), min_size=1, max_size=4,
+                           unique=True), min_size=1, max_size=8),
+       hst.data())
+def test_closed_cohomology_matches_order_complex_on_drawn_subcomplexes(
+        simplices, data):
+    cx = spaces.SimplicialComplex(6, [tuple(s) for s in simplices])
+    space = spaces.single_stratum(cx)
+    picked = data.draw(hst.lists(hst.sampled_from(cx.cells), min_size=1))
+    closure = spaces.SimplicialComplex(6, picked).cells
+    assert ic._is_closed_stratum(space, closure)
+    assert ic._closed_cohomology(space, closure) == \
+        ic._order_cohomology(closure)
+
+
+def test_closed_strata_skip_the_order_complex(monkeypatch):
+    # every stratum of a product of closed manifolds is closed, so neither
+    # the table nor the Kunneth cross-check builds an order complex
+    def refuse(cells):
+        raise AssertionError("order complex built for a closed stratum")
+
+    monkeypatch.setattr(ic, "_order_cohomology", refuse)
+    from strat_ic.duality import kunneth
+    rep = kunneth(get_example("t2"), get_example("s1"), mode="stratumwise")
+    assert rep.match and rep.closed_strata_ok
+    assert stratumwise_rows(get_example("genus2")) == {2: (1, 4, 1)}
 
 
 def test_stratified_de_rham_cone_s1():

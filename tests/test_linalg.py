@@ -226,6 +226,37 @@ def test_complex_rejects_bad_differential_under_optimize():
     assert proc.stdout.strip() == "rejected: d o d != 0 at degree 0"
 
 
+_WRONG_RANK = "\n".join([
+    "from strat_ic import linalg",
+    "from strat_ic.linalg import CertificateError, CochainComplex, "
+    "ExactMatrix",
+    "c = CochainComplex({0: 1, 1: 1}, {0: ExactMatrix.from_rows([[0]])})",
+    "linalg.rank = lambda m: m.rows + 1  # a rank that overcounts",
+    "try:",
+    "    print(c.betti_numbers())",
+    "except CertificateError as e:",
+    "    print('rejected:', e)",
+])
+
+
+def test_betti_numbers_certify_the_ranks():
+    c = CochainComplex({0: 1, 1: 1}, {0: ExactMatrix.from_rows([[0]])})
+    assert c.betti_numbers() == {0: 1, 1: 1}
+    with mock.patch.object(linalg, "rank", lambda m: m.rows + 1):
+        with pytest.raises(CertificateError, match="negative Betti"):
+            c.betti_numbers()
+
+
+def test_betti_numbers_certify_the_ranks_under_optimize():
+    # -O strips asserts, so the rank certificate must not be one
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_RANK],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected: negative Betti number")
+
+
 def test_cohomology_basis_deterministic():
     d0 = ExactMatrix.from_rows([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
     c = CochainComplex({0: 3, 1: 3}, {0: d0})

@@ -6,6 +6,10 @@ independently of the code under test.
 """
 
 import doctest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +18,7 @@ from strat_ic import examples, spaces
 from strat_ic.examples import UnknownExample, get_example
 from strat_ic.linalg import FGAbelianGroup
 from strat_ic.spaces import (
-    CellNotFound, FiltrationNotClosed, FrontierViolation, SimplicialComplex,
+    BadSimplex, CellNotFound, FiltrationNotClosed, FrontierViolation, SimplicialComplex,
     SubcomplexNotClosed, build_stratified, collapse, cone, link, product,
     product_projections, single_stratum, suspension,
 )
@@ -60,6 +64,47 @@ def test_surfaces_are_closed():
 def test_face_closure_enforced():
     with pytest.raises(FiltrationNotClosed):
         SimplicialComplex(3, [(0, 1, 2)], close=False)
+
+
+BAD_SIMPLICES = [([(0, 5)], "vertex out of range in (0, 5)"),
+                 ([(-1, 0)], "vertex out of range in (-1, 0)"),
+                 ([()], "empty simplex"),
+                 ([(0, 0, 1)], "cell has repeated vertices: (0, 0, 1)")]
+
+
+@pytest.mark.parametrize("simplices, message", BAD_SIMPLICES,
+                         ids=["out-of-range", "negative", "empty",
+                              "repeated"])
+def test_bad_simplex_raises(simplices, message):
+    for close in (True, False):
+        with pytest.raises(BadSimplex) as err:
+            SimplicialComplex(3, simplices, close=close)
+        assert str(err.value) == message
+    assert issubclass(BadSimplex, spaces.StratificationError)
+
+
+def test_bad_simplex_raises_under_optimize():
+    # -O strips asserts, so the input checks must not be asserts
+    code = "\n".join([
+        "from strat_ic.spaces import BadSimplex, SimplicialComplex",
+        "for s in %r:" % ([s for s, _m in BAD_SIMPLICES],),
+        "    try:",
+        "        print(SimplicialComplex(3, s).cells)",
+        "    except BadSimplex as e:",
+        "        print(e)",
+    ])
+    src = str(Path(spaces.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [m for _s, m in BAD_SIMPLICES]
+
+
+def test_bad_filtration_cell_raises():
+    cx = SimplicialComplex(3, [(0, 1)])
+    with pytest.raises(BadSimplex, match="repeated"):
+        build_stratified(cx, {1: [(0, 1), (0, 0)]})
 
 
 def test_cell_order_is_by_dim_then_lex():
