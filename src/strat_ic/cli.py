@@ -449,12 +449,20 @@ def cmd_intersect(config):
     cc = space.complex.cochain_complex()
     basis_p = cc.cohomology_basis(k)
     basis_q = cc.cohomology_basis(n - k)
-    matrix = [[duality.intersection_number(space, space, a, b, k, n - k)
-               for b in basis_q] for a in basis_p]
+    pairing = None
+    matrix = [[] for _ in basis_p]
+    if basis_p and basis_q:
+        # one orientation for the whole matrix; with an empty side there
+        # is nothing to pair, and a space with boundary (the interval)
+        # must not reach orient_top_cells' NotOrientable
+        pairing = duality.cup_pairing_matrix(space.complex, k, n - k,
+                                             basis_p, basis_q)
+        matrix = [[pairing.entry(i, j) for j in range(pairing.cols)]
+                  for i in range(pairing.rows)]
     bundle.add("numbers-%d-%d" % (k, n - k), matrix)
     if len(basis_p) == len(basis_q):
         # empty cohomology pairs nondegenerately by convention (rank 0 = 0)
-        got = rank(ExactMatrix.from_rows(matrix)) if matrix else 0
+        got = rank(pairing) if pairing is not None else 0
         full = got == len(basis_p)
         bundle.add("nondegenerate", full, verdict=full)
     if n > 0:

@@ -158,7 +158,9 @@ class ExactMatrix:
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
-            assert self.cols == other.rows, (self.shape, other.shape)
+            if self.cols != other.rows:
+                raise ValueError("cannot multiply shapes %r and %r"
+                                 % (self.shape, other.shape))
             # group left entries by column to walk the sparse product once
             by_col = {}
             for (i, j), v in self.entries.items():
@@ -434,10 +436,12 @@ def _int_rows(m):
 
 
 def _matrix(nr, nc, int_rows):
-    """ExactMatrix of shape (nr, nc) from integer row dicts."""
-    return ExactMatrix(nr, nc, {(i, j): x
-                                for i, r in enumerate(int_rows)
-                                for j, x in r.items()})
+    """ExactMatrix of shape (nr, nc) from integer row dicts without zeros.
+    Their entries are already normalized, so they skip `_exact`."""
+    out = ExactMatrix(nr, nc)
+    out.entries = {(i, j): x for i, r in enumerate(int_rows)
+                   for j, x in r.items()}
+    return out
 
 
 def smith_normal_form(m):
@@ -529,7 +533,9 @@ def smith_normal_form(m):
     t = 0
     limit = min(nr, nc)
     while t < limit:
-        # smallest nonzero entry in the remaining block, ties by (row, col)
+        # smallest nonzero entry in the remaining block, ties by (row, col);
+        # no entry beats a +-1 and later rows lose the tie, so the scan
+        # stops at the first row that holds one
         best = None
         for i in range(t, nr):
             for j, val in a[i].items():
@@ -537,6 +543,8 @@ def smith_normal_form(m):
                     key = (abs(val), i, j)
                     if best is None or key < best:
                         best = key
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         _, bi, bj = best
@@ -558,13 +566,14 @@ def smith_normal_form(m):
         if len(a_cols[t]) > 1 or len(a[t]) > 1:
             continue
         # pivot must divide every remaining entry; if not, fold in the row
-        # of the smallest (row, col) offender
-        offender = next((i for i in range(t + 1, nr)
-                         if any(j > t and val % piv
-                                for j, val in a[i].items())), None)
-        if offender is not None:
-            row_op(t, offender, 1)
-            continue
+        # of the smallest (row, col) offender.  A +-1 divides everything.
+        if piv not in (1, -1):
+            offender = next((i for i in range(t + 1, nr)
+                             if any(j > t and val % piv
+                                    for j, val in a[i].items())), None)
+            if offender is not None:
+                row_op(t, offender, 1)
+                continue
         if piv < 0:
             negate_row(t)
         t += 1
@@ -767,9 +776,12 @@ class CochainComplex:
         for k, m in diffs.items():
             if m is None or m.is_zero():
                 continue
-            assert self.lo <= k < self.hi, "differential %d out of range" % k
-            assert m.shape == (self.dims[k + 1], self.dims[k]), \
-                (k, m.shape, self.dims[k + 1], self.dims[k])
+            if not self.lo <= k < self.hi:
+                raise ValueError("differential %d out of range %d..%d"
+                                 % (k, self.lo, self.hi - 1))
+            if m.shape != (self.dims[k + 1], self.dims[k]):
+                raise ValueError("d^%d has shape %r, not (%d, %d)"
+                                 % (k, m.shape, self.dims[k + 1], self.dims[k]))
             self.diffs[k] = m
         if check:
             for k, d in self.diffs.items():
@@ -829,11 +841,14 @@ class CochainComplex:
         Requires integer differentials.  ker d^k is a direct summand of C^k
         (C^k / ker d^k embeds in the free group C^{k+1}), so
         C^k / im d^{k-1} = H^k + Z^{rank d^k}: one Smith form of d^{k-1}
-        gives the cokernel, whose free rank loses rank d^k.  The inclusion
+        gives the cokernel, whose free rank loses rank d^k.  The Smith form
+        of d^k, taken once for degree k + 1, gives that rank too, as
+        dim C^{k+1} minus the free rank of its cokernel.  The inclusion
         im d^{k-1} in ker d^k, that is d^k d^{k-1} = 0, is re-checked
         exactly and raises CertificateError when it fails.
         """
         out = {}
+        coker = FGAbelianGroup.free(self.dim(self.lo))    # C^lo / 0
         for k in self.degrees():
             a = self.diff(k)          # C^k -> C^{k+1}
             b = self.diff(k - 1)      # C^{k-1} -> C^k
@@ -843,8 +858,10 @@ class CochainComplex:
             if not (a * b).is_zero():
                 raise CertificateError(
                     "image not contained in kernel at degree %d" % k)
-            coker = FGAbelianGroup.from_presentation(b)
-            out[k] = FGAbelianGroup(coker.free_rank - rank(a), coker.torsion)
+            nxt = FGAbelianGroup.from_presentation(a)    # C^{k+1} / im d^k
+            rank_a = self.dim(k + 1) - nxt.free_rank
+            out[k] = FGAbelianGroup(coker.free_rank - rank_a, coker.torsion)
+            coker = nxt
         return out
 
     def __repr__(self):

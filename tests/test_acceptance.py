@@ -224,6 +224,19 @@ class TestIntegralProducts:
         rational = duality.kunneth(projective_plane(), get_example("s1"))
         assert rational.lhs[3] == 0
 
+    def test_surface_product_at_scale(self, tmp_path):
+        # T^2 x T^2: four coboundaries up to 2940 x 2450, almost every
+        # Smith pivot a unit; the factors' groups give the prediction
+        path = tmp_path / "t2t2.json"
+        assert cli.main(["kunneth", "--example", "product:t2,t2", "--mode",
+                         "integral", "--output", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        rows = {row["label"]: row for row in doc["rows"]}
+        assert rows["product"]["values"] == {
+            "0": "Z", "1": "Z^4", "2": "Z^6", "3": "Z^4", "4": "Z"}
+        assert rows["prediction"]["verdict"] is True
+        assert doc["ok"] is True
+
     def test_group_level_prediction_against_resolution(self):
         z2 = FGAbelianGroup(0, (2,))
         ga = {0: FGAbelianGroup.free(1), 2: z2}

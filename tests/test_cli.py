@@ -391,6 +391,15 @@ def test_no_floats_in_reports(tmp_path):
                for line in nums for v in line)
 
 
+def test_intersect_with_an_empty_side(tmp_path):
+    # H^1 of the interval is 0: nothing to pair, so nothing is oriented
+    # (the interval has boundary and would not orient)
+    code, payload = run(["intersect", "--example", "interval"], tmp_path)
+    assert code == 0
+    doc = json.loads(payload)
+    assert row(doc, "numbers-0-1")["values"] == [[]]
+
+
 def test_csv_rfc4180(tmp_path):
     code, payload = run(["derham", "--example", "cone-s1",
                          "--format", "csv"], tmp_path, "out.csv")

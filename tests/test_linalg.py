@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import strat_ic.linalg as linalg
+from strat_ic.examples import get_example
 from strat_ic.linalg import (
     CertificateError,
     CochainComplex,
@@ -226,6 +227,41 @@ def test_complex_rejects_bad_differential_under_optimize():
     assert proc.stdout.strip() == "rejected: d o d != 0 at degree 0"
 
 
+def test_complex_rejects_misshaped_differentials():
+    with pytest.raises(ValueError, match="out of range"):
+        CochainComplex({0: 1, 1: 1}, {1: ExactMatrix.from_rows([[1]])})
+    with pytest.raises(ValueError, match="shape"):
+        CochainComplex({0: 1, 1: 2}, {0: ExactMatrix.from_rows([[1, 1]])})
+
+
+def test_product_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="shapes"):
+        ExactMatrix.from_rows([[1, 2]]) * ExactMatrix.from_rows([[1, 2]])
+
+
+def test_shape_checks_under_optimize():
+    # -O strips asserts, and the d o d and SNF certificates mean nothing
+    # on mis-shaped input, so the shape checks must not be asserts
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    code = "\n".join([
+        "from strat_ic.linalg import CochainComplex, ExactMatrix",
+        "one = ExactMatrix.from_rows([[1]])",
+        "row = ExactMatrix.from_rows([[1, 1]])",
+        "for call in (lambda: CochainComplex({0: 1, 1: 1}, {1: one}),",
+        "             lambda: CochainComplex({0: 1, 1: 2}, {0: row}),",
+        "             lambda: row * row):",
+        "    try:",
+        "        print(call())",
+        "    except ValueError:",
+        "        print('rejected')",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["rejected"] * 3
+
+
 _WRONG_RANK = "\n".join([
     "from strat_ic import linalg",
     "from strat_ic.linalg import CertificateError, CochainComplex, "
@@ -352,6 +388,135 @@ def test_snf_matches_sympy(sympy_invariant_factors, m):
     assert u.is_integral() and v.is_integral()
     assert u * m * v == d
     assert v * vinv == ExactMatrix.identity(m.cols)
+
+
+# ------------------------------ Smith normal form vs the full-scan loop
+
+def _reference_snf(m):
+    """Reference: the Smith normal form loop before its pivot search
+    stopped at a +-1.  Every pivot scans the whole remaining block for the
+    smallest (|entry|, row, col), and every finished pivot scans all later
+    rows for a divisibility offender; plain dict rows, no column index, no
+    certificate.  Returns (u * m * v, u, v, v^-1) built through the
+    normalizing `ExactMatrix` constructor."""
+    nr, nc = m.rows, m.cols
+    a = [dict() for _ in range(nr)]
+    for (i, j), x in m.entries.items():
+        a[i][j] = x
+    u = [{i: 1} for i in range(nr)]        # rows
+    v = [{j: 1} for j in range(nc)]        # columns
+    vinv = [{j: 1} for j in range(nc)]     # rows
+
+    def axpy(y, x, c):
+        for k, xv in x.items():
+            w = y.get(k, 0) + c * xv
+            if w:
+                y[k] = w
+            else:
+                del y[k]
+
+    def row_op(i1, i2, c):
+        axpy(a[i1], a[i2], c)
+        axpy(u[i1], u[i2], c)
+
+    def col_op(j1, j2, c):
+        for r in a:
+            if j2 in r:
+                w = r.get(j1, 0) + c * r[j2]
+                if w:
+                    r[j1] = w
+                else:
+                    del r[j1]
+        axpy(v[j1], v[j2], c)
+        axpy(vinv[j2], vinv[j1], -c)
+
+    def col_swap(j1, j2):
+        for r in a:
+            x1, x2 = r.pop(j1, 0), r.pop(j2, 0)
+            if x2:
+                r[j1] = x2
+            if x1:
+                r[j2] = x1
+        v[j1], v[j2] = v[j2], v[j1]
+        vinv[j1], vinv[j2] = vinv[j2], vinv[j1]
+
+    t = 0
+    while t < min(nr, nc):
+        best = min(((abs(x), i, j) for i in range(t, nr)
+                    for j, x in a[i].items() if j >= t), default=None)
+        if best is None:
+            break
+        _, bi, bj = best
+        a[t], a[bi] = a[bi], a[t]
+        u[t], u[bi] = u[bi], u[t]
+        if bj != t:
+            col_swap(t, bj)
+        piv = a[t][t]
+        for i in range(t + 1, nr):
+            q = a[i].get(t, 0) // piv
+            if q:
+                row_op(i, t, -q)
+        for j in [j for j in a[t] if j > t]:
+            q = a[t][j] // piv
+            if q:
+                col_op(j, t, -q)
+        if any(t in a[i] for i in range(t + 1, nr)) or len(a[t]) > 1:
+            continue
+        offender = next((i for i in range(t + 1, nr)
+                         if any(j > t and x % piv for j, x in a[i].items())),
+                        None)
+        if offender is not None:
+            row_op(t, offender, 1)
+            continue
+        if piv < 0:
+            a[t] = {k: -x for k, x in a[t].items()}
+            u[t] = {k: -x for k, x in u[t].items()}
+        t += 1
+
+    def build(r, c, vecs, by_rows):
+        return ExactMatrix(r, c, {((i, j) if by_rows else (j, i)): x
+                                  for i, vec in enumerate(vecs)
+                                  for j, x in vec.items()})
+
+    um, mv, mvinv = (build(nr, nr, u, True), build(nc, nc, v, False),
+                     build(nc, nc, vinv, True))
+    return um * m * mv, um, mv, mvinv
+
+
+def _assert_snf_matches_reference(m):
+    got = smith_normal_form(m)
+    want = _reference_snf(m)
+    for name, g, w in zip(("d", "u", "v", "vinv"), got, want):
+        assert g.shape == w.shape, name
+        assert g.entries == w.entries, name
+        assert_normalized(g)
+
+
+@given(sparse_integer_matrices())
+def test_snf_matches_full_scan_reference(m):
+    _assert_snf_matches_reference(m)
+
+
+@pytest.mark.parametrize("name", ["product:t2,s1", "genus2"])
+def test_snf_matches_full_scan_reference_on_differentials(name):
+    diffs = get_example(name).complex.cochain_complex().diffs
+    assert diffs
+    for d in diffs.values():
+        _assert_snf_matches_reference(d)
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 0], [0, 3]],
+    [[4, 6, 0], [6, 0, 10], [0, 10, 15]],
+    [[2, 0, 0], [0, 4, 3], [0, 0, 6]],
+])
+def test_snf_matches_full_scan_reference_when_a_fold_makes_a_unit(rows):
+    # no entry is +-1, yet the first invariant factor is 1: a +-1 exists
+    # only after the divisibility fold
+    m = ExactMatrix.from_rows(rows)
+    assert all(abs(x) != 1 for x in m.entries.values())
+    assert smith_normal_form(m)[0].entries[(0, 0)] == 1
+    _assert_snf_matches_reference(m)
 
 
 groups = st.builds(
