@@ -199,6 +199,7 @@ def load_space(path):
     simplices = doc.get("simplices")
     _expect(isinstance(simplices, list), "simplices must be a list",
             "/simplices")
+    _expect(simplices, "simplices must not be empty", "/simplices")
     for i, s in enumerate(simplices):
         _expect(isinstance(s, list) and s, "simplex must be a nonempty list",
                 "/simplices/%d" % i)
@@ -238,7 +239,7 @@ def load_space(path):
         cx = spaces.SimplicialComplex(doc["n_vertices"],
                                       [tuple(s) for s in simplices])
         return spaces.build_stratified(cx, stages), payload
-    except (AssertionError, spaces.StratificationError) as e:
+    except spaces.StratificationError as e:
         raise BadInput("invalid space: %s" % e, "/filtration")
 
 
@@ -707,21 +708,16 @@ def _space_doc(space):
     cx = space.complex
     return {
         "n_vertices": cx.n_vertices,
-        "simplices": sorted([list(c) for c in _maximal_cells(cx)]),
+        "simplices": sorted([list(c) for c in cx.maximal_cells()]),
         "levels": sorted([[list(c), space.levels[c]] for c in cx.cells]),
     }
-
-
-def _maximal_cells(cx):
-    return [c for c in cx.cells
-            if not any(set(c) < set(d) for d in cx.cells)]
 
 
 def _shrink(space, failing):
     """Greedy one-pass shrink: drop maximal cells while the check fails."""
     current = space
-    for t in list(_maximal_cells(current.complex)):
-        remaining = [c for c in _maximal_cells(current.complex) if c != t]
+    for t in current.complex.maximal_cells():
+        remaining = [c for c in current.complex.maximal_cells() if c != t]
         if not remaining:
             break
         try:

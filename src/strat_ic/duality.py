@@ -49,12 +49,9 @@ class StratumNotFound(DualityError):
 def orient_top_cells(cx):
     """Coherent signs on the top cells, as a dict cell -> +1/-1.
 
-    Requires every cell below the top dimension to be a face of a larger
-    cell, and every codimension-one cell to bound exactly two top cells;
-    signs are propagated from the lexicographically first top cell of each
-    dual-graph component.  The first check is linear: a complex is closed
-    under faces, so a cell is a proper face of some cell exactly when it is
-    a facet of some cell.
+    Requires every maximal cell to be a top cell, and every codimension-one
+    cell to bound exactly two top cells; signs are propagated from the
+    lexicographically first top cell of each dual-graph component.
 
     >>> from .examples import get_example
     >>> o = orient_top_cells(get_example("s2").complex)
@@ -65,9 +62,8 @@ def orient_top_cells(cx):
     tops = cx.cells_of_dim(n)
     if not tops:
         raise NotOrientable("no top cells")
-    facets = {t[:i] + t[i + 1:] for t in cx.cells for i in range(len(t))}
-    for c in cx.cells:
-        if len(c) - 1 < n and c not in facets:
+    for c in cx.maximal_cells():
+        if len(c) - 1 < n:
             raise NotOrientable("cell %r is not a face of a top cell" % (c,))
     cofaces = {}
     for t in tops:
@@ -567,7 +563,7 @@ def kunneth(left, right, mode="rational"):
                              {k: v.describe() for k, v in rhs.items()}, detail)
     # stratumwise: table of the product vs convolved factor tables, and a
     # direct recomputation of every closed product stratum
-    from .ic import stratumwise_rows, _closed_cohomology, _is_closed_stratum
+    from .ic import stratumwise_rows, _closed_cohomology
     prod_rows = stratumwise_rows(prod)
     total = tuple(sum(r[k] for r in prod_rows.values()) for k in range(width))
     lrows = stratumwise_rows(left)
@@ -580,9 +576,10 @@ def kunneth(left, right, mode="rational"):
     detail = []
     ok = total == predicted
     for p in sorted(prod_rows):
-        if not _is_closed_stratum(prod, prod.stratum(p)):
+        cells = prod.stratum(p)
+        if spaces.missing_face(cells, set(cells)) is not None:
             continue
-        direct = _closed_cohomology(prod, prod.stratum(p))
+        direct = _closed_cohomology(prod, cells)
         direct = tuple(direct.get(k, 0) for k in range(width))
         row = tuple(prod_rows[p])
         detail.append({"level": p, "direct": list(direct), "table": list(row),

@@ -151,13 +151,7 @@ def _check_regular_part(space):
     reg = space.regular_part()
     if not reg:
         raise EmptyRegularPart("no cells in the top stratum")
-    closure = set()
-    for c in reg:
-        k = len(c)
-        closure.add(c)
-        for mask in range(1, (1 << k) - 1):
-            closure.add(tuple(c[i] for i in range(k) if mask >> i & 1))
-    if closure != set(space.complex.cells):
+    if spaces_mod.closure(reg) != set(space.complex.cells):
         raise EmptyRegularPart(
             "top stratum is not dense; some cells see no regular part")
 
@@ -249,17 +243,6 @@ def _closed_cohomology(space, cells):
     return sub.cochain_complex().betti_numbers()
 
 
-def _is_closed_stratum(space, cells):
-    cellset = set(cells)
-    for c in cells:
-        for i in range(len(c)):
-            face = c[:i] + c[i + 1:]
-            if face and face in space.complex.cell_index \
-                    and face not in cellset:
-                return False
-    return True
-
-
 def stratumwise_rows(space, width=None):
     """One cohomology row per stratum level.
 
@@ -294,7 +277,7 @@ def stratumwise_rows(space, width=None):
         cells = space.stratum(p)
         d = max(len(c) - 1 for c in cells)
         row = [0] * width
-        if _is_closed_stratum(space, cells):
+        if spaces_mod.missing_face(cells, set(cells)) is None:
             for k, v in _closed_cohomology(space, cells).items():
                 if k < width:
                     row[k] = v

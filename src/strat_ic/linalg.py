@@ -648,7 +648,8 @@ class FGAbelianGroup:
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank=0, torsion=()):
-        assert free_rank >= 0
+        if free_rank < 0:
+            raise ValueError("negative free rank %d" % free_rank)
         tors = _normalize_torsion(torsion)
         for a, b in zip(tors, tors[1:]):
             assert b % a == 0, "not a divisibility chain: %r" % (tors,)
@@ -766,7 +767,8 @@ class CochainComplex:
     __slots__ = ("lo", "hi", "dims", "diffs")
 
     def __init__(self, dims, diffs=None, check=True):
-        assert dims, "empty complex needs an explicit degree range"
+        if not dims:
+            raise ValueError("empty complex needs an explicit degree range")
         degrees = sorted(dims)
         self.lo, self.hi = degrees[0], degrees[-1]
         assert degrees == list(range(self.lo, self.hi + 1)), "degrees must be contiguous"

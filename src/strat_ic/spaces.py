@@ -40,11 +40,53 @@ class BadSimplex(StratificationError):
     range."""
 
 
+class BadLevelMap(StratificationError):
+    """A level map whose keys are not exactly the cells of the complex."""
+
+
 def _normalize_cell(c):
     t = tuple(sorted(set(int(v) for v in c)))
     if len(t) != len(tuple(c)):
         raise BadSimplex("cell has repeated vertices: %r" % (c,))
     return t
+
+
+def closure(cells):
+    """Face closure of `cells`: the cells and all their nonempty faces.
+
+    Faces are reached one dropped vertex at a time, and each face is expanded
+    once, the first time it is reached.
+
+    >>> sorted(closure([(0, 1, 2)]), key=lambda c: (len(c), c))
+    [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    """
+    out = set(cells)
+    todo = list(out)
+    while todo:
+        c = todo.pop()
+        if len(c) > 1:
+            for i in range(len(c)):
+                face = c[:i] + c[i + 1:]
+                if face not in out:
+                    out.add(face)
+                    todo.append(face)
+    return out
+
+
+def missing_face(cells, within):
+    """First (cell, facet) in `cells` order whose facet is outside `within`,
+    or None; `cells` is closed under faces inside `within` exactly when this
+    is None.
+
+    >>> missing_face([(0,), (0, 1)], {(0,), (0, 1)})
+    ((0, 1), (1,))
+    """
+    for c in cells:
+        for i in range(len(c)):
+            face = c[:i] + c[i + 1:]
+            if face and face not in within:
+                return c, face
+    return None
 
 
 class SimplicialComplex:
@@ -60,19 +102,12 @@ class SimplicialComplex:
             if t[0] < 0 or t[-1] >= self.n_vertices:
                 raise BadSimplex("vertex out of range in %r" % (t,))
             cells.add(t)
-            if close:
-                # all nonempty proper faces
-                k = len(t)
-                for mask in range(1, (1 << k) - 1):
-                    face = tuple(t[i] for i in range(k) if mask >> i & 1)
-                    cells.add(face)
-        if not close:
-            for t in list(cells):
-                for i in range(len(t)):
-                    face = t[:i] + t[i + 1:]
-                    if face and face not in cells:
-                        raise FiltrationNotClosed(
-                            "cell %r missing face %r" % (t, face))
+        if close:
+            cells = closure(cells)
+        else:
+            missing = missing_face(cells, cells)
+            if missing:
+                raise FiltrationNotClosed("cell %r missing face %r" % missing)
         self.cells = tuple(sorted(cells, key=lambda c: (len(c), c)))
         self.cell_index = {c: i for i, c in enumerate(self.cells)}
 
@@ -91,6 +126,12 @@ class SimplicialComplex:
 
     def cells_of_dim(self, d):
         return [c for c in self.cells if len(c) == d + 1]
+
+    def maximal_cells(self):
+        """Cells that are no cell's facet, in cell order.  The complex is
+        closed under faces, so these are the cells in no larger cell."""
+        facets = {c[:i] + c[i + 1:] for c in self.cells for i in range(len(c))}
+        return [c for c in self.cells if c not in facets]
 
     def coboundary_matrix(self, k):
         """Matrix of d^k from k-cochains to (k+1)-cochains, integer entries.
@@ -200,7 +241,8 @@ class StratifiedComplex:
     def __init__(self, complex_, levels, coefficients=None, check=True):
         self.complex = complex_
         self.levels = {tuple(c): int(p) for c, p in levels.items()}
-        assert set(self.levels) == set(complex_.cells), "level map must cover all cells"
+        if set(self.levels) != set(complex_.cells):
+            raise BadLevelMap("level map must cover all cells")
         self.top = max(self.levels.values(), default=0)
         if coefficients is None:
             coefficients = {}
@@ -246,6 +288,16 @@ class StratifiedComplex:
     # -- validation --------------------------------------------------------
 
     def validate(self):
+        """Certify the three conditions on the filtration.
+
+        - Every stage X^p is closed: no face sits at a higher level than its
+          cell.
+        - dim X^p <= p: no cell sits at a level below its own dimension.
+        - Frontier: the closure of a stratum that meets a lower stratum
+          contains all of it.
+
+        Raises FiltrationNotClosed or FrontierViolation on the first failure.
+        """
         levels = self.levels
         for tau in self.complex.cells:
             for pos in range(len(tau)):
@@ -254,23 +306,14 @@ class StratifiedComplex:
                     raise FiltrationNotClosed(
                         "X^%d not closed: %r (level %d) has face %r at level %d"
                         % (levels[tau], tau, levels[tau], face, levels[face]))
-        for p in self.stratum_levels():
-            for c in self.filtration_stage(p):
-                if len(c) - 1 > p:
-                    raise FiltrationNotClosed(
-                        "dim X^%d exceeds %d at cell %r" % (p, p, c))
+        # a cell above its level breaks dim X^p <= p first at p = its level
+        low = [(p, len(c), c) for c, p in levels.items() if len(c) - 1 > p]
+        if low:
+            p, _len, c = min(low)
+            raise FiltrationNotClosed("dim X^%d exceeds %d at cell %r" % (p, p, c))
         # frontier condition, pairwise on strata
         strata = self.strata()
-        closures = {}
-        for p, cells in strata.items():
-            cl = set()
-            for c in cells:
-                k = len(c)
-                cl.add(c)
-                for mask in range(1, (1 << k) - 1):
-                    face = tuple(c[i] for i in range(k) if mask >> i & 1)
-                    cl.add(face)
-            closures[p] = cl
+        closures = {p: closure(cells) for p, cells in strata.items()}
         lvls = self.stratum_levels()
         for i, p in enumerate(lvls):
             for q in lvls[:i]:
@@ -300,27 +343,12 @@ class StratifiedComplex:
     def from_json(cls, obj):
         n = int(obj["vertices"])
         complex_ = SimplicialComplex(n, [tuple(s) for s in obj["simplices"]])
+        coeffs = {int(p): FGAbelianGroup.from_json(g)
+                  for p, g in (obj.get("coefficients") or {}).items()}
         filtration = obj.get("filtration")
         if not filtration:
-            levels = {c: complex_.dim for c in complex_.cells}
-        else:
-            stages = sorted((int(p), {tuple(sorted(s)) for s in cells})
-                            for p, cells in filtration.items())
-            levels = {}
-            for c in complex_.cells:
-                lvl = None
-                for p, cellset in stages:
-                    if c in cellset:
-                        lvl = p
-                        break
-                if lvl is None:
-                    raise FiltrationNotClosed(
-                        "cell %r missing from every filtration stage" % (c,))
-                levels[c] = lvl
-        coeffs = {}
-        for p, g in (obj.get("coefficients") or {}).items():
-            coeffs[int(p)] = FGAbelianGroup.from_json(g)
-        return cls(complex_, levels, coeffs)
+            return single_stratum(complex_, coeffs)
+        return build_stratified(complex_, filtration, coeffs)
 
     def __repr__(self):
         parts = ", ".join("%d:%d" % (p, len(self.stratum(p)))
@@ -334,18 +362,17 @@ def build_stratified(complex_, filtration, coefficients=None):
     `filtration` maps level -> iterable of cells (cumulative stages or bare
     strata both work: a cell's level is the smallest key mentioning it).
     """
-    stages = sorted((int(p), {_normalize_cell(c) for c in cells})
-                    for p, cells in filtration.items())
+    placed = {}
+    for p, cells in filtration.items():
+        p = int(p)
+        for c in cells:
+            c = _normalize_cell(c)
+            placed[c] = min(p, placed.get(c, p))
     levels = {}
     for c in complex_.cells:
-        lvl = None
-        for p, cellset in stages:
-            if c in cellset:
-                lvl = p
-                break
-        if lvl is None:
+        if c not in placed:
             raise FiltrationNotClosed("cell %r not placed by the filtration" % (c,))
-        levels[c] = lvl
+        levels[c] = placed[c]
     return StratifiedComplex(complex_, levels, coefficients)
 
 
@@ -484,11 +511,10 @@ def collapse(s, subcells):
     for c in sub:
         if c not in s.complex.cell_index:
             raise SubcomplexNotClosed("cell %r not in the complex" % (c,))
-        for i in range(len(c)):
-            face = c[:i] + c[i + 1:]
-            if face and face not in sub:
-                raise SubcomplexNotClosed(
-                    "subcomplex misses face %r of %r" % (face, c))
+    missing = missing_face(sub, sub)
+    if missing:
+        raise SubcomplexNotClosed(
+            "subcomplex misses face %r of %r" % (missing[1], missing[0]))
     collapsed_vertices = {v for c in sub for v in c}
     vmap = {}
     nxt = 1

@@ -1,5 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import settings
+
+import strat_ic
 
 # keep the suite reproducible run to run
 settings.register_profile("repro", derandomize=True, max_examples=40, deadline=None)
 settings.load_profile("repro")
+
+SRC = str(Path(strat_ic.__file__).resolve().parents[1])
+
+
+def run_python(*args, optimize=True, timeout=120):
+    """Run a fresh interpreter on `args` with this package's source on
+    PYTHONPATH, under `-O` unless `optimize` is false.  `-O` strips asserts,
+    so a check that must hold there has to be a typed raise."""
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable] + flags + list(args),
+                          capture_output=True, text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=SRC))

@@ -2,10 +2,9 @@
 
 import hashlib
 import json
-import subprocess
-import sys
 
 import pytest
+from conftest import run_python
 
 from strat_ic import cli
 
@@ -122,11 +121,31 @@ def test_bad_simplex_points_at_simplex(tmp_path, capsys, simplices):
 def test_bad_simplex_rejected_under_optimize(tmp_path, simplices):
     # -O strips asserts, so the input checks must not be asserts
     p = _write_space(tmp_path, simplices)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "strat_ic.cli", "build", "--input",
-         str(p)], capture_output=True, text=True, timeout=120)
+    proc = run_python("-m", "strat_ic.cli", "build", "--input", str(p))
     assert proc.returncode == 2
     assert "'/simplices/0'" in proc.stderr
+
+
+empty_space_commands = pytest.mark.parametrize(
+    "command", ["build", "sheaf", "intersect", "duality"])
+
+
+@empty_space_commands
+def test_empty_space_points_at_simplices(tmp_path, capsys, command):
+    p = _write_space(tmp_path, [])
+    assert cli.main([command, "--input", str(p)]) == 2
+    assert "'/simplices'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+@empty_space_commands
+def test_empty_space_exits_two_without_traceback(tmp_path, command, optimize):
+    p = _write_space(tmp_path, [])
+    proc = run_python("-m", "strat_ic.cli", command, "--input", str(p),
+                      optimize=optimize)
+    assert proc.returncode == 2
+    assert "'/simplices'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 bad_cells = pytest.mark.parametrize(
@@ -154,9 +173,7 @@ def test_bad_filtration_cell_points_at_cell(tmp_path, capsys, cell):
 @bad_cells
 def test_bad_filtration_cell_rejected_under_optimize(tmp_path, cell):
     p = _write_filtration(tmp_path, cell)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "strat_ic.cli", "build", "--input",
-         str(p)], capture_output=True, text=True, timeout=120)
+    proc = run_python("-m", "strat_ic.cli", "build", "--input", str(p))
     assert proc.returncode == 2
     assert "'/filtration/1/6'" in proc.stderr
 
@@ -165,9 +182,8 @@ def _assert_same_bytes_under_optimize(args, tmp_path):
     code, want = run(args, tmp_path, "plain.json")
     assert code == 0
     out = tmp_path / "optimized.json"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "strat_ic.cli"] + args +
-        ["--output", str(out)], capture_output=True, text=True, timeout=300)
+    proc = run_python("-m", "strat_ic.cli", *args, "--output", str(out),
+                      timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == want
 
@@ -252,10 +268,8 @@ def test_bad_mezzo_shape_points_at_choice(tmp_path, capsys, choices,
 @bad_mezzo_shapes
 def test_bad_mezzo_shape_rejected_under_optimize(tmp_path, choices, pointer):
     p = _write_mezzo(tmp_path, choices)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "strat_ic.cli", "mezzo", "--example",
-         "cone-t2", "--mezzo", str(p)],
-        capture_output=True, text=True, timeout=120)
+    proc = run_python("-m", "strat_ic.cli", "mezzo", "--example", "cone-t2",
+                      "--mezzo", str(p))
     assert proc.returncode == 2, proc.stdout
     assert pointer in proc.stderr
 
@@ -464,9 +478,7 @@ def test_bad_arguments_exit_two(argv, capsys):
 
 @bad_argv
 def test_bad_arguments_exit_two_under_optimize(argv):
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "strat_ic.cli"] + argv,
-        capture_output=True, text=True, timeout=120)
+    proc = run_python("-m", "strat_ic.cli", *argv)
     assert proc.returncode == 2
     assert "usage: strat-ic" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -475,9 +487,7 @@ def test_bad_arguments_exit_two_under_optimize(argv):
 # -- console entry point ---------------------------------------------------
 
 def test_console_script_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "strat_ic.cli", "ih", "--example", "cone-s1",
-         "--format", "text"],
-        capture_output=True, text=True, timeout=120)
+    proc = run_python("-m", "strat_ic.cli", "ih", "--example", "cone-s1",
+                      "--format", "text", optimize=False)
     assert proc.returncode == 0
     assert "ih-dims" in proc.stdout

@@ -7,14 +7,11 @@ cone formula and the cohomology of the cylinder.
 """
 
 import gc
-import os
-import subprocess
-import sys
 import weakref
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from conftest import run_python
 from hypothesis import given, settings, strategies as hst
 
 from strat_ic import linalg, spaces
@@ -395,7 +392,6 @@ def test_pairing_certificate_not_a_class(monkeypatch, susp_s1):
 def test_ic_pairing_same_under_optimize(susp_s1):
     # the pairing certificates are raises, not asserts, so -O keeps them
     # and must not change the answer
-    src = str(Path(duality.__file__).resolve().parents[1])
     code = "\n".join([
         "from strat_ic import duality, ic",
         "from strat_ic.examples import get_example",
@@ -405,10 +401,8 @@ def test_ic_pairing_same_under_optimize(susp_s1):
         "    print(duality.ic_pairing(res, res, k).matrix.to_triples())",
     ])
     outs = []
-    for flags in ([], ["-O"]):
-        proc = subprocess.run([sys.executable] + flags + ["-c", code],
-                              capture_output=True, text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=src))
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     want = "".join("%s\n" % ic_pairing(susp_s1, susp_s1, k).matrix.to_triples()
@@ -417,10 +411,7 @@ def test_ic_pairing_same_under_optimize(susp_s1):
 
 
 def _run_optimized(code):
-    src = str(Path(duality.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=300,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_python("-c", code, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

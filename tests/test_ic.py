@@ -6,15 +6,10 @@ freeze) before the construction ran; the construction has to reproduce
 them exactly.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
+from conftest import run_python
 from hypothesis import given, settings, strategies as hst
 
-import strat_ic
 from strat_ic import ic, spaces
 from strat_ic.examples import get_example
 from strat_ic.ic import (
@@ -65,7 +60,6 @@ def test_perversity_from_values_and_errors():
 
 def test_growth_and_functoriality_checks_run_under_optimize():
     # -O strips asserts, so neither input check may be one
-    src = str(Path(strat_ic.__file__).resolve().parents[1])
     code = "\n".join([
         "from strat_ic.examples import get_example",
         "from strat_ic.ic import ICError, Perversity",
@@ -84,9 +78,7 @@ def test_growth_and_functoriality_checks_run_under_optimize():
         "    except err as e:",
         "        print('rejected:', e)",
     ])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "rejected: restrictions (1,) -> (0, 1, 2) not functorial",
@@ -203,7 +195,8 @@ _CLOSED_STRATUM_IDS = (
 def test_closed_strata_cohomology_matches_order_complex(name):
     space = get_example(name)
     closed = [p for p in space.stratum_levels()
-              if ic._is_closed_stratum(space, space.stratum(p))]
+              if spaces.missing_face(space.stratum(p),
+                                     set(space.stratum(p))) is None]
     assert closed
     for p in closed:
         cells = space.stratum(p)
@@ -221,7 +214,7 @@ def test_closed_cohomology_matches_order_complex_on_drawn_subcomplexes(
     space = spaces.single_stratum(cx)
     picked = data.draw(hst.lists(hst.sampled_from(cx.cells), min_size=1))
     closure = spaces.SimplicialComplex(6, picked).cells
-    assert ic._is_closed_stratum(space, closure)
+    assert spaces.missing_face(closure, set(closure)) is None
     assert ic._closed_cohomology(space, closure) == \
         ic._order_cohomology(closure)
 
@@ -360,7 +353,6 @@ def test_refined_rejects_rank_two_coefficient():
     st = get_example("suspension-t2")
     with pytest.raises(ICError, match="rank-one coefficient"):
         refined_ic(st, _mezzo(st, [0, 0]), coefficient=2)
-    src = str(Path(strat_ic.__file__).resolve().parents[1])
     code = "\n".join([
         "from strat_ic import ic",
         "from strat_ic.examples import get_example",
@@ -375,9 +367,7 @@ def test_refined_rejects_rank_two_coefficient():
         "except ic.ICError as e:",
         "    print('rejected:', e)",
     ])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=300,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_python("-c", code, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == \
         "rejected: refinement needs a rank-one coefficient, got 2\n"

@@ -2,14 +2,11 @@
 
 import doctest
 import heapq
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import pytest
+from conftest import run_python
 from hypothesis import given, strategies as st
 
 import strat_ic.linalg as linalg
@@ -119,7 +116,6 @@ def test_snf_rejects_non_integers():
 
 def test_snf_rejects_non_integers_under_optimize():
     # -O strips asserts, so the integrality check must not be one
-    src = str(Path(linalg.__file__).resolve().parents[1])
     code = "\n".join([
         "from fractions import Fraction",
         "from strat_ic.linalg import ExactMatrix, FGAbelianGroup, "
@@ -132,9 +128,7 @@ def test_snf_rejects_non_integers_under_optimize():
         "    except ValueError:",
         "        print('rejected')",
     ])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["rejected", "rejected"]
 
@@ -209,7 +203,6 @@ def test_complex_rejects_bad_differential():
 
 def test_complex_rejects_bad_differential_under_optimize():
     # -O strips asserts, so the d o d check must not be one
-    src = str(Path(linalg.__file__).resolve().parents[1])
     code = "\n".join([
         "from strat_ic.linalg import CertificateError, CochainComplex, "
         "ExactMatrix",
@@ -220,9 +213,7 @@ def test_complex_rejects_bad_differential_under_optimize():
         "except CertificateError as e:",
         "    print('rejected:', e)",
     ])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "rejected: d o d != 0 at degree 0"
 
@@ -242,7 +233,6 @@ def test_product_rejects_mismatched_shapes():
 def test_shape_checks_under_optimize():
     # -O strips asserts, and the d o d and SNF certificates mean nothing
     # on mis-shaped input, so the shape checks must not be asserts
-    src = str(Path(linalg.__file__).resolve().parents[1])
     code = "\n".join([
         "from strat_ic.linalg import CochainComplex, ExactMatrix",
         "one = ExactMatrix.from_rows([[1]])",
@@ -255,11 +245,32 @@ def test_shape_checks_under_optimize():
         "    except ValueError:",
         "        print('rejected')",
     ])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["rejected"] * 3
+
+
+def test_group_and_complex_inputs_are_typed_raises():
+    # bad coefficients in a space file reach FGAbelianGroup, and an empty
+    # complex gives CochainComplex no degrees; -O must keep both raises
+    with pytest.raises(ValueError, match="negative free rank"):
+        FGAbelianGroup(-1)
+    with pytest.raises(ValueError, match="explicit degree range"):
+        CochainComplex({})
+    code = "\n".join([
+        "from strat_ic.linalg import CochainComplex, FGAbelianGroup",
+        "for call in (lambda: FGAbelianGroup(-1), lambda: CochainComplex({})):",
+        "    try:",
+        "        print(call())",
+        "    except ValueError as e:",
+        "        print('rejected:', e)",
+    ])
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: negative free rank -1",
+        "rejected: empty complex needs an explicit degree range",
+    ]
 
 
 _WRONG_RANK = "\n".join([
@@ -285,10 +296,7 @@ def test_betti_numbers_certify_the_ranks():
 
 def test_betti_numbers_certify_the_ranks_under_optimize():
     # -O strips asserts, so the rank certificate must not be one
-    src = str(Path(linalg.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_RANK],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_python("-c", _WRONG_RANK)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("rejected: negative Betti number")
 

@@ -7,16 +7,12 @@ zero above); hypercohomology of a pushforward equals cohomology of the open
 part it came from.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
+from conftest import run_python
 from hypothesis import given, settings, strategies as st
 
 from strat_ic.examples import get_example
-from strat_ic import sheaves
+from strat_ic import sheaves, spaces
 from strat_ic.linalg import CochainComplex, ExactMatrix, FGAbelianGroup
 from strat_ic.sheaves import (
     NotOpen, NotOpenComplement, SheafComplex, SheafError, _flags,
@@ -86,7 +82,6 @@ def test_validation_catches_broken_functoriality():
 
 def test_malformed_sheaf_data_rejected():
     # the input checks are raises, not asserts, so -O keeps them
-    src = str(Path(sheaves.__file__).resolve().parents[1])
     code = "\n".join([
         "from strat_ic.examples import get_example",
         "from strat_ic.sheaves import (SheafComplex, SheafError,",
@@ -105,10 +100,8 @@ def test_malformed_sheaf_data_rejected():
         "    except SheafError as e:",
         "        print('rejected:', e)",
     ])
-    for flags in ([], ["-O"]):
-        proc = subprocess.run([sys.executable] + flags + ["-c", code],
-                              capture_output=True, text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=src))
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "rejected: stalks must cover all cells",
@@ -292,12 +285,7 @@ def _closed_subsets(draw):
     s = get_example("cone-s1")
     cells = list(s.complex.cells)
     picked = draw(st.lists(st.sampled_from(cells), max_size=3))
-    closed = set()
-    for c in picked:
-        k = len(c)
-        closed.add(c)
-        for mask in range(1, (1 << k) - 1):
-            closed.add(tuple(c[i] for i in range(k) if mask >> i & 1))
+    closed = spaces.closure(picked)
     return s, sorted(closed, key=lambda c: (len(c), c))
 
 

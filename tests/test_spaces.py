@@ -6,21 +6,19 @@ independently of the code under test.
 """
 
 import doctest
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from conftest import run_python
+from hypothesis import given, settings, strategies as st
 
 from strat_ic import examples, spaces
 from strat_ic.examples import UnknownExample, get_example
 from strat_ic.linalg import FGAbelianGroup
 from strat_ic.spaces import (
-    BadSimplex, CellNotFound, FiltrationNotClosed, FrontierViolation, SimplicialComplex,
-    SubcomplexNotClosed, build_stratified, collapse, cone, link, product,
-    product_projections, single_stratum, suspension,
+    BadLevelMap, BadSimplex, CellNotFound, FiltrationNotClosed, FrontierViolation,
+    SimplicialComplex, StratifiedComplex, SubcomplexNotClosed, build_stratified,
+    collapse, cone, link, product, product_projections, single_stratum,
+    suspension,
 )
 
 
@@ -93,10 +91,7 @@ def test_bad_simplex_raises_under_optimize():
         "    except BadSimplex as e:",
         "        print(e)",
     ])
-    src = str(Path(spaces.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [m for _s, m in BAD_SIMPLICES]
 
@@ -136,6 +131,38 @@ def test_frontier_violation_names_the_pair():
     with pytest.raises(FrontierViolation) as err:
         build_stratified(c, filt)
     assert "(1, 0)" in str(err.value)
+
+
+def test_level_map_must_cover_the_cells():
+    cx = SimplicialComplex(2, [(0, 1)])
+    with pytest.raises(BadLevelMap, match="cover all cells"):
+        StratifiedComplex(cx, {(0,): 0, (0, 1): 1})
+
+
+def test_space_inputs_rejected_under_optimize():
+    # -O strips asserts, so the level-map cover and the coefficient rank
+    # that from_json reaches must be typed raises
+    code = "\n".join([
+        "from strat_ic.spaces import (SimplicialComplex, StratificationError,",
+        "                             StratifiedComplex)",
+        "cx = SimplicialComplex(2, [(0, 1)])",
+        "obj = {'vertices': 2, 'simplices': [[0, 1]],",
+        "       'coefficients': {'1': {'rank': -1}}}",
+        "for call, err in (",
+        "        (lambda: StratifiedComplex(cx, {(0,): 0, (0, 1): 1}),",
+        "         StratificationError),",
+        "        (lambda: StratifiedComplex.from_json(obj), ValueError)):",
+        "    try:",
+        "        print(call())",
+        "    except err as e:",
+        "        print('rejected:', e)",
+    ])
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: level map must cover all cells",
+        "rejected: negative free rank -1",
+    ]
 
 
 def test_single_stratum_levels():
@@ -294,9 +321,9 @@ def test_collapse_of_product_slice_is_cone():
 
 def test_collapse_rejects_open_subset():
     s = get_example("s1")
-    with pytest.raises(SubcomplexNotClosed):
+    with pytest.raises(SubcomplexNotClosed, match=r"misses face \(1,\) of \(0, 1\)"):
         collapse(s, [(0, 1)])
-    with pytest.raises(SubcomplexNotClosed):
+    with pytest.raises(SubcomplexNotClosed, match="not in the complex"):
         collapse(s, [(0, 1, 2)])
     with pytest.raises(SubcomplexNotClosed):
         collapse(s, [])
@@ -333,6 +360,20 @@ def test_json_missing_filtration_gives_single_stratum():
     assert s.stratum_levels() == [1]
 
 
+def test_json_filtration_is_placed_like_build_stratified():
+    stage = [[0, 1], [1, 2], [0], [2], [1, 1]]
+    obj = {"vertices": 3, "simplices": [[0, 1], [1, 2]],
+           "filtration": {"0": [[1]], "1": stage}}
+    with pytest.raises(BadSimplex, match="repeated"):
+        spaces.StratifiedComplex.from_json(obj)
+    stage.pop()
+    s = spaces.StratifiedComplex.from_json(obj)
+    assert s.stratum(0) == [(1,)]
+    stage.pop()
+    with pytest.raises(FiltrationNotClosed, match=r"\(2,\) not placed"):
+        spaces.StratifiedComplex.from_json(obj)
+
+
 def test_unknown_example():
     with pytest.raises(UnknownExample):
         get_example("klein")
@@ -365,3 +406,153 @@ def test_apex_link(name):
     s = cone(get_example(name))
     lk = link(s, (s.complex.n_vertices - 1,))
     assert lk.complex.f_vector() == get_example(name).complex.f_vector()
+
+
+# -- differential tests against the earlier face-closure code --------------
+# The references are the earlier implementations: closure from all 2^k - 2
+# proper faces by bitmask, validation that sorts every filtration stage once
+# per level, and the quadratic maximal-cell scan.
+
+def _ref_complex_cells(n_vertices, simplices, close):
+    cells = set()
+    for s in simplices:
+        t = spaces._normalize_cell(s)
+        if not t:
+            raise BadSimplex("empty simplex")
+        if t[0] < 0 or t[-1] >= n_vertices:
+            raise BadSimplex("vertex out of range in %r" % (t,))
+        cells.add(t)
+        if close:
+            k = len(t)
+            for mask in range(1, (1 << k) - 1):
+                cells.add(tuple(t[i] for i in range(k) if mask >> i & 1))
+    if not close:
+        for t in list(cells):
+            for i in range(len(t)):
+                face = t[:i] + t[i + 1:]
+                if face and face not in cells:
+                    raise FiltrationNotClosed(
+                        "cell %r missing face %r" % (t, face))
+    return tuple(sorted(cells, key=lambda c: (len(c), c)))
+
+
+def _ref_closure(cells):
+    out = set()
+    for c in cells:
+        k = len(c)
+        out.add(c)
+        for mask in range(1, (1 << k) - 1):
+            out.add(tuple(c[i] for i in range(k) if mask >> i & 1))
+    return out
+
+
+def _ref_validate(s):
+    levels = s.levels
+    for tau in s.complex.cells:
+        for pos in range(len(tau)):
+            face = tau[:pos] + tau[pos + 1:]
+            if face and face in levels and levels[face] > levels[tau]:
+                raise FiltrationNotClosed(
+                    "X^%d not closed: %r (level %d) has face %r at level %d"
+                    % (levels[tau], tau, levels[tau], face, levels[face]))
+    for p in s.stratum_levels():
+        for c in s.filtration_stage(p):
+            if len(c) - 1 > p:
+                raise FiltrationNotClosed(
+                    "dim X^%d exceeds %d at cell %r" % (p, p, c))
+    strata = s.strata()
+    closures = {p: _ref_closure(cells) for p, cells in strata.items()}
+    lvls = s.stratum_levels()
+    for i, p in enumerate(lvls):
+        for q in lvls[:i]:
+            lower = set(strata[q])
+            met = closures[p] & lower
+            if met and met != lower:
+                missing = sorted(lower - met)[0]
+                raise FrontierViolation(
+                    "strata (%d, %d): closure of S^%d meets S^%d but misses %r"
+                    % (p, q, p, q, missing))
+
+
+def _ref_maximal_cells(cx):
+    return [c for c in cx.cells
+            if not any(set(c) < set(d) for d in cx.cells)]
+
+
+def _outcome(call):
+    """("ok", value), or the exception's class and message."""
+    try:
+        return "ok", call()
+    except spaces.StratificationError as e:
+        return type(e), str(e)
+
+
+_simplex_lists = st.lists(
+    st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=150)
+@given(_simplex_lists, st.booleans(), st.data())
+def test_complex_cells_match_the_subset_walk(simplices, close, data):
+    if not close:
+        # a closed list with some cells dropped, in a drawn order
+        full = sorted(_ref_closure(tuple(sorted(s)) for s in simplices))
+        dropped = data.draw(st.sets(st.sampled_from(full), max_size=2))
+        simplices = data.draw(st.permutations(
+            [c for c in full if c not in dropped]))
+    got = _outcome(lambda: SimplicialComplex(6, simplices, close=close).cells)
+    assert got == _outcome(lambda: _ref_complex_cells(6, simplices, close))
+    cells = [tuple(sorted(s)) for s in simplices]
+    assert spaces.closure(cells) == _ref_closure(cells)
+
+
+@settings(max_examples=200)
+@given(_simplex_lists, st.sampled_from(["free", "closed", "closed-dim"]),
+       st.data())
+def test_validate_matches_the_reference(simplices, kind, data):
+    cx = SimplicialComplex(6, simplices)
+    top = cx.dim + 1
+    if kind == "free":
+        levels = dict(zip(cx.cells, data.draw(st.lists(
+            st.integers(0, top), min_size=len(cx.cells),
+            max_size=len(cx.cells)))))
+    else:
+        # a cell's level is the least weight of a maximal cell holding it,
+        # so every stage is closed; "closed-dim" also keeps dim X^p <= p,
+        # and the frontier condition may still fail
+        maximal = _ref_maximal_cells(cx)
+        weight = dict(zip(maximal, data.draw(st.lists(
+            st.integers(0, top), min_size=len(maximal),
+            max_size=len(maximal)))))
+        floor = kind == "closed-dim"
+        levels = {c: max(floor * (len(c) - 1),
+                         min(w for m, w in weight.items() if set(c) <= set(m)))
+                  for c in cx.cells}
+    s = StratifiedComplex(cx, levels, check=False)
+    assert _outcome(s.validate) == _outcome(lambda: _ref_validate(s))
+    assert cx.maximal_cells() == _ref_maximal_cells(cx)
+
+
+_BASES = ["point", "interval", "s1", "s2", "t2", "genus2"]
+_FAMILY = (_BASES + ["cone-%s" % b for b in _BASES]
+           + ["suspension-%s" % b for b in _BASES]
+           + ["product:%s,%s" % (a, b) for i, a in enumerate(_BASES)
+              for b in _BASES[i:]])
+
+
+@pytest.mark.parametrize("name", _FAMILY)
+def test_examples_match_the_references(name):
+    s = get_example(name)
+    cx = s.complex
+    assert _outcome(s.validate) == ("ok", None) == \
+        _outcome(lambda: _ref_validate(s))
+    for cells in s.strata().values():
+        assert spaces.closure(cells) == _ref_closure(cells)
+    maximal = cx.maximal_cells()
+    if len(cx.cells) <= 1100:  # the reference scan is quadratic
+        assert maximal == _ref_maximal_cells(cx)
+    for close, given_cells in ((True, maximal), (False, cx.cells)):
+        rebuilt = SimplicialComplex(cx.n_vertices, given_cells, close=close)
+        assert rebuilt.cells == cx.cells == \
+            _ref_complex_cells(cx.n_vertices, given_cells, close)
