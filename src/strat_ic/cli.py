@@ -217,7 +217,7 @@ def load_space(path):
     stages = {}
     for key, cells in filtration.items():
         try:
-            level = int(key)
+            int(key)
         except ValueError:
             raise BadInput("filtration keys are integer levels",
                            "/filtration/%s" % key)
@@ -234,11 +234,13 @@ def load_space(path):
                     "/filtration/%s/%d" % (key, i))
             _expect(len(set(c)) == len(c), "cell has repeated vertices",
                     "/filtration/%s/%d" % (key, i))
-        stages[level] = [tuple(c) for c in cells]
+        stages[key] = [tuple(c) for c in cells]
     try:
         cx = spaces.SimplicialComplex(doc["n_vertices"],
                                       [tuple(s) for s in simplices])
         return spaces.build_stratified(cx, stages), payload
+    except spaces.CellNotFound as e:
+        raise BadInput("invalid space: %s" % e, "/filtration/%s/%d" % e.where)
     except spaces.StratificationError as e:
         raise BadInput("invalid space: %s" % e, "/filtration")
 

@@ -11,7 +11,7 @@ Matrices act on column vectors: a matrix with shape (rows, cols) sends Q^cols
 to Q^rows.  A differential d^k of a cochain complex is stored as the matrix of
 shape (dim^{k+1}, dim^k).
 
-Row elimination happens in exactly three routines:
+Row elimination happens in exactly four routines:
 
 - `rref` (over Q, pivots in column order) answers every span query:
   `kernel_basis`, `solve` and `solve_many` (one elimination of
@@ -27,11 +27,18 @@ Row elimination happens in exactly three routines:
 
   Both work fraction-free (after Bareiss, Math. Comp. 1968) on primitive
   integer rows with a column -> rows index; see `_eliminate`.
+- `_reduce_units` cancels every pair of cells joined by a +-1 incidence
+  from a cochain complex, on row dicts with a column -> rows index through
+  `_axpy` (see `_cancel`).  The remainder has the same cohomology over Z,
+  so `CochainComplex.cohomology_groups` and `betti_numbers` hand only the
+  remainder's differentials, which hold no +-1, to `smith_normal_form`
+  and `rank`; on the closed torsion-free examples they are all zero.
 - `smith_normal_form` (over Z) drives integral cohomology and
   presentations.  It tracks u^-1 and v^-1 next to u and v and certifies
   u * m * v == d, u * u^-1 == I and v * v^-1 == I in exact integers; an
   integer matrix with an integer inverse is unimodular.  A failed check
-  raises `CertificateError`, also under `python -O`.
+  raises `CertificateError`, also under `python -O`, as do the unit and
+  d o d = 0 re-checks of the reduction.
 """
 
 from __future__ import annotations
@@ -88,7 +95,8 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries=None):
-        assert rows >= 0 and cols >= 0
+        if rows < 0 or cols < 0:
+            raise ValueError("negative shape (%d, %d)" % (rows, cols))
         self.rows = rows
         self.cols = cols
         self.entries = {}
@@ -96,14 +104,17 @@ class ExactMatrix:
             for (i, j), v in entries.items():
                 v = _exact(v)
                 if v:
-                    assert 0 <= i < rows and 0 <= j < cols, (i, j, rows, cols)
+                    if not (0 <= i < rows and 0 <= j < cols):
+                        raise ValueError("entry (%d, %d) outside shape (%d, %d)"
+                                         % (i, j, rows, cols))
                     self.entries[(i, j)] = v
 
     @classmethod
     def from_rows(cls, data):
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        assert all(len(row) == cols for row in data), "ragged rows"
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
         return cls(rows, cols, {(i, j): v for i, row in enumerate(data)
                                 for j, v in enumerate(row)})
 
@@ -140,7 +151,9 @@ class ExactMatrix:
         return hash((self.rows, self.cols, tuple(sorted(self.entries.items()))))
 
     def __add__(self, other):
-        assert self.shape == other.shape
+        if self.shape != other.shape:
+            raise ValueError("cannot add shapes %r and %r"
+                             % (self.shape, other.shape))
         ent = dict(self.entries)
         for k, v in other.entries.items():
             ent[k] = ent.get(k, 0) + v
@@ -175,7 +188,9 @@ class ExactMatrix:
 
     def apply(self, vec):
         """Multiply against a column vector given as a sequence; returns a tuple."""
-        assert len(vec) == self.cols
+        if len(vec) != self.cols:
+            raise ValueError("vector of length %d for %d columns"
+                             % (len(vec), self.cols))
         out = [Fraction(0)] * self.rows
         for (i, j), v in self.entries.items():
             x = vec[j]
@@ -188,7 +203,9 @@ class ExactMatrix:
 
     def stack_cols(self, other):
         """Horizontal concatenation [self | other]."""
-        assert self.rows == other.rows
+        if self.rows != other.rows:
+            raise ValueError("cannot stack shapes %r and %r"
+                             % (self.shape, other.shape))
         ent = dict(self.entries)
         for (i, j), v in other.entries.items():
             ent[(i, j + self.cols)] = v
@@ -330,7 +347,9 @@ def solve_many(m, targets):
     >>> solve_many(k, ExactMatrix.from_rows([[6], [3]])).to_triples()
     [(0, 0, '3/1')]
     """
-    assert targets.rows == m.rows, (m.shape, targets.shape)
+    if targets.rows != m.rows:
+        raise ValueError("targets of shape %r for a matrix of shape %r"
+                         % (targets.shape, m.shape))
     count = Counter(i for i, _j in m.entries)
     unit = {i: j for (i, j), v in m.entries.items() if v == 1 and count[i] == 1}
     if len(set(unit.values())) == m.cols:
@@ -352,7 +371,9 @@ def solve(m, target):
 
     The one-column case of `solve_many`; free variables are set to zero.
     """
-    assert len(target) == m.rows
+    if len(target) != m.rows:
+        raise ValueError("target of length %d for %d rows"
+                         % (len(target), m.rows))
     x = solve_many(m, ExactMatrix(m.rows, 1, {(i, 0): v
                                               for i, v in enumerate(target)}))
     return None if x is None else x.column(0)
@@ -652,7 +673,8 @@ class FGAbelianGroup:
             raise ValueError("negative free rank %d" % free_rank)
         tors = _normalize_torsion(torsion)
         for a, b in zip(tors, tors[1:]):
-            assert b % a == 0, "not a divisibility chain: %r" % (tors,)
+            if b % a:
+                raise ValueError("not a divisibility chain: %r" % (tors,))
         self.free_rank = free_rank
         self.torsion = tors
 
@@ -771,7 +793,8 @@ class CochainComplex:
             raise ValueError("empty complex needs an explicit degree range")
         degrees = sorted(dims)
         self.lo, self.hi = degrees[0], degrees[-1]
-        assert degrees == list(range(self.lo, self.hi + 1)), "degrees must be contiguous"
+        if degrees != list(range(self.lo, self.hi + 1)):
+            raise ValueError("degrees must be contiguous, got %r" % (degrees,))
         self.dims = {k: int(dims[k]) for k in degrees}
         self.diffs = {}
         diffs = diffs or {}
@@ -812,13 +835,16 @@ class CochainComplex:
     def betti_numbers(self):
         """Q-cohomology dimensions per degree.
 
+        Read off `_reduce_units(self)`, which has the same cohomology, by
         rank-nullity per degree: dim = rank d_k + dim ker d_k, and
-        b_k = dim ker d_k - rank d_{k-1}.
+        b_k = dim ker d_k - rank d_{k-1}.  `rank` sees only the
+        remainder's differentials, which hold no +-1.
         """
-        rks = {k: rank(self.diff(k)) for k in range(self.lo, self.hi)}
+        red = _reduce_units(self)
+        rks = {k: rank(red.diff(k)) for k in range(red.lo, red.hi)}
         out = {}
-        for k in self.degrees():
-            out[k] = self.dim(k) - rks.get(k, 0) - rks.get(k - 1, 0)
+        for k in red.degrees():
+            out[k] = red.dim(k) - rks.get(k, 0) - rks.get(k - 1, 0)
             if out[k] < 0:
                 raise CertificateError(
                     "negative Betti number %d in degree %d: the ranks exceed "
@@ -840,17 +866,18 @@ class CochainComplex:
     def cohomology_groups(self):
         """Integral cohomology per degree as FGAbelianGroup.
 
-        Requires integer differentials.  ker d^k is a direct summand of C^k
-        (C^k / ker d^k embeds in the free group C^{k+1}), so
-        C^k / im d^{k-1} = H^k + Z^{rank d^k}: one Smith form of d^{k-1}
+        Requires integer differentials.  The inclusion im d^{k-1} in
+        ker d^k, that is d^k d^{k-1} = 0, is re-checked exactly on the
+        input and raises CertificateError when it fails.  The groups are
+        then read off `_reduce_units(self)`, which has the same cohomology
+        and whose differentials hold no +-1.  There ker d^k is a direct
+        summand of C^k (C^k / ker d^k embeds in the free group C^{k+1}),
+        so C^k / im d^{k-1} = H^k + Z^{rank d^k}: one Smith form of d^{k-1}
         gives the cokernel, whose free rank loses rank d^k.  The Smith form
         of d^k, taken once for degree k + 1, gives that rank too, as
-        dim C^{k+1} minus the free rank of its cokernel.  The inclusion
-        im d^{k-1} in ker d^k, that is d^k d^{k-1} = 0, is re-checked
-        exactly and raises CertificateError when it fails.
+        dim C^{k+1} minus the free rank of its cokernel.  A zero remainder
+        differential needs no Smith form at all.
         """
-        out = {}
-        coker = FGAbelianGroup.free(self.dim(self.lo))    # C^lo / 0
         for k in self.degrees():
             a = self.diff(k)          # C^k -> C^{k+1}
             b = self.diff(k - 1)      # C^{k-1} -> C^k
@@ -860,8 +887,12 @@ class CochainComplex:
             if not (a * b).is_zero():
                 raise CertificateError(
                     "image not contained in kernel at degree %d" % k)
-            nxt = FGAbelianGroup.from_presentation(a)    # C^{k+1} / im d^k
-            rank_a = self.dim(k + 1) - nxt.free_rank
+        red = _reduce_units(self)
+        out = {}
+        coker = FGAbelianGroup.free(red.dim(red.lo))    # C^lo / 0
+        for k in red.degrees():
+            nxt = FGAbelianGroup.from_presentation(red.diff(k))
+            rank_a = red.dim(k + 1) - nxt.free_rank
             out[k] = FGAbelianGroup(coker.free_rank - rank_a, coker.torsion)
             coker = nxt
         return out
@@ -869,6 +900,98 @@ class CochainComplex:
     def __repr__(self):
         spans = ", ".join("%d:%d" % (k, self.dims[k]) for k in self.degrees())
         return "CochainComplex(%s)" % spans
+
+
+def _cancel(rows, cols, k, t, s):
+    """Cancel cell s of C^k against cell t of C^{k+1}, joined by the unit
+    p = d^k[t, s], in the row dicts `rows` and column index `cols` of
+    `_reduce_units`.  d^k takes the rank-one Schur update
+    d^k[r, c] -= d^k[r, s] * p * d^k[t, c] (1/p = p) and loses row t and
+    column s, d^{k-1} loses row s and d^{k+1} loses column t.  Returns the
+    rows of d^k the update changed.  Raises CertificateError when p is not
+    +-1."""
+    prow = rows[k][t]
+    p = prow.get(s, 0)
+    if p * p != 1:
+        raise CertificateError("cancelled coefficient %r is not a unit" % (p,))
+    touched = [r for r in cols[k][s] if r != t]
+    for r in touched:
+        row = rows[k][r]
+        _axpy(row, prow, -row[s] * p, cols=cols[k], i=r)
+    for c in prow:
+        cols[k][c].discard(t)
+    rows[k][t] = {}
+    if k - 1 in rows:
+        for c in rows[k - 1][s]:
+            cols[k - 1][c].discard(s)
+        rows[k - 1][s] = {}
+    if k + 1 in rows:
+        for r in cols[k + 1][t]:
+            del rows[k + 1][r][t]
+        cols[k + 1][t] = set()
+    return touched
+
+
+def _reduce_units(cx):
+    """The complex left after cancelling every pair of cells joined by a
+    unit incidence (see `_cancel`): the elementary reduction of Kaczynski,
+    Mischaikow and Mrozek ("Computational Homology", 2004).  Each pair
+    splits off a summand Z s -+1-> Z t, so the remainder has the same
+    cohomology over Z, and its differentials hold no +-1.
+
+    Pivots are picked like `rank`'s: the sparsest row with a unit, then its
+    unit column with the fewest entries.  The remainder is a new
+    `CochainComplex`, so d o d = 0 is re-checked on it in exact arithmetic
+    and raises CertificateError when it fails.
+    """
+    # rows[k][t]: row t of d^k; cols[k][s]: the rows with a nonzero at s
+    rows, cols = {}, {}
+    for k in range(cx.lo, cx.hi):
+        rows[k] = [{} for _ in range(cx.dim(k + 1))]
+        cols[k] = [set() for _ in range(cx.dim(k))]
+        for (i, j), v in cx.diff(k).entries.items():
+            rows[k][i][j] = v
+            cols[k][j].add(i)
+    alive = {k: [True] * cx.dim(k) for k in cx.degrees()}
+    # one (length, degree, row) entry per queued row.  A row popped under a
+    # stale length goes back under its own; a row popped without a unit
+    # leaves the queue until an update changes it; a cancelled cell's row
+    # is empty and drops out.
+    heap = [(len(row), k, t) for k in rows for t, row in enumerate(rows[k])
+            if row]
+    heapq.heapify(heap)
+    queued = {k: [bool(row) for row in rows[k]] for k in rows}
+    while heap:
+        n, k, t = heapq.heappop(heap)
+        prow = rows[k][t]
+        if prow and len(prow) != n:
+            heapq.heappush(heap, (len(prow), k, t))
+            continue
+        queued[k][t] = False
+        best = None
+        for s, x in prow.items():
+            if x == 1 or x == -1:
+                key = (len(cols[k][s]), s)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            continue
+        s = best[1]
+        for r in _cancel(rows, cols, k, t, s):
+            if not queued[k][r]:
+                queued[k][r] = True
+                heapq.heappush(heap, (len(rows[k][r]), k, r))
+        alive[k][s] = alive[k + 1][t] = False
+    index = {k: {old: new for new, old in
+                 enumerate(i for i, a in enumerate(alive[k]) if a)}
+             for k in cx.degrees()}
+    diffs = {}
+    for k, drows in rows.items():
+        src, dst = index[k], index[k + 1]
+        diffs[k] = ExactMatrix(len(dst), len(src), {
+            (dst[t], src[s]): x for t, row in enumerate(drows)
+            for s, x in row.items()})
+    return CochainComplex({k: len(ix) for k, ix in index.items()}, diffs)
 
 
 def tensor_complex(x, y):

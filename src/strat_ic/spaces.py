@@ -32,7 +32,12 @@ class SubcomplexNotClosed(StratificationError):
 
 
 class CellNotFound(StratificationError):
-    pass
+    """A cell that is not a cell of the complex.  `where` is its (level
+    key, position) in a filtration, when it came from one."""
+
+    def __init__(self, message, where=None):
+        super().__init__(message)
+        self.where = where
 
 
 class BadSimplex(StratificationError):
@@ -216,11 +221,6 @@ class FacePoset:
                     self.covers_up[face].append((tau, sign))
                     self.covers_down[tau].append((face, sign))
 
-    def open_star(self, sigma):
-        """All cells containing sigma (sigma included): an open up-set."""
-        out = [c for c in self.complex.cells if set(sigma) <= set(c)]
-        return out
-
     def is_up_set(self, cells):
         cellset = set(cells)
         for c in cells:
@@ -361,12 +361,17 @@ def build_stratified(complex_, filtration, coefficients=None):
 
     `filtration` maps level -> iterable of cells (cumulative stages or bare
     strata both work: a cell's level is the smallest key mentioning it).
+    A listed cell that is not a cell of the complex raises CellNotFound.
     """
     placed = {}
-    for p, cells in filtration.items():
-        p = int(p)
-        for c in cells:
+    for key, cells in filtration.items():
+        p = int(key)
+        for i, c in enumerate(cells):
             c = _normalize_cell(c)
+            if c not in complex_.cell_index:
+                raise CellNotFound("filtration level %s lists %r, which is not "
+                                   "a cell of the complex" % (key, c),
+                                   where=(key, i))
             placed[c] = min(p, placed.get(c, p))
     levels = {}
     for c in complex_.cells:

@@ -6,12 +6,21 @@ from pathlib import Path
 from hypothesis import settings
 
 import strat_ic
+from strat_ic import spaces
 
 # keep the suite reproducible run to run
 settings.register_profile("repro", derandomize=True, max_examples=40, deadline=None)
 settings.load_profile("repro")
 
 SRC = str(Path(strat_ic.__file__).resolve().parents[1])
+
+# a 6-vertex RP^2: not orientable, H^2 = Z/2
+RP2_TRIANGLES = [(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+                 (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)]
+
+
+def projective_plane():
+    return spaces.single_stratum(spaces.SimplicialComplex(6, RP2_TRIANGLES))
 
 
 def run_python(*args, optimize=True, timeout=120):

@@ -28,8 +28,9 @@ behaviour turns an expected failure into a failure.
 import json
 
 import pytest
+from conftest import projective_plane
 
-from strat_ic import cli, duality, ic, sheaves, spaces
+from strat_ic import cli, duality, ic, sheaves
 from strat_ic.examples import get_example
 from strat_ic.linalg import (ExactMatrix, FGAbelianGroup, rank,
                              smith_normal_form)
@@ -200,14 +201,6 @@ class TestProducts:
 
 # -- 7: integral products need the torsion correction ----------------------
 
-RP2_TRIANGLES = [(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
-                 (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)]
-
-
-def projective_plane():
-    return spaces.single_stratum(spaces.SimplicialComplex(6, RP2_TRIANGLES))
-
-
 class TestIntegralProducts:
     def test_projective_plane_has_torsion(self):
         groups = projective_plane().complex.cochain_complex() \
@@ -234,6 +227,20 @@ class TestIntegralProducts:
         rows = {row["label"]: row for row in doc["rows"]}
         assert rows["product"]["values"] == {
             "0": "Z", "1": "Z^4", "2": "Z^6", "3": "Z^4", "4": "Z"}
+        assert rows["prediction"]["verdict"] is True
+        assert doc["ok"] is True
+
+    def test_genus2_torus_product(self, tmp_path):
+        # genus-2 x T^2: coboundaries up to 5460 x 4522; both factors are
+        # torsion-free, so the oracle is the convolution of the Betti rows
+        # (1, 4, 1) and (1, 2, 1)
+        path = tmp_path / "g2t2.json"
+        assert cli.main(["kunneth", "--example", "product:genus2,t2",
+                         "--mode", "integral", "--output", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        rows = {row["label"]: row for row in doc["rows"]}
+        assert rows["product"]["values"] == {
+            "0": "Z", "1": "Z^6", "2": "Z^10", "3": "Z^6", "4": "Z"}
         assert rows["prediction"]["verdict"] is True
         assert doc["ok"] is True
 

@@ -178,6 +178,33 @@ def test_bad_filtration_cell_rejected_under_optimize(tmp_path, cell):
     assert "'/filtration/1/6'" in proc.stderr
 
 
+def _write_stage_outside(tmp_path):
+    # [0, 3] names two vertices of the complex but no simplex of it
+    p = tmp_path / "space.json"
+    p.write_text(json.dumps({
+        "n_vertices": 4, "simplices": [[0, 1], [1, 2]],
+        "filtration": {"0": [[1]], "1": [[0, 1], [1, 2], [0], [2], [0, 3]]},
+    }))
+    return p
+
+
+def test_stage_cell_outside_complex_points_at_cell(tmp_path, capsys):
+    p = _write_stage_outside(tmp_path)
+    assert cli.main(["build", "--input", str(p)]) == 2
+    assert "'/filtration/1/4'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_stage_cell_outside_complex_exits_two_without_traceback(tmp_path,
+                                                                optimize):
+    p = _write_stage_outside(tmp_path)
+    proc = run_python("-m", "strat_ic.cli", "build", "--input", str(p),
+                      optimize=optimize)
+    assert proc.returncode == 2
+    assert "'/filtration/1/4'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _assert_same_bytes_under_optimize(args, tmp_path):
     code, want = run(args, tmp_path, "plain.json")
     assert code == 0

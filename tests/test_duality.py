@@ -11,7 +11,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from conftest import run_python
+from conftest import RP2_TRIANGLES, projective_plane, run_python
 from hypothesis import given, settings, strategies as hst
 
 from strat_ic import linalg, spaces
@@ -29,14 +29,6 @@ from strat_ic.duality import (
     fundamental_class, ic_pairing, intersection_number, kunneth,
     local_contribution, orient_top_cells, stratumwise_duality,
 )
-
-
-RP2_TRIANGLES = [(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
-                 (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)]
-
-
-def _rp2():
-    return spaces.single_stratum(spaces.SimplicialComplex(6, RP2_TRIANGLES))
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +73,7 @@ def test_orientation_rejects_boundary():
 
 def test_orientation_rejects_projective_plane():
     with pytest.raises(NotOrientable):
-        orient_top_cells(_rp2().complex)
+        orient_top_cells(projective_plane().complex)
 
 
 def _reference_orient_top_cells(cx):
@@ -535,7 +527,7 @@ def test_kunneth_rational_singular_factor():
 
 
 def test_kunneth_integral_torsion():
-    rep = kunneth(_rp2(), get_example("s1"), mode="integral")
+    rep = kunneth(projective_plane(), get_example("s1"), mode="integral")
     assert rep.match
     assert rep.lhs[2] == "Z/2" and rep.lhs[3] == "Z/2"
     assert all(d["computed"] == d["predicted"] for d in rep.detail)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from conftest import run_python
+from conftest import projective_plane, run_python
 from hypothesis import given, strategies as st
 
 import strat_ic.linalg as linalg
@@ -271,6 +271,63 @@ def test_group_and_complex_inputs_are_typed_raises():
         "rejected: negative free rank -1",
         "rejected: empty complex needs an explicit degree range",
     ]
+
+
+# caller errors that must stay typed raises under python -O: each entry is
+# (message, expression), evaluated after _CALLER_SETUP
+_CALLER_SETUP = "\n".join([
+    "from strat_ic import linalg",
+    "from strat_ic.linalg import (CochainComplex, ExactMatrix, "
+    "FGAbelianGroup, solve, solve_many)",
+    "i2, i3 = ExactMatrix.identity(2), ExactMatrix.identity(3)",
+    "def broken_chain(tors):",
+    "    # the chain check guards the torsion normalization; fake a bad one",
+    "    real = linalg._normalize_torsion",
+    "    linalg._normalize_torsion = lambda _factors: tors",
+    "    try:",
+    "        return FGAbelianGroup(0, tors)",
+    "    finally:",
+    "        linalg._normalize_torsion = real",
+])
+_CALLER_ERRORS = [
+    ("negative shape", "ExactMatrix(-1, 2)"),
+    ("outside shape", "ExactMatrix(1, 1, {(1, 0): 1})"),
+    ("outside shape", "ExactMatrix(1, 1, {(0, -1): 1})"),
+    ("ragged rows", "ExactMatrix.from_rows([[1], [1, 2]])"),
+    ("cannot add", "i2 + i3"),
+    ("vector of length", "i2.apply((1,))"),
+    ("cannot stack", "i2.stack_cols(i3)"),
+    ("targets of shape", "solve_many(i2, i3)"),
+    ("target of length", "solve(i2, (1,))"),
+    ("contiguous", "CochainComplex({0: 1, 2: 1})"),
+    ("not a divisibility chain", "broken_chain((4, 6))"),
+]
+
+
+@pytest.mark.parametrize("message,expr", _CALLER_ERRORS)
+def test_caller_errors_are_value_errors(message, expr):
+    ns = {}
+    exec(_CALLER_SETUP, ns)
+    with pytest.raises(ValueError, match=message):
+        eval(expr, ns)
+
+
+def test_caller_errors_under_optimize():
+    # -O strips asserts, so none of these checks may be one
+    code = "\n".join([
+        _CALLER_SETUP,
+        "for expr in %r:" % [expr for _m, expr in _CALLER_ERRORS],
+        "    try:",
+        "        print('accepted:', eval(expr))",
+        "    except ValueError as e:",
+        "        print('rejected:', e)",
+    ])
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(_CALLER_ERRORS)
+    for line, (message, _expr) in zip(lines, _CALLER_ERRORS):
+        assert line.startswith("rejected:") and message in line, line
 
 
 _WRONG_RANK = "\n".join([
@@ -823,6 +880,154 @@ def test_cohomology_groups_reject_non_integers():
     c = CochainComplex({0: 1, 1: 1}, {0: ExactMatrix.from_rows([[Fraction(1, 2)]])})
     with pytest.raises(ValueError):
         c.cohomology_groups()
+
+
+# ------------------------------- unit-pivot reduction vs unreduced references
+
+def _rank_betti_numbers(c):
+    """b_k = dim C^k - rank d^k - rank d^{k-1} on the unreduced
+    differentials."""
+    return {k: c.dim(k) - rank(c.diff(k)) - rank(c.diff(k - 1))
+            for k in c.degrees()}
+
+
+@st.composite
+def unimodular(draw, n):
+    """(g, g^-1) for a random n x n integer g with an integer inverse: a
+    signed permutation, then up to 2n elementary row operations."""
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    g = ExactMatrix(n, n, {(perm[i], i): signs[i] for i in range(n)})
+    ginv = g.transpose()
+    ops = st.tuples(st.integers(0, max(n - 1, 0)),
+                    st.integers(0, max(n - 1, 0)), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(ops, max_size=2 * n)):
+        if i != j and c:
+            e = ExactMatrix.identity(n) + ExactMatrix(n, n, {(i, j): c})
+            einv = ExactMatrix.identity(n) + ExactMatrix(n, n, {(i, j): -c})
+            g, ginv = e * g, ginv * einv
+    return g, ginv
+
+
+@st.composite
+def unit_reducible_complexes(draw, top=3):
+    """A direct sum of pieces Z (one cell in degree k) and Z --n--> Z (from
+    degree k to k + 1) in degrees 0..top, under a random unimodular change
+    of basis in every degree, so the unit pivots sit off the diagonal and
+    share rows and columns with the other pieces.  Returns the complex and
+    the groups its pieces give: Z per lone cell and per end of a zero map,
+    Z/|n| in degree k + 1 for |n| > 1."""
+    lone = st.tuples(st.none(), st.integers(0, top))
+    arrow = st.tuples(st.sampled_from([0, 1, -1, 1, -1, 2, -3, 4, 6]),
+                      st.integers(0, top - 1))
+    pieces = draw(st.lists(st.one_of(lone, arrow), min_size=1, max_size=8))
+    dims = {k: 0 for k in range(top + 1)}
+    free = dict(dims)
+    torsion = {k: [] for k in dims}
+    ent = {k: {} for k in range(top)}
+    for n, k in pieces:
+        if n is None:
+            free[k] += 1
+        else:
+            ent[k][(dims[k + 1], dims[k])] = n
+            dims[k + 1] += 1
+            if n == 0:
+                free[k] += 1
+                free[k + 1] += 1
+            elif abs(n) > 1:
+                torsion[k + 1].append(abs(n))
+        dims[k] += 1
+    basis = {k: draw(unimodular(dims[k])) for k in dims}
+    diffs = {k: basis[k + 1][0] * ExactMatrix(dims[k + 1], dims[k], ent[k])
+             * basis[k][1] for k in range(top)}
+    want = {k: FGAbelianGroup(free[k], tuple(torsion[k])) for k in dims}
+    return CochainComplex(dims, diffs), want
+
+
+def _assert_reduction_matches_references(c):
+    groups = c.cohomology_groups()
+    assert groups == _two_snf_cohomology_groups(c)
+    assert c.betti_numbers() == _rank_betti_numbers(c) == \
+        {k: g.free_rank for k, g in groups.items()}
+    red = linalg._reduce_units(c)
+    assert all(v * v != 1 for m in red.diffs.values()
+               for v in m.entries.values())
+    return groups
+
+
+@given(unit_reducible_complexes())
+def test_reduction_matches_references_on_direct_sums(case):
+    c, want = case
+    assert _assert_reduction_matches_references(c) == want
+
+
+@pytest.mark.parametrize("name", ["point", "s1", "s2", "t2", "genus2",
+                                  "product:s1,s1", "product:t2,s1"])
+def test_reduction_matches_references_on_closed_examples(name):
+    _assert_reduction_matches_references(
+        get_example(name).complex.cochain_complex())
+
+
+def test_reduction_keeps_rp2_torsion():
+    groups = _assert_reduction_matches_references(
+        projective_plane().complex.cochain_complex())
+    assert groups == {0: FGAbelianGroup.free(1), 1: FGAbelianGroup.zero(),
+                      2: FGAbelianGroup(0, (2,))}
+
+
+def test_reduction_requeues_rows_that_gain_a_unit():
+    # row 0 has no unit and leaves the queue first; cancelling (0, 1)
+    # turns it into (0 1), whose unit must then be cancelled too
+    d0 = ExactMatrix.from_rows([[2, 3], [1, 1]])
+    red = linalg._reduce_units(CochainComplex({0: 2, 1: 2}, {0: d0}))
+    assert red.dims == {0: 0, 1: 0}
+
+
+def test_cancel_certifies_the_unit():
+    # d^0 = (2): not a unit, so the cancellation must refuse it
+    rows, cols = {0: [{0: 2}]}, {0: [{0}]}
+    with pytest.raises(CertificateError, match="not a unit"):
+        linalg._cancel(rows, cols, 0, 0, 0)
+
+
+def _bad_square_after_cancelling():
+    # d^1 d^0 = (0 6) != 0, which check=False lets through; the unit at
+    # (0, 0) cancels and leaves Z -2-> Z -3-> Z, which still fails
+    d0 = ExactMatrix.from_rows([[1, 0], [0, 2]])
+    d1 = ExactMatrix.from_rows([[0, 3]])
+    return CochainComplex({0: 2, 1: 2, 2: 1}, {0: d0, 1: d1}, check=False)
+
+
+def test_reduction_rechecks_d_squared():
+    with pytest.raises(CertificateError, match="d o d"):
+        linalg._reduce_units(_bad_square_after_cancelling())
+    with pytest.raises(CertificateError, match="d o d"):
+        _bad_square_after_cancelling().betti_numbers()
+
+
+def test_reduction_certificates_under_optimize():
+    # -O strips asserts, so neither reduction certificate may be one
+    code = "\n".join([
+        "from strat_ic import linalg",
+        "from strat_ic.linalg import CertificateError, CochainComplex, "
+        "ExactMatrix",
+        "d0 = ExactMatrix.from_rows([[1, 0], [0, 2]])",
+        "d1 = ExactMatrix.from_rows([[0, 3]])",
+        "c = CochainComplex({0: 2, 1: 2, 2: 1}, {0: d0, 1: d1}, check=False)",
+        "for call in (lambda: linalg._cancel({0: [{0: 2}]}, {0: [{0}]}, "
+        "0, 0, 0),",
+        "             c.betti_numbers):",
+        "    try:",
+        "        print(call())",
+        "    except CertificateError as e:",
+        "        print('rejected:', e)",
+    ])
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: cancelled coefficient 2 is not a unit",
+        "rejected: d o d != 0 at degree 0",
+    ]
 
 
 # ------------------------------ ExactMatrix vs dense plain-Fraction lists

@@ -127,7 +127,7 @@ def test_global_sections_count_components():
 def test_global_sections_over_star():
     s = get_example("cone-s1")
     F = constant_sheaf(s, 1)
-    star = F.poset.open_star((3,))
+    star = [c for c in s.complex.cells if 3 in c]
     sec = global_sections(F, star)
     assert sec.dim(0) == 1
 

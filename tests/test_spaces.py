@@ -102,6 +102,17 @@ def test_bad_filtration_cell_raises():
         build_stratified(cx, {1: [(0, 1), (0, 0)]})
 
 
+def test_filtration_cell_outside_the_complex_raises():
+    # (0, 3) names two vertices of the complex but no simplex of it
+    cx = SimplicialComplex(4, [(0, 1), (1, 2)])
+    stage = [(0, 1), (1, 2), (0,), (2,), (0, 3)]
+    with pytest.raises(CellNotFound, match=r"\(0, 3\)") as err:
+        build_stratified(cx, {"0": [(1,)], "1": stage})
+    assert err.value.where == ("1", 4)
+    stage.pop()
+    assert build_stratified(cx, {"0": [(1,)], "1": stage}).stratum(0) == [(1,)]
+
+
 def test_cell_order_is_by_dim_then_lex():
     c = get_example("s2").complex
     dims = [len(x) for x in c.cells]
