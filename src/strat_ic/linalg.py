@@ -94,6 +94,19 @@ class ExactMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
+    @classmethod
+    def _of(cls, rows, cols, entries):
+        """Matrix that takes `entries` as they are: every value already
+        normalized and nonzero, every position inside the shape.  For
+        entries copied or sliced out of other matrices; products and sums,
+        which can cancel or leave integral Fractions, go through
+        `__init__`."""
+        out = cls.__new__(cls)
+        out.rows = rows
+        out.cols = cols
+        out.entries = entries
+        return out
+
     def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative shape (%d, %d)" % (rows, cols))
@@ -120,7 +133,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls._of(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -140,8 +153,8 @@ class ExactMatrix:
         return all(v.denominator == 1 for v in self.entries.values())
 
     def transpose(self):
-        return ExactMatrix(self.cols, self.rows,
-                           {(j, i): v for (i, j), v in self.entries.items()})
+        return ExactMatrix._of(self.cols, self.rows,
+                               {(j, i): v for (i, j), v in self.entries.items()})
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.shape == other.shape
@@ -209,14 +222,15 @@ class ExactMatrix:
         ent = dict(self.entries)
         for (i, j), v in other.entries.items():
             ent[(i, j + self.cols)] = v
-        return ExactMatrix(self.rows, self.cols + other.cols, ent)
+        return ExactMatrix._of(self.rows, self.cols + other.cols, ent)
 
     def submatrix_cols(self, col_indices):
         """The columns at `col_indices` (distinct), in that order."""
         pos = {j: new_j for new_j, j in enumerate(col_indices)}
-        return ExactMatrix(self.rows, len(col_indices),
-                           {(i, pos[j]): v for (i, j), v in self.entries.items()
-                            if j in pos})
+        return ExactMatrix._of(self.rows, len(col_indices),
+                               {(i, pos[j]): v
+                                for (i, j), v in self.entries.items()
+                                if j in pos})
 
     def to_triples(self):
         """Sorted (row, col, "num/den") triples, the canonical dump format."""
@@ -238,7 +252,8 @@ def rref(m):
     off it do not depend on the pivot rows: each pivot is the sparsest
     unused row with a nonzero in its column (ties to the lower index) and
     touches only the rows with a nonzero there.  Rows stay primitive integer
-    vectors until the pivot rows are divided by their pivots, at the end.
+    vectors until the pivot rows are divided by their pivots, at the end;
+    a quotient the pivot divides stays an int.
     """
     rows = [_primitive(row) for row in _int_rows(m)]
     cols = [set() for _ in range(m.cols)]
@@ -263,8 +278,8 @@ def rref(m):
     for i, (col, r) in enumerate(pivots):
         p = rows[r][col]
         for j, x in rows[r].items():
-            ent[(i, j)] = Fraction(x, p)
-    return ExactMatrix(m.rows, m.cols, ent), [col for col, _ in pivots]
+            ent[(i, j)] = x // p if x % p == 0 else Fraction(x, p)
+    return ExactMatrix._of(m.rows, m.cols, ent), [col for col, _ in pivots]
 
 
 def rank(m):
@@ -324,7 +339,7 @@ def kernel_basis(m):
     for (i, f), v in r.entries.items():
         if f in free:
             ent[(pivot_cols[i], free[f])] = -v
-    return ExactMatrix(m.cols, len(free), ent)
+    return ExactMatrix._of(m.cols, len(free), ent)
 
 
 def solve_many(m, targets):
@@ -353,9 +368,10 @@ def solve_many(m, targets):
     count = Counter(i for i, _j in m.entries)
     unit = {i: j for (i, j), v in m.entries.items() if v == 1 and count[i] == 1}
     if len(set(unit.values())) == m.cols:
-        x = ExactMatrix(m.cols, targets.cols,
-                        {(unit[i], c): v for (i, c), v in targets.entries.items()
-                         if i in unit})
+        x = ExactMatrix._of(m.cols, targets.cols,
+                            {(unit[i], c): v
+                             for (i, c), v in targets.entries.items()
+                             if i in unit})
         return x if m * x == targets else None
     r, pivot_cols = rref(m.stack_cols(targets))
     if pivot_cols and pivot_cols[-1] >= m.cols:
@@ -363,7 +379,7 @@ def solve_many(m, targets):
     # rows past the last pivot are zero, so only pivot rows carry entries
     ent = {(pivot_cols[i], j - m.cols): v
            for (i, j), v in r.entries.items() if j >= m.cols}
-    return ExactMatrix(m.cols, targets.cols, ent)
+    return ExactMatrix._of(m.cols, targets.cols, ent)
 
 
 def solve(m, target):
@@ -431,7 +447,7 @@ def _transpose(vecs, n):
 
 
 def _mul_rows(x_rows, y_rows):
-    """Rows of x * y from the rows of both factors, in exact ints."""
+    """Rows of x * y from the rows of both factors, in exact arithmetic."""
     out = []
     for xr in x_rows:
         acc = {}
@@ -442,12 +458,18 @@ def _mul_rows(x_rows, y_rows):
     return out
 
 
-def _int_rows(m):
-    """Integer row dicts of m, each row scaled by the lcm of its
-    denominators; the rows of an integral matrix are its own entries."""
+def _rows(m):
+    """Row dicts of m, without zeros."""
     rows = [{} for _ in range(m.rows)]
     for (i, j), v in m.entries.items():
         rows[i][j] = v
+    return rows
+
+
+def _int_rows(m):
+    """Integer row dicts of m, each row scaled by the lcm of its
+    denominators; the rows of an integral matrix are its own entries."""
+    rows = _rows(m)
     for row in rows:
         den = lcm(*(v.denominator for v in row.values()))
         if den > 1:
@@ -457,12 +479,9 @@ def _int_rows(m):
 
 
 def _matrix(nr, nc, int_rows):
-    """ExactMatrix of shape (nr, nc) from integer row dicts without zeros.
-    Their entries are already normalized, so they skip `_exact`."""
-    out = ExactMatrix(nr, nc)
-    out.entries = {(i, j): x for i, r in enumerate(int_rows)
-                   for j, x in r.items()}
-    return out
+    """ExactMatrix of shape (nr, nc) from integer row dicts without zeros."""
+    return ExactMatrix._of(nr, nc, {(i, j): x for i, r in enumerate(int_rows)
+                                    for j, x in r.items()})
 
 
 def smith_normal_form(m):
@@ -809,10 +828,18 @@ class CochainComplex:
                                  % (k, m.shape, self.dims[k + 1], self.dims[k]))
             self.diffs[k] = m
         if check:
-            for k, d in self.diffs.items():
-                nxt = self.diffs.get(k + 1)
-                if nxt is not None and not (nxt * d).is_zero():
-                    raise CertificateError("d o d != 0 at degree %d" % k)
+            self.certify()
+
+    def certify(self):
+        """Check d o d = 0 in every degree, on row dicts in exact
+        arithmetic; CertificateError if it fails."""
+        nxt = None
+        for k in range(self.hi - 1, self.lo - 1, -1):
+            d = self.diffs.get(k)
+            rows = None if d is None else _rows(d)
+            if rows and nxt and any(_mul_rows(nxt, rows)):
+                raise CertificateError("d o d != 0 at degree %d" % k)
+            nxt = rows
 
     def dim(self, k):
         return self.dims.get(k, 0)

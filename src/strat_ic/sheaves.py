@@ -13,7 +13,9 @@ chain of cells, with the alternating-drop differential.  Pushforwards take
 the pointwise homotopy Kan extension: every stalk of the image is a flag
 complex over the source cells sitting above the target cell, and every
 restriction is a flag projection, which makes functoriality strict instead
-of up-to-homotopy.
+of up-to-homotopy.  Those cells form an up-set, so every stalk is a slice
+of one flag complex over all mapped cells: it is assembled and certified
+(d o d = 0, at every size) once per pushforward, and sliced per fiber.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import combinations
 
 from .linalg import (CochainComplex, ExactMatrix, FGAbelianGroup, kernel_basis,
                      solve_many)
-from .spaces import FacePoset
+from .spaces import FacePoset, closure
 
 
 class SheafError(Exception):
@@ -94,10 +96,16 @@ class SheafComplex:
         return ExactMatrix(self.stalks[b].dim(q), self.stalks[a].dim(q), {})
 
     def restriction(self, a, b, q):
-        """Degree-q component of the restriction along a <= b."""
+        """Degree-q component of the restriction along a <= b.
+
+        Raises SheafError when a is not a face of b (checked on a cache
+        miss only)."""
         a, b = tuple(a), tuple(b)
         key = (a, b, q)
         if key not in self._composed:
+            if (a not in self.stalks or b not in self.stalks
+                    or not set(a) <= set(b)):
+                raise SheafError("%r is not a face of %r" % (a, b))
             if a == b:
                 self._composed[key] = ExactMatrix.identity(
                     self.stalks[a].dim(q))
@@ -105,13 +113,12 @@ class SheafComplex:
                 self._composed[key] = self._cover_matrix(a, b, q)
             else:
                 # peel one cover step off the top; any path gives the same map
-                mid = None
-                for pos in range(len(b)):
-                    face = b[:pos] + b[pos + 1:]
-                    if set(a) <= set(face) and face in self.stalks:
-                        mid = face
-                        break
-                assert mid is not None, "no face path %r -> %r" % (a, b)
+                mid = next((face for face in (b[:pos] + b[pos + 1:]
+                                              for pos in range(len(b)))
+                            if set(a) <= set(face) and face in self.stalks),
+                           None)
+                if mid is None:
+                    raise SheafError("no face path %r -> %r" % (a, b))
                 self._composed[key] = (self._cover_matrix(mid, b, q)
                                        * self.restriction(a, mid, q))
         return self._composed[key]
@@ -297,7 +304,9 @@ def _assemble_total(layout, into):
                 soff = spot[1]
                 for (i, j), v in mat.entries.items():
                     ent[(toff + i, soff + j)] = v if sign > 0 else -v
-        diffs[k] = ExactMatrix(dims[k + 1], dims[k], ent)
+        # each arrow fills its own block, so entries arrive normalized and
+        # are written once
+        diffs[k] = ExactMatrix._of(dims[k + 1], dims[k], ent)
     total = sum(dims.values())
     return CochainComplex(dims, diffs, check=total <= _CHECK_LIMIT)
 
@@ -442,36 +451,42 @@ def global_sections(sheaf, open_cells=None):
 
 # -- pushforward -----------------------------------------------------------
 
-def kan_pushforward(sheaf, cell_map, target_space, check=None):
+def kan_pushforward(sheaf, cell_map, target_space):
     """Pointwise homotopy Kan extension along a monotone cell map.
 
     The stalk at a target cell t is the flag complex over the source cells c
     with cell_map(c) >= t; restrictions are flag projections, so the result
     is strictly functorial by construction.  For the identity map this
     returns the sheaf itself.
+
+    Each fiber is an up-set of the mapped cells, so a flag lies in it
+    exactly when its bottom cell does, and its flag complex is the principal
+    submatrix of the flag complex over all mapped cells on those flags, in
+    the same block order.  So that complex is assembled once, d o d = 0 is
+    certified on it at every size (CertificateError), which certifies every
+    slice, and the stalks are sliced out of its rows (`_fiber_slices`).  A
+    slice reaching outside its fiber means the map is not monotone
+    (SheafError).
     """
     cmap = {tuple(a): tuple(b) for a, b in cell_map.items()}
     src = sheaf.space.complex
+    tcells = target_space.complex.cell_index
     for a, b in cmap.items():
         if a not in src.cell_index:
             raise SheafError("source cell %r unknown" % (a,))
-        if b not in target_space.complex.cell_index:
+        if b not in tcells:
             raise SheafError("target cell %r unknown" % (b,))
     if (target_space is sheaf.space
             and all(a == b for a, b in cmap.items())
             and set(cmap) == set(src.cells)):
         return sheaf
-    fibers = {}
-    for t in target_space.complex.cells:
-        ts = set(t)
-        fibers[t] = [c for c in sorted(cmap, key=lambda c: (len(c), c))
-                     if ts <= set(cmap[c])]
-    stalks = {}
-    layouts = {}
-    for t, cells in fibers.items():
-        cx, layout = flag_complex(sheaf, cells)
-        stalks[t] = cx
-        layouts[t] = layout
+    # the target cells over each image cell: its faces
+    over = {}
+    for b in set(cmap.values()):
+        over[b] = [t for t in closure([b]) if t in tcells]
+    stalks, layouts = _fiber_slices(flag_complex(sheaf, list(cmap)),
+                                    target_space.complex.cells,
+                                    lambda f: over[cmap[f[0]]])
     index = {t: _block_index(layout) for t, layout in layouts.items()}
     restrictions = {}
     tposet = FacePoset(target_space.complex)
@@ -490,13 +505,70 @@ def kan_pushforward(sheaf, cell_map, target_space, check=None):
                 src_dim = stalks[sig].dim(k)
                 tgt_dim = stalks[tau].dim(k)
                 if ent or (src_dim and tgt_dim):
-                    mats[k] = ExactMatrix(tgt_dim, src_dim, ent)
+                    mats[k] = ExactMatrix._of(tgt_dim, src_dim, ent)
             restrictions[(sig, tau)] = mats
-    if check is None:
-        check = sum(cx.total_dimension() for cx in stalks.values()) <= _CHECK_LIMIT
+    check = sum(cx.total_dimension() for cx in stalks.values()) <= _CHECK_LIMIT
     out = SheafComplex(target_space, stalks, restrictions, check=check)
     out.stalk_layouts = layouts
     return out
+
+
+def _fiber_slices(total, targets, over):
+    """Stalks and layouts of the fibers, sliced out of one flag complex.
+
+    `total` is (complex, layout) over all mapped cells, `targets` the
+    target cells, and `over(flag)` the target cells whose fibers hold the
+    flag.  The global blocks are walked once, in layout order, and handed
+    to their fibers, so each fiber's layout is the global one restricted to
+    its flags.  Each fiber differential is the global rows at its flags; an
+    entry outside the fiber's columns raises SheafError.  d o d = 0 is
+    certified once, on the global complex, at every size.
+    """
+    gx, glayout = total
+    if gx.total_dimension() > _CHECK_LIMIT:
+        gx.certify()    # flag_complex certifies only up to the limit
+    # spans[t][k]: (global offset, local offset, size) per block of fiber t
+    layouts = {t: {} for t in targets}
+    spans = {t: {} for t in targets}
+    for k in sorted(glayout):
+        for (f, q, goff, size) in glayout[k]:
+            for t in over(f):
+                span = spans[t].setdefault(k, [])
+                loff = span[-1][1] + span[-1][2] if span else 0
+                span.append((goff, loff, size))
+                layouts[t].setdefault(k, []).append((f, q, loff, size))
+    diffs = {t: {} for t in targets}
+    for k in sorted(glayout):
+        if k + 1 not in glayout:
+            continue
+        rows = [[] for _ in range(gx.dim(k + 1))]
+        for (i, j), v in gx.diff(k).entries.items():
+            rows[i].append((j, v))
+        gx.diffs.pop(k, None)   # lives on in rows, and is freed with them
+        for t, span in spans.items():
+            out = span.get(k + 1)
+            if out is None:
+                continue
+            local = {goff + x: loff + x for goff, loff, size in span.get(k, ())
+                     for x in range(size)}
+            try:
+                ent = {(loff + x, local[j]): v for goff, loff, size in out
+                       for x in range(size) for j, v in rows[goff + x]}
+            except KeyError:
+                raise SheafError("cell map is not monotone: the fiber over "
+                                 "%r is not an up-set" % (t,)) from None
+            diffs[t][k] = ExactMatrix._of(out[-1][1] + out[-1][2],
+                                          len(local), ent)
+    stalks = {}
+    for t, layout in layouts.items():
+        if not layout:
+            stalks[t] = CochainComplex({0: 0}, {})
+            continue
+        dims = {k: 0 for k in range(min(layout), max(layout) + 1)}
+        for k, blocks in layout.items():
+            dims[k] = blocks[-1][2] + blocks[-1][3]
+        stalks[t] = CochainComplex(dims, diffs[t], check=False)
+    return stalks, layouts
 
 
 def derived_pushforward(sheaf, closed_cells):

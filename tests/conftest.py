@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import settings
@@ -31,3 +32,12 @@ def run_python(*args, optimize=True, timeout=120):
     return subprocess.run([sys.executable] + flags + list(args),
                           capture_output=True, text=True, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=SRC))
+
+
+def assert_normalized(m):
+    """The ExactMatrix entry invariant: an int, or a Fraction with a true
+    denominator; never a float, never a zero, never a Fraction with
+    denominator 1."""
+    for v in m.entries.values():
+        assert v and (type(v) is int
+                      or (type(v) is Fraction and v.denominator > 1)), repr(v)

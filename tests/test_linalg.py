@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from conftest import projective_plane, run_python
+from conftest import assert_normalized, projective_plane, run_python
 from hypothesis import given, strategies as st
 
 import strat_ic.linalg as linalg
@@ -1032,14 +1032,6 @@ def test_reduction_certificates_under_optimize():
 
 # ------------------------------ ExactMatrix vs dense plain-Fraction lists
 
-def assert_normalized(m):
-    """The entry invariant: an int, or a Fraction with a true denominator;
-    never a float, never a Fraction with denominator 1."""
-    for v in m.entries.values():
-        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), \
-            repr(v)
-
-
 # halves and thirds, so sums and products often cancel to integers
 exact_rationals = st.one_of(st.just(Fraction(0)),
                             st.fractions(-3, 3, max_denominator=3))
@@ -1116,6 +1108,9 @@ def test_exact_matrix_matches_dense_fraction_reference(ops):
         "stack_cols": (a.stack_cols(s), [u + w for u, w in zip(ra, rs)]),
         "submatrix_cols": (a.submatrix_cols(ops["pick"]),
                            [[u[j] for j in ops["pick"]] for u in ra]),
+        "identity": (ExactMatrix.identity(k),
+                     [[Fraction(int(i == j)) for j in range(k)]
+                      for i in range(k)]),
     }
     for name, (got, ref) in want.items():
         assert_normalized(got)
@@ -1244,6 +1239,7 @@ def _assert_matches_references(m):
     assert pivots == want_pivots
     assert r == want_r
     assert_normalized(r)
+    assert_normalized(kernel_basis(m))
     assert rank(m) == _reference_rank(m) == len(pivots)
 
 

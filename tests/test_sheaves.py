@@ -8,11 +8,11 @@ part it came from.
 """
 
 import pytest
-from conftest import run_python
+from conftest import assert_normalized, run_python
 from hypothesis import given, settings, strategies as st
 
 from strat_ic.examples import get_example
-from strat_ic import sheaves, spaces
+from strat_ic import duality, sheaves, spaces
 from strat_ic.linalg import CochainComplex, ExactMatrix, FGAbelianGroup
 from strat_ic.sheaves import (
     NotOpen, NotOpenComplement, SheafComplex, SheafError, _flags,
@@ -93,7 +93,9 @@ def test_malformed_sheaf_data_rejected():
         "        lambda: SheafComplex(F.space, F.stalks, {**R, ((0,), (0, 99)): {}}),",
         "        lambda: SheafComplex(F.space, F.stalks, {**R, ((0,), (0, 1, 2)): {}}),",
         "        lambda: kan_pushforward(F, {(99,): (0,)}, F.space),",
-        "        lambda: kan_pushforward(F, {(0,): (99,)}, F.space)):",
+        "        lambda: kan_pushforward(F, {(0,): (99,)}, F.space),",
+        "        lambda: F.restriction((0,), (1, 2), 0),",
+        "        lambda: F.restriction((0,), (1, 2, 3), 0)):",
         "    try:",
         "        call()",
         "        print('accepted')",
@@ -110,6 +112,8 @@ def test_malformed_sheaf_data_rejected():
             "got (0,) -> (0, 1, 2)",
             "rejected: source cell (99,) unknown",
             "rejected: target cell (99,) unknown",
+            "rejected: (0,) is not a face of (1, 2)",
+            "rejected: (0,) is not a face of (1, 2, 3)",
         ]
 
 
@@ -444,3 +448,126 @@ def test_total_complexes_match_source_side_reference(case):
     assert _flags(up) == _ref_flags(up)
     _assert_same_total(flag_complex(F, up), _ref_flag_complex(F, up))
     _assert_same_total(incidence_complex(F), _ref_incidence_complex(F))
+
+
+# -- differential: stalks sliced from one flag complex against per-fiber ----
+#
+# The reference is the pushforward as it was before slicing: one
+# `flag_complex` per target cell, over the source cells whose image lies
+# over that cell.
+
+def _ref_kan_pushforward(sheaf, cell_map, target_space):
+    cmap = {tuple(a): tuple(b) for a, b in cell_map.items()}
+    stalks, layouts = {}, {}
+    for t in target_space.complex.cells:
+        cells = [c for c in sorted(cmap, key=lambda c: (len(c), c))
+                 if set(t) <= set(cmap[c])]
+        stalks[t], layouts[t] = flag_complex(sheaf, cells)
+    index = {t: sheaves._block_index(layout) for t, layout in layouts.items()}
+    restrictions = {}
+    tposet = spaces.FacePoset(target_space.complex)
+    for tau in target_space.complex.cells:
+        for (sig, _s) in tposet.covers_down[tau]:
+            mats = {}
+            for k, blocks in layouts[tau].items():
+                ent = {}
+                for (f, q, toff, sz) in blocks:
+                    spot = index[sig].get((f, q))
+                    if spot is not None:
+                        for i in range(sz):
+                            ent[(toff + i, spot[1] + i)] = 1
+                src_dim, tgt_dim = stalks[sig].dim(k), stalks[tau].dim(k)
+                if ent or (src_dim and tgt_dim):
+                    mats[k] = ExactMatrix(tgt_dim, src_dim, ent)
+            restrictions[(sig, tau)] = mats
+    out = SheafComplex(target_space, stalks, restrictions, check=False)
+    out.stalk_layouts = layouts
+    return out
+
+
+def _assert_same_pushforward(got, want):
+    assert list(got.stalks) == list(want.stalks)
+    for t in want.stalks:
+        _assert_same_total((got.stalks[t], got.stalk_layouts[t]),
+                           (want.stalks[t], want.stalk_layouts[t]))
+        for k in got.stalks[t].degrees():
+            assert_normalized(got.stalks[t].diff(k))
+    assert list(got.restrictions) == list(want.restrictions)
+    for key, mats in want.restrictions.items():
+        assert got.restrictions[key] == mats, key
+        for m in got.restrictions[key].values():
+            assert_normalized(m)
+
+
+@given(_sheaf_and_up_set())
+@settings(max_examples=25, deadline=None)
+def test_derived_pushforward_matches_per_fiber_reference(case):
+    F, up = case
+    closed = [c for c in F.space.complex.cells if c not in set(up)]
+    got = derived_pushforward(F, closed)
+    if not closed:
+        assert got is F
+        return
+    _assert_same_pushforward(
+        got, _ref_kan_pushforward(F, {c: c for c in up}, F.space))
+
+
+def _collapse_case(name):
+    # the collapse of the bottom slice of section x interval, restratified,
+    # as duality.fibration_decomposition builds it
+    section = get_example(name)
+    prod = spaces.product(section, get_example("interval"))
+    slice_cells = duality._section_slice(prod, 0)
+    levels = {c: section.dim + (c not in set(slice_cells))
+              for c in prod.complex.cells}
+    total = spaces.StratifiedComplex(prod.complex, levels)
+    quotient, cmap = spaces.collapse(total, slice_cells)
+    return total, quotient, cmap
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_collapse_pushforward_matches_per_fiber_reference(name, rank):
+    total, quotient, cmap = _collapse_case(name)
+    F = constant_sheaf(total, rank)
+    _assert_same_pushforward(kan_pushforward(F, cmap, quotient),
+                             _ref_kan_pushforward(F, cmap, quotient))
+
+
+def test_non_monotone_cell_map_rejected():
+    s = get_example("s1")
+    F = constant_sheaf(s, 1)
+    cmap = {c: c for c in s.complex.cells}
+    cmap[(0,)], cmap[(0, 1)] = (0, 1), (0,)
+    with pytest.raises(SheafError, match="not monotone"):
+        kan_pushforward(F, cmap, s)
+
+
+def test_pushforward_certifies_d_squared_above_check_limit():
+    # a sheaf on s2 whose restriction (0,) -> (0, 1) is doubled, so the
+    # diamonds (0,) < (0, 1) < (0, 1, k) no longer commute.  The sheaf, the
+    # pushforward and every stalk over (0,) are above the size below which
+    # each is checked on its own; only the one certificate on the global
+    # flag complex sees the break, also under -O
+    code = "\n".join([
+        "from strat_ic.examples import get_example",
+        "from strat_ic.linalg import CertificateError",
+        "from strat_ic.sheaves import (_CHECK_LIMIT, SheafComplex,",
+        "                              constant_sheaf, derived_pushforward)",
+        "F = constant_sheaf(get_example('s2'), 120)",
+        "bad = dict(F.restrictions)",
+        "bad[((0,), (0, 1))] = {0: bad[((0,), (0, 1))][0].scale(2)}",
+        "F = SheafComplex(F.space, F.stalks, bad, check=False)",
+        "print(F.total_dimension() > _CHECK_LIMIT)",
+        "try:",
+        "    derived_pushforward(F, [(3,)])",
+        "    print('accepted')",
+        "except CertificateError as e:",
+        "    print('rejected:', e)",
+    ])
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "True"
+        assert lines[1].startswith("rejected: d o d != 0"), lines
