@@ -764,8 +764,9 @@ def _check_truncation(space):
         return None
     p = max(levels)
     F = sheaves.constant_sheaf(space)
-    G = sheaves.derived_pushforward(F, space.filtration_stage(p))
     cut = max(0, space.top - p - 2)
+    G = sheaves.derived_pushforward(F, space.filtration_stage(p),
+                                    through=cut + 1)
     T = sheaves.truncate(G, cut)
     for c in space.filtration_stage(p):
         b = T.stalk(c).betti_numbers()
@@ -781,7 +782,7 @@ def _check_restrictions(space):
     if levels:
         F = sheaves.derived_pushforward(
             sheaves.constant_sheaf(space),
-            space.filtration_stage(max(levels)))
+            space.filtration_stage(max(levels)), through=1)
     else:
         F = sheaves.constant_sheaf(space)
     cells = sorted(space.complex.cells)

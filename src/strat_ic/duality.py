@@ -181,7 +181,8 @@ def duality_pairing(space, k):
 # -- pairings on intersection sheaves --------------------------------------
 #
 # Intersection classes pair at the chain level.  Both sheaves embed into the
-# untruncated pushforward recorded by the truncation; its stalks are scalar
+# pushforward their truncations were cut from, assembled through the stalk
+# degrees the product reaches (see PairingContext); its stalks are scalar
 # cochains on order complexes, hence honest algebras, and the front-face /
 # back-face product there satisfies the Leibniz rule for the total
 # differential.  The product of two classes then descends into the top
@@ -189,23 +190,52 @@ def duality_pairing(space, k):
 # which is exactly where the Lagrangian condition enters) and is read off
 # against the canonical top-degree generator.
 
+def _flag_offsets(R):
+    """cell -> {flag: offset in the cell's stalk} for a pushforward R whose
+    stalk blocks are all one scalar in stalk degree 0; DualityError if not.
+    """
+    fidx = {}
+    for cell, lay in R.stalk_layouts.items():
+        d = {}
+        for blocks in lay.values():
+            for flag, q, off, size in blocks:
+                if q != 0 or size != 1:
+                    raise DualityError(
+                        "pairing needs rank-one scalar coefficients")
+                d[flag] = off
+        fidx[cell] = d
+    return fidx
+
+
+def _reaches(R, degree):
+    """Whether the pushforward R holds every stalk degree up to `degree`."""
+    through = getattr(R, "through", None)
+    return through is None or through >= degree
+
+
+def _same_dims(R, A):
+    """Whether two pushforwards have the same stalk dimensions in every
+    degree both of them assemble."""
+    tops = [t for t in (getattr(R, "through", None),
+                        getattr(A, "through", None)) if t is not None]
+    top = min(tops, default=None)
+    for c, cx in R.stalks.items():
+        other = A.stalks[c]
+        for q in set(cx.dims) | set(other.dims):
+            if (top is None or q <= top) and cx.dim(q) != other.dim(q):
+                return False
+    return True
+
+
 class _Ambient:
-    """Index structures for cupping inside an untruncated pushforward R."""
+    """Index structures for cupping inside a pushforward R that holds
+    every stalk degree the products reach."""
 
     def __init__(self, R):
         self.R = R
         self.cx, self.layout = sheaves.incidence_complex(R)
         self.lmap = sheaves._block_index(self.layout)
-        self.fidx = {}
-        for cell, lay in R.stalk_layouts.items():
-            d = {}
-            for blocks in lay.values():
-                for flag, q, off, size in blocks:
-                    if q != 0 or size != 1:
-                        raise DualityError(
-                            "pairing needs rank-one scalar coefficients")
-                    d[flag] = off
-            self.fidx[cell] = d
+        self.fidx = _flag_offsets(R)
 
     def embed(self, result, vec, degree):
         """Coordinates of a class of `result` inside the ambient complex."""
@@ -335,6 +365,14 @@ class PairingContext:
     cochains, `matrix` pairs the cohomology bases of complementary degrees;
     each basis is computed on first use and kept for the context's life.
     Only spaces with a single attachment step are supported.
+
+    The ambient pushforward must hold every stalk degree up to
+    D = max(cutoff_low + cutoff_high, cut_top + 1): products land in stalk
+    degrees up to the sum of the cutoffs, and the top truncation reads one
+    above cut_top.  A result's recorded pushforward serves when it reaches
+    D; otherwise the single-step pushforward of the rank-one constant sheaf
+    is built through D, once per context.  Each recorded pushforward must
+    match the ambient's stalk dimensions on the degrees it holds.
     """
 
     def __init__(self, result_low, result_high):
@@ -351,10 +389,18 @@ class PairingContext:
         cut_top = space.top - levels[0] - 2
         if cut_top < 0:
             raise DualityError("singular stratum has codimension below two")
-        R = _single_step_data(result_low)
-        RB = _single_step_data(result_high)
-        if RB is not R and any(RB.stalks[c].dims != cx.dims
-                               for c, cx in R.stalks.items()):
+        recorded = (_single_step_data(result_low),
+                    _single_step_data(result_high))
+        depth = max(result_low.sheaf.cutoff + result_high.sheaf.cutoff,
+                    cut_top + 1)
+        R = next((x for x in recorded if _reaches(x, depth)), None)
+        if R is None:
+            for x in recorded:
+                _flag_offsets(x)    # refuse rank two before comparing dims
+            R = sheaves.derived_pushforward(
+                sheaves.constant_sheaf(space, 1),
+                space.filtration_stage(levels[0]), through=depth)
+        if not all(_same_dims(x, R) for x in recorded):
             raise DualityError(
                 "ambient pushforwards differ; rebuild both results alike")
         self.low, self.high = result_low, result_high
@@ -659,7 +705,7 @@ def fibration_decomposition(section, collapse_cells=None, trivial=False,
         report["cone_cells"] = len(quotient.complex.cells)
         if len(prod.complex.cells) <= max_kan_cells:
             F = sheaves.constant_sheaf(total_space)
-            Rf = sheaves.kan_pushforward(F, cmap, quotient)
+            Rf = sheaves.kan_pushforward(F, cmap, quotient, through=cut + 1)
             G = sheaves.truncate(Rf, cut)
             coh = sheaves.sheaf_cohomology(G)
             report["mode"] = "pushforward"

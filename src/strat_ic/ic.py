@@ -169,10 +169,9 @@ def deligne_construction(space, perversity, coefficient=1):
     F = constant_sheaf(space, coefficient)
     cutoffs = {}
     for p in sorted(space.singular_levels(), reverse=True):
-        closed = space.filtration_stage(p)
-        F = derived_pushforward(F, closed)
         cut = perversity(top - p)
         cutoffs[p] = cut
+        F = derived_pushforward(F, space.filtration_stage(p), through=cut + 1)
         F = truncate(F, cut)
     return ICResult(space, F, cutoffs,
                     "IC^%s(%s)" % (perversity.name, getattr(space, "name", "X")))
@@ -324,7 +323,7 @@ def stratified_de_rham(space, perversity=None):
     _check_regular_part(space)
     F = constant_sheaf(space, 1)
     for p in sorted(space.singular_levels(), reverse=True):
-        F = derived_pushforward(F, space.filtration_stage(p))
+        F = derived_pushforward(F, space.filtration_stage(p), through=p + 1)
         F = truncate(F, p)
     ladder_coh = sheaf_cohomology(F)
     ladder = tuple(ladder_coh.get(k, 0) for k in range(width))
@@ -592,7 +591,7 @@ def refined_ic(space, mezzo, coefficient=1):
     if any(cx.dims != {0: 1} for cx in F.stalks.values()):
         raise ICError("refinement needs a rank-one coefficient, got %r"
                       % (coefficient,))
-    F = derived_pushforward(F, space.filtration_stage(level))
+    F = derived_pushforward(F, space.filtration_stage(level), through=mid + 1)
 
     subspaces = {}
     cutoffs = {level: mid}

@@ -25,8 +25,8 @@ Row elimination happens in exactly four routines:
 - `rank` (over Q, sparsest pivots first) gives the rank alone; it drives
   `CochainComplex.betti_numbers` and independence checks.
 
-  Both work fraction-free (after Bareiss, Math. Comp. 1968) on primitive
-  integer rows with a column -> rows index; see `_eliminate`.
+  Both work fraction-free (after Bareiss, Math. Comp. 1968) on integer
+  rows with a column -> rows index; see `_eliminate`.
 - `_reduce_units` cancels every pair of cells joined by a +-1 incidence
   from a cochain complex, on row dicts with a column -> rows index through
   `_axpy` (see `_cancel`).  The remainder has the same cohomology over Z,
@@ -251,9 +251,10 @@ def rref(m):
     pivot column indices.  The RREF is unique, so R and every basis read
     off it do not depend on the pivot rows: each pivot is the sparsest
     unused row with a nonzero in its column (ties to the lower index) and
-    touches only the rows with a nonzero there.  Rows stay primitive integer
-    vectors until the pivot rows are divided by their pivots, at the end;
-    a quotient the pivot divides stays an int.
+    touches only the rows with a nonzero there.  Rows stay integer vectors
+    (divided by their content after each elimination, except under a +-1
+    pivot, see `_eliminate`) until the pivot rows are divided by their
+    pivots, at the end; a quotient the pivot divides stays an int.
     """
     rows = [_primitive(row) for row in _int_rows(m)]
     cols = [set() for _ in range(m.cols)]
@@ -283,7 +284,7 @@ def rref(m):
 
 
 def rank(m):
-    """Exact rank.  Eliminates primitive integer rows like `rref`, but
+    """Exact rank.  Eliminates integer rows like `rref`, but
     pivots on the sparsest row, then the sparsest column in it, to limit
     fill-in; ties go to the lower index.  The answer does not depend on the
     pivot order, only the speed."""
@@ -429,8 +430,12 @@ def _eliminate(y, x, col, cols, i):
     with the pivot row x: y = (p/g) y - (f/g) x for p = x[col], f = y[col],
     g = gcd(p, f), then divided by its content.  Row scaling keeps the RREF;
     the per-row gcd replaces Bareiss's division by the previous pivot,
-    which needs a fixed pivot order."""
+    which needs a fixed pivot order.  A pivot of +-1 needs neither: y - f p x
+    is integral as it stands, so the row is not rescaled or divided."""
     p, f = x[col], y[col]
+    if p == 1 or p == -1:
+        _axpy(y, x, -f * p, 1, cols, i)
+        return
     g = gcd(p, f)
     _axpy(y, x, -(f // g), p // g, cols, i)
     _primitive(y)

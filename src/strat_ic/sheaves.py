@@ -16,6 +16,9 @@ restriction is a flag projection, which makes functoriality strict instead
 of up-to-homotopy.  Those cells form an up-set, so every stalk is a slice
 of one flag complex over all mapped cells: it is assembled and certified
 (d o d = 0, at every size) once per pushforward, and sliced per fiber.
+A canonical truncation at k reads stalks only in degrees up to k + 1, so a
+pushforward that feeds one is assembled only through that degree (its
+brutal truncation: the same blocks in every degree it keeps).
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ class NotOpenComplement(SheafError):
     pass
 
 
-# how large a total complex may get before we stop checking D compose D = 0
-# directly (it holds by the certified sheaf axioms; the check is belt and
-# braces on small instances)
+# the size of total complex above which two checks are skipped: d o d = 0 on
+# incidence complexes and on the flag complexes of sheaf_cohomology, and
+# SheafComplex.validate on pushforwards, tensors and truncations.  d o d = 0
+# on the flag complex of a pushforward runs at every size (_fiber_slices).
 _CHECK_LIMIT = 1500
 
 
@@ -253,16 +257,17 @@ def incidence_complex(sheaf):
     return _assemble_total(layout, into), layout
 
 
-def _layout(blocks):
+def _layout(blocks, through=None):
     """Blocks (key, q, offset, size) per total degree shift + q.
 
     `blocks` yields (key, shift, stalk) triples; stalk degrees of dimension
-    zero get no block.  Within a degree, blocks run by (len(key), key, q).
+    zero get no block, and neither do total degrees above `through`.
+    Within a degree, blocks run by (len(key), key, q).
     """
     layout = {}
     for key, shift, cx in blocks:
         for q in cx.degrees():
-            if cx.dim(q):
+            if cx.dim(q) and (through is None or shift + q <= through):
                 layout.setdefault(shift + q, []).append((key, q, cx.dim(q)))
     for group in layout.values():
         group.sort(key=lambda blk: (len(blk[0]), blk[0], blk[1]))
@@ -311,25 +316,27 @@ def _assemble_total(layout, into):
     return CochainComplex(dims, diffs, check=total <= _CHECK_LIMIT)
 
 
-def _flags(cells):
+def _flags(cells, longest=None):
     """Strict chains of the given cells under face inclusion.
 
     Cells are sorted vertex tuples.  Chains are enumerated by their top
     cell: those topped by d are (d,) and every chain topped by a proper
-    face of d in the set, extended by d.  Returned in (length, chain) order.
+    face of d in the set, extended by d.  With `longest`, no chain is
+    extended beyond that many cells.  Returned in (length, chain) order.
     """
     topped = {}
     for d in sorted(set(cells), key=len):
         chains = [(d,)]
         for r in range(1, len(d)):
             for e in combinations(d, r):
-                chains.extend(f + (d,) for f in topped.get(e, ()))
+                chains.extend(f + (d,) for f in topped.get(e, ())
+                              if longest is None or len(f) < longest)
         topped[d] = chains
     return sorted((f for chains in topped.values() for f in chains),
                   key=lambda f: (len(f), f))
 
 
-def flag_complex(sheaf, cells):
+def flag_complex(sheaf, cells, through=None):
     """Total complex over strict chains in an up-set of cells.
 
     Block (flag, q) carries the stalk of the flag's top cell in total degree
@@ -339,10 +346,18 @@ def flag_complex(sheaf, cells):
     and the restriction from f's top cell to g's (the identity unless the
     top cell was dropped).  Computes derived sections over the open set.
 
+    With `through`, only total degrees up to it are assembled: the result
+    is the brutal truncation of the full complex, with the same blocks and
+    offsets in every degree it keeps.  Chains longer than through + 1 - lo
+    cells, lo the lowest stalk degree, reach no such degree and are not
+    enumerated.
+
     Returns (complex, layout) like incidence_complex, with flags as keys.
     """
-    layout = _layout((f, len(f) - 1, sheaf.stalks[f[-1]])
-                     for f in _flags(cells))
+    longest = None if through is None else through + 1 - min(
+        (sheaf.stalks[c].lo for c in cells), default=0)
+    layout = _layout(((f, len(f) - 1, sheaf.stalks[f[-1]])
+                      for f in _flags(cells, longest)), through)
 
     def into(g, q):
         top = g[-1]
@@ -451,13 +466,19 @@ def global_sections(sheaf, open_cells=None):
 
 # -- pushforward -----------------------------------------------------------
 
-def kan_pushforward(sheaf, cell_map, target_space):
+def kan_pushforward(sheaf, cell_map, target_space, through=None):
     """Pointwise homotopy Kan extension along a monotone cell map.
 
     The stalk at a target cell t is the flag complex over the source cells c
     with cell_map(c) >= t; restrictions are flag projections, so the result
     is strictly functorial by construction.  For the identity map this
     returns the sheaf itself.
+
+    `through` is the highest stalk degree assembled (None: every degree).
+    Every stalk is then the brutal truncation of the full one, with the
+    same layout, offsets, differentials and projections in each degree it
+    keeps.  A caller that truncates at k passes k + 1, the highest degree
+    the truncation reads.  The result records it as `through`.
 
     Each fiber is an up-set of the mapped cells, so a flag lies in it
     exactly when its bottom cell does, and its flag complex is the principal
@@ -484,7 +505,7 @@ def kan_pushforward(sheaf, cell_map, target_space):
     over = {}
     for b in set(cmap.values()):
         over[b] = [t for t in closure([b]) if t in tcells]
-    stalks, layouts = _fiber_slices(flag_complex(sheaf, list(cmap)),
+    stalks, layouts = _fiber_slices(flag_complex(sheaf, list(cmap), through),
                                     target_space.complex.cells,
                                     lambda f: over[cmap[f[0]]])
     index = {t: _block_index(layout) for t, layout in layouts.items()}
@@ -510,6 +531,7 @@ def kan_pushforward(sheaf, cell_map, target_space):
     check = sum(cx.total_dimension() for cx in stalks.values()) <= _CHECK_LIMIT
     out = SheafComplex(target_space, stalks, restrictions, check=check)
     out.stalk_layouts = layouts
+    out.through = through
     return out
 
 
@@ -571,13 +593,14 @@ def _fiber_slices(total, targets, over):
     return stalks, layouts
 
 
-def derived_pushforward(sheaf, closed_cells):
+def derived_pushforward(sheaf, closed_cells, through=None):
     """Pushforward along the inclusion of the complement of a closed set.
 
     `closed_cells` is the subcomplex being removed; its complement must be
     open, else NotOpenComplement.  Stalks on the removed cells become flag
     complexes over the nearby open cells, carrying the cohomology of the
-    deleted neighborhood.
+    deleted neighborhood.  `through` caps the stalk degrees assembled, as
+    in kan_pushforward.
     """
     closed = {tuple(c) for c in closed_cells}
     for c in closed:
@@ -589,7 +612,7 @@ def derived_pushforward(sheaf, closed_cells):
             "complement of the given cells is not open; the set must be "
             "closed under faces")
     cmap = {c: c for c in open_cells}
-    return kan_pushforward(sheaf, cmap, sheaf.space)
+    return kan_pushforward(sheaf, cmap, sheaf.space, through)
 
 
 # -- tensor and truncation -------------------------------------------------

@@ -41,3 +41,18 @@ def assert_normalized(m):
     for v in m.entries.values():
         assert v and (type(v) is int
                       or (type(v) is Fraction and v.denominator > 1)), repr(v)
+
+
+def ref_deligne_construction(space, perversity, coefficient=1):
+    """`ic.deligne_construction` through full pushforwards: every stalk
+    degree is assembled before each truncation, as it was before
+    pushforwards stopped at the degree their truncation reads."""
+    from strat_ic import ic, sheaves
+    F = sheaves.constant_sheaf(space, coefficient)
+    cutoffs = {}
+    for p in sorted(space.singular_levels(), reverse=True):
+        cutoffs[p] = perversity(space.top - p)
+        F = sheaves.truncate(
+            sheaves.derived_pushforward(F, space.filtration_stage(p)),
+            cutoffs[p])
+    return ic.ICResult(space, F, cutoffs, "reference")

@@ -11,13 +11,14 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from conftest import RP2_TRIANGLES, projective_plane, run_python
+from conftest import (RP2_TRIANGLES, projective_plane, ref_deligne_construction,
+                      run_python)
 from hypothesis import given, settings, strategies as hst
 
-from strat_ic import linalg, spaces
+from strat_ic import linalg, sheaves, spaces
 from strat_ic.examples import get_example
 from strat_ic.ic import (
-    ExactMatrix, Mezzoperversity, Perversity, deligne_construction,
+    ExactMatrix, ICResult, Mezzoperversity, Perversity, deligne_construction,
     lagrangian_subspaces, link_middle_form, refined_ic,
 )
 from strat_ic.linalg import CertificateError, rank, solve
@@ -679,3 +680,92 @@ def test_local_contribution_errors(st):
     with pytest.raises(StratumNotFound):
         local_contribution(st, Mezzoperversity({v: full for v in verts}),
                            level=2)
+
+
+# -- the ambient pushforward: assembled through the degree products reach ----
+
+@pytest.fixture(scope="module")
+def ss2_results():
+    sp = get_example("suspension-s2")
+    return {p: deligne_construction(sp, Perversity.named(p))
+            for p in ("0", "m", "n", "t")}
+
+
+@pytest.mark.parametrize("low,high,reused", [
+    ("0", "0", None),     # max(0 + 0, 1 + 1) = 2; both record through 1
+    ("m", "n", "high"),   # max(0 + 1, 2) = 2; only n records through 2
+    ("t", "t", "low"),    # max(1 + 1, 2) = 2; t records through 2
+    ("0", "t", "high"),
+])
+def test_pairing_ambient_depth_rule(ss2_results, low, high, reused):
+    # suspension-s2: n = 3, cone points of codimension 3, cut_top = 1
+    a, b = ss2_results[low], ss2_results[high]
+    context = PairingContext(a, b)
+    R = context.ambient.R
+    assert R.through == 2
+    recorded = {"low": a.sheaf.untruncated, "high": b.sheaf.untruncated}
+    if reused is None:
+        assert all(R is not x for x in recorded.values())
+    else:
+        assert R is recorded[reused]
+
+
+def test_pairing_ambient_reaches_the_sum_of_the_cutoffs():
+    # cutoffs 1 and 2 on suspension-t2, where cut_top = 1: products land in
+    # stalk degrees up to 1 + 2 = 3 > cut_top + 1, and the ambient holds
+    # them; the first result's pushforward, through 2, falls short
+    sp = get_example("suspension-t2")
+
+    def cut_at(cut, through):
+        R = sheaves.derived_pushforward(sheaves.constant_sheaf(sp, 1),
+                                        sp.filtration_stage(0),
+                                        through=through)
+        return ICResult(sp, sheaves.truncate(R, cut), {0: cut}, "cut")
+
+    low, high = cut_at(1, 2), cut_at(2, 3)
+    context = PairingContext(low, high)
+    assert context.ambient.R is high.sheaf.untruncated
+    assert context.ambient.R.through == 3
+    full = PairingContext(cut_at(1, None), cut_at(2, None))
+    for k in range(4):
+        assert context.matrix(k).matrix == full.matrix(k).matrix, k
+
+
+def test_refined_pairing_reuses_its_pushforward(res_w):
+    # mid + 1 = 2 = max(1 + 1, 1 + 1): nothing is built for the pairing
+    context = PairingContext(res_w, res_w)
+    assert context.ambient.R is res_w.sheaf.untruncated
+    assert context.ambient.R.through == 2
+
+
+def test_rebuilt_ambient_pairs_like_full_pushforward(ss2_results):
+    res = ss2_results["0"]
+    ref = ref_deligne_construction(res.space, Perversity.zero())
+    assert ref.sheaf.untruncated.through is None
+    rebuilt = PairingContext(res, res)
+    full = PairingContext(ref, ref)
+    assert rebuilt.ambient.R is not res.sheaf.untruncated
+    assert full.ambient.R is ref.sheaf.untruncated
+    for k in range(4):
+        assert rebuilt.matrix(k).matrix == full.matrix(k).matrix, k
+
+
+def test_rebuilt_ambient_refuses_rank_two_coefficients():
+    # the rebuild path builds a rank-one ambient; rank-two results are
+    # refused as such, not as a dimension mismatch, also under -O
+    code = "\n".join([
+        "from strat_ic import duality, ic",
+        "from strat_ic.examples import get_example",
+        "res = ic.deligne_construction(get_example('suspension-s2'),",
+        "                              ic.Perversity.zero(), coefficient=2)",
+        "try:",
+        "    duality.PairingContext(res, res)",
+        "    print('accepted')",
+        "except duality.DualityError as e:",
+        "    print('rejected:', e)",
+    ])
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == \
+            "rejected: pairing needs rank-one scalar coefficients\n"

@@ -7,7 +7,7 @@ them exactly.
 """
 
 import pytest
-from conftest import run_python
+from conftest import ref_deligne_construction, run_python
 from hypothesis import given, settings, strategies as hst
 
 from strat_ic import ic, spaces
@@ -20,7 +20,7 @@ from strat_ic.ic import (
     stratified_de_rham, stratumwise_rows, verify_support_conditions,
     witt_check,
 )
-from strat_ic.linalg import ExactMatrix, rank
+from strat_ic.linalg import ExactMatrix, FGAbelianGroup, rank
 
 
 M = Perversity.lower_middle()
@@ -385,3 +385,35 @@ def test_dual_mezzoperversity_fixes_lagrangians():
     dual = dual_mezzoperversity(st, mez)
     for v, w in mez.choices.items():
         assert rank(w.stack_cols(dual.choices[v])) == rank(w)
+
+
+# -- differential: pushforwards through the cutoff against full ones --------
+
+@pytest.mark.parametrize("name,perversities,coefficient", [
+    ("cone-t2", "mn", 1),
+    ("suspension-s2", "0mnt", 1),
+    ("cone-cone-s1", "mnt", 1),
+    ("cone-s1", "m", FGAbelianGroup(1, (2,))),
+])
+def test_deligne_matches_full_pushforward_reference(name, perversities,
+                                                    coefficient):
+    space = get_example(name)
+    for p in perversities:
+        perv = Perversity.named(p)
+        got = deligne_construction(space, perv, coefficient)
+        want = ref_deligne_construction(space, perv, coefficient)
+        assert got.cutoffs == want.cutoffs
+        G, W = got.sheaf, want.sheaf
+        assert G.cutoff == W.cutoff
+        for c, cx in W.stalks.items():
+            assert G.stalks[c].dims == cx.dims, (p, c)
+            assert G.stalks[c].diffs == cx.diffs, (p, c)
+            assert G.inclusions[c] == W.inclusions[c], (p, c)
+        assert G.restrictions == W.restrictions, p
+        assert got.layout == want.layout, p
+        assert got.complex.dims == want.complex.dims, p
+        assert got.complex.diffs == want.complex.diffs, p
+        assert got.cohomology == want.cohomology, p
+        # the recorded pushforward reaches exactly the degree its
+        # truncation reads
+        assert G.untruncated.through == G.cutoff + 1

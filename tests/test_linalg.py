@@ -3,6 +3,7 @@
 import doctest
 import heapq
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -1310,6 +1311,42 @@ def test_eliminate_scales_and_divides_by_content():
     linalg._eliminate(y, x, 0, cols, 0)
     assert y == {1: 3, 2: 1, 3: -1}
     assert cols == [{1}, {0}, {0}, {0, 1}]
+
+
+def test_eliminate_unit_pivot_neither_scales_nor_divides():
+    # p = -1, f = 4: y = y - f p x = y + 4 x = (0, 6, 12), content 6 kept
+    y, x = {0: 4, 1: 6}, {0: -1, 2: 3}
+    cols = [{0, 1}, {0}, {1}]
+    linalg._eliminate(y, x, 0, cols, 0)
+    assert y == {1: 6, 2: 12}
+    assert cols == [{1}, {0}, {0, 1}]
+
+
+def _eliminate_every_pivot_alike(y, x, col, cols, i):
+    """`_eliminate` as it was before +-1 pivots skipped the rescaling and
+    the division by the content."""
+    p, f = x[col], y[col]
+    g = gcd(p, f)
+    linalg._axpy(y, x, -(f // g), p // g, cols, i)
+    linalg._primitive(y)
+
+
+# integer entries with many +-1, and with none
+unit_ints = st.one_of(st.just(0), st.just(0), st.sampled_from([1, -1]),
+                      st.integers(-6, 6))
+non_unit_ints = st.one_of(st.just(0), st.just(0),
+                          st.sampled_from([2, -2, 3, -3, 4, 6, -6]))
+
+
+@given(st.one_of(matrix_strategy(10, unit_ints),
+                 matrix_strategy(10, non_unit_ints)))
+def test_unit_pivot_elimination_matches_general_one(data):
+    m = ExactMatrix.from_rows(data)
+    got = rref(m), rank(m)
+    with mock.patch.object(linalg, "_eliminate", _eliminate_every_pivot_alike):
+        want = rref(m), rank(m)
+    assert got == want
+    assert_normalized(got[0][0])
 
 
 def test_rref_pivots_on_sparsest_row():

@@ -571,3 +571,73 @@ def test_pushforward_certifies_d_squared_above_check_limit():
         lines = proc.stdout.splitlines()
         assert lines[0] == "True"
         assert lines[1].startswith("rejected: d o d != 0"), lines
+
+
+# -- differential: pushforwards assembled through a degree ------------------
+#
+# `through` must give the brutal truncation of the full pushforward: the
+# same stalk dimensions, differentials, layouts and restriction matrices in
+# every degree up to it, and nothing above.
+
+def _assert_brutal_truncation(got, full, through):
+    assert got.through == through and full.through is None
+    assert list(got.stalks) == list(full.stalks)
+    for t, cx in full.stalks.items():
+        mine = got.stalks[t]
+        assert got.stalk_layouts[t] == {
+            k: blocks for k, blocks in full.stalk_layouts[t].items()
+            if k <= through}, t
+        for q in set(cx.degrees()) | set(mine.degrees()):
+            assert mine.dim(q) == (cx.dim(q) if q <= through else 0), (t, q)
+            if q < through:
+                assert mine.diff(q) == cx.diff(q), (t, q)
+    assert list(got.restrictions) == list(full.restrictions)
+    for key, mats in full.restrictions.items():
+        assert got.restrictions[key] == {
+            q: m for q, m in mats.items() if q <= through}, key
+
+
+def _cone_t2_case():
+    s = get_example("cone-t2")
+    return lambda through: derived_pushforward(
+        constant_sheaf(s, 1), s.filtration_stage(0), through=through)
+
+
+def _cone_cone_s1_case():
+    # the second attachment, pushed forward from a truncated sheaf
+    s = get_example("cone-cone-s1")
+    F = truncate(derived_pushforward(constant_sheaf(s, 1),
+                                     s.filtration_stage(1)), 0)
+    return lambda through: derived_pushforward(F, s.filtration_stage(0),
+                                               through=through)
+
+
+def _torsion_case():
+    # resolution stalks start in stalk degree -1
+    s = get_example("cone-s1")
+    F = constant_sheaf(s, FGAbelianGroup(1, (2,)))
+    return lambda through: derived_pushforward(F, [(3,)], through=through)
+
+
+def _s1_collapse_case():
+    total, quotient, cmap = _collapse_case("s1")
+    F = constant_sheaf(total, 1)
+    return lambda through: kan_pushforward(F, cmap, quotient, through=through)
+
+
+@pytest.mark.parametrize("case", [_cone_t2_case, _cone_cone_s1_case,
+                                  _torsion_case, _s1_collapse_case])
+def test_pushforward_through_is_brutal_truncation(case):
+    push = case()
+    full = push(None)
+    degrees = {k for lay in full.stalk_layouts.values() for k in lay}
+    for through in range(min(degrees) - 1, max(degrees) + 2):
+        _assert_brutal_truncation(push(through), full, through)
+
+
+def test_flags_stop_at_longest():
+    cells = get_example("cone-s1").complex.cells
+    every = _flags(cells)
+    for longest in range(1, 5):
+        assert _flags(cells, longest) == [f for f in every
+                                          if len(f) <= longest]
