@@ -23,7 +23,9 @@ Row elimination happens in exactly four routines:
   answer off those rows and certifies it with one exact product instead of
   eliminating.
 - `rank` (over Q, sparsest pivots first) gives the rank alone; it drives
-  `CochainComplex.betti_numbers` and independence checks.
+  `CochainComplex.betti_numbers` and independence checks
+  (`independent_columns`, where a unit row per column does not already
+  witness it).
 
   Both work fraction-free (after Bareiss, Math. Comp. 1968) on integer
   rows with a column -> rows index; see `_eliminate`.
@@ -58,6 +60,7 @@ __all__ = [
     "kernel_basis",
     "solve",
     "solve_many",
+    "independent_columns",
     "smith_normal_form",
     "tensor_complex",
     "tor1",
@@ -352,7 +355,9 @@ def solve_many(m, targets):
     it (if it fails, nothing solves).  Such columns are independent, so the
     answer is unique.  Otherwise one elimination of [m | targets]: a column
     lies in the span of m exactly when no pivot lands in the target block;
-    free variables are set to zero, so X is read off the pivot rows.
+    free variables are set to zero, so X is read off the pivot rows, and
+    the same product certifies it (CertificateError if it fails).  So every
+    X returned satisfies m * X == targets exactly.
 
     >>> m = ExactMatrix.from_rows([[1, 1], [0, 0]])
     >>> solve_many(m, ExactMatrix.from_rows([[2, 3], [0, 0]])).to_triples()
@@ -366,8 +371,7 @@ def solve_many(m, targets):
     if targets.rows != m.rows:
         raise ValueError("targets of shape %r for a matrix of shape %r"
                          % (targets.shape, m.shape))
-    count = Counter(i for i, _j in m.entries)
-    unit = {i: j for (i, j), v in m.entries.items() if v == 1 and count[i] == 1}
+    unit = _unit_rows(m)
     if len(set(unit.values())) == m.cols:
         x = ExactMatrix._of(m.cols, targets.cols,
                             {(unit[i], c): v
@@ -378,9 +382,36 @@ def solve_many(m, targets):
     if pivot_cols and pivot_cols[-1] >= m.cols:
         return None
     # rows past the last pivot are zero, so only pivot rows carry entries
-    ent = {(pivot_cols[i], j - m.cols): v
-           for (i, j), v in r.entries.items() if j >= m.cols}
-    return ExactMatrix._of(m.cols, targets.cols, ent)
+    x = ExactMatrix._of(m.cols, targets.cols,
+                        {(pivot_cols[i], j - m.cols): v
+                         for (i, j), v in r.entries.items() if j >= m.cols})
+    if m * x != targets:
+        raise CertificateError("solution read off the RREF fails m * X == "
+                               "targets")
+    return x
+
+
+def _unit_rows(m):
+    """{row: column} for the rows of m whose only nonzero is a 1."""
+    count = Counter(i for i, _j in m.entries)
+    return {i: j for (i, j), v in m.entries.items() if v == 1 and count[i] == 1}
+
+
+def independent_columns(m):
+    """True when the columns of m are linearly independent.
+
+    A unit row for every column (a row whose only nonzero is a 1 there, as
+    in every `kernel_basis` result) witnesses it without elimination;
+    otherwise rank(m) == m.cols decides.
+
+    >>> independent_columns(ExactMatrix.from_rows([[1, 0], [3, 5], [0, 1]]))
+    True
+    >>> independent_columns(ExactMatrix.from_rows([[1, 2], [2, 4]]))
+    False
+    """
+    if len(set(_unit_rows(m).values())) == m.cols:
+        return True
+    return rank(m) == m.cols
 
 
 def solve(m, target):
@@ -900,9 +931,9 @@ class CochainComplex:
 
         Requires integer differentials.  The inclusion im d^{k-1} in
         ker d^k, that is d^k d^{k-1} = 0, is re-checked exactly on the
-        input and raises CertificateError when it fails.  The groups are
-        then read off `_reduce_units(self)`, which has the same cohomology
-        and whose differentials hold no +-1.  There ker d^k is a direct
+        input (on row dicts, as in `certify`) and raises CertificateError
+        when it fails.  The groups are then read off `_reduce_units(self)`,
+        which has the same cohomology and whose differentials hold no +-1.  There ker d^k is a direct
         summand of C^k (C^k / ker d^k embeds in the free group C^{k+1}),
         so C^k / im d^{k-1} = H^k + Z^{rank d^k}: one Smith form of d^{k-1}
         gives the cokernel, whose free rank loses rank d^k.  The Smith form
@@ -910,15 +941,17 @@ class CochainComplex:
         dim C^{k+1} minus the free rank of its cokernel.  A zero remainder
         differential needs no Smith form at all.
         """
+        prev = None                   # rows of d^{k-1}: C^{k-1} -> C^k
         for k in self.degrees():
             a = self.diff(k)          # C^k -> C^{k+1}
-            b = self.diff(k - 1)      # C^{k-1} -> C^k
-            if not (a.is_integral() and b.is_integral()):
+            if not a.is_integral():
                 raise ValueError("cohomology_groups needs integer "
                                  "differentials")
-            if not (a * b).is_zero():
+            rows = _rows(a)
+            if prev is not None and any(_mul_rows(rows, prev)):
                 raise CertificateError(
                     "image not contained in kernel at degree %d" % k)
+            prev = rows
         red = _reduce_units(self)
         out = {}
         coker = FGAbelianGroup.free(red.dim(red.lo))    # C^lo / 0

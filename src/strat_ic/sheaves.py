@@ -3,7 +3,18 @@
 A sheaf assigns to every cell a bounded cochain complex (the stalk, really
 the complex of sections over the cell's open star) and to every face
 relation a degreewise restriction map.  Restrictions must be chain maps and
-strictly functorial; both are certified at construction.
+strictly functorial.  A caller-built `SheafComplex` is checked by
+`SheafComplex.validate` (exact products, one per square and diamond); the
+constructors below certify their output from how they build it, at every
+size, and never call it:
+
+- `constant_sheaf`: identity restrictions.
+- `kan_pushforward`: d o d = 0 on one global flag complex, every fiber's
+  rows inside its columns, and every fiber nested in the fibers of its
+  faces; key-matching projections are then chain maps and compose.
+- `truncate`: the input's maps below the cutoff, and at the cutoff the
+  exact products of `solve_many` through injective bases.
+- `external_tensor`: Kronecker products of its factors' chain maps.
 
 Cohomology over the whole complex uses the incidence total complex (one
 summand per cell, horizontal differential weighted by incidence signs).
@@ -25,8 +36,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linalg import (CochainComplex, ExactMatrix, FGAbelianGroup, kernel_basis,
-                     solve_many)
+from .linalg import (CochainComplex, ExactMatrix, FGAbelianGroup,
+                     independent_columns, kernel_basis, solve_many)
 from .spaces import FacePoset, closure
 
 
@@ -42,10 +53,10 @@ class NotOpenComplement(SheafError):
     pass
 
 
-# the size of total complex above which two checks are skipped: d o d = 0 on
-# incidence complexes and on the flag complexes of sheaf_cohomology, and
-# SheafComplex.validate on pushforwards, tensors and truncations.  d o d = 0
-# on the flag complex of a pushforward runs at every size (_fiber_slices).
+# the size of total complex above which d o d = 0 is not checked on
+# incidence complexes and on the flag complexes of sheaf_cohomology.  It
+# gates nothing else: d o d = 0 on the flag complex of a pushforward runs at
+# every size (_fiber_slices), and no constructor calls SheafComplex.validate.
 _CHECK_LIMIT = 1500
 
 
@@ -67,7 +78,9 @@ class SheafComplex:
     `restrictions[(a, b)][q]` is the degree-q matrix of the map stalk(a) ->
     stalk(b) for a covering pair a < b; missing degrees are zero maps.
     Restrictions along longer face relations are composites (functoriality
-    makes them path independent; validate() certifies that).
+    makes them path independent).  With check=True, validate() certifies
+    chain maps and functoriality with exact products; the constructors of
+    this module pass check=False and certify their output themselves.
     """
 
     def __init__(self, space, stalks, restrictions, check=True):
@@ -488,6 +501,12 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
     slice, and the stalks are sliced out of its rows (`_fiber_slices`).  A
     slice reaching outside its fiber means the map is not monotone
     (SheafError).
+
+    Certificate, at every size.  The fiber over tau is nested in the fiber
+    over each face sig (SheafError if a block of tau's layout is missing
+    from sig's), and no row of tau's slice leaves its columns; so the
+    projection onto tau's flags sends d_sig to d_tau (a chain map), and
+    projections between nested slices compose to projections (strict).
     """
     cmap = {tuple(a): tuple(b) for a, b in cell_map.items()}
     src = sheaf.space.complex
@@ -519,17 +538,16 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
                 for (f, q, toff, sz) in blocks:
                     spot = index[sig].get((f, q))
                     if spot is None:
-                        continue
+                        raise SheafError(
+                            "the fiber over %r is not inside the fiber over "
+                            "its face %r" % (tau, sig))
                     soff = spot[1]
                     for i in range(sz):
                         ent[(toff + i, soff + i)] = 1
-                src_dim = stalks[sig].dim(k)
-                tgt_dim = stalks[tau].dim(k)
-                if ent or (src_dim and tgt_dim):
-                    mats[k] = ExactMatrix._of(tgt_dim, src_dim, ent)
+                mats[k] = ExactMatrix._of(stalks[tau].dim(k),
+                                          stalks[sig].dim(k), ent)
             restrictions[(sig, tau)] = mats
-    check = sum(cx.total_dimension() for cx in stalks.values()) <= _CHECK_LIMIT
-    out = SheafComplex(target_space, stalks, restrictions, check=check)
+    out = SheafComplex(target_space, stalks, restrictions, check=False)
     out.stalk_layouts = layouts
     out.through = through
     return out
@@ -618,7 +636,13 @@ def derived_pushforward(sheaf, closed_cells, through=None):
 # -- tensor and truncation -------------------------------------------------
 
 def external_tensor(fx, fy, prod):
-    """Sheaf on a product whose stalks are tensors of the factor stalks."""
+    """Sheaf on a product whose stalks are tensors of the factor stalks.
+
+    Certificate, from certified factors: each restriction is the Kronecker
+    product ra (x) rb blockwise, and a tensor of chain maps is a chain map
+    of the Koszul total complexes; functoriality holds factor by factor,
+    since (ra' ra) (x) (rb' rb) = (ra' (x) rb') (ra (x) rb).
+    """
     from .spaces import product_projections
     ny = prod.n_right
     from .linalg import tensor_complex
@@ -659,9 +683,7 @@ def external_tensor(fx, fy, prod):
                 mats[k] = ExactMatrix(stalks[tau].dim(k),
                                       stalks[sig].dim(k), ent)
             restrictions[(sig, tau)] = mats
-    total = sum(cx.total_dimension() for cx in stalks.values())
-    return SheafComplex(prod, stalks, restrictions,
-                        check=total <= _CHECK_LIMIT)
+    return SheafComplex(prod, stalks, restrictions, check=False)
 
 
 def truncate(sheaf, degree, subspaces=None):
@@ -670,10 +692,21 @@ def truncate(sheaf, degree, subspaces=None):
     `subspaces` optionally replaces the kernel at specific cells by a
     smaller d-stable subspace (columns of a matrix in stalk coordinates,
     which must contain the image of the previous differential); used for
-    refined middle-degree conditions.
+    refined middle-degree conditions.  Its columns must be independent,
+    else SheafError.
+
+    Certificate, from a certified input.  Below k the maps are the input's.
+    With B the basis at a cell, `solve_many` certifies B X = d^{k-1} and
+    B_b Y = r B_a exactly, so each output identity at k (d o d = 0, chain
+    map, functoriality) times B on the left is the input's, and B is
+    injective.
     """
     k = int(degree)
     subspaces = {tuple(c): m for c, m in (subspaces or {}).items()}
+    for c, m in subspaces.items():
+        # only caller bases need this: kernel_basis has a unit row per column
+        if not independent_columns(m):
+            raise SheafError("subspace at %r has dependent columns" % (c,))
     bases = {}
     stalks = {}
     for c, cx in sheaf.stalks.items():
@@ -699,7 +732,7 @@ def truncate(sheaf, degree, subspaces=None):
                 diffs[q] = solve_columns(kb, cx.diff(q))
         if not dims:
             dims = {k: 0}
-        stalks[c] = CochainComplex(dims, diffs)
+        stalks[c] = CochainComplex(dims, diffs, check=False)
     restrictions = {}
     for (a, b), mats in sheaf.restrictions.items():
         out = {}
@@ -710,9 +743,7 @@ def truncate(sheaf, degree, subspaces=None):
                 full = sheaf.restriction(a, b, k) * bases[a]
                 out[q] = solve_columns(bases[b], full)
         restrictions[(a, b)] = out
-    total = sum(cx.total_dimension() for cx in stalks.values())
-    out = SheafComplex(sheaf.space, stalks, restrictions,
-                       check=total <= _CHECK_LIMIT)
+    out = SheafComplex(sheaf.space, stalks, restrictions, check=False)
     # provenance for pairings: the ambient sheaf and how the cutoff degree
     # embeds back into it (columns per cell; lower degrees embed identically)
     out.untruncated = sheaf

@@ -17,6 +17,7 @@ from strat_ic.linalg import (
     CochainComplex,
     ExactMatrix,
     FGAbelianGroup,
+    independent_columns,
     kernel_basis,
     rank,
     rref,
@@ -794,6 +795,35 @@ def test_solve_many_identity_rows_match_references(case):
     else:
         assert not outside
         assert m * x == targets and _dense(x) == ref
+
+
+def test_solve_many_certifies_rref_answers():
+    # an answer read off a wrong RREF fails m * X == targets and is refused
+    # with a CertificateError, not returned
+    m = ExactMatrix.from_rows([[2, 1], [1, 1]])
+    targets = ExactMatrix.from_rows([[3], [2]])
+    assert solve_many(m, targets) == ExactMatrix.from_rows([[1], [1]])
+    real = linalg.rref
+
+    def off_by_one(mat):
+        r, pivots = real(mat)
+        ent = dict(r.entries)
+        ent[(0, mat.cols - 1)] += 1
+        return ExactMatrix(r.rows, r.cols, ent), pivots
+    with mock.patch.object(linalg, "rref", off_by_one):
+        with pytest.raises(CertificateError, match="RREF"):
+            solve_many(m, targets)
+
+
+def test_independent_columns_against_rank():
+    # the unit-row witness and the rank decide alike
+    for rows in ([[1, 0], [0, 1], [5, 7]], [[2, 4], [1, 2]],
+                 [[1, 1], [0, 0]], [[0, 1], [1, 0], [1, 1]], [[2], [4]]):
+        m = ExactMatrix.from_rows(rows)
+        assert independent_columns(m) == (rank(m) == m.cols), rows
+    wide = ExactMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    assert not independent_columns(wide)
+    assert independent_columns(kernel_basis(wide))
 
 
 @given(matrix_strategy(5, sparse_rationals))

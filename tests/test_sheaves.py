@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from strat_ic.examples import get_example
 from strat_ic import duality, sheaves, spaces
-from strat_ic.linalg import CochainComplex, ExactMatrix, FGAbelianGroup
+from strat_ic.linalg import (CochainComplex, ExactMatrix, FGAbelianGroup,
+                             kernel_basis)
 from strat_ic.sheaves import (
     NotOpen, NotOpenComplement, SheafComplex, SheafError, _flags,
     constant_sheaf, derived_pushforward, external_tensor, flag_complex,
@@ -641,3 +642,158 @@ def test_flags_stop_at_longest():
     for longest in range(1, 5):
         assert _flags(cells, longest) == [f for f in every
                                           if len(f) <= longest]
+
+
+# -- differential: certified by construction against the generic validate ---
+#
+# No constructor calls `SheafComplex.validate`: pushforwards, truncations and
+# tensors certify themselves from how they are built, at every size.  The
+# generic check (chain maps and functoriality by exact products) and d o d = 0
+# on every stalk must still pass on each of them.
+
+def _assert_certified(F):
+    F.validate()
+    for cx in F.stalks.values():
+        cx.certify()
+
+
+def _rebased(m, draw):
+    # the same column span, rebased by 2I plus a random strictly upper
+    # triangular matrix (invertible), which turns the unit rows that
+    # kernel_basis puts on its free rows into rows without a lone 1
+    n = m.cols
+    ent = {(i, i): 2 for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(st.integers(-2, 2))
+            if v:
+                ent[(i, j)] = v
+    return m * ExactMatrix(n, n, ent)
+
+
+@st.composite
+def _built_pushforwards(draw):
+    # a derived pushforward off a random closed set of cone-s1 or off the
+    # singular stratum of a cone or suspension, or a collapse pushforward;
+    # assembled in every degree or through k + 1 for a drawn cutoff k
+    k = draw(st.integers(0, 2))
+    through = draw(st.sampled_from([None, k + 1]))
+    kind = draw(st.sampled_from(["closed", "stratum", "collapse"]))
+    rank_ = draw(st.sampled_from([1, 2]))
+    if kind == "closed":
+        s, closed = draw(_closed_subsets())
+        push = derived_pushforward(constant_sheaf(s, rank_), closed, through)
+    elif kind == "stratum":
+        s = get_example(draw(st.sampled_from(["cone-s1", "cone-t2",
+                                              "suspension-s2"])))
+        push = derived_pushforward(constant_sheaf(s, rank_),
+                                   s.filtration_stage(0), through)
+    else:
+        total, quotient, cmap = _collapse_case(
+            draw(st.sampled_from(["s1", "s2"])))
+        push = kan_pushforward(constant_sheaf(total, rank_), cmap, quotient,
+                               through)
+    return push, k
+
+
+@given(_built_pushforwards(), st.data())
+@settings(max_examples=20, deadline=None)
+def test_constructed_sheaves_pass_generic_validate(case, data):
+    push, k = case
+    _assert_certified(push)
+    _assert_certified(truncate(push, k))
+    # the same truncation through rebased kernels: caller subspaces without
+    # the unit-row witness, solved through the RREF
+    cells = data.draw(st.sets(st.sampled_from(sorted(push.stalks))))
+    subs = {c: _rebased(kernel_basis(push.stalk(c).diff(k)), data.draw)
+            for c in cells}
+    _assert_certified(truncate(push, k, subspaces=subs))
+
+
+@pytest.mark.parametrize("pair,coefficient", [
+    (("s1", "s1"), 1), (("cone-s1", "s1"), 2),
+    (("s1", "s1"), FGAbelianGroup(1, (2,)))])
+def test_external_tensors_pass_generic_validate(pair, coefficient):
+    a, b = (get_example(n) for n in pair)
+    fx = constant_sheaf(a, coefficient)
+    if a.singular_levels():
+        # a truncated pushforward factor: stalks in several degrees and
+        # restrictions that are not identities
+        fx = truncate(derived_pushforward(fx, a.filtration_stage(0)), 1)
+    _assert_certified(external_tensor(fx, constant_sheaf(b, coefficient),
+                                      product(a, b)))
+
+
+def test_large_pushforward_passes_generic_validate():
+    # above the size that once gated validate in the constructors
+    s = get_example("suspension-t2")
+    push = derived_pushforward(constant_sheaf(s, 1), s.filtration_stage(0))
+    assert push.total_dimension() > sheaves._CHECK_LIMIT
+    _assert_certified(push)
+    _assert_certified(truncate(push, 1))
+
+
+def test_refined_truncation_passes_generic_validate():
+    # refined_ic hands truncate caller subspaces: image plus lifted classes
+    from strat_ic.ic import (Mezzoperversity, lagrangian_subspaces,
+                             link_middle_form, refined_ic)
+    s = get_example("suspension-t2")
+    choices = {v: lagrangian_subspaces(link_middle_form(s, v)[2],
+                                       count_limit=1)[0]
+               for v in s.stratum(0)}
+    _assert_certified(refined_ic(s, Mezzoperversity(choices)).sheaf)
+
+
+def test_truncate_rejects_dependent_subspace_columns():
+    # the certificate multiplies by the basis and needs it injective; a
+    # repeated kernel column spans the right space but is refused, also
+    # under -O
+    code = "\n".join([
+        "from strat_ic.examples import get_example",
+        "from strat_ic.linalg import kernel_basis",
+        "from strat_ic.sheaves import (SheafError, constant_sheaf,",
+        "                              derived_pushforward, truncate)",
+        "Rj = derived_pushforward(constant_sheaf(get_example('cone-s1'), 1),",
+        "                         [(3,)])",
+        "kb = kernel_basis(Rj.stalk((3,)).diff(0))",
+        "for subs in ({(3,): kb}, {(3,): kb.stack_cols(kb)}):",
+        "    try:",
+        "        truncate(Rj, 0, subspaces=subs)",
+        "        print('accepted')",
+        "    except SheafError as e:",
+        "        print('rejected:', e)",
+    ])
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "accepted",
+            "rejected: subspace at (3,) has dependent columns",
+        ]
+
+
+def test_pushforward_rejects_fiber_not_nested_in_its_faces():
+    # the fibers are nested because the target cells over an image cell
+    # are its faces; a face lookup that loses the vertex (0,) leaves the
+    # fiber over (0,) empty while the fibers over the edges at (0,) are
+    # not.  The restriction would be a zero map, not a projection: refused,
+    # also under -O
+    code = "\n".join([
+        "from strat_ic import sheaves",
+        "from strat_ic.examples import get_example",
+        "faces = sheaves.closure",
+        "sheaves.closure = lambda cells: [c for c in faces(cells)",
+        "                                 if c != (0,)]",
+        "F = sheaves.constant_sheaf(get_example('cone-s1'), 1)",
+        "try:",
+        "    sheaves.derived_pushforward(F, [(3,)])",
+        "    print('accepted')",
+        "except sheaves.SheafError as e:",
+        "    print('rejected:', e)",
+    ])
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
+        assert proc.returncode == 0, proc.stderr
+        line, = proc.stdout.splitlines()
+        assert line.startswith("rejected: the fiber over "), line
+        assert line.endswith("is not inside the fiber over its face (0,)")
