@@ -23,9 +23,7 @@ Row elimination happens in exactly four routines:
   answer off those rows and certifies it with one exact product instead of
   eliminating.
 - `rank` (over Q, sparsest pivots first) gives the rank alone; it drives
-  `CochainComplex.betti_numbers` and independence checks
-  (`independent_columns`, where a unit row per column does not already
-  witness it).
+  `CochainComplex.betti_numbers` and independence checks.
 
   Both work fraction-free (after Bareiss, Math. Comp. 1968) on integer
   rows with a column -> rows index; see `_eliminate`.
@@ -60,7 +58,6 @@ __all__ = [
     "kernel_basis",
     "solve",
     "solve_many",
-    "independent_columns",
     "smith_normal_form",
     "tensor_complex",
     "tor1",
@@ -371,7 +368,8 @@ def solve_many(m, targets):
     if targets.rows != m.rows:
         raise ValueError("targets of shape %r for a matrix of shape %r"
                          % (targets.shape, m.shape))
-    unit = _unit_rows(m)
+    count = Counter(i for i, _j in m.entries)
+    unit = {i: j for (i, j), v in m.entries.items() if v == 1 and count[i] == 1}
     if len(set(unit.values())) == m.cols:
         x = ExactMatrix._of(m.cols, targets.cols,
                             {(unit[i], c): v
@@ -389,29 +387,6 @@ def solve_many(m, targets):
         raise CertificateError("solution read off the RREF fails m * X == "
                                "targets")
     return x
-
-
-def _unit_rows(m):
-    """{row: column} for the rows of m whose only nonzero is a 1."""
-    count = Counter(i for i, _j in m.entries)
-    return {i: j for (i, j), v in m.entries.items() if v == 1 and count[i] == 1}
-
-
-def independent_columns(m):
-    """True when the columns of m are linearly independent.
-
-    A unit row for every column (a row whose only nonzero is a 1 there, as
-    in every `kernel_basis` result) witnesses it without elimination;
-    otherwise rank(m) == m.cols decides.
-
-    >>> independent_columns(ExactMatrix.from_rows([[1, 0], [3, 5], [0, 1]]))
-    True
-    >>> independent_columns(ExactMatrix.from_rows([[1, 2], [2, 4]]))
-    False
-    """
-    if len(set(_unit_rows(m).values())) == m.cols:
-        return True
-    return rank(m) == m.cols
 
 
 def solve(m, target):
@@ -933,13 +908,13 @@ class CochainComplex:
         ker d^k, that is d^k d^{k-1} = 0, is re-checked exactly on the
         input (on row dicts, as in `certify`) and raises CertificateError
         when it fails.  The groups are then read off `_reduce_units(self)`,
-        which has the same cohomology and whose differentials hold no +-1.  There ker d^k is a direct
-        summand of C^k (C^k / ker d^k embeds in the free group C^{k+1}),
-        so C^k / im d^{k-1} = H^k + Z^{rank d^k}: one Smith form of d^{k-1}
-        gives the cokernel, whose free rank loses rank d^k.  The Smith form
-        of d^k, taken once for degree k + 1, gives that rank too, as
-        dim C^{k+1} minus the free rank of its cokernel.  A zero remainder
-        differential needs no Smith form at all.
+        which has the same cohomology and whose differentials hold no +-1.
+        There ker d^k is a direct summand of C^k (C^k / ker d^k embeds in
+        the free group C^{k+1}), so C^k / im d^{k-1} = H^k + Z^{rank d^k}:
+        one Smith form of d^{k-1} gives the cokernel, whose free rank loses
+        rank d^k.  The Smith form of d^k, taken once for degree k + 1, gives
+        that rank too, as dim C^{k+1} minus the free rank of its cokernel.
+        A zero remainder differential needs no Smith form at all.
         """
         prev = None                   # rows of d^{k-1}: C^{k-1} -> C^k
         for k in self.degrees():

@@ -14,7 +14,8 @@ size, and never call it:
   faces; key-matching projections are then chain maps and compose.
 - `truncate`: the input's maps below the cutoff, and at the cutoff the
   exact products of `solve_many` through injective bases.
-- `external_tensor`: Kronecker products of its factors' chain maps.
+- `external_tensor`: Kronecker products of its factors' chain maps, each
+  the shape of its block in the tensor layouts.
 
 Cohomology over the whole complex uses the incidence total complex (one
 summand per cell, horizontal differential weighted by incidence signs).
@@ -36,8 +37,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linalg import (CochainComplex, ExactMatrix, FGAbelianGroup,
-                     independent_columns, kernel_basis, solve_many)
+from .linalg import (CochainComplex, ExactMatrix, FGAbelianGroup, kernel_basis,
+                     rank, solve_many)
 from .spaces import FacePoset, closure
 
 
@@ -641,7 +642,9 @@ def external_tensor(fx, fy, prod):
     Certificate, from certified factors: each restriction is the Kronecker
     product ra (x) rb blockwise, and a tensor of chain maps is a chain map
     of the Koszul total complexes; functoriality holds factor by factor,
-    since (ra' ra) (x) (rb' rb) = (ra' (x) rb') (ra (x) rb).
+    since (ra' ra) (x) (rb' rb) = (ra' (x) rb') (ra (x) rb).  At run time
+    every ra (x) rb must have the shape of its (p, q) block in both stalk
+    layouts, so the index arithmetic stays inside it (SheafError if not).
     """
     from .spaces import product_projections
     ny = prod.n_right
@@ -667,15 +670,23 @@ def external_tensor(fx, fy, prod):
                 if stalks[tau].dim(k) == 0 or stalks[sig].dim(k) == 0:
                     continue
                 ent = {}
-                tgt_pos = {(p, q): off for (p, q, off) in tgt_layout.get(k, [])}
-                for (p, q, soff) in src_layout.get(k, []):
-                    toff = tgt_pos.get((p, q))
-                    if toff is None:
+                tgt_blocks = _tensor_blocks(tgt_layout.get(k, []),
+                                            stalks[tau].dim(k))
+                src_blocks = _tensor_blocks(src_layout.get(k, []),
+                                            stalks[sig].dim(k))
+                for (p, q), (soff, ssize) in src_blocks.items():
+                    if (p, q) not in tgt_blocks:
                         continue
+                    toff, tsize = tgt_blocks[(p, q)]
                     ra = fx.restriction(asig, at, p)
                     rb = fy.restriction(bsig, bt, q)
-                    wy = fy.stalks[bsig].dim(q)
-                    wyt = fy.stalks[bt].dim(q)
+                    # entry (i1 wyt + i2, j1 wy + j2) of ra (x) rb lands in
+                    # its block when ra (x) rb has the block's shape
+                    wyt, wy = rb.shape
+                    if (ra.rows * wyt, ra.cols * wy) != (tsize, ssize):
+                        raise SheafError(
+                            "restriction %r -> %r does not fill its tensor "
+                            "block %r in degree %d" % (sig, tau, (p, q), k))
                     for (i1, j1), v1 in ra.entries.items():
                         for (i2, j2), v2 in rb.entries.items():
                             ent[(toff + i1 * wyt + i2,
@@ -684,6 +695,13 @@ def external_tensor(fx, fy, prod):
                                       stalks[sig].dim(k), ent)
             restrictions[(sig, tau)] = mats
     return SheafComplex(prod, stalks, restrictions, check=False)
+
+
+def _tensor_blocks(layout, dim):
+    """{(p, q): (offset, size)} for one degree of a `tensor_complex` layout
+    whose degree has dimension dim."""
+    ends = [off for (_p, _q, off) in layout[1:]] + [dim]
+    return {(p, q): (off, end - off) for (p, q, off), end in zip(layout, ends)}
 
 
 def truncate(sheaf, degree, subspaces=None):
@@ -704,8 +722,8 @@ def truncate(sheaf, degree, subspaces=None):
     k = int(degree)
     subspaces = {tuple(c): m for c, m in (subspaces or {}).items()}
     for c, m in subspaces.items():
-        # only caller bases need this: kernel_basis has a unit row per column
-        if not independent_columns(m):
+        # kernel_basis is injective by construction (a unit row per column)
+        if rank(m) != m.cols:
             raise SheafError("subspace at %r has dependent columns" % (c,))
     bases = {}
     stalks = {}

@@ -17,7 +17,6 @@ from strat_ic.linalg import (
     CochainComplex,
     ExactMatrix,
     FGAbelianGroup,
-    independent_columns,
     kernel_basis,
     rank,
     rref,
@@ -813,17 +812,6 @@ def test_solve_many_certifies_rref_answers():
     with mock.patch.object(linalg, "rref", off_by_one):
         with pytest.raises(CertificateError, match="RREF"):
             solve_many(m, targets)
-
-
-def test_independent_columns_against_rank():
-    # the unit-row witness and the rank decide alike
-    for rows in ([[1, 0], [0, 1], [5, 7]], [[2, 4], [1, 2]],
-                 [[1, 1], [0, 0]], [[0, 1], [1, 0], [1, 1]], [[2], [4]]):
-        m = ExactMatrix.from_rows(rows)
-        assert independent_columns(m) == (rank(m) == m.cols), rows
-    wide = ExactMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
-    assert not independent_columns(wide)
-    assert independent_columns(kernel_basis(wide))
 
 
 @given(matrix_strategy(5, sparse_rationals))

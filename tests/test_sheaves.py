@@ -724,6 +724,28 @@ def test_external_tensors_pass_generic_validate(pair, coefficient):
                                       product(a, b)))
 
 
+def test_external_tensor_refuses_a_block_of_the_wrong_shape(monkeypatch):
+    # a layout that swaps the labels of two blocks of unequal size puts
+    # each Kronecker block where it does not fit; the tensor refuses it
+    from strat_ic import linalg
+    real = linalg.tensor_complex
+
+    def swapped(x, y):
+        cx, layout = real(x, y)
+        for n, blocks in layout.items():
+            if len(blocks) == 2:
+                (p0, q0, o0), (p1, q1, o1) = blocks
+                layout[n] = [(p1, q1, o0), (p0, q0, o1)]
+        return cx, layout
+    a, b = get_example("s1"), get_example("s1")
+    fx = constant_sheaf(a, FGAbelianGroup(1, (2,)))     # dims 1, 2
+    fy = constant_sheaf(b, FGAbelianGroup(0, (2,)))     # dims 1, 1
+    _assert_certified(external_tensor(fx, fy, product(a, b)))
+    monkeypatch.setattr(linalg, "tensor_complex", swapped)
+    with pytest.raises(SheafError, match="tensor block"):
+        external_tensor(fx, fy, product(a, b))
+
+
 def test_large_pushforward_passes_generic_validate():
     # above the size that once gated validate in the constructors
     s = get_example("suspension-t2")
