@@ -73,7 +73,9 @@ class ReportBundle:
 
     def add(self, label, values, source="computed", verdict=None,
             informational=False):
-        assert source in ("computed", "oracle", "target")
+        if source not in ("computed", "oracle", "target"):
+            raise ValueError("row source %r not one of computed, oracle, "
+                             "target" % (source,))
         self.rows.append({
             "label": label,
             "source": source,

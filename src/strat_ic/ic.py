@@ -543,9 +543,10 @@ def last_vertex_cochain_map(vertex, flag_stalk_layout, n_rows, link, link_deg):
         idx = link_index.get(simplex)
         if idx is None:
             continue
-        sign = _permutation_sign(verts)
-        assert sz == 1
-        ent[(off, idx)] = sign
+        if sz != 1:
+            raise ICError("last-vertex transport needs rank-one stalks; "
+                          "block %r has size %d" % ((f, q), sz))
+        ent[(off, idx)] = _permutation_sign(verts)
     return ExactMatrix(n_rows, len(link_cells), ent)
 
 

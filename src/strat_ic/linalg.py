@@ -11,22 +11,20 @@ Matrices act on column vectors: a matrix with shape (rows, cols) sends Q^cols
 to Q^rows.  A differential d^k of a cochain complex is stored as the matrix of
 shape (dim^{k+1}, dim^k).
 
-Row elimination happens in exactly four routines:
+Row elimination happens in exactly three routines:
 
-- `rref` (over Q, pivots in column order) answers every span query:
-  `kernel_basis`, `solve` and `solve_many` (one elimination of
-  [m | targets]), and `CochainComplex.cohomology_basis` (pivot columns of
-  [image | kernel basis]).  RREF is unique, so every basis it picks is
-  deterministic.  `kernel_basis` returns a sparse matrix whose columns are
-  the basis; it is the identity on the rows of the free columns, so
-  `solve_many` against it, or against any matrix with such rows, reads the
-  answer off those rows and certifies it with one exact product instead of
-  eliminating.
-- `rank` (over Q, sparsest pivots first) gives the rank alone; it drives
-  `CochainComplex.betti_numbers` and independence checks.
-
-  Both work fraction-free (after Bareiss, Math. Comp. 1968) on integer
-  rows with a column -> rows index; see `_eliminate`.
+- `rref` (over Q, pivots in column order) answers every span and rank
+  query: `kernel_basis`, `solve` and `solve_many` (one elimination of
+  [m | targets]), `CochainComplex.cohomology_basis` (pivot columns of
+  [image | kernel basis]), and `rank` (the number of pivots), which drives
+  `CochainComplex.betti_numbers` and independence checks.  RREF is unique,
+  so every basis it picks is deterministic.  `kernel_basis` returns a
+  sparse matrix whose columns are the basis; it is the identity on the
+  rows of the free columns, so `solve_many` against it, or against any
+  matrix with such rows, reads the answer off those rows and certifies it
+  with one exact product on the other rows instead of eliminating.  It
+  works fraction-free (after Bareiss, Math. Comp. 1968) on integer rows
+  with a column -> rows index; see `_eliminate`.
 - `_reduce_units` cancels every pair of cells joined by a +-1 incidence
   from a cochain complex, on row dicts with a column -> rows index through
   `_axpy` (see `_cancel`).  The remainder has the same cohomology over Z,
@@ -250,11 +248,15 @@ def rref(m):
     Returns (R, pivot_cols) where R is the RREF of m and pivot_cols the sorted
     pivot column indices.  The RREF is unique, so R and every basis read
     off it do not depend on the pivot rows: each pivot is the sparsest
-    unused row with a nonzero in its column (ties to the lower index) and
-    touches only the rows with a nonzero there.  Rows stay integer vectors
-    (divided by their content after each elimination, except under a +-1
-    pivot, see `_eliminate`) until the pivot rows are divided by their
-    pivots, at the end; a quotient the pivot divides stays an int.
+    unused row with a nonzero in its column and touches only the rows with
+    a nonzero there.  Ties go to the higher index, which changes only the
+    speed: a star of rows e_c - e_v, as a truncated pushforward's
+    differential has at each open cell v, then pivots on its last row and
+    fills only its last column, not every column in turn.  Rows stay
+    integer vectors (divided by their content after each elimination,
+    except under a +-1 pivot, see `_eliminate`) until the pivot rows are
+    divided by their pivots, at the end; a quotient the pivot divides
+    stays an int.
     """
     rows = [_primitive(row) for row in _int_rows(m)]
     cols = [set() for _ in range(m.cols)]
@@ -266,7 +268,7 @@ def rref(m):
         cand = [r for r in cols[col] if not used[r]]
         if not cand:
             continue
-        pr = min(cand, key=lambda r: (len(rows[r]), r))
+        pr = min(cand, key=lambda r: (len(rows[r]), -r))
         prow = rows[pr]
         for r in list(cols[col]):
             if r != pr:
@@ -284,38 +286,9 @@ def rref(m):
 
 
 def rank(m):
-    """Exact rank.  Eliminates integer rows like `rref`, but
-    pivots on the sparsest row, then the sparsest column in it, to limit
-    fill-in; ties go to the lower index.  The answer does not depend on the
-    pivot order, only the speed."""
-    rows = [_primitive(row) for row in _int_rows(m)]
-    cols = [set() for _ in range(m.cols)]
-    for i, j in m.entries:
-        cols[j].add(i)
-    # (length, row) for every live row; a row whose length changes is pushed
-    # again, and entries that no longer match their row are skipped
-    heap = [(len(row), r) for r, row in enumerate(rows) if row]
-    heapq.heapify(heap)
-    rnk = 0
-    while heap:
-        n, pr = heapq.heappop(heap)
-        prow = rows[pr]
-        if prow is None or len(prow) != n:
-            continue
-        pc = min(prow, key=lambda c: (len(cols[c]), c))
-        for r in list(cols[pc]):
-            if r == pr:
-                continue
-            row = rows[r]
-            n2 = len(row)
-            _eliminate(row, prow, pc, cols, r)
-            if row and len(row) != n2:
-                heapq.heappush(heap, (len(row), r))
-        for c in prow:
-            cols[c].discard(pr)
-        rows[pr] = None
-        rnk += 1
-    return rnk
+    """Exact rank: the number of pivots of `rref`; a zero matrix has none
+    and is not eliminated."""
+    return len(rref(m)[1]) if m.entries else 0
 
 
 def kernel_basis(m):
@@ -326,10 +299,15 @@ def kernel_basis(m):
     other nonzero, so the basis is the identity on the free rows (see
     `solve_many`).
 
+    A zero matrix has every column free, so its basis is the identity,
+    with no elimination.
+
     >>> m = ExactMatrix.from_rows([[1, 1, 0], [0, 0, 1]])
     >>> kernel_basis(m).to_triples()
     [(0, 0, '-1/1'), (1, 0, '1/1')]
     """
+    if not m.entries:
+        return ExactMatrix.identity(m.cols)
     r, pivot_cols = rref(m)
     pivset = set(pivot_cols)
     free = {f: t for t, f in enumerate(f for f in range(m.cols)
@@ -348,13 +326,16 @@ def solve_many(m, targets):
 
     When every column j of m has a row whose only nonzero is a 1 at j, as
     every `kernel_basis` result does, row j of X is forced to be the
-    targets' row there, and the exact product m * X == targets certifies
-    it (if it fails, nothing solves).  Such columns are independent, so the
-    answer is unique.  Otherwise one elimination of [m | targets]: a column
-    lies in the span of m exactly when no pivot lands in the target block;
-    free variables are set to zero, so X is read off the pivot rows, and
-    the same product certifies it (CertificateError if it fails).  So every
-    X returned satisfies m * X == targets exactly.
+    targets' row there: one such row per column is read off.  On a row
+    read off, m * X is the row of X it was copied to, so that row of
+    m * X == targets holds by construction; the exact product is checked
+    on every other row, which is the whole check (if it fails, nothing
+    solves).  Such columns are independent, so the answer is unique.
+    Otherwise one elimination of [m | targets]: a column lies in the span
+    of m exactly when no pivot lands in the target block; free variables
+    are set to zero, so X is read off the pivot rows, and the full product
+    certifies it (CertificateError if it fails).  So every X returned
+    satisfies m * X == targets exactly.
 
     >>> m = ExactMatrix.from_rows([[1, 1], [0, 0]])
     >>> solve_many(m, ExactMatrix.from_rows([[2, 3], [0, 0]])).to_triples()
@@ -369,13 +350,23 @@ def solve_many(m, targets):
         raise ValueError("targets of shape %r for a matrix of shape %r"
                          % (targets.shape, m.shape))
     count = Counter(i for i, _j in m.entries)
-    unit = {i: j for (i, j), v in m.entries.items() if v == 1 and count[i] == 1}
-    if len(set(unit.values())) == m.cols:
+    read = {}   # column -> the unit row its row of X is read off
+    for (i, j), v in m.entries.items():
+        if v == 1 and count[i] == 1:
+            read.setdefault(j, i)
+    if len(read) == m.cols:
+        col_of = {i: j for j, i in read.items()}
         x = ExactMatrix._of(m.cols, targets.cols,
-                            {(unit[i], c): v
+                            {(col_of[i], c): v
                              for (i, c), v in targets.entries.items()
-                             if i in unit})
-        return x if m * x == targets else None
+                             if i in col_of})
+        rest = ExactMatrix._of(m.rows, m.cols,
+                               {ij: v for ij, v in m.entries.items()
+                                if ij[0] not in col_of})
+        want = ExactMatrix._of(targets.rows, targets.cols,
+                               {ic: v for ic, v in targets.entries.items()
+                                if ic[0] not in col_of})
+        return x if rest * x == want else None
     r, pivot_cols = rref(m.stack_cols(targets))
     if pivot_cols and pivot_cols[-1] >= m.cols:
         return None
@@ -979,8 +970,8 @@ def _reduce_units(cx):
     splits off a summand Z s -+1-> Z t, so the remainder has the same
     cohomology over Z, and its differentials hold no +-1.
 
-    Pivots are picked like `rank`'s: the sparsest row with a unit, then its
-    unit column with the fewest entries.  The remainder is a new
+    Pivots are picked to limit fill-in: the sparsest row with a unit, then
+    its unit column with the fewest entries.  The remainder is a new
     `CochainComplex`, so d o d = 0 is re-checked on it in exact arithmetic
     and raises CertificateError when it fails.
     """

@@ -13,7 +13,9 @@ size, and never call it:
   rows inside its columns, and every fiber nested in the fibers of its
   faces; key-matching projections are then chain maps and compose.
 - `truncate`: the input's maps below the cutoff, and at the cutoff the
-  exact products of `solve_many` through injective bases.
+  exact products of `solve_many` through injective bases; on a fiber with
+  a least cell the basis comes from the cone contraction, certified by a
+  partner check on the layout and one product.
 - `external_tensor`: Kronecker products of its factors' chain maps, each
   the shape of its block in the tensor layouts.
 
@@ -37,8 +39,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linalg import (CochainComplex, ExactMatrix, FGAbelianGroup, kernel_basis,
-                     rank, solve_many)
+from .linalg import (CertificateError, CochainComplex, ExactMatrix,
+                     FGAbelianGroup, _rows, kernel_basis, rank, solve_many)
 from .spaces import FacePoset, closure
 
 
@@ -508,6 +510,15 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
     from sig's), and no row of tau's slice leaves its columns; so the
     projection onto tau's flags sends d_sig to d_tau (a chain map), and
     projections between nested slices compose to projections (strict).
+
+    Least cells.  The result records, as `least_cells`, each target cell's
+    least fiber cell: the fiber cell that is a face of every other, or
+    None.  A fiber with one is a poset with an initial object, so its flag
+    complex contracts onto the stalk of that cell (Bousfield and Kan,
+    1972), and `truncate` writes its kernel bases down by that contraction
+    instead of eliminating; see there for the proof and its certificate.
+    Along the inclusion of an open set (`derived_pushforward`) every open
+    cell is its own fiber's least cell.
     """
     cmap = {tuple(a): tuple(b) for a, b in cell_map.items()}
     src = sheaf.space.complex
@@ -528,6 +539,16 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
     stalks, layouts = _fiber_slices(flag_complex(sheaf, list(cmap), through),
                                     target_space.complex.cells,
                                     lambda f: over[cmap[f[0]]])
+    fibers = {t: [] for t in target_space.complex.cells}
+    for c, b in cmap.items():
+        for t in over[b]:
+            fibers[t].append(c)
+    least = {}
+    for t, cells in fibers.items():
+        # a least cell is the one smallest cell, so ties leave None
+        s = min(cells, key=len, default=None)
+        faces = set(s or ())
+        least[t] = s if all(faces.issubset(c) for c in cells) else None
     index = {t: _block_index(layout) for t, layout in layouts.items()}
     restrictions = {}
     tposet = FacePoset(target_space.complex)
@@ -550,6 +571,7 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
             restrictions[(sig, tau)] = mats
     out = SheafComplex(target_space, stalks, restrictions, check=False)
     out.stalk_layouts = layouts
+    out.least_cells = least
     out.through = through
     return out
 
@@ -713,23 +735,60 @@ def truncate(sheaf, degree, subspaces=None):
     refined middle-degree conditions.  Its columns must be independent,
     else SheafError.
 
-    Certificate, from a certified input.  Below k the maps are the input's.
-    With B the basis at a cell, `solve_many` certifies B X = d^{k-1} and
-    B_b Y = r B_a exactly, so each output identity at k (d o d = 0, chain
-    map, functoriality) times B on the left is the input's, and B is
+    Kernel bases.  A stalk of a pushforward whose fiber has a least cell s
+    (`kan_pushforward`'s `least_cells`) gets its basis of ker d^k from the
+    stalk itself, with no elimination (`_cone_kernel`); every other stalk
+    gets `kernel_basis`.  Every flag a whose bottom is not s (an A-flag)
+    has a partner (s) + a, and the arrow from block (a, q) to
+    ((s) + a, q) drops s: sign +1, identity matrix.  Every flag with bottom
+    s but (s) is such a partner, so this is an acyclic matching with unit
+    weights (Skoldberg, "Morse theory from an algebraic viewpoint", Trans.
+    AMS 2006), and it leaves the stalk F_s on (s), whose differential d_s
+    is the (s) -> (s) block: the stalk contracts onto F_s, as a homotopy
+    limit over a poset with an initial object does (Bousfield and Kan,
+    "Homotopy Limits, Completions and Localizations", 1972).  Deleting s
+    from the front is a homotopy h with id - iota pi = dh + hd, and h lands
+    on the A-flags, so every cocycle is iota(pi x) plus a coboundary of the
+    A-flags.  The basis is
+    - the columns of d^(k-1) at the A-flags of degree k - 1, in layout
+      order; each has a lone +1, on its partner's row;
+    - iota(z) for z in `kernel_basis` of d_s: z on (s), and on each
+      one-cell flag (c) the restriction r(s, c) z, read off as minus the
+      ((s, c), k) block of d^k(z on (s)).  Its unit rows are z's, on (s),
+      where the A-columns vanish.
+
+    Certificate, from a certified input, at every size.  Kernel: the
+    A-columns are cocycles by the pushforward's d o d = 0 certificate, and
+    d^k iota(Z) = 0 is checked with one product (CertificateError).  The
+    columns are independent, each having a lone +1 row.  They span: every
+    A-flag of degrees k - 1 and k has its partner block in the layout, and
+    every partner of degree k its A-flag (SheafError if not; a pushforward
+    cut at k must hold degree k + 1).  Then d^k, on the partner rows of
+    the A-flags of degree k and on (s), is [[I, *], [0, d_s]] from the
+    A-columns and (s), so dim ker d^k is at most the number of partners of
+    degree k plus dim ker d_s, which is the number of columns.  Caller
+    subspaces are checked independent by rank.  Maps: below k they are
+    the input's.  With B the basis at a cell, `solve_many` certifies
+    B X = d^{k-1} and B_b Y = r B_a exactly (r B_a is a row selection of
+    B_a when every row of r holds a lone 1, as a pushforward's
+    projections do), so each output identity at k (d o d = 0, chain map,
+    functoriality) times B on the left is the input's, and B is
     injective.
     """
     k = int(degree)
     subspaces = {tuple(c): m for c, m in (subspaces or {}).items()}
     for c, m in subspaces.items():
-        # kernel_basis is injective by construction (a unit row per column)
+        # kernel bases are injective by construction (a unit row per column)
         if rank(m) != m.cols:
             raise SheafError("subspace at %r has dependent columns" % (c,))
+    least = getattr(sheaf, "least_cells", {})
     bases = {}
     stalks = {}
     for c, cx in sheaf.stalks.items():
         if c in subspaces:
             kb = subspaces[c]
+        elif least.get(c) is not None:
+            kb = _cone_kernel(cx, sheaf.stalk_layouts[c], least[c], k)
         else:
             kb = kernel_basis(cx.diff(k))
         bases[c] = kb
@@ -752,13 +811,21 @@ def truncate(sheaf, degree, subspaces=None):
             dims = {k: 0}
         stalks[c] = CochainComplex(dims, diffs, check=False)
     restrictions = {}
+    basis_rows = {}     # cell -> row dicts of its basis, once selected from
     for (a, b), mats in sheaf.restrictions.items():
         out = {}
         for q, m in mats.items():
             if q < k:
                 out[q] = m
             elif q == k:
-                full = sheaf.restriction(a, b, k) * bases[a]
+                r = sheaf.restriction(a, b, k)
+                pick = _row_selection(r)
+                if pick is None:
+                    full = r * bases[a]
+                else:
+                    if a not in basis_rows:
+                        basis_rows[a] = _rows(bases[a])
+                    full = _rows_at(basis_rows[a], pick, bases[a].cols)
                 out[q] = solve_columns(bases[b], full)
         restrictions[(a, b)] = out
     out = SheafComplex(sheaf.space, stalks, restrictions, check=False)
@@ -768,3 +835,76 @@ def truncate(sheaf, degree, subspaces=None):
     out.cutoff = k
     out.inclusions = bases
     return out
+
+
+def _row_selection(r):
+    """[j_0, j_1, ...] when row i of r holds a lone 1, in column j_i (so
+    r * m is rows j_0, j_1, ... of m), else None."""
+    pick = [None] * r.rows
+    for (i, j), v in r.entries.items():
+        if v != 1 or pick[i] is not None:
+            return None
+        pick[i] = j
+    return None if None in pick else pick
+
+
+def _rows_at(rows, pick, cols):
+    """The matrix with `cols` columns whose row i is rows[pick[i]], from
+    row dicts: r * m for r with `_row_selection(r) == pick` and m with
+    `_rows(m) == rows`."""
+    return ExactMatrix._of(len(pick), cols, {(i, c): v
+                                             for i, j in enumerate(pick)
+                                             for c, v in rows[j].items()})
+
+
+def _cone_kernel(cx, layout, s, k):
+    """Basis of ker d^k on the flag-complex stalk `cx` (with `layout`)
+    of a fiber whose least cell is s: the A-columns of d^(k-1), then
+    iota of the kernel of d_s, certified as `truncate` says."""
+    index = _block_index(layout)
+    bottom = (s,)
+    for deg in (k - 1, k):
+        for (f, q, _off, size) in layout.get(deg, ()):
+            if f[0] != s:
+                mate = (bottom + f, q)
+            elif len(f) > 1 and deg == k:
+                mate = (f[1:], q)
+            else:
+                continue
+            spot = index.get(mate)
+            if spot is None or spot[2] != size:
+                raise SheafError(
+                    "block %r of the stalk over %r has no partner %r; a "
+                    "pushforward truncated at %d must hold degree %d"
+                    % ((f, q), s, mate, k, k + 1))
+    dk = cx.diff(k)
+    # the one-cell flags come first in each degree, and iota lives on them
+    width = sum(size for (f, _q, _off, size) in layout.get(k, ())
+                if len(f) == 1)
+    head = ExactMatrix._of(dk.rows, width, {
+        ij: v for ij, v in dk.entries.items() if ij[1] < width})
+    zs, nz = {}, 0
+    spot = index.get((bottom, k))
+    if spot is not None:
+        _, off, size = spot
+        _, toff, tsize = index.get((bottom, k + 1), (k + 1, 0, 0))
+        z = kernel_basis(ExactMatrix._of(tsize, size, {
+            (i - toff, j - off): v for (i, j), v in head.entries.items()
+            if off <= j < off + size and toff <= i < toff + tsize}))
+        zs, nz = {(off + i, t): v for (i, t), v in z.entries.items()}, z.cols
+        # d^k(z on (s)) is -r(s, c) z on each ((s, c), k): move it to (c)
+        back = {}
+        for (f, q, coff, csize) in layout[k]:
+            if len(f) == 1 and f[0] != s:
+                poff = index[(bottom + f, q)][1]
+                back.update((poff + x, coff + x) for x in range(csize))
+        lift = head * ExactMatrix._of(width, nz, dict(zs))
+        zs.update(((back[i], t), -v) for (i, t), v in lift.entries.items()
+                  if i in back)
+        if not (head * ExactMatrix._of(width, nz, zs)).is_zero():
+            raise CertificateError("a lifted kernel vector of the stalk over "
+                                   "%r is not a cocycle" % (s,))
+    iota = ExactMatrix._of(cx.dim(k), nz, zs)
+    acols = [off + x for (f, _q, off, size) in layout.get(k - 1, ())
+             if f[0] != s for x in range(size)]
+    return cx.diff(k - 1).submatrix_cols(acols).stack_cols(iota)

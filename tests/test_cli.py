@@ -518,3 +518,25 @@ def test_console_script_runs():
                       "--format", "text", optimize=False)
     assert proc.returncode == 0
     assert "ih-dims" in proc.stdout
+
+
+def test_report_row_source_is_checked_under_optimize():
+    # a row's source is one of three labels; anything else is a ValueError,
+    # a typed raise that -O keeps
+    code = "\n".join([
+        "from strat_ic.cli import ReportBundle",
+        "bundle = ReportBundle('ih', 'digest')",
+        "for source in ('oracle', 'guess'):",
+        "    try:",
+        "        bundle.add('row', [1], source=source)",
+        "        print('accepted', len(bundle.rows))",
+        "    except ValueError as e:",
+        "        print('rejected:', e)",
+    ])
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "accepted 1",
+            "rejected: row source 'guess' not one of computed, oracle, "
+            "target"]

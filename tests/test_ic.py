@@ -417,3 +417,33 @@ def test_deligne_matches_full_pushforward_reference(name, perversities,
         # the recorded pushforward reaches exactly the degree its
         # truncation reads
         assert G.untruncated.through == G.cutoff + 1
+
+
+def test_last_vertex_transport_refuses_wider_stalks_under_optimize():
+    # the transport writes one entry per flag block, so every block must
+    # have size one; a rank-two pushforward's blocks have size two.  The
+    # refusal is a typed raise, so it holds under -O
+    code = "\n".join([
+        "from strat_ic import spaces",
+        "from strat_ic.examples import get_example",
+        "from strat_ic.ic import ICError, last_vertex_cochain_map",
+        "from strat_ic.sheaves import constant_sheaf, derived_pushforward",
+        "s = get_example('cone-s1')",
+        "v = (3,)",
+        "lk = spaces.link(s, v)",
+        "for r in (1, 2):",
+        "    F = derived_pushforward(constant_sheaf(s, r), [v])",
+        "    try:",
+        "        m = last_vertex_cochain_map(v, F.stalk_layouts[v],",
+        "                                    F.stalk(v).dim(0), lk, 0)",
+        "        print('accepted', m.shape)",
+        "    except ICError as e:",
+        "        print('rejected:', e)",
+    ])
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
+        assert proc.returncode == 0, proc.stderr
+        accepted, rejected = proc.stdout.splitlines()
+        assert accepted.startswith("accepted ("), accepted
+        assert rejected.startswith(
+            "rejected: last-vertex transport needs rank-one stalks"), rejected

@@ -796,6 +796,60 @@ def test_solve_many_identity_rows_match_references(case):
         assert m * x == targets and _dense(x) == ref
 
 
+@st.composite
+def unit_row_systems(draw):
+    """(m, targets) for the unit-row path of solve_many, with a corrupted
+    read-off half the time.
+
+    Each column of m has one or two rows holding a lone 1, the other rows
+    are random.  targets is m * C; half the time one entry is perturbed in
+    a row that solve_many reads X off (so the X read off is corrupted),
+    in a second unit row of a column (which contradicts it) or in another
+    row.
+    """
+    r = draw(st.integers(1, 4))
+    twins = draw(st.sets(st.integers(0, r - 1), max_size=2))
+    extra = draw(st.integers(0, 3))
+    ent = {(j, j): 1 for j in range(r)}
+    units = r + len(twins)
+    for n, j in enumerate(sorted(twins)):
+        ent[(r + n, j)] = 1
+    for i in range(units, units + extra):
+        for j in range(r):
+            ent[(i, j)] = draw(sparse_rationals)
+    perm = draw(st.permutations(range(units + extra)))
+    m = ExactMatrix(units + extra, r,
+                    {(perm[i], j): v for (i, j), v in ent.items()})
+    nb = draw(st.integers(1, 3))
+    c = draw(st.lists(st.lists(sparse_rationals, min_size=nb, max_size=nb),
+                      min_size=r, max_size=r))
+    targets = m * ExactMatrix(r, nb, {(i, j): v for i, row in enumerate(c)
+                                      for j, v in enumerate(row)})
+    if draw(st.booleans()):
+        i = draw(st.integers(0, m.rows - 1))
+        j = draw(st.integers(0, nb - 1))
+        targets = targets + ExactMatrix(m.rows, nb,
+                                        {(i, j): draw(nonzero_rationals)})
+    return m, targets
+
+
+@given(unit_row_systems())
+def test_solve_many_unit_rows_certify_like_the_full_product(case):
+    # the product on the rows not read off refuses exactly what the full
+    # product refuses; every answer returned passes the full product
+    m, targets = case
+    with mock.patch.object(linalg, "rref", wraps=linalg.rref) as spy:
+        x = solve_many(m, targets)
+    assert not spy.called
+    ref = _rref_solve(m, targets)
+    assert x == ref
+    if x is None:
+        assert rank(m.stack_cols(targets)) > rank(m)
+    else:
+        assert m * x == targets
+        assert_normalized(x)
+
+
 def test_solve_many_certifies_rref_answers():
     # an answer read off a wrong RREF fails m * X == targets and is refused
     # with a CertificateError, not returned
@@ -1252,6 +1306,41 @@ def _reference_rank(m):
     return rnk
 
 
+def _markowitz_rank(m):
+    """Reference: a fraction-free Markowitz rank.  Integer rows are
+    eliminated by `linalg._eliminate` like `rref`'s, but each pivot is the
+    sparsest row (from a heap), then the sparsest column in it, ties to the
+    lower index; so `_eliminate` runs here in an order `rref` never uses."""
+    rows = [linalg._primitive(row) for row in linalg._int_rows(m)]
+    cols = [set() for _ in range(m.cols)]
+    for i, j in m.entries:
+        cols[j].add(i)
+    # (length, row) for every live row; a row whose length changes is pushed
+    # again, and entries that no longer match their row are skipped
+    heap = [(len(row), r) for r, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    rnk = 0
+    while heap:
+        n, pr = heapq.heappop(heap)
+        prow = rows[pr]
+        if prow is None or len(prow) != n:
+            continue
+        pc = min(prow, key=lambda c: (len(cols[c]), c))
+        for r in list(cols[pc]):
+            if r == pr:
+                continue
+            row = rows[r]
+            n2 = len(row)
+            linalg._eliminate(row, prow, pc, cols, r)
+            if row and len(row) != n2:
+                heapq.heappush(heap, (len(row), r))
+        for c in prow:
+            cols[c].discard(pr)
+        rows[pr] = None
+        rnk += 1
+    return rnk
+
+
 def _assert_matches_references(m):
     r, pivots = rref(m)
     want_r, want_pivots = _reference_rref(m)
@@ -1259,7 +1348,8 @@ def _assert_matches_references(m):
     assert r == want_r
     assert_normalized(r)
     assert_normalized(kernel_basis(m))
-    assert rank(m) == _reference_rank(m) == len(pivots)
+    assert rank(m) == len(pivots)
+    assert _reference_rank(m) == _markowitz_rank(m) == len(pivots)
 
 
 # mixed denominators, non-unit and negative pivots

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from strat_ic.examples import get_example
 from strat_ic import duality, sheaves, spaces
 from strat_ic.linalg import (CochainComplex, ExactMatrix, FGAbelianGroup,
-                             kernel_basis)
+                             kernel_basis, rank)
 from strat_ic.sheaves import (
     NotOpen, NotOpenComplement, SheafComplex, SheafError, _flags,
     constant_sheaf, derived_pushforward, external_tensor, flag_complex,
@@ -819,3 +819,272 @@ def test_pushforward_rejects_fiber_not_nested_in_its_faces():
         line, = proc.stdout.splitlines()
         assert line.startswith("rejected: the fiber over "), line
         assert line.endswith("is not inside the fiber over its face (0,)")
+
+
+# -- kernel bases by the cone contraction ------------------------------------
+#
+# A pushforward records each fiber's least cell; `truncate` writes the kernel
+# basis of a stalk with one down from the stalk (`_cone_kernel`) instead of
+# eliminating.  The reference is `kernel_basis` on the same stalk.
+
+def _ref_least_cell(push_source_cells, t):
+    # brute force: the fiber cell that is a face of every fiber cell
+    fiber = [c for c, b in push_source_cells.items() if set(t) <= set(b)]
+    for s in fiber:
+        if all(set(s) <= set(c) for c in fiber):
+            return s
+    return None
+
+
+def _ladder_pushforward(name, k, cut=0, coefficient=1):
+    # the last step of a ladder, through k + 1: on cone-cone-s1 a
+    # pushforward of a pushforward truncated at `cut`, whose stalks on the
+    # first stratum have a differential when cut > 0
+    s = get_example(name)
+    *upper, low = sorted(s.singular_levels(), reverse=True)
+    F = constant_sheaf(s, coefficient)
+    for p in upper:
+        F = truncate(derived_pushforward(F, s.filtration_stage(p)), cut)
+    return derived_pushforward(F, s.filtration_stage(low), through=k + 1)
+
+
+@st.composite
+def _pushforwards_with_least_cells(draw):
+    # derived pushforwards off random closed sets and singular strata, the
+    # fibration_decomposition collapse, and the last step of two ladders;
+    # through k + 1 or every degree.  The ladder's second step and torsion
+    # coefficients (stalks in degrees -1 and 0) give fibers whose least
+    # cell's stalk has a differential d_s
+    k = draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["closed", "stratum", "collapse", "ladder",
+                                 "torsion"]))
+    through = draw(st.sampled_from([None, k + 1]))
+    rank_ = draw(st.sampled_from([1, 2]))
+    if kind == "closed":
+        # nonempty: along the identity the pushforward is the sheaf itself
+        s, closed = draw(_closed_subsets().filter(lambda sc: sc[1]))
+        cmap = {c: c for c in s.complex.cells if c not in set(closed)}
+        push = derived_pushforward(constant_sheaf(s, rank_), closed, through)
+    elif kind == "stratum":
+        s = get_example(draw(st.sampled_from(["cone-s1", "cone-t2",
+                                              "suspension-s2"])))
+        closed = set(s.filtration_stage(0))
+        cmap = {c: c for c in s.complex.cells if c not in closed}
+        push = derived_pushforward(constant_sheaf(s, rank_), closed, through)
+    elif kind == "collapse":
+        total, quotient, cmap = _collapse_case(
+            draw(st.sampled_from(["s1", "s2"])))
+        push = kan_pushforward(constant_sheaf(total, rank_), cmap, quotient,
+                               through)
+    elif kind == "ladder":
+        push = _ladder_pushforward(
+            draw(st.sampled_from(["cone-cone-s1", "cone-product:s1,s1"])), k,
+            cut=draw(st.integers(0, 1)))
+        closed = set(push.space.filtration_stage(0))
+        cmap = {c: c for c in push.space.complex.cells if c not in closed}
+    else:
+        k -= 1
+        push = _ladder_pushforward(
+            draw(st.sampled_from(["cone-s1", "cone-cone-s1"])), k,
+            coefficient=FGAbelianGroup(1, (2,)))
+        closed = set(push.space.filtration_stage(0))
+        cmap = {c: c for c in push.space.complex.cells if c not in closed}
+    return push, cmap, k
+
+
+@given(_pushforwards_with_least_cells())
+@settings(max_examples=30, deadline=None)
+def test_cone_kernel_spans_the_kernel(case):
+    push, cmap, k = case
+    assert push.least_cells == {t: _ref_least_cell(cmap, t)
+                                for t in push.space.complex.cells}
+    cut = truncate(push, k)
+    for t, cx in push.stalks.items():
+        s = push.least_cells[t]
+        old = kernel_basis(cx.diff(k))
+        if s is None:
+            assert cut.inclusions[t] == old
+            continue
+        new = sheaves._cone_kernel(cx, push.stalk_layouts[t], s, k)
+        assert cut.inclusions[t] == new
+        assert_normalized(new)
+        assert (cx.diff(k) * new).is_zero()
+        assert rank(new) == new.cols == old.cols == rank(old.stack_cols(new))
+
+
+def test_derived_pushforward_least_cells_are_the_open_cells():
+    s = get_example("cone-t2")
+    closed = set(s.filtration_stage(0))
+    push = derived_pushforward(constant_sheaf(s, 1), closed, through=2)
+    assert push.least_cells == {t: None if t in closed else t
+                                for t in s.complex.cells}
+
+
+def test_truncate_eliminates_only_on_fibers_without_a_least_cell():
+    # the constant sheaf's stalk has no differential, so the open stalks'
+    # small kernels need no elimination either: one rref per closed stalk
+    from unittest import mock
+    from strat_ic import linalg
+    s = get_example("suspension-t2")
+    push = derived_pushforward(constant_sheaf(s, 1), s.filtration_stage(0),
+                               through=2)
+    with mock.patch.object(linalg, "rref", wraps=linalg.rref) as spy:
+        truncate(push, 1)
+    shapes = sorted(call.args[0].shape for call in spy.call_args_list)
+    assert shapes == sorted(push.stalk(t).diff(1).shape
+                            for t, least in push.least_cells.items()
+                            if least is None)
+    assert len(shapes) == 2
+
+
+def test_cone_kernel_refuses_a_missing_partner_block():
+    # cone-s1 cut at 0: the stalk over the edge (0, 1) holds the flags of
+    # its star; the last block of degree 1 is a partner, so dropping it
+    # leaves an A-flag of degree 0 without one.  Refused, also under -O
+    code = "\n".join([
+        "from strat_ic.examples import get_example",
+        "from strat_ic.sheaves import (SheafError, constant_sheaf,",
+        "                              derived_pushforward, truncate)",
+        "s = get_example('cone-s1')",
+        "push = derived_pushforward(constant_sheaf(s, 1),",
+        "                           s.filtration_stage(0), through=1)",
+        "t = (0, 1)",
+        "print(push.least_cells[t], push.stalk_layouts[t][1][-1][0])",
+        "for drop in (False, True):",
+        "    if drop:",
+        "        layouts = dict(push.stalk_layouts)",
+        "        layouts[t] = dict(layouts[t])",
+        "        layouts[t][1] = layouts[t][1][:-1]",
+        "        push.stalk_layouts = layouts",
+        "    try:",
+        "        truncate(push, 0)",
+        "        print('accepted')",
+        "    except SheafError as e:",
+        "        print('rejected:', e)",
+    ])
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
+        assert proc.returncode == 0, proc.stderr
+        first, accepted, rejected = proc.stdout.splitlines()
+        assert first.startswith("(0, 1) ((0, 1), "), first
+        assert accepted == "accepted"
+        assert rejected.startswith("rejected: block "), rejected
+        assert "has no partner" in rejected
+
+
+def test_cone_kernel_refuses_a_partner_without_its_a_flag():
+    # the other direction of the matching: a partner block of degree k
+    # whose A-flag of degree k - 1 is gone from the layout
+    s = get_example("cone-s1")
+    push = derived_pushforward(constant_sheaf(s, 1), s.filtration_stage(0),
+                               through=2)
+    t = (0, 1)
+    assert push.stalk_layouts[t][0] and push.least_cells[t] == t
+    blocks = push.stalk_layouts[t][0]
+    a_flag = next(b for b in blocks if b[0][0] != t)
+    layouts = dict(push.stalk_layouts)
+    layouts[t] = dict(layouts[t])
+    layouts[t][0] = [b for b in blocks if b is not a_flag]
+    push.stalk_layouts = layouts
+    with pytest.raises(SheafError, match="has no partner"):
+        truncate(push, 1)
+
+
+def test_cone_kernel_refuses_a_non_cocycle_lift():
+    # a stalk differential whose arrow out of a one-cell flag (c) is
+    # doubled after the pushforward certified it: iota(z), read off the
+    # (s, c) rows, no longer lies in the kernel.  Refused, also under -O
+    code = "\n".join([
+        "from strat_ic.examples import get_example",
+        "from strat_ic.linalg import CertificateError, CochainComplex",
+        "from strat_ic.sheaves import (constant_sheaf, derived_pushforward,",
+        "                              truncate)",
+        "s = get_example('cone-s1')",
+        "push = derived_pushforward(constant_sheaf(s, 1),",
+        "                           s.filtration_stage(0), through=1)",
+        "t = (0,)",
+        "cx = push.stalks[t]",
+        "layout = push.stalk_layouts[t]",
+        "one = {f: off for f, q, off, _ in layout[0]}",
+        "two = {f: off for f, q, off, _ in layout[1]}",
+        "c = next(f for f in one if f != (t,))",
+        "d = dict(cx.diff(0).entries)",
+        "row = next(off for f, off in two.items()",
+        "           if len(f) == 2 and f[0] == c[0])",
+        "d[(row, one[c])] *= 2",
+        "print(push.least_cells[t])",
+        "for bad in (False, True):",
+        "    if bad:",
+        "        m = cx.diff(0)",
+        "        push.stalks[t] = CochainComplex(",
+        "            cx.dims, {0: type(m)(m.rows, m.cols, d)}, check=False)",
+        "    try:",
+        "        truncate(push, 0)",
+        "        print('accepted')",
+        "    except CertificateError as e:",
+        "        print('rejected:', e)",
+    ])
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "(0,)", "accepted",
+            "rejected: a lifted kernel vector of the stalk over (0,) is not "
+            "a cocycle"]
+
+
+# -- restrictions as row selections ------------------------------------------
+
+@st.composite
+def _selections(draw):
+    # r with a lone 1 per row, or a near miss: a 2, a second entry or a
+    # zero row; m random
+    n_src = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(0, 5))
+    pick = [draw(st.integers(0, n_src - 1)) for _ in range(n_rows)]
+    ent = {(i, j): 1 for i, j in enumerate(pick)}
+    kinds = ["select"]
+    if n_rows:
+        kinds += ["two", "zero"] + (["second"] if n_src > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind != "select":
+        i = draw(st.integers(0, n_rows - 1))
+        if kind == "two":
+            ent[(i, pick[i])] = 2
+        elif kind == "second":
+            ent[(i, (pick[i] + 1) % n_src)] = draw(st.sampled_from([1, -1]))
+        else:
+            del ent[(i, pick[i])]
+    r = ExactMatrix(n_rows, n_src, ent)
+    cols = draw(st.integers(0, 4))
+    m = ExactMatrix(n_src, cols, {
+        (i, j): draw(st.integers(-2, 2)) for i in range(n_src)
+        for j in range(cols)})
+    return r, m, kind == "select"
+
+
+@given(_selections())
+def test_row_selection_matches_the_product(case):
+    from strat_ic.linalg import _rows
+    r, m, select = case
+    pick = sheaves._row_selection(r)
+    assert (pick is not None) == select
+    if pick is not None:
+        got = sheaves._rows_at(_rows(m), pick, m.cols)
+        assert got == r * m
+        assert_normalized(got)
+
+
+@pytest.mark.parametrize("case", [_cone_t2_case, _cone_cone_s1_case,
+                                  _torsion_case, _s1_collapse_case])
+def test_truncate_by_row_selection_matches_full_products(case, monkeypatch):
+    push = case()(None)
+    degrees = sorted({k for lay in push.stalk_layouts.values() for k in lay})
+    for k in degrees[:-1]:
+        fast = truncate(push, k)
+        with monkeypatch.context() as patched:
+            patched.setattr(sheaves, "_row_selection", lambda r: None)
+            slow = truncate(push, k)
+        assert fast.restrictions == slow.restrictions, k
+        assert all(fast.stalks[c].diffs == slow.stalks[c].diffs
+                   for c in push.stalks), k
