@@ -371,6 +371,9 @@ GOLDEN_REPORTS = [
      "b385672bfbc3ad1aecf0b80ba8aeb629e160b20cb26bdcad0496e820b8d16ed4"),
     (["derham", "--example", "product:t2,s1"],
      "71e2f3773125b902c18455d97bf166922fc48802b42e9b44af9e9b6d3e6659a1"),
+    # the genus-2 fibration row, whichever route computes the pushforward
+    (["reproduce", "--example", "fibration"],
+     "e25e1ceb6fb66145753b9a817fa271f30220d0d15918ed3327bd0c1ce5c0f8bd"),
 ]
 
 
@@ -381,7 +384,8 @@ GOLDEN_REPORTS = [
                               "proptest-seed-2", "intersect-t2-s1",
                               "kunneth-t2-s1-stratumwise",
                               "kunneth-s2-s1-stratumwise",
-                              "derham-cone-genus2", "derham-t2-s1"])
+                              "derham-cone-genus2", "derham-t2-s1",
+                              "reproduce-fibration"])
 def test_report_bytes_match_golden_digest(tmp_path, args, digest):
     code, data = run(args, tmp_path)
     assert code == 0
