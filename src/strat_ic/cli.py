@@ -308,12 +308,10 @@ def _resolve_space(config):
 
 
 def _perversity(name):
-    table = {"lower-middle": "m", "upper-middle": "n", "lower": "m",
-             "upper": "n", "zero": "0", "total": "t",
-             "m": "m", "n": "n", "0": "0", "t": "t"}
-    if name not in table:
+    try:
+        return ic.Perversity.named(name)
+    except ic.ICError:
         raise BadInput("perversity %r not recognized" % name, "/perversity")
-    return ic.Perversity.named(table[name])
 
 
 def _betti_list(space):
@@ -847,7 +845,11 @@ def _check_euler_product(left, right):
     return chi(prod) == chi(left) * chi(right)
 
 
-def property_suite(seed=0, max_cells=500, mutate=None):
+# spaces drawn larger than this stay out of the property sweep's pool
+_POOL_MAX_CELLS = 500
+
+
+def property_suite(seed=0, mutate=None):
     """Randomized invariant sweep over cones, products, and collapses.
 
     Deterministic for a fixed seed; any failing check attaches a shrunk
@@ -881,7 +883,7 @@ def property_suite(seed=0, max_cells=500, mutate=None):
                            if all(v % nr == 0 for v in c)]
             sp, _cmap = spaces.collapse(prod, slice_cells)
             label = "collapse(%s x %s)" % (name, other)
-        if len(sp.complex.cells) <= max_cells:
+        if len(sp.complex.cells) <= _POOL_MAX_CELLS:
             pool.append((label, sp))
     # a fixed closed surface keeps the cup checks honest every run
     pool.append(("t2", get_example("t2")))

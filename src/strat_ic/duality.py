@@ -98,12 +98,6 @@ def orient_top_cells(cx):
     return signs
 
 
-def fundamental_class(space):
-    """Signed top-cell chain of a closed oriented space."""
-    cx = space.complex if hasattr(space, "complex") else space
-    return orient_top_cells(cx)
-
-
 # -- cup evaluation --------------------------------------------------------
 
 def _cup_eval(cx, signs, p, alpha, beta):
@@ -245,19 +239,27 @@ class _Ambient:
             block = vec[off:off + size]
             if not any(block):
                 continue
-            spot = self.lmap.get((cell, q))
-            assert spot is not None and spot[0] == degree
-            _, roff, rsize = spot
-            if q < sheaf.cutoff:
-                assert rsize == size
-                for i, v in enumerate(block):
-                    out[roff + i] += v
-            else:
-                assert q == sheaf.cutoff
-                lifted = sheaf.inclusions[cell].apply(block)
-                for i, v in enumerate(lifted):
-                    out[roff + i] += v
+            roff, rsize = self.spot(cell, q, degree)
+            if q > sheaf.cutoff or (q < sheaf.cutoff and rsize != size):
+                raise CertificateError(
+                    "block %r in stalk degree %d (cutoff %d, size %d) does "
+                    "not fit the ambient block of size %d"
+                    % (cell, q, sheaf.cutoff, size, rsize))
+            if q == sheaf.cutoff:
+                block = sheaf.inclusions[cell].apply(block)
+            for i, v in enumerate(block):
+                out[roff + i] += v
         return out
+
+    def spot(self, cell, q, degree):
+        """Offset and size of the ambient block (cell, q), which must sit in
+        total degree `degree`; CertificateError if it does not."""
+        spot = self.lmap.get((cell, q))
+        if spot is None or spot[0] != degree:
+            raise CertificateError(
+                "the ambient complex has no block %r in stalk degree %d and "
+                "total degree %d" % (cell, q, degree))
+        return spot[1], spot[2]
 
     def cup(self, x, k, y, l):
         """Front-face / back-face product of ambient total cochains.
@@ -334,10 +336,9 @@ class _Ambient:
                         "product class does not descend below stalk degree "
                         "%d at cell %r; the middle conditions are not "
                         "complementary" % (q, cell))
-                spot = self.lmap.get((cell, q - 1))
-                assert spot is not None and spot[0] == degree - 1
+                woff, _ = self.spot(cell, q - 1, degree - 1)
                 for i, v in enumerate(u):
-                    w[spot[1] + i] += v
+                    w[woff + i] += v
                 dirty = True
             if dirty:
                 dw = self.cx.diff(degree - 1).apply(w)
@@ -429,7 +430,10 @@ class PairingContext:
             _, roff, rsize = spot
             part = z[roff:roff + rsize]
             if q < T.cutoff:
-                assert rsize == size
+                if rsize != size:
+                    raise CertificateError(
+                        "ambient block %r of size %d against %d in the top "
+                        "truncation" % (cell, rsize, size))
                 for i, v in enumerate(part):
                     out[off + i] = v
             else:
@@ -644,8 +648,7 @@ def _section_slice(prod, vertex):
             if all(v % nr == vertex for v in c)]
 
 
-def fibration_decomposition(section, collapse_cells=None, trivial=False,
-                            max_kan_cells=150):
+def fibration_decomposition(section, collapse_cells=None, trivial=False):
     """Collapse a cylinder end onto a cone and audit the resulting rows.
 
     The total space is section x interval with the bottom slice marked as
@@ -662,7 +665,6 @@ def fibration_decomposition(section, collapse_cells=None, trivial=False,
     degree, and the report says so rather than papering over it).
     """
     from .examples import get_example
-    from .ic import Perversity, deligne_construction
     interval = get_example("interval")
     prod = spaces.product(section, interval)
     d = section.dim
@@ -703,24 +705,10 @@ def fibration_decomposition(section, collapse_cells=None, trivial=False,
     else:
         quotient, cmap = spaces.collapse(total_space, slice_cells)
         report["cone_cells"] = len(quotient.complex.cells)
-        if len(prod.complex.cells) <= max_kan_cells:
-            F = sheaves.constant_sheaf(total_space)
-            Rf = sheaves.kan_pushforward(F, cmap, quotient, through=cut + 1)
-            G = sheaves.truncate(Rf, cut)
-            coh = sheaves.sheaf_cohomology(G)
-            report["mode"] = "pushforward"
-        else:
-            # stalkwise the truncated pushforward is the truncated
-            # link-neighborhood sheaf of the cone, so compute there; the
-            # small cases cross-check this substitution against the
-            # genuine pushforward
-            res = deligne_construction(quotient, Perversity.named("t"))
-            coh = res.cohomology
-            report["mode"] = "cone-truncation"
-            notes.append(
-                "total space has %d cells (> %d); pushforward row computed "
-                "through the cone truncation, which has the same stalks"
-                % (len(prod.complex.cells), max_kan_cells))
+        Rf = sheaves.kan_pushforward(sheaves.constant_sheaf(total_space),
+                                     cmap, quotient, through=cut + 1)
+        coh = sheaves.sheaf_cohomology(sheaves.truncate(Rf, cut))
+        report["mode"] = "pushforward"
         ih_row = tuple(coh.get(k, 0) for k in range(width))
         report["rows"]["ih"] = list(ih_row)
         sky = tuple(sec_betti[q] if cut < q < len(sec_betti) else 0

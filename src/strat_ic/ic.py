@@ -100,23 +100,15 @@ class Perversity:
         return cls(lambda c: (c - 1) // 2, "n")
 
     @classmethod
-    def from_values(cls, values, name="custom"):
-        vals = {int(c): int(v) for c, v in values.items()}
-
-        def rule(c):
-            if c not in vals:
-                raise ICError("no perversity value at codimension %d" % c)
-            return vals[c]
-        return cls(rule, name)
-
-    @classmethod
     def named(cls, name):
         table = {"0": cls.zero, "zero": cls.zero, "t": cls.total,
                  "total": cls.total, "m": cls.lower_middle,
-                 "lower": cls.lower_middle, "n": cls.upper_middle,
-                 "upper": cls.upper_middle}
+                 "lower": cls.lower_middle, "lower-middle": cls.lower_middle,
+                 "n": cls.upper_middle, "upper": cls.upper_middle,
+                 "upper-middle": cls.upper_middle}
         if name not in table:
-            raise ICError("unknown perversity %r (use 0, t, m, n)" % (name,))
+            raise ICError("unknown perversity %r (use one of %s)"
+                          % (name, ", ".join(table)))
         return table[name]()
 
     def __repr__(self):
@@ -402,13 +394,13 @@ def skew_gram_matrix(form):
     return m
 
 
-def lagrangian_subspaces(form, count_limit=None):
-    """Enumerate Lagrangian subspaces of a rational symplectic space.
+def lagrangian_subspaces(form, count_limit):
+    """The first `count_limit` Lagrangian subspaces of a rational
+    symplectic space.
 
-    Yields n x m column-span matrices in column echelon form, pivot row
+    Lists n x m column-span matrices in column echelon form, pivot row
     sets in lexicographic order and free parameters running through
-    0, 1, -1, 2, -2, ...; enumeration is infinite unless count_limit is
-    given.
+    0, 1, -1, 2, -2, ...; the full enumeration is infinite.
 
     >>> J = [[0, 1], [-1, 0]]
     >>> [w.to_triples() for w in lagrangian_subspaces(J, count_limit=3)]
@@ -446,10 +438,7 @@ def lagrangian_subspaces(form, count_limit=None):
                     break
                 radius += 1
 
-    gen = emit()
-    if count_limit is None:
-        return gen
-    return list(itertools.islice(gen, int(count_limit)))
+    return list(itertools.islice(emit(), int(count_limit)))
 
 
 def lagrangian_perp(form, w):

@@ -386,10 +386,11 @@ def flag_complex(sheaf, cells, through=None):
 
 
 def sheaf_cohomology(sheaf, open_cells=None, integral=False):
-    """Hypercohomology over the whole space or an open up-set.
+    """Hypercohomology over the whole space or an open up-set U.
 
     Returns a dict degree -> rational betti number, or degree ->
-    FGAbelianGroup when integral=True.
+    FGAbelianGroup when integral=True.  For a sheaf concentrated in stalk
+    degree 0, degree 0 is the space of sections over U.
     """
     if open_cells is None:
         cx, _ = incidence_complex(sheaf)
@@ -404,80 +405,6 @@ def sheaf_cohomology(sheaf, open_cells=None, integral=False):
     if integral:
         return cx.cohomology_groups()
     return cx.betti_numbers()
-
-
-# -- sections --------------------------------------------------------------
-
-class SectionSpace:
-    """Compatible families of stalk vectors over an open set, degreewise.
-
-    The columns of the matrix `basis[q]` are sections, each one the stalk
-    vectors of `cells` stacked in that order.  The induced differential acts
-    sectionwise, making Gamma(U, F) itself a cochain complex (available as
-    .complex).
-    """
-
-    def __init__(self, cells, degrees, basis, complex_):
-        self.cells = cells
-        self.degrees = degrees
-        self.basis = basis
-        self.complex = complex_
-
-    def dim(self, q):
-        return self.basis[q].cols if q in self.basis else 0
-
-    def __repr__(self):
-        dims = {q: self.dim(q) for q in self.degrees}
-        return "SectionSpace(%r)" % (dims,)
-
-
-def global_sections(sheaf, open_cells=None):
-    """Sections over an up-set: kernels of the pairwise mismatch maps."""
-    if open_cells is None:
-        open_cells = list(sheaf.space.complex.cells)
-    cells = sorted({tuple(c) for c in open_cells}, key=lambda c: (len(c), c))
-    for c in cells:
-        if c not in sheaf.space.complex.cell_index:
-            raise NotOpen("cell %r not in the complex" % (c,))
-    if not sheaf.poset.is_up_set(cells):
-        raise NotOpen("cell set is not open (not an up-set)")
-    covers = [(a, b) for b in cells for (a, _s) in sheaf.poset.covers_down[b]
-              if a in set(cells)]
-    covers.sort(key=lambda ab: (len(ab[0]), ab))
-    lo = min((sheaf.stalks[c].lo for c in cells), default=0)
-    hi = max((sheaf.stalks[c].hi for c in cells), default=0)
-    degrees = list(range(lo, hi + 1))
-    offs = {}
-    basis = {}
-    for q in degrees:
-        off = 0
-        offs[q] = {}
-        for c in cells:
-            offs[q][c] = off
-            off += sheaf.stalks[c].dim(q)
-        ent = {}
-        r = 0
-        for (a, b) in covers:
-            # r(x_a) - x_b = 0, one row per coordinate of the stalk at b
-            for (i, j), v in sheaf.restriction(a, b, q).entries.items():
-                ent[(r + i, offs[q][a] + j)] = v
-            nb = sheaf.stalks[b].dim(q)
-            for i in range(nb):
-                ent[(r + i, offs[q][b] + i)] = -1
-            r += nb
-        basis[q] = kernel_basis(ExactMatrix(r, off, ent))
-    # induced differential: the stalk differentials, one diagonal block per
-    # cell, send sections to sections; express them in the next basis
-    diffs = {}
-    for q in degrees[:-1]:
-        ent = {}
-        for c in cells:
-            for (i, j), v in sheaf.stalks[c].diff(q).entries.items():
-                ent[(offs[q + 1][c] + i, offs[q][c] + j)] = v
-        d = ExactMatrix(basis[q + 1].rows, basis[q].rows, ent)
-        diffs[q] = solve_columns(basis[q + 1], d * basis[q])
-    dims = {q: basis[q].cols for q in degrees}
-    return SectionSpace(cells, degrees, basis, CochainComplex(dims, diffs))
 
 
 # -- pushforward -----------------------------------------------------------

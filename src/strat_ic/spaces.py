@@ -282,9 +282,6 @@ class StratifiedComplex:
     def coefficient(self, p):
         return self.coefficients.get(p, FGAbelianGroup.free(1))
 
-    def components_of_stratum(self, p):
-        return self.complex.connected_components(self.stratum(p))
-
     # -- validation --------------------------------------------------------
 
     def validate(self):

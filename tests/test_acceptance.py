@@ -30,7 +30,7 @@ import json
 import pytest
 from conftest import projective_plane
 
-from strat_ic import cli, duality, ic, sheaves
+from strat_ic import cli, duality, ic, sheaves, spaces
 from strat_ic.examples import get_example
 from strat_ic.linalg import (ExactMatrix, FGAbelianGroup, rank,
                              smith_normal_form)
@@ -303,14 +303,24 @@ class TestFibrationDecomposition:
         assert split["total"] == split["ih"] + 1
         assert split["shows_plus_one"] is True
 
-    def test_pushforward_matches_cone_truncation(self):
-        rep = duality.fibration_decomposition(get_example("s1"),
-                                              max_kan_cells=150)
-        swapped = duality.fibration_decomposition(get_example("s1"),
-                                                  max_kan_cells=1)
+    @pytest.mark.parametrize("section", ["s1", "t2", "genus2"])
+    def test_pushforward_matches_cone_truncation(self, section):
+        # reference: stalkwise the truncated pushforward is the total-
+        # perversity truncation of the cone, so a Deligne construction on
+        # the collapsed cylinder must give the same row
+        base = get_example(section)
+        prod = spaces.product(base, get_example("interval"))
+        bottom = [c for c in prod.complex.cells
+                  if all(v % prod.n_right == 0 for v in c)]
+        levels = {c: base.dim + (c not in set(bottom))
+                  for c in prod.complex.cells}
+        quotient, _ = spaces.collapse(
+            spaces.StratifiedComplex(prod.complex, levels), bottom)
+        ref = ic.deligne_construction(quotient, ic.Perversity.named("t"))
+        rep = duality.fibration_decomposition(base)
         assert rep["mode"] == "pushforward"
-        assert swapped["mode"] == "cone-truncation"
-        assert rep["rows"]["ih"] == swapped["rows"]["ih"]
+        assert rep["cone_cells"] == len(quotient.complex.cells)
+        assert rep["rows"]["ih"] == list(ref.betti())
 
     def test_circle_degree_two_extra_class(self, circle_report):
         # over the interval model the collapsed circle has no degree-two

@@ -26,9 +26,9 @@ from strat_ic import duality
 from strat_ic.duality import (
     DegreeMismatch, DegreeOutOfRange, DualityError, InconsistentCollapse,
     ModeMismatch, NotOrientable, StratumNotFound, cup_pairing_matrix,
-    PairingContext, duality_pairing, fibration_decomposition,
-    fundamental_class, ic_pairing, intersection_number, kunneth,
-    local_contribution, orient_top_cells, stratumwise_duality,
+    PairingContext, duality_pairing, fibration_decomposition, ic_pairing,
+    intersection_number, kunneth, local_contribution, orient_top_cells,
+    stratumwise_duality,
 )
 
 
@@ -181,7 +181,7 @@ def test_orientation_matches_reference_on_drawn_complexes(seed, extra):
 def test_fundamental_class_is_a_cycle(st):
     # the signed boundary of the fundamental chain cancels ridge by ridge
     cx = get_example("t2").complex
-    signs = fundamental_class(get_example("t2"))
+    signs = orient_top_cells(cx)
     from collections import defaultdict
     bd = defaultdict(int)
     for t, s in signs.items():
@@ -403,6 +403,38 @@ def test_ic_pairing_same_under_optimize(susp_s1):
     assert outs == [want, want]
 
 
+def test_embed_refuses_blocks_outside_the_ambient_under_optimize():
+    # the ambient's block invariants are CertificateErrors, so -O keeps them
+    code = "\n".join([
+        "from types import SimpleNamespace",
+        "from strat_ic import duality, ic",
+        "from strat_ic.examples import get_example",
+        "from strat_ic.linalg import CertificateError",
+        "res = ic.deligne_construction(get_example('suspension-s1'),",
+        "                              ic.Perversity.lower_middle())",
+        "amb = duality._Ambient(res.sheaf.untruncated)",
+        "above = SimpleNamespace(cutoff=1, inclusions={})",
+        "for sheaf, block, degree in (",
+        "        (res.sheaf, ((99,), 0, 0, 1), 0),",
+        "        (res.sheaf, ((0,), 1, 0, 1), 1),",
+        "        (above, ((0,), 0, 0, 2), 0)):",
+        "    fake = SimpleNamespace(sheaf=sheaf, layout={degree: [block]})",
+        "    try:",
+        "        amb.embed(fake, [1] * block[3], degree)",
+        "        print('accepted')",
+        "    except CertificateError as e:",
+        "        print('rejected:', e)",
+    ])
+    assert _run_optimized(code).splitlines() == [
+        "rejected: the ambient complex has no block (99,) in stalk degree 0 "
+        "and total degree 0",
+        "rejected: block (0,) in stalk degree 1 (cutoff 0, size 1) does not "
+        "fit the ambient block of size 16",
+        "rejected: block (0,) in stalk degree 0 (cutoff 1, size 2) does not "
+        "fit the ambient block of size 9",
+    ]
+
+
 def _run_optimized(code):
     proc = run_python("-c", code, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -580,7 +612,7 @@ def test_fibration_circle_section():
 
 def test_fibration_genus2_section():
     rep = fibration_decomposition(get_example("genus2"))
-    assert rep["mode"] == "cone-truncation"
+    assert rep["mode"] == "pushforward"
     assert rep["rows"]["total"] == [1, 4, 1, 0]
     assert rep["rows"]["ih"] == [1, 4, 0, 0]
     assert rep["rows"]["skyscraper"] == [0, 0, 1, 0]
@@ -589,15 +621,6 @@ def test_fibration_genus2_section():
     assert split["shows_plus_one"] and split["ih"] == 0 and split["total"] == 1
     lit = rep["literal_additivity"]
     assert [r["degree"] for r in lit["per_degree"] if not r["ok"]] == [3]
-
-
-def test_fibration_pipeline_routes_agree():
-    # the genuine pushforward and the cone-truncation substitute must give
-    # the same middle row where both run
-    a = fibration_decomposition(get_example("s1"), max_kan_cells=150)
-    b = fibration_decomposition(get_example("s1"), max_kan_cells=1)
-    assert a["mode"] == "pushforward" and b["mode"] == "cone-truncation"
-    assert a["rows"]["ih"] == b["rows"]["ih"]
 
 
 def test_fibration_trivial():

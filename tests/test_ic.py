@@ -32,6 +32,11 @@ N = Perversity.upper_middle()
 def test_perversity_values():
     assert [M(c) for c in range(2, 7)] == [0, 0, 1, 1, 2]
     assert [N(c) for c in range(2, 7)] == [0, 1, 1, 2, 2]
+    # the CLI's long names come from the same table
+    for long, short in (("lower-middle", M), ("upper-middle", N)):
+        p = Perversity.named(long)
+        assert p.name == short.name
+        assert [p(c) for c in range(2, 7)] == [short(c) for c in range(2, 7)]
     assert [Perversity.zero()(c) for c in range(2, 7)] == [0] * 5
     assert [Perversity.total()(c) for c in range(2, 7)] == [0, 1, 2, 3, 4]
 
@@ -47,13 +52,15 @@ def test_perversity_growth_and_duality():
 
 
 def test_perversity_from_values_and_errors():
-    p = Perversity.from_values({2: 0, 3: 1})
-    assert p(3) == 1
+    values = {2: 0, 3: 1, 4: 1}
+    p = Perversity(values.__getitem__, "custom")
+    p.check_growth(4)
+    assert p(3) == 1 and p.name == "custom"
     with pytest.raises(ICError):
-        p(4)
+        p(1)
     with pytest.raises(ICError):
         Perversity.named("middle-ish")
-    bad = Perversity.from_values({2: 0, 3: 2})
+    bad = Perversity({2: 0, 3: 2}.__getitem__, "bad")
     with pytest.raises(ICError):
         bad.check_growth(3)
 
@@ -68,10 +75,10 @@ def test_growth_and_functoriality_checks_run_under_optimize():
         "bad = dict(F.restrictions)",
         "key = ((0, 1), (0, 1, 2))",
         "bad[key] = {0: bad[key][0].scale(2)}",
+        "steep = Perversity({2: 0, 3: 2}.__getitem__, 'steep')",
         "for call, err in (",
         "        (lambda: SheafComplex(F.space, F.stalks, bad), SheafError),",
-        "        (lambda: Perversity.from_values({2: 0, 3: 2}).check_growth(3),",
-        "         ICError)):",
+        "        (lambda: steep.check_growth(3), ICError)):",
         "    try:",
         "        call()",
         "        print('accepted')",

@@ -18,8 +18,8 @@ from strat_ic.linalg import (CochainComplex, ExactMatrix, FGAbelianGroup,
 from strat_ic.sheaves import (
     NotOpen, NotOpenComplement, SheafComplex, SheafError, _flags,
     constant_sheaf, derived_pushforward, external_tensor, flag_complex,
-    global_sections, graded_sections_functor, incidence_complex,
-    kan_pushforward, resolution_complex, sheaf_cohomology, truncate,
+    graded_sections_functor, incidence_complex, kan_pushforward,
+    resolution_complex, sheaf_cohomology, truncate,
 )
 from strat_ic.spaces import product, single_stratum
 from strat_ic import examples
@@ -119,31 +119,32 @@ def test_malformed_sheaf_data_rejected():
 
 
 # -- sections --------------------------------------------------------------
+#
+# Global sections over an open up-set U are H^0 of the derived sections
+# sheaf_cohomology(F, open_cells=U) of a sheaf in stalk degree 0.
 
 def test_global_sections_count_components():
     from strat_ic.spaces import SimplicialComplex
     two = single_stratum(SimplicialComplex(4, [(0, 1), (2, 3)]))
-    sec = global_sections(constant_sheaf(two, 1))
-    assert sec.dim(0) == 2
+    assert sheaf_cohomology(constant_sheaf(two, 1))[0] == 2
     one = get_example("t2")
-    assert global_sections(constant_sheaf(one, 1)).dim(0) == 1
+    assert sheaf_cohomology(constant_sheaf(one, 1))[0] == 1
 
 
 def test_global_sections_over_star():
     s = get_example("cone-s1")
     F = constant_sheaf(s, 1)
     star = [c for c in s.complex.cells if 3 in c]
-    sec = global_sections(F, star)
-    assert sec.dim(0) == 1
+    assert sheaf_cohomology(F, open_cells=star)[0] == 1
 
 
 def test_global_sections_rejects_non_open():
     s = get_example("s1")
     F = constant_sheaf(s, 1)
     with pytest.raises(NotOpen):
-        global_sections(F, [(0,)])
-    with pytest.raises(NotOpen):
         sheaf_cohomology(F, open_cells=[(0,)])
+    with pytest.raises(NotOpen):
+        sheaf_cohomology(F, open_cells=[(0, 99)])
 
 
 # -- pushforward -----------------------------------------------------------

@@ -212,7 +212,7 @@ def test_suspension_shape():
     s = get_example("suspension-t2")
     assert s.stratum_levels() == [0, 3]
     assert s.stratum(0) == [(7,), (8,)]
-    assert len(s.components_of_stratum(0)) == 2
+    assert len(s.complex.connected_components(s.stratum(0))) == 2
     assert s.complex.euler_characteristic() == 2
     assert s.complex.betti_numbers() == (1, 0, 2, 1)
 
@@ -221,7 +221,7 @@ def test_cone_top_components_match_base():
     for name in ("s1", "s2", "genus2"):
         s = get_example("cone-" + name)
         base = get_example(name)
-        assert (len(s.components_of_stratum(s.top))
+        assert (len(s.complex.connected_components(s.stratum(s.top)))
                 == len(base.complex.connected_components()))
 
 
@@ -283,7 +283,7 @@ def test_product_levels_add():
     assert p.stratum_levels() == [1, 3]
     # apex x circle: a closed circle stratum
     assert len(p.stratum(1)) == 6
-    assert len(p.components_of_stratum(1)) == 1
+    assert len(p.complex.connected_components(p.stratum(1))) == 1
 
 
 def test_product_projections_land_in_factors():
