@@ -290,8 +290,9 @@ def load_mezzo(path, space):
             out = []
             for j, v in enumerate(row):
                 try:
-                    out.append(Fraction(v) if isinstance(v, int)
-                               else Fraction(str(v)))
+                    if isinstance(v, bool) or not isinstance(v, (int, str)):
+                        raise ValueError(v)
+                    out.append(Fraction(v))
                 except (ValueError, ZeroDivisionError):
                     raise BadInput("entries are integers or num/den strings",
                                    "/choices/%s/%d/%d" % (key, i, j))
@@ -300,11 +301,26 @@ def load_mezzo(path, space):
     return ic.Mezzoperversity(choices)
 
 
+def _example(name):
+    try:
+        return get_example(name)
+    except UnknownExample as e:
+        raise BadInput(str(e), "/example")
+
+
 def _resolve_space(config):
     if config.input_path:
         space, payload = load_space(config.input_path)
         return space, _digest(config, payload)
-    return get_example(config.example), _digest(config)
+    return _example(config.example), _digest(config)
+
+
+def _degree(config, n, default):
+    """--degree, or `default` when it is absent; refused outside 0..n."""
+    k = default if config.degree is None else config.degree
+    _expect(k is None or 0 <= k <= n, "degree %s outside 0..%d" % (k, n),
+            "/degree")
+    return k
 
 
 def _perversity(name):
@@ -403,10 +419,9 @@ def cmd_duality(config):
     space, digest = _resolve_space(config)
     bundle = ReportBundle("duality", digest)
     n = space.dim
+    degree = _degree(config, n, None)
     if not space.singular_levels():
-        degrees = [config.degree] if config.degree is not None \
-            else list(range(n + 1))
-        for k in degrees:
+        for k in range(n + 1) if degree is None else [degree]:
             pm = duality.duality_pairing(space, k)
             bundle.add("pairing-%d-%d" % (k, n - k), pm.matrix,
                        verdict=pm.nondegenerate())
@@ -422,12 +437,12 @@ def cmd_duality(config):
 
 def cmd_kunneth(config):
     space_name = config.example or ""
-    if config.input_path or not space_name.startswith("product:"):
+    names = space_name[len("product:"):].split(",")
+    if (config.input_path or not space_name.startswith("product:")
+            or len(names) != 2):
         raise BadInput("kunneth needs --example product:<id>,<id>",
                        "/example")
-    left_name, right_name = space_name[len("product:"):].split(",", 1)
-    left = get_example(left_name)
-    right = get_example(right_name)
+    left, right = (_example(name) for name in names)
     bundle = ReportBundle("kunneth", _digest(config))
     rep = duality.kunneth(left, right, mode=config.mode)
     bundle.add("product", rep.lhs)
@@ -448,7 +463,7 @@ def cmd_intersect(config):
         raise BadInput("intersect runs on nonsingular examples; build "
                        "refined results in code for singular ones",
                        "/example")
-    k = config.degree if config.degree is not None else n // 2
+    k = _degree(config, n, n // 2)
     cc = space.complex.cochain_complex()
     basis_p = cc.cohomology_basis(k)
     basis_q = cc.cohomology_basis(n - k)
@@ -838,11 +853,9 @@ def _check_support(space):
 
 
 def _check_euler_product(left, right):
-    def chi(s):
-        return sum((-1) ** k * len(s.complex.cells_of_dim(k))
-                   for k in range(s.complex.dim + 1))
-    prod = spaces.product(left, right)
-    return chi(prod) == chi(left) * chi(right)
+    chi = [s.complex.euler_characteristic()
+           for s in (left, right, spaces.product(left, right))]
+    return chi[2] == chi[0] * chi[1]
 
 
 # spaces drawn larger than this stay out of the property sweep's pool
@@ -913,8 +926,8 @@ def property_suite(seed=0, mutate=None):
                            verdict=False)
     lr = (get_example(rng.choice(base_names)),
           get_example(rng.choice(["point", "interval", "s1"])))
-    bundle.add("euler-multiplicativity", _check_euler_product(*lr),
-               verdict=_check_euler_product(*lr))
+    ok = _check_euler_product(*lr)
+    bundle.add("euler-multiplicativity", ok, verdict=ok)
     return bundle
 
 
@@ -986,7 +999,7 @@ def main(argv=None):
     try:
         config.validate()
         bundle = _COMMANDS[config.command](config)
-    except (BadInput, UnknownExample, duality.DualityError, ic.ICError,
+    except (BadInput, duality.DualityError, ic.ICError,
             spaces.StratificationError, sheaves.SheafError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2

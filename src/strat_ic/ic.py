@@ -216,12 +216,11 @@ def _order_cohomology(cells):
         ent = {}
         for g in by_deg.get(n + 1, ()):
             i = index[g]
-            for pos in range(len(g)):
-                sub = g[:pos] + g[pos + 1:]
+            for sub, sign in spaces_mod.facets(g):
                 j = index.get(sub)
                 if j is not None:
                     key = (i, j)
-                    ent[key] = ent.get(key, 0) + (-1) ** pos
+                    ent[key] = ent.get(key, 0) + sign
         diffs[n] = ExactMatrix(dims[n + 1], dims[n], ent)
     return CochainComplex(dims, diffs).betti_numbers()
 

@@ -2,37 +2,41 @@
 
 A sheaf assigns to every cell a bounded cochain complex (the stalk, really
 the complex of sections over the cell's open star) and to every face
-relation a degreewise restriction map.  Restrictions must be chain maps and
-strictly functorial.  A caller-built `SheafComplex` is checked by
-`SheafComplex.validate` (exact products, one per square and diamond); the
+relation a degreewise restriction map.  It is `certified` when its stalks
+square to zero and its restrictions are strictly functorial chain maps:
+`SheafComplex.validate` checks that by exact products, and the
 constructors below certify their output from how they build it, at every
-size, and never call it:
+size, without it:
 
 - `constant_sheaf`: identity restrictions.
 - `kan_pushforward`: d o d = 0 on one global flag complex, every fiber's
   rows inside its columns, and every fiber nested in the fibers of its
   faces; key-matching projections are then chain maps and compose.
-- `truncate`: the input's maps below the cutoff, and at the cutoff the
-  exact products of `solve_many` through injective bases; on a fiber with
-  a least cell the basis comes from the cone contraction, certified by a
-  partner check on the layout and one product.
-- `external_tensor`: Kronecker products of its factors' chain maps, each
-  the shape of its block in the tensor layouts.
+- `truncate`, of a certified sheaf: its maps below the cutoff, and at the
+  cutoff the exact products of `solve_many` through injective bases (on a
+  fiber with a least cell, the cone contraction's basis).
+- `external_tensor`, of certified factors: Kronecker products of their
+  chain maps, each the shape of its block in the tensor layouts.
 
 Cohomology over the whole complex uses the incidence total complex (one
 summand per cell, horizontal differential weighted by incidence signs).
 Over a proper open up-set that model computes the compactly supported
 answer, so open sets get the flag complex instead: one summand per strict
-chain of cells, with the alternating-drop differential.  Pushforwards take
-the pointwise homotopy Kan extension: every stalk of the image is a flag
-complex over the source cells sitting above the target cell, and every
-restriction is a flag projection, which makes functoriality strict instead
-of up-to-homotopy.  Those cells form an up-set, so every stalk is a slice
-of one flag complex over all mapped cells: it is assembled and certified
-(d o d = 0, at every size) once per pushforward, and sliced per fiber.
-A canonical truncation at k reads stalks only in degrees up to k + 1, so a
-pushforward that feeds one is assembled only through that degree (its
-brutal truncation: the same blocks in every degree it keeps).
+chain of cells, with the alternating-drop differential.  Both are signed
+by `spaces.facets`, so D o D = 0 on those of a certified sheaf (Curry,
+"Sheaves, Cosheaves and Applications", 2014): the stalk terms square to
+zero, a chain map cancels against the twist (-1)^dim of the stalk
+differentials, and the two paths around a codimension-2 face carry one
+composite with opposite signs.  Only for other sheaves is it multiplied
+out, at every size (`_assemble_total`).  Pushforwards take the pointwise
+homotopy Kan extension: every stalk of the image is a flag complex over
+the source cells sitting above the target cell, and every restriction is
+a flag projection, which makes functoriality strict instead of
+up-to-homotopy.  Those cells form an up-set, so every stalk is a slice of
+one flag complex over all mapped cells.  A canonical truncation at k reads
+stalks only in degrees up to k + 1, so a pushforward that feeds one is
+assembled only through that degree (its brutal truncation: the same
+blocks in every degree it keeps).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from itertools import combinations
 
 from .linalg import (CertificateError, CochainComplex, ExactMatrix,
                      FGAbelianGroup, _rows, kernel_basis, rank, solve_many)
-from .spaces import FacePoset, closure
+from .spaces import closure, facets, missing_face, product_projections
 
 
 class SheafError(Exception):
@@ -54,13 +58,6 @@ class NotOpen(SheafError):
 
 class NotOpenComplement(SheafError):
     pass
-
-
-# the size of total complex above which d o d = 0 is not checked on
-# incidence complexes and on the flag complexes of sheaf_cohomology.  It
-# gates nothing else: d o d = 0 on the flag complex of a pushforward runs at
-# every size (_fiber_slices), and no constructor calls SheafComplex.validate.
-_CHECK_LIMIT = 1500
 
 
 def solve_columns(basis, target):
@@ -81,14 +78,14 @@ class SheafComplex:
     `restrictions[(a, b)][q]` is the degree-q matrix of the map stalk(a) ->
     stalk(b) for a covering pair a < b; missing degrees are zero maps.
     Restrictions along longer face relations are composites (functoriality
-    makes them path independent).  With check=True, validate() certifies
-    chain maps and functoriality with exact products; the constructors of
-    this module pass check=False and certify their output themselves.
+    makes them path independent).  `certified` is set by validate() (which
+    check=True runs) or by the constructor of this module that built the
+    sheaf; the total complexes of any other sheaf are checked by exact
+    products when they are assembled (see the module docstring).
     """
 
     def __init__(self, space, stalks, restrictions, check=True):
         self.space = space
-        self.poset = FacePoset(space.complex)
         self.stalks = {tuple(c): cx for c, cx in stalks.items()}
         if set(self.stalks) != set(space.complex.cells):
             raise SheafError("stalks must cover all cells")
@@ -97,6 +94,7 @@ class SheafComplex:
             a, b = tuple(a), tuple(b)
             self.restrictions[(a, b)] = dict(mats)
         self._composed = {}
+        self.certified = False
         if check:
             self.validate()
 
@@ -133,8 +131,7 @@ class SheafComplex:
                 self._composed[key] = self._cover_matrix(a, b, q)
             else:
                 # peel one cover step off the top; any path gives the same map
-                mid = next((face for face in (b[:pos] + b[pos + 1:]
-                                              for pos in range(len(b)))
+                mid = next((face for face, _s in facets(b)
                             if set(a) <= set(face) and face in self.stalks),
                            None)
                 if mid is None:
@@ -153,13 +150,13 @@ class SheafComplex:
             if not (set(a) < set(b) and len(b) == len(a) + 1):
                 raise SheafError("stored restrictions must follow covering "
                                  "pairs, got %r -> %r" % (a, b))
+        for cx in self.stalks.values():
+            cx.certify()
         # restrictions are chain maps
         for tau in cells:
-            for (sig, _sign) in self.poset.covers_down[tau]:
+            for (sig, _sign) in facets(tau):
                 sx, tx = self.stalks[sig], self.stalks[tau]
-                lo = min(sx.lo, tx.lo)
-                hi = max(sx.hi, tx.hi)
-                for q in range(lo, hi):
+                for q in range(min(sx.lo, tx.lo), max(sx.hi, tx.hi)):
                     left = self.restriction(sig, tau, q + 1) * sx.diff(q)
                     right = tx.diff(q) * self.restriction(sig, tau, q)
                     if left != right:
@@ -169,10 +166,8 @@ class SheafComplex:
         # strict functoriality across codimension-2 diamonds
         degrees = self.degrees()
         for rho in cells:
-            if len(rho) < 3:
-                continue
-            for (mid, _s1) in self.poset.covers_down[rho]:
-                for (sig, _s2) in self.poset.covers_down[mid]:
+            for (mid, _s1) in facets(rho):
+                for (sig, _s2) in facets(mid):
                     for q in degrees:
                         via = (self.restriction(mid, rho, q)
                                * self.restriction(sig, mid, q))
@@ -181,6 +176,7 @@ class SheafComplex:
                             raise SheafError(
                                 "restrictions %r -> %r not functorial"
                                 % (sig, rho))
+        self.certified = True
 
     def total_dimension(self):
         return sum(cx.dim(q) for cx in self.stalks.values()
@@ -220,13 +216,13 @@ def constant_sheaf(space, coefficient=1):
     else:
         stalk = CochainComplex({0: int(coefficient)}, {})
     stalks = {c: stalk for c in space.complex.cells}
-    restrictions = {}
-    poset = FacePoset(space.complex)
-    for tau in space.complex.cells:
-        for (sig, _s) in poset.covers_down[tau]:
-            restrictions[(sig, tau)] = {
-                q: ExactMatrix.identity(stalk.dim(q)) for q in stalk.degrees()}
-    return SheafComplex(space, stalks, restrictions, check=False)
+    ident = {q: ExactMatrix.identity(stalk.dim(q)) for q in stalk.degrees()}
+    out = SheafComplex(space, stalks, {(sig, tau): ident
+                                       for tau in space.complex.cells
+                                       for sig, _s in facets(tau)},
+                       check=False)
+    out.certified = True
+    return out
 
 
 def graded_sections_functor(space):
@@ -268,9 +264,9 @@ def incidence_complex(sheaf):
 
     def into(c, q):
         yield c, (-1) ** (len(c) - 1), sheaf.stalks[c].diff(q - 1), q - 1
-        for (sig, sign) in sheaf.poset.covers_down[c]:
+        for (sig, sign) in facets(c):
             yield sig, sign, sheaf.restriction(sig, c, q), q
-    return _assemble_total(layout, into), layout
+    return _assemble_total(layout, into, sheaf.certified), layout
 
 
 def _layout(blocks, through=None):
@@ -300,11 +296,15 @@ def _block_index(layout):
             for k, blocks in layout.items() for (key, q, off, size) in blocks}
 
 
-def _assemble_total(layout, into):
+def _assemble_total(layout, into, certified):
     """Total complex whose block (key, q) receives the arrows into(key, q).
 
     `into` yields (source key, sign +-1, matrix, source stalk degree);
-    arrows from blocks absent from the layout (dimension zero) are skipped.
+    arrows from blocks absent from the layout (dimension zero) are skipped,
+    and every other arrow must have the shape of its (target, source)
+    block (CertificateError).  d o d = 0 holds by construction on the
+    total complexes of a `certified` sheaf (see the module docstring), so
+    it is multiplied out, at every size, only for an uncertified one.
     """
     if not layout:
         return CochainComplex({0: 0}, {})
@@ -317,19 +317,22 @@ def _assemble_total(layout, into):
         if k + 1 not in dims:
             continue
         ent = {}
-        for (key, q, toff, _size) in layout.get(k + 1, ()):
+        for (key, q, toff, size) in layout.get(k + 1, ()):
             for (src, sign, mat, sq) in into(key, q):
                 spot = index.get((src, sq))
                 if spot is None:
                     continue
-                soff = spot[1]
+                _, soff, ssize = spot
+                if mat.rows != size or mat.cols != ssize:
+                    raise CertificateError(
+                        "arrow %r -> %r has shape %r, not its block's %r"
+                        % ((src, sq), (key, q), mat.shape, (size, ssize)))
                 for (i, j), v in mat.entries.items():
                     ent[(toff + i, soff + j)] = v if sign > 0 else -v
         # each arrow fills its own block, so entries arrive normalized and
         # are written once
         diffs[k] = ExactMatrix._of(dims[k + 1], dims[k], ent)
-    total = sum(dims.values())
-    return CochainComplex(dims, diffs, check=total <= _CHECK_LIMIT)
+    return CochainComplex(dims, diffs, check=not certified)
 
 
 def _flags(cells, longest=None):
@@ -378,11 +381,9 @@ def flag_complex(sheaf, cells, through=None):
     def into(g, q):
         top = g[-1]
         yield g, (-1) ** (len(g) - 1), sheaf.stalks[top].diff(q - 1), q - 1
-        if len(g) > 1:
-            for pos in range(len(g)):
-                f = g[:pos] + g[pos + 1:]
-                yield f, (-1) ** pos, sheaf.restriction(f[-1], top, q), q
-    return _assemble_total(layout, into), layout
+        for f, sign in facets(g):
+            yield f, sign, sheaf.restriction(f[-1], top, q), q
+    return _assemble_total(layout, into, sheaf.certified), layout
 
 
 def sheaf_cohomology(sheaf, open_cells=None, integral=False):
@@ -399,7 +400,8 @@ def sheaf_cohomology(sheaf, open_cells=None, integral=False):
         for c in open_cells:
             if c not in sheaf.space.complex.cell_index:
                 raise NotOpen("cell %r not in the complex" % (c,))
-        if not sheaf.poset.is_up_set(open_cells):
+        closed = set(sheaf.space.complex.cells).difference(open_cells)
+        if missing_face(closed, closed):
             raise NotOpen("cell set is not open (not an up-set)")
         cx, _ = flag_complex(sheaf, open_cells)
     if integral:
@@ -413,9 +415,8 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
     """Pointwise homotopy Kan extension along a monotone cell map.
 
     The stalk at a target cell t is the flag complex over the source cells c
-    with cell_map(c) >= t; restrictions are flag projections, so the result
-    is strictly functorial by construction.  For the identity map this
-    returns the sheaf itself.
+    with cell_map(c) >= t, and restrictions are flag projections.  For the
+    identity map this returns the sheaf itself.
 
     `through` is the highest stalk degree assembled (None: every degree).
     Every stalk is then the brutal truncation of the full one, with the
@@ -425,18 +426,17 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
 
     Each fiber is an up-set of the mapped cells, so a flag lies in it
     exactly when its bottom cell does, and its flag complex is the principal
-    submatrix of the flag complex over all mapped cells on those flags, in
-    the same block order.  So that complex is assembled once, d o d = 0 is
-    certified on it at every size (CertificateError), which certifies every
-    slice, and the stalks are sliced out of its rows (`_fiber_slices`).  A
-    slice reaching outside its fiber means the map is not monotone
-    (SheafError).
+    submatrix, in the same block order, of the flag complex over all mapped
+    cells: that is assembled once and sliced (`_fiber_slices`).  A slice
+    reaching outside its fiber means the map is not monotone (SheafError).
 
-    Certificate, at every size.  The fiber over tau is nested in the fiber
-    over each face sig (SheafError if a block of tau's layout is missing
-    from sig's), and no row of tau's slice leaves its columns; so the
-    projection onto tau's flags sends d_sig to d_tau (a chain map), and
-    projections between nested slices compose to projections (strict).
+    Certificate, at every size: the result is `certified`.  The global
+    flag complex squares to zero (by construction for a certified input,
+    else by the exact product: CertificateError), so every slice does.
+    The fiber over tau is nested in the fiber over each face sig
+    (SheafError if a block of tau's layout is missing from sig's), and no
+    row of tau's slice leaves its columns; so the projection onto tau's
+    flags is a chain map, and projections between nested slices compose.
 
     Least cells.  The result records, as `least_cells`, each target cell's
     least fiber cell: the fiber cell that is a face of every other, or
@@ -478,9 +478,8 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
         least[t] = s if all(faces.issubset(c) for c in cells) else None
     index = {t: _block_index(layout) for t, layout in layouts.items()}
     restrictions = {}
-    tposet = FacePoset(target_space.complex)
     for tau in target_space.complex.cells:
-        for (sig, _s) in tposet.covers_down[tau]:
+        for (sig, _s) in facets(tau):
             mats = {}
             for k, blocks in layouts[tau].items():
                 ent = {}
@@ -497,6 +496,7 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
                                           stalks[sig].dim(k), ent)
             restrictions[(sig, tau)] = mats
     out = SheafComplex(target_space, stalks, restrictions, check=False)
+    out.certified = True
     out.stalk_layouts = layouts
     out.least_cells = least
     out.through = through
@@ -511,12 +511,10 @@ def _fiber_slices(total, targets, over):
     flag.  The global blocks are walked once, in layout order, and handed
     to their fibers, so each fiber's layout is the global one restricted to
     its flags.  Each fiber differential is the global rows at its flags; an
-    entry outside the fiber's columns raises SheafError.  d o d = 0 is
-    certified once, on the global complex, at every size.
+    entry outside the fiber's columns raises SheafError.  d o d = 0 on each
+    slice is the global complex's, which `flag_complex` certified.
     """
     gx, glayout = total
-    if gx.total_dimension() > _CHECK_LIMIT:
-        gx.certify()    # flag_complex certifies only up to the limit
     # spans[t][k]: (global offset, local offset, size) per block of fiber t
     layouts = {t: {} for t in targets}
     spans = {t: {} for t in targets}
@@ -574,12 +572,11 @@ def derived_pushforward(sheaf, closed_cells, through=None):
     for c in closed:
         if c not in sheaf.space.complex.cell_index:
             raise NotOpenComplement("cell %r not in the complex" % (c,))
-    open_cells = [c for c in sheaf.space.complex.cells if c not in closed]
-    if not sheaf.poset.is_up_set(open_cells):
+    if missing_face(closed, closed):
         raise NotOpenComplement(
             "complement of the given cells is not open; the set must be "
             "closed under faces")
-    cmap = {c: c for c in open_cells}
+    cmap = {c: c for c in sheaf.space.complex.cells if c not in closed}
     return kan_pushforward(sheaf, cmap, sheaf.space, through)
 
 
@@ -595,7 +592,6 @@ def external_tensor(fx, fy, prod):
     every ra (x) rb must have the shape of its (p, q) block in both stalk
     layouts, so the index arithmetic stays inside it (SheafError if not).
     """
-    from .spaces import product_projections
     ny = prod.n_right
     from .linalg import tensor_complex
     stalks = {}
@@ -608,10 +604,9 @@ def external_tensor(fx, fy, prod):
         stalks[c] = cx
         layouts[c] = layout
     restrictions = {}
-    poset = FacePoset(prod.complex)
     for tau in prod.complex.cells:
         at, bt = projs[tau]
-        for (sig, _s) in poset.covers_down[tau]:
+        for (sig, _s) in facets(tau):
             asig, bsig = projs[sig]
             mats = {}
             src_layout, tgt_layout = layouts[sig], layouts[tau]
@@ -643,7 +638,9 @@ def external_tensor(fx, fy, prod):
                 mats[k] = ExactMatrix(stalks[tau].dim(k),
                                       stalks[sig].dim(k), ent)
             restrictions[(sig, tau)] = mats
-    return SheafComplex(prod, stalks, restrictions, check=False)
+    out = SheafComplex(prod, stalks, restrictions, check=False)
+    out.certified = fx.certified and fy.certified
+    return out
 
 
 def _tensor_blocks(layout, dim):
@@ -719,13 +716,9 @@ def truncate(sheaf, degree, subspaces=None):
         else:
             kb = kernel_basis(cx.diff(k))
         bases[c] = kb
-        dims = {}
+        dims = {q: cx.dim(q) if q < k else kb.cols
+                for q in cx.degrees() if q <= k}
         diffs = {}
-        for q in cx.degrees():
-            if q < k:
-                dims[q] = cx.dim(q)
-            elif q == k:
-                dims[q] = kb.cols
         for q in sorted(dims):
             if q + 1 not in dims:
                 continue
@@ -756,6 +749,7 @@ def truncate(sheaf, degree, subspaces=None):
                 out[q] = solve_columns(bases[b], full)
         restrictions[(a, b)] = out
     out = SheafComplex(sheaf.space, stalks, restrictions, check=False)
+    out.certified = sheaf.certified
     # provenance for pairings: the ambient sheaf and how the cutoff degree
     # embeds back into it (columns per cell; lower degrees embed identically)
     out.untruncated = sheaf

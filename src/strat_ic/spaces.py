@@ -78,6 +78,24 @@ def closure(cells):
     return out
 
 
+def facets(cell):
+    """[(face, (-1)^i)] for the face dropping entry i of a sorted tuple (a
+    cell, or a chain of cells), in order of i; a single entry has none.
+
+    Every total complex here is signed by this rule, and the signs cancel
+    around each codimension-2 face.  Let e be c without its entries i < j.
+    Dropping j then i gives (-1)^j (-1)^i; dropping i, then j, now at
+    position j - 1, gives (-1)^i (-1)^(j - 1).  So the two paths carry
+    opposite signs, and arrows that compose to one map along both cancel.
+
+    >>> facets((0, 2, 5))
+    [((2, 5), 1), ((0, 5), -1), ((0, 2), 1)]
+    """
+    if len(cell) < 2:
+        return []
+    return [(cell[:i] + cell[i + 1:], (-1) ** i) for i in range(len(cell))]
+
+
 def missing_face(cells, within):
     """First (cell, facet) in `cells` order whose facet is outside `within`,
     or None; `cells` is closed under faces inside `within` exactly when this
@@ -141,19 +159,13 @@ class SimplicialComplex:
     def coboundary_matrix(self, k):
         """Matrix of d^k from k-cochains to (k+1)-cochains, integer entries.
 
-        The incidence number of sigma < tau = sigma + {v} is (-1)^i where i
-        is the position of v in tau.
+        The incidence number of sigma < tau is its sign in `facets(tau)`.
         """
         rows = self.cells_of_dim(k + 1)
         cols = self.cells_of_dim(k)
         col_index = {c: j for j, c in enumerate(cols)}
-        ent = {}
-        for i, tau in enumerate(rows):
-            for pos in range(len(tau)):
-                face = tau[:pos] + tau[pos + 1:]
-                j = col_index.get(face)
-                if j is not None:
-                    ent[(i, j)] = (-1) ** pos
+        ent = {(i, col_index[face]): sign for i, tau in enumerate(rows)
+               for face, sign in facets(tau)}
         return ExactMatrix(len(rows), len(cols), ent)
 
     def cochain_complex(self):
@@ -186,8 +198,7 @@ class SimplicialComplex:
 
         cellset = set(cells)
         for c in cells:
-            for i in range(len(c)):
-                face = c[:i] + c[i + 1:]
+            for face, _s in facets(c):
                 if face in cellset:
                     ra, rb = find(c), find(face)
                     if ra != rb:
@@ -204,30 +215,6 @@ class SimplicialComplex:
 
     def __repr__(self):
         return "SimplicialComplex(V=%d, f=%r)" % (self.n_vertices, self.f_vector())
-
-
-class FacePoset:
-    """Covering relations of the face poset, with incidence signs."""
-
-    def __init__(self, complex_):
-        self.complex = complex_
-        self.covers_up = {c: [] for c in complex_.cells}    # cell -> [(coface, sign)]
-        self.covers_down = {c: [] for c in complex_.cells}  # cell -> [(face, sign)]
-        for tau in complex_.cells:
-            for pos in range(len(tau)):
-                face = tau[:pos] + tau[pos + 1:]
-                if face and face in complex_.cell_index:
-                    sign = (-1) ** pos
-                    self.covers_up[face].append((tau, sign))
-                    self.covers_down[tau].append((face, sign))
-
-    def is_up_set(self, cells):
-        cellset = set(cells)
-        for c in cells:
-            for tau, _ in self.covers_up[c]:
-                if tau not in cellset:
-                    return False
-        return True
 
 
 class StratifiedComplex:

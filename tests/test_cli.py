@@ -274,7 +274,9 @@ bad_mezzo_shapes = pytest.mark.parametrize("choices, pointer", [
     ({"7": [[1, 0], [0]]}, "'/choices/7/1'"),
     ({"7": [[1], [0], [0]]}, "'/choices/7'"),
     ({"7": [[1], [0]], "0": [[1], [0]]}, "'/choices/0'"),
-], ids=["ragged", "wrong-row-count", "not-a-cone-point"])
+    ({"7": [[1.0], [0]]}, "'/choices/7/0/0'"),
+    ({"7": [[1], [True]]}, "'/choices/7/1/0'"),
+], ids=["ragged", "wrong-row-count", "not-a-cone-point", "float", "bool"])
 
 
 def _write_mezzo(tmp_path, choices):
@@ -299,6 +301,52 @@ def test_bad_mezzo_shape_rejected_under_optimize(tmp_path, choices, pointer):
                       "--mezzo", str(p))
     assert proc.returncode == 2, proc.stdout
     assert pointer in proc.stderr
+
+
+# every documented bad-input form: argv (with {name} for the path of a file
+# written from `files`) and the JSON pointer the error must carry
+BAD_INPUTS = [
+    (["build"], {}, "/"),
+    (["build", "--example", "nope"], {}, "/example"),
+    (["build", "--example", "product:t2"], {}, "/example"),
+    (["ih", "--example", "cone-s1", "--perversity", "sideways"], {},
+     "/perversity"),
+    (["kunneth", "--example", "t2"], {}, "/example"),
+    (["kunneth", "--example", "product:t2"], {}, "/example"),
+    (["kunneth", "--example", "product:"], {}, "/example"),
+    (["intersect", "--example", "s2", "--degree", "7"], {}, "/degree"),
+    (["intersect", "--example", "s2", "--degree", "-1"], {}, "/degree"),
+    (["intersect", "--example", "cone-s1"], {}, "/example"),
+    (["duality", "--example", "s2", "--degree", "9"], {}, "/degree"),
+    (["duality", "--example", "cone-s1", "--degree", "9"], {}, "/degree"),
+    (["mezzo", "--example", "s2"], {}, "/example"),
+    (["reproduce", "--example", "made-up"], {}, "/example"),
+    (["proptest", "--mode", "mutate-nothing"], {}, "/mode"),
+    (["build", "--input", "{space}"],
+     {"space": {"n_vertices": 3, "simplices": [[0, 1], [1, "x"]],
+                "filtration": {"1": []}}}, "/simplices/1/1"),
+    (["mezzo", "--example", "cone-t2", "--mezzo", "{mezzo}"],
+     {"mezzo": {"choices": {"7": [[1.0], [0]]}}}, "/choices/7/0/0"),
+    (["mezzo", "--example", "cone-t2", "--mezzo", "{mezzo}"],
+     {"mezzo": {"choices": {"7": [[1], [True]]}}}, "/choices/7/1/0"),
+]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+@pytest.mark.parametrize("argv, files, pointer", BAD_INPUTS,
+                         ids=["%s at %s" % (" ".join(a), p)
+                              for a, _f, p in BAD_INPUTS])
+def test_bad_input_exits_two_with_a_pointer(tmp_path, argv, files, pointer,
+                                            optimize):
+    paths = {}
+    for name, doc in files.items():
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps(doc))
+    argv = [a.format(**paths) for a in argv]
+    proc = run_python("-m", "strat_ic.cli", *argv, optimize=optimize)
+    assert proc.returncode == 2, proc.stdout
+    assert "(at %r)" % pointer in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # -- golden outputs --------------------------------------------------------

@@ -383,12 +383,27 @@ def _ref_assemble(layout, arrows):
     return CochainComplex(dims, diffs)
 
 
+def _ref_cofaces(cells):
+    # cell -> [(coface, sign)]: a coface adds one vertex v, with the sign
+    # (-1)^(position of v in the coface)
+    cells = set(cells)
+    verts = sorted({v for c in cells for v in c})
+    out = {c: [] for c in cells}
+    for c in cells:
+        for v in verts:
+            tau = tuple(sorted(c + (v,)))
+            if v not in c and tau in cells:
+                out[c].append((tau, (-1) ** tau.index(v)))
+    return out
+
+
 def _ref_incidence_complex(sheaf):
     layout = _ref_layout(sheaf, sheaf.space.complex.cells, lambda c: c)
+    cofaces = _ref_cofaces(sheaf.space.complex.cells)
 
     def arrows(c, q):
         out = [((c, q + 1), (-1) ** (len(c) - 1), sheaf.stalks[c].diff(q))]
-        for (tau, sign) in sheaf.poset.covers_up[c]:
+        for (tau, sign) in cofaces[c]:
             out.append(((tau, q), sign, sheaf.restriction(c, tau, q)))
         return out
     return _ref_assemble(layout, arrows), layout
@@ -448,8 +463,12 @@ def _sheaf_and_up_set(draw):
 def test_total_complexes_match_source_side_reference(case):
     F, up = case
     assert _flags(up) == _ref_flags(up)
-    _assert_same_total(flag_complex(F, up), _ref_flag_complex(F, up))
-    _assert_same_total(incidence_complex(F), _ref_incidence_complex(F))
+    assert F.certified
+    got = flag_complex(F, up), incidence_complex(F)
+    for cx, _layout in got:
+        cx.certify()    # assembled without the product, F being certified
+    _assert_same_total(got[0], _ref_flag_complex(F, up))
+    _assert_same_total(got[1], _ref_incidence_complex(F))
 
 
 # -- differential: stalks sliced from one flag complex against per-fiber ----
@@ -467,9 +486,15 @@ def _ref_kan_pushforward(sheaf, cell_map, target_space):
         stalks[t], layouts[t] = flag_complex(sheaf, cells)
     index = {t: sheaves._block_index(layout) for t, layout in layouts.items()}
     restrictions = {}
-    tposet = spaces.FacePoset(target_space.complex)
-    for tau in target_space.complex.cells:
-        for (sig, _s) in tposet.covers_down[tau]:
+    cells = target_space.complex.cells
+    faces = {tau: [] for tau in cells}
+    for sig, ups in _ref_cofaces(cells).items():
+        for tau, _s in ups:
+            faces[tau].append(sig)
+    for tau in cells:
+        # in the order of the dropped vertex, as the pushforward stores them
+        for sig in sorted(faces[tau],
+                          key=lambda sig: [v for v in tau if v not in sig]):
             mats = {}
             for k, blocks in layouts[tau].items():
                 ent = {}
@@ -548,19 +573,19 @@ def test_non_monotone_cell_map_rejected():
 def test_pushforward_certifies_d_squared_above_check_limit():
     # a sheaf on s2 whose restriction (0,) -> (0, 1) is doubled, so the
     # diamonds (0,) < (0, 1) < (0, 1, k) no longer commute.  The sheaf, the
-    # pushforward and every stalk over (0,) are above the size below which
-    # each is checked on its own; only the one certificate on the global
-    # flag complex sees the break, also under -O
+    # pushforward and every stalk over (0,) are above the size 1500 that
+    # once gated d o d checks; the sheaf is uncertified, so its global flag
+    # complex is multiplied out and refused, also under -O
     code = "\n".join([
         "from strat_ic.examples import get_example",
         "from strat_ic.linalg import CertificateError",
-        "from strat_ic.sheaves import (_CHECK_LIMIT, SheafComplex,",
-        "                              constant_sheaf, derived_pushforward)",
+        "from strat_ic.sheaves import (SheafComplex, constant_sheaf,",
+        "                              derived_pushforward)",
         "F = constant_sheaf(get_example('s2'), 120)",
         "bad = dict(F.restrictions)",
         "bad[((0,), (0, 1))] = {0: bad[((0,), (0, 1))][0].scale(2)}",
         "F = SheafComplex(F.space, F.stalks, bad, check=False)",
-        "print(F.total_dimension() > _CHECK_LIMIT)",
+        "print(F.total_dimension() > 1500)",
         "try:",
         "    derived_pushforward(F, [(3,)])",
         "    print('accepted')",
@@ -653,8 +678,14 @@ def test_flags_stop_at_longest():
 # on every stalk must still pass on each of them.
 
 def _assert_certified(F):
+    # certified without validate, then the generic check, and d o d = 0
+    # multiplied out on the stalks and on both total complexes, which are
+    # assembled without that product for a certified sheaf
+    assert F.certified
     F.validate()
-    for cx in F.stalks.values():
+    cells = F.space.complex.cells
+    for cx in [*F.stalks.values(), incidence_complex(F)[0],
+               flag_complex(F, cells)[0]]:
         cx.certify()
 
 
@@ -751,7 +782,7 @@ def test_large_pushforward_passes_generic_validate():
     # above the size that once gated validate in the constructors
     s = get_example("suspension-t2")
     push = derived_pushforward(constant_sheaf(s, 1), s.filtration_stage(0))
-    assert push.total_dimension() > sheaves._CHECK_LIMIT
+    assert push.total_dimension() > 1500
     _assert_certified(push)
     _assert_certified(truncate(push, 1))
 
@@ -900,6 +931,8 @@ def test_cone_kernel_spans_the_kernel(case):
     assert push.least_cells == {t: _ref_least_cell(cmap, t)
                                 for t in push.space.complex.cells}
     cut = truncate(push, k)
+    _assert_certified(push)
+    _assert_certified(cut)
     for t, cx in push.stalks.items():
         s = push.least_cells[t]
         old = kernel_basis(cx.diff(k))
@@ -1089,3 +1122,138 @@ def test_truncate_by_row_selection_matches_full_products(case, monkeypatch):
         assert fast.restrictions == slow.restrictions, k
         assert all(fast.stalks[c].diffs == slow.stalks[c].diffs
                    for c in push.stalks), k
+
+
+# -- one d o d rule for every total complex ----------------------------------
+#
+# The total complexes of a certified sheaf are assembled without multiplying
+# out d o d: the sign rule of `spaces.facets`, chain maps and functoriality
+# make it zero.  Those of any other sheaf are multiplied out, at every size,
+# and every arrow must fit its block.
+
+@given(st.lists(st.integers(-5, 20), min_size=1, max_size=7, unique=True))
+def test_facets_signs_cancel_around_codimension_two(entries):
+    c = tuple(sorted(entries))
+    got = spaces.facets(c)
+    assert got == ([] if len(c) == 1 else
+                   [(c[:i] + c[i + 1:], (-1) ** i) for i in range(len(c))])
+    paths = {}
+    for face, s1 in got:
+        for e, s2 in spaces.facets(face):
+            paths.setdefault(e, []).append(s1 * s2)
+    # every codimension-2 face is reached along two paths, of opposite sign
+    assert len(paths) == len(c) * (len(c) - 1) // 2 * (len(c) > 2)
+    assert all(len(p) == 2 and sum(p) == 0 for p in paths.values())
+
+
+def test_mezzo_pairing_complexes_above_1500_pass_certify(monkeypatch):
+    # every total complex a refined-duality pairing on suspension-t2
+    # assembles, the largest of them above 1500, certifies
+    from strat_ic.ic import (Mezzoperversity, lagrangian_subspaces,
+                             link_middle_form, refined_ic)
+    s = get_example("suspension-t2")
+    res = refined_ic(s, Mezzoperversity({
+        v: lagrangian_subspaces(link_middle_form(s, v)[2], count_limit=1)[0]
+        for v in s.stratum(0)}))
+    built = []
+    real = sheaves._assemble_total
+
+    def keep(layout, into, certified):
+        built.append((real(layout, into, certified), certified))
+        return built[-1][0]
+    monkeypatch.setattr(sheaves, "_assemble_total", keep)
+    duality.ic_pairing(res, res, 1)
+    assert built and all(certified for _cx, certified in built)
+    assert max(cx.total_dimension() for cx, _c in built) > 1500
+    for cx, _c in built:
+        cx.certify()
+
+
+def test_constructors_certify_without_validate(monkeypatch):
+    monkeypatch.setattr(SheafComplex, "validate",
+                        lambda self: pytest.fail("validate called"))
+    s = get_example("cone-s1")
+    F = constant_sheaf(s, 1)
+    push = derived_pushforward(F, s.filtration_stage(0), through=1)
+    total, quotient, cmap = _collapse_case("s1")
+    z2 = FGAbelianGroup(1, (2,))
+    built = [F, constant_sheaf(s, z2), push, truncate(push, 0),
+             kan_pushforward(constant_sheaf(total, 2), cmap, quotient),
+             graded_sections_functor(product(s, get_example("s1"))),
+             external_tensor(truncate(push, 0), constant_sheaf(s, 1),
+                             product(s, s))]
+    assert all(G.certified for G in built)
+    # a caller's sheaf is uncertified, and so is what truncate and
+    # external_tensor make of it; a pushforward certifies its own output
+    raw = SheafComplex(s, F.stalks, F.restrictions, check=False)
+    assert not raw.certified
+    assert not truncate(raw, 0).certified
+    assert not external_tensor(raw, F, product(s, s)).certified
+    assert derived_pushforward(raw, s.filtration_stage(0)).certified
+    monkeypatch.undo()
+    assert SheafComplex(s, F.stalks, F.restrictions).certified
+
+
+def test_uncertified_sheaf_total_complexes_checked_at_every_size():
+    # the doubled restriction of the test above, at rank 1 (14 cochains)
+    # and at rank 120 (1680, above the size that once gated the check):
+    # both are refused by the incidence and the open-set flag complex,
+    # also under -O
+    code = "\n".join([
+        "from strat_ic.examples import get_example",
+        "from strat_ic.linalg import CertificateError",
+        "from strat_ic.sheaves import (SheafComplex, constant_sheaf,",
+        "                              incidence_complex, sheaf_cohomology)",
+        "for rank in (1, 120):",
+        "    F = constant_sheaf(get_example('s2'), rank)",
+        "    bad = dict(F.restrictions)",
+        "    bad[((0,), (0, 1))] = {0: bad[((0,), (0, 1))][0].scale(2)}",
+        "    F = SheafComplex(F.space, F.stalks, bad, check=False)",
+        "    print(F.total_dimension(), F.certified)",
+        "    cells = F.space.complex.cells",
+        "    for call in (lambda: incidence_complex(F),",
+        "                 lambda: sheaf_cohomology(F, open_cells=cells)):",
+        "        try:",
+        "            call()",
+        "            print('accepted')",
+        "        except CertificateError as e:",
+        "            print('rejected:', e)",
+    ])
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "14 False" and lines[3] == "1680 False", lines
+        for line in lines[1:3] + lines[4:]:
+            assert line.startswith("rejected: d o d != 0"), lines
+
+
+def test_arrow_that_does_not_fit_its_block_is_refused():
+    # a restriction (0,) -> (0, 1) of shape (2, 1) between rank-1 stalks:
+    # refused when the total complex is assembled, certified or not, also
+    # under -O
+    code = "\n".join([
+        "from strat_ic.examples import get_example",
+        "from strat_ic.linalg import CertificateError, ExactMatrix",
+        "from strat_ic.sheaves import (SheafComplex, constant_sheaf,",
+        "                              incidence_complex)",
+        "F = constant_sheaf(get_example('s1'), 1)",
+        "wide = {0: ExactMatrix(2, 1, {(0, 0): 1, (1, 0): 1})}",
+        "raw = SheafComplex(F.space, F.stalks,",
+        "                   {**F.restrictions, ((0,), (0, 1)): wide},",
+        "                   check=False)",
+        "F.restrictions[((0,), (0, 1))] = wide",
+        "for G in (F, raw):",
+        "    try:",
+        "        incidence_complex(G)",
+        "        print('accepted')",
+        "    except CertificateError as e:",
+        "        print(G.certified, 'rejected:', e)",
+    ])
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "%s rejected: arrow ((0,), 0) -> ((0, 1), 0) has shape (2, 1), "
+            "not its block's (1, 1)" % certified
+            for certified in (True, False)]
