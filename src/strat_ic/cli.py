@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -247,12 +248,28 @@ def load_space(path):
         raise BadInput("invalid space: %s" % e, "/filtration")
 
 
+_MEZZO_ENTRY = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
+
+
+def _mezzo_entry(v):
+    """A mezzo matrix entry as a Fraction: a JSON integer, or a string
+    "[+-]digits" or "[+-]digits/digits" with a nonzero denominator.  None
+    for anything else (bools, floats, decimals, exponents, spaces)."""
+    if type(v) is int:
+        return Fraction(v)
+    if isinstance(v, str):
+        m = _MEZZO_ENTRY.fullmatch(v)
+        if m and (m[1] is None or int(m[1])):
+            return Fraction(v)
+    return None
+
+
 def load_mezzo(path, space):
     """Mezzoperversity from {"schema": 1, "choices": {"<vertex>": rows}}.
 
     Each key is a vertex of the first odd-codimension stratum of `space`.
-    Each matrix is given by rows of num/den strings or integers, one row per
-    middle Betti number of the vertex's link; columns span the chosen
+    Each matrix is given by rows of entries (see `_mezzo_entry`), one row
+    per middle Betti number of the vertex's link; columns span the chosen
     subspace of the link's middle cohomology.
     """
     try:
@@ -289,13 +306,10 @@ def load_mezzo(path, space):
                     "/choices/%s/%d" % (key, i))
             out = []
             for j, v in enumerate(row):
-                try:
-                    if isinstance(v, bool) or not isinstance(v, (int, str)):
-                        raise ValueError(v)
-                    out.append(Fraction(v))
-                except (ValueError, ZeroDivisionError):
-                    raise BadInput("entries are integers or num/den strings",
-                                   "/choices/%s/%d/%d" % (key, i, j))
+                x = _mezzo_entry(v)
+                _expect(x is not None, "entries are integers or num/den "
+                        "strings", "/choices/%s/%d/%d" % (key, i, j))
+                out.append(x)
             parsed.append(out)
         choices[vertex] = ExactMatrix.from_rows(parsed)
     return ic.Mezzoperversity(choices)

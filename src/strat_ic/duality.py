@@ -51,7 +51,9 @@ def orient_top_cells(cx):
 
     Requires every maximal cell to be a top cell, and every codimension-one
     cell to bound exactly two top cells; signs are propagated from the
-    lexicographically first top cell of each dual-graph component.
+    lexicographically first top cell of each dual-graph component.  In
+    dimension 0 there are no ridges: every vertex is a top cell, with
+    sign +1.
 
     >>> from .examples import get_example
     >>> o = orient_top_cells(get_example("s2").complex)
@@ -62,6 +64,9 @@ def orient_top_cells(cx):
     tops = cx.cells_of_dim(n)
     if not tops:
         raise NotOrientable("no top cells")
+    if n == 0:
+        # a closed 0-manifold: every vertex is a top cell, and no ridges
+        return {t: 1 for t in tops}
     for c in cx.maximal_cells():
         if len(c) - 1 < n:
             raise NotOrientable("cell %r is not a face of a top cell" % (c,))
@@ -223,18 +228,34 @@ def _same_dims(R, A):
 
 class _Ambient:
     """Index structures for cupping inside a pushforward R that holds
-    every stalk degree the products reach."""
+    every stalk degree the products reach: the layout of R's incidence
+    complex, its block index, the flag offsets and the size of each total
+    degree.  The incidence complex itself, `cx`, is assembled on first use
+    and kept; only `clear_overshoot` reads it, when a product has
+    components above the cutoff."""
 
     def __init__(self, R):
         self.R = R
-        self.cx, self.layout = sheaves.incidence_complex(R)
+        self.layout = sheaves.incidence_layout(R)
         self.lmap = sheaves._block_index(self.layout)
         self.fidx = _flag_offsets(R)
+        self.dims = {k: sum(blk[3] for blk in blocks)
+                     for k, blocks in self.layout.items()}
+        self._cx = None
+
+    @property
+    def cx(self):
+        if self._cx is None:
+            self._cx, _ = sheaves.incidence_complex(self.R)
+        return self._cx
+
+    def dim(self, degree):
+        return self.dims.get(degree, 0)
 
     def embed(self, result, vec, degree):
         """Coordinates of a class of `result` inside the ambient complex."""
         sheaf = result.sheaf
-        out = [Fraction(0)] * self.cx.dim(degree)
+        out = [Fraction(0)] * self.dim(degree)
         for cell, q, off, size in result.layout.get(degree, ()):
             block = vec[off:off + size]
             if not any(block):
@@ -271,7 +292,7 @@ class _Ambient:
         """
         R = self.R
         n = k + l
-        z = [Fraction(0)] * self.cx.dim(n)
+        z = [Fraction(0)] * self.dim(n)
         for tau, q, off, size in self.layout.get(n, ()):
             p = len(tau) - 1
             fidx = self.fidx[tau]
@@ -313,14 +334,15 @@ class _Ambient:
         Components above the cutoff are removed by subtracting the total
         differential of a stalkwise preimage; solvability is exactly the
         vanishing of the offending stalk classes (for refined sheaves, the
-        Lagrangian condition).
+        Lagrangian condition).  The ambient complex is assembled only when
+        there is something to remove.
         """
         blocks = self.layout.get(degree, ())
         qs = sorted({q for _c, q, _o, _s in blocks}, reverse=True)
         for q in qs:
             if q <= cutoff:
                 break
-            w = [Fraction(0)] * self.cx.dim(degree - 1)
+            w = [Fraction(0)] * self.dim(degree - 1)
             dirty = False
             for cell, bq, off, size in blocks:
                 if bq != q:
@@ -367,6 +389,19 @@ class PairingContext:
     each basis is computed on first use and kept for the context's life.
     Only spaces with a single attachment step are supported.
 
+    What is reused.  When a result was truncated from the ambient R at
+    cut_top itself (every refined result here, whose cutoff (c - 1) // 2
+    is c - 2 at the codimension-3 cone points, and every deligne result
+    at perversity t), T is `sheaves.plain_truncation` of that result's
+    sheaf: only the cells that took a Lagrangian subspace are truncated
+    again.  A result that took no subspace is T itself, and then its
+    incidence complex, layout and H^n basis serve for T's.  Otherwise T is
+    `truncate(R, cut_top)`.  The ambient's incidence complex is assembled
+    lazily, once per context, and only if a product has components above
+    cut_top to clear.  A degree-0 class sits in stalk degree 0, so in
+    degrees 0 and n that takes a cutoff above cut_top, which no
+    perversity gives: only middle degrees assemble it.
+
     The ambient pushforward must hold every stalk degree up to
     D = max(cutoff_low + cutoff_high, cut_top + 1): products land in stalk
     degrees up to the sum of the cutoffs, and the top truncation reads one
@@ -408,9 +443,18 @@ class PairingContext:
         self.n, self.cut_top = n, cut_top
         self._bases = {}  # (result, degree) -> cohomology basis
         self.ambient = _Ambient(R)
-        self.top = sheaves.truncate(R, cut_top)
-        cxT, self.top_layout = sheaves.incidence_complex(self.top)
-        gens = cxT.cohomology_basis(n)
+        source = next((x for x in (result_low, result_high)
+                       if x.sheaf.untruncated is R
+                       and x.sheaf.cutoff == cut_top), None)
+        self.top = (sheaves.truncate(R, cut_top) if source is None
+                    else sheaves.plain_truncation(source.sheaf))
+        if source is not None and self.top is source.sheaf:
+            # the result is T: its complex, layout and H^n basis are T's
+            cxT, self.top_layout = source.complex, source.layout
+            gens = self._basis(source, n)
+        else:
+            cxT, self.top_layout = sheaves.incidence_complex(self.top)
+            gens = cxT.cohomology_basis(n)
         if len(gens) != 1:
             raise DualityError(
                 "top truncation has H^%d of rank %d, cannot normalize"

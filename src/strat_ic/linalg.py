@@ -805,9 +805,12 @@ class CochainComplex:
     `diffs` maps degree k to the matrix of d^k with shape (dims[k+1], dims[k]).
     Missing differentials are zero.  d o d = 0 is checked at construction
     and raises CertificateError when it fails (also under python -O).
+    `certified` records that it holds: `certify()` sets it, and so does
+    the builder of a complex that is d o d = 0 by construction (the total
+    complexes of a certified sheaf).
     """
 
-    __slots__ = ("lo", "hi", "dims", "diffs")
+    __slots__ = ("lo", "hi", "dims", "diffs", "certified")
 
     def __init__(self, dims, diffs=None, check=True):
         if not dims:
@@ -829,12 +832,13 @@ class CochainComplex:
                 raise ValueError("d^%d has shape %r, not (%d, %d)"
                                  % (k, m.shape, self.dims[k + 1], self.dims[k]))
             self.diffs[k] = m
+        self.certified = False
         if check:
             self.certify()
 
     def certify(self):
         """Check d o d = 0 in every degree, on row dicts in exact
-        arithmetic; CertificateError if it fails."""
+        arithmetic; CertificateError if it fails, else sets `certified`."""
         nxt = None
         for k in range(self.hi - 1, self.lo - 1, -1):
             d = self.diffs.get(k)
@@ -842,6 +846,7 @@ class CochainComplex:
             if rows and nxt and any(_mul_rows(nxt, rows)):
                 raise CertificateError("d o d != 0 at degree %d" % k)
             nxt = rows
+        self.certified = True
 
     def dim(self, k):
         return self.dims.get(k, 0)
@@ -896,10 +901,11 @@ class CochainComplex:
         """Integral cohomology per degree as FGAbelianGroup.
 
         Requires integer differentials.  The inclusion im d^{k-1} in
-        ker d^k, that is d^k d^{k-1} = 0, is re-checked exactly on the
-        input (on row dicts, as in `certify`) and raises CertificateError
-        when it fails.  The groups are then read off `_reduce_units(self)`,
-        which has the same cohomology and whose differentials hold no +-1.
+        ker d^k, that is d^k d^{k-1} = 0, is checked exactly on a complex
+        that is not `certified` (on row dicts, as in `certify`) and raises
+        CertificateError when it fails.  The groups are then read off
+        `_reduce_units(self)`, which has the same cohomology and whose
+        differentials hold no +-1.
         There ker d^k is a direct summand of C^k (C^k / ker d^k embeds in
         the free group C^{k+1}), so C^k / im d^{k-1} = H^k + Z^{rank d^k}:
         one Smith form of d^{k-1} gives the cokernel, whose free rank loses
@@ -913,6 +919,8 @@ class CochainComplex:
             if not a.is_integral():
                 raise ValueError("cohomology_groups needs integer "
                                  "differentials")
+            if self.certified:
+                continue
             rows = _rows(a)
             if prev is not None and any(_mul_rows(rows, prev)):
                 raise CertificateError(

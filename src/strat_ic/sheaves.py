@@ -14,7 +14,10 @@ size, without it:
   faces; key-matching projections are then chain maps and compose.
 - `truncate`, of a certified sheaf: its maps below the cutoff, and at the
   cutoff the exact products of `solve_many` through injective bases (on a
-  fiber with a least cell, the cone contraction's basis).
+  fiber with a least cell, the cone contraction's basis).  It works cell
+  by cell and cover by cover, so `plain_truncation` turns a truncation
+  onto caller subspaces into the plain one by recomputing only the cells
+  that took a subspace and the covers that touch them.
 - `external_tensor`, of certified factors: Kronecker products of their
   chain maps, each the shape of its block in the tensor layouts.
 
@@ -259,14 +262,19 @@ def incidence_complex(sheaf):
     Returns (complex, layout) where layout[k] is a list of blocks
     (cell, stalk_degree, offset, size).
     """
-    layout = _layout((c, len(c) - 1, sheaf.stalks[c])
-                     for c in sheaf.space.complex.cells)
+    layout = incidence_layout(sheaf)
 
     def into(c, q):
         yield c, (-1) ** (len(c) - 1), sheaf.stalks[c].diff(q - 1), q - 1
         for (sig, sign) in facets(c):
             yield sig, sign, sheaf.restriction(sig, c, q), q
     return _assemble_total(layout, into, sheaf.certified), layout
+
+
+def incidence_layout(sheaf):
+    """The layout of `incidence_complex(sheaf)`, without assembling it."""
+    return _layout((c, len(c) - 1, sheaf.stalks[c])
+                   for c in sheaf.space.complex.cells)
 
 
 def _layout(blocks, through=None):
@@ -304,7 +312,8 @@ def _assemble_total(layout, into, certified):
     and every other arrow must have the shape of its (target, source)
     block (CertificateError).  d o d = 0 holds by construction on the
     total complexes of a `certified` sheaf (see the module docstring), so
-    it is multiplied out, at every size, only for an uncertified one.
+    it is multiplied out, at every size, only for an uncertified one.  The
+    result is `certified` either way.
     """
     if not layout:
         return CochainComplex({0: 0}, {})
@@ -332,7 +341,9 @@ def _assemble_total(layout, into, certified):
         # each arrow fills its own block, so entries arrive normalized and
         # are written once
         diffs[k] = ExactMatrix._of(dims[k + 1], dims[k], ent)
-    return CochainComplex(dims, diffs, check=not certified)
+    out = CochainComplex(dims, diffs, check=not certified)
+    out.certified = True
+    return out
 
 
 def _flags(cells, longest=None):
@@ -698,6 +709,11 @@ def truncate(sheaf, degree, subspaces=None):
     projections do), so each output identity at k (d o d = 0, chain map,
     functoriality) times B on the left is the input's, and B is
     injective.
+
+    The result records its input as `untruncated`, k as `cutoff`, the
+    bases B per cell as `inclusions`, and the cells that took caller
+    subspaces as `subspace_cells`; `plain_truncation` reads these to
+    rebuild the truncation without subspaces from it.
     """
     k = int(degree)
     subspaces = {tuple(c): m for c, m in (subspaces or {}).items()}
@@ -705,56 +721,111 @@ def truncate(sheaf, degree, subspaces=None):
         # kernel bases are injective by construction (a unit row per column)
         if rank(m) != m.cols:
             raise SheafError("subspace at %r has dependent columns" % (c,))
-    least = getattr(sheaf, "least_cells", {})
-    bases = {}
-    stalks = {}
-    for c, cx in sheaf.stalks.items():
-        if c in subspaces:
-            kb = subspaces[c]
-        elif least.get(c) is not None:
-            kb = _cone_kernel(cx, sheaf.stalk_layouts[c], least[c], k)
-        else:
-            kb = kernel_basis(cx.diff(k))
-        bases[c] = kb
-        dims = {q: cx.dim(q) if q < k else kb.cols
-                for q in cx.degrees() if q <= k}
-        diffs = {}
-        for q in sorted(dims):
-            if q + 1 not in dims:
-                continue
-            if q + 1 < k:
-                diffs[q] = cx.diff(q)
-            else:
-                # express d^{k-1} in the subspace basis
-                diffs[q] = solve_columns(kb, cx.diff(q))
-        if not dims:
-            dims = {k: 0}
-        stalks[c] = CochainComplex(dims, diffs, check=False)
-    restrictions = {}
+    bases, stalks = {}, {}
+    for c in sheaf.stalks:
+        bases[c], stalks[c] = _truncated_stalk(sheaf, c, k, subspaces.get(c))
     basis_rows = {}     # cell -> row dicts of its basis, once selected from
-    for (a, b), mats in sheaf.restrictions.items():
-        out = {}
-        for q, m in mats.items():
-            if q < k:
-                out[q] = m
-            elif q == k:
-                r = sheaf.restriction(a, b, k)
-                pick = _row_selection(r)
-                if pick is None:
-                    full = r * bases[a]
-                else:
-                    if a not in basis_rows:
-                        basis_rows[a] = _rows(bases[a])
-                    full = _rows_at(basis_rows[a], pick, bases[a].cols)
-                out[q] = solve_columns(bases[b], full)
-        restrictions[(a, b)] = out
+    restrictions = {cover: _truncated_cover(sheaf, cover, k, bases, basis_rows)
+                    for cover in sheaf.restrictions}
+    return _truncation(sheaf, k, stalks, restrictions, bases,
+                       frozenset(c for c in sheaf.stalks if c in subspaces))
+
+
+def plain_truncation(G):
+    """`truncate(G.untruncated, G.cutoff)`, from the truncation G itself.
+
+    Only the cells in `G.subspace_cells`, which took caller subspaces, get
+    their basis and stalk recomputed, and only the covers touching one of
+    them get their maps recomputed; every other stalk, basis and
+    restriction is G's own object.  A G that took no subspaces is returned
+    as it is.
+
+    Proof.  `truncate` works cell by cell (`_truncated_stalk`): a cell's
+    basis and stalk depend only on that cell's stalk, stalk layout and
+    least cell, the cutoff k and the cell's subspace, if any.  A cover's
+    maps (`_truncated_cover`) depend only on the input's maps along it and
+    on the bases at its two ends.  Away from the subspace cells these
+    inputs are the same for G and for `truncate(G.untruncated, k)`, so
+    every reused piece is the one `truncate` computes, and it was certified
+    when G was built; the recomputed pieces come from the same two bodies
+    and are certified by them.
+    """
+    cells = G.subspace_cells
+    if not cells:
+        return G
+    R, k = G.untruncated, G.cutoff
+    bases, stalks = dict(G.inclusions), dict(G.stalks)
+    for c in cells:
+        bases[c], stalks[c] = _truncated_stalk(R, c, k)
+    basis_rows = {}
+    restrictions = dict(G.restrictions)
+    for cover in R.restrictions:
+        if cover[0] in cells or cover[1] in cells:
+            restrictions[cover] = _truncated_cover(R, cover, k, bases,
+                                                   basis_rows)
+    return _truncation(R, k, stalks, restrictions, bases, frozenset())
+
+
+def _truncated_stalk(sheaf, c, k, subspace=None):
+    """(basis of the kept cocycles, truncated stalk) at cell c, cut at k:
+    `subspace` if given, else the cone contraction's basis on a fiber with
+    a least cell, else `kernel_basis`."""
+    cx = sheaf.stalks[c]
+    least = getattr(sheaf, "least_cells", {}).get(c)
+    if subspace is not None:
+        kb = subspace
+    elif least is not None:
+        kb = _cone_kernel(cx, sheaf.stalk_layouts[c], least, k)
+    else:
+        kb = kernel_basis(cx.diff(k))
+    dims = {q: cx.dim(q) if q < k else kb.cols
+            for q in cx.degrees() if q <= k}
+    diffs = {}
+    for q in sorted(dims):
+        if q + 1 not in dims:
+            continue
+        if q + 1 < k:
+            diffs[q] = cx.diff(q)
+        else:
+            # express d^{k-1} in the subspace basis
+            diffs[q] = solve_columns(kb, cx.diff(q))
+    if not dims:
+        dims = {k: 0}
+    return kb, CochainComplex(dims, diffs, check=False)
+
+
+def _truncated_cover(sheaf, cover, k, bases, basis_rows):
+    """Maps of the truncation along the cover (a, b): the input's below k,
+    and at k the solution of B_b Y = r B_a.  `basis_rows` caches the row
+    dicts of the bases that a row selection reads."""
+    a, b = cover
+    out = {}
+    for q, m in sheaf.restrictions[cover].items():
+        if q < k:
+            out[q] = m
+        elif q == k:
+            r = sheaf.restriction(a, b, k)
+            pick = _row_selection(r)
+            if pick is None:
+                full = r * bases[a]
+            else:
+                if a not in basis_rows:
+                    basis_rows[a] = _rows(bases[a])
+                full = _rows_at(basis_rows[a], pick, bases[a].cols)
+            out[q] = solve_columns(bases[b], full)
+    return out
+
+
+def _truncation(sheaf, k, stalks, restrictions, bases, subspace_cells):
     out = SheafComplex(sheaf.space, stalks, restrictions, check=False)
     out.certified = sheaf.certified
-    # provenance for pairings: the ambient sheaf and how the cutoff degree
-    # embeds back into it (columns per cell; lower degrees embed identically)
+    # provenance for pairings: the ambient sheaf, how the cutoff degree
+    # embeds back into it (columns per cell; lower degrees embed
+    # identically), and the cells whose kernel a caller replaced
     out.untruncated = sheaf
     out.cutoff = k
     out.inclusions = bases
+    out.subspace_cells = subspace_cells
     return out
 
 

@@ -276,7 +276,14 @@ bad_mezzo_shapes = pytest.mark.parametrize("choices, pointer", [
     ({"7": [[1], [0]], "0": [[1], [0]]}, "'/choices/0'"),
     ({"7": [[1.0], [0]]}, "'/choices/7/0/0'"),
     ({"7": [[1], [True]]}, "'/choices/7/1/0'"),
-], ids=["ragged", "wrong-row-count", "not-a-cone-point", "float", "bool"])
+    ({"7": [["1.5"], [0]]}, "'/choices/7/0/0'"),
+    ({"7": [[1], ["2e0"]]}, "'/choices/7/1/0'"),
+    ({"7": [["1/0"], [0]]}, "'/choices/7/0/0'"),
+    ({"7": [[" 1"], [0]]}, "'/choices/7/0/0'"),
+    ({"7": [["1/-2"], [0]]}, "'/choices/7/0/0'"),
+], ids=["ragged", "wrong-row-count", "not-a-cone-point", "float", "bool",
+        "decimal-string", "exponent-string", "zero-denominator",
+        "padded-string", "signed-denominator"])
 
 
 def _write_mezzo(tmp_path, choices):
@@ -301,6 +308,32 @@ def test_bad_mezzo_shape_rejected_under_optimize(tmp_path, choices, pointer):
                       "--mezzo", str(p))
     assert proc.returncode == 2, proc.stdout
     assert pointer in proc.stderr
+
+
+@pytest.mark.parametrize("spelled", [[["+2"], ["0/5"]], [["4/2"], ["-0"]]])
+def test_mezzo_entries_take_signs_and_fractions(tmp_path, spelled):
+    # signed integers and num/den strings spell the same Lagrangian as the
+    # JSON integers 2 and 0
+    reports = []
+    for i, choice in enumerate(([[2], [0]], spelled)):
+        p = tmp_path / ("mezzo%d.json" % i)
+        p.write_text(json.dumps({"schema": 1, "choices": {"7": choice}}))
+        code, data = run(["mezzo", "--example", "cone-t2", "--mezzo",
+                          str(p)], tmp_path, "out%d.json" % i)
+        assert code == 0
+        reports.append(json.loads(data)["rows"])
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command, label", [("duality", "pairing-0-0"),
+                                            ("intersect", "numbers-0-0")])
+def test_point_has_a_duality_report(tmp_path, command, label):
+    # a point is a closed 0-manifold: H^0 pairs with itself to 1
+    code, payload = run([command, "--example", "point"], tmp_path)
+    assert code == 0
+    got = row(json.loads(payload), label)["values"]
+    assert got in ({"rows": 1, "cols": 1, "triples": [[0, 0, "1/1"]]},
+                   [["1/1"]])
 
 
 # every documented bad-input form: argv (with {name} for the path of a file

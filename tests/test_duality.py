@@ -7,6 +7,8 @@ cone formula and the cohomology of the cylinder.
 """
 
 import gc
+import hashlib
+import json
 import weakref
 from fractions import Fraction
 
@@ -67,6 +69,13 @@ def test_orientation_closed_surfaces():
         assert set(signs.values()) <= {1, -1}
 
 
+def test_orientation_of_a_point():
+    # a closed 0-manifold has no ridges: its vertex is a top cell, sign +1
+    pt = get_example("point")
+    assert orient_top_cells(pt.complex) == {(0,): 1}
+    assert duality_pairing(pt, 0).matrix.to_triples() == [(0, 0, "1/1")]
+
+
 def test_orientation_rejects_boundary():
     with pytest.raises(NotOrientable):
         orient_top_cells(get_example("interval").complex)
@@ -85,6 +94,8 @@ def _reference_orient_top_cells(cx):
     tops = cx.cells_of_dim(n)
     if not tops:
         raise NotOrientable("no top cells")
+    if n == 0:
+        return {t: 1 for t in tops}
     for c in cx.cells:
         if len(c) - 1 < n and not any(len(t) > len(c) and set(c) <= set(t)
                                       for t in cx.cells):
@@ -792,3 +803,92 @@ def test_rebuilt_ambient_refuses_rank_two_coefficients():
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == \
             "rejected: pairing needs rank-one scalar coefficients\n"
+
+
+# -- the top truncation from a result's own, and the lazy ambient complex ---
+
+# sha256 of the matrices `_all_matrices` gives for three Lagrangians on
+# suspension-genus2, frozen before the top truncation was taken from the
+# results' own truncations
+SUSPENSION_GENUS2_MATRICES = \
+    "632e1ddd55074a6ed936205d16fb8bd0649fcf9d1f8a2f4e175ce7dd73f16930"
+
+
+def _refined_results(name, count=3):
+    sp = get_example(name)
+    forms = {v: link_middle_form(sp, v)[2] for v in sorted(sp.stratum(0))}
+    return [refined_ic(sp, Mezzoperversity({
+        v: lagrangian_subspaces(f, count_limit=count)[i]
+        for v, f in forms.items()})) for i in range(count)]
+
+
+@pytest.fixture(scope="module")
+def refined_by_space():
+    return {name: _refined_results(name)
+            for name in ("suspension-t2", "suspension-genus2")}
+
+
+def _all_matrices(results):
+    # [Lagrangian index, degree, rows of entry strings] for every degree
+    out = []
+    for i, res in enumerate(results):
+        context = PairingContext(res, res)
+        for k in range(res.space.dim + 1):
+            m = context.matrix(k).matrix
+            out.append([i, k, [[str(m.entry(r, c)) for c in range(m.cols)]
+                               for r in range(m.rows)]])
+    return out
+
+
+def test_suspension_genus2_matrices_are_pinned(refined_by_space):
+    got = _all_matrices(refined_by_space["suspension-genus2"])
+    assert [len(m) for _i, k, m in got if k in (1, 2)] == [2] * 6
+    assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == \
+        SUSPENSION_GENUS2_MATRICES
+
+
+@pytest.mark.parametrize("name", ["suspension-t2", "suspension-genus2"])
+def test_top_truncation_from_the_result_pairs_like_truncate(
+        monkeypatch, refined_by_space, name):
+    # the reference truncates the ambient again, as every context did
+    # before; each refined result was cut at cut_top, so every context
+    # takes its top truncation from the result
+    results = refined_by_space[name]
+    got = _all_matrices(results)
+    seen = []
+
+    def reference(G):
+        seen.append(G)
+        return sheaves.truncate(G.untruncated, G.cutoff)
+
+    monkeypatch.setattr(sheaves, "plain_truncation", reference)
+    assert _all_matrices(results) == got
+    assert seen == [res.sheaf for res in results]
+
+
+def test_top_truncation_is_the_result_when_it_took_no_subspace(ss2_results):
+    # perversity t cuts at cut_top = 1 with no subspaces: T is the result
+    res = ss2_results["t"]
+    context = PairingContext(res, res)
+    assert context.top is res.sheaf
+    assert context.top_layout is res.layout
+
+
+def test_ambient_complex_only_where_a_product_overshoots(monkeypatch, res_w):
+    R = res_w.sheaf.untruncated
+    assembled = []
+    real = sheaves.incidence_complex
+
+    def counted(sheaf):
+        assembled.append(sheaf is R)
+        return real(sheaf)
+
+    monkeypatch.setattr(sheaves, "incidence_complex", counted)
+    for k in (0, 3):
+        PairingContext(res_w, res_w).matrix(k)
+    assert sum(assembled) == 0
+    context = PairingContext(res_w, res_w)
+    context.matrix(1)
+    assert sum(assembled) == 1
+    context.matrix(2)
+    assert sum(assembled) == 1

@@ -949,6 +949,57 @@ def test_cohomology_groups_certify_d_squared():
         c.cohomology_groups()
 
 
+def test_cohomology_groups_certify_d_squared_under_optimize():
+    code = "\n".join([
+        "from strat_ic.linalg import CertificateError, CochainComplex, "
+        "ExactMatrix",
+        "d0 = ExactMatrix.from_rows([[1], [0]])",
+        "d1 = ExactMatrix.from_rows([[1, 0]])",
+        "c = CochainComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1}, check=False)",
+        "print(c.certified)",
+        "try:",
+        "    print(c.cohomology_groups())",
+        "except CertificateError as e:",
+        "    print('rejected:', e)",
+    ])
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False", "rejected: image not contained in kernel at degree 1"]
+
+
+def test_certified_records_the_d_squared_check():
+    d0 = ExactMatrix.from_rows([[1], [-1]])
+    d1 = ExactMatrix.from_rows([[1, 1]])
+    assert CochainComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1}).certified
+    c = CochainComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1}, check=False)
+    assert not c.certified
+    c.certify()
+    assert c.certified
+    # total complexes of a certified sheaf are certified by construction
+    from strat_ic import sheaves
+    F = sheaves.constant_sheaf(get_example("s2"))
+    assert sheaves.incidence_complex(F)[0].certified
+
+
+def test_cohomology_groups_multiplies_only_uncertified_input(monkeypatch):
+    # the d o d product runs on the input only when it is not certified;
+    # the unit reduction certifies its own output either way
+    c = get_example("t2").complex.cochain_complex()
+    assert c.certified
+    calls = []
+    real = linalg._mul_rows
+    monkeypatch.setattr(linalg, "_mul_rows",
+                        lambda a, b: calls.append(1) or real(a, b))
+    want = c.cohomology_groups()
+    reduction_only = len(calls)
+    calls.clear()
+    c.certified = False
+    assert c.cohomology_groups() == want
+    # plus one product per pair of consecutive degrees of the input
+    assert len(calls) == reduction_only + (c.hi - c.lo)
+
+
 def test_cohomology_groups_reject_non_integers():
     c = CochainComplex({0: 1, 1: 1}, {0: ExactMatrix.from_rows([[Fraction(1, 2)]])})
     with pytest.raises(ValueError):

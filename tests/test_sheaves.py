@@ -742,6 +742,45 @@ def test_constructed_sheaves_pass_generic_validate(case, data):
     _assert_certified(truncate(push, k, subspaces=subs))
 
 
+def _assert_same_truncation(got, want):
+    assert got.untruncated is want.untruncated
+    assert (got.cutoff, got.certified) == (want.cutoff, want.certified)
+    assert list(got.stalks) == list(want.stalks)
+    for c, cx in want.stalks.items():
+        other = got.stalks[c]
+        assert other.dims == cx.dims, c
+        assert all(other.diff(q) == cx.diff(q) for q in cx.degrees()), c
+        assert got.inclusions[c] == want.inclusions[c], c
+    assert got.restrictions == want.restrictions
+
+
+@given(_built_pushforwards(), st.data())
+@settings(max_examples=20, deadline=None)
+def test_plain_truncation_matches_truncate(case, data):
+    # a truncation onto rebased kernels at drawn cells, turned back into
+    # the plain one: equal to truncating again, and away from the drawn
+    # cells made of the first truncation's own objects
+    push, k = case
+    cells = data.draw(st.sets(st.sampled_from(sorted(push.stalks))))
+    subs = {c: _rebased(kernel_basis(push.stalk(c).diff(k)), data.draw)
+            for c in cells}
+    G = truncate(push, k, subspaces=subs)
+    assert G.subspace_cells == frozenset(cells)
+    got = sheaves.plain_truncation(G)
+    _assert_same_truncation(got, truncate(push, k))
+    assert got.subspace_cells == frozenset()
+    if not cells:
+        assert got is G
+    for c in push.stalks:
+        if c not in cells:
+            assert got.stalks[c] is G.stalks[c]
+            assert got.inclusions[c] is G.inclusions[c]
+    for cover, mats in G.restrictions.items():
+        if not cells.intersection(cover):
+            assert all(got.restrictions[cover][q] is m
+                       for q, m in mats.items())
+
+
 @pytest.mark.parametrize("pair,coefficient", [
     (("s1", "s1"), 1), (("cone-s1", "s1"), 2),
     (("s1", "s1"), FGAbelianGroup(1, (2,)))])
