@@ -193,7 +193,7 @@ def load_space(path):
         doc = json.loads(payload.decode("utf-8"))
     except OSError as e:
         raise BadInput("cannot read %s: %s" % (path, e), "")
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # bad UTF-8, bad JSON, or an overlong integer
         raise BadInput("not UTF-8 JSON: %s" % e, "")
     _expect(isinstance(doc, dict), "document must be an object", "")
     _expect(isinstance(doc.get("n_vertices"), int) and
@@ -254,13 +254,17 @@ _MEZZO_ENTRY = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
 def _mezzo_entry(v):
     """A mezzo matrix entry as a Fraction: a JSON integer, or a string
     "[+-]digits" or "[+-]digits/digits" with a nonzero denominator.  None
-    for anything else (bools, floats, decimals, exponents, spaces)."""
+    for anything else (bools, floats, decimals, exponents, spaces, and
+    digit strings longer than Python converts to int)."""
     if type(v) is int:
         return Fraction(v)
     if isinstance(v, str):
         m = _MEZZO_ENTRY.fullmatch(v)
-        if m and (m[1] is None or int(m[1])):
-            return Fraction(v)
+        try:
+            if m and (m[1] is None or int(m[1])):
+                return Fraction(v)
+        except ValueError:
+            pass
     return None
 
 
@@ -277,7 +281,7 @@ def load_mezzo(path, space):
             doc = json.loads(fh.read().decode("utf-8"))
     except OSError as e:
         raise BadInput("cannot read %s: %s" % (path, e), "")
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # bad UTF-8, bad JSON, or an overlong integer
         raise BadInput("not UTF-8 JSON: %s" % e, "")
     _expect(isinstance(doc, dict) and isinstance(doc.get("choices"), dict),
             "mezzo document must carry a choices object", "/choices")

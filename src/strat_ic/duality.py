@@ -239,8 +239,7 @@ class _Ambient:
         self.layout = sheaves.incidence_layout(R)
         self.lmap = sheaves._block_index(self.layout)
         self.fidx = _flag_offsets(R)
-        self.dims = {k: sum(blk[3] for blk in blocks)
-                     for k, blocks in self.layout.items()}
+        self.dims = sheaves._layout_dims(self.layout)
         self._cx = None
 
     @property
@@ -394,8 +393,7 @@ class PairingContext:
     is c - 2 at the codimension-3 cone points, and every deligne result
     at perversity t), T is `sheaves.plain_truncation` of that result's
     sheaf: only the cells that took a Lagrangian subspace are truncated
-    again.  A result that took no subspace is T itself, and then its
-    incidence complex, layout and H^n basis serve for T's.  Otherwise T is
+    again; a result that took no subspace is T itself.  Otherwise T is
     `truncate(R, cut_top)`.  The ambient's incidence complex is assembled
     lazily, once per context, and only if a product has components above
     cut_top to clear.  A degree-0 class sits in stalk degree 0, so in
@@ -448,13 +446,8 @@ class PairingContext:
                        and x.sheaf.cutoff == cut_top), None)
         self.top = (sheaves.truncate(R, cut_top) if source is None
                     else sheaves.plain_truncation(source.sheaf))
-        if source is not None and self.top is source.sheaf:
-            # the result is T: its complex, layout and H^n basis are T's
-            cxT, self.top_layout = source.complex, source.layout
-            gens = self._basis(source, n)
-        else:
-            cxT, self.top_layout = sheaves.incidence_complex(self.top)
-            gens = cxT.cohomology_basis(n)
+        cxT, self.top_layout = sheaves.incidence_complex(self.top)
+        gens = cxT.cohomology_basis(n)
         if len(gens) != 1:
             raise DualityError(
                 "top truncation has H^%d of rank %d, cannot normalize"

@@ -304,6 +304,15 @@ def _block_index(layout):
             for k, blocks in layout.items() for (key, q, off, size) in blocks}
 
 
+def _layout_dims(layout):
+    """Total dimension of each degree from the lowest to the highest degree
+    of a layout, zero where a degree has no block."""
+    if not layout:
+        return {}
+    return {k: sum(blk[3] for blk in layout.get(k, ()))
+            for k in range(min(layout), max(layout) + 1)}
+
+
 def _assemble_total(layout, into, certified):
     """Total complex whose block (key, q) receives the arrows into(key, q).
 
@@ -317,9 +326,7 @@ def _assemble_total(layout, into, certified):
     """
     if not layout:
         return CochainComplex({0: 0}, {})
-    degrees = sorted(layout)
-    dims = {k: sum(blk[3] for blk in layout.get(k, ()))
-            for k in range(degrees[0], degrees[-1] + 1)}
+    dims = _layout_dims(layout)
     index = _block_index(layout)
     diffs = {}
     for k in dims:

@@ -281,9 +281,12 @@ bad_mezzo_shapes = pytest.mark.parametrize("choices, pointer", [
     ({"7": [["1/0"], [0]]}, "'/choices/7/0/0'"),
     ({"7": [[" 1"], [0]]}, "'/choices/7/0/0'"),
     ({"7": [["1/-2"], [0]]}, "'/choices/7/0/0'"),
+    ({"7": [["1" * 5000], [0]]}, "'/choices/7/0/0'"),
+    ({"7": [[1], ["1/" + "1" * 5000]]}, "'/choices/7/1/0'"),
 ], ids=["ragged", "wrong-row-count", "not-a-cone-point", "float", "bool",
         "decimal-string", "exponent-string", "zero-denominator",
-        "padded-string", "signed-denominator"])
+        "padded-string", "signed-denominator", "overlong-string",
+        "overlong-denominator"])
 
 
 def _write_mezzo(tmp_path, choices):
@@ -308,6 +311,24 @@ def test_bad_mezzo_shape_rejected_under_optimize(tmp_path, choices, pointer):
                       "--mezzo", str(p))
     assert proc.returncode == 2, proc.stdout
     assert pointer in proc.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+@pytest.mark.parametrize("argv, text", [
+    (["build", "--input"],
+     '{"n_vertices": %s, "simplices": [], "filtration": {}}' % ("1" * 5000)),
+    (["mezzo", "--example", "cone-t2", "--mezzo"],
+     '{"choices": {"7": [[%s], [0]]}}' % ("1" * 5000)),
+], ids=["space", "mezzo"])
+def test_overlong_json_integer_is_bad_input(tmp_path, argv, text, optimize):
+    # json refuses integer literals past Python's int-string limit with a
+    # plain ValueError, not a JSONDecodeError
+    p = tmp_path / "doc.json"
+    p.write_text(text)
+    proc = run_python("-m", "strat_ic.cli", *argv, str(p), optimize=optimize)
+    assert proc.returncode == 2, proc.stdout
+    assert "not UTF-8 JSON" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("spelled", [[["+2"], ["0/5"]], [["4/2"], ["-0"]]])

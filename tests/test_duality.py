@@ -871,7 +871,6 @@ def test_top_truncation_is_the_result_when_it_took_no_subspace(ss2_results):
     res = ss2_results["t"]
     context = PairingContext(res, res)
     assert context.top is res.sheaf
-    assert context.top_layout is res.layout
 
 
 def test_ambient_complex_only_where_a_product_overshoots(monkeypatch, res_w):
