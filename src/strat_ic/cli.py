@@ -16,6 +16,7 @@ import json
 import random
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -268,17 +269,38 @@ def _mezzo_entry(v):
     return None
 
 
+_VERTEX_KEY = re.compile(r"0|[1-9][0-9]*")
+
+
+class _JSONObject(dict):
+    """A JSON object that lists in `repeated` the keys it was given more
+    than once; `json` alone keeps the last value silently."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.repeated = sorted(k for k, n in Counter(
+            k for k, _v in pairs).items() if n > 1)
+
+
+def _pointer(*parts):
+    """JSON pointer to `parts` (RFC 6901: "~" is "~0" and "/" is "~1")."""
+    return "".join("/" + str(p).replace("~", "~0").replace("/", "~1")
+                   for p in parts)
+
+
 def load_mezzo(path, space):
     """Mezzoperversity from {"schema": 1, "choices": {"<vertex>": rows}}.
 
-    Each key is a vertex of the first odd-codimension stratum of `space`.
-    Each matrix is given by rows of entries (see `_mezzo_entry`), one row
-    per middle Betti number of the vertex's link; columns span the chosen
-    subspace of the link's middle cohomology.
+    The keys are the vertices of the first odd-codimension stratum of
+    `space`, each once, in plain decimal (no sign, padding, underscore or
+    leading zero).  Each matrix is given by rows of entries (see
+    `_mezzo_entry`), one row per middle Betti number of the vertex's link;
+    columns span the chosen subspace of the link's middle cohomology.
     """
     try:
         with open(path, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"))
+            doc = json.loads(fh.read().decode("utf-8"),
+                             object_pairs_hook=_JSONObject)
     except OSError as e:
         raise BadInput("cannot read %s: %s" % (path, e), "")
     except ValueError as e:  # bad UTF-8, bad JSON, or an overlong integer
@@ -287,15 +309,17 @@ def load_mezzo(path, space):
             "mezzo document must carry a choices object", "/choices")
     levels = ic.refinement_strata(space)
     stratum = set(space.stratum(levels[0])) if levels else set()
+    by_key = {str(c[0]): c for c in stratum if len(c) == 1}
+    repeated = doc["choices"].repeated
+    _expect(not repeated, "vertex named more than once",
+            _pointer("choices", *repeated[:1]))
     choices = {}
     for key, rows in doc["choices"].items():
-        try:
-            vertex = (int(key),)
-        except ValueError:
-            raise BadInput("choice keys are vertex indices",
-                           "/choices/%s" % key)
-        _expect(vertex in stratum, "choice keys are vertices of the "
-                "odd-codimension stratum", "/choices/%s" % key)
+        _expect(_VERTEX_KEY.fullmatch(key), "choice keys are vertex indices "
+                "in plain decimal", _pointer("choices", key))
+        _expect(key in by_key, "choice keys are vertices of the "
+                "odd-codimension stratum", _pointer("choices", key))
+        vertex = by_key[key]
         _expect(isinstance(rows, list) and rows and
                 all(isinstance(r, list) for r in rows),
                 "matrix must be a list of rows", "/choices/%s" % key)
@@ -316,6 +340,9 @@ def load_mezzo(path, space):
                 out.append(x)
             parsed.append(out)
         choices[vertex] = ExactMatrix.from_rows(parsed)
+    missing = sorted(stratum - set(choices))
+    _expect(not missing, "no choice for stratum cells %s" % missing,
+            "/choices")
     return ic.Mezzoperversity(choices)
 
 
@@ -536,6 +563,14 @@ def cmd_mezzo(config):
         bundle.add("local-contribution-%d" % v[0], got,
                    verdict=got == want)
     if config.dump:
+        # refined_ic refuses a choice that is not Lagrangian; name the
+        # offending one in the file first
+        if config.mezzo_path:
+            for v in verts:
+                _lk, _basis, form = ic.link_middle_form(space, v)
+                _expect(ic.is_lagrangian(form, mezzo.choices[v]),
+                        "choice is not Lagrangian for the link form",
+                        _pointer("choices", v[0]))
         res = ic.refined_ic(space, mezzo)
         dims = list(res.betti())
         bundle.add("refined-dims", dims)

@@ -9,8 +9,8 @@ intersection sheaves, Kunneth comparisons, and intersection numbers.
 
 from fractions import Fraction
 
-from .linalg import (CertificateError, ExactMatrix, FGAbelianGroup, rank,
-                     solve)
+from .linalg import (CertificateError, ExactMatrix, FGAbelianGroup, _echelon,
+                     _mul_rows, _rows, rank, solve)
 from . import spaces
 from . import sheaves
 
@@ -382,11 +382,29 @@ class PairingContext:
 
     Built once per pair of results and owned by the caller: the ambient
     pushforward's index structures, the top truncation T of the ambient
-    sheaf, its layout, and the [generator | d^(n-1)] matrix that reads a
-    top class of T against the canonical generator.  `value` pairs two
-    cochains, `matrix` pairs the cohomology bases of complementary degrees;
-    each basis is computed on first use and kept for the context's life.
-    Only spaces with a single attachment step are supported.
+    sheaf, its layout, and the functional phi that reads a top class of T
+    against the canonical generator.  `value` pairs two cochains, `matrix`
+    pairs the cohomology bases of complementary degrees; each basis is
+    computed on first use and kept for the context's life.  Only spaces
+    with a single attachment step are supported.
+
+    The top-class reader.  A cell of dimension p has stalk degree at most
+    n - p, so T has no total degree n + 1 (refused with CertificateError
+    if it does): d_T^n = 0, every degree-n cochain is a cocycle, and
+    H^n(T) is the cokernel of d = d_T^(n-1).  The forward pass of the
+    elimination (`linalg._echelon`) runs once over [d | I].  Each of its
+    rows is [lambda d | lambda] for the combination lambda of the rows of
+    [d | I] it holds, and an unused row stays zero in every column already
+    taken.  So the row that takes a pivot in the identity block, at
+    column f, is [0 | phi] with phi d = 0, phi_f != 0 and phi_j = 0 for
+    j < f.  The identity pivot columns are those of the RREF, that is the
+    basis vectors independent of im d and the ones before them, so there
+    is exactly one (DualityError otherwise) and e_f is the generator
+    `cohomology_basis(n)` of T picks.  A top cochain z is c e_f + d w for
+    exactly one c, the pairing value, and phi z = c phi_f + phi d w =
+    c phi_f: `value` returns phi z / phi_f, with no elimination.  The
+    certificate runs at every size, also under `python -O`: exactly one
+    identity pivot, and one exact product phi d == 0 (CertificateError).
 
     What is reused.  When a result was truncated from the ambient R at
     cut_top itself (every refined result here, whose cutoff (c - 1) // 2
@@ -447,14 +465,25 @@ class PairingContext:
         self.top = (sheaves.truncate(R, cut_top) if source is None
                     else sheaves.plain_truncation(source.sheaf))
         cxT, self.top_layout = sheaves.incidence_complex(self.top)
-        gens = cxT.cohomology_basis(n)
+        if cxT.dim(n + 1):
+            raise CertificateError(
+                "top truncation has cochains in degree %d" % (n + 1))
+        d = cxT.diff(n - 1)
+        rows, _cols, pivots = _echelon(
+            d.stack_cols(ExactMatrix.identity(d.rows)))
+        gens = [(col, r) for col, r in pivots if col >= d.cols]
         if len(gens) != 1:
             raise DualityError(
                 "top truncation has H^%d of rank %d, cannot normalize"
                 % (n, len(gens)))
-        gen_col = ExactMatrix(len(gens[0]), 1,
-                              {(i, 0): v for i, v in enumerate(gens[0])})
-        self.read = gen_col.stack_cols(cxT.diff(n - 1))
+        col, r = gens[0]
+        self.functional = {j - d.cols: x for j, x in rows[r].items()
+                           if j >= d.cols}
+        self.lead = rows[r][col]
+        if _mul_rows([self.functional], _rows(d))[0]:
+            raise CertificateError(
+                "the top-class functional does not vanish on im d^%d"
+                % (n - 1))
 
     def project_into(self, z, degree):
         """Coordinates of an ambient window cochain in the top truncation."""
@@ -500,10 +529,8 @@ class PairingContext:
         z = amb.cup(x, k, y, n - k)
         z = amb.clear_overshoot(z, n, self.cut_top)
         zt = self.project_into(z, n)
-        sol = solve(self.read, zt)
-        if sol is None:
-            raise CertificateError("product is not a class of the truncation")
-        return sol[0]
+        return sum((v * zt[j] for j, v in self.functional.items()),
+                   Fraction(0)) / self.lead
 
     def _basis(self, result, k):
         """Cohomology basis of `result` in degree k, computed once per

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .linalg import (CertificateError, CochainComplex, ExactMatrix,
-                     kernel_basis, rank, rref)
+                     kernel_basis, pivot_columns, rank)
 from . import sheaves
 from .sheaves import (SheafError, constant_sheaf, derived_pushforward,
                       sheaf_cohomology, truncate)
@@ -603,8 +603,7 @@ def refined_ic(space, mezzo, coefficient=1):
         # the image plus the lifted classes, keeping independent columns in
         # order (zero columns are never pivots)
         base = stalk.diff(mid - 1).stack_cols(lifted)
-        _, keep = rref(base)
-        subspaces[vertex] = base.submatrix_cols(keep)
+        subspaces[vertex] = base.submatrix_cols(pivot_columns(base))
     G = truncate(F, mid, subspaces=subspaces)
     return ICResult(space, G, cutoffs, "IC_L")
 

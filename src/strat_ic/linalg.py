@@ -13,11 +13,16 @@ shape (dim^{k+1}, dim^k).
 
 Row elimination happens in exactly three routines:
 
-- `rref` (over Q, pivots in column order) answers every span and rank
-  query: `kernel_basis`, `solve` and `solve_many` (one elimination of
-  [m | targets]), `CochainComplex.cohomology_basis` (pivot columns of
-  [image | kernel basis]), and `rank` (the number of pivots), which drives
-  `CochainComplex.betti_numbers` and independence checks.  RREF is unique,
+- One forward pass over Q, `_echelon` (pivots in column order, each
+  clearing its column from the unused rows only), answers every span and
+  rank query.  Queries that read only pivot columns stop there, through
+  `pivot_columns`: `rank` (the number of pivots), which drives
+  `CochainComplex.betti_numbers` and independence checks, and
+  `CochainComplex.cohomology_basis` (pivot columns of [image | kernel
+  basis]).  The pairing's top-class functional is a row of the forward
+  pass too (see `duality.PairingContext`).  `rref` adds back substitution
+  for the queries that read the reduced rows: `kernel_basis`, and `solve`
+  and `solve_many` (one elimination of [m | targets]).  RREF is unique,
   so every basis it picks is deterministic.  `kernel_basis` returns a
   sparse matrix whose columns are the basis; it is the identity on the
   rows of the free columns, so `solve_many` against it, or against any
@@ -53,6 +58,7 @@ __all__ = [
     "CochainComplex",
     "rank",
     "rref",
+    "pivot_columns",
     "kernel_basis",
     "solve",
     "solve_many",
@@ -242,21 +248,19 @@ class ExactMatrix:
         return "ExactMatrix(%d, %d, nnz=%d)" % (self.rows, self.cols, len(self.entries))
 
 
-def rref(m):
-    """Reduced row echelon form with pivots chosen in column order.
+def _echelon(m):
+    """Forward pass of the elimination behind `rref`: (rows, cols, pivots).
 
-    Returns (R, pivot_cols) where R is the RREF of m and pivot_cols the sorted
-    pivot column indices.  The RREF is unique, so R and every basis read
-    off it do not depend on the pivot rows: each pivot is the sparsest
-    unused row with a nonzero in its column and touches only the rows with
-    a nonzero there.  Ties go to the higher index, which changes only the
-    speed: a star of rows e_c - e_v, as a truncated pushforward's
-    differential has at each open cell v, then pivots on its last row and
-    fills only its last column, not every column in turn.  Rows stay
-    integer vectors (divided by their content after each elimination,
-    except under a +-1 pivot, see `_eliminate`) until the pivot rows are
-    divided by their pivots, at the end; a quotient the pivot divides
-    stays an int.
+    Columns are taken in order; each pivot is the sparsest unused row with a
+    nonzero in its column, ties to the higher index, and clears that column
+    from the unused rows only.  So an unused row stays zero in every column
+    already taken, and each pivot row is zero in the pivot columns before
+    its own.  `rows` are the integer row dicts left (each row of m, scaled
+    and reduced against the pivot rows before it, divided by its content,
+    see `_eliminate`), `cols` the column -> rows index of their nonzeros,
+    and `pivots` the (column, row) pairs in column order.  The pivot
+    columns are those of the RREF: the unused rows, and so the pivot
+    choices, are the ones full Gauss-Jordan elimination would see.
     """
     rows = [_primitive(row) for row in _int_rows(m)]
     cols = [set() for _ in range(m.cols)]
@@ -270,13 +274,40 @@ def rref(m):
             continue
         pr = min(cand, key=lambda r: (len(rows[r]), -r))
         prow = rows[pr]
-        for r in list(cols[col]):
+        for r in cand:
             if r != pr:
                 _eliminate(rows[r], prow, col, cols, r)
         used[pr] = True
         pivots.append((col, pr))
         if len(pivots) == m.rows:
             break
+    return rows, cols, pivots
+
+
+def rref(m):
+    """Reduced row echelon form with pivots chosen in column order.
+
+    Returns (R, pivot_cols) where R is the RREF of m and pivot_cols the sorted
+    pivot column indices: the forward pass `_echelon`, then back
+    substitution in reverse pivot order, each pivot row clearing its column
+    from the pivot rows before it.  The RREF is unique, so R and every
+    basis read off it do not depend on the pivot rows: each pivot is the
+    sparsest unused row with a nonzero in its column and touches only the
+    rows with a nonzero there.  Ties go to the higher index, which changes
+    only the speed: a star of rows e_c - e_v, as a truncated pushforward's
+    differential has at each open cell v, then pivots on its last row and
+    fills only its last column, not every column in turn.  Rows stay
+    integer vectors (divided by their content after each elimination,
+    except under a +-1 pivot, see `_eliminate`) until the pivot rows are
+    divided by their pivots, at the end; a quotient the pivot divides
+    stays an int.  A caller that reads only the pivot columns takes
+    `pivot_columns`, which stops after the forward pass.
+    """
+    rows, cols, pivots = _echelon(m)
+    for col, pr in reversed(pivots):
+        prow = rows[pr]
+        for r in [r for r in cols[col] if r != pr]:
+            _eliminate(rows[r], prow, col, cols, r)
     ent = {}
     for i, (col, r) in enumerate(pivots):
         p = rows[r][col]
@@ -285,10 +316,16 @@ def rref(m):
     return ExactMatrix._of(m.rows, m.cols, ent), [col for col, _ in pivots]
 
 
+def pivot_columns(m):
+    """The pivot columns of `rref(m)`, in order, from the forward pass
+    alone: column j is a pivot exactly when it is independent of the
+    columns before it.  A zero matrix has none and is not eliminated."""
+    return [col for col, _ in _echelon(m)[2]] if m.entries else []
+
+
 def rank(m):
-    """Exact rank: the number of pivots of `rref`; a zero matrix has none
-    and is not eliminated."""
-    return len(rref(m)[1]) if m.entries else 0
+    """Exact rank: the number of pivot columns (see `pivot_columns`)."""
+    return len(pivot_columns(m))
 
 
 def kernel_basis(m):
@@ -889,13 +926,18 @@ class CochainComplex:
         """Deterministic representatives of H^k over Q, as coordinate tuples.
 
         Representatives are kernel basis vectors that extend a basis of the
-        image, taken greedily in kernel-basis order.
+        image, taken greedily in kernel-basis order: the pivot columns of
+        [d^(k-1) | ker] in the kernel block, from the forward pass alone
+        (`pivot_columns`).  When d^(k-1) is zero every kernel column is
+        one, with no elimination: `kernel_basis` columns are independent,
+        each with a lone 1 on its own free row.
         """
         ker = kernel_basis(self.diff(k))
         img = self.diff(k - 1)
-        # a pivot column of [img | ker] is independent of the columns before it
-        _, pivot_cols = rref(img.stack_cols(ker))
-        return [ker.column(j - img.cols) for j in pivot_cols if j >= img.cols]
+        if img.is_zero():
+            return [ker.column(j) for j in range(ker.cols)]
+        return [ker.column(j - img.cols)
+                for j in pivot_columns(img.stack_cols(ker)) if j >= img.cols]
 
     def cohomology_groups(self):
         """Integral cohomology per degree as FGAbelianGroup.

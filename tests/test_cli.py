@@ -283,10 +283,19 @@ bad_mezzo_shapes = pytest.mark.parametrize("choices, pointer", [
     ({"7": [["1/-2"], [0]]}, "'/choices/7/0/0'"),
     ({"7": [["1" * 5000], [0]]}, "'/choices/7/0/0'"),
     ({"7": [[1], ["1/" + "1" * 5000]]}, "'/choices/7/1/0'"),
+    ({"07": [[1], [0]]}, "'/choices/07'"),
+    ({"0_7": [[1], [0]]}, "'/choices/0_7'"),
+    ({" 7 ": [[1], [0]]}, "'/choices/ 7 '"),
+    ({"+7": [[1], [0]]}, "'/choices/+7'"),
+    ({"7/0": [[1], [0]]}, "'/choices/7~10'"),
+    ({"7" * 5000: [[1], [0]]}, "'/choices/%s'" % ("7" * 5000)),
+    ({}, "'/choices'"),
 ], ids=["ragged", "wrong-row-count", "not-a-cone-point", "float", "bool",
         "decimal-string", "exponent-string", "zero-denominator",
         "padded-string", "signed-denominator", "overlong-string",
-        "overlong-denominator"])
+        "overlong-denominator", "leading-zero-key", "underscore-key",
+        "padded-key", "signed-key", "slash-key", "overlong-key",
+        "missing-vertex"])
 
 
 def _write_mezzo(tmp_path, choices):
@@ -329,6 +338,30 @@ def test_overlong_json_integer_is_bad_input(tmp_path, argv, text, optimize):
     assert proc.returncode == 2, proc.stdout
     assert "not UTF-8 JSON" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_mezzo_vertex_named_twice_is_bad_input(tmp_path, optimize):
+    # json keeps the last of two equal keys; the loader refuses both
+    p = tmp_path / "mezzo.json"
+    p.write_text('{"choices": {"7": [[1], [0]], "8": [[1], [0]], '
+                 '"7": [[0], [1]]}}')
+    proc = run_python("-m", "strat_ic.cli", "mezzo", "--example",
+                      "suspension-t2", "--mezzo", str(p), optimize=optimize)
+    assert proc.returncode == 2, proc.stdout
+    assert "vertex named more than once (at '/choices/7')" in proc.stderr
+
+
+def test_mezzo_not_lagrangian_without_dump_is_a_failed_verdict(tmp_path):
+    # the whole of H^1(T^2) meets its complement in nothing: the local
+    # contribution 0 is not the rank 2 of the choice
+    p = _write_mezzo(tmp_path, {"7": [[1, 0], [0, 1]]})
+    code, data = run(["mezzo", "--example", "cone-t2", "--mezzo", str(p)],
+                     tmp_path)
+    assert code == 1
+    doc = json.loads(data)
+    assert doc["ok"] is False
+    assert row(doc, "local-contribution-7")["verdict"] is False
 
 
 @pytest.mark.parametrize("spelled", [[["+2"], ["0/5"]], [["4/2"], ["-0"]]])
@@ -383,6 +416,16 @@ BAD_INPUTS = [
      {"mezzo": {"choices": {"7": [[1.0], [0]]}}}, "/choices/7/0/0"),
     (["mezzo", "--example", "cone-t2", "--mezzo", "{mezzo}"],
      {"mezzo": {"choices": {"7": [[1], [True]]}}}, "/choices/7/1/0"),
+    (["mezzo", "--example", "suspension-t2", "--mezzo", "{mezzo}"],
+     {"mezzo": {"choices": {"7": [[1], [0]], "07": [[0], [1]],
+                            "8": [[1], [0]]}}}, "/choices/07"),
+    (["mezzo", "--example", "suspension-t2", "--mezzo", "{mezzo}"],
+     {"mezzo": {"choices": {"7": [[1], [0]]}}}, "/choices"),
+    (["mezzo", "--example", "suspension-t2", "--mezzo", "{mezzo}", "--dump"],
+     {"mezzo": {"choices": {"7": [[1], [0]], "8": [[1, 0], [0, 1]]}}},
+     "/choices/8"),
+    (["mezzo", "--example", "cone-t2", "--mezzo", "{mezzo}", "--dump"],
+     {"mezzo": {"choices": {"7": [[1, 0], [0, 1]]}}}, "/choices/7"),
 ]
 
 

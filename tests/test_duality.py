@@ -9,6 +9,8 @@ cone formula and the cohomology of the cylinder.
 import gc
 import hashlib
 import json
+import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ from conftest import (RP2_TRIANGLES, projective_plane, ref_deligne_construction,
                       run_python)
 from hypothesis import given, settings, strategies as hst
 
-from strat_ic import linalg, sheaves, spaces
+from strat_ic import ic as ic_module, linalg, sheaves, spaces
 from strat_ic.examples import get_example
 from strat_ic.ic import (
     ExactMatrix, ICResult, Mezzoperversity, Perversity, deligne_construction,
@@ -381,18 +383,168 @@ def test_pairing_certificate_outside_subspace(susp_s1):
         context.project_into(z, k)
 
 
+# wraps the forward pass that `PairingContext` runs over [d^(n-1) | I] so
+# that the top-class functional it hands over is off by one at a row where
+# d^(n-1) is not zero: phi d^(n-1) then picks up that row
+_CORRUPT_FUNCTIONAL = "\n".join([
+    "from strat_ic import duality, linalg",
+    "real_echelon = linalg._echelon",
+    "def corrupt(m):",
+    "    rows, cols, pivots = real_echelon(m)",
+    "    width = m.cols - m.rows",
+    "    i = min(i for i, j in m.entries if j < width)",
+    "    _col, r = next(p for p in pivots if p[0] >= width)",
+    "    rows[r][width + i] = rows[r].get(width + i, 0) + 1",
+    "    return rows, cols, pivots",
+])
+
+
 def test_pairing_certificate_not_a_class(monkeypatch, susp_s1):
-    context = PairingContext(susp_s1, susp_s1)
+    # a functional that does not vanish on im d^(n-1) would read different
+    # values off cohomologous products; one product refuses it, plainly
+    # and under -O
     x = susp_s1.complex.cohomology_basis(0)[0]
     y = susp_s1.complex.cohomology_basis(2)[0]
-    assert context.value(x, 0, y) != 0
-    real = duality.solve
-    monkeypatch.setattr(duality, "solve", lambda m, t: None
-                        if m is context.read else real(m, t))
-    with pytest.raises(CertificateError, match="not a class"):
-        context.value(x, 0, y)
+    assert PairingContext(susp_s1, susp_s1).value(x, 0, y) != 0
+    scope = {}
+    exec(_CORRUPT_FUNCTIONAL, scope)
+    monkeypatch.setattr(duality, "_echelon", scope["corrupt"])
+    with pytest.raises(CertificateError, match="does not vanish on im d"):
+        PairingContext(susp_s1, susp_s1).value(x, 0, y)
+    out = _run_optimized("\n".join([
+        _CORRUPT_FUNCTIONAL,
+        "from strat_ic import ic",
+        "from strat_ic.examples import get_example",
+        "duality._echelon = corrupt",
+        "res = ic.deligne_construction(get_example('suspension-s1'),",
+        "                              ic.Perversity.lower_middle())",
+        "try:",
+        "    duality.PairingContext(res, res)",
+        "except linalg.CertificateError as e:",
+        "    print('rejected: %s' % e)",
+    ]))
+    assert out == "rejected: the top-class functional does not vanish on " \
+        "im d^1\n"
 
 
+def test_pairing_refuses_a_top_truncation_above_n(monkeypatch, susp_s1):
+    # the reader needs d_T^n = 0; a T with cochains in degree n + 1 is a bug
+    real = sheaves.incidence_complex
+
+    def one_degree_more(sheaf):
+        cx, layout = real(sheaf)
+        if sheaf is not susp_s1.sheaf.untruncated:
+            cx = linalg.CochainComplex({**cx.dims, cx.hi + 1: 1},
+                                       cx.diffs, check=False)
+        return cx, layout
+
+    monkeypatch.setattr(sheaves, "incidence_complex", one_degree_more)
+    with pytest.raises(CertificateError, match="cochains in degree 3"):
+        PairingContext(susp_s1, susp_s1)
+
+
+def test_pairing_value_does_not_depend_on_the_scale_of_the_functional(
+        monkeypatch, susp_s1):
+    # every row of the forward pass is fixed only up to a scalar; value
+    # divides phi z by phi_f, so a functional scaled by -3 reads the same
+    want = [PairingContext(susp_s1, susp_s1).matrix(k).matrix
+            for k in range(3)]
+    real = linalg._echelon
+
+    def scaled(m):
+        rows, cols, pivots = real(m)
+        for row in rows:
+            for j in row:
+                row[j] *= -3
+        return rows, cols, pivots
+
+    monkeypatch.setattr(duality, "_echelon", scaled)
+    assert [PairingContext(susp_s1, susp_s1).matrix(k).matrix
+            for k in range(3)] == want
+
+
+def _reference_reader(context):
+    """[gen | d^(n-1)] of the top truncation T, with gen = e_f for the
+    first basis vector e_f outside im d^(n-1): the two-elimination
+    `cohomology_basis(n)` of T, since d^n = 0 makes its kernel the
+    identity."""
+    cx, _ = sheaves.incidence_complex(context.top)
+    d = cx.diff(context.n - 1)
+    _, pivots = linalg.rref(d.stack_cols(ExactMatrix.identity(d.rows)))
+    (f,) = [j - d.cols for j in pivots if j >= d.cols]
+    return ExactMatrix(d.rows, 1, {(f, 0): 1}).stack_cols(d)
+
+
+def _shifted(cx, k, vec, rng):
+    """vec plus the coboundary of a random small cochain of degree k - 1."""
+    if not cx.dim(k - 1):
+        return list(vec)
+    w = [Fraction(rng.randint(-2, 2)) for _ in range(cx.dim(k - 1))]
+    return [a + b for a, b in zip(vec, cx.diff(k - 1).apply(w))]
+
+
+@pytest.mark.parametrize("name", ["suspension-s1", "suspension-t2",
+                                  "suspension-genus2"])
+def test_pairing_value_matches_solve_reference(request, name):
+    results = [request.getfixturevalue("susp_s1")] \
+        if name == "suspension-s1" else \
+        request.getfixturevalue("refined_by_space")[name]
+    rng = random.Random(name)
+    for res in results:
+        context = PairingContext(res, res)
+        read = _reference_reader(context)
+        # the reference solves [gen | d^(n-1)] against the very top cochain
+        # `value` read, as `value` did before
+        tops = []
+        project = context.project_into
+        context.project_into = lambda z, degree: \
+            tops.append(project(z, degree)) or tops[-1]
+        cx, n = res.complex, context.n
+        for k in range(n + 1):
+            for xa in cx.cohomology_basis(k):
+                for yb in cx.cohomology_basis(n - k):
+                    got = context.value(xa, k, yb)
+                    assert got == solve(read, tops[-1])[0]
+                    shifted = context.value(_shifted(cx, k, xa, rng), k,
+                                            _shifted(cx, n - k, yb, rng))
+                    assert shifted == got == solve(read, tops[-1])[0]
+        assert tops
+
+
+def test_pairing_reads_top_classes_without_solving(monkeypatch, res_w):
+    # in degrees 0 and n, `value` reads the top class with no solve of its
+    # own (the only solves left map blocks through the truncation's
+    # inclusions in `project_into`), and every rref runs inside a
+    # kernel_basis: the top generator and each cohomology basis take the
+    # forward pass alone
+    callers, stray, inner, inside = [], [], [], []
+    real_rref, real_kernel, real_solve = \
+        linalg.rref, linalg.kernel_basis, linalg.solve
+
+    def kernel(m):
+        inside.append(m.shape)
+        try:
+            return real_kernel(m)
+        finally:
+            inside.pop()
+
+    def counted_rref(m):
+        (inner if inside else stray).append(m.shape)
+        return real_rref(m)
+
+    def counted_solve(m, target):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_solve(m, target)
+
+    for module in (linalg, sheaves, ic_module):
+        monkeypatch.setattr(module, "kernel_basis", kernel)
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    for module in (linalg, duality):
+        monkeypatch.setattr(module, "solve", counted_solve)
+    for k in (0, 3):
+        assert PairingContext(res_w, res_w).matrix(k).nondegenerate()
+    assert set(callers) == {"project_into"}
+    assert stray == [] and inner
 def test_ic_pairing_same_under_optimize(susp_s1):
     # the pairing certificates are raises, not asserts, so -O keeps them
     # and must not change the answer

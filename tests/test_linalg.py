@@ -18,6 +18,7 @@ from strat_ic.linalg import (
     ExactMatrix,
     FGAbelianGroup,
     kernel_basis,
+    pivot_columns,
     rank,
     rref,
     smith_normal_form,
@@ -1516,3 +1517,123 @@ def test_rref_pivots_on_sparsest_row():
     r, pivots = rref(m)
     assert pivots == [0, 1, 2]
     assert r == ExactMatrix.identity(3)
+
+
+# ------------------------------- forward pass vs the Gauss-Jordan loop
+
+def _gauss_jordan_rref(m):
+    """Reference: `rref` as one Gauss-Jordan loop, each pivot clearing its
+    column from every row, used or not (the pivot rule of `rref`: the
+    sparsest unused row, ties to the higher index)."""
+    rows = [linalg._primitive(row) for row in linalg._int_rows(m)]
+    cols = [set() for _ in range(m.cols)]
+    for i, j in m.entries:
+        cols[j].add(i)
+    used = [False] * m.rows
+    pivots = []
+    for col in range(m.cols):
+        cand = [r for r in cols[col] if not used[r]]
+        if not cand:
+            continue
+        pr = min(cand, key=lambda r: (len(rows[r]), -r))
+        prow = rows[pr]
+        for r in list(cols[col]):
+            if r != pr:
+                linalg._eliminate(rows[r], prow, col, cols, r)
+        used[pr] = True
+        pivots.append((col, pr))
+        if len(pivots) == m.rows:
+            break
+    ent = {}
+    for i, (col, r) in enumerate(pivots):
+        p = rows[r][col]
+        for j, x in rows[r].items():
+            ent[(i, j)] = x // p if x % p == 0 else Fraction(x, p)
+    return ExactMatrix._of(m.rows, m.cols, ent), [col for col, _ in pivots]
+
+
+def _two_rref_cohomology_basis(c, k):
+    """Reference: `cohomology_basis` as two full eliminations, the kernel
+    of d^k and then the pivot columns of [d^(k-1) | kernel]."""
+    ker = kernel_basis(c.diff(k))
+    img = c.diff(k - 1)
+    _, pivots = _gauss_jordan_rref(img.stack_cols(ker))
+    return [ker.column(j - img.cols) for j in pivots if j >= img.cols]
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Sparse int or Fraction matrices, tall, wide or square, with many
+    +-1 entries or none, up to three zero rows and three zero columns."""
+    entries = draw(st.sampled_from([unit_ints, non_unit_ints,
+                                    mixed_rationals]))
+    short = draw(st.integers(1, 5))
+    long_ = draw(st.integers(short, 3 * short + 2))
+    r, c = draw(st.sampled_from([(short, long_), (long_, short),
+                                 (short, short)]))
+    data = draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=3)):
+        data[i] = [0] * c
+    for j in draw(st.sets(st.integers(0, c - 1), max_size=3)):
+        for row in data:
+            row[j] = 0
+    return ExactMatrix.from_rows(data)
+
+
+@given(kernel_inputs())
+def test_rref_matches_gauss_jordan_loop(m):
+    got = rref(m)
+    assert got == _gauss_jordan_rref(m)
+    assert_normalized(got[0])
+
+
+@given(kernel_inputs())
+def test_forward_pass_pivots_are_rref_pivots(m):
+    _, pivots = rref(m)
+    assert [col for col, _r in linalg._echelon(m)[2]] == pivots
+    assert pivot_columns(m) == pivots
+    assert rank(m) == _markowitz_rank(m) == len(pivots)
+
+
+@given(st.one_of(two_step_complex(), two_step_complex(sparse_rationals),
+                 two_step_complex(unit_ints)))
+def test_cohomology_basis_matches_two_rref_reference(c):
+    for k in range(c.lo - 1, c.hi + 2):
+        assert c.cohomology_basis(k) == _two_rref_cohomology_basis(c, k)
+
+
+def test_cohomology_basis_without_image_eliminates_nothing(monkeypatch):
+    # d^0 = 0: every kernel column of d^1 is a class, read off as it is
+    c = CochainComplex({0: 2, 1: 3, 2: 1},
+                       {1: ExactMatrix.from_rows([[1, -1, 2]])})
+    want = _two_rref_cohomology_basis(c, 1)
+    monkeypatch.setattr(linalg, "_echelon", None)
+    monkeypatch.setattr(linalg, "rref", _gauss_jordan_rref)
+    assert c.cohomology_basis(1) == want == [
+        kernel_basis(c.diff(1)).column(j) for j in range(2)]
+
+
+def _example_result(name, kind):
+    from strat_ic import ic
+    space = get_example(name)
+    if kind != "refined":
+        return ic.deligne_construction(space, ic.Perversity.named(kind))
+    choices = {}
+    for v in sorted(space.stratum(0)):
+        _lk, _basis, form = ic.link_middle_form(space, v)
+        choices[v] = ic.lagrangian_subspaces(form, count_limit=1)[0]
+    return ic.refined_ic(space, ic.Mezzoperversity(choices))
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind)
+    for name in ("cone-s1", "cone-s2", "cone-t2", "cone-genus2",
+                 "cone-cone-s1", "suspension-s1", "suspension-s2",
+                 "suspension-t2", "suspension-genus2")
+    for kind in ("m", "n")
+] + [("suspension-t2", "refined"), ("suspension-genus2", "refined")])
+def test_cohomology_basis_matches_two_rref_reference_on_results(name, kind):
+    c = _example_result(name, kind).complex
+    for k in c.degrees():
+        assert c.cohomology_basis(k) == _two_rref_cohomology_basis(c, k)
