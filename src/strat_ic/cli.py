@@ -185,13 +185,15 @@ def load_space(path):
     """Stratified complex from a UTF-8 JSON description.
 
     Schema: {"schema": 1, "n_vertices": int, "simplices": [[int...]...],
-    "filtration": {"<level>": [[int...]...]}}.  Every cell of the closure
-    must be placed by the filtration (closure happens before placement).
+    "filtration": {"<level>": [[int...]...]}}.  Level keys are plain
+    decimal, each given once.  Every cell of the closure must be placed by
+    the filtration (closure happens before placement).
     """
     try:
         with open(path, "rb") as fh:
             payload = fh.read()
-        doc = json.loads(payload.decode("utf-8"))
+        doc = json.loads(payload.decode("utf-8"),
+                         object_pairs_hook=_JSONObject)
     except OSError as e:
         raise BadInput("cannot read %s: %s" % (path, e), "")
     except ValueError as e:  # bad UTF-8, bad JSON, or an overlong integer
@@ -218,13 +220,13 @@ def load_space(path):
     filtration = doc.get("filtration")
     _expect(isinstance(filtration, dict), "filtration must be an object",
             "/filtration")
+    repeated = filtration.repeated
+    _expect(not repeated, "level named more than once",
+            _pointer("filtration", *repeated[:1]))
     stages = {}
     for key, cells in filtration.items():
-        try:
-            int(key)
-        except ValueError:
-            raise BadInput("filtration keys are integer levels",
-                           "/filtration/%s" % key)
+        _expect(_VERTEX_KEY.fullmatch(key), "filtration keys are levels in "
+                "plain decimal", _pointer("filtration", key))
         _expect(isinstance(cells, list), "stage must be a list of cells",
                 "/filtration/%s" % key)
         for i, c in enumerate(cells):
@@ -269,6 +271,8 @@ def _mezzo_entry(v):
     return None
 
 
+# a vertex or level key in plain decimal: no sign, padding, underscore or
+# leading zero
 _VERTEX_KEY = re.compile(r"0|[1-9][0-9]*")
 
 

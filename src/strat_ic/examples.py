@@ -3,8 +3,7 @@
 Base ids: point, interval, s1, s2, t2, genus2.  Composite ids: cone-<id>,
 suspension-<id>, and product:<id>,<id> (constructors nest, so cone-cone-s1
 is legal).  All base examples carry the one-stratum filtration at their
-dimension with free rank-1 coefficients; composites get their filtration
-from the constructors.
+dimension; composites get their filtration from the constructors.
 
 >>> get_example("s1").complex.f_vector()
 (3, 3)

@@ -548,7 +548,7 @@ def _permutation_sign(seq):
     return sign
 
 
-def refined_ic(space, mezzo, coefficient=1):
+def refined_ic(space, mezzo):
     """Middle-perversity sheaf with Lagrangian middle-degree conditions.
 
     Only spaces with a single singular stratum of odd codimension whose
@@ -576,11 +576,8 @@ def refined_ic(space, mezzo, coefficient=1):
 
     c = space.top - level
     mid = (c - 1) // 2
-    F = constant_sheaf(space, coefficient)
-    if any(cx.dims != {0: 1} for cx in F.stalks.values()):
-        raise ICError("refinement needs a rank-one coefficient, got %r"
-                      % (coefficient,))
-    F = derived_pushforward(F, space.filtration_stage(level), through=mid + 1)
+    F = derived_pushforward(constant_sheaf(space),
+                            space.filtration_stage(level), through=mid + 1)
 
     subspaces = {}
     cutoffs = {level: mid}

@@ -64,7 +64,6 @@ __all__ = [
     "solve_many",
     "smith_normal_form",
     "tensor_complex",
-    "tor1",
 ]
 
 
@@ -798,13 +797,6 @@ class FGAbelianGroup:
                     factors.append(g)
         return FGAbelianGroup(0, tuple(factors))
 
-    def to_json(self):
-        return {"rank": self.free_rank, "torsion": list(self.torsion)}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(int(obj.get("rank", 0)), tuple(obj.get("torsion", ())))
-
     def __eq__(self, other):
         return (isinstance(other, FGAbelianGroup)
                 and self.free_rank == other.free_rank
@@ -824,15 +816,6 @@ class FGAbelianGroup:
 
     def __repr__(self):
         return "FGAbelianGroup(%r)" % self.describe()
-
-
-def tor1(a, b):
-    """Tor_1 of two finitely generated abelian groups.
-
-    >>> tor1(FGAbelianGroup(0, (4,)), FGAbelianGroup(0, (6,)))
-    FGAbelianGroup('Z/2')
-    """
-    return a.tor(b)
 
 
 class CochainComplex:

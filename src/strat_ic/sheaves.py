@@ -46,8 +46,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linalg import (CertificateError, CochainComplex, ExactMatrix,
-                     FGAbelianGroup, _rows, kernel_basis, rank, solve_many)
+from .linalg import (CertificateError, CochainComplex, ExactMatrix, _rows,
+                     kernel_basis, rank, solve_many)
 from .spaces import closure, facets, missing_face, product_projections
 
 
@@ -192,32 +192,10 @@ class SheafComplex:
 
 # -- constructors ----------------------------------------------------------
 
-def resolution_complex(group):
-    """Free complex in degrees (-1, 0) with H^0 the given group.
-
-    Torsion generators acquire a relation in degree -1; a free group sits in
-    degree 0 alone.
-    """
-    r, tor = group.free_rank, group.torsion
-    if not tor:
-        return CochainComplex({0: r}, {})
-    t = len(tor)
-    ent = {(r + i, i): n for i, n in enumerate(tor)}
-    d = ExactMatrix(r + t, t, ent)
-    return CochainComplex({-1: t, 0: r + t}, {-1: d})
-
-
 def constant_sheaf(space, coefficient=1):
-    """Same stalk on every cell, identity restrictions.
-
-    `coefficient` is a rank or an FGAbelianGroup; a group with torsion is
-    replaced by its two-term free resolution so integral answers carry the
-    derived terms.
-    """
-    if isinstance(coefficient, FGAbelianGroup):
-        stalk = resolution_complex(coefficient)
-    else:
-        stalk = CochainComplex({0: int(coefficient)}, {})
+    """The free stalk of rank `coefficient` in degree 0 on every cell,
+    identity restrictions."""
+    stalk = CochainComplex({0: int(coefficient)}, {})
     stalks = {c: stalk for c in space.complex.cells}
     ident = {q: ExactMatrix.identity(stalk.dim(q)) for q in stalk.degrees()}
     out = SheafComplex(space, stalks, {(sig, tau): ident
@@ -226,28 +204,6 @@ def constant_sheaf(space, coefficient=1):
                        check=False)
     out.certified = True
     return out
-
-
-def graded_sections_functor(space):
-    """Coefficient data of the space as a sheaf of free complexes.
-
-    On a product, the model is the external tensor of the factor models, so
-    products of torsion coefficients pick up their derived terms.  Otherwise
-    all strata must declare the same group (there is no canonical map
-    between resolutions of different groups along a face relation).
-    """
-    factors = getattr(space, "factors", None)
-    if factors is not None:
-        fx = graded_sections_functor(factors[0])
-        fy = graded_sections_functor(factors[1])
-        return external_tensor(fx, fy, space)
-    groups = [space.coefficient(p) for p in space.stratum_levels()]
-    for g in groups[1:]:
-        if g != groups[0]:
-            raise SheafError(
-                "strata declare different coefficient groups; only products "
-                "combine mixed coefficients")
-    return constant_sheaf(space, groups[0] if groups else 1)
 
 
 # -- total complexes -------------------------------------------------------

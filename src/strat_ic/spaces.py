@@ -3,8 +3,7 @@
 A simplicial complex stores its full face-closed cell set; every cell is a
 strictly increasing tuple of vertex indices and the global cell order is
 (dimension, lexicographic).  A stratified complex adds a filtration by closed
-subcomplexes, encoded as the minimal filtration level of each cell, plus one
-coefficient group per level.
+subcomplexes, encoded as the minimal filtration level of each cell.
 
 Constructors (cone, suspension, product, collapse, link) re-run the full
 validation on their output; nothing is trusted by construction.
@@ -12,7 +11,7 @@ validation on their output; nothing is trusted by construction.
 
 from __future__ import annotations
 
-from .linalg import CochainComplex, ExactMatrix, FGAbelianGroup
+from .linalg import CochainComplex, ExactMatrix
 
 
 class StratificationError(Exception):
@@ -221,21 +220,15 @@ class StratifiedComplex:
     """Simplicial complex with a filtration by closed subcomplexes.
 
     `levels[c]` is the smallest p with c in X^p.  The filtration is recovered
-    as X^p = {c : levels[c] <= p}.  `coefficients[p]` is the coefficient
-    group attached to the level-p stratum (free rank 1 unless said otherwise).
+    as X^p = {c : levels[c] <= p}.
     """
 
-    def __init__(self, complex_, levels, coefficients=None, check=True):
+    def __init__(self, complex_, levels, check=True):
         self.complex = complex_
         self.levels = {tuple(c): int(p) for c, p in levels.items()}
         if set(self.levels) != set(complex_.cells):
             raise BadLevelMap("level map must cover all cells")
         self.top = max(self.levels.values(), default=0)
-        if coefficients is None:
-            coefficients = {}
-        self.coefficients = {int(p): g for p, g in coefficients.items()}
-        for p in self.stratum_levels():
-            self.coefficients.setdefault(p, FGAbelianGroup.free(1))
         if check:
             self.validate()
 
@@ -265,9 +258,6 @@ class StratifiedComplex:
     @property
     def dim(self):
         return self.complex.dim
-
-    def coefficient(self, p):
-        return self.coefficients.get(p, FGAbelianGroup.free(1))
 
     # -- validation --------------------------------------------------------
 
@@ -309,38 +299,13 @@ class StratifiedComplex:
                         "strata (%d, %d): closure of S^%d meets S^%d but misses %r"
                         % (p, q, p, q, missing))
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        filtration = {}
-        for p in self.stratum_levels():
-            filtration[str(p)] = [list(c) for c in self.filtration_stage(p)]
-        return {
-            "vertices": self.complex.n_vertices,
-            "simplices": [list(c) for c in self.complex.cells],
-            "filtration": filtration,
-            "coefficients": {str(p): self.coefficient(p).to_json()
-                             for p in self.stratum_levels()},
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        n = int(obj["vertices"])
-        complex_ = SimplicialComplex(n, [tuple(s) for s in obj["simplices"]])
-        coeffs = {int(p): FGAbelianGroup.from_json(g)
-                  for p, g in (obj.get("coefficients") or {}).items()}
-        filtration = obj.get("filtration")
-        if not filtration:
-            return single_stratum(complex_, coeffs)
-        return build_stratified(complex_, filtration, coeffs)
-
     def __repr__(self):
         parts = ", ".join("%d:%d" % (p, len(self.stratum(p)))
                           for p in self.stratum_levels())
         return "StratifiedComplex(dim=%d, strata={%s})" % (self.dim, parts)
 
 
-def build_stratified(complex_, filtration, coefficients=None):
+def build_stratified(complex_, filtration):
     """Assemble and certify a stratified complex.
 
     `filtration` maps level -> iterable of cells (cumulative stages or bare
@@ -362,13 +327,12 @@ def build_stratified(complex_, filtration, coefficients=None):
         if c not in placed:
             raise FiltrationNotClosed("cell %r not placed by the filtration" % (c,))
         levels[c] = placed[c]
-    return StratifiedComplex(complex_, levels, coefficients)
+    return StratifiedComplex(complex_, levels)
 
 
-def single_stratum(complex_, coefficients=None, level=None):
-    lvl = complex_.dim if level is None else int(level)
-    levels = {c: lvl for c in complex_.cells}
-    return StratifiedComplex(complex_, levels, coefficients)
+def single_stratum(complex_):
+    levels = {c: complex_.dim for c in complex_.cells}
+    return StratifiedComplex(complex_, levels)
 
 
 # -- constructors ----------------------------------------------------------
@@ -389,10 +353,7 @@ def cone(s):
     for c in base.cells:
         levels[c] = s.levels[c] + 1
         levels[c + (apex,)] = s.levels[c] + 1
-    coeffs = {0: FGAbelianGroup.free(1)}
-    for p, g in s.coefficients.items():
-        coeffs[p + 1] = g
-    return StratifiedComplex(complex_, levels, coeffs)
+    return StratifiedComplex(complex_, levels)
 
 
 def suspension(s):
@@ -411,10 +372,7 @@ def suspension(s):
         levels[c] = lvl
         levels[c + (north,)] = lvl
         levels[c + (south,)] = lvl
-    coeffs = {0: FGAbelianGroup.free(1)}
-    for p, g in s.coefficients.items():
-        coeffs[p + 1] = g
-    return StratifiedComplex(complex_, levels, coeffs)
+    return StratifiedComplex(complex_, levels)
 
 
 def _staircase_chains(p, q):
@@ -453,9 +411,7 @@ def product(sx, sy):
     """Categorical product of ordered-vertex complexes.
 
     Simplices are the monotone staircase chains over pairs of factor
-    simplices; a product cell's level is the sum of its projections' levels,
-    and the level-k coefficient group is the sum over i + j = k of the tensor
-    products of factor groups.
+    simplices; a product cell's level is the sum of its projections' levels.
     """
     bx, by = sx.complex, sy.complex
     ny = by.n_vertices
@@ -473,13 +429,7 @@ def product(sx, sy):
                 cells.add(cell)
                 levels[cell] = la + lb
     complex_ = SimplicialComplex(bx.n_vertices * ny, sorted(cells), close=False)
-    coeffs = {}
-    for i, gi in sx.coefficients.items():
-        for j, hj in sy.coefficients.items():
-            k = i + j
-            t = gi.tensor(hj)
-            coeffs[k] = coeffs[k].direct_sum(t) if k in coeffs else t
-    out = StratifiedComplex(complex_, levels, coeffs)
+    out = StratifiedComplex(complex_, levels)
     out.factors = (sx, sy)
     out.n_right = ny
     return out
@@ -524,11 +474,7 @@ def collapse(s, subcells):
         else:
             levels[img] = lvl
     complex_ = SimplicialComplex(nxt, sorted(levels), close=False)
-    coeffs = {0: FGAbelianGroup.free(1)}
-    for p in set(levels.values()):
-        if p and p in s.coefficients:
-            coeffs[p] = s.coefficients[p]
-    out = StratifiedComplex(complex_, levels, coeffs)
+    out = StratifiedComplex(complex_, levels)
     out.collapsed_cells = sorted(sub, key=lambda c: (len(c), c))
     out.source = s
     return out, cell_map

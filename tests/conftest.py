@@ -24,6 +24,24 @@ def projective_plane():
     return spaces.single_stratum(spaces.SimplicialComplex(6, RP2_TRIANGLES))
 
 
+def two_term_sheaf(space, free_rank, torsion):
+    """The stalk Z^t --diag(torsion)--> Z^(r + t) in stalk degrees -1 and 0
+    on every cell of `space` (t = len(torsion), r = free_rank; the map hits
+    the last t coordinates), with identity restrictions.  Its H^0 is Z^r
+    plus Z/n for each n in `torsion`.  A caller-built sheaf: certified by
+    `SheafComplex.validate`, not by construction."""
+    from strat_ic.linalg import CochainComplex, ExactMatrix
+    from strat_ic.sheaves import SheafComplex
+    r, t = free_rank, len(torsion)
+    d = ExactMatrix(r + t, t, {(r + i, i): n for i, n in enumerate(torsion)})
+    stalk = CochainComplex({-1: t, 0: r + t}, {-1: d})
+    ident = {q: ExactMatrix.identity(stalk.dim(q)) for q in (-1, 0)}
+    cells = space.complex.cells
+    return SheafComplex(space, {c: stalk for c in cells},
+                        {(sig, tau): ident for tau in cells
+                         for sig, _s in spaces.facets(tau)})
+
+
 def run_python(*args, optimize=True, timeout=120):
     """Run a fresh interpreter on `args` with this package's source on
     PYTHONPATH, under `-O` unless `optimize` is false.  `-O` strips asserts,

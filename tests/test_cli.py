@@ -205,6 +205,44 @@ def test_stage_cell_outside_complex_exits_two_without_traceback(tmp_path,
     assert "Traceback" not in proc.stderr
 
 
+def _write_levels(tmp_path, filtration):
+    # the boundary of a triangle; `filtration` is the filtration object's
+    # JSON text with %s for the whole 1-skeleton
+    p = tmp_path / "space.json"
+    p.write_text('{"n_vertices": 3, "simplices": [[0, 1], [1, 2], [0, 2]], '
+                 '"filtration": %s}' % (filtration % json.dumps(
+                     [[0, 1], [1, 2], [0, 2], [0], [1], [2]])))
+    return p
+
+
+@pytest.mark.parametrize("filtration, pointer", [
+    ('{"1": %s, "0": [[0]], "0": [[2]]}', "/filtration/0"),
+    ('{" 1 ": %s, "0_0": [[0]]}', "/filtration/ 1 "),
+    ('{"1": %s, "0_1": [[0]]}', "/filtration/0_1"),
+    ('{"01": %s}', "/filtration/01"),
+    ('{"+1": %s}', "/filtration/+1"),
+    ('{"1": %s, "-0": []}', "/filtration/-0"),
+], ids=["twice", "spaces", "underscore", "leading-zero", "sign", "minus"])
+def test_level_key_not_plain_decimal_or_repeated_is_bad_input(
+        tmp_path, capsys, filtration, pointer):
+    # int() reads every one of these keys as a level, and json keeps the
+    # last of two equal keys; the loader refuses them all
+    p = _write_levels(tmp_path, filtration)
+    assert cli.main(["build", "--input", str(p)]) == 2
+    assert "(at %r)" % pointer in capsys.readouterr().err
+    good = _write_levels(tmp_path, '{"1": %s, "0": [[0]]}')
+    assert cli.main(["build", "--input", str(good),
+                     "--output", str(tmp_path / "out.json")]) == 0
+
+
+def test_level_named_twice_is_bad_input_under_optimize(tmp_path):
+    p = _write_levels(tmp_path, '{"1": %s, "0": [[0]], "0": [[2]]}')
+    proc = run_python("-m", "strat_ic.cli", "build", "--input", str(p))
+    assert proc.returncode == 2, proc.stdout
+    assert "level named more than once (at '/filtration/0')" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _assert_same_bytes_under_optimize(args, tmp_path):
     code, want = run(args, tmp_path, "plain.json")
     assert code == 0
@@ -519,6 +557,16 @@ GOLDEN_REPORTS = [
     # the genus-2 fibration row, whichever route computes the pushforward
     (["reproduce", "--example", "fibration"],
      "e25e1ceb6fb66145753b9a817fa271f30220d0d15918ed3327bd0c1ce5c0f8bd"),
+    # every scenario; the Tor row is the one path through
+    # FGAbelianGroup.tor
+    (["reproduce"],
+     "e71af8e10786f0428372e2fb2f96cf62704de06b88966225e605b7f2e29cd77e"),
+    (["reproduce", "--example", "tor-correction"],
+     "e74d4015ad30c2ce66a2c2fd32c99fb13d2f2db1cf1645e71201d7eff98b4d30"),
+    (["mezzo", "--example", "suspension-t2", "--dump"],
+     "c89870caf20e14745295a0404580182ec1a40cf3dae0202762647ee0df54d058"),
+    (["build", "--example", "product:genus2,t2"],
+     "75bf014b68a8775e2e13578a1380dfa343ec2e5b4ec93d1c27ee3549b2cf3e75"),
 ]
 
 
@@ -530,7 +578,10 @@ GOLDEN_REPORTS = [
                               "kunneth-t2-s1-stratumwise",
                               "kunneth-s2-s1-stratumwise",
                               "derham-cone-genus2", "derham-t2-s1",
-                              "reproduce-fibration"])
+                              "reproduce-fibration", "reproduce",
+                              "reproduce-tor-correction",
+                              "mezzo-suspension-t2-dump",
+                              "build-genus2-t2"])
 def test_report_bytes_match_golden_digest(tmp_path, args, digest):
     code, data = run(args, tmp_path)
     assert code == 0

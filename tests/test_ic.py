@@ -7,7 +7,7 @@ them exactly.
 """
 
 import pytest
-from conftest import ref_deligne_construction, run_python
+from conftest import ref_deligne_construction, run_python, two_term_sheaf
 from hypothesis import given, settings, strategies as hst
 
 from strat_ic import ic, spaces
@@ -20,7 +20,8 @@ from strat_ic.ic import (
     stratified_de_rham, stratumwise_rows, verify_support_conditions,
     witt_check,
 )
-from strat_ic.linalg import ExactMatrix, FGAbelianGroup, rank
+from strat_ic.linalg import ExactMatrix, rank
+from strat_ic.sheaves import derived_pushforward, truncate
 
 
 M = Perversity.lower_middle()
@@ -354,32 +355,6 @@ def test_refined_rejects_wrong_cells():
         refined_ic(st, mez)
 
 
-def test_refined_rejects_rank_two_coefficient():
-    # checked before the last-vertex transport; a typed raise, so -O
-    # refuses too instead of building a result
-    st = get_example("suspension-t2")
-    with pytest.raises(ICError, match="rank-one coefficient"):
-        refined_ic(st, _mezzo(st, [0, 0]), coefficient=2)
-    code = "\n".join([
-        "from strat_ic import ic",
-        "from strat_ic.examples import get_example",
-        "st = get_example('suspension-t2')",
-        "choices = {}",
-        "for v in sorted(st.stratum(0)):",
-        "    _lk, _basis, form = ic.link_middle_form(st, v)",
-        "    choices[v] = ic.lagrangian_subspaces(form, count_limit=1)[0]",
-        "try:",
-        "    print(ic.refined_ic(st, ic.Mezzoperversity(choices),",
-        "                        coefficient=2).betti())",
-        "except ic.ICError as e:",
-        "    print('rejected:', e)",
-    ])
-    proc = run_python("-c", code, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == \
-        "rejected: refinement needs a rank-one coefficient, got 2\n"
-
-
 def test_refined_rejects_even_codimension():
     cs = get_example("cone-s1")
     with pytest.raises(MezzoStrataMismatch):
@@ -396,34 +371,53 @@ def test_dual_mezzoperversity_fixes_lagrangians():
 
 # -- differential: pushforwards through the cutoff against full ones --------
 
+def _assert_same_ic(got, want, p):
+    assert got.cutoffs == want.cutoffs
+    G, W = got.sheaf, want.sheaf
+    assert G.cutoff == W.cutoff
+    for c, cx in W.stalks.items():
+        assert G.stalks[c].dims == cx.dims, (p, c)
+        assert G.stalks[c].diffs == cx.diffs, (p, c)
+        assert G.inclusions[c] == W.inclusions[c], (p, c)
+    assert G.restrictions == W.restrictions, p
+    assert got.layout == want.layout, p
+    assert got.complex.dims == want.complex.dims, p
+    assert got.complex.diffs == want.complex.diffs, p
+    assert got.cohomology == want.cohomology, p
+    # the recorded pushforward reaches exactly the degree its truncation
+    # reads
+    assert G.untruncated.through == G.cutoff + 1
+
+
 @pytest.mark.parametrize("name,perversities,coefficient", [
     ("cone-t2", "mn", 1),
     ("suspension-s2", "0mnt", 1),
     ("cone-cone-s1", "mnt", 1),
-    ("cone-s1", "m", FGAbelianGroup(1, (2,))),
 ])
 def test_deligne_matches_full_pushforward_reference(name, perversities,
                                                     coefficient):
     space = get_example(name)
     for p in perversities:
         perv = Perversity.named(p)
-        got = deligne_construction(space, perv, coefficient)
-        want = ref_deligne_construction(space, perv, coefficient)
-        assert got.cutoffs == want.cutoffs
-        G, W = got.sheaf, want.sheaf
-        assert G.cutoff == W.cutoff
-        for c, cx in W.stalks.items():
-            assert G.stalks[c].dims == cx.dims, (p, c)
-            assert G.stalks[c].diffs == cx.diffs, (p, c)
-            assert G.inclusions[c] == W.inclusions[c], (p, c)
-        assert G.restrictions == W.restrictions, p
-        assert got.layout == want.layout, p
-        assert got.complex.dims == want.complex.dims, p
-        assert got.complex.diffs == want.complex.diffs, p
-        assert got.cohomology == want.cohomology, p
-        # the recorded pushforward reaches exactly the degree its
-        # truncation reads
-        assert G.untruncated.through == G.cutoff + 1
+        _assert_same_ic(deligne_construction(space, perv, coefficient),
+                        ref_deligne_construction(space, perv, coefficient),
+                        p)
+
+
+def test_two_term_pushforward_through_cut_matches_full_pushforward():
+    # stalks in degrees -1 and 0 (Z + Z/2): the cone point's pushforward
+    # through the cutoff, truncated, against the full pushforward
+    space = get_example("cone-s1")
+    F = two_term_sheaf(space, 1, (2,))
+    stage = space.filtration_stage(0)
+    cut = M(space.top)
+    got, want = (
+        ic.ICResult(space, truncate(derived_pushforward(F, stage, through),
+                                    cut), {0: cut}, "two-term")
+        for through in (cut + 1, None))
+    _assert_same_ic(got, want, "m")
+    # rationally Z + Z/2 is Q: the cone formula's (1, 0, 0)
+    assert got.cohomology == {-1: 0, 0: 1, 1: 0, 2: 0}
 
 
 def test_last_vertex_transport_refuses_wider_stalks_under_optimize():

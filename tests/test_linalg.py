@@ -25,7 +25,6 @@ from strat_ic.linalg import (
     solve,
     solve_many,
     tensor_complex,
-    tor1,
 )
 
 
@@ -162,7 +161,8 @@ def test_group_normalization_to_chain():
 
 
 def test_tor_z4_z6():
-    assert tor1(FGAbelianGroup(0, (4,)), FGAbelianGroup(0, (6,))) == FGAbelianGroup(0, (2,))
+    z4, z6 = FGAbelianGroup(0, (4,)), FGAbelianGroup(0, (6,))
+    assert z4.tor(z6) == FGAbelianGroup(0, (2,))
 
 
 def test_tensor_with_free_part():
@@ -253,7 +253,7 @@ def test_shape_checks_under_optimize():
 
 
 def test_group_and_complex_inputs_are_typed_raises():
-    # bad coefficients in a space file reach FGAbelianGroup, and an empty
+    # a negative free rank is refused by FGAbelianGroup, and an empty
     # complex gives CochainComplex no degrees; -O must keep both raises
     with pytest.raises(ValueError, match="negative free rank"):
         FGAbelianGroup(-1)
@@ -595,7 +595,7 @@ groups = st.builds(
 
 @given(groups, groups)
 def test_tor_symmetry(a, b):
-    assert tor1(a, b) == tor1(b, a)
+    assert a.tor(b) == b.tor(a)
 
 
 @given(groups, groups)

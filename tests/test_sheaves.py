@@ -8,21 +8,18 @@ part it came from.
 """
 
 import pytest
-from conftest import assert_normalized, run_python
+from conftest import assert_normalized, run_python, two_term_sheaf
 from hypothesis import given, settings, strategies as st
 
 from strat_ic.examples import get_example
 from strat_ic import duality, sheaves, spaces
-from strat_ic.linalg import (CochainComplex, ExactMatrix, FGAbelianGroup,
-                             kernel_basis, rank)
+from strat_ic.linalg import CochainComplex, ExactMatrix, kernel_basis, rank
 from strat_ic.sheaves import (
     NotOpen, NotOpenComplement, SheafComplex, SheafError, _flags,
     constant_sheaf, derived_pushforward, external_tensor, flag_complex,
-    graded_sections_functor, incidence_complex, kan_pushforward,
-    resolution_complex, sheaf_cohomology, truncate,
+    incidence_complex, kan_pushforward, sheaf_cohomology, truncate,
 )
 from strat_ic.spaces import product, single_stratum
-from strat_ic import examples
 
 
 def _betti_tuple(coh, top):
@@ -55,20 +52,11 @@ def test_constant_sheaf_rank_scales():
 
 def test_constant_sheaf_torsion_integral():
     s = get_example("s1")
-    F = constant_sheaf(s, FGAbelianGroup(0, (2,)))
+    F = two_term_sheaf(s, 0, (2,))
     coh = sheaf_cohomology(F, integral=True)
     assert coh[-1].is_zero()
     assert coh[0].describe() == "Z/2"
     assert coh[1].describe() == "Z/2"
-
-
-def test_resolution_complex_shape():
-    g = FGAbelianGroup(2, (3, 6))
-    cx = resolution_complex(g)
-    assert cx.dims == {-1: 2, 0: 4}
-    groups = cx.cohomology_groups()
-    assert groups[0] == g
-    assert groups[-1].is_zero()
 
 
 def test_validation_catches_broken_functoriality():
@@ -257,31 +245,17 @@ def test_external_tensor_kunneth_rational():
     assert _betti_tuple(sheaf_cohomology(F), 2) == (1, 2, 1)
 
 
-def test_graded_sections_functor_derived_terms():
-    z2 = FGAbelianGroup(0, (2,))
-    a = single_stratum(examples._circle(), {1: z2})
-    b = single_stratum(examples._circle(), {1: z2})
-    p = product(a, b)
-    M = graded_sections_functor(p)
+def test_external_tensor_of_torsion_sheaves_derived_terms():
+    # Z/2 on both circles: the tensor of the two-term stalks has
+    # H^-1 = Tor(Z/2, Z/2) = Z/2, so hypercohomology starts in degree -1
+    a, b = get_example("s1"), get_example("s1")
+    M = external_tensor(two_term_sheaf(a, 0, (2,)), two_term_sheaf(b, 0, (2,)),
+                        product(a, b))
     coh = sheaf_cohomology(M, integral=True)
     assert coh[-1].describe() == "Z/2"
     assert coh[0].describe() == "Z/2 + Z/2 + Z/2"
     assert coh[1].describe() == "Z/2 + Z/2 + Z/2"
     assert coh[2].describe() == "Z/2"
-
-
-def test_graded_sections_functor_free_case():
-    s = get_example("t2")
-    M = graded_sections_functor(s)
-    assert _betti_tuple(sheaf_cohomology(M), 2) == (1, 2, 1)
-
-
-def test_graded_sections_functor_rejects_mixed_groups():
-    from strat_ic.sheaves import SheafError
-    s = get_example("cone-s1")
-    s.coefficients[0] = FGAbelianGroup(0, (2,))
-    with pytest.raises(SheafError):
-        graded_sections_functor(s)
 
 
 # -- property: Leray holds for arbitrary closed subcomplexes ---------------
@@ -640,9 +614,9 @@ def _cone_cone_s1_case():
 
 
 def _torsion_case():
-    # resolution stalks start in stalk degree -1
+    # two-term stalks start in stalk degree -1
     s = get_example("cone-s1")
-    F = constant_sheaf(s, FGAbelianGroup(1, (2,)))
+    F = two_term_sheaf(s, 1, (2,))
     return lambda through: derived_pushforward(F, [(3,)], through=through)
 
 
@@ -783,16 +757,20 @@ def test_plain_truncation_matches_truncate(case, data):
 
 @pytest.mark.parametrize("pair,coefficient", [
     (("s1", "s1"), 1), (("cone-s1", "s1"), 2),
-    (("s1", "s1"), FGAbelianGroup(1, (2,)))])
+    # (free rank, torsion) of two-term stalks in degrees -1 and 0
+    (("s1", "s1"), (1, (2,)))])
 def test_external_tensors_pass_generic_validate(pair, coefficient):
     a, b = (get_example(n) for n in pair)
-    fx = constant_sheaf(a, coefficient)
+    if isinstance(coefficient, tuple):
+        fx = two_term_sheaf(a, *coefficient)
+        fy = two_term_sheaf(b, *coefficient)
+    else:
+        fx, fy = constant_sheaf(a, coefficient), constant_sheaf(b, coefficient)
     if a.singular_levels():
         # a truncated pushforward factor: stalks in several degrees and
         # restrictions that are not identities
         fx = truncate(derived_pushforward(fx, a.filtration_stage(0)), 1)
-    _assert_certified(external_tensor(fx, constant_sheaf(b, coefficient),
-                                      product(a, b)))
+    _assert_certified(external_tensor(fx, fy, product(a, b)))
 
 
 def test_external_tensor_refuses_a_block_of_the_wrong_shape(monkeypatch):
@@ -809,8 +787,8 @@ def test_external_tensor_refuses_a_block_of_the_wrong_shape(monkeypatch):
                 layout[n] = [(p1, q1, o0), (p0, q0, o1)]
         return cx, layout
     a, b = get_example("s1"), get_example("s1")
-    fx = constant_sheaf(a, FGAbelianGroup(1, (2,)))     # dims 1, 2
-    fy = constant_sheaf(b, FGAbelianGroup(0, (2,)))     # dims 1, 1
+    fx = two_term_sheaf(a, 1, (2,))     # dims 1, 2
+    fy = two_term_sheaf(b, 0, (2,))     # dims 1, 1
     _assert_certified(external_tensor(fx, fy, product(a, b)))
     monkeypatch.setattr(linalg, "tensor_complex", swapped)
     with pytest.raises(SheafError, match="tensor block"):
@@ -907,13 +885,14 @@ def _ref_least_cell(push_source_cells, t):
     return None
 
 
-def _ladder_pushforward(name, k, cut=0, coefficient=1):
+def _ladder_pushforward(name, k, cut=0, torsion=False):
     # the last step of a ladder, through k + 1: on cone-cone-s1 a
     # pushforward of a pushforward truncated at `cut`, whose stalks on the
-    # first stratum have a differential when cut > 0
+    # first stratum have a differential when cut > 0; `torsion` starts
+    # from the two-term sheaf for Z + Z/2
     s = get_example(name)
     *upper, low = sorted(s.singular_levels(), reverse=True)
-    F = constant_sheaf(s, coefficient)
+    F = two_term_sheaf(s, 1, (2,)) if torsion else constant_sheaf(s, 1)
     for p in upper:
         F = truncate(derived_pushforward(F, s.filtration_stage(p)), cut)
     return derived_pushforward(F, s.filtration_stage(low), through=k + 1)
@@ -957,7 +936,7 @@ def _pushforwards_with_least_cells(draw):
         k -= 1
         push = _ladder_pushforward(
             draw(st.sampled_from(["cone-s1", "cone-cone-s1"])), k,
-            coefficient=FGAbelianGroup(1, (2,)))
+            torsion=True)
         closed = set(push.space.filtration_stage(0))
         cmap = {c: c for c in push.space.complex.cells if c not in closed}
     return push, cmap, k
@@ -1209,16 +1188,18 @@ def test_mezzo_pairing_complexes_above_1500_pass_certify(monkeypatch):
 
 
 def test_constructors_certify_without_validate(monkeypatch):
+    s = get_example("cone-s1")
+    # checked once here, before validate is barred
+    torsion = two_term_sheaf(s, 1, (2,))
     monkeypatch.setattr(SheafComplex, "validate",
                         lambda self: pytest.fail("validate called"))
-    s = get_example("cone-s1")
     F = constant_sheaf(s, 1)
     push = derived_pushforward(F, s.filtration_stage(0), through=1)
     total, quotient, cmap = _collapse_case("s1")
-    z2 = FGAbelianGroup(1, (2,))
-    built = [F, constant_sheaf(s, z2), push, truncate(push, 0),
+    built = [F, push, truncate(push, 0),
+             derived_pushforward(torsion, s.filtration_stage(0)),
              kan_pushforward(constant_sheaf(total, 2), cmap, quotient),
-             graded_sections_functor(product(s, get_example("s1"))),
+             external_tensor(torsion, constant_sheaf(s, 1), product(s, s)),
              external_tensor(truncate(push, 0), constant_sheaf(s, 1),
                              product(s, s))]
     assert all(G.certified for G in built)

@@ -13,12 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from strat_ic import examples, spaces
 from strat_ic.examples import UnknownExample, get_example
-from strat_ic.linalg import FGAbelianGroup
 from strat_ic.spaces import (
     BadLevelMap, BadSimplex, CellNotFound, FiltrationNotClosed, FrontierViolation,
     SimplicialComplex, StratifiedComplex, SubcomplexNotClosed, build_stratified,
-    collapse, cone, link, product, product_projections, single_stratum,
-    suspension,
+    collapse, cone, link, product, product_projections,
 )
 
 
@@ -113,6 +111,12 @@ def test_filtration_cell_outside_the_complex_raises():
     assert build_stratified(cx, {"0": [(1,)], "1": stage}).stratum(0) == [(1,)]
 
 
+def test_build_stratified_refuses_an_unplaced_cell():
+    cx = SimplicialComplex(3, [(0, 1), (1, 2)])
+    with pytest.raises(FiltrationNotClosed, match=r"\(2,\) not placed"):
+        build_stratified(cx, {"0": [(1,)], "1": [(0, 1), (1, 2), (0,)]})
+
+
 def test_cell_order_is_by_dim_then_lex():
     c = get_example("s2").complex
     dims = [len(x) for x in c.cells]
@@ -151,28 +155,20 @@ def test_level_map_must_cover_the_cells():
 
 
 def test_space_inputs_rejected_under_optimize():
-    # -O strips asserts, so the level-map cover and the coefficient rank
-    # that from_json reaches must be typed raises
+    # -O strips asserts, so the level-map cover must be a typed raise
     code = "\n".join([
         "from strat_ic.spaces import (SimplicialComplex, StratificationError,",
         "                             StratifiedComplex)",
         "cx = SimplicialComplex(2, [(0, 1)])",
-        "obj = {'vertices': 2, 'simplices': [[0, 1]],",
-        "       'coefficients': {'1': {'rank': -1}}}",
-        "for call, err in (",
-        "        (lambda: StratifiedComplex(cx, {(0,): 0, (0, 1): 1}),",
-        "         StratificationError),",
-        "        (lambda: StratifiedComplex.from_json(obj), ValueError)):",
-        "    try:",
-        "        print(call())",
-        "    except err as e:",
-        "        print('rejected:', e)",
+        "try:",
+        "    print(StratifiedComplex(cx, {(0,): 0, (0, 1): 1}))",
+        "except StratificationError as e:",
+        "    print('rejected:', e)",
     ])
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "rejected: level map must cover all cells",
-        "rejected: negative free rank -1",
     ]
 
 
@@ -180,7 +176,6 @@ def test_single_stratum_levels():
     s = get_example("t2")
     assert s.stratum_levels() == [2]
     assert s.regular_part() == list(s.complex.cells)
-    assert s.coefficient(2).describe() == "Z"
 
 
 def test_constructors_revalidate():
@@ -197,15 +192,6 @@ def test_cone_shape():
     assert s.complex.betti_numbers() == (1, 0, 0)
     assert s.strata()[0] == [(3,)]
     assert len(s.stratum(2)) == 12
-    assert s.to_json()["filtration"]["0"] == [[3]]
-
-
-def test_cone_coefficient_shift():
-    base = single_stratum(examples._torus(),
-                          {2: FGAbelianGroup(1, (2,))})
-    c = cone(base)
-    assert c.coefficient(0).describe() == "Z"
-    assert c.coefficient(3).describe() == "Z + Z/2"
 
 
 def test_suspension_shape():
@@ -295,13 +281,6 @@ def test_product_projections_land_in_factors():
         assert p.levels[cell] == p.factors[0].levels[a] + p.factors[1].levels[b]
 
 
-def test_product_coefficients_convolve():
-    ga = single_stratum(examples._circle(), {1: FGAbelianGroup(0, (4,))})
-    gb = single_stratum(examples._circle(), {1: FGAbelianGroup(0, (6,))})
-    p = product(ga, gb)
-    assert p.coefficient(2).describe() == "Z/2"  # Z/4 tensor Z/6
-
-
 # -- collapse --------------------------------------------------------------
 
 def _product_slice(p, right_vertex):
@@ -350,39 +329,6 @@ def test_collapse_whole_subcomplex_level_zero():
         if set(c) <= {0, 1, 3}:
             assert cmap[c] == (0,)
     q.validate()
-
-
-# -- serialization ---------------------------------------------------------
-
-def test_json_roundtrip():
-    for name in ("cone-s1", "suspension-t2", "product:s1,interval"):
-        s = get_example(name)
-        obj = s.to_json()
-        back = spaces.StratifiedComplex.from_json(obj)
-        assert back.complex.cells == s.complex.cells
-        assert back.levels == s.levels
-        for p in s.stratum_levels():
-            assert back.coefficient(p) == s.coefficient(p)
-
-
-def test_json_missing_filtration_gives_single_stratum():
-    obj = {"vertices": 3, "simplices": [[0, 1], [1, 2], [0, 2]]}
-    s = spaces.StratifiedComplex.from_json(obj)
-    assert s.stratum_levels() == [1]
-
-
-def test_json_filtration_is_placed_like_build_stratified():
-    stage = [[0, 1], [1, 2], [0], [2], [1, 1]]
-    obj = {"vertices": 3, "simplices": [[0, 1], [1, 2]],
-           "filtration": {"0": [[1]], "1": stage}}
-    with pytest.raises(BadSimplex, match="repeated"):
-        spaces.StratifiedComplex.from_json(obj)
-    stage.pop()
-    s = spaces.StratifiedComplex.from_json(obj)
-    assert s.stratum(0) == [(1,)]
-    stage.pop()
-    with pytest.raises(FiltrationNotClosed, match=r"\(2,\) not placed"):
-        spaces.StratifiedComplex.from_json(obj)
 
 
 def test_unknown_example():
