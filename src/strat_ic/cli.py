@@ -181,14 +181,9 @@ def _expect(cond, message, pointer):
         raise BadInput(message, pointer)
 
 
-def load_space(path):
-    """Stratified complex from a UTF-8 JSON description.
-
-    Schema: {"schema": 1, "n_vertices": int, "simplices": [[int...]...],
-    "filtration": {"<level>": [[int...]...]}}.  Level keys are plain
-    decimal, each given once.  Every cell of the closure must be placed by
-    the filtration (closure happens before placement).
-    """
+def _read_json(path):
+    """(document, raw bytes) of the UTF-8 JSON file at `path`.  Its objects
+    are `_JSONObject`s; a key given twice at the document root is refused."""
     try:
         with open(path, "rb") as fh:
             payload = fh.read()
@@ -198,6 +193,21 @@ def load_space(path):
         raise BadInput("cannot read %s: %s" % (path, e), "")
     except ValueError as e:  # bad UTF-8, bad JSON, or an overlong integer
         raise BadInput("not UTF-8 JSON: %s" % e, "")
+    repeated = doc.repeated if isinstance(doc, _JSONObject) else []
+    _expect(not repeated, "key named more than once",
+            _pointer(*repeated[:1]))
+    return doc, payload
+
+
+def load_space(path):
+    """Stratified complex from a UTF-8 JSON description.
+
+    Schema: {"schema": 1, "n_vertices": int, "simplices": [[int...]...],
+    "filtration": {"<level>": [[int...]...]}}.  Level keys are plain
+    decimal, each given once.  Every cell of the closure must be placed by
+    the filtration (closure happens before placement).
+    """
+    doc, payload = _read_json(path)
     _expect(isinstance(doc, dict), "document must be an object", "")
     _expect(isinstance(doc.get("n_vertices"), int) and
             not isinstance(doc.get("n_vertices"), bool),
@@ -293,7 +303,8 @@ def _pointer(*parts):
 
 
 def load_mezzo(path, space):
-    """Mezzoperversity from {"schema": 1, "choices": {"<vertex>": rows}}.
+    """(Mezzoperversity, raw bytes) from {"schema": 1, "choices":
+    {"<vertex>": rows}}.
 
     The keys are the vertices of the first odd-codimension stratum of
     `space`, each once, in plain decimal (no sign, padding, underscore or
@@ -301,14 +312,7 @@ def load_mezzo(path, space):
     `_mezzo_entry`), one row per middle Betti number of the vertex's link;
     columns span the chosen subspace of the link's middle cohomology.
     """
-    try:
-        with open(path, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"),
-                             object_pairs_hook=_JSONObject)
-    except OSError as e:
-        raise BadInput("cannot read %s: %s" % (path, e), "")
-    except ValueError as e:  # bad UTF-8, bad JSON, or an overlong integer
-        raise BadInput("not UTF-8 JSON: %s" % e, "")
+    doc, payload = _read_json(path)
     _expect(isinstance(doc, dict) and isinstance(doc.get("choices"), dict),
             "mezzo document must carry a choices object", "/choices")
     levels = ic.refinement_strata(space)
@@ -347,7 +351,7 @@ def load_mezzo(path, space):
     missing = sorted(stratum - set(choices))
     _expect(not missing, "no choice for stratum cells %s" % missing,
             "/choices")
-    return ic.Mezzoperversity(choices)
+    return ic.Mezzoperversity(choices), payload
 
 
 def _example(name):
@@ -535,7 +539,7 @@ def cmd_intersect(config):
     if n > 0:
         # degrees that do not sum to the dimension must contribute zero
         pt = cc.cohomology_basis(0)[0]
-        off = duality.intersection_number(space, space, pt, pt, 0, 0)
+        off = duality.intersection_number(space, pt, pt, 0, 0)
         bundle.add("complementary-bookkeeping-zero", off, verdict=off == 0)
     return bundle
 
@@ -547,14 +551,12 @@ def cmd_mezzo(config):
     if not levels:
         raise BadInput("no odd-codimension stratum to refine", "/example")
     level = levels[0]
-    verts = sorted(space.stratum(level))
     if config.mezzo_path:
-        mezzo = load_mezzo(config.mezzo_path, space)
-        with open(config.mezzo_path, "rb") as fh:
-            bundle.digest = _digest(config, fh.read())
+        mezzo, payload = load_mezzo(config.mezzo_path, space)
+        bundle.digest = _digest(config, payload)
     else:
         choices = {}
-        for v in verts:
+        for v in sorted(space.stratum(level)):
             _lk, _basis, form = ic.link_middle_form(space, v)
             choices[v] = ic.lagrangian_subspaces(form, count_limit=1)[0]
         mezzo = ic.Mezzoperversity(choices)
@@ -567,15 +569,11 @@ def cmd_mezzo(config):
         bundle.add("local-contribution-%d" % v[0], got,
                    verdict=got == want)
     if config.dump:
-        # refined_ic refuses a choice that is not Lagrangian; name the
-        # offending one in the file first
-        if config.mezzo_path:
-            for v in verts:
-                _lk, _basis, form = ic.link_middle_form(space, v)
-                _expect(ic.is_lagrangian(form, mezzo.choices[v]),
-                        "choice is not Lagrangian for the link form",
-                        _pointer("choices", v[0]))
-        res = ic.refined_ic(space, mezzo)
+        try:
+            res = ic.refined_ic(space, mezzo)
+        except ic.NotLagrangian as e:
+            raise BadInput("choice is not Lagrangian for the link form",
+                           _pointer("choices", e.vertex[0]))
         dims = list(res.betti())
         bundle.add("refined-dims", dims)
         # mirror symmetry is a property of closed models only (a one-sided
@@ -605,8 +603,8 @@ def _scenario_cone_table(bundle):
 
 
 def _scenario_cone_genus2(bundle):
-    rows = ic.stratumwise_rows(get_example("cone-genus2"))
-    total = [sum(r[k] for r in rows.values()) for k in range(4)]
+    total = ic.stratumwise_total(
+        ic.stratumwise_rows(get_example("cone-genus2")))
     bundle.add("cone-genus2 stratumwise total", total)
     bundle.add("cone-genus2 middle dim (2g)", 4, source="target",
                verdict=total[1] == 4)
@@ -709,7 +707,7 @@ def _scenario_local(bundle):
                    verdict=out["value"] == 1)
     s2 = get_example("s2")
     pt = s2.complex.cochain_complex().cohomology_basis(0)[0]
-    z = duality.intersection_number(s2, s2, pt, pt, 0, 0)
+    z = duality.intersection_number(s2, pt, pt, 0, 0)
     bundle.add("point class bookkeeping zero", z, verdict=z == 0)
 
 
@@ -948,10 +946,7 @@ def property_suite(seed=0, mutate=None):
         else:
             other = rng.choice(["interval", "s1"])
             prod = spaces.product(get_example(name), get_example(other))
-            nr = prod.n_right
-            slice_cells = [c for c in prod.complex.cells
-                           if all(v % nr == 0 for v in c)]
-            sp, _cmap = spaces.collapse(prod, slice_cells)
+            sp, _cmap = spaces.collapse(prod, duality._section_slice(prod, 0))
             label = "collapse(%s x %s)" % (name, other)
         if len(sp.complex.cells) <= _POOL_MAX_CELLS:
             pool.append((label, sp))
@@ -1046,13 +1041,7 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command, example=args.example,
-        input_path=args.input_path, perversity=args.perversity,
-        mezzo_path=args.mezzo_path, mode=args.mode, fmt=args.fmt,
-        seed=args.seed, degree=args.degree, table=args.table,
-        output=args.output, dump=args.dump)
+    config = RunConfig(**vars(_parser().parse_args(argv)))
     try:
         config.validate()
         bundle = _COMMANDS[config.command](config)

@@ -36,10 +36,6 @@ class ModeMismatch(DualityError):
     pass
 
 
-class InconsistentCollapse(DualityError):
-    pass
-
-
 class StratumNotFound(DualityError):
     pass
 
@@ -72,9 +68,8 @@ def orient_top_cells(cx):
             raise NotOrientable("cell %r is not a face of a top cell" % (c,))
     cofaces = {}
     for t in tops:
-        for i in range(len(t)):
-            r = t[:i] + t[i + 1:]
-            cofaces.setdefault(r, []).append((t, -1 if i % 2 else 1))
+        for r, sign in spaces.facets(t):
+            cofaces.setdefault(r, []).append((t, sign))
     for r, pair in sorted(cofaces.items()):
         if len(pair) != 2:
             raise NotOrientable(
@@ -87,8 +82,7 @@ def orient_top_cells(cx):
         queue = [start]
         while queue:
             t = queue.pop()
-            for i in range(len(t)):
-                r = t[:i] + t[i + 1:]
+            for r, _sign in spaces.facets(t):
                 (t1, s1), (t2, s2) = cofaces[r]
                 other, so = (t2, s2) if t1 == t else (t1, s1)
                 st = s1 if t1 == t else s2
@@ -166,7 +160,7 @@ class PairingMatrix:
 
 def duality_pairing(space, k):
     """Poincare pairing H^k x H^(n-k) -> Q on a closed oriented space."""
-    cx = space.complex if hasattr(space, "complex") else space
+    cx = space.complex
     n = cx.dim
     if k < 0 or k > n:
         raise DegreeOutOfRange("degree %d outside 0..%d" % (k, n))
@@ -569,17 +563,17 @@ def ic_pairing(result_low, result_high, k):
     return PairingContext(result_low, result_high).matrix(k)
 
 
-def stratumwise_duality(space, perversity=None):
+def stratumwise_duality(space):
     """Mirror audit of the stratumwise table.
 
     Reports the total row against its reversal degree by degree; closed
     oriented manifolds come out symmetric, singular spaces generally do
     not, and the failure locations are the content.
     """
-    from .ic import stratumwise_rows
+    from .ic import stratumwise_rows, stratumwise_total
     rows = stratumwise_rows(space)
     width = space.dim + 1
-    total = tuple(sum(r[k] for r in rows.values()) for k in range(width))
+    total = stratumwise_total(rows)
     mirror = tuple(reversed(total))
     per_degree = [{"degree": k, "value": total[k], "dual_value": mirror[k],
                    "ok": total[k] == mirror[k]} for k in range(width)]
@@ -677,16 +671,11 @@ def kunneth(left, right, mode="rational"):
                              {k: v.describe() for k, v in rhs.items()}, detail)
     # stratumwise: table of the product vs convolved factor tables, and a
     # direct recomputation of every closed product stratum
-    from .ic import stratumwise_rows, _closed_cohomology
+    from .ic import _closed_cohomology, stratumwise_rows, stratumwise_total
     prod_rows = stratumwise_rows(prod)
-    total = tuple(sum(r[k] for r in prod_rows.values()) for k in range(width))
-    lrows = stratumwise_rows(left)
-    rrows = stratumwise_rows(right)
-    ltot = tuple(sum(r[k] for r in lrows.values())
-                 for k in range(left.dim + 1))
-    rtot = tuple(sum(r[k] for r in rrows.values())
-                 for k in range(right.dim + 1))
-    predicted = _convolve(ltot, rtot, width)
+    total = stratumwise_total(prod_rows)
+    predicted = _convolve(stratumwise_total(stratumwise_rows(left)),
+                          stratumwise_total(stratumwise_rows(right)), width)
     detail = []
     ok = total == predicted
     for p in sorted(prod_rows):
@@ -707,12 +696,13 @@ def kunneth(left, right, mode="rational"):
 # -- fibrewise decomposition ----------------------------------------------
 
 def _section_slice(prod, vertex):
+    """Cells of the slice (left factor) x {vertex} of a product."""
     nr = prod.n_right
     return [c for c in prod.complex.cells
             if all(v % nr == vertex for v in c)]
 
 
-def fibration_decomposition(section, collapse_cells=None, trivial=False):
+def fibration_decomposition(section):
     """Collapse a cylinder end onto a cone and audit the resulting rows.
 
     The total space is section x interval with the bottom slice marked as
@@ -735,52 +725,31 @@ def fibration_decomposition(section, collapse_cells=None, trivial=False):
     width = prod.dim + 1
     # restratify: the bottom slice is a codimension-one stratum
     slice_cells = _section_slice(prod, 0)
-    levels = {c: (d if c in set(slice_cells) else d + 1)
-              for c in prod.complex.cells}
+    bottom = set(slice_cells)
+    levels = {c: (d if c in bottom else d + 1) for c in prod.complex.cells}
     total_space = spaces.StratifiedComplex(prod.complex, levels)
-    total_space.n_right = prod.n_right
-    if collapse_cells is not None and not trivial:
-        got = {tuple(c) for c in collapse_cells}
-        if got != set(slice_cells):
-            raise InconsistentCollapse(
-                "collapsed cells do not form the bottom slice "
-                "section x {0}")
     total_row = tuple(prod.complex.betti_numbers())
     sec_betti = section.complex.betti_numbers()
     cut = d - 1
-    notes = []
+    quotient, cmap = spaces.collapse(total_space, slice_cells)
+    Rf = sheaves.kan_pushforward(sheaves.constant_sheaf(total_space),
+                                 cmap, quotient, through=cut + 1)
+    coh = sheaves.sheaf_cohomology(sheaves.truncate(Rf, cut))
+    ih_row = tuple(coh.get(k, 0) for k in range(width))
     report = {
         "schema": 1,
         "section_cells": len(section.complex.cells),
         "total_cells": len(prod.complex.cells),
+        "cone_cells": len(quotient.complex.cells),
         "cutoff": cut,
-        "rows": {"total": list(total_row)},
-        "notes": notes,
+        "mode": "pushforward",
+        "rows": {"total": list(total_row), "ih": list(ih_row)},
+        "notes": [],
     }
-    if trivial:
-        # nothing collapsed: the pushforward along the identity is the
-        # sheaf itself and no skyscraper appears
-        ih_row = total_row
-        sky = (0,) * width
-        report["rows"]["ih"] = list(ih_row)
-        report["mode"] = "identity"
-        notes.append("trivial collapse: pushforward row equals the total "
-                     "row, fiber row zero")
-    else:
-        quotient, cmap = spaces.collapse(total_space, slice_cells)
-        report["cone_cells"] = len(quotient.complex.cells)
-        Rf = sheaves.kan_pushforward(sheaves.constant_sheaf(total_space),
-                                     cmap, quotient, through=cut + 1)
-        coh = sheaves.sheaf_cohomology(sheaves.truncate(Rf, cut))
-        report["mode"] = "pushforward"
-        ih_row = tuple(coh.get(k, 0) for k in range(width))
-        report["rows"]["ih"] = list(ih_row)
-        sky = tuple(sec_betti[q] if cut < q < len(sec_betti) else 0
-                    for q in range(width))
+    sky = tuple(sec_betti[q] if cut < q < len(sec_betti) else 0
+                for q in range(width))
     literal = tuple(sec_betti[k - 2] if 0 <= k - 2 < len(sec_betti) else 0
                     for k in range(width))
-    if trivial:
-        literal = (0,) * width
     report["rows"]["skyscraper"] = list(sky)
     report["rows"]["section_shift"] = list(literal)
     per_degree = [{"degree": k, "total": total_row[k], "ih": ih_row[k],
@@ -811,19 +780,16 @@ def fibration_decomposition(section, collapse_cells=None, trivial=False):
 
 # -- intersection numbers --------------------------------------------------
 
-def intersection_number(first, second, class_a, class_b, p, q):
-    """Exact rational intersection number of two cohomology classes.
+def intersection_number(space, class_a, class_b, p, q):
+    """Exact rational intersection number of two cohomology classes of a
+    space without singular strata.
 
-    `first` and `second` are either truncation results carrying their
-    ambient pushforward (singular case; the classes are coordinate vectors
-    of their incidence complexes) or plain stratified complexes without
-    singular strata (the classes are simplicial cochain vectors and the
-    product is read against the fundamental class).  Degrees that do not
-    sum to the ambient dimension pair to zero, so the value is an honest 0
-    rather than an error.
+    The classes are simplicial cochain vectors and their product is read
+    against the fundamental class.  Degrees that do not sum to the
+    dimension pair to zero, so the value is an honest 0 rather than an
+    error.  Classes of intersection sheaves pair through
+    `PairingContext.value`.
     """
-    has_sheaf = hasattr(first, "sheaf")
-    space = first.space if has_sheaf else first
     n = space.dim
     if p < 0 or q < 0 or p > n or q > n:
         raise DegreeOutOfRange(
@@ -831,15 +797,13 @@ def intersection_number(first, second, class_a, class_b, p, q):
     if p + q != n:
         # complementary-degree bookkeeping: the pairing vanishes
         return Fraction(0)
-    if not has_sheaf:
-        if space.singular_levels():
-            raise DualityError(
-                "plain cup evaluation needs a nonsingular space; pass "
-                "truncation results for %r" % space.singular_levels())
-        cx = space.complex
-        signs = orient_top_cells(cx)
-        return _cup_eval(cx, signs, p, class_a, class_b)
-    return PairingContext(first, second).value(class_a, p, class_b)
+    if space.singular_levels():
+        raise DualityError(
+            "plain cup evaluation needs a nonsingular space; pair classes "
+            "of truncation results through PairingContext for %r"
+            % space.singular_levels())
+    cx = space.complex
+    return _cup_eval(cx, orient_top_cells(cx), p, class_a, class_b)
 
 
 def local_contribution(space, mezzo, level=None):
@@ -851,7 +815,6 @@ def local_contribution(space, mezzo, level=None):
     perp trivially gives zero.
     """
     from . import ic
-    refinements = getattr(mezzo, "choices", mezzo)
     if level is None:
         levels = space.singular_levels()
         if len(levels) != 1:
@@ -862,10 +825,10 @@ def local_contribution(space, mezzo, level=None):
         raise StratumNotFound("no stratum at level %d" % level)
     out = {}
     for vertex in sorted(space.stratum(level)):
-        if vertex not in refinements:
+        if vertex not in mezzo.choices:
             raise StratumNotFound(
                 "no refinement subspace at cell %r" % (vertex,))
-        W = refinements[vertex]
+        W = mezzo.choices[vertex]
         _lk, _basis, form = ic.link_middle_form(space, vertex)
         perp = ic.lagrangian_perp(form, W)
         if W.cols == 0 or perp.cols == 0:

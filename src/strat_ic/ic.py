@@ -41,7 +41,12 @@ class MezzoStrataMismatch(ICError):
 
 
 class NotLagrangian(ICError):
-    pass
+    """A mezzoperversity choice that is not Lagrangian for its link form;
+    `vertex` is the cone point it was given for."""
+
+    def __init__(self, message, vertex):
+        super().__init__(message)
+        self.vertex = vertex
 
 
 class Perversity:
@@ -148,23 +153,29 @@ def _check_regular_part(space):
             "top stratum is not dense; some cells see no regular part")
 
 
-def deligne_construction(space, perversity, coefficient=1):
-    """Iterated pushforward-and-truncate along the filtration.
+def _ladder(space, cutoff):
+    """The rank-one constant sheaf pushed forward and truncated along the
+    filtration: strata attach in decreasing level order, and attaching
+    level p truncates stalk degrees above cutoff(p).  Each pushforward
+    assembles stalk degrees only through cutoff(p) + 1, the highest its
+    truncation reads.  Returns the sheaf and {level: cutoff}."""
+    F = constant_sheaf(space)
+    cutoffs = {}
+    for p in sorted(space.singular_levels(), reverse=True):
+        cut = cutoffs[p] = cutoff(p)
+        F = derived_pushforward(F, space.filtration_stage(p), through=cut + 1)
+        F = truncate(F, cut)
+    return F, cutoffs
 
-    Strata attach in decreasing level order; attaching level p truncates
-    stalk degrees above perversity(top - p).
-    """
+
+def deligne_construction(space, perversity):
+    """Iterated pushforward-and-truncate along the filtration, cut at
+    perversity(top - p) when level p attaches."""
     _check_regular_part(space)
     top = space.top
     if space.singular_levels():
         perversity.check_growth(max(top - p for p in space.singular_levels()))
-    F = constant_sheaf(space, coefficient)
-    cutoffs = {}
-    for p in sorted(space.singular_levels(), reverse=True):
-        cut = perversity(top - p)
-        cutoffs[p] = cut
-        F = derived_pushforward(F, space.filtration_stage(p), through=cut + 1)
-        F = truncate(F, cut)
+    F, cutoffs = _ladder(space, lambda p: perversity(top - p))
     return ICResult(space, F, cutoffs,
                     "IC^%s(%s)" % (perversity.name, getattr(space, "name", "X")))
 
@@ -247,20 +258,15 @@ def stratumwise_rows(space, width=None):
         width = space.dim + 1
     factors = getattr(space, "factors", None)
     if factors is not None:
+        from .duality import _convolve
         ra = stratumwise_rows(factors[0], width)
         rb = stratumwise_rows(factors[1], width)
         out = {}
         for i, rowa in ra.items():
             for j, rowb in rb.items():
-                conv = [0] * width
-                for u in range(width):
-                    for v in range(width - u):
-                        conv[u + v] += rowa[u] * rowb[v]
-                key = i + j
-                if key in out:
-                    out[key] = tuple(x + y for x, y in zip(out[key], conv))
-                else:
-                    out[key] = tuple(conv)
+                conv = _convolve(rowa, rowb, width)
+                old = out.get(i + j, (0,) * width)
+                out[i + j] = tuple(x + y for x, y in zip(old, conv))
         return out
     out = {}
     for p in space.stratum_levels():
@@ -279,6 +285,11 @@ def stratumwise_rows(space, width=None):
                 row[d] = len(space.complex.connected_components(cells))
         out[p] = tuple(row)
     return out
+
+
+def stratumwise_total(rows):
+    """Degreewise sum of the rows of `stratumwise_rows`."""
+    return tuple(map(sum, zip(*rows.values())))
 
 
 class DeRhamReport:
@@ -308,18 +319,11 @@ def stratified_de_rham(space, perversity=None):
     if perversity is None:
         perversity = Perversity.lower_middle()
     rows = stratumwise_rows(space)
-    width = space.dim + 1
-    total = tuple(sum(r[k] for r in rows.values()) for k in range(width))
-
-    _check_regular_part(space)
-    F = constant_sheaf(space, 1)
-    for p in sorted(space.singular_levels(), reverse=True):
-        F = derived_pushforward(F, space.filtration_stage(p), through=p + 1)
-        F = truncate(F, p)
-    ladder_coh = sheaf_cohomology(F)
-    ladder = tuple(ladder_coh.get(k, 0) for k in range(width))
-
+    total = stratumwise_total(rows)
+    # deligne_construction certifies the regular part both ladders need
     deligne = deligne_construction(space, perversity).betti()
+    ladder_coh = sheaf_cohomology(_ladder(space, lambda p: p)[0])
+    ladder = tuple(ladder_coh.get(k, 0) for k in range(space.dim + 1))
     return DeRhamReport(space, rows, total, ladder, deligne, perversity)
 
 
@@ -469,12 +473,9 @@ class Mezzoperversity:
     def __init__(self, choices):
         self.choices = {tuple(c): w for c, w in choices.items()}
 
-    def cells(self):
-        return sorted(self.choices)
-
     def __repr__(self):
         return "Mezzoperversity(%s)" % (
-            ", ".join("%r" % (c,) for c in self.cells()))
+            ", ".join("%r" % (c,) for c in sorted(self.choices)))
 
 
 def refinement_strata(space):
@@ -586,7 +587,8 @@ def refined_ic(space, mezzo):
         w = mezzo.choices[vertex]
         if not is_lagrangian(form, w):
             raise NotLagrangian(
-                "choice at %r is not Lagrangian for the link form" % (vertex,))
+                "choice at %r is not Lagrangian for the link form"
+                % (vertex,), vertex)
         # class representatives in link cochain coordinates
         reps = ExactMatrix.from_rows([list(b) for b in basis]).transpose()
         w_cochain = reps * w

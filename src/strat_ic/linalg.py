@@ -757,15 +757,6 @@ class FGAbelianGroup:
     def is_zero(self):
         return self.free_rank == 0 and not self.torsion
 
-    def order(self):
-        """Order of the torsion part (None when the group is infinite)."""
-        if self.free_rank:
-            return None
-        n = 1
-        for t in self.torsion:
-            n *= t
-        return n
-
     def direct_sum(self, other):
         return FGAbelianGroup(self.free_rank + other.free_rank,
                               self.torsion + other.torsion)

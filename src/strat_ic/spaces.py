@@ -337,42 +337,35 @@ def single_stratum(complex_):
 
 # -- constructors ----------------------------------------------------------
 
-def cone(s):
-    """Cone with a fresh apex as the last vertex.
+def _apex_join(s, n_apexes):
+    """Join with `n_apexes` fresh vertices after the base's; no two apexes
+    share a cell.
 
-    The apex is the unique level-0 stratum; every other level shifts up by
-    one, so the cone over the p-th stage is the (p+1)-st stage.
+    Each apex is its own level-0 stratum; every other level shifts up by
+    one, so the join over the p-th stage is the (p+1)-st stage.
     """
     base = s.complex
-    apex = base.n_vertices
-    cells = [c for c in base.cells]
-    cells.extend(c + (apex,) for c in base.cells)
-    cells.append((apex,))
-    complex_ = SimplicialComplex(apex + 1, cells, close=False)
-    levels = {(apex,): 0}
+    apexes = [(v,) for v in range(base.n_vertices,
+                                  base.n_vertices + n_apexes)]
+    levels = dict.fromkeys(apexes, 0)
     for c in base.cells:
-        levels[c] = s.levels[c] + 1
-        levels[c + (apex,)] = s.levels[c] + 1
+        lvl = s.levels[c] + 1
+        levels[c] = lvl
+        for a in apexes:
+            levels[c + a] = lvl
+    complex_ = SimplicialComplex(base.n_vertices + n_apexes, levels,
+                                 close=False)
     return StratifiedComplex(complex_, levels)
+
+
+def cone(s):
+    """Cone with a fresh apex as the last vertex."""
+    return _apex_join(s, 1)
 
 
 def suspension(s):
     """Double cone: two fresh apexes, both at level 0."""
-    base = s.complex
-    north = base.n_vertices
-    south = base.n_vertices + 1
-    cells = [c for c in base.cells]
-    cells.extend(c + (north,) for c in base.cells)
-    cells.extend(c + (south,) for c in base.cells)
-    cells.extend([(north,), (south,)])
-    complex_ = SimplicialComplex(south + 1, cells, close=False)
-    levels = {(north,): 0, (south,): 0}
-    for c in base.cells:
-        lvl = s.levels[c] + 1
-        levels[c] = lvl
-        levels[c + (north,)] = lvl
-        levels[c + (south,)] = lvl
-    return StratifiedComplex(complex_, levels)
+    return _apex_join(s, 2)
 
 
 def _staircase_chains(p, q):
@@ -474,10 +467,7 @@ def collapse(s, subcells):
         else:
             levels[img] = lvl
     complex_ = SimplicialComplex(nxt, sorted(levels), close=False)
-    out = StratifiedComplex(complex_, levels)
-    out.collapsed_cells = sorted(sub, key=lambda c: (len(c), c))
-    out.source = s
-    return out, cell_map
+    return StratifiedComplex(complex_, levels), cell_map
 
 
 def link(s, sigma):

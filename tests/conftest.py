@@ -61,16 +61,27 @@ def assert_normalized(m):
                       or (type(v) is Fraction and v.denominator > 1)), repr(v)
 
 
-def ref_deligne_construction(space, perversity, coefficient=1):
+def ladder_result(space, perversity, sheaf, full=False):
+    """The ICResult of `ic.deligne_construction`'s ladder started from
+    `sheaf` instead of the rank-one constant sheaf.  Each pushforward stops
+    at the degree its truncation reads, as in the package, or assembles
+    every stalk degree when `full`."""
+    from strat_ic import ic, sheaves
+    F = sheaf
+    cutoffs = {}
+    for p in sorted(space.singular_levels(), reverse=True):
+        cut = cutoffs[p] = perversity(space.top - p)
+        F = sheaves.truncate(
+            sheaves.derived_pushforward(F, space.filtration_stage(p),
+                                        through=None if full else cut + 1),
+            cut)
+    return ic.ICResult(space, F, cutoffs, "ladder")
+
+
+def ref_deligne_construction(space, perversity):
     """`ic.deligne_construction` through full pushforwards: every stalk
     degree is assembled before each truncation, as it was before
     pushforwards stopped at the degree their truncation reads."""
-    from strat_ic import ic, sheaves
-    F = sheaves.constant_sheaf(space, coefficient)
-    cutoffs = {}
-    for p in sorted(space.singular_levels(), reverse=True):
-        cutoffs[p] = perversity(space.top - p)
-        F = sheaves.truncate(
-            sheaves.derived_pushforward(F, space.filtration_stage(p)),
-            cutoffs[p])
-    return ic.ICResult(space, F, cutoffs, "reference")
+    from strat_ic import sheaves
+    return ladder_result(space, perversity, sheaves.constant_sheaf(space),
+                         full=True)

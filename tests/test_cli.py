@@ -429,7 +429,8 @@ def test_point_has_a_duality_report(tmp_path, command, label):
 
 
 # every documented bad-input form: argv (with {name} for the path of a file
-# written from `files`) and the JSON pointer the error must carry
+# written from `files`: a document, or JSON text written as it stands) and
+# the JSON pointer the error must carry
 BAD_INPUTS = [
     (["build"], {}, "/"),
     (["build", "--example", "nope"], {}, "/example"),
@@ -464,6 +465,15 @@ BAD_INPUTS = [
      "/choices/8"),
     (["mezzo", "--example", "cone-t2", "--mezzo", "{mezzo}", "--dump"],
      {"mezzo": {"choices": {"7": [[1, 0], [0, 1]]}}}, "/choices/7"),
+    # json keeps the last of two equal keys; the loaders refuse both, at
+    # the root as inside it
+    (["build", "--input", "{space}"],
+     {"space": '{"n_vertices": 3, "simplices": [[0, 1]], '
+               '"filtration": {"1": [[0, 1], [0], [1]]}, "n_vertices": 4}'},
+     "/n_vertices"),
+    (["mezzo", "--example", "cone-t2", "--mezzo", "{mezzo}"],
+     {"mezzo": '{"choices": {"7": [[1], [0]]}, "a/b~": 1, "a/b~": 2}'},
+     "/a~1b~0"),
 ]
 
 
@@ -476,7 +486,8 @@ def test_bad_input_exits_two_with_a_pointer(tmp_path, argv, files, pointer,
     paths = {}
     for name, doc in files.items():
         paths[name] = tmp_path / (name + ".json")
-        paths[name].write_text(json.dumps(doc))
+        paths[name].write_text(doc if isinstance(doc, str) else
+                               json.dumps(doc))
     argv = [a.format(**paths) for a in argv]
     proc = run_python("-m", "strat_ic.cli", *argv, optimize=optimize)
     assert proc.returncode == 2, proc.stdout
@@ -567,6 +578,14 @@ GOLDEN_REPORTS = [
      "c89870caf20e14745295a0404580182ec1a40cf3dae0202762647ee0df54d058"),
     (["build", "--example", "product:genus2,t2"],
      "75bf014b68a8775e2e13578a1380dfa343ec2e5b4ec93d1c27ee3549b2cf3e75"),
+    # the apex join: every cell and level of a cone, a suspension and an
+    # iterated cone
+    (["build", "--example", "cone-t2", "--dump"],
+     "661708be06d803de5f7b989e7251ecddfceebacedeb4d8bdca3f7def11dace7d"),
+    (["build", "--example", "suspension-genus2", "--dump"],
+     "5b255dac9b582b667e94ce10099c57bfddf39bb793a04501c1de85cb5fc27045"),
+    (["build", "--example", "cone-cone-s1", "--dump"],
+     "7e0072c89eb924de0b6203c1f3743e5b901110c762facaafd28097df717d6d41"),
 ]
 
 
@@ -581,7 +600,9 @@ GOLDEN_REPORTS = [
                               "reproduce-fibration", "reproduce",
                               "reproduce-tor-correction",
                               "mezzo-suspension-t2-dump",
-                              "build-genus2-t2"])
+                              "build-genus2-t2", "build-cone-t2-dump",
+                              "build-suspension-genus2-dump",
+                              "build-cone-cone-s1-dump"])
 def test_report_bytes_match_golden_digest(tmp_path, args, digest):
     code, data = run(args, tmp_path)
     assert code == 0

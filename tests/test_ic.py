@@ -343,8 +343,10 @@ def test_refined_rejects_non_lagrangian():
     st = get_example("suspension-t2")
     verts = sorted(st.stratum(0))
     full = ExactMatrix.identity(2)
-    with pytest.raises(NotLagrangian):
+    with pytest.raises(NotLagrangian) as err:
         refined_ic(st, Mezzoperversity({v: full for v in verts}))
+    # the first cone point in stratum order is the one named
+    assert err.value.vertex == verts[0]
 
 
 def test_refined_rejects_wrong_cells():
@@ -389,19 +391,19 @@ def _assert_same_ic(got, want, p):
     assert G.untruncated.through == G.cutoff + 1
 
 
-@pytest.mark.parametrize("name,perversities,coefficient", [
-    ("cone-t2", "mn", 1),
-    ("suspension-s2", "0mnt", 1),
-    ("cone-cone-s1", "mnt", 1),
-])
-def test_deligne_matches_full_pushforward_reference(name, perversities,
-                                                    coefficient):
+# the trailing 1 in each id is the rank of the constant sheaf both ladders
+# start from
+@pytest.mark.parametrize("name,perversities", [
+    ("cone-t2", "mn"),
+    ("suspension-s2", "0mnt"),
+    ("cone-cone-s1", "mnt"),
+], ids=["cone-t2-mn-1", "suspension-s2-0mnt-1", "cone-cone-s1-mnt-1"])
+def test_deligne_matches_full_pushforward_reference(name, perversities):
     space = get_example(name)
     for p in perversities:
         perv = Perversity.named(p)
-        _assert_same_ic(deligne_construction(space, perv, coefficient),
-                        ref_deligne_construction(space, perv, coefficient),
-                        p)
+        _assert_same_ic(deligne_construction(space, perv),
+                        ref_deligne_construction(space, perv), p)
 
 
 def test_two_term_pushforward_through_cut_matches_full_pushforward():
