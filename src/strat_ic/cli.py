@@ -502,7 +502,7 @@ def cmd_kunneth(config):
     bundle.add("prediction", rep.rhs, source="oracle", verdict=rep.match)
     if rep.detail:
         bundle.results["detail"] = rep.detail
-    if getattr(rep, "closed_strata_ok", None) is not None:
+    if rep.closed_strata_ok is not None:
         bundle.add("closed-strata-direct", rep.closed_strata_ok,
                    verdict=rep.closed_strata_ok)
     return bundle

@@ -148,9 +148,6 @@ class PairingMatrix:
     def antisymmetric(self):
         return (self.matrix + self.matrix.transpose()).is_zero()
 
-    def symmetric(self):
-        return (self.matrix - self.matrix.transpose()).is_zero()
-
     def __repr__(self):
         return "PairingMatrix(%dx%d, degrees (%d, %d)%s)" % (
             self.matrix.rows, self.matrix.cols,
@@ -202,15 +199,13 @@ def _flag_offsets(R):
 
 def _reaches(R, degree):
     """Whether the pushforward R holds every stalk degree up to `degree`."""
-    through = getattr(R, "through", None)
-    return through is None or through >= degree
+    return R.through is None or R.through >= degree
 
 
 def _same_dims(R, A):
     """Whether two pushforwards have the same stalk dimensions in every
     degree both of them assemble."""
-    tops = [t for t in (getattr(R, "through", None),
-                        getattr(A, "through", None)) if t is not None]
+    tops = [t for t in (R.through, A.through) if t is not None]
     top = min(tops, default=None)
     for c, cx in R.stalks.items():
         other = A.stalks[c]
@@ -363,8 +358,8 @@ class _Ambient:
 
 def _single_step_data(result):
     sheaf = result.sheaf
-    R = getattr(sheaf, "untruncated", None)
-    if R is None or getattr(sheaf, "inclusions", None) is None:
+    R = sheaf.untruncated
+    if R is None or sheaf.inclusions is None:
         raise DualityError(
             "sheaf records no truncation provenance; build it through the "
             "constructions in this package")
@@ -600,7 +595,10 @@ def _convolve(a, b, width):
 
 
 class KunnethReport:
-    """Comparison of a product invariant with the factorwise prediction."""
+    """Comparison of a product invariant with the factorwise prediction.
+    `closed_strata_ok` is set in stratumwise mode only."""
+
+    closed_strata_ok = None
 
     def __init__(self, mode, lhs, rhs, detail=None):
         self.mode = mode
@@ -669,13 +667,16 @@ def kunneth(left, right, mode="rational"):
                    "predicted": rhs[k].describe()} for k in range(width)]
         return KunnethReport(mode, {k: v.describe() for k, v in lhs.items()},
                              {k: v.describe() for k, v in rhs.items()}, detail)
-    # stratumwise: table of the product vs convolved factor tables, and a
-    # direct recomputation of every closed product stratum
-    from .ic import _closed_cohomology, stratumwise_rows, stratumwise_total
-    prod_rows = stratumwise_rows(prod)
+    # stratumwise: table of the product vs convolved factor tables (each
+    # factor's rows computed once feed both), and a direct recomputation
+    # of every closed product stratum
+    from .ic import (_closed_cohomology, product_rows, stratumwise_rows,
+                     stratumwise_total)
+    rows_l, rows_r = stratumwise_rows(left), stratumwise_rows(right)
+    prod_rows = product_rows(rows_l, rows_r, width)
     total = stratumwise_total(prod_rows)
-    predicted = _convolve(stratumwise_total(stratumwise_rows(left)),
-                          stratumwise_total(stratumwise_rows(right)), width)
+    predicted = _convolve(stratumwise_total(rows_l),
+                          stratumwise_total(rows_r), width)
     detail = []
     ok = total == predicted
     for p in sorted(prod_rows):

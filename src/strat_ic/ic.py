@@ -176,8 +176,7 @@ def deligne_construction(space, perversity):
     if space.singular_levels():
         perversity.check_growth(max(top - p for p in space.singular_levels()))
     F, cutoffs = _ladder(space, lambda p: perversity(top - p))
-    return ICResult(space, F, cutoffs,
-                    "IC^%s(%s)" % (perversity.name, getattr(space, "name", "X")))
+    return ICResult(space, F, cutoffs, "IC^%s(X)" % perversity.name)
 
 
 def verify_support_conditions(result):
@@ -244,30 +243,20 @@ def _closed_cohomology(space, cells):
     return sub.cochain_complex().betti_numbers()
 
 
-def stratumwise_rows(space, width=None):
-    """One cohomology row per stratum level.
+def stratumwise_rows(space):
+    """One cohomology row per stratum level, of length dim + 1.
 
     A closed stratum contributes its own cohomology, read off its simplicial
     cochains.  A stratum of dimension d that is not closed contributes the
     cohomology of its order complex in degrees below d and one class per
-    component at degree d.  On a product the rows are the
-    degreewise convolutions of the factor rows, stratum pair by stratum
-    pair; this is what makes the table multiplicative.
+    component at degree d.  On a product the rows are `product_rows` of
+    the factor rows; this is what makes the table multiplicative.
     """
-    if width is None:
-        width = space.dim + 1
-    factors = getattr(space, "factors", None)
-    if factors is not None:
-        from .duality import _convolve
-        ra = stratumwise_rows(factors[0], width)
-        rb = stratumwise_rows(factors[1], width)
-        out = {}
-        for i, rowa in ra.items():
-            for j, rowb in rb.items():
-                conv = _convolve(rowa, rowb, width)
-                old = out.get(i + j, (0,) * width)
-                out[i + j] = tuple(x + y for x, y in zip(old, conv))
-        return out
+    width = space.dim + 1
+    if space.factors is not None:
+        left, right = space.factors
+        return product_rows(stratumwise_rows(left), stratumwise_rows(right),
+                            width)
     out = {}
     for p in space.stratum_levels():
         cells = space.stratum(p)
@@ -284,6 +273,19 @@ def stratumwise_rows(space, width=None):
             if d < width:
                 row[d] = len(space.complex.connected_components(cells))
         out[p] = tuple(row)
+    return out
+
+
+def product_rows(rows_a, rows_b, width):
+    """Rows of a product from its factors' own rows (zero above each
+    factor's dimension): convolutions, stratum pair by stratum pair."""
+    from .duality import _convolve
+    out = {}
+    for i, rowa in rows_a.items():
+        for j, rowb in rows_b.items():
+            conv = _convolve(rowa, rowb, width)
+            old = out.get(i + j, (0,) * width)
+            out[i + j] = tuple(x + y for x, y in zip(old, conv))
     return out
 
 

@@ -37,7 +37,9 @@ Row elimination happens in exactly three routines:
   remainder's differentials, which hold no +-1, to `smith_normal_form`
   and `rank`; on the closed torsion-free examples they are all zero.
 - `smith_normal_form` (over Z) drives integral cohomology and
-  presentations.  It tracks u^-1 and v^-1 next to u and v and certifies
+  presentations, on plain row dicts through `_axpy`: it sees only what
+  `_reduce_units` leaves, zero on every shipped example, so it keeps no
+  column index.  It tracks u^-1 and v^-1 next to u and v and certifies
   u * m * v == d, u * u^-1 == I and v * v^-1 == I in exact integers; an
   integer matrix with an integer inverse is unimodular.  A failed check
   raises `CertificateError`, also under `python -O`, as do the unit and
@@ -529,14 +531,15 @@ def smith_normal_form(m):
     divisibility d_1 | d_2 | ..., u and v are unimodular integer matrices, and
     vinv is the inverse of v.  Raises ValueError if m has a non-integer
     entry.  The call certifies its answer in exact integers: u * m * v is
-    re-multiplied and must be diagonal with the invariant factors, and
-    u * u^-1 == I and v * v^-1 == I must hold for the tracked inverses (an
-    integer matrix with an integer inverse is unimodular).  A failed check
-    raises CertificateError; it is a bug, not an input error.
+    re-multiplied and must be the diagonal left, ones and then its
+    `_invariant_factors`, and u * u^-1 == I and v * v^-1 == I must hold for
+    the tracked inverses (an integer matrix with an integer inverse is
+    unimodular).  A failed check raises CertificateError; it is a bug, not
+    an input error.
 
-    Only nonzeros are touched: the working copy `a` of m is kept as row
-    dicts plus a column -> rows index, u and vinv as rows, v and u^-1 as
-    columns.
+    Plain dicts, kept simple (see the module docstring): the working copy
+    `a` of m, u and vinv are rows, v and u^-1 columns, every operation is
+    an `_axpy` and each pivot the smallest (|entry|, row, col) left.
 
     >>> d, u, v, vinv = smith_normal_form(ExactMatrix.from_rows([[1, 2], [3, 4]]))
     >>> [int(d.entry(i, i)) for i in range(2)]
@@ -546,11 +549,7 @@ def smith_normal_form(m):
         raise ValueError("smith_normal_form needs integer entries")
     nr, nc = m.rows, m.cols
     m_rows = _int_rows(m)
-    a = [dict(r) for r in m_rows]          # rows of the working copy
-    a_cols = [set() for _ in range(nc)]    # column -> rows with a nonzero
-    for i, j in m.entries:
-        a_cols[j].add(i)
-
+    a = [dict(r) for r in m_rows]
     u = [{i: 1} for i in range(nr)]
     uinv = [{i: 1} for i in range(nr)]
     v = [{j: 1} for j in range(nc)]
@@ -558,160 +557,90 @@ def smith_normal_form(m):
 
     def row_op(i1, i2, c):
         # row i1 += c * row i2 on a and u; column i2 -= c * column i1 of u^-1
-        _axpy(a[i1], a[i2], c, cols=a_cols, i=i1)
+        _axpy(a[i1], a[i2], c)
         _axpy(u[i1], u[i2], c)
         _axpy(uinv[i2], uinv[i1], -c)
 
     def col_op(j1, j2, c):
         # col j1 += c * col j2 on a and v; row j2 -= c * row j1 of v^-1
-        for i in a_cols[j2]:
-            r = a[i]
-            w = r.get(j1, 0) + c * r[j2]
-            if w:
-                if j1 not in r:
-                    a_cols[j1].add(i)
-                r[j1] = w
-            else:
-                del r[j1]
-                a_cols[j1].discard(i)
+        for r in a:
+            if j2 in r:
+                _axpy(r, {j1: r[j2]}, c)
         _axpy(v[j1], v[j2], c)
         _axpy(vinv[j2], vinv[j1], -c)
-
-    def row_swap(i1, i2):
-        r1, r2 = a[i1], a[i2]
-        for j in r1:
-            a_cols[j].discard(i1)
-        for j in r2:
-            a_cols[j].discard(i2)
-        for j in r1:
-            a_cols[j].add(i2)
-        for j in r2:
-            a_cols[j].add(i1)
-        a[i1], a[i2] = r2, r1
-        u[i1], u[i2] = u[i2], u[i1]
-        uinv[i1], uinv[i2] = uinv[i2], uinv[i1]
-
-    def col_swap(j1, j2):
-        for i in a_cols[j1] | a_cols[j2]:
-            r = a[i]
-            x1, x2 = r.pop(j1, 0), r.pop(j2, 0)
-            if x2:
-                r[j1] = x2
-            if x1:
-                r[j2] = x1
-        a_cols[j1], a_cols[j2] = a_cols[j2], a_cols[j1]
-        v[j1], v[j2] = v[j2], v[j1]
-        vinv[j1], vinv[j2] = vinv[j2], vinv[j1]
-
-    def negate_row(t):
-        # its own inverse: negate row t of a and u and column t of u^-1
-        for vecs in (a, u, uinv):
-            vecs[t] = {k: -x for k, x in vecs[t].items()}
 
     t = 0
     limit = min(nr, nc)
     while t < limit:
-        # smallest nonzero entry in the remaining block, ties by (row, col);
-        # no entry beats a +-1 and later rows lose the tie, so the scan
-        # stops at the first row that holds one
-        best = None
-        for i in range(t, nr):
-            for j, val in a[i].items():
-                if j >= t:
-                    key = (abs(val), i, j)
-                    if best is None or key < best:
-                        best = key
-            if best is not None and best[0] == 1:
-                break
+        best = min(((abs(x), i, j) for i in range(t, nr)
+                    for j, x in a[i].items() if j >= t), default=None)
         if best is None:
             break
         _, bi, bj = best
-        if bi != t:
-            row_swap(t, bi)
+        for vecs in (a, u, uinv):
+            vecs[t], vecs[bi] = vecs[bi], vecs[t]
         if bj != t:
-            col_swap(t, bj)
+            for r in a:
+                x1, x2 = r.pop(t, 0), r.pop(bj, 0)
+                if x2:
+                    r[t] = x2
+                if x1:
+                    r[bj] = x1
+            for vecs in (v, vinv):
+                vecs[t], vecs[bj] = vecs[bj], vecs[t]
         piv = a[t][t]
         # each op reads only row or column t, which it leaves alone, so the
         # order within a sweep does not change the result
-        for i in [i for i in a_cols[t] if i > t]:
-            q = a[i][t] // piv
+        for i in range(t + 1, nr):
+            q = a[i].get(t, 0) // piv
             if q:
                 row_op(i, t, -q)
         for j in [j for j in a[t] if j > t]:
             q = a[t][j] // piv
             if q:
                 col_op(j, t, -q)
-        if len(a_cols[t]) > 1 or len(a[t]) > 1:
+        if len(a[t]) > 1 or any(t in a[i] for i in range(t + 1, nr)):
             continue
         # pivot must divide every remaining entry; if not, fold in the row
-        # of the smallest (row, col) offender.  A +-1 divides everything.
-        if piv not in (1, -1):
-            offender = next((i for i in range(t + 1, nr)
-                             if any(j > t and val % piv
-                                    for j, val in a[i].items())), None)
-            if offender is not None:
-                row_op(t, offender, 1)
-                continue
+        # of the smallest (row, col) offender
+        offender = next((i for i in range(t + 1, nr)
+                         if any(j > t and x % piv for j, x in a[i].items())),
+                        None)
+        if offender is not None:
+            row_op(t, offender, 1)
+            continue
         if piv < 0:
-            negate_row(t)
+            # its own inverse: negate row t of a and u and column t of u^-1
+            for vecs in (a, u, uinv):
+                vecs[t] = {k: -x for k, x in vecs[t].items()}
         t += 1
 
-    # sort diagonal ascending; entries already divide each other pairwise
-    diag = [a[i][i] for i in range(limit) if a[i].get(i)]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g = gcd(diag[i], diag[j])
-            l = diag[i] * diag[j] // g
-            diag[i], diag[j] = g, l
-
+    diag = [a[i][i] for i in range(t)]
     v_rows = _transpose(v, nc)
     prod = _mul_rows(_mul_rows(u, m_rows), v_rows)
-    # the diagonal sort above re-derives invariant factors; compare the
-    # transform product's diagonal against it as a multiset
-    got = sorted(abs(x) for r in prod for x in r.values())
-    if (got != sorted(abs(x) for x in diag)
-            or any(j != i for i, r in enumerate(prod) for j in r)):
+    if (prod != [{i: x} for i, x in enumerate(diag)] + [{}] * (nr - t)
+            or _invariant_factors(diag) != tuple(diag[diag.count(1):])):
         raise CertificateError("SNF transform check failed")
     if _mul_rows(u, _transpose(uinv, nr)) != [{i: 1} for i in range(nr)]:
         raise CertificateError("SNF inverse check failed for u")
     if _mul_rows(v_rows, vinv) != [{j: 1} for j in range(nc)]:
         raise CertificateError("SNF inverse check failed for v")
-    # prod is diagonal with the same multiset; return it as d so that
-    # u * m * v == d holds literally
     return (_matrix(nr, nc, prod), _matrix(nr, nr, u),
             _matrix(nc, nc, v_rows), _matrix(nc, nc, vinv))
 
 
-def _normalize_torsion(factors):
-    exps = {}
-    for n in factors:
-        n = abs(int(n))
-        if n <= 1:
-            continue
-        d = 2
-        while d * d <= n:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e:
-                exps.setdefault(d, []).append(e)
-            d += 1
-        if n > 1:
-            exps.setdefault(n, []).append(1)
-    depth = max((len(v) for v in exps.values()), default=0)
-    for p in exps:
-        exps[p].sort(reverse=True)
-        exps[p] += [0] * (depth - len(exps[p]))
-    chain = []
-    for slot in range(depth):
-        val = 1
-        for p, es in exps.items():
-            val *= p ** es[slot]
-        if val > 1:
-            chain.append(val)
-    chain.sort()
-    return tuple(chain)
+def _invariant_factors(factors):
+    """The invariant factors d_1 | d_2 | ... > 1 of the sum of the cyclic
+    groups Z/n, n in `factors` (0 and +-1 add nothing).  The pairwise pass
+    replaces d_i, d_j by gcd and lcm, which keeps the product and sorts
+    every prime's exponents across the slots, so each slot divides the
+    next."""
+    d = [abs(int(n)) for n in factors if abs(int(n)) > 1]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(x for x in d if x > 1)
 
 
 class FGAbelianGroup:
@@ -728,7 +657,7 @@ class FGAbelianGroup:
     def __init__(self, free_rank=0, torsion=()):
         if free_rank < 0:
             raise ValueError("negative free rank %d" % free_rank)
-        tors = _normalize_torsion(torsion)
+        tors = _invariant_factors(torsion)
         for a, b in zip(tors, tors[1:]):
             if b % a:
                 raise ValueError("not a divisibility chain: %r" % (tors,))

@@ -45,6 +45,7 @@ blocks in every degree it keeps).
 from __future__ import annotations
 
 from itertools import combinations
+from types import MappingProxyType
 
 from .linalg import (CertificateError, CochainComplex, ExactMatrix, _rows,
                      kernel_basis, rank, solve_many)
@@ -85,7 +86,17 @@ class SheafComplex:
     check=True runs) or by the constructor of this module that built the
     sheaf; the total complexes of any other sheaf are checked by exact
     products when they are assembled (see the module docstring).
+
+    Provenance, recorded by the constructors that build such sheaves:
+    `least_cells` and `through` by `kan_pushforward`, `untruncated` and
+    `inclusions` by `truncate`.  Any other sheaf keeps the defaults below:
+    no least cells, every stalk degree assembled, no truncation.
     """
+
+    least_cells = MappingProxyType({})
+    through = None
+    untruncated = None
+    inclusions = None
 
     def __init__(self, space, stalks, restrictions, check=True):
         self.space = space
@@ -734,7 +745,7 @@ def _truncated_stalk(sheaf, c, k, subspace=None):
     `subspace` if given, else the cone contraction's basis on a fiber with
     a least cell, else `kernel_basis`."""
     cx = sheaf.stalks[c]
-    least = getattr(sheaf, "least_cells", {}).get(c)
+    least = sheaf.least_cells.get(c)
     if subspace is not None:
         kb = subspace
     elif least is not None:

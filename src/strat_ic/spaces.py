@@ -220,8 +220,11 @@ class StratifiedComplex:
     """Simplicial complex with a filtration by closed subcomplexes.
 
     `levels[c]` is the smallest p with c in X^p.  The filtration is recovered
-    as X^p = {c : levels[c] <= p}.
+    as X^p = {c : levels[c] <= p}.  `factors` is the pair of factors of a
+    `product`, None for any other space.
     """
+
+    factors = None
 
     def __init__(self, complex_, levels, check=True):
         self.complex = complex_

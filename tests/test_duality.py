@@ -759,6 +759,19 @@ def test_kunneth_stratumwise():
     assert any(d["level"] == 1 for d in rep.detail)
 
 
+def test_kunneth_stratumwise_computes_each_factor_once(monkeypatch):
+    # the factors' rows feed both the product table and the prediction
+    seen = []
+    rows = ic_module.stratumwise_rows
+    monkeypatch.setattr(ic_module, "stratumwise_rows",
+                        lambda space: seen.append(space) or rows(space))
+    t2, s1 = get_example("t2"), get_example("s1")
+    rep = kunneth(t2, s1, mode="stratumwise")
+    assert rep.match and rep.closed_strata_ok
+    assert seen == [t2, s1]
+    assert kunneth(t2, s1, mode="rational").closed_strata_ok is None
+
+
 def test_kunneth_mode_mismatch():
     with pytest.raises(ModeMismatch):
         kunneth(get_example("s1"), get_example("s1"), mode="derived")

@@ -154,9 +154,118 @@ def test_snf_certificate_raises(monkeypatch, call, message):
         smith_normal_form(ExactMatrix.from_rows([[1, 2], [3, 4]]))
 
 
+def test_snf_certificate_raises_under_optimize():
+    # -O strips asserts, so each of the three certificates must raise
+    code = "\n".join([
+        "from strat_ic import linalg",
+        "from strat_ic.linalg import CertificateError, ExactMatrix",
+        "mul_rows = linalg._mul_rows",
+        "for call in (2, 3, 4):",
+        "    calls = []",
+        "    def corrupt(x_rows, y_rows):",
+        "        out = mul_rows(x_rows, y_rows)",
+        "        calls.append(None)",
+        "        if len(calls) == call:",
+        "            out[0][0] = out[0].get(0, 0) + 1",
+        "        return out",
+        "    linalg._mul_rows = corrupt",
+        "    try:",
+        "        linalg.smith_normal_form(ExactMatrix.from_rows([[1, 2], [3, 4]]))",
+        "        print('accepted')",
+        "    except CertificateError as e:",
+        "        print('rejected:', e)",
+        "    finally:",
+        "        linalg._mul_rows = mul_rows",
+    ])
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: SNF transform check failed",
+        "rejected: SNF inverse check failed for u",
+        "rejected: SNF inverse check failed for v",
+    ]
+
+
+@pytest.mark.parametrize("name", ["t2", "genus2", "s2", "product:s1,s1",
+                                  "product:t2,s1"])
+def test_closed_examples_need_no_smith_form(monkeypatch, name):
+    # the unit reduction leaves zero differentials on these, so integral
+    # cohomology reads every group off without a Smith form
+    calls = []
+    snf = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form",
+                        lambda m: calls.append(m.shape) or snf(m))
+    groups = get_example(name).complex.cochain_complex().cohomology_groups()
+    assert all(not g.torsion for g in groups.values())
+    assert calls == []
+
+
+def test_tor_scenario_makes_one_smith_form(monkeypatch, tmp_path):
+    # the Tor oracle of `reproduce --example tor-correction` reads one
+    # presentation's Smith form; the group arithmetic needs none
+    from strat_ic import cli
+    calls = []
+    snf = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form",
+                        lambda m: calls.append(m.shape) or snf(m))
+    out = tmp_path / "out.json"
+    assert cli.main(["reproduce", "--example", "tor-correction",
+                     "--output", str(out)]) == 0
+    assert calls == [(1, 2)]
+
+
 def test_group_normalization_to_chain():
     g = FGAbelianGroup(0, (4, 6))
     assert g.torsion == (2, 12)
+
+
+def _trial_division_invariant_factors(factors):
+    """Reference: the invariant factors of the sum of the Z/n, by factoring
+    every n into primes by trial division and stacking each prime's
+    powers, largest first, into the slots of the chain.  0 and 1 add
+    nothing."""
+    exps = {}
+    for n in factors:
+        n = abs(int(n))
+        if n <= 1:
+            continue
+        d = 2
+        while d * d <= n:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            if e:
+                exps.setdefault(d, []).append(e)
+            d += 1
+        if n > 1:
+            exps.setdefault(n, []).append(1)
+    depth = max((len(v) for v in exps.values()), default=0)
+    for p in exps:
+        exps[p].sort(reverse=True)
+        exps[p] += [0] * (depth - len(exps[p]))
+    chain = []
+    for slot in range(depth):
+        val = 1
+        for p, es in exps.items():
+            val *= p ** es[slot]
+        if val > 1:
+            chain.append(val)
+    chain.sort()
+    return tuple(chain)
+
+
+_cyclic_orders = st.one_of(
+    st.sampled_from([0, 1, -1, 2, 3, 5, 7, 97, 4, 8, 9, 27, 25, 32, 49]),
+    st.builds(pow, st.sampled_from([2, 3, 5, 7]), st.integers(0, 6)),
+    st.integers(-400, 400))
+
+
+@given(st.lists(_cyclic_orders, max_size=7))
+def test_invariant_factors_match_trial_division(factors):
+    got = linalg._invariant_factors(factors)
+    assert got == _trial_division_invariant_factors(factors)
+    assert FGAbelianGroup(0, tuple(factors)).torsion == got
 
 
 def test_tor_z4_z6():
@@ -283,12 +392,12 @@ _CALLER_SETUP = "\n".join([
     "i2, i3 = ExactMatrix.identity(2), ExactMatrix.identity(3)",
     "def broken_chain(tors):",
     "    # the chain check guards the torsion normalization; fake a bad one",
-    "    real = linalg._normalize_torsion",
-    "    linalg._normalize_torsion = lambda _factors: tors",
+    "    real = linalg._invariant_factors",
+    "    linalg._invariant_factors = lambda _factors: tors",
     "    try:",
     "        return FGAbelianGroup(0, tors)",
     "    finally:",
-    "        linalg._normalize_torsion = real",
+    "        linalg._invariant_factors = real",
 ])
 _CALLER_ERRORS = [
     ("negative shape", "ExactMatrix(-1, 2)"),
