@@ -455,6 +455,10 @@ def cmd_ih(config):
     space, digest = _resolve_space(config)
     bundle = ReportBundle("ih", digest)
     perv = _perversity(config.perversity)
+    # perversities are indexed by codimension >= 2
+    _expect(all(space.top - p >= 2 for p in space.singular_levels()),
+            "ih needs every singular stratum in codimension 2 or more",
+            "/filtration" if config.input_path else "/example")
     res = ic.deligne_construction(space, perv)
     bundle.add("ih-dims", list(res.betti()))
     cert = ic.verify_support_conditions(res)
@@ -496,6 +500,8 @@ def cmd_kunneth(config):
         raise BadInput("kunneth needs --example product:<id>,<id>",
                        "/example")
     left, right = (_example(name) for name in names)
+    _expect(config.mode in duality.KUNNETH_MODES, "mode %r not one of %s"
+            % (config.mode, ", ".join(duality.KUNNETH_MODES)), "/mode")
     bundle = ReportBundle("kunneth", _digest(config))
     rep = duality.kunneth(left, right, mode=config.mode)
     bundle.add("product", rep.lhs)

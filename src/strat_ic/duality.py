@@ -10,7 +10,7 @@ intersection sheaves, Kunneth comparisons, and intersection numbers.
 from fractions import Fraction
 
 from .linalg import (CertificateError, ExactMatrix, FGAbelianGroup, _echelon,
-                     _mul_rows, _rows, rank, solve)
+                     _mul_rows, _rows, rank, solve, solve_many)
 from . import spaces
 from . import sheaves
 
@@ -255,7 +255,7 @@ class _Ambient:
                     "not fit the ambient block of size %d"
                     % (cell, q, sheaf.cutoff, size, rsize))
             if q == sheaf.cutoff:
-                block = sheaf.inclusions[cell].apply(block)
+                block = sheaf.inclusions[cell].basis.apply(block)
             for i, v in enumerate(block):
                 out[roff + i] += v
         return out
@@ -492,13 +492,16 @@ class PairingContext:
                 for i, v in enumerate(part):
                     out[off + i] = v
             else:
-                coords = solve(T.inclusions[cell], part)
-                if coords is None:
+                # read off the basis's unit rows, one product checks it
+                inc = T.inclusions[cell]
+                x = solve_many(inc.basis, ExactMatrix(rsize, 1, {
+                    (i, 0): v for i, v in enumerate(part)}), inc.unit_rows)
+                if x is None:
                     raise CertificateError(
                         "component outside the truncated subspace at %r"
                         % (cell,))
-                for i, v in enumerate(coords):
-                    out[off + i] = v
+                for (i, _j), v in x.entries.items():
+                    out[off + i] = Fraction(v)
         # anything in the ambient complex outside the window must be gone
         covered = {(c, q) for c, q, _o, _s in layT.get(degree, ())}
         for cell, q, off, size in amb.layout.get(degree, ()):
@@ -638,6 +641,9 @@ def integral_prediction(ga, gb, width):
     return out
 
 
+KUNNETH_MODES = ("rational", "integral", "stratumwise")
+
+
 def kunneth(left, right, mode="rational"):
     """Product comparison in one of three modes.
 
@@ -647,9 +653,9 @@ def kunneth(left, right, mode="rational"):
     factor table convolutions, with closed product strata recomputed
     directly as a cross-check.
     """
-    if mode not in ("rational", "integral", "stratumwise"):
-        raise ModeMismatch(
-            "mode %r not one of rational, integral, stratumwise" % (mode,))
+    if mode not in KUNNETH_MODES:
+        raise ModeMismatch("mode %r not one of %s"
+                           % (mode, ", ".join(KUNNETH_MODES)))
     prod = spaces.product(left, right)
     width = prod.dim + 1
     if mode == "rational":

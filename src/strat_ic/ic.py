@@ -210,7 +210,7 @@ def _order_cohomology(cells):
     cells = sorted(set(cells), key=lambda c: (len(c), c))
     if not cells:
         return {}
-    flags = sheaves._flags(cells)
+    flags = sheaves._flags(cells)[0]
     by_deg = {}
     for f in flags:
         by_deg.setdefault(len(f) - 1, []).append(f)

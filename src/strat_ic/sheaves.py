@@ -9,15 +9,21 @@ constructors below certify their output from how they build it, at every
 size, without it:
 
 - `constant_sheaf`: identity restrictions.
-- `kan_pushforward`: d o d = 0 on one global flag complex, every fiber's
-  rows inside its columns, and every fiber nested in the fibers of its
-  faces; key-matching projections are then chain maps and compose.
+- `kan_pushforward`: d o d = 0 on one global flag complex, whose arrows
+  are emitted once (drops resolved to flag places once per flag, a drop
+  that keeps the top cell written as +-1 with no matrix) and written into
+  each fiber at its offsets; every arrow into a fiber comes from inside
+  it, and every fiber is nested in the fibers of its faces, so the
+  projections, recorded as pick lists, are chain maps and compose.
 - `truncate`, of a certified sheaf: its maps below the cutoff, and at the
-  cutoff the exact products of `solve_many` through injective bases (on a
-  fiber with a least cell, the cone contraction's basis).  It works cell
-  by cell and cover by cover, so `plain_truncation` turns a truncation
-  onto caller subspaces into the plain one by recomputing only the cells
-  that took a subspace and the covers that touch them.
+  cutoff maps through injective bases with a recorded unit row per
+  column.  On a fiber with a least cell the basis is the cone
+  contraction's, and the columns the contraction fixes (unit or zero) are
+  written, not solved for; every other column is read off the unit rows
+  and checked by one exact product.  It works cell by cell and cover by
+  cover, so `plain_truncation` turns a truncation onto caller subspaces
+  into the plain one by recomputing only the cells that took a subspace
+  and the covers that touch them.
 - `external_tensor`, of certified factors: Kronecker products of their
   chain maps, each the shape of its block in the tensor layouts.
 
@@ -31,11 +37,11 @@ by `spaces.facets`, so D o D = 0 on those of a certified sheaf (Curry,
 zero, a chain map cancels against the twist (-1)^dim of the stalk
 differentials, and the two paths around a codimension-2 face carry one
 composite with opposite signs.  Only for other sheaves is it multiplied
-out, at every size (`_assemble_total`).  Pushforwards take the pointwise
-homotopy Kan extension: every stalk of the image is a flag complex over
-the source cells sitting above the target cell, and every restriction is
-a flag projection, which makes functoriality strict instead of
-up-to-homotopy.  Those cells form an up-set, so every stalk is a slice of
+out, at every size (`_assemble_total`, `_total_complex`).  Pushforwards
+take the pointwise homotopy Kan extension: every stalk of the image is a
+flag complex over the source cells sitting above the target cell, and
+every restriction is a flag projection, which makes functoriality strict
+instead of up-to-homotopy.  Those cells form an up-set, so every stalk is a slice of
 one flag complex over all mapped cells.  A canonical truncation at k reads
 stalks only in degrees up to k + 1, so a pushforward that feeds one is
 assembled only through that degree (its brutal truncation: the same
@@ -44,12 +50,13 @@ blocks in every degree it keeps).
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import namedtuple
+from itertools import combinations, zip_longest
 from types import MappingProxyType
 
 from .linalg import (CertificateError, CochainComplex, ExactMatrix, _rows,
                      kernel_basis, rank, solve_many)
-from .spaces import closure, facets, missing_face, product_projections
+from .spaces import faces, facets, missing_face, product_projections
 
 
 class SheafError(Exception):
@@ -64,13 +71,15 @@ class NotOpenComplement(SheafError):
     pass
 
 
-def solve_columns(basis, target):
-    """Matrix Y with basis * Y == target, from one elimination of both.
+def solve_columns(inc, target):
+    """Matrix Y with inc.basis * Y == target, for an `Inclusion`: read off
+    its unit rows and checked by one exact product, or from one
+    elimination of both when none are recorded (`solve_many`).
 
     Raises SheafError when some column is not in the span: the caller picked
     a subspace that is not stable under the maps being expressed.
     """
-    y = solve_many(basis, target)
+    y = solve_many(inc.basis, target, inc.unit_rows)
     if y is None:
         raise SheafError("vector outside the chosen subspace")
     return y
@@ -88,12 +97,14 @@ class SheafComplex:
     products when they are assembled (see the module docstring).
 
     Provenance, recorded by the constructors that build such sheaves:
-    `least_cells` and `through` by `kan_pushforward`, `untruncated` and
-    `inclusions` by `truncate`.  Any other sheaf keeps the defaults below:
-    no least cells, every stalk degree assembled, no truncation.
+    `least_cells`, `projections` and `through` (with `stalk_layouts`) by
+    `kan_pushforward`, `untruncated` and `inclusions` by
+    `truncate`.  Any other sheaf keeps the defaults below: no least cells,
+    no pick lists, every stalk degree assembled, no truncation.
     """
 
     least_cells = MappingProxyType({})
+    projections = None
     through = None
     untruncated = None
     inclusions = None
@@ -150,8 +161,16 @@ class SheafComplex:
                            None)
                 if mid is None:
                     raise SheafError("no face path %r -> %r" % (a, b))
-                self._composed[key] = (self._cover_matrix(mid, b, q)
-                                       * self.restriction(a, mid, q))
+                outer = self._cover_matrix(mid, b, q)
+                inner = self.restriction(a, mid, q)
+                # an identity factor (every restriction of a constant
+                # sheaf) leaves the other one
+                if outer.cols == inner.rows and _is_identity(outer):
+                    self._composed[key] = inner
+                elif outer.cols == inner.rows and _is_identity(inner):
+                    self._composed[key] = outer
+                else:
+                    self._composed[key] = outer * inner
         return self._composed[key]
 
     def validate(self):
@@ -201,6 +220,12 @@ class SheafComplex:
             len(self.stalks), list(self.degrees()), self.total_dimension())
 
 
+def _is_identity(m):
+    """Whether m is an identity matrix."""
+    return (m.rows == m.cols == len(m.entries)
+            and all(m.entries.get((i, i)) == 1 for i in range(m.rows)))
+
+
 # -- constructors ----------------------------------------------------------
 
 def constant_sheaf(space, coefficient=1):
@@ -240,29 +265,41 @@ def incidence_complex(sheaf):
 
 def incidence_layout(sheaf):
     """The layout of `incidence_complex(sheaf)`, without assembling it."""
-    return _layout((c, len(c) - 1, sheaf.stalks[c])
-                   for c in sheaf.space.complex.cells)
+    cells = sheaf.space.complex.cells
+    return _layout(cells, lambda c: len(c) - 1, _stalk_sizes(sheaf, cells))[0]
 
 
-def _layout(blocks, through=None):
-    """Blocks (key, q, offset, size) per total degree shift + q.
+def _stalk_sizes(sheaf, cells):
+    """cell -> [(q, dim)] for the nonzero degrees of its stalk, rising."""
+    out = {}
+    for c in cells:
+        cx = sheaf.stalks[c]
+        out[c] = [(q, n) for q, n in cx.dims.items() if n]
+    return out
 
-    `blocks` yields (key, shift, stalk) triples; stalk degrees of dimension
-    zero get no block, and neither do total degrees above `through`.
-    Within a degree, blocks run by (len(key), key, q).
+
+def _layout(keys, shift, sizes, top=lambda key: key, through=None):
+    """(layout, place) for blocks (key, q, offset, size) per total degree
+    shift(key) + q, one for each nonzero stalk degree (q, size) in
+    sizes[top(key)].
+
+    `keys` come in (len(key), key) order, and no total degree above
+    `through` gets a block.  A key has one block per degree, so within a
+    degree the blocks run by (len(key), key, q) as they arrive.
+    place[(i, q)] = (n, size) for the block of the i-th key in stalk
+    degree q, the n-th of its degree.
     """
-    layout = {}
-    for key, shift, cx in blocks:
-        for q in cx.degrees():
-            if cx.dim(q) and (through is None or shift + q <= through):
-                layout.setdefault(shift + q, []).append((key, q, cx.dim(q)))
-    for group in layout.values():
-        group.sort(key=lambda blk: (len(blk[0]), blk[0], blk[1]))
-        off = 0
-        for n, (key, q, size) in enumerate(group):
-            group[n] = (key, q, off, size)
-            off += size
-    return layout
+    layout, place = {}, {}
+    for i, key in enumerate(keys):
+        base = shift(key)
+        for q, size in sizes[top(key)]:
+            if through is not None and base + q > through:
+                break
+            group = layout.setdefault(base + q, [])
+            place[(i, q)] = (len(group), size)
+            off = group[-1][2] + group[-1][3] if group else 0
+            group.append((key, q, off, size))
+    return layout, place
 
 
 def _block_index(layout):
@@ -320,35 +357,122 @@ def _assemble_total(layout, into, certified):
     return out
 
 
-def _flags(cells, longest=None):
-    """Strict chains of the given cells under face inclusion.
+def _misfit(mat, size, spot, below, target):
+    """Refuse the arrow `mat` from the block at `spot` = (place, size) in
+    the blocks `below`, which does not have the shape of its (target,
+    source) block."""
+    raise CertificateError("arrow %r -> %r has shape %r, not its block's %r"
+                           % (below[spot[0]][:2], target, mat.shape,
+                              (size, spot[1])))
 
-    Cells are sorted vertex tuples.  Chains are enumerated by their top
-    cell: those topped by d are (d,) and every chain topped by a proper
-    face of d in the set, extended by d.  With `longest`, no chain is
-    extended beyond that many cells.  Returned in (length, chain) order.
+
+def _arrow_entries(targets, into, sources, sizes, shape):
+    """Entries of one differential of a flag complex, from its arrows into
+    degree k (into = arrows[k], see `flag_complex`): `targets` yields (n,
+    offset) for the target blocks, n their place in the degree, sources[m]
+    is the offset of the m-th block of degree k - 1, sizes[n] the size of
+    the n-th block of degree k, and `shape` the differential's.  KeyError
+    when a source is missing.  Each arrow fills its own block, so the
+    entries are written once; the positions share one int per row and per
+    column."""
+    targets = list(targets)
+    row, col = list(range(shape[0])), list(range(shape[1]))
+    ent = {(row[toff + i], col[so + j]): v if sign > 0 else -v
+           for n, toff in targets
+           for m, sign, mat in into[n][0]
+           for so in (sources[m],)
+           for (i, j), v in mat.entries.items()}
+    ent.update(((row[toff + x], col[so + x]), sign)
+               for n, toff in targets
+               for m, sign in into[n][1]
+               for so in (sources[m],)
+               for x in range(sizes[n]))
+    return ent
+
+
+def _total_complex(layout, arrows, certified):
+    """The flag complex with `layout` and `arrows` (see `flag_complex`),
+    assembled.
+
+    d o d = 0 holds by construction on the total complexes of a
+    `certified` sheaf (see the module docstring), so it is multiplied out,
+    at every size, only for an uncertified one (CertificateError); the
+    result is `certified` either way."""
+    if not layout:
+        return CochainComplex({0: 0}, {})
+    dims = _layout_dims(layout)
+    diffs = {}
+    for k, into in arrows.items():
+        shape = (dims[k], dims[k - 1])
+        diffs[k - 1] = ExactMatrix._of(*shape, _arrow_entries(
+            ((n, blk[2]) for n, blk in enumerate(layout[k])), into,
+            [blk[2] for blk in layout[k - 1]],
+            [blk[3] for blk in layout[k]], shape))
+    out = CochainComplex(dims, diffs, check=not certified)
+    out.certified = True
+    return out
+
+
+def _flags(cells, longest=None):
+    """Strict chains of the given cells under face inclusion, with their
+    drops: (flags, drops).
+
+    Cells are sorted vertex tuples.  The chains of length one are the
+    cells in order, and the chains of each next length extend those of the
+    last by a coface of their top cell, in order, so the list runs in
+    (length, chain) order without sorting.  With `longest`, no chain has
+    more than that many cells.  drops[n] lists, for a chain g of two cells
+    or more, (place of g without its entry pos, (-1)^pos) for each pos.  g
+    without its top is the chain g extends; g without an earlier entry is
+    that chain's drop at pos extended by g's top, whose place was recorded
+    when that drop was extended.  So no chain is hashed or looked up.
     """
-    topped = {}
-    for d in sorted(set(cells), key=len):
-        chains = [(d,)]
+    cells = sorted(set(cells))
+    # extend[n][d]: the place of chain n extended by d; the empty chain
+    # (root) extends to the one-cell chains
+    root = {c: n for n, c in enumerate(cells)}
+    up = {c: [] for c in cells}
+    for d in cells:
         for r in range(1, len(d)):
             for e in combinations(d, r):
-                chains.extend(f + (d,) for f in topped.get(e, ())
-                              if longest is None or len(f) < longest)
-        topped[d] = chains
-    return sorted((f for chains in topped.values() for f in chains),
-                  key=lambda f: (len(f), f))
+                if e in root:
+                    up[e].append(d)
+    flags = [(c,) for c in cells]
+    drops = [()] * len(cells)
+    extend = [{} for _ in cells]
+    level = range(len(cells))
+    size = 1
+    while level and (longest is None or size < longest):
+        size += 1
+        nxt = []
+        signs = [-1 if pos % 2 else 1 for pos in range(size)]
+        for n in level:
+            f = flags[n]
+            below = [extend[m] for m, _sign in drops[n]] or [root]
+            for d in up[f[-1]]:
+                g = len(flags)
+                flags.append(f + (d,))
+                extend[n][d] = g
+                extend.append({})
+                drops.append(list(zip([ext[d] for ext in below] + [n],
+                                      signs)))
+                nxt.append(g)
+        level = nxt
+    return flags, drops
 
 
 def flag_complex(sheaf, cells, through=None):
-    """Total complex over strict chains in an up-set of cells.
+    """Total complex over strict chains in an up-set of cells, as arrows.
 
     Block (flag, q) carries the stalk of the flag's top cell in total degree
     len(flag) - 1 + q.  The arrows into block (g, q) are the stalk
     differential, signed (-1)^(len(g) - 1), and one arrow per drop of g:
     removing entry pos gives a chain f of the same cells, with sign (-1)^pos
-    and the restriction from f's top cell to g's (the identity unless the
-    top cell was dropped).  Computes derived sections over the open set.
+    and the restriction from f's top cell to g's.  The drops come from
+    `_flags` as places, once per flag.  A drop that keeps the top cell is
+    the identity of one stalk, written as +-1 entries with no matrix; only
+    the drop of the top cell calls `restriction`.  Computes derived
+    sections over the open set.
 
     With `through`, only total degrees up to it are assembled: the result
     is the brutal truncation of the full complex, with the same blocks and
@@ -356,19 +480,53 @@ def flag_complex(sheaf, cells, through=None):
     cells, lo the lowest stalk degree, reach no such degree and are not
     enumerated.
 
-    Returns (complex, layout) like incidence_complex, with flags as keys.
+    Returns (arrows, layout), layout like incidence_complex's with flags
+    as keys.  arrows[k][n] = (mats, units) holds the arrows into the n-th
+    block of degree k, once: (m, sign, matrix) in mats, and (m, sign) in
+    units for an identity, m the place of the source block in degree
+    k - 1.  Zero matrices are left out; every other matrix must have the
+    shape of its (target, source) block (CertificateError).  No matrix is
+    assembled: `sheaf_cohomology` assembles one (`_total_complex`), and
+    `kan_pushforward` writes each fiber's stalk from the arrows into its
+    flags (`_fiber_slices`).
     """
     longest = None if through is None else through + 1 - min(
         (sheaf.stalks[c].lo for c in cells), default=0)
-    layout = _layout(((f, len(f) - 1, sheaf.stalks[f[-1]])
-                      for f in _flags(cells, longest)), through)
-
-    def into(g, q):
+    flags, drops = _flags(cells, longest)
+    sizes = _stalk_sizes(sheaf, cells)
+    layout, place = _layout(flags, lambda f: len(f) - 1, sizes,
+                            lambda f: f[-1], through)
+    arrows = {k: [] for k in layout if k - 1 in layout}
+    stalks, restriction = sheaf.stalks, sheaf.restriction
+    for n, g in enumerate(flags):
         top = g[-1]
-        yield g, (-1) ** (len(g) - 1), sheaf.stalks[top].diff(q - 1), q - 1
-        for f, sign in facets(g):
-            yield f, sign, sheaf.restriction(f[-1], top, q), q
-    return _assemble_total(layout, into, sheaf.certified), layout
+        for q, size in sizes[top]:
+            out = arrows.get(len(g) - 1 + q)
+            if out is None:
+                continue
+            mats, units = [], []
+            d = stalks[top].diffs.get(q - 1)
+            spot = place.get((n, q - 1))
+            if d is not None and spot is not None:
+                if d.rows != size or d.cols != spot[1]:
+                    _misfit(d, size, spot, layout[len(g) - 2 + q], (g, q))
+                mats.append((spot[0], -1 if len(g) % 2 == 0 else 1, d))
+            if drops[n]:
+                *kept, (m, sign) = drops[n]
+                for m2, sign2 in kept:
+                    spot = place.get((m2, q))
+                    if spot is not None:
+                        units.append((spot[0], sign2))
+                spot = place.get((m, q))
+                if spot is not None:
+                    r = restriction(g[-2], top, q)
+                    if r.rows != size or r.cols != spot[1]:
+                        _misfit(r, size, spot, layout[len(g) - 2 + q],
+                                (g, q))
+                    if r.entries:
+                        mats.append((spot[0], sign, r))
+            out.append((mats, units))
+    return arrows, layout
 
 
 def sheaf_cohomology(sheaf, open_cells=None, integral=False):
@@ -388,7 +546,8 @@ def sheaf_cohomology(sheaf, open_cells=None, integral=False):
         closed = set(sheaf.space.complex.cells).difference(open_cells)
         if missing_face(closed, closed):
             raise NotOpen("cell set is not open (not an up-set)")
-        cx, _ = flag_complex(sheaf, open_cells)
+        arrows, layout = flag_complex(sheaf, open_cells)
+        cx = _total_complex(layout, arrows, sheaf.certified)
     if integral:
         return cx.cohomology_groups()
     return cx.betti_numbers()
@@ -412,25 +571,32 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
     Each fiber is an up-set of the mapped cells, so a flag lies in it
     exactly when its bottom cell does, and its flag complex is the principal
     submatrix, in the same block order, of the flag complex over all mapped
-    cells: that is assembled once and sliced (`_fiber_slices`).  A slice
-    reaching outside its fiber means the map is not monotone (SheafError).
+    cells: `flag_complex` emits that one's arrows once, and each fiber
+    writes the arrows into its flags at its own offsets (`_fiber_slices`);
+    no global matrix is built.  An arrow into a fiber from a flag outside
+    it means the map is not monotone (SheafError).  Each restriction is the
+    projection onto the target
+    fiber's flags: row i holds a lone 1, in column pick[i].  The pick lists
+    are recorded as `projections[(sig, tau)][q]`, next to
+    `stalk_layouts`.
 
     Certificate, at every size: the result is `certified`.  The global
     flag complex squares to zero (by construction for a certified input,
     else by the exact product: CertificateError), so every slice does.
     The fiber over tau is nested in the fiber over each face sig
     (SheafError if a block of tau's layout is missing from sig's), and no
-    row of tau's slice leaves its columns; so the projection onto tau's
-    flags is a chain map, and projections between nested slices compose.
+    arrow into tau's slice comes from outside it; so the projection onto
+    tau's flags is a chain map, and projections between nested slices
+    compose.
 
     Least cells.  The result records, as `least_cells`, each target cell's
     least fiber cell: the fiber cell that is a face of every other, or
     None.  A fiber with one is a poset with an initial object, so its flag
     complex contracts onto the stalk of that cell (Bousfield and Kan,
-    1972), and `truncate` writes its kernel bases down by that contraction
-    instead of eliminating; see there for the proof and its certificate.
-    Along the inclusion of an open set (`derived_pushforward`) every open
-    cell is its own fiber's least cell.
+    1972), and `truncate` writes its kernel bases and maps down by that
+    contraction instead of solving for them; see there for the proof and
+    its certificate.  Along the inclusion of an open set
+    (`derived_pushforward`) every open cell is its own fiber's least cell.
     """
     cmap = {tuple(a): tuple(b) for a, b in cell_map.items()}
     src = sheaf.space.complex
@@ -445,93 +611,76 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
             and set(cmap) == set(src.cells)):
         return sheaf
     # the target cells over each image cell: its faces
-    over = {}
-    for b in set(cmap.values()):
-        over[b] = [t for t in closure([b]) if t in tcells]
-    stalks, layouts = _fiber_slices(flag_complex(sheaf, list(cmap), through),
-                                    target_space.complex.cells,
-                                    lambda f: over[cmap[f[0]]])
-    fibers = {t: [] for t in target_space.complex.cells}
+    over = {b: [t for t in faces(b) if t in tcells]
+            for b in set(cmap.values())}
+    total = flag_complex(sheaf, list(cmap), through)
+    if not sheaf.certified:
+        # assembled only to multiply d o d out (CertificateError)
+        _total_complex(total[1], total[0], False)
+    cells = target_space.complex.cells
+    covers = [(sig, tau) for tau in cells for (sig, _s) in facets(tau)]
+    fibers = {t: [] for t in cells}
     for c, b in cmap.items():
         for t in over[b]:
             fibers[t].append(c)
     least = {}
-    for t, cells in fibers.items():
+    for t, fiber in fibers.items():
         # a least cell is the one smallest cell, so ties leave None
-        s = min(cells, key=len, default=None)
-        faces = set(s or ())
-        least[t] = s if all(faces.issubset(c) for c in cells) else None
-    index = {t: _block_index(layout) for t, layout in layouts.items()}
-    restrictions = {}
-    for tau in target_space.complex.cells:
-        for (sig, _s) in facets(tau):
-            mats = {}
-            for k, blocks in layouts[tau].items():
-                ent = {}
-                for (f, q, toff, sz) in blocks:
-                    spot = index[sig].get((f, q))
-                    if spot is None:
-                        raise SheafError(
-                            "the fiber over %r is not inside the fiber over "
-                            "its face %r" % (tau, sig))
-                    soff = spot[1]
-                    for i in range(sz):
-                        ent[(toff + i, soff + i)] = 1
-                mats[k] = ExactMatrix._of(stalks[tau].dim(k),
-                                          stalks[sig].dim(k), ent)
-            restrictions[(sig, tau)] = mats
+        s = min(fiber, key=len, default=None)
+        verts = set(s or ())
+        least[t] = s if all(verts.issubset(c) for c in fiber) else None
+    stalks, layouts, projections = _fiber_slices(
+        total, cells, lambda f: over[cmap[f[0]]], covers)
+    restrictions = {
+        (sig, tau): {k: ExactMatrix._of(stalks[tau].dim(k), stalks[sig].dim(k),
+                                        dict.fromkeys(enumerate(pick), 1))
+                     for k, pick in picks.items()}
+        for (sig, tau), picks in projections.items()}
     out = SheafComplex(target_space, stalks, restrictions, check=False)
     out.certified = True
     out.stalk_layouts = layouts
+    out.projections = projections
     out.least_cells = least
     out.through = through
     return out
 
 
-def _fiber_slices(total, targets, over):
-    """Stalks and layouts of the fibers, sliced out of one flag complex.
+def _fiber_slices(total, targets, over, covers):
+    """Stalks, layouts and projections of the fibers, written from the
+    arrows of one flag complex.
 
-    `total` is (complex, layout) over all mapped cells, `targets` the
-    target cells, and `over(flag)` the target cells whose fibers hold the
-    flag.  The global blocks are walked once, in layout order, and handed
-    to their fibers, so each fiber's layout is the global one restricted to
-    its flags.  Each fiber differential is the global rows at its flags; an
-    entry outside the fiber's columns raises SheafError.  d o d = 0 on each
-    slice is the global complex's, which `flag_complex` certified.
+    `total` is (arrows, layout) of the flag complex over all mapped cells,
+    as `flag_complex` returns it, `targets` the target cells, `over(flag)`
+    the target cells whose fibers hold the flag, and `covers` the pairs
+    (sig, tau) of target cells with sig a facet of tau.  The global blocks
+    are walked once, in layout order, and handed to their fibers, so each
+    fiber's layout is the global one restricted to its flags.  Each fiber
+    differential is the arrows into its blocks, at its offsets; an arrow
+    from a block outside the fiber raises SheafError.  d o d = 0 on each
+    slice is the global complex's (see `kan_pushforward`).  The projection
+    along (sig, tau) picks, for each block of tau's fiber, the same block
+    of sig's (SheafError if sig's fiber lacks it): projections[(sig,
+    tau)][k] lists, per row, the column of its lone 1.
     """
-    gx, glayout = total
-    # spans[t][k]: (global offset, local offset, size) per block of fiber t
+    arrows, glayout = total
+    sizes = {k: [blk[3] for blk in blocks] for k, blocks in glayout.items()}
     layouts = {t: {} for t in targets}
-    spans = {t: {} for t in targets}
+    local = {t: {} for t in targets}    # degree -> {global place: offset}
     for k in sorted(glayout):
-        for (f, q, goff, size) in glayout[k]:
+        here = {}       # t -> (its blocks of degree k, their places)
+        for n, (f, q, _goff, size) in enumerate(glayout[k]):
             for t in over(f):
-                span = spans[t].setdefault(k, [])
-                loff = span[-1][1] + span[-1][2] if span else 0
-                span.append((goff, loff, size))
-                layouts[t].setdefault(k, []).append((f, q, loff, size))
-    diffs = {t: {} for t in targets}
-    for k in sorted(glayout):
-        if k + 1 not in glayout:
-            continue
-        rows = [[] for _ in range(gx.dim(k + 1))]
-        for (i, j), v in gx.diff(k).entries.items():
-            rows[i].append((j, v))
-        gx.diffs.pop(k, None)   # lives on in rows, and is freed with them
-        for t, span in spans.items():
-            out = span.get(k + 1)
-            if out is None:
-                continue
-            local = {goff + x: loff + x for goff, loff, size in span.get(k, ())
-                     for x in range(size)}
-            try:
-                ent = {(loff + x, local[j]): v for goff, loff, size in out
-                       for x in range(size) for j, v in rows[goff + x]}
-            except KeyError:
-                raise SheafError("cell map is not monotone: the fiber over "
-                                 "%r is not an up-set" % (t,)) from None
-            diffs[t][k] = ExactMatrix._of(out[-1][1] + out[-1][2],
-                                          len(local), ent)
+                spot = here.get(t)
+                if spot is None:
+                    spot = here[t] = ([], {})
+                    loff = 0
+                else:
+                    loff = spot[0][-1][2] + spot[0][-1][3]
+                spot[0].append((f, q, loff, size))
+                spot[1][n] = loff
+        for t, (blocks, places) in here.items():
+            layouts[t][k] = blocks
+            local[t][k] = places
     stalks = {}
     for t, layout in layouts.items():
         if not layout:
@@ -540,8 +689,32 @@ def _fiber_slices(total, targets, over):
         dims = {k: 0 for k in range(min(layout), max(layout) + 1)}
         for k, blocks in layout.items():
             dims[k] = blocks[-1][2] + blocks[-1][3]
-        stalks[t] = CochainComplex(dims, diffs[t], check=False)
-    return stalks, layouts
+        diffs = {}
+        for k, places in local[t].items():
+            if k not in arrows:
+                continue
+            shape = (dims[k], dims.get(k - 1, 0))
+            try:
+                ent = _arrow_entries(places.items(), arrows[k],
+                                     local[t].get(k - 1, {}), sizes[k], shape)
+            except KeyError:
+                raise SheafError("cell map is not monotone: the fiber over "
+                                 "%r is not an up-set" % (t,)) from None
+            if ent:
+                diffs[k - 1] = ExactMatrix._of(*shape, ent)
+        stalks[t] = CochainComplex(dims, diffs, check=False)
+    projections = {}
+    for sig, tau in covers:
+        picks = projections[(sig, tau)] = {}
+        for k, places in local[tau].items():
+            onto, size = local[sig].get(k, {}), sizes[k]
+            try:
+                picks[k] = [so + x for n in places for so in (onto[n],)
+                            for x in range(size[n])]
+            except KeyError:
+                raise SheafError("the fiber over %r is not inside the fiber "
+                                 "over its face %r" % (tau, sig)) from None
+    return stalks, layouts, projections
 
 
 def derived_pushforward(sheaf, closed_cells, through=None):
@@ -660,11 +833,42 @@ def truncate(sheaf, degree, subspaces=None):
     on the A-flags, so every cocycle is iota(pi x) plus a coboundary of the
     A-flags.  The basis is
     - the columns of d^(k-1) at the A-flags of degree k - 1, in layout
-      order; each has a lone +1, on its partner's row;
+      order (the A-columns); each has a lone +1 on the partner rows, on
+      its own partner's row: the only flag with bottom s that contains an
+      A-flag f as a drop is (s) + f;
     - iota(z) for z in `kernel_basis` of d_s: z on (s), and on each
       one-cell flag (c) the restriction r(s, c) z, read off as minus the
       ((s, c), k) block of d^k(z on (s)).  Its unit rows are z's, on (s),
-      where the A-columns vanish.
+      where the A-columns vanish; iota vanishes on the partner rows.
+    So every basis column has a unit row, where it holds a lone 1; so does
+    every `kernel_basis` column, on its free row (its last nonzero).  The
+    truncation records them with each basis (`Inclusion`), and every
+    solve against such a basis reads its answer off them and checks it
+    with one exact product (`solve_columns`); a caller subspace has none
+    recorded and is solved by `solve_many`.
+
+    Maps fixed by construction.  Below k the maps are the input's.  At k
+    the truncation needs X with B X = d^(k-1) at each cell, B its basis,
+    and Y with B_b Y = r B_a along each cover (a, b).
+    - d^(k-1) in the basis B.  Its column at an A-flag is B's own
+      A-column for that flag, so that column of X is a unit vector.  Only
+      the columns at flags whose bottom is s are read off the unit rows
+      and checked with an exact product.
+    - r B_a = B_b Y along a cover whose two ends have contraction bases,
+      with least cells s_a and s_b.  r projects between nested slices and
+      is a chain map, by the pushforward's certificate, so it sends the
+      A-column d_a e_f to d_b (r e_f).  That is zero when f leaves
+      fiber(b), and B_b's own A-column for f when f's bottom is not s_b (f
+      is then an A-flag of b).  So those columns of Y are zero or unit
+      vectors, and only the iota columns and the A-columns at flags with
+      bottom s_b are read and checked.  Fiber(b)'s blocks are fiber(a)'s
+      that hold its flags, in the same order (both are slices of one
+      layout), so one walk of the two layouts pairs them (SheafError if
+      b has a block that a has not).
+    Along any other cover every column of r B_a is read and checked; r B_a
+    is a row selection of B_a by the projection's recorded pick list
+    (`kan_pushforward`'s `projections`), or the product for a sheaf that
+    is not a pushforward.
 
     Certificate, from a certified input, at every size.  Kernel: the
     A-columns are cocycles by the pushforward's d o d = 0 certificate, and
@@ -676,18 +880,18 @@ def truncate(sheaf, degree, subspaces=None):
     the A-flags of degree k and on (s), is [[I, *], [0, d_s]] from the
     A-columns and (s), so dim ker d^k is at most the number of partners of
     degree k plus dim ker d_s, which is the number of columns.  Caller
-    subspaces are checked independent by rank.  Maps: below k they are
-    the input's.  With B the basis at a cell, `solve_many` certifies
-    B X = d^{k-1} and B_b Y = r B_a exactly (r B_a is a row selection of
-    B_a when every row of r holds a lone 1, as a pushforward's
-    projections do), so each output identity at k (d o d = 0, chain map,
+    subspaces are checked independent by rank.  Maps: every column read
+    is checked by an exact product (SheafError if it fails), and every
+    column written is right by the two facts above, which rest on the
+    pushforward's certificates.  So B X = d^{k-1} and B_b Y = r B_a hold
+    exactly, each output identity at k (d o d = 0, chain map,
     functoriality) times B on the left is the input's, and B is
     injective.
 
     The result records its input as `untruncated`, k as `cutoff`, the
-    bases B per cell as `inclusions`, and the cells that took caller
-    subspaces as `subspace_cells`; `plain_truncation` reads these to
-    rebuild the truncation without subspaces from it.
+    `Inclusion` of each cell's basis as `inclusions`, and the cells that
+    took caller subspaces as `subspace_cells`; `plain_truncation` reads
+    these to rebuild the truncation without subspaces from it.
     """
     k = int(degree)
     subspaces = {tuple(c): m for c, m in (subspaces or {}).items()}
@@ -717,8 +921,8 @@ def plain_truncation(G):
     Proof.  `truncate` works cell by cell (`_truncated_stalk`): a cell's
     basis and stalk depend only on that cell's stalk, stalk layout and
     least cell, the cutoff k and the cell's subspace, if any.  A cover's
-    maps (`_truncated_cover`) depend only on the input's maps along it and
-    on the bases at its two ends.  Away from the subspace cells these
+    maps (`_truncated_cover`) depend only on the input's maps, pick list
+    and stalk layouts along it and on the bases at its two ends.  Away from the subspace cells these
     inputs are the same for G and for `truncate(G.untruncated, k)`, so
     every reused piece is the one `truncate` computes, and it was certified
     when G was built; the recomputed pieces come from the same two bodies
@@ -740,19 +944,31 @@ def plain_truncation(G):
     return _truncation(R, k, stalks, restrictions, bases, frozenset())
 
 
+class Inclusion(namedtuple("Inclusion", "basis unit_rows least")):
+    """How the cutoff degree of a truncation embeds into the stalk it was
+    cut from.  The columns of `basis` are the kept cocycles, in stalk
+    coordinates.  `unit_rows[j]` is a row where column j holds a lone 1,
+    or `unit_rows` is None (a caller subspace).  `least` is the fiber's
+    least cell when the basis is the cone contraction's, else None."""
+
+    __slots__ = ()
+
+
 def _truncated_stalk(sheaf, c, k, subspace=None):
-    """(basis of the kept cocycles, truncated stalk) at cell c, cut at k:
-    `subspace` if given, else the cone contraction's basis on a fiber with
-    a least cell, else `kernel_basis`."""
+    """(Inclusion of the kept cocycles, truncated stalk) at cell c, cut at
+    k: `subspace` if given, else the cone contraction's basis on a fiber
+    with a least cell, else `kernel_basis`."""
     cx = sheaf.stalks[c]
     least = sheaf.least_cells.get(c)
+    x = None     # d^(k-1) in the basis, when the contraction writes it
     if subspace is not None:
-        kb = subspace
+        inc = Inclusion(subspace, None, None)
     elif least is not None:
-        kb = _cone_kernel(cx, sheaf.stalk_layouts[c], least, k)
+        inc, x = _cone_kernel(cx, sheaf.stalk_layouts[c], least, k)
     else:
         kb = kernel_basis(cx.diff(k))
-    dims = {q: cx.dim(q) if q < k else kb.cols
+        inc = Inclusion(kb, _last_rows(kb), None)
+    dims = {q: cx.dim(q) if q < k else inc.basis.cols
             for q in cx.degrees() if q <= k}
     diffs = {}
     for q in sorted(dims):
@@ -762,39 +978,73 @@ def _truncated_stalk(sheaf, c, k, subspace=None):
             diffs[q] = cx.diff(q)
         else:
             # express d^{k-1} in the subspace basis
-            diffs[q] = solve_columns(kb, cx.diff(q))
+            diffs[q] = x if x is not None else solve_columns(inc, cx.diff(q))
     if not dims:
         dims = {k: 0}
-    return kb, CochainComplex(dims, diffs, check=False)
+    return inc, CochainComplex(dims, diffs, check=False)
 
 
 def _truncated_cover(sheaf, cover, k, bases, basis_rows):
     """Maps of the truncation along the cover (a, b): the input's below k,
-    and at k the solution of B_b Y = r B_a.  `basis_rows` caches the row
-    dicts of the bases that a row selection reads."""
-    a, b = cover
+    and at k the Y with B_b Y = r B_a (`_cutoff_map`).  `basis_rows`
+    caches the row dicts of the bases that a pick list selects from."""
     out = {}
     for q, m in sheaf.restrictions[cover].items():
         if q < k:
             out[q] = m
         elif q == k:
-            r = sheaf.restriction(a, b, k)
-            pick = _row_selection(r)
-            if pick is None:
-                full = r * bases[a]
-            else:
-                if a not in basis_rows:
-                    basis_rows[a] = _rows(bases[a])
-                full = _rows_at(basis_rows[a], pick, bases[a].cols)
-            out[q] = solve_columns(bases[b], full)
+            out[q] = _cutoff_map(sheaf, cover, k, bases, basis_rows)
     return out
+
+
+def _cutoff_map(sheaf, cover, k, bases, basis_rows):
+    """Y with B_b Y = r B_a at the cutoff k along the cover (a, b): the
+    columns `truncate` proves to be zero or unit vectors are written, and
+    only the others are read and checked (`solve_columns`); r B_a is rows
+    of B_a, at the projection's pick list."""
+    a, b = cover
+    A, B = bases[a], bases[b]
+    if sheaf.projections is None:
+        return solve_columns(B, sheaf.restriction(a, b, k) * A.basis)
+    ent, read = {}, []
+    if A.least is None or B.least is None:
+        read = range(A.basis.cols)
+    else:
+        sa, sb = A.least, B.least
+        lb = sheaf.stalk_layouts[b].get(k - 1, ())
+        n = pa = pb = 0     # b's blocks walked, then columns of B_a and B_b
+        for (f, q, _off, size) in sheaf.stalk_layouts[a].get(k - 1, ()):
+            held = n < len(lb) and lb[n][0] == f and lb[n][1] == q
+            n += held
+            if f[0] != sa:
+                if held and f[0] != sb:
+                    ent.update(((pb + x, pa + x), 1) for x in range(size))
+                elif held:
+                    read.extend(range(pa, pa + size))
+                pa += size
+            if held and f[0] != sb:
+                pb += size
+        if n != len(lb):
+            raise SheafError("the fiber over %r is not inside the fiber over "
+                             "its face %r" % (b, a))
+        read.extend(range(pa, A.basis.cols))
+    if read:
+        if a not in basis_rows:
+            basis_rows[a] = _rows(A.basis)
+        rows, col = basis_rows[a], {j: n for n, j in enumerate(read)}
+        pick = sheaf.projections[cover][k]
+        y = solve_columns(B, ExactMatrix._of(len(pick), len(read), {
+            (i, col[j]): v for i, p in enumerate(pick)
+            for j, v in rows[p].items() if j in col}))
+        ent.update(((i, read[n]), v) for (i, n), v in y.entries.items())
+    return ExactMatrix._of(B.basis.cols, A.basis.cols, ent)
 
 
 def _truncation(sheaf, k, stalks, restrictions, bases, subspace_cells):
     out = SheafComplex(sheaf.space, stalks, restrictions, check=False)
     out.certified = sheaf.certified
     # provenance for pairings: the ambient sheaf, how the cutoff degree
-    # embeds back into it (columns per cell; lower degrees embed
+    # embeds back into it (an Inclusion per cell; lower degrees embed
     # identically), and the cells whose kernel a caller replaced
     out.untruncated = sheaf
     out.cutoff = k
@@ -803,74 +1053,127 @@ def _truncation(sheaf, k, stalks, restrictions, bases, subspace_cells):
     return out
 
 
-def _row_selection(r):
-    """[j_0, j_1, ...] when row i of r holds a lone 1, in column j_i (so
-    r * m is rows j_0, j_1, ... of m), else None."""
-    pick = [None] * r.rows
-    for (i, j), v in r.entries.items():
-        if v != 1 or pick[i] is not None:
+def _bottom_block(layout, bottom, deg):
+    """The block of the one-cell flag `bottom` in degree deg, or None; the
+    one-cell flags come first in each degree."""
+    for blk in layout.get(deg, ()):
+        if len(blk[0]) > 1:
             return None
-        pick[i] = j
-    return None if None in pick else pick
+        if blk[0] == bottom:
+            return blk
+    return None
 
 
-def _rows_at(rows, pick, cols):
-    """The matrix with `cols` columns whose row i is rows[pick[i]], from
-    row dicts: r * m for r with `_row_selection(r) == pick` and m with
-    `_rows(m) == rows`."""
-    return ExactMatrix._of(len(pick), cols, {(i, c): v
-                                             for i, j in enumerate(pick)
-                                             for c, v in rows[j].items()})
+def _last_rows(m):
+    """The last nonzero row of each column of m: for a `kernel_basis`
+    result, the column's unit row."""
+    last = [-1] * m.cols
+    for (i, j) in m.entries:
+        if i > last[j]:
+            last[j] = i
+    return last
+
+
+def _partners(layout, s, deg, k):
+    """[(A-block, partner block)]: each block (f, q) of degree deg whose
+    flag's bottom is not s, with its partner ((s) + f, q) of degree
+    deg + 1, for a stalk over a fiber with least cell s cut at k.
+
+    Both run in layout order, by (length, flag), and (s) + f sorts as f
+    does, so one merge pairs them: every flag of degree deg + 1 with bottom
+    s and two cells or more is (s) + f for an f of degree deg.  A block of
+    either side without its mate, or of another size, raises SheafError;
+    a pushforward cut at k must hold degree k + 1."""
+    bottom = (s,)
+    ablocks = [blk for blk in layout.get(deg, ()) if blk[0][0] != s]
+    pblocks = [blk for blk in layout.get(deg + 1, ())
+               if blk[0][0] == s and len(blk[0]) > 1]
+    want = [(bottom + f, q, size) for (f, q, _off, size) in ablocks]
+    have = [(g, q, size) for (g, q, _off, size) in pblocks]
+    if want != have:
+        w, h = next((w, h) for w, h in zip_longest(want, have) if w != h)
+        if w is not None and (h is None or (len(w[0]), w[0]) <= (len(h[0]),
+                                                                 h[0])):
+            blk, mate = (w[0][1:], w[1]), (w[0], w[1])
+        else:
+            blk, mate = (h[0], h[1]), (h[0][1:], h[1])
+        raise SheafError("block %r of the stalk over %r has no partner %r; "
+                         "a pushforward truncated at %d must hold degree %d"
+                         % (blk, s, mate, k, k + 1))
+    return list(zip(ablocks, pblocks))
 
 
 def _cone_kernel(cx, layout, s, k):
-    """Basis of ker d^k on the flag-complex stalk `cx` (with `layout`)
-    of a fiber whose least cell is s: the A-columns of d^(k-1), then
-    iota of the kernel of d_s, certified as `truncate` says."""
-    index = _block_index(layout)
+    """(Inclusion, X) on the flag-complex stalk `cx` (with `layout`) of a
+    fiber whose least cell is s: the basis of ker d^k made of the
+    A-columns of d^(k-1), then iota of the kernel of d_s, with its unit
+    rows, and X with basis * X == d^(k-1) (None when the stalk has no
+    degree k - 1 or k), certified as `truncate` says.  The partner blocks
+    come from one merge of the layout per degree (`_partners`), one pass
+    over d^(k-1) sorts its entries into the A-columns and the columns to
+    read, and d^k is read only when F_s has degree k."""
     bottom = (s,)
-    for deg in (k - 1, k):
-        for (f, q, _off, size) in layout.get(deg, ()):
-            if f[0] != s:
-                mate = (bottom + f, q)
-            elif len(f) > 1 and deg == k:
-                mate = (f[1:], q)
-            else:
-                continue
-            spot = index.get(mate)
-            if spot is None or spot[2] != size:
-                raise SheafError(
-                    "block %r of the stalk over %r has no partner %r; a "
-                    "pushforward truncated at %d must hold degree %d"
-                    % ((f, q), s, mate, k, k + 1))
-    dk = cx.diff(k)
-    # the one-cell flags come first in each degree, and iota lives on them
-    width = sum(size for (f, _q, _off, size) in layout.get(k, ())
-                if len(f) == 1)
-    head = ExactMatrix._of(dk.rows, width, {
-        ij: v for ij, v in dk.entries.items() if ij[1] < width})
-    zs, nz = {}, 0
-    spot = index.get((bottom, k))
+    pairs = _partners(layout, s, k - 1, k)
+    ahead = _partners(layout, s, k, k)
+    # each column of d^(k-1): its basis column p >= 0 at an A-flag, else
+    # ~(its place among the columns to read)
+    where, unit, read = [0] * cx.dim(k - 1), [], []
+    for (_f, _q, off, size), (_g, _p, poff, _n) in pairs:
+        for x in range(size):
+            where[off + x] = len(unit)
+            unit.append(poff + x)
+    for (f, q, off, size) in layout.get(k - 1, ()):
+        if f[0] == s:
+            for x in range(size):
+                where[off + x] = ~len(read)
+                read.append(off + x)
+    ent, rest = {}, {}
+    for (i, j), v in cx.diff(k - 1).entries.items():
+        p = where[j]
+        if p >= 0:
+            ent[(i, p)] = v
+        else:
+            rest[(i, ~p)] = v
+    na = len(unit)
+    spot = _bottom_block(layout, bottom, k)
     if spot is not None:
-        _, off, size = spot
-        _, toff, tsize = index.get((bottom, k + 1), (k + 1, 0, 0))
+        off, size = spot[2:]
+        toff, tsize = (_bottom_block(layout, bottom, k + 1) or (0,) * 4)[2:]
+        # the one-cell flags come first in each degree, and iota lives on
+        # them: one pass over d^k keeps their columns, and by column those
+        # of (s)
+        width = sum(n for (f, _q, _off, n) in layout[k] if len(f) == 1)
+        head, on_s = {}, {}
+        for (i, j), v in cx.diff(k).entries.items():
+            if j < width:
+                head[(i, j)] = v
+                if off <= j < off + size:
+                    on_s.setdefault(j - off, []).append((i, v))
         z = kernel_basis(ExactMatrix._of(tsize, size, {
-            (i - toff, j - off): v for (i, j), v in head.entries.items()
-            if off <= j < off + size and toff <= i < toff + tsize}))
+            (i - toff, j): v for j, col in on_s.items() for i, v in col
+            if toff <= i < toff + tsize}))
+        unit.extend(off + i for i in _last_rows(z))
         zs, nz = {(off + i, t): v for (i, t), v in z.entries.items()}, z.cols
         # d^k(z on (s)) is -r(s, c) z on each ((s, c), k): move it to (c)
-        back = {}
-        for (f, q, coff, csize) in layout[k]:
-            if len(f) == 1 and f[0] != s:
-                poff = index[(bottom + f, q)][1]
-                back.update((poff + x, coff + x) for x in range(csize))
-        lift = head * ExactMatrix._of(width, nz, dict(zs))
-        zs.update(((back[i], t), -v) for (i, t), v in lift.entries.items()
-                  if i in back)
+        back = {poff + x: coff + x
+                for (f, _q, coff, csize), (_g, _p, poff, _n) in ahead
+                if len(f) == 1 for x in range(csize)}
+        lift = {}
+        for (r, t), w in z.entries.items():
+            for i, v in on_s.get(r, ()):
+                if i in back:
+                    lift[(back[i], t)] = lift.get((back[i], t), 0) - v * w
+        zs.update(ExactMatrix(width, nz, lift).entries)
+        head = ExactMatrix._of(cx.dim(k + 1), width, head)
         if not (head * ExactMatrix._of(width, nz, zs)).is_zero():
             raise CertificateError("a lifted kernel vector of the stalk over "
                                    "%r is not a cocycle" % (s,))
-    iota = ExactMatrix._of(cx.dim(k), nz, zs)
-    acols = [off + x for (f, _q, off, size) in layout.get(k - 1, ())
-             if f[0] != s for x in range(size)]
-    return cx.diff(k - 1).submatrix_cols(acols).stack_cols(iota)
+        ent.update(((i, na + t), v) for (i, t), v in zs.items())
+    inc = Inclusion(ExactMatrix._of(cx.dim(k), len(unit), ent), unit, s)
+    if not cx.lo < k <= cx.hi:
+        return inc, None    # the truncated stalk has no d^(k-1)
+    x = {(p, j): 1 for j, p in enumerate(where) if p >= 0}
+    if read:
+        y = solve_columns(inc, ExactMatrix._of(cx.dim(k), len(read), rest))
+        x.update(((i, read[n]), v) for (i, n), v in y.entries.items())
+    return inc, ExactMatrix._of(len(unit), cx.dim(k - 1), x)

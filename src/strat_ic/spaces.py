@@ -11,6 +11,8 @@ validation on their output; nothing is trusted by construction.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .linalg import CochainComplex, ExactMatrix
 
 
@@ -75,6 +77,17 @@ def closure(cells):
                     out.add(face)
                     todo.append(face)
     return out
+
+
+def faces(cell):
+    """Every nonempty face of one cell: its nonempty vertex subsets, by
+    size, then in order.
+
+    >>> faces((0, 1, 2))
+    [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    """
+    return [e for r in range(1, len(cell) + 1)
+            for e in combinations(cell, r)]
 
 
 def facets(cell):

@@ -440,6 +440,10 @@ BAD_INPUTS = [
     (["kunneth", "--example", "t2"], {}, "/example"),
     (["kunneth", "--example", "product:t2"], {}, "/example"),
     (["kunneth", "--example", "product:"], {}, "/example"),
+    (["kunneth", "--example", "product:t2,s1", "--mode", "bogus"], {},
+     "/mode"),
+    # the apex of a cone over a point has codimension 1
+    (["ih", "--example", "cone-point"], {}, "/example"),
     (["intersect", "--example", "s2", "--degree", "7"], {}, "/degree"),
     (["intersect", "--example", "s2", "--degree", "-1"], {}, "/degree"),
     (["intersect", "--example", "cone-s1"], {}, "/example"),

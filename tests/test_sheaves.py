@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from strat_ic.examples import get_example
 from strat_ic import duality, sheaves, spaces
-from strat_ic.linalg import CochainComplex, ExactMatrix, kernel_basis, rank
+from strat_ic.linalg import (CochainComplex, ExactMatrix, kernel_basis, rank,
+                             solve_many)
 from strat_ic.sheaves import (
     NotOpen, NotOpenComplement, SheafComplex, SheafError, _flags,
     constant_sheaf, derived_pushforward, external_tensor, flag_complex,
@@ -410,6 +411,13 @@ def _ref_flag_complex(sheaf, cells):
     return _ref_assemble(layout, arrows), layout
 
 
+def _flag_total(sheaf, cells, through=None):
+    # the complex of `flag_complex`'s rows, as the open-set cohomology
+    # assembles it
+    arrows, layout = flag_complex(sheaf, cells, through)
+    return sheaves._total_complex(layout, arrows, sheaf.certified), layout
+
+
 def _assert_same_total(got, want):
     (cx, layout), (ref_cx, ref_layout) = got, want
     assert list(layout.items()) == list(ref_layout.items())
@@ -436,9 +444,9 @@ def _sheaf_and_up_set(draw):
 @settings(max_examples=25, deadline=None)
 def test_total_complexes_match_source_side_reference(case):
     F, up = case
-    assert _flags(up) == _ref_flags(up)
+    assert _flags(up)[0] == _ref_flags(up)
     assert F.certified
-    got = flag_complex(F, up), incidence_complex(F)
+    got = _flag_total(F, up), incidence_complex(F)
     for cx, _layout in got:
         cx.certify()    # assembled without the product, F being certified
     _assert_same_total(got[0], _ref_flag_complex(F, up))
@@ -447,9 +455,10 @@ def test_total_complexes_match_source_side_reference(case):
 
 # -- differential: stalks sliced from one flag complex against per-fiber ----
 #
-# The reference is the pushforward as it was before slicing: one
-# `flag_complex` per target cell, over the source cells whose image lies
-# over that cell.
+# The reference is the pushforward as it was before slicing, with nothing
+# of `flag_complex`: one `_ref_flag_complex` per target cell, over the
+# source cells whose image lies over that cell, and each restriction an
+# identity on every block the two fibers share.
 
 def _ref_kan_pushforward(sheaf, cell_map, target_space):
     cmap = {tuple(a): tuple(b) for a, b in cell_map.items()}
@@ -457,7 +466,7 @@ def _ref_kan_pushforward(sheaf, cell_map, target_space):
     for t in target_space.complex.cells:
         cells = [c for c in sorted(cmap, key=lambda c: (len(c), c))
                  if set(t) <= set(cmap[c])]
-        stalks[t], layouts[t] = flag_complex(sheaf, cells)
+        stalks[t], layouts[t] = _ref_flag_complex(sheaf, cells)
     index = {t: sheaves._block_index(layout) for t, layout in layouts.items()}
     restrictions = {}
     cells = target_space.complex.cells
@@ -638,9 +647,9 @@ def test_pushforward_through_is_brutal_truncation(case):
 
 def test_flags_stop_at_longest():
     cells = get_example("cone-s1").complex.cells
-    every = _flags(cells)
+    every = _flags(cells)[0]
     for longest in range(1, 5):
-        assert _flags(cells, longest) == [f for f in every
+        assert _flags(cells, longest)[0] == [f for f in every
                                           if len(f) <= longest]
 
 
@@ -659,7 +668,7 @@ def _assert_certified(F):
     F.validate()
     cells = F.space.complex.cells
     for cx in [*F.stalks.values(), incidence_complex(F)[0],
-               flag_complex(F, cells)[0]]:
+               _flag_total(F, cells)[0]]:
         cx.certify()
 
 
@@ -677,35 +686,61 @@ def _rebased(m, draw):
     return m * ExactMatrix(n, n, ent)
 
 
+def _pushed(F, cmap, target, through):
+    # the pushforward of a drawn case, with its inputs for the references
+    return kan_pushforward(F, cmap, target, through), (F, cmap, through)
+
+
+def _case(F, cmap, target, through, k):
+    push, src = _pushed(F, cmap, target, through)
+    return push, k, src
+
+
+def _open_map(space, closed):
+    closed = set(closed)
+    return {c: c for c in space.complex.cells if c not in closed}
+
+
 @st.composite
 def _built_pushforwards(draw):
     # a derived pushforward off a random closed set of cone-s1 or off the
     # singular stratum of a cone or suspension, or a collapse pushforward;
-    # assembled in every degree or through k + 1 for a drawn cutoff k
+    # assembled in every degree or through k + 1 for a drawn cutoff k.  An
+    # uncertified caller-built copy of the constant sheaf has its global
+    # flag complex multiplied out.  Returns (push, k, (sheaf, map, through))
     k = draw(st.integers(0, 2))
     through = draw(st.sampled_from([None, k + 1]))
-    kind = draw(st.sampled_from(["closed", "stratum", "collapse"]))
+    kind = draw(st.sampled_from(["closed", "stratum", "collapse",
+                                 "uncertified"]))
     rank_ = draw(st.sampled_from([1, 2]))
     if kind == "closed":
+        # an empty closed set gives the constant sheaf itself
         s, closed = draw(_closed_subsets())
-        push = derived_pushforward(constant_sheaf(s, rank_), closed, through)
+        push, src = _pushed(constant_sheaf(s, rank_), _open_map(s, closed),
+                            s, through)
+    elif kind == "uncertified":
+        s, closed = draw(_closed_subsets().filter(lambda sc: sc[1]))
+        F = constant_sheaf(s, rank_)
+        push, src = _pushed(
+            SheafComplex(s, F.stalks, F.restrictions, check=False),
+            _open_map(s, closed), s, through)
     elif kind == "stratum":
         s = get_example(draw(st.sampled_from(["cone-s1", "cone-t2",
                                               "suspension-s2"])))
-        push = derived_pushforward(constant_sheaf(s, rank_),
-                                   s.filtration_stage(0), through)
+        push, src = _pushed(constant_sheaf(s, rank_),
+                            _open_map(s, s.filtration_stage(0)), s, through)
     else:
         total, quotient, cmap = _collapse_case(
             draw(st.sampled_from(["s1", "s2"])))
-        push = kan_pushforward(constant_sheaf(total, rank_), cmap, quotient,
-                               through)
-    return push, k
+        push, src = _pushed(constant_sheaf(total, rank_), cmap, quotient,
+                            through)
+    return push, k, src
 
 
 @given(_built_pushforwards(), st.data())
 @settings(max_examples=20, deadline=None)
 def test_constructed_sheaves_pass_generic_validate(case, data):
-    push, k = case
+    push, k, _src = case
     _assert_certified(push)
     _assert_certified(truncate(push, k))
     # the same truncation through rebased kernels: caller subspaces without
@@ -734,7 +769,7 @@ def test_plain_truncation_matches_truncate(case, data):
     # a truncation onto rebased kernels at drawn cells, turned back into
     # the plain one: equal to truncating again, and away from the drawn
     # cells made of the first truncation's own objects
-    push, k = case
+    push, k, _src = case
     cells = data.draw(st.sets(st.sampled_from(sorted(push.stalks))))
     subs = {c: _rebased(kernel_basis(push.stalk(c).diff(k)), data.draw)
             for c in cells}
@@ -852,9 +887,8 @@ def test_pushforward_rejects_fiber_not_nested_in_its_faces():
     code = "\n".join([
         "from strat_ic import sheaves",
         "from strat_ic.examples import get_example",
-        "faces = sheaves.closure",
-        "sheaves.closure = lambda cells: [c for c in faces(cells)",
-        "                                 if c != (0,)]",
+        "faces = sheaves.faces",
+        "sheaves.faces = lambda cell: [c for c in faces(cell) if c != (0,)]",
         "F = sheaves.constant_sheaf(get_example('cone-s1'), 1)",
         "try:",
         "    sheaves.derived_pushforward(F, [(3,)])",
@@ -885,26 +919,27 @@ def _ref_least_cell(push_source_cells, t):
     return None
 
 
-def _ladder_pushforward(name, k, cut=0, torsion=False):
-    # the last step of a ladder, through k + 1: on cone-cone-s1 a
-    # pushforward of a pushforward truncated at `cut`, whose stalks on the
-    # first stratum have a differential when cut > 0; `torsion` starts
-    # from the two-term sheaf for Z + Z/2
+def _ladder_step(name, cut=0, torsion=False):
+    # the input of the last step of a ladder and the map it is pushed
+    # along: on cone-cone-s1 a pushforward truncated at `cut`, whose stalks
+    # on the first stratum have a differential when cut > 0; `torsion`
+    # starts from the two-term sheaf for Z + Z/2
     s = get_example(name)
     *upper, low = sorted(s.singular_levels(), reverse=True)
     F = two_term_sheaf(s, 1, (2,)) if torsion else constant_sheaf(s, 1)
     for p in upper:
         F = truncate(derived_pushforward(F, s.filtration_stage(p)), cut)
-    return derived_pushforward(F, s.filtration_stage(low), through=k + 1)
+    return F, _open_map(s, s.filtration_stage(low))
 
 
 @st.composite
 def _pushforwards_with_least_cells(draw):
     # derived pushforwards off random closed sets and singular strata, the
-    # fibration_decomposition collapse, and the last step of two ladders;
-    # through k + 1 or every degree.  The ladder's second step and torsion
-    # coefficients (stalks in degrees -1 and 0) give fibers whose least
-    # cell's stalk has a differential d_s
+    # fibration_decomposition collapse, and the last step of two ladders,
+    # through k + 1; the others through k + 1 or every degree.  The
+    # ladder's second step and torsion coefficients (stalks in degrees -1
+    # and 0) give fibers whose least cell's stalk has a differential d_s.
+    # Returns (push, k, (sheaf, map, through))
     k = draw(st.integers(0, 2))
     kind = draw(st.sampled_from(["closed", "stratum", "collapse", "ladder",
                                  "torsion"]))
@@ -913,39 +948,31 @@ def _pushforwards_with_least_cells(draw):
     if kind == "closed":
         # nonempty: along the identity the pushforward is the sheaf itself
         s, closed = draw(_closed_subsets().filter(lambda sc: sc[1]))
-        cmap = {c: c for c in s.complex.cells if c not in set(closed)}
-        push = derived_pushforward(constant_sheaf(s, rank_), closed, through)
-    elif kind == "stratum":
+        return _case(constant_sheaf(s, rank_), _open_map(s, closed), s,
+                     through, k)
+    if kind == "stratum":
         s = get_example(draw(st.sampled_from(["cone-s1", "cone-t2",
                                               "suspension-s2"])))
-        closed = set(s.filtration_stage(0))
-        cmap = {c: c for c in s.complex.cells if c not in closed}
-        push = derived_pushforward(constant_sheaf(s, rank_), closed, through)
-    elif kind == "collapse":
+        return _case(constant_sheaf(s, rank_),
+                     _open_map(s, s.filtration_stage(0)), s, through, k)
+    if kind == "collapse":
         total, quotient, cmap = _collapse_case(
             draw(st.sampled_from(["s1", "s2"])))
-        push = kan_pushforward(constant_sheaf(total, rank_), cmap, quotient,
-                               through)
-    elif kind == "ladder":
-        push = _ladder_pushforward(
-            draw(st.sampled_from(["cone-cone-s1", "cone-product:s1,s1"])), k,
+        return _case(constant_sheaf(total, rank_), cmap, quotient, through, k)
+    if kind == "ladder":
+        F, cmap = _ladder_step(
+            draw(st.sampled_from(["cone-cone-s1", "cone-product:s1,s1"])),
             cut=draw(st.integers(0, 1)))
-        closed = set(push.space.filtration_stage(0))
-        cmap = {c: c for c in push.space.complex.cells if c not in closed}
-    else:
-        k -= 1
-        push = _ladder_pushforward(
-            draw(st.sampled_from(["cone-s1", "cone-cone-s1"])), k,
-            torsion=True)
-        closed = set(push.space.filtration_stage(0))
-        cmap = {c: c for c in push.space.complex.cells if c not in closed}
-    return push, cmap, k
+        return _case(F, cmap, F.space, k + 1, k)
+    F, cmap = _ladder_step(draw(st.sampled_from(["cone-s1", "cone-cone-s1"])),
+                           torsion=True)
+    return _case(F, cmap, F.space, k, k - 1)
 
 
 @given(_pushforwards_with_least_cells())
 @settings(max_examples=30, deadline=None)
 def test_cone_kernel_spans_the_kernel(case):
-    push, cmap, k = case
+    push, k, (_F, cmap, _through) = case
     assert push.least_cells == {t: _ref_least_cell(cmap, t)
                                 for t in push.space.complex.cells}
     cut = truncate(push, k)
@@ -954,14 +981,27 @@ def test_cone_kernel_spans_the_kernel(case):
     for t, cx in push.stalks.items():
         s = push.least_cells[t]
         old = kernel_basis(cx.diff(k))
+        inc = cut.inclusions[t]
+        _assert_unit_rows(inc)
         if s is None:
-            assert cut.inclusions[t] == old
+            assert inc.basis == old and inc.least is None
             continue
-        new = sheaves._cone_kernel(cx, push.stalk_layouts[t], s, k)
-        assert cut.inclusions[t] == new
-        assert_normalized(new)
-        assert (cx.diff(k) * new).is_zero()
-        assert rank(new) == new.cols == old.cols == rank(old.stack_cols(new))
+        new, x = sheaves._cone_kernel(cx, push.stalk_layouts[t], s, k)
+        assert inc == new and inc.least == s
+        assert_normalized(new.basis)
+        assert (cx.diff(k) * new.basis).is_zero()
+        if x is not None:
+            assert new.basis * x == cx.diff(k - 1)
+        assert (rank(new.basis) == new.basis.cols == old.cols
+                == rank(old.stack_cols(new.basis)))
+
+
+def _assert_unit_rows(inc):
+    # row unit_rows[j] of the basis holds a lone 1, in column j
+    m, rows = inc.basis, inc.unit_rows
+    assert len(rows) == m.cols
+    for j, i in enumerate(rows):
+        assert {c: v for (r, c), v in m.entries.items() if r == i} == {j: 1}
 
 
 def test_derived_pushforward_least_cells_are_the_open_cells():
@@ -1085,61 +1125,250 @@ def test_cone_kernel_refuses_a_non_cocycle_lift():
             "a cocycle"]
 
 
-# -- restrictions as row selections ------------------------------------------
+# -- the arrow-emitted pushforward and the maps fixed by construction -------
+#
+# `kan_pushforward` writes each fiber's stalk from the arrows `flag_complex`
+# emits once and records each projection's pick list, and `truncate` writes
+# the columns of its cutoff maps that the cone contraction fixes.  The
+# references: `_ref_kan_pushforward` and `_ref_flag_complex`, which share
+# no code with them, and `solve_many` on every column, which is how every
+# truncated map was computed before.
 
-@st.composite
-def _selections(draw):
-    # r with a lone 1 per row, or a near miss: a 2, a second entry or a
-    # zero row; m random
-    n_src = draw(st.integers(1, 5))
-    n_rows = draw(st.integers(0, 5))
-    pick = [draw(st.integers(0, n_src - 1)) for _ in range(n_rows)]
-    ent = {(i, j): 1 for i, j in enumerate(pick)}
-    kinds = ["select"]
-    if n_rows:
-        kinds += ["two", "zero"] + (["second"] if n_src > 1 else [])
-    kind = draw(st.sampled_from(kinds))
-    if kind != "select":
-        i = draw(st.integers(0, n_rows - 1))
-        if kind == "two":
-            ent[(i, pick[i])] = 2
-        elif kind == "second":
-            ent[(i, (pick[i] + 1) % n_src)] = draw(st.sampled_from([1, -1]))
-        else:
-            del ent[(i, pick[i])]
-    r = ExactMatrix(n_rows, n_src, ent)
-    cols = draw(st.integers(0, 4))
-    m = ExactMatrix(n_src, cols, {
-        (i, j): draw(st.integers(-2, 2)) for i in range(n_src)
-        for j in range(cols)})
-    return r, m, kind == "select"
+_pushforward_cases = st.one_of(_built_pushforwards(),
+                               _pushforwards_with_least_cells())
 
 
-@given(_selections())
-def test_row_selection_matches_the_product(case):
-    from strat_ic.linalg import _rows
-    r, m, select = case
-    pick = sheaves._row_selection(r)
-    assert (pick is not None) == select
-    if pick is not None:
-        got = sheaves._rows_at(_rows(m), pick, m.cols)
-        assert got == r * m
-        assert_normalized(got)
+@given(_pushforward_cases)
+@settings(max_examples=30, deadline=None)
+def test_arrow_emitted_pushforward_matches_references(case):
+    push, _k, (F, cmap, through) = case
+    if push is F:
+        return      # along the identity the pushforward is the sheaf itself
+    _assert_same_total(_flag_total(F, list(cmap)),
+                       _ref_flag_complex(F, list(cmap)))
+    ref = _ref_kan_pushforward(F, cmap, push.space)
+    if through is None:
+        _assert_same_pushforward(push, ref)
+    else:
+        _assert_brutal_truncation(push, ref, through)
+    for cover, mats in push.restrictions.items():
+        assert set(push.projections[cover]) == set(mats)
+        for q, m in mats.items():
+            pick = push.projections[cover][q]
+            assert m == ExactMatrix(m.rows, m.cols, dict.fromkeys(
+                enumerate(pick), 1)), (cover, q)
+
+
+def _assert_maps_match_solve_many(push, k, G):
+    # every map of G at the cutoff is the one solve_many finds for it, on
+    # every column, and every recorded unit row is one
+    for c, cx in push.stalks.items():
+        inc = G.inclusions[c]
+        if inc.unit_rows is not None:
+            _assert_unit_rows(inc)
+        if k - 1 in G.stalks[c].dims and k in G.stalks[c].dims:
+            assert G.stalks[c].diff(k - 1) == solve_many(
+                inc.basis, cx.diff(k - 1)), c
+    for (a, b), mats in G.restrictions.items():
+        if k in mats:
+            want = push.restriction(a, b, k) * G.inclusions[a].basis
+            assert mats[k] == solve_many(G.inclusions[b].basis, want), (a, b)
+
+
+@given(_pushforward_cases)
+@settings(max_examples=30, deadline=None)
+def test_truncated_maps_match_solve_many(case):
+    push, k, _src = case
+    _assert_maps_match_solve_many(push, k, truncate(push, k))
+
+
+@pytest.mark.parametrize("name", ["cone-s2", "cone-t2", "cone-genus2",
+                                  "suspension-s2", "suspension-t2",
+                                  "cone-cone-s1", "cone-product:s1,s1"])
+@pytest.mark.parametrize("perversity", ["lower-middle", "upper-middle"])
+def test_ladder_maps_match_solve_many(name, perversity):
+    # every step of the ih ladder on the benchmark's spaces
+    from strat_ic.ic import Perversity
+    s, perv = get_example(name), Perversity.named(perversity)
+    F = constant_sheaf(s)
+    for p in sorted(s.singular_levels(), reverse=True):
+        cut = perv(s.top - p)
+        push = derived_pushforward(F, s.filtration_stage(p), through=cut + 1)
+        F = truncate(push, cut)
+        _assert_maps_match_solve_many(push, cut, F)
 
 
 @pytest.mark.parametrize("case", [_cone_t2_case, _cone_cone_s1_case,
                                   _torsion_case, _s1_collapse_case])
-def test_truncate_by_row_selection_matches_full_products(case, monkeypatch):
+def test_truncate_by_projections_matches_full_products(case, monkeypatch):
+    # without the recorded pick lists every map at the cutoff is solved
+    # for on every column of r B_a, the product
     push = case()(None)
     degrees = sorted({k for lay in push.stalk_layouts.values() for k in lay})
     for k in degrees[:-1]:
         fast = truncate(push, k)
         with monkeypatch.context() as patched:
-            patched.setattr(sheaves, "_row_selection", lambda r: None)
+            patched.setattr(push, "projections", None)
             slow = truncate(push, k)
         assert fast.restrictions == slow.restrictions, k
         assert all(fast.stalks[c].diffs == slow.stalks[c].diffs
                    for c in push.stalks), k
+
+
+def _read_columns(push, k, G):
+    # the columns the truncation of `push` at k is proved not to fix, by
+    # brute force over the layouts: at a contraction stalk, the columns of
+    # d^(k-1) at flags with bottom s; along a cover of two contraction
+    # stalks, iota and the A-columns of a at flags of b with bottom s_b;
+    # elsewhere every column
+    calls = []
+    for c, cx in push.stalks.items():
+        s, lay = push.least_cells[c], push.stalk_layouts[c]
+        if k - 1 not in G.stalks[c].dims or k not in G.stalks[c].dims:
+            continue
+        n = (sum(b[3] for b in lay.get(k - 1, ()) if b[0][0] == s)
+             if s is not None else cx.dim(k - 1))
+        calls.append(n)
+    for (a, b), mats in push.restrictions.items():
+        if k not in mats:
+            continue
+        sa, sb = push.least_cells[a], push.least_cells[b]
+        cols = G.inclusions[a].basis.cols
+        if sa is None or sb is None:
+            calls.append(cols)
+            continue
+        a_blocks = [blk for blk in push.stalk_layouts[a].get(k - 1, ())
+                    if blk[0][0] != sa]
+        held = {(f, q) for f, q, _o, _s in push.stalk_layouts[b].get(k - 1,
+                                                                     ())}
+        calls.append(cols - sum(blk[3] for blk in a_blocks)
+                     + sum(blk[3] for blk in a_blocks
+                           if (blk[0], blk[1]) in held and blk[0][0] == sb))
+    return sorted(n for n in calls if n)
+
+
+def test_truncate_solves_only_the_columns_not_fixed(monkeypatch):
+    # the pushforward builds no identity matrix, and solve_columns sees
+    # exactly the columns the construction leaves open: on suspension-t2
+    # cut at 1, a small part of them
+    s = get_example("suspension-t2")
+    F = constant_sheaf(s, 1)
+
+    def no_identity(n):
+        raise AssertionError("identity built")
+    with monkeypatch.context() as patched:
+        patched.setattr(ExactMatrix, "identity", no_identity)
+        push = derived_pushforward(F, s.filtration_stage(0), through=2)
+    seen = []
+    real = sheaves.solve_columns
+
+    def counted(inc, target):
+        seen.append((inc.least is not None, target.cols))
+        return real(inc, target)
+    monkeypatch.setattr(sheaves, "solve_columns", counted)
+    G = truncate(push, 1)
+    assert sorted(n for _c, n in seen) == _read_columns(push, 1, G)
+    # against contraction bases, a quarter of the columns of X and Y
+    contracted = [c for c, s in push.least_cells.items() if s is not None]
+    total = (sum(push.stalks[c].dim(0) for c in contracted)
+             + sum(G.inclusions[a].basis.cols for (a, b) in push.restrictions
+                   if b in contracted))
+    read = sum(n for contraction, n in seen if contraction)
+    assert 0 < 4 * read < total
+
+
+# the certificates the pushforward and the truncation keep, each broken
+# once: a non-monotone map, an arrow of the wrong shape in an open-set flag
+# complex, a corrupted projection, a corrupted column that is read, a
+# cover whose fibers are not nested when its cutoff map walks them, and a
+# component outside the top truncation in a pairing
+_KEPT_CERTIFICATES = "\n".join([
+    "from strat_ic import duality, ic, sheaves",
+    "from strat_ic.examples import get_example",
+    "from strat_ic.linalg import (CertificateError, CochainComplex,",
+    "                             ExactMatrix, solve)",
+    "def attempt(label, call):",
+    "    try:",
+    "        call()",
+    "        print(label, 'accepted')",
+    "    except (sheaves.SheafError, CertificateError) as e:",
+    "        print(label, type(e).__name__, e)",
+    "s1 = get_example('s1')",
+    "F = sheaves.constant_sheaf(s1, 1)",
+    "cmap = {c: c for c in s1.complex.cells}",
+    "cmap[(0,)], cmap[(0, 1)] = (0, 1), (0,)",
+    "attempt('monotone', lambda: sheaves.kan_pushforward(F, cmap, s1))",
+    "wide = {0: ExactMatrix(2, 1, {(0, 0): 1, (1, 0): 1})}",
+    "raw = sheaves.SheafComplex(s1, F.stalks,",
+    "                           {**F.restrictions, ((0,), (0, 1)): wide},",
+    "                           check=False)",
+    "attempt('shape', lambda: sheaves.sheaf_cohomology(",
+    "    raw, open_cells=s1.complex.cells))",
+    "s = get_example('cone-t2')",
+    "push = sheaves.derived_pushforward(sheaves.constant_sheaf(s, 1),",
+    "                                   s.filtration_stage(0), through=2)",
+    "picks = dict(push.projections)",
+    "cover = ((0,), (0, 1))",
+    "picks[cover] = {q: p[1:] + p[:1] for q, p in picks[cover].items()}",
+    "push.projections = picks",
+    "attempt('projection', lambda: sheaves.truncate(push, 1))",
+    "push = sheaves.derived_pushforward(sheaves.constant_sheaf(s, 1),",
+    "                                   s.filtration_stage(0), through=2)",
+    "t = (0,)",
+    "cx = push.stalks[t]",
+    "m = cx.diff(0)",
+    "bottom = next(off for f, q, off, _ in push.stalk_layouts[t][0]",
+    "              if f == (t,))",
+    "ent = dict(m.entries)",
+    "i = min(i for i, j in ent if j == bottom)",
+    "ent[(i, bottom)] = ent[(i, bottom)] + 1 or 1",
+    "push.stalks[t] = CochainComplex(",
+    "    cx.dims, {**cx.diffs, 0: ExactMatrix(m.rows, m.cols, ent)},",
+    "    check=False)",
+    "attempt('read column', lambda: sheaves.truncate(push, 1))",
+    "push = sheaves.derived_pushforward(sheaves.constant_sheaf(s, 1),",
+    "                                   s.filtration_stage(0), through=2)",
+    "bases = sheaves.truncate(push, 1).inclusions",
+    "a, b = cover",
+    "layouts = dict(push.stalk_layouts)",
+    "layouts[a] = {0: [blk for blk in layouts[a][0]",
+    "                  if blk[:2] != push.stalk_layouts[b][0][-1][:2]]}",
+    "push.stalk_layouts = layouts",
+    "attempt('nested',",
+    "        lambda: sheaves._cutoff_map(push, cover, 1, bases, {}))",
+    "res = ic.deligne_construction(get_example('suspension-s1'),",
+    "                              ic.Perversity.lower_middle())",
+    "context = duality.PairingContext(res, res)",
+    "amb, T, n = context.ambient, context.top, context.n",
+    "def unit(n, i):",
+    "    return [int(j == i) for j in range(n)]",
+    "k, z = next((k, unit(amb.dim(k), off + i))",
+    "            for k, blocks in sorted(amb.layout.items())",
+    "            for c, q, off, size in blocks if q == T.cutoff",
+    "            for i in range(size)",
+    "            if solve(T.inclusions[c].basis, unit(size, i)) is None)",
+    "attempt('project', lambda: context.project_into(z, k))",
+])
+
+
+def test_kept_certificates_raise_under_optimize():
+    outs = []
+    for optimize in (False, True):
+        proc = run_python("-c", _KEPT_CERTIFICATES, optimize=optimize)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout.splitlines())
+    assert outs[0] == outs[1]
+    assert outs[0] == [
+        "monotone SheafError cell map is not monotone: the fiber over (1,) "
+        "is not an up-set",
+        "shape CertificateError arrow (((0,),), 0) -> (((0,), (0, 1)), 0) "
+        "has shape (2, 1), not its block's (1, 1)",
+        "projection SheafError vector outside the chosen subspace",
+        "read column SheafError vector outside the chosen subspace",
+        "nested SheafError the fiber over (0, 1) is not inside the fiber "
+        "over its face (0,)",
+        "project CertificateError component outside the truncated subspace "
+        "at (0,)"]
 
 
 # -- one d o d rule for every total complex ----------------------------------
