@@ -455,10 +455,6 @@ def cmd_ih(config):
     space, digest = _resolve_space(config)
     bundle = ReportBundle("ih", digest)
     perv = _perversity(config.perversity)
-    # perversities are indexed by codimension >= 2
-    _expect(all(space.top - p >= 2 for p in space.singular_levels()),
-            "ih needs every singular stratum in codimension 2 or more",
-            "/filtration" if config.input_path else "/example")
     res = ic.deligne_construction(space, perv)
     bundle.add("ih-dims", list(res.betti()))
     cert = ic.verify_support_conditions(res)
@@ -500,10 +496,11 @@ def cmd_kunneth(config):
         raise BadInput("kunneth needs --example product:<id>,<id>",
                        "/example")
     left, right = (_example(name) for name in names)
-    _expect(config.mode in duality.KUNNETH_MODES, "mode %r not one of %s"
-            % (config.mode, ", ".join(duality.KUNNETH_MODES)), "/mode")
     bundle = ReportBundle("kunneth", _digest(config))
-    rep = duality.kunneth(left, right, mode=config.mode)
+    try:
+        rep = duality.kunneth(left, right, mode=config.mode)
+    except duality.ModeMismatch as e:
+        raise BadInput(str(e), "/mode") from None
     bundle.add("product", rep.lhs)
     bundle.add("prediction", rep.rhs, source="oracle", verdict=rep.match)
     if rep.detail:
@@ -1046,11 +1043,21 @@ def _parser():
     return p
 
 
+def _run(config):
+    """The command's report; a perversity asked for at a stratum of
+    codimension below 2 is a fault of the given space."""
+    try:
+        return _COMMANDS[config.command](config)
+    except ic.LowCodimension as e:
+        raise BadInput(str(e), "/filtration" if config.input_path
+                       else "/example") from None
+
+
 def main(argv=None):
     config = RunConfig(**vars(_parser().parse_args(argv)))
     try:
         config.validate()
-        bundle = _COMMANDS[config.command](config)
+        bundle = _run(config)
     except (BadInput, duality.DualityError, ic.ICError,
             spaces.StratificationError, sheaves.SheafError) as e:
         sys.stderr.write("error: %s\n" % e)

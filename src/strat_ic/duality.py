@@ -10,7 +10,7 @@ intersection sheaves, Kunneth comparisons, and intersection numbers.
 from fractions import Fraction
 
 from .linalg import (CertificateError, ExactMatrix, FGAbelianGroup, _echelon,
-                     _mul_rows, _rows, rank, solve, solve_many)
+                     _mul_rows, _rows, rank, solve)
 from . import spaces
 from . import sheaves
 
@@ -492,16 +492,13 @@ class PairingContext:
                 for i, v in enumerate(part):
                     out[off + i] = v
             else:
-                # read off the basis's unit rows, one product checks it
-                inc = T.inclusions[cell]
-                x = solve_many(inc.basis, ExactMatrix(rsize, 1, {
-                    (i, 0): v for i, v in enumerate(part)}), inc.unit_rows)
-                if x is None:
+                coords = solve(T.inclusions[cell].basis, part)
+                if coords is None:
                     raise CertificateError(
                         "component outside the truncated subspace at %r"
                         % (cell,))
-                for (i, _j), v in x.entries.items():
-                    out[off + i] = Fraction(v)
+                for i, v in enumerate(coords):
+                    out[off + i] = v
         # anything in the ambient complex outside the window must be gone
         covered = {(c, q) for c, q, _o, _s in layT.get(degree, ())}
         for cell, q, off, size in amb.layout.get(degree, ()):
@@ -641,9 +638,6 @@ def integral_prediction(ga, gb, width):
     return out
 
 
-KUNNETH_MODES = ("rational", "integral", "stratumwise")
-
-
 def kunneth(left, right, mode="rational"):
     """Product comparison in one of three modes.
 
@@ -653,9 +647,9 @@ def kunneth(left, right, mode="rational"):
     factor table convolutions, with closed product strata recomputed
     directly as a cross-check.
     """
-    if mode not in KUNNETH_MODES:
-        raise ModeMismatch("mode %r not one of %s"
-                           % (mode, ", ".join(KUNNETH_MODES)))
+    if mode not in ("rational", "integral", "stratumwise"):
+        raise ModeMismatch(
+            "mode %r not one of rational, integral, stratumwise" % (mode,))
     prod = spaces.product(left, right)
     width = prod.dim + 1
     if mode == "rational":

@@ -32,6 +32,11 @@ class EmptyRegularPart(ICError):
     pass
 
 
+class LowCodimension(ICError):
+    """A perversity value asked for below codimension 2: the space has a
+    singular stratum of codimension 0 or 1."""
+
+
 class FormDegenerate(ICError):
     pass
 
@@ -72,7 +77,8 @@ class Perversity:
     def __call__(self, codim):
         c = int(codim)
         if c < 2:
-            raise ICError("perversities are indexed by codimension >= 2")
+            raise LowCodimension("perversities are indexed by codimension "
+                                 ">= 2, not %d" % c)
         return int(self.rule(c))
 
     def check_growth(self, max_codim):

@@ -27,9 +27,9 @@ Row elimination happens in exactly three routines:
   sparse matrix whose columns are the basis; it is the identity on the
   rows of the free columns, so `solve_many` against it, or against any
   matrix with such rows, reads the answer off those rows and certifies it
-  with one exact product instead of eliminating.  It works fraction-free
-  (after Bareiss, Math. Comp. 1968) on integer rows with a column -> rows
-  index; see `_eliminate`.
+  with one exact product on the other rows instead of eliminating.  It
+  works fraction-free (after Bareiss, Math. Comp. 1968) on integer rows
+  with a column -> rows index; see `_eliminate`.
 - `_reduce_units` cancels every pair of cells joined by a +-1 incidence
   from a cochain complex, on row dicts with a column -> rows index through
   `_axpy` (see `_cancel`).  The remainder has the same cohomology over Z,
@@ -192,30 +192,16 @@ class ExactMatrix:
             if self.cols != other.rows:
                 raise ValueError("cannot multiply shapes %r and %r"
                                  % (self.shape, other.shape))
-            # group the entries of the factor with fewer of them by the
-            # shared index, then walk the other factor's entries once
+            # group left entries by column to walk the sparse product once
+            by_col = {}
+            for (i, j), v in self.entries.items():
+                by_col.setdefault(j, []).append((i, v))
             ent = {}
-            if len(other.entries) < len(self.entries):
-                by_row = {}
-                for (j, k), w in other.entries.items():
-                    by_row.setdefault(j, []).append((k, w))
-                for (i, j), v in self.entries.items():
-                    for k, w in by_row.get(j, ()):
-                        key = (i, k)
-                        ent[key] = ent.get(key, 0) + v * w
-            else:
-                by_col = {}
-                for (i, j), v in self.entries.items():
-                    by_col.setdefault(j, []).append((i, v))
-                for (j, k), w in other.entries.items():
-                    for i, v in by_col.get(j, ()):
-                        key = (i, k)
-                        ent[key] = ent.get(key, 0) + v * w
-            # sums of normalized entries: only zeros and integral
-            # Fractions need normalizing, and every position is in shape
-            return ExactMatrix._of(self.rows, other.cols, {
-                key: v.numerator if type(v) is Fraction and v.denominator == 1
-                else v for key, v in ent.items() if v})
+            for (j, k), w in other.entries.items():
+                for i, v in by_col.get(j, ()):
+                    key = (i, k)
+                    ent[key] = ent.get(key, 0) + v * w
+            return ExactMatrix(self.rows, other.cols, ent)
         return self.scale(other)
 
     def apply(self, vec):
@@ -349,9 +335,7 @@ def kernel_basis(m):
     Free columns are parametrized in increasing index order; basis column t
     belongs to the t-th free column f and has a 1 in row f.  That row has no
     other nonzero, so the basis is the identity on the free rows (see
-    `solve_many`).  Its other nonzeros sit on pivot rows p < f (a pivot row
-    of the RREF is zero left of its pivot), so row f is the last nonzero
-    of column t.
+    `solve_many`).
 
     A zero matrix has every column free, so its basis is the identity,
     with no elimination.
@@ -375,18 +359,16 @@ def kernel_basis(m):
     return ExactMatrix._of(m.cols, len(free), ent)
 
 
-def solve_many(m, targets, unit_rows=None):
+def solve_many(m, targets):
     """Matrix X with m * X == targets, or None if some column is inconsistent.
 
     When every column j of m has a row whose only nonzero is a 1 at j, as
     every `kernel_basis` result does, row j of X is forced to be the
-    targets' row there: one such row per column is read off, and the
-    exact product m * X == targets is checked (if it fails, nothing
-    solves).  Such columns are independent, so the answer is unique.  A
-    caller that built m with such rows passes them as `unit_rows` (column
-    j -> its row), and m is not scanned for them; the product covers the
-    rows read off too, so a row that is not a unit row makes the check
-    fail instead of the answer wrong.
+    targets' row there: one such row per column is read off.  On a row
+    read off, m * X is the row of X it was copied to, so that row of
+    m * X == targets holds by construction; the exact product is checked
+    on every other row, which is the whole check (if it fails, nothing
+    solves).  Such columns are independent, so the answer is unique.
     Otherwise one elimination of [m | targets]: a column lies in the span
     of m exactly when no pivot lands in the target block; free variables
     are set to zero, so X is read off the pivot rows, and the full product
@@ -405,21 +387,24 @@ def solve_many(m, targets, unit_rows=None):
     if targets.rows != m.rows:
         raise ValueError("targets of shape %r for a matrix of shape %r"
                          % (targets.shape, m.shape))
-    if unit_rows is None:
-        count = Counter(i for i, _j in m.entries)
-        read = {}   # column -> the unit row its row of X is read off
-        for (i, j), v in m.entries.items():
-            if v == 1 and count[i] == 1:
-                read.setdefault(j, i)
-        if len(read) == m.cols:
-            unit_rows = [read[j] for j in range(m.cols)]
-    if unit_rows is not None:
-        col_of = {i: j for j, i in enumerate(unit_rows)}
+    count = Counter(i for i, _j in m.entries)
+    read = {}   # column -> the unit row its row of X is read off
+    for (i, j), v in m.entries.items():
+        if v == 1 and count[i] == 1:
+            read.setdefault(j, i)
+    if len(read) == m.cols:
+        col_of = {i: j for j, i in read.items()}
         x = ExactMatrix._of(m.cols, targets.cols,
                             {(col_of[i], c): v
                              for (i, c), v in targets.entries.items()
                              if i in col_of})
-        return x if m * x == targets else None
+        rest = ExactMatrix._of(m.rows, m.cols,
+                               {ij: v for ij, v in m.entries.items()
+                                if ij[0] not in col_of})
+        want = ExactMatrix._of(targets.rows, targets.cols,
+                               {ic: v for ic, v in targets.entries.items()
+                                if ic[0] not in col_of})
+        return x if rest * x == want else None
     r, pivot_cols = rref(m.stack_cols(targets))
     if pivot_cols and pivot_cols[-1] >= m.cols:
         return None

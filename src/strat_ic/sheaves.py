@@ -16,11 +16,11 @@ size, without it:
   it, and every fiber is nested in the fibers of its faces, so the
   projections, recorded as pick lists, are chain maps and compose.
 - `truncate`, of a certified sheaf: its maps below the cutoff, and at the
-  cutoff maps through injective bases with a recorded unit row per
-  column.  On a fiber with a least cell the basis is the cone
+  cutoff maps through injective bases, each column with a row where it
+  holds a lone 1.  On a fiber with a least cell the basis is the cone
   contraction's, and the columns the contraction fixes (unit or zero) are
-  written, not solved for; every other column is read off the unit rows
-  and checked by one exact product.  It works cell by cell and cover by
+  written, not solved for; every other column is read off those rows and
+  checked by one exact product.  It works cell by cell and cover by
   cover, so `plain_truncation` turns a truncation onto caller subspaces
   into the plain one by recomputing only the cells that took a subspace
   and the covers that touch them.
@@ -37,15 +37,15 @@ by `spaces.facets`, so D o D = 0 on those of a certified sheaf (Curry,
 zero, a chain map cancels against the twist (-1)^dim of the stalk
 differentials, and the two paths around a codimension-2 face carry one
 composite with opposite signs.  Only for other sheaves is it multiplied
-out, at every size (`_assemble_total`, `_total_complex`).  Pushforwards
-take the pointwise homotopy Kan extension: every stalk of the image is a
-flag complex over the source cells sitting above the target cell, and
-every restriction is a flag projection, which makes functoriality strict
-instead of up-to-homotopy.  Those cells form an up-set, so every stalk is a slice of
-one flag complex over all mapped cells.  A canonical truncation at k reads
-stalks only in degrees up to k + 1, so a pushforward that feeds one is
-assembled only through that degree (its brutal truncation: the same
-blocks in every degree it keeps).
+out, at every size (`_total_complex`, which assembles both from their
+arrows).  Pushforwards take the pointwise homotopy Kan extension: every
+stalk of the image is a flag complex over the source cells sitting above
+the target cell, and every restriction is a flag projection, which makes
+functoriality strict instead of up-to-homotopy.  Those cells form an
+up-set, so every stalk is a slice of one flag complex over all mapped
+cells.  A canonical truncation at k reads stalks only in degrees up to
+k + 1, so a pushforward that feeds one is assembled only through that
+degree (its brutal truncation: the same blocks in every degree it keeps).
 """
 
 from __future__ import annotations
@@ -71,15 +71,15 @@ class NotOpenComplement(SheafError):
     pass
 
 
-def solve_columns(inc, target):
-    """Matrix Y with inc.basis * Y == target, for an `Inclusion`: read off
-    its unit rows and checked by one exact product, or from one
-    elimination of both when none are recorded (`solve_many`).
+def solve_columns(basis, target):
+    """Matrix Y with basis * Y == target (`solve_many`): read off the
+    basis's unit rows and checked by one exact product when every column
+    has one, else from one elimination of both.
 
     Raises SheafError when some column is not in the span: the caller picked
     a subspace that is not stable under the maps being expressed.
     """
-    y = solve_many(inc.basis, target, inc.unit_rows)
+    y = solve_many(basis, target)
     if y is None:
         raise SheafError("vector outside the chosen subspace")
     return y
@@ -163,14 +163,7 @@ class SheafComplex:
                     raise SheafError("no face path %r -> %r" % (a, b))
                 outer = self._cover_matrix(mid, b, q)
                 inner = self.restriction(a, mid, q)
-                # an identity factor (every restriction of a constant
-                # sheaf) leaves the other one
-                if outer.cols == inner.rows and _is_identity(outer):
-                    self._composed[key] = inner
-                elif outer.cols == inner.rows and _is_identity(inner):
-                    self._composed[key] = outer
-                else:
-                    self._composed[key] = outer * inner
+                self._composed[key] = outer * inner
         return self._composed[key]
 
     def validate(self):
@@ -220,12 +213,6 @@ class SheafComplex:
             len(self.stalks), list(self.degrees()), self.total_dimension())
 
 
-def _is_identity(m):
-    """Whether m is an identity matrix."""
-    return (m.rows == m.cols == len(m.entries)
-            and all(m.entries.get((i, i)) == 1 for i in range(m.rows)))
-
-
 # -- constructors ----------------------------------------------------------
 
 def constant_sheaf(space, coefficient=1):
@@ -252,15 +239,38 @@ def incidence_complex(sheaf):
     hypercohomology of the whole (compact) complex.
 
     Returns (complex, layout) where layout[k] is a list of blocks
-    (cell, stalk_degree, offset, size).
+    (cell, stalk_degree, offset, size).  The arrows into each block are
+    gathered as `flag_complex` gathers them, with the same shape check,
+    and `_total_complex` assembles them.
     """
-    layout = incidence_layout(sheaf)
-
-    def into(c, q):
-        yield c, (-1) ** (len(c) - 1), sheaf.stalks[c].diff(q - 1), q - 1
-        for (sig, sign) in facets(c):
-            yield sig, sign, sheaf.restriction(sig, c, q), q
-    return _assemble_total(layout, into, sheaf.certified), layout
+    cells = sheaf.space.complex.cells
+    index = sheaf.space.complex.cell_index
+    sizes = _stalk_sizes(sheaf, cells)
+    layout, place = _layout(cells, lambda c: len(c) - 1, sizes)
+    arrows = {k: [] for k in layout if k - 1 in layout}
+    for n, c in enumerate(cells):
+        twist = -1 if len(c) % 2 == 0 else 1
+        for q, size in sizes[c]:
+            out = arrows.get(len(c) - 1 + q)
+            if out is None:
+                continue
+            below, mats = layout[len(c) - 2 + q], []
+            d = sheaf.stalks[c].diffs.get(q - 1)
+            spot = place.get((n, q - 1))
+            if d is not None and spot is not None:
+                if d.rows != size or d.cols != spot[1]:
+                    _misfit(d, size, spot, below, (c, q))
+                mats.append((spot[0], twist, d))
+            for sig, sign in facets(c):
+                spot = place.get((index[sig], q))
+                if spot is not None:
+                    r = sheaf.restriction(sig, c, q)
+                    if r.rows != size or r.cols != spot[1]:
+                        _misfit(r, size, spot, below, (c, q))
+                    if r.entries:
+                        mats.append((spot[0], sign, r))
+            out.append((mats, ()))
+    return _total_complex(layout, arrows, sheaf.certified), layout
 
 
 def incidence_layout(sheaf):
@@ -317,46 +327,6 @@ def _layout_dims(layout):
             for k in range(min(layout), max(layout) + 1)}
 
 
-def _assemble_total(layout, into, certified):
-    """Total complex whose block (key, q) receives the arrows into(key, q).
-
-    `into` yields (source key, sign +-1, matrix, source stalk degree);
-    arrows from blocks absent from the layout (dimension zero) are skipped,
-    and every other arrow must have the shape of its (target, source)
-    block (CertificateError).  d o d = 0 holds by construction on the
-    total complexes of a `certified` sheaf (see the module docstring), so
-    it is multiplied out, at every size, only for an uncertified one.  The
-    result is `certified` either way.
-    """
-    if not layout:
-        return CochainComplex({0: 0}, {})
-    dims = _layout_dims(layout)
-    index = _block_index(layout)
-    diffs = {}
-    for k in dims:
-        if k + 1 not in dims:
-            continue
-        ent = {}
-        for (key, q, toff, size) in layout.get(k + 1, ()):
-            for (src, sign, mat, sq) in into(key, q):
-                spot = index.get((src, sq))
-                if spot is None:
-                    continue
-                _, soff, ssize = spot
-                if mat.rows != size or mat.cols != ssize:
-                    raise CertificateError(
-                        "arrow %r -> %r has shape %r, not its block's %r"
-                        % ((src, sq), (key, q), mat.shape, (size, ssize)))
-                for (i, j), v in mat.entries.items():
-                    ent[(toff + i, soff + j)] = v if sign > 0 else -v
-        # each arrow fills its own block, so entries arrive normalized and
-        # are written once
-        diffs[k] = ExactMatrix._of(dims[k + 1], dims[k], ent)
-    out = CochainComplex(dims, diffs, check=not certified)
-    out.certified = True
-    return out
-
-
 def _misfit(mat, size, spot, below, target):
     """Refuse the arrow `mat` from the block at `spot` = (place, size) in
     the blocks `below`, which does not have the shape of its (target,
@@ -367,7 +337,7 @@ def _misfit(mat, size, spot, below, target):
 
 
 def _arrow_entries(targets, into, sources, sizes, shape):
-    """Entries of one differential of a flag complex, from its arrows into
+    """Entries of one differential of a total complex, from its arrows into
     degree k (into = arrows[k], see `flag_complex`): `targets` yields (n,
     offset) for the target blocks, n their place in the degree, sources[m]
     is the offset of the m-th block of degree k - 1, sizes[n] the size of
@@ -391,8 +361,8 @@ def _arrow_entries(targets, into, sources, sizes, shape):
 
 
 def _total_complex(layout, arrows, certified):
-    """The flag complex with `layout` and `arrows` (see `flag_complex`),
-    assembled.
+    """The total complex with `layout` and `arrows` (see `flag_complex`;
+    `incidence_complex` gathers its arrows the same way), assembled.
 
     d o d = 0 holds by construction on the total complexes of a
     `certified` sheaf (see the module docstring), so it is multiplied out,
@@ -840,12 +810,11 @@ def truncate(sheaf, degree, subspaces=None):
       one-cell flag (c) the restriction r(s, c) z, read off as minus the
       ((s, c), k) block of d^k(z on (s)).  Its unit rows are z's, on (s),
       where the A-columns vanish; iota vanishes on the partner rows.
-    So every basis column has a unit row, where it holds a lone 1; so does
-    every `kernel_basis` column, on its free row (its last nonzero).  The
-    truncation records them with each basis (`Inclusion`), and every
-    solve against such a basis reads its answer off them and checks it
-    with one exact product (`solve_columns`); a caller subspace has none
-    recorded and is solved by `solve_many`.
+    So every basis column has a unit row, where it holds a lone 1, as
+    every `kernel_basis` column does on its free row, and every solve
+    against such a basis reads its answer off them and checks it with one
+    exact product (`solve_many`); a caller subspace may have none, and is
+    then solved by one elimination.
 
     Maps fixed by construction.  Below k the maps are the input's.  At k
     the truncation needs X with B X = d^(k-1) at each cell, B its basis,
@@ -944,12 +913,11 @@ def plain_truncation(G):
     return _truncation(R, k, stalks, restrictions, bases, frozenset())
 
 
-class Inclusion(namedtuple("Inclusion", "basis unit_rows least")):
+class Inclusion(namedtuple("Inclusion", "basis least")):
     """How the cutoff degree of a truncation embeds into the stalk it was
     cut from.  The columns of `basis` are the kept cocycles, in stalk
-    coordinates.  `unit_rows[j]` is a row where column j holds a lone 1,
-    or `unit_rows` is None (a caller subspace).  `least` is the fiber's
-    least cell when the basis is the cone contraction's, else None."""
+    coordinates.  `least` is the fiber's least cell when the basis is the
+    cone contraction's, else None."""
 
     __slots__ = ()
 
@@ -962,12 +930,11 @@ def _truncated_stalk(sheaf, c, k, subspace=None):
     least = sheaf.least_cells.get(c)
     x = None     # d^(k-1) in the basis, when the contraction writes it
     if subspace is not None:
-        inc = Inclusion(subspace, None, None)
+        inc = Inclusion(subspace, None)
     elif least is not None:
         inc, x = _cone_kernel(cx, sheaf.stalk_layouts[c], least, k)
     else:
-        kb = kernel_basis(cx.diff(k))
-        inc = Inclusion(kb, _last_rows(kb), None)
+        inc = Inclusion(kernel_basis(cx.diff(k)), None)
     dims = {q: cx.dim(q) if q < k else inc.basis.cols
             for q in cx.degrees() if q <= k}
     diffs = {}
@@ -978,7 +945,7 @@ def _truncated_stalk(sheaf, c, k, subspace=None):
             diffs[q] = cx.diff(q)
         else:
             # express d^{k-1} in the subspace basis
-            diffs[q] = x if x is not None else solve_columns(inc, cx.diff(q))
+            diffs[q] = x if x is not None else solve_columns(inc.basis, cx.diff(q))
     if not dims:
         dims = {k: 0}
     return inc, CochainComplex(dims, diffs, check=False)
@@ -1005,7 +972,7 @@ def _cutoff_map(sheaf, cover, k, bases, basis_rows):
     a, b = cover
     A, B = bases[a], bases[b]
     if sheaf.projections is None:
-        return solve_columns(B, sheaf.restriction(a, b, k) * A.basis)
+        return solve_columns(B.basis, sheaf.restriction(a, b, k) * A.basis)
     ent, read = {}, []
     if A.least is None or B.least is None:
         read = range(A.basis.cols)
@@ -1033,7 +1000,7 @@ def _cutoff_map(sheaf, cover, k, bases, basis_rows):
             basis_rows[a] = _rows(A.basis)
         rows, col = basis_rows[a], {j: n for n, j in enumerate(read)}
         pick = sheaf.projections[cover][k]
-        y = solve_columns(B, ExactMatrix._of(len(pick), len(read), {
+        y = solve_columns(B.basis, ExactMatrix._of(len(pick), len(read), {
             (i, col[j]): v for i, p in enumerate(pick)
             for j, v in rows[p].items() if j in col}))
         ent.update(((i, read[n]), v) for (i, n), v in y.entries.items())
@@ -1062,16 +1029,6 @@ def _bottom_block(layout, bottom, deg):
         if blk[0] == bottom:
             return blk
     return None
-
-
-def _last_rows(m):
-    """The last nonzero row of each column of m: for a `kernel_basis`
-    result, the column's unit row."""
-    last = [-1] * m.cols
-    for (i, j) in m.entries:
-        if i > last[j]:
-            last[j] = i
-    return last
 
 
 def _partners(layout, s, deg, k):
@@ -1106,9 +1063,9 @@ def _partners(layout, s, deg, k):
 def _cone_kernel(cx, layout, s, k):
     """(Inclusion, X) on the flag-complex stalk `cx` (with `layout`) of a
     fiber whose least cell is s: the basis of ker d^k made of the
-    A-columns of d^(k-1), then iota of the kernel of d_s, with its unit
-    rows, and X with basis * X == d^(k-1) (None when the stalk has no
-    degree k - 1 or k), certified as `truncate` says.  The partner blocks
+    A-columns of d^(k-1), then iota of the kernel of d_s, and X with
+    basis * X == d^(k-1) (None when the stalk has no degree k - 1 or k),
+    certified as `truncate` says.  The partner blocks
     come from one merge of the layout per degree (`_partners`), one pass
     over d^(k-1) sorts its entries into the A-columns and the columns to
     read, and d^k is read only when F_s has degree k."""
@@ -1117,11 +1074,10 @@ def _cone_kernel(cx, layout, s, k):
     ahead = _partners(layout, s, k, k)
     # each column of d^(k-1): its basis column p >= 0 at an A-flag, else
     # ~(its place among the columns to read)
-    where, unit, read = [0] * cx.dim(k - 1), [], []
-    for (_f, _q, off, size), (_g, _p, poff, _n) in pairs:
-        for x in range(size):
-            where[off + x] = len(unit)
-            unit.append(poff + x)
+    where, read, na = [0] * cx.dim(k - 1), [], 0
+    for (_f, _q, off, size), _mate in pairs:
+        where[off:off + size] = range(na, na + size)
+        na += size
     for (f, q, off, size) in layout.get(k - 1, ()):
         if f[0] == s:
             for x in range(size):
@@ -1134,7 +1090,7 @@ def _cone_kernel(cx, layout, s, k):
             ent[(i, p)] = v
         else:
             rest[(i, ~p)] = v
-    na = len(unit)
+    nz = 0
     spot = _bottom_block(layout, bottom, k)
     if spot is not None:
         off, size = spot[2:]
@@ -1152,7 +1108,6 @@ def _cone_kernel(cx, layout, s, k):
         z = kernel_basis(ExactMatrix._of(tsize, size, {
             (i - toff, j): v for j, col in on_s.items() for i, v in col
             if toff <= i < toff + tsize}))
-        unit.extend(off + i for i in _last_rows(z))
         zs, nz = {(off + i, t): v for (i, t), v in z.entries.items()}, z.cols
         # d^k(z on (s)) is -r(s, c) z on each ((s, c), k): move it to (c)
         back = {poff + x: coff + x
@@ -1169,11 +1124,12 @@ def _cone_kernel(cx, layout, s, k):
             raise CertificateError("a lifted kernel vector of the stalk over "
                                    "%r is not a cocycle" % (s,))
         ent.update(((i, na + t), v) for (i, t), v in zs.items())
-    inc = Inclusion(ExactMatrix._of(cx.dim(k), len(unit), ent), unit, s)
+    inc = Inclusion(ExactMatrix._of(cx.dim(k), na + nz, ent), s)
     if not cx.lo < k <= cx.hi:
         return inc, None    # the truncated stalk has no d^(k-1)
     x = {(p, j): 1 for j, p in enumerate(where) if p >= 0}
     if read:
-        y = solve_columns(inc, ExactMatrix._of(cx.dim(k), len(read), rest))
+        y = solve_columns(inc.basis, ExactMatrix._of(cx.dim(k), len(read),
+                                                     rest))
         x.update(((i, read[n]), v) for (i, n), v in y.entries.items())
-    return inc, ExactMatrix._of(len(unit), cx.dim(k - 1), x)
+    return inc, ExactMatrix._of(na + nz, cx.dim(k - 1), x)

@@ -442,8 +442,14 @@ BAD_INPUTS = [
     (["kunneth", "--example", "product:"], {}, "/example"),
     (["kunneth", "--example", "product:t2,s1", "--mode", "bogus"], {},
      "/mode"),
-    # the apex of a cone over a point has codimension 1
+    # the apex of a cone over a point has codimension 1, and so has the
+    # end of an interval stratified as its own stratum
     (["ih", "--example", "cone-point"], {}, "/example"),
+    (["derham", "--example", "cone-point"], {}, "/example"),
+    (["ih", "--input", "{space}"],
+     {"space": {"n_vertices": 2, "simplices": [[0, 1]],
+                "filtration": {"0": [[0]], "1": [[0, 1], [1]]}}},
+     "/filtration"),
     (["intersect", "--example", "s2", "--degree", "7"], {}, "/degree"),
     (["intersect", "--example", "s2", "--degree", "-1"], {}, "/degree"),
     (["intersect", "--example", "cone-s1"], {}, "/example"),

@@ -982,7 +982,7 @@ def test_cone_kernel_spans_the_kernel(case):
         s = push.least_cells[t]
         old = kernel_basis(cx.diff(k))
         inc = cut.inclusions[t]
-        _assert_unit_rows(inc)
+        _assert_unit_rows(inc.basis)
         if s is None:
             assert inc.basis == old and inc.least is None
             continue
@@ -996,12 +996,14 @@ def test_cone_kernel_spans_the_kernel(case):
                 == rank(old.stack_cols(new.basis)))
 
 
-def _assert_unit_rows(inc):
-    # row unit_rows[j] of the basis holds a lone 1, in column j
-    m, rows = inc.basis, inc.unit_rows
-    assert len(rows) == m.cols
-    for j, i in enumerate(rows):
-        assert {c: v for (r, c), v in m.entries.items() if r == i} == {j: 1}
+def _assert_unit_rows(m):
+    # every column of the basis has a row where it holds a lone 1, so
+    # solve_many reads its answers off those rows
+    rows = {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = v
+    assert {c for row in rows.values() for c, v in row.items()
+            if len(row) == 1 and v == 1} == set(range(m.cols))
 
 
 def test_derived_pushforward_least_cells_are_the_open_cells():
@@ -1161,11 +1163,10 @@ def test_arrow_emitted_pushforward_matches_references(case):
 
 def _assert_maps_match_solve_many(push, k, G):
     # every map of G at the cutoff is the one solve_many finds for it, on
-    # every column, and every recorded unit row is one
+    # every column, and every basis has a unit row per column
     for c, cx in push.stalks.items():
         inc = G.inclusions[c]
-        if inc.unit_rows is not None:
-            _assert_unit_rows(inc)
+        _assert_unit_rows(inc.basis)
         if k - 1 in G.stalks[c].dims and k in G.stalks[c].dims:
             assert G.stalks[c].diff(k - 1) == solve_many(
                 inc.basis, cx.diff(k - 1)), c
@@ -1262,18 +1263,19 @@ def test_truncate_solves_only_the_columns_not_fixed(monkeypatch):
     seen = []
     real = sheaves.solve_columns
 
-    def counted(inc, target):
-        seen.append((inc.least is not None, target.cols))
-        return real(inc, target)
+    def counted(basis, target):
+        seen.append((basis, target.cols))
+        return real(basis, target)
     monkeypatch.setattr(sheaves, "solve_columns", counted)
     G = truncate(push, 1)
     assert sorted(n for _c, n in seen) == _read_columns(push, 1, G)
     # against contraction bases, a quarter of the columns of X and Y
     contracted = [c for c, s in push.least_cells.items() if s is not None]
+    bases = {id(G.inclusions[c].basis) for c in contracted}
     total = (sum(push.stalks[c].dim(0) for c in contracted)
              + sum(G.inclusions[a].basis.cols for (a, b) in push.restrictions
                    if b in contracted))
-    read = sum(n for contraction, n in seen if contraction)
+    read = sum(n for basis, n in seen if id(basis) in bases)
     assert 0 < 4 * read < total
 
 
@@ -1403,12 +1405,12 @@ def test_mezzo_pairing_complexes_above_1500_pass_certify(monkeypatch):
         v: lagrangian_subspaces(link_middle_form(s, v)[2], count_limit=1)[0]
         for v in s.stratum(0)}))
     built = []
-    real = sheaves._assemble_total
+    real = sheaves._total_complex
 
-    def keep(layout, into, certified):
-        built.append((real(layout, into, certified), certified))
+    def keep(layout, arrows, certified):
+        built.append((real(layout, arrows, certified), certified))
         return built[-1][0]
-    monkeypatch.setattr(sheaves, "_assemble_total", keep)
+    monkeypatch.setattr(sheaves, "_total_complex", keep)
     duality.ic_pairing(res, res, 1)
     assert built and all(certified for _cx, certified in built)
     assert max(cx.total_dimension() for cx, _c in built) > 1500
