@@ -1044,8 +1044,8 @@ def _parser():
 
 
 def _run(config):
-    """The command's report; a perversity asked for at a stratum of
-    codimension below 2 is a fault of the given space."""
+    """The command's report; a perversity or a link form asked for at a
+    stratum of codimension below 2 is a fault of the given space."""
     try:
         return _COMMANDS[config.command](config)
     except ic.LowCodimension as e:

@@ -646,6 +646,14 @@ def kunneth(left, right, mode="rational"):
     tensor-and-torsion prediction.  stratumwise: the product table versus
     factor table convolutions, with closed product strata recomputed
     directly as a cross-check.
+
+    In stratumwise mode the `prediction` verdict holds by construction:
+    the product table is a sum of convolutions of factor rows
+    (`ic.product_rows`), convolution is bilinear and is not cut below
+    width dim + 1, so the total of the table is the convolution of the
+    factor totals for any factors.  Only the closed strata recomputed
+    from their own cochains (the detail rows, `closed_strata_ok`) check
+    the table independently.
     """
     if mode not in ("rational", "integral", "stratumwise"):
         raise ModeMismatch(

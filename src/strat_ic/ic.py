@@ -33,8 +33,8 @@ class EmptyRegularPart(ICError):
 
 
 class LowCodimension(ICError):
-    """A perversity value asked for below codimension 2: the space has a
-    singular stratum of codimension 0 or 1."""
+    """A perversity value or a link form asked for below codimension 2:
+    the space has a singular stratum of codimension 0 or 1."""
 
 
 class FormDegenerate(ICError):
@@ -212,33 +212,36 @@ def verify_support_conditions(result):
 # -- stratumwise tables ----------------------------------------------------
 
 def _order_cohomology(cells):
-    """Cohomology of a locally closed union of cells via its flag complex."""
-    cells = sorted(set(cells), key=lambda c: (len(c), c))
-    if not cells:
+    """Cohomology of a locally closed union of cells via its flag complex.
+
+    One basis vector per strict chain of the cells, in degree len - 1, in
+    the order `sheaves._flags` lists them (by length, so each degree is one
+    run of places), and d e_f = sum of (-1)^pos e_g over the chains g one
+    longer that give f when entry pos is dropped: `_flags` hands over each
+    chain's drops as places with those signs, so nothing is sorted or
+    hashed.  Distinct drops of a chain are distinct chains, so each entry
+    is one +-1.  d o d = 0 by the alternating-sign rule: dropping entries
+    i < j of a chain h reaches one chain two ways, j then i with sign
+    (-1)^(i + j), and i then j - 1 with sign (-1)^(i + j - 1), which cancel.
+    So the complex is built `certified`, with no product, as the one d o d
+    rule builds the flag complexes of `sheaves`.
+    """
+    flags, drops = sheaves._flags(cells)
+    if not flags:
         return {}
-    flags = sheaves._flags(cells)[0]
-    by_deg = {}
-    for f in flags:
-        by_deg.setdefault(len(f) - 1, []).append(f)
-    degrees = sorted(by_deg)
-    index = {}
-    for n in degrees:
-        by_deg[n].sort()
-        for i, f in enumerate(by_deg[n]):
-            index[f] = i
-    dims = {n: len(by_deg.get(n, ())) for n in range(degrees[-1] + 1)}
-    diffs = {}
-    for n in range(degrees[-1]):
-        ent = {}
-        for g in by_deg.get(n + 1, ()):
-            i = index[g]
-            for sub, sign in spaces_mod.facets(g):
-                j = index.get(sub)
-                if j is not None:
-                    key = (i, j)
-                    ent[key] = ent.get(key, 0) + sign
-        diffs[n] = ExactMatrix(dims[n + 1], dims[n], ent)
-    return CochainComplex(dims, diffs).betti_numbers()
+    start = [0]     # start[n]: the place of the first chain of degree n
+    for n, f in enumerate(flags):
+        if len(f) > len(start):
+            start.append(n)
+    start.append(len(flags))
+    dims = {n: start[n + 1] - start[n] for n in range(len(start) - 1)}
+    diffs = {n: ExactMatrix._of(dims[n + 1], dims[n], {
+        (g - start[n + 1], m - start[n]): sign
+        for g in range(start[n + 1], start[n + 2]) for m, sign in drops[g]})
+        for n in range(len(dims) - 1)}
+    cx = CochainComplex(dims, diffs, check=False)
+    cx.certified = True
+    return cx.betti_numbers()
 
 
 def _closed_cohomology(space, cells):
@@ -495,11 +498,16 @@ def link_middle_form(space, vertex):
     """Middle cohomology of a cone point's link with its intersection form.
 
     Returns (link, basis, form): deterministic middle-degree representatives
-    and the antisymmetric cup pairing matrix between them.
+    and the antisymmetric cup pairing matrix between them.  A stratum below
+    codimension 2 has a link of dimension 0 or less, which carries no
+    antisymmetric middle form: LowCodimension.
     """
     from .duality import cup_pairing_matrix
-    lk = spaces_mod.link(space, vertex)
     c = space.top - space.levels[tuple(vertex)]
+    if c < 2:
+        raise LowCodimension("link forms are taken at codimension >= 2, "
+                             "not %d (at %r)" % (c, tuple(vertex)))
+    lk = spaces_mod.link(space, vertex)
     mid = (c - 1) // 2
     cx = lk.complex.cochain_complex()
     basis = cx.cohomology_basis(mid)

@@ -446,6 +446,12 @@ BAD_INPUTS = [
     # end of an interval stratified as its own stratum
     (["ih", "--example", "cone-point"], {}, "/example"),
     (["derham", "--example", "cone-point"], {}, "/example"),
+    # a link form needs codimension 2 at least
+    (["mezzo", "--example", "cone-point"], {}, "/example"),
+    (["mezzo", "--input", "{space}"],
+     {"space": {"n_vertices": 2, "simplices": [[0, 1]],
+                "filtration": {"0": [[0]], "1": [[0, 1], [1]]}}},
+     "/filtration"),
     (["ih", "--input", "{space}"],
      {"space": {"n_vertices": 2, "simplices": [[0, 1]],
                 "filtration": {"0": [[0]], "1": [[0, 1], [1]]}}},

@@ -227,6 +227,53 @@ def test_closed_cohomology_matches_order_complex_on_drawn_subcomplexes(
         ic._order_cohomology(closure)
 
 
+def _ref_order_cohomology(cells):
+    # the order complex as `ic._order_cohomology` built it before it read
+    # the drops of `sheaves._flags`: every degree sorted again, every
+    # flag hashed, every facet looked up, d o d multiplied out
+    from strat_ic import sheaves
+    from strat_ic.linalg import CochainComplex
+    cells = sorted(set(cells), key=lambda c: (len(c), c))
+    if not cells:
+        return {}
+    flags = sheaves._flags(cells)[0]
+    by_deg = {}
+    for f in flags:
+        by_deg.setdefault(len(f) - 1, []).append(f)
+    degrees = sorted(by_deg)
+    index = {}
+    for n in degrees:
+        by_deg[n].sort()
+        for i, f in enumerate(by_deg[n]):
+            index[f] = i
+    dims = {n: len(by_deg.get(n, ())) for n in range(degrees[-1] + 1)}
+    diffs = {}
+    for n in range(degrees[-1]):
+        ent = {}
+        for g in by_deg.get(n + 1, ()):
+            i = index[g]
+            for sub, sign in spaces.facets(g):
+                j = index.get(sub)
+                if j is not None:
+                    ent[(i, j)] = ent.get((i, j), 0) + sign
+        diffs[n] = ExactMatrix(dims[n + 1], dims[n], ent)
+    return CochainComplex(dims, diffs).betti_numbers()
+
+
+@pytest.mark.parametrize("name", _CLOSED_STRATUM_IDS
+                         + ["cone-product:s1,s1", "suspension-cone-s1"])
+def test_order_cohomology_matches_sorted_reference(name):
+    # every stratum, closed or not, and the whole complex
+    space = get_example(name)
+    for cells in ([space.stratum(p) for p in space.stratum_levels()]
+                  + [space.complex.cells]):
+        assert ic._order_cohomology(cells) == _ref_order_cohomology(cells)
+
+
+def test_order_cohomology_of_no_cells_is_empty():
+    assert ic._order_cohomology([]) == {} == _ref_order_cohomology([])
+
+
 def test_closed_strata_skip_the_order_complex(monkeypatch):
     # every stratum of a product of closed manifolds is closed, so neither
     # the table nor the Kunneth cross-check builds an order complex

@@ -635,6 +635,27 @@ def _s1_collapse_case():
     return lambda through: kan_pushforward(F, cmap, quotient, through=through)
 
 
+@pytest.mark.parametrize("cut, torsion, k", [(1, False, 1), (0, True, 0),
+                                             (1, True, 1)])
+def test_second_step_maps_match_solve_many(cut, torsion, k):
+    # the last step of the cone-cone-s1 ladder, over a truncated sheaf whose
+    # restrictions between least cells are not identities: iota_a(z) meets
+    # the next least cell s_b in r(s_a, s_b) z, not in z
+    F, cmap = _ladder_step("cone-cone-s1", cut, torsion)
+    push = kan_pushforward(F, cmap, F.space, k + 1)
+    _assert_maps_match_solve_many(push, k, truncate(push, k))
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "t2", "genus2"])
+def test_fibration_maps_match_solve_many(name):
+    # the truncated Kan pushforward of duality.fibration_decomposition
+    total, quotient, cmap = _collapse_case(name)
+    cut = get_example(name).dim - 1
+    push = kan_pushforward(constant_sheaf(total), cmap, quotient,
+                           through=cut + 1)
+    _assert_maps_match_solve_many(push, cut, truncate(push, cut))
+
+
 @pytest.mark.parametrize("case", [_cone_t2_case, _cone_cone_s1_case,
                                   _torsion_case, _s1_collapse_case])
 def test_pushforward_through_is_brutal_truncation(case):
@@ -1216,42 +1237,28 @@ def test_truncate_by_projections_matches_full_products(case, monkeypatch):
                    for c in push.stalks), k
 
 
-def _read_columns(push, k, G):
-    # the columns the truncation of `push` at k is proved not to fix, by
-    # brute force over the layouts: at a contraction stalk, the columns of
-    # d^(k-1) at flags with bottom s; along a cover of two contraction
-    # stalks, iota and the A-columns of a at flags of b with bottom s_b;
-    # elsewhere every column
+def _solved_columns(push, k, G):
+    # the columns the truncation of `push` at k solves for: at a stalk
+    # without a contraction basis every column of d^(k-1), along a cover
+    # with such a stalk at either end every column; between contraction
+    # bases none
     calls = []
     for c, cx in push.stalks.items():
-        s, lay = push.least_cells[c], push.stalk_layouts[c]
         if k - 1 not in G.stalks[c].dims or k not in G.stalks[c].dims:
             continue
-        n = (sum(b[3] for b in lay.get(k - 1, ()) if b[0][0] == s)
-             if s is not None else cx.dim(k - 1))
-        calls.append(n)
+        if push.least_cells[c] is None:
+            calls.append(cx.dim(k - 1))
     for (a, b), mats in push.restrictions.items():
-        if k not in mats:
-            continue
-        sa, sb = push.least_cells[a], push.least_cells[b]
-        cols = G.inclusions[a].basis.cols
-        if sa is None or sb is None:
-            calls.append(cols)
-            continue
-        a_blocks = [blk for blk in push.stalk_layouts[a].get(k - 1, ())
-                    if blk[0][0] != sa]
-        held = {(f, q) for f, q, _o, _s in push.stalk_layouts[b].get(k - 1,
-                                                                     ())}
-        calls.append(cols - sum(blk[3] for blk in a_blocks)
-                     + sum(blk[3] for blk in a_blocks
-                           if (blk[0], blk[1]) in held and blk[0][0] == sb))
+        if k in mats and None in (push.least_cells[a], push.least_cells[b]):
+            calls.append(G.inclusions[a].basis.cols)
     return sorted(n for n in calls if n)
 
 
 def test_truncate_solves_only_the_columns_not_fixed(monkeypatch):
     # the pushforward builds no identity matrix, and solve_columns sees
-    # exactly the columns the construction leaves open: on suspension-t2
-    # cut at 1, a small part of them
+    # exactly the columns the construction leaves open: no stalk with a
+    # contraction basis and no cover between two of them.  A contraction
+    # basis is solved against only along a cover out of a closed cell
     s = get_example("suspension-t2")
     F = constant_sheaf(s, 1)
 
@@ -1268,21 +1275,24 @@ def test_truncate_solves_only_the_columns_not_fixed(monkeypatch):
         return real(basis, target)
     monkeypatch.setattr(sheaves, "solve_columns", counted)
     G = truncate(push, 1)
-    assert sorted(n for _c, n in seen) == _read_columns(push, 1, G)
-    # against contraction bases, a quarter of the columns of X and Y
-    contracted = [c for c, s in push.least_cells.items() if s is not None]
-    bases = {id(G.inclusions[c].basis) for c in contracted}
-    total = (sum(push.stalks[c].dim(0) for c in contracted)
-             + sum(G.inclusions[a].basis.cols for (a, b) in push.restrictions
-                   if b in contracted))
-    read = sum(n for basis, n in seen if id(basis) in bases)
-    assert 0 < 4 * read < total
+    assert sorted(n for _b, n in seen) == _solved_columns(push, 1, G)
+    least = push.least_cells
+    contracted = {id(G.inclusions[c].basis) for c, s in least.items()
+                  if s is not None}
+    out_of_closed = sorted(id(G.inclusions[b].basis)
+                           for (a, b), mats in push.restrictions.items()
+                           if 1 in mats and least[a] is None
+                           and least[b] is not None)
+    assert out_of_closed
+    assert sorted(id(basis) for basis, _n in seen
+                  if id(basis) in contracted) == out_of_closed
 
 
 # the certificates the pushforward and the truncation keep, each broken
 # once: a non-monotone map, an arrow of the wrong shape in an open-set flag
-# complex, a corrupted projection, a corrupted column that is read, a
-# cover whose fibers are not nested when its cutoff map walks them, and a
+# complex, a corrupted projection along a cover out of a closed cell, a
+# corrupted column of a closed cell's stalk that is solved for, a cover
+# whose fibers are not nested when its cutoff map walks them, and a
 # component outside the top truncation in a pairing
 _KEPT_CERTIFICATES = "\n".join([
     "from strat_ic import duality, ic, sheaves",
@@ -1310,34 +1320,32 @@ _KEPT_CERTIFICATES = "\n".join([
     "push = sheaves.derived_pushforward(sheaves.constant_sheaf(s, 1),",
     "                                   s.filtration_stage(0), through=2)",
     "picks = dict(push.projections)",
-    "cover = ((0,), (0, 1))",
+    "cover = ((7,), (0, 7))",
     "picks[cover] = {q: p[1:] + p[:1] for q, p in picks[cover].items()}",
     "push.projections = picks",
     "attempt('projection', lambda: sheaves.truncate(push, 1))",
     "push = sheaves.derived_pushforward(sheaves.constant_sheaf(s, 1),",
     "                                   s.filtration_stage(0), through=2)",
-    "t = (0,)",
+    "t = (7,)",
     "cx = push.stalks[t]",
     "m = cx.diff(0)",
-    "bottom = next(off for f, q, off, _ in push.stalk_layouts[t][0]",
-    "              if f == (t,))",
     "ent = dict(m.entries)",
-    "i = min(i for i, j in ent if j == bottom)",
-    "ent[(i, bottom)] = ent[(i, bottom)] + 1 or 1",
+    "i = min(i for i, j in ent if j == 0)",
+    "ent[(i, 0)] = ent[(i, 0)] + 1 or 1",
     "push.stalks[t] = CochainComplex(",
     "    cx.dims, {**cx.diffs, 0: ExactMatrix(m.rows, m.cols, ent)},",
     "    check=False)",
     "attempt('read column', lambda: sheaves.truncate(push, 1))",
     "push = sheaves.derived_pushforward(sheaves.constant_sheaf(s, 1),",
     "                                   s.filtration_stage(0), through=2)",
-    "bases = sheaves.truncate(push, 1).inclusions",
-    "a, b = cover",
+    "G = sheaves.truncate(push, 1)",
+    "a, b = (0,), (0, 1)",
     "layouts = dict(push.stalk_layouts)",
     "layouts[a] = {0: [blk for blk in layouts[a][0]",
     "                  if blk[:2] != push.stalk_layouts[b][0][-1][:2]]}",
     "push.stalk_layouts = layouts",
-    "attempt('nested',",
-    "        lambda: sheaves._cutoff_map(push, cover, 1, bases, {}))",
+    "attempt('nested', lambda: sheaves._cutoff_map(",
+    "    push, (a, b), 1, G.inclusions, G.stalks, {}))",
     "res = ic.deligne_construction(get_example('suspension-s1'),",
     "                              ic.Perversity.lower_middle())",
     "context = duality.PairingContext(res, res)",
