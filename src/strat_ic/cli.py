@@ -1045,12 +1045,28 @@ def _parser():
 
 def _run(config):
     """The command's report; a perversity or a link form asked for at a
-    stratum of codimension below 2 is a fault of the given space."""
+    stratum of codimension below 2, and a link form at a stratum that is
+    not isolated cone points with closed links, are faults of the given
+    space."""
     try:
         return _COMMANDS[config.command](config)
-    except ic.LowCodimension as e:
+    except (ic.LowCodimension, ic.NotRefinable) as e:
         raise BadInput(str(e), "/filtration" if config.input_path
                        else "/example") from None
+
+
+def _write(text, path):
+    """The report to stdout, or to `path` (BadInput at /output when it
+    cannot be written)."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise BadInput("cannot write %s: %s" % (path, e.strerror or e),
+                       "/output") from None
 
 
 def main(argv=None):
@@ -1058,16 +1074,11 @@ def main(argv=None):
     try:
         config.validate()
         bundle = _run(config)
+        _write(render(bundle, config.fmt), config.output)
     except (BadInput, duality.DualityError, ic.ICError,
             spaces.StratificationError, sheaves.SheafError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
-    text = render(bundle, config.fmt)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0 if bundle.ok() else 1
 
 

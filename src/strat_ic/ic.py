@@ -45,6 +45,12 @@ class MezzoStrataMismatch(ICError):
     pass
 
 
+class NotRefinable(MezzoStrataMismatch):
+    """A link form asked for at a cone point whose stratum is not made of
+    isolated vertices, or whose link is not a closed oriented
+    pseudomanifold: a fault of the space."""
+
+
 class NotLagrangian(ICError):
     """A mezzoperversity choice that is not Lagrangian for its link form;
     `vertex` is the cone point it was given for."""
@@ -500,18 +506,29 @@ def link_middle_form(space, vertex):
     Returns (link, basis, form): deterministic middle-degree representatives
     and the antisymmetric cup pairing matrix between them.  A stratum below
     codimension 2 has a link of dimension 0 or less, which carries no
-    antisymmetric middle form: LowCodimension.
+    antisymmetric middle form: LowCodimension.  A stratum that is not made
+    of isolated vertices, or a link with a ridge outside exactly two top
+    cells (a link with boundary), has no form either: NotRefinable.
     """
-    from .duality import cup_pairing_matrix
-    c = space.top - space.levels[tuple(vertex)]
+    from .duality import NotOrientable, cup_pairing_matrix
+    vertex = tuple(vertex)
+    level = space.levels[vertex]
+    c = space.top - level
     if c < 2:
         raise LowCodimension("link forms are taken at codimension >= 2, "
-                             "not %d (at %r)" % (c, tuple(vertex)))
+                             "not %d (at %r)" % (c, vertex))
+    if any(len(cell) != 1 for cell in space.stratum(level)):
+        raise NotRefinable("the refinement stratum of %r must consist of "
+                           "isolated vertices" % (vertex,))
     lk = spaces_mod.link(space, vertex)
     mid = (c - 1) // 2
     cx = lk.complex.cochain_complex()
     basis = cx.cohomology_basis(mid)
-    form = cup_pairing_matrix(lk.complex, mid, c - 1 - mid, basis, basis)
+    try:
+        form = cup_pairing_matrix(lk.complex, mid, c - 1 - mid, basis, basis)
+    except NotOrientable as e:
+        raise NotRefinable("the link of %r is not a closed oriented "
+                           "pseudomanifold: %s" % (vertex, e)) from None
     return lk, basis, form
 
 
@@ -582,7 +599,7 @@ def refined_ic(space, mezzo):
     level = refine[0]
     stratum = space.stratum(level)
     if any(len(c) != 1 for c in stratum):
-        raise MezzoStrataMismatch(
+        raise NotRefinable(
             "refinement stratum must consist of isolated vertices")
     need = set(stratum)
     have = set(mezzo.choices)
@@ -606,7 +623,9 @@ def refined_ic(space, mezzo):
                 "choice at %r is not Lagrangian for the link form"
                 % (vertex,), vertex)
         # class representatives in link cochain coordinates
-        reps = ExactMatrix.from_rows([list(b) for b in basis]).transpose()
+        reps = ExactMatrix(len(lk.complex.cells_of_dim(mid)), len(basis),
+                           {(i, j): v for j, b in enumerate(basis)
+                            for i, v in enumerate(b)})
         w_cochain = reps * w
         stalk = F.stalk(vertex)
         layout = F.stalk_layouts[vertex]

@@ -26,10 +26,10 @@ Row elimination happens in exactly three routines:
   so every basis it picks is deterministic.  `kernel_basis` returns a
   sparse matrix whose columns are the basis; it is the identity on the
   rows of the free columns, so `solve_many` against it, or against any
-  matrix with such rows, reads the answer off those rows and certifies it
-  with one exact product on the other rows instead of eliminating.  It
-  works fraction-free (after Bareiss, Math. Comp. 1968) on integer rows
-  with a column -> rows index; see `_eliminate`.
+  matrix with such rows (`unit_rows`), reads the answer off those rows
+  and certifies it with one exact product on the other rows instead of
+  eliminating.  It works fraction-free (after Bareiss, Math. Comp. 1968)
+  on integer rows with a column -> rows index; see `_eliminate`.
 - `_reduce_units` cancels every pair of cells joined by a +-1 incidence
   from a cochain complex, on row dicts with a column -> rows index through
   `_axpy` (see `_cancel`).  The remainder has the same cohomology over Z,
@@ -64,6 +64,7 @@ __all__ = [
     "kernel_basis",
     "solve",
     "solve_many",
+    "unit_rows",
     "smith_normal_form",
     "tensor_complex",
 ]
@@ -359,21 +360,44 @@ def kernel_basis(m):
     return ExactMatrix._of(m.cols, len(free), ent)
 
 
+def unit_rows(m):
+    """For each column j of m, a row whose only nonzero is a 1 at j, as a
+    tuple indexed by column; None when some column has no such row.
+
+    Such columns are independent, and a vector m y is y read at these rows:
+    row units[j] of m y is y_j.  Every `kernel_basis` result has them, on
+    its free rows.
+
+    >>> unit_rows(ExactMatrix.from_rows([[1, 0], [2, 1], [0, 1]]))
+    (0, 2)
+    >>> unit_rows(ExactMatrix.from_rows([[1, 1], [0, 1]])) is None
+    True
+    """
+    count = Counter(i for i, _j in m.entries)
+    read = {}
+    for (i, j), v in m.entries.items():
+        if v == 1 and count[i] == 1:
+            read.setdefault(j, i)
+    if len(read) != m.cols:
+        return None
+    return tuple(read[j] for j in range(m.cols))
+
+
 def solve_many(m, targets):
     """Matrix X with m * X == targets, or None if some column is inconsistent.
 
-    When every column j of m has a row whose only nonzero is a 1 at j, as
-    every `kernel_basis` result does, row j of X is forced to be the
-    targets' row there: one such row per column is read off.  On a row
-    read off, m * X is the row of X it was copied to, so that row of
-    m * X == targets holds by construction; the exact product is checked
-    on every other row, which is the whole check (if it fails, nothing
-    solves).  Such columns are independent, so the answer is unique.
-    Otherwise one elimination of [m | targets]: a column lies in the span
-    of m exactly when no pivot lands in the target block; free variables
-    are set to zero, so X is read off the pivot rows, and the full product
-    certifies it (CertificateError if it fails).  So every X returned
-    satisfies m * X == targets exactly.
+    When every column j of m has a row whose only nonzero is a 1 at j
+    (`unit_rows`), row j of X is forced to be the targets' row there: one
+    such row per column is read off.  On a row read off, m * X is the row
+    of X it was copied to, so that row of m * X == targets holds by
+    construction; the exact product is checked on every other row, which
+    is the whole check (if it fails, nothing solves).  Such columns are
+    independent, so the answer is unique.  Otherwise one elimination of
+    [m | targets]: a column lies in the span of m exactly when no pivot
+    lands in the target block; free variables are set to zero, so X is
+    read off the pivot rows, and the full product certifies it
+    (CertificateError if it fails).  So every X returned satisfies
+    m * X == targets exactly.
 
     >>> m = ExactMatrix.from_rows([[1, 1], [0, 0]])
     >>> solve_many(m, ExactMatrix.from_rows([[2, 3], [0, 0]])).to_triples()
@@ -387,13 +411,9 @@ def solve_many(m, targets):
     if targets.rows != m.rows:
         raise ValueError("targets of shape %r for a matrix of shape %r"
                          % (targets.shape, m.shape))
-    count = Counter(i for i, _j in m.entries)
-    read = {}   # column -> the unit row its row of X is read off
-    for (i, j), v in m.entries.items():
-        if v == 1 and count[i] == 1:
-            read.setdefault(j, i)
-    if len(read) == m.cols:
-        col_of = {i: j for j, i in read.items()}
+    units = unit_rows(m)
+    if units is not None:
+        col_of = {i: j for j, i in enumerate(units)}
         x = ExactMatrix._of(m.cols, targets.cols,
                             {(col_of[i], c): v
                              for (i, c), v in targets.entries.items()

@@ -16,17 +16,16 @@ size, without it:
   it, and every fiber is nested in the fibers of its faces, so the
   projections, recorded as pick lists, are chain maps and compose.
 - `truncate`, of a certified sheaf: its maps below the cutoff, and at the
-  cutoff maps through injective bases, each column with a row where it
-  holds a lone 1.  On a fiber with a least cell the basis is the cone
-  contraction's, which spans the cocycles, and every map between two such
-  bases is written, not solved for: d^(k-1) read at the basis's unit
-  rows, and along a cover zero, unit vectors, columns of the next cell's
-  d^(k-1) in its basis, and the least cell's kernel read at its unit
-  rows.  Maps into or out of any other basis are solved for and checked
-  by one exact product.  It works cell by cell and cover by cover, so
-  `plain_truncation` turns a truncation onto caller subspaces into the
-  plain one by recomputing only the cells that took a subspace and the
-  covers that touch them.
+  cutoff maps through bases of the cocycles (the cone contraction's on a
+  fiber with a least cell, else `kernel_basis`), each column with a row
+  where it holds a lone 1.  One rule gives every map at the cutoff: its
+  source, d^(k-1) or r B_a, is a cocycle, so it is read at the target
+  basis's unit rows, with no solve and no product.  Only a caller
+  subspace, which need not hold the source, or an uncertified input gets
+  its maps solved for and checked by one exact product.  It works cell
+  by cell and cover by cover, so `plain_truncation` turns a truncation
+  onto caller subspaces into the plain one by recomputing only the cells
+  that took a subspace and the covers that touch them.
 - `external_tensor`, of certified factors: Kronecker products of their
   chain maps, each the shape of its block in the tensor layouts.
 
@@ -53,12 +52,12 @@ degree (its brutal truncation: the same blocks in every degree it keeps).
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import combinations, zip_longest
 from types import MappingProxyType
 
-from .linalg import (CertificateError, CochainComplex, ExactMatrix, _rows,
-                     kernel_basis, rank, solve_many)
+from .linalg import (CertificateError, CochainComplex, ExactMatrix,
+                     kernel_basis, rank, solve_many, unit_rows)
 from .spaces import faces, facets, missing_face, product_projections
 
 
@@ -689,6 +688,13 @@ def _fiber_slices(total, targets, over, covers):
     return stalks, layouts, projections
 
 
+def _not_nested(a, b):
+    """The refusal of a cover (a, b) whose fiber over b is not inside the
+    fiber over a."""
+    return SheafError("the fiber over %r is not inside the fiber over its "
+                      "face %r" % (b, a))
+
+
 def derived_pushforward(sheaf, closed_cells, through=None):
     """Pushforward along the inclusion of the complement of a closed set.
 
@@ -813,54 +819,30 @@ def truncate(sheaf, degree, subspaces=None):
       ((s, c), k) block of d^k(z on (s)).  Its unit rows are z's, on (s),
       where the A-columns vanish; iota vanishes on the partner rows.
     So every basis column has a unit row, where it holds a lone 1 and no
-    other column has an entry (`Inclusion.free` records z's), as every
-    `kernel_basis` column does on its free row.  Such a basis B spans
-    ker d^k (see the certificate below), so a cocycle v is B y for one y,
-    and y is v read at the unit rows: row i of B y is y_p when i is the
-    unit row of column p.  The maps that touch any other basis are solved
-    for (`solve_columns`): `solve_many` reads or eliminates and checks
-    its answer by an exact product, since a caller subspace may have no
-    unit rows and need not span the kernel.
+    other column has an entry, as every `kernel_basis` column does on its
+    free row; `Inclusion.units` records one per column, found by the scan
+    `solve_many` uses (`linalg.unit_rows`).  A caller subspace records
+    none.
 
-    Maps fixed by construction.  Below k the maps are the input's.  At k
+    Maps at the cutoff: one rule.  Below k the maps are the input's.  At k
     the truncation needs X with B X = d^(k-1) at each cell, B its basis,
-    and Y with B_b Y = r B_a along each cover (a, b).
-    - d^(k-1) in a contraction basis B.  Each column d e_f is a cocycle, by
-      the pushforward's d o d = 0 certificate, so column f of X is d e_f
-      read at B's unit rows: its entries on the partner rows and on z's
-      unit rows on (s).  At an A-flag that is a unit vector, B's own
-      A-column for f.  `_cone_kernel` reads them in its one pass over
-      d^(k-1).
-    - r B_a = B_b Y along a cover whose two ends have contraction bases,
-      with least cells s_a and s_b.  r projects between nested slices and
-      is a chain map, by the pushforward's certificate, so it sends the
-      A-column d_a e_f to d_b (r e_f).  That is zero when f leaves
-      fiber(b); B_b's own A-column for f when f's bottom is not s_b (f is
-      then an A-flag of b); and, when f's bottom is s_b, column f of
-      d_b^(k-1), whose coordinates in B_b are column f of X_b, which
-      `truncate` builds with b's stalk before it reaches any cover: that
-      column is copied.
-    - The iota columns along such a cover.  iota_a(z) lives on the
-      one-cell flags of fiber(a): z on (s_a), and r(s_a, c) z on (c).  Its
-      projection keeps the one-cell flags (c) of fiber(b), where s_b <= c,
-      so by functoriality of the input it is iota_b(w) with w =
-      r(s_a, s_b) z, the (s_b) block of iota_a(z); and w is in ker
-      d_{s_b}, as r(s_a, s_b) is a chain map of the input's stalks.  Z_b =
-      `kernel_basis(d_{s_b})` spans that kernel with a unit row per
-      column, so w = Z_b u with u the entries of w at those rows, and
-      iota_b(w) = iota_b(Z_b) u: the column of Y is zero on B_b's
-      A-columns and u on its iota columns.  When s_a = s_b, r(s, s) is the
-      identity and the same rule reads u off z itself.
-    So along such a cover every column of Y is written and none is solved
-    for.  Fiber(b)'s blocks are fiber(a)'s that hold its flags, in the
-    same order (both are slices of one layout), so one walk of the two
-    layouts pairs them (SheafError if b has a block that a has not, or if
-    both bases have iota columns and a has no block for (s_b)).  Along any
-    other cover, and at a stalk without a contraction basis, every column
-    is solved for (`solve_columns`) and checked by an exact product; r B_a
-    is a row selection of B_a by the projection's recorded pick list
-    (`kan_pushforward`'s `projections`), or the product for a sheaf that
-    is not a pushforward.
+    and Y with B_b Y = r B_a along each cover (a, b).  For a certified
+    input, where neither end took a caller subspace, each is its source
+    read at the target basis's unit rows: X is d^(k-1) at B's unit rows,
+    and Y is r B_a at B_b's unit rows, that is B_a's rows at the
+    projection's recorded pick list (`kan_pushforward`'s `projections`)
+    composed with those rows, or the restriction's rows there times B_a
+    for a sheaf that is not a pushforward.  Proof: the sources are
+    cocycles, since d^k d^(k-1) = 0 and d_b r B_a = r d_a B_a = 0 (r is a
+    chain map, and B_a's columns are cocycles).  B spans ker d^k with a
+    unit row per column, so a cocycle v is B y for one y, and row i of B y
+    is y_p when i is the unit row of column p: y is v read at the unit
+    rows.  A caller subspace need not hold these sources, and an
+    uncertified input's sources need not be cocycles, so there every
+    column is solved for (`solve_columns`): `solve_many` reads or
+    eliminates and checks its answer by an exact product (SheafError when
+    a column is outside the span), as `_total_complex` multiplies d o d
+    out only for an uncertified sheaf.
 
     Certificate, from a certified input, at every size.  Kernel: the
     A-columns are cocycles by the pushforward's d o d = 0 certificate, and
@@ -874,12 +856,11 @@ def truncate(sheaf, degree, subspaces=None):
     degree k plus dim ker d_s, which is the number of columns.  Caller
     subspaces are checked independent by rank.  Maps: every column solved
     for is checked by an exact product (SheafError if it fails), and every
-    column written is right by the facts above, which rest on the
-    pushforward's certificates (d o d = 0, restrictions that are chain
-    maps and compose) and on the kernel's.  So B X = d^{k-1} and
-    B_b Y = r B_a hold exactly, each output identity at k (d o d = 0,
-    chain map, functoriality) times B on the left is the input's, and B
-    is injective.
+    column read is right by the proof above, which rests on the input's
+    certificates (d o d = 0 and restrictions that are chain maps) and on
+    the kernel's.  So B X = d^{k-1} and B_b Y = r B_a hold exactly, each
+    output identity at k (d o d = 0, chain map, functoriality) times B on
+    the left is the input's, and B is injective.
 
     The result records its input as `untruncated`, k as `cutoff`, the
     `Inclusion` of each cell's basis as `inclusions`, and the cells that
@@ -895,9 +876,7 @@ def truncate(sheaf, degree, subspaces=None):
     bases, stalks = {}, {}
     for c in sheaf.stalks:
         bases[c], stalks[c] = _truncated_stalk(sheaf, c, k, subspaces.get(c))
-    views = {}
-    restrictions = {cover: _truncated_cover(sheaf, cover, k, bases, stalks,
-                                            views)
+    restrictions = {cover: _truncated_cover(sheaf, cover, k, bases)
                     for cover in sheaf.restrictions}
     return _truncation(sheaf, k, stalks, restrictions, bases,
                        frozenset(c for c in sheaf.stalks if c in subspaces))
@@ -915,13 +894,13 @@ def plain_truncation(G):
     Proof.  `truncate` works cell by cell (`_truncated_stalk`): a cell's
     basis and stalk depend only on that cell's stalk, stalk layout and
     least cell, the cutoff k and the cell's subspace, if any.  A cover's
-    maps (`_truncated_cover`) depend only on the input's maps, pick list
-    and stalk layouts along it and on the bases and truncated stalks at
-    its two ends.  Away from the subspace cells these inputs are the same
-    for G and for `truncate(G.untruncated, k)`, so every reused piece is
-    the one `truncate` computes, and it was certified when G was built;
-    the recomputed pieces come from the same two bodies and are certified
-    by them.
+    maps (`_truncated_cover`) depend only on the input's maps and pick
+    list along it and on the bases at its two ends.  Away from the
+    subspace cells these inputs are the same for G and for
+    `truncate(G.untruncated, k)`, so every reused piece is the one
+    `truncate` computes, and it was certified when G was built; the
+    recomputed pieces come from the same two bodies and are certified by
+    them.
     """
     cells = G.subspace_cells
     if not cells:
@@ -930,22 +909,19 @@ def plain_truncation(G):
     bases, stalks = dict(G.inclusions), dict(G.stalks)
     for c in cells:
         bases[c], stalks[c] = _truncated_stalk(R, c, k)
-    views = {}
     restrictions = dict(G.restrictions)
     for cover in R.restrictions:
         if cover[0] in cells or cover[1] in cells:
-            restrictions[cover] = _truncated_cover(R, cover, k, bases, stalks,
-                                                   views)
+            restrictions[cover] = _truncated_cover(R, cover, k, bases)
     return _truncation(R, k, stalks, restrictions, bases, frozenset())
 
 
-class Inclusion(namedtuple("Inclusion", "basis least free", defaults=((),))):
+class Inclusion(namedtuple("Inclusion", "basis units")):
     """How the cutoff degree of a truncation embeds into the stalk it was
     cut from.  The columns of `basis` are the kept cocycles, in stalk
-    coordinates.  `least` is the fiber's least cell when the basis is the
-    cone contraction's, else None; then `free` lists, for each column of
-    iota(Z), the row of the least cell's block in degree k where it holds
-    a lone 1 (a unit row of Z), and is empty otherwise."""
+    coordinates.  `units` lists, per column, a row where that column holds
+    a lone 1 and no other column has an entry (`linalg.unit_rows`), for a
+    basis of ker d^k; it is None for a caller subspace."""
 
     __slots__ = ()
 
@@ -953,16 +929,16 @@ class Inclusion(namedtuple("Inclusion", "basis least free", defaults=((),))):
 def _truncated_stalk(sheaf, c, k, subspace=None):
     """(Inclusion of the kept cocycles, truncated stalk) at cell c, cut at
     k: `subspace` if given, else the cone contraction's basis on a fiber
-    with a least cell, else `kernel_basis`."""
+    with a least cell, else `kernel_basis`.  d^(k-1) in the basis is read
+    at its unit rows or solved for, as `truncate` says."""
     cx = sheaf.stalks[c]
     least = sheaf.least_cells.get(c)
-    x = None     # d^(k-1) in the basis, when the contraction writes it
     if subspace is not None:
         inc = Inclusion(subspace, None)
-    elif least is not None:
-        inc, x = _cone_kernel(cx, sheaf.stalk_layouts[c], least, k)
     else:
-        inc = Inclusion(kernel_basis(cx.diff(k)), None)
+        basis = (kernel_basis(cx.diff(k)) if least is None
+                 else _cone_kernel(cx, sheaf.stalk_layouts[c], least, k))
+        inc = Inclusion(basis, unit_rows(basis))
     dims = {q: cx.dim(q) if q < k else inc.basis.cols
             for q in cx.degrees() if q <= k}
     diffs = {}
@@ -971,94 +947,51 @@ def _truncated_stalk(sheaf, c, k, subspace=None):
             continue
         if q + 1 < k:
             diffs[q] = cx.diff(q)
+        elif sheaf.certified and inc.units is not None:
+            diffs[q] = _at_rows(cx.diff(q), inc.units)
         else:
-            # express d^{k-1} in the subspace basis
-            diffs[q] = x if x is not None else solve_columns(inc.basis, cx.diff(q))
+            diffs[q] = solve_columns(inc.basis, cx.diff(q))
     if not dims:
         dims = {k: 0}
     return inc, CochainComplex(dims, diffs, check=False)
 
 
-def _truncated_cover(sheaf, cover, k, bases, stalks, views):
+def _truncated_cover(sheaf, cover, k, bases):
     """Maps of the truncation along the cover (a, b): the input's below k,
-    and at k the Y with B_b Y = r B_a (`_cutoff_map`), from the bases and
-    the truncated `stalks`.  `views` caches the row and column dicts that
-    the maps read, per cell."""
+    and at k the Y with B_b Y = r B_a (`_cutoff_map`)."""
     out = {}
     for q, m in sheaf.restrictions[cover].items():
         if q < k:
             out[q] = m
         elif q == k:
-            out[q] = _cutoff_map(sheaf, cover, k, bases, stalks, views)
+            out[q] = _cutoff_map(sheaf, cover, k, bases)
     return out
 
 
-def _view(views, key, build):
-    """views[key], built on first use."""
-    out = views.get(key)
-    if out is None:
-        out = views[key] = build()
-    return out
-
-
-def _cutoff_map(sheaf, cover, k, bases, stalks, views):
-    """Y with B_b Y = r B_a at the cutoff k along the cover (a, b).  Between
-    two contraction bases every column is written, as `truncate` proves:
-    zero, B_b's own A-column, a column of X_b (the truncated stalk's
-    d^(k-1) at b), or iota_b of the (s_b) block of an iota column of B_a.
-    Along any other cover Y is solved for (`solve_columns`), r B_a being
-    rows of B_a at the projection's pick list."""
+def _cutoff_map(sheaf, cover, k, bases):
+    """Y with B_b Y = r B_a at the cutoff k along the cover (a, b): r B_a
+    read at B_b's unit rows for a certified input when neither end took a
+    caller subspace, else solved for (`solve_columns`), as `truncate`
+    says.  The rows of r B_a are B_a's rows at the projection's pick list,
+    or the restriction's rows times B_a for a sheaf that is not a
+    pushforward."""
     a, b = cover
     A, B = bases[a], bases[b]
+    read = sheaf.certified and A.units is not None and B.units is not None
+    rows = B.units if read else range(B.basis.rows)
     if sheaf.projections is None:
-        return solve_columns(B.basis, sheaf.restriction(a, b, k) * A.basis)
-    if A.least is None or B.least is None:
-        rows = _view(views, ("rows", a), lambda: _rows(A.basis))
+        ra = _at_rows(sheaf.restriction(a, b, k), rows) * A.basis
+    else:
         pick = sheaf.projections[cover][k]
-        return solve_columns(B.basis, ExactMatrix._of(
-            len(pick), A.basis.cols, {(i, j): v for i, p in enumerate(pick)
-                                      for j, v in rows[p].items()}))
-    sa, sb = A.least, B.least
-    lb = sheaf.stalk_layouts[b].get(k - 1, ())
-    ent = {}
-    n = pa = pb = 0     # b's blocks walked, then columns of B_a and B_b
-    for (f, q, _off, size) in sheaf.stalk_layouts[a].get(k - 1, ()):
-        held = n < len(lb) and lb[n][0] == f and lb[n][1] == q
-        if held and f[0] == sb != sa:
-            cols = _view(views, ("x", b),
-                         lambda: _columns(stalks[b].diff(k - 1)))
-            ent.update(((i, pa + x), v) for x in range(size)
-                       for i, v in cols.get(lb[n][2] + x, ()))
-        elif held and f[0] != sa:
-            ent.update(((pb + x, pa + x), 1) for x in range(size))
-        pa += size if f[0] != sa else 0
-        pb += size if held and f[0] != sb else 0
-        n += held
-    if n != len(lb):
-        raise _not_nested(a, b)
-    if A.free and B.free:
-        spot = _bottom_block(sheaf.stalk_layouts[a], (sb,), k)
-        if spot is None:
-            raise _not_nested(a, b)
-        rows = _view(views, ("rows", a), lambda: _rows(A.basis))
-        ent.update(((pb + t, j), v) for t, i in enumerate(B.free)
-                   for j, v in rows[spot[2] + i].items() if j >= pa)
-    return ExactMatrix._of(B.basis.cols, A.basis.cols, ent)
+        ra = _at_rows(A.basis, [pick[i] for i in rows])
+    return ra if read else solve_columns(B.basis, ra)
 
 
-def _not_nested(a, b):
-    """The refusal of a cover (a, b) whose fiber over b is not inside the
-    fiber over a."""
-    return SheafError("the fiber over %r is not inside the fiber over its "
-                      "face %r" % (b, a))
-
-
-def _columns(m):
-    """Column -> [(row, value)] of m, without zeros."""
-    cols = {}
-    for (i, j), v in m.entries.items():
-        cols.setdefault(j, []).append((i, v))
-    return cols
+def _at_rows(m, rows):
+    """The matrix whose row p is row rows[p] of m (rows distinct)."""
+    at = {i: p for p, i in enumerate(rows)}
+    return ExactMatrix._of(len(at), m.cols, {(at[i], j): v for (i, j), v
+                                             in m.entries.items() if i in at})
 
 
 def _truncation(sheaf, k, stalks, restrictions, bases, subspace_cells):
@@ -1115,25 +1048,21 @@ def _partners(layout, s, deg, k):
 
 
 def _cone_kernel(cx, layout, s, k):
-    """(Inclusion, X) on the flag-complex stalk `cx` (with `layout`) of a
-    fiber whose least cell is s: the basis of ker d^k made of the
-    A-columns of d^(k-1), then iota of the kernel of d_s, and X with
-    basis * X == d^(k-1) (None when the stalk has no degree k - 1 or k),
-    certified as `truncate` says.  The partner blocks come from one merge
-    of the layout per degree (`_partners`), d^k is read only when F_s has
-    degree k, and one pass over d^(k-1) sorts its entries into the
-    A-columns and reads X off the basis's unit rows."""
+    """The basis of ker d^k on the flag-complex stalk `cx` (with `layout`)
+    of a fiber whose least cell is s: the A-columns of d^(k-1), then iota
+    of the kernel of d_s, certified as `truncate` says.  The partner blocks
+    come from one merge of the layout per degree (`_partners`), d^k is read
+    only when F_s has degree k, and one pass over d^(k-1) picks out the
+    A-columns."""
     bottom = (s,)
     pairs = _partners(layout, s, k - 1, k)
     ahead = _partners(layout, s, k, k)
-    # each column of d^(k-1): its basis column p >= 0 at an A-flag, else
-    # -1; and unit[row] = the basis column holding a lone 1 on that row
-    where, unit, na = [-1] * cx.dim(k - 1), {}, 0
-    for (_f, _q, off, size), (_g, _p, poff, _n) in pairs:
+    # each column of d^(k-1): its basis column p >= 0 at an A-flag, else -1
+    where, na = [-1] * cx.dim(k - 1), 0
+    for (_f, _q, off, size), _partner in pairs:
         where[off:off + size] = range(na, na + size)
-        unit.update(zip(range(poff, poff + size), range(na, na + size)))
         na += size
-    zs, nz, free = {}, 0, ()
+    zs, nz = {}, 0
     spot = _bottom_block(layout, bottom, k)
     if spot is not None:
         off, size = spot[2:]
@@ -1152,12 +1081,6 @@ def _cone_kernel(cx, layout, s, k):
             (i - toff, j): v for j, col in on_s.items() for i, v in col
             if toff <= i < toff + tsize}))
         zs, nz = {(off + i, t): v for (i, t), v in z.entries.items()}, z.cols
-        # Z's unit rows: a row of (s) where one column holds a lone 1
-        count = Counter(i for i, _t in z.entries)
-        units = {t: i for (i, t), v in z.entries.items()
-                 if v == 1 and count[i] == 1}
-        free = tuple(units[t] for t in range(nz))
-        unit.update((off + i, na + t) for t, i in enumerate(free))
         # d^k(z on (s)) is -r(s, c) z on each ((s, c), k): move it to (c)
         back = {poff + x: coff + x
                 for (f, _q, coff, csize), (_g, _p, poff, _n) in ahead
@@ -1172,14 +1095,7 @@ def _cone_kernel(cx, layout, s, k):
         if not (head * ExactMatrix._of(width, nz, zs)).is_zero():
             raise CertificateError("a lifted kernel vector of the stalk over "
                                    "%r is not a cocycle" % (s,))
-    ent, x = {}, {}
-    for (i, j), v in cx.diff(k - 1).entries.items():
-        if where[j] >= 0:
-            ent[(i, where[j])] = v
-        if i in unit:
-            x[(unit[i], j)] = v
+    ent = {(i, where[j]): v for (i, j), v in cx.diff(k - 1).entries.items()
+           if where[j] >= 0}
     ent.update(((i, na + t), v) for (i, t), v in zs.items())
-    inc = Inclusion(ExactMatrix._of(cx.dim(k), na + nz, ent), s, free)
-    if not cx.lo < k <= cx.hi:
-        return inc, None    # the truncated stalk has no d^(k-1)
-    return inc, ExactMatrix._of(na + nz, cx.dim(k - 1), x)
+    return ExactMatrix._of(cx.dim(k), na + nz, ent)

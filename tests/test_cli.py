@@ -1,6 +1,7 @@
 """Harness behavior: determinism, exit codes, schemas, error pointers."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -462,6 +463,23 @@ BAD_INPUTS = [
     (["duality", "--example", "s2", "--degree", "9"], {}, "/degree"),
     (["duality", "--example", "cone-s1", "--degree", "9"], {}, "/degree"),
     (["mezzo", "--example", "s2"], {}, "/example"),
+    # a link form needs a stratum of isolated cone points with closed links
+    (["mezzo", "--example", "cone-cone-t2", "--dump"], {}, "/example"),
+    (["mezzo", "--example", "product:cone-t2,s1"], {}, "/example"),
+    (["mezzo", "--example", "cone-cone-s1"], {}, "/example"),
+    # the apex of a tetrahedron: its link, a triangle, has boundary
+    (["mezzo", "--input", "{space}"],
+     {"space": {"n_vertices": 4, "simplices": [[0, 1, 2, 3]],
+                "filtration": {"0": [[0]], "3": [
+                    list(c) for n in range(1, 5)
+                    for c in itertools.combinations(range(4), n)
+                    if c != (0,)]}}},
+     "/filtration"),
+    # a report path that cannot be written: a directory, a missing one
+    (["build", "--example", "t2", "--output", "{out.parent}"], {"out": {}},
+     "/output"),
+    (["build", "--example", "t2", "--output", "{out.parent}/none/x.json"],
+     {"out": {}}, "/output"),
     (["reproduce", "--example", "made-up"], {}, "/example"),
     (["proptest", "--mode", "mutate-nothing"], {}, "/mode"),
     (["build", "--input", "{space}"],
@@ -509,6 +527,18 @@ def test_bad_input_exits_two_with_a_pointer(tmp_path, argv, files, pointer,
     assert proc.returncode == 2, proc.stdout
     assert "(at %r)" % pointer in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+@pytest.mark.parametrize("name, dims", [("suspension-s2", [1, 0, 0, 1]),
+                                        ("cone-s2", [1, 0, 0, 0])])
+def test_mezzo_dump_without_middle_link_cohomology(name, dims, optimize):
+    # the link S^2 has no middle cohomology: the zero Lagrangian, and the
+    # refined dims are the middle perversities' IH
+    proc = run_python("-m", "strat_ic.cli", "mezzo", "--example", name,
+                      "--dump", optimize=optimize)
+    assert proc.returncode == 0, proc.stderr
+    assert row(json.loads(proc.stdout), "refined-dims")["values"] == dims
 
 
 # -- golden outputs --------------------------------------------------------

@@ -365,6 +365,20 @@ def _mezzo(space, pick):
     return Mezzoperversity(choices)
 
 
+@pytest.mark.parametrize("name, dims", [("suspension-s2", (1, 0, 0, 1)),
+                                        ("cone-s2", (1, 0, 0, 0))])
+def test_refined_on_links_without_middle_cohomology(name, dims):
+    # H^1(S^2) = 0: the only Lagrangian is zero, the class representatives
+    # form a matrix with no columns, and the refined sheaf is both middle
+    # perversities' IC sheaf
+    st = get_example(name)
+    mezzo = _mezzo(st, [0] * len(st.stratum(0)))
+    assert all(w.shape == (0, 0) for w in mezzo.choices.values())
+    assert refined_ic(st, mezzo).betti() == dims
+    assert deligne_construction(st, M).betti() == dims
+    assert deligne_construction(st, N).betti() == dims
+
+
 def test_refined_same_choice_both_points():
     st = get_example("suspension-t2")
     res = refined_ic(st, _mezzo(st, [0, 0]))

@@ -7,6 +7,8 @@ zero above); hypercohomology of a pushforward equals cohomology of the open
 part it came from.
 """
 
+from functools import partial
+
 import pytest
 from conftest import assert_normalized, run_python, two_term_sheaf
 from hypothesis import given, settings, strategies as st
@@ -635,27 +637,6 @@ def _s1_collapse_case():
     return lambda through: kan_pushforward(F, cmap, quotient, through=through)
 
 
-@pytest.mark.parametrize("cut, torsion, k", [(1, False, 1), (0, True, 0),
-                                             (1, True, 1)])
-def test_second_step_maps_match_solve_many(cut, torsion, k):
-    # the last step of the cone-cone-s1 ladder, over a truncated sheaf whose
-    # restrictions between least cells are not identities: iota_a(z) meets
-    # the next least cell s_b in r(s_a, s_b) z, not in z
-    F, cmap = _ladder_step("cone-cone-s1", cut, torsion)
-    push = kan_pushforward(F, cmap, F.space, k + 1)
-    _assert_maps_match_solve_many(push, k, truncate(push, k))
-
-
-@pytest.mark.parametrize("name", ["s1", "s2", "t2", "genus2"])
-def test_fibration_maps_match_solve_many(name):
-    # the truncated Kan pushforward of duality.fibration_decomposition
-    total, quotient, cmap = _collapse_case(name)
-    cut = get_example(name).dim - 1
-    push = kan_pushforward(constant_sheaf(total), cmap, quotient,
-                           through=cut + 1)
-    _assert_maps_match_solve_many(push, cut, truncate(push, cut))
-
-
 @pytest.mark.parametrize("case", [_cone_t2_case, _cone_cone_s1_case,
                                   _torsion_case, _s1_collapse_case])
 def test_pushforward_through_is_brutal_truncation(case):
@@ -1003,28 +984,28 @@ def test_cone_kernel_spans_the_kernel(case):
         s = push.least_cells[t]
         old = kernel_basis(cx.diff(k))
         inc = cut.inclusions[t]
-        _assert_unit_rows(inc.basis)
+        _assert_unit_rows(inc)
         if s is None:
-            assert inc.basis == old and inc.least is None
+            assert inc.basis == old
             continue
-        new, x = sheaves._cone_kernel(cx, push.stalk_layouts[t], s, k)
-        assert inc == new and inc.least == s
-        assert_normalized(new.basis)
-        assert (cx.diff(k) * new.basis).is_zero()
-        if x is not None:
-            assert new.basis * x == cx.diff(k - 1)
-        assert (rank(new.basis) == new.basis.cols == old.cols
-                == rank(old.stack_cols(new.basis)))
+        new = sheaves._cone_kernel(cx, push.stalk_layouts[t], s, k)
+        assert inc.basis == new
+        assert_normalized(new)
+        assert (cx.diff(k) * new).is_zero()
+        assert (rank(new) == new.cols == old.cols
+                == rank(old.stack_cols(new)))
 
 
-def _assert_unit_rows(m):
-    # every column of the basis has a row where it holds a lone 1, so
-    # solve_many reads its answers off those rows
+def _assert_unit_rows(inc):
+    # `units` names, for every column of the basis, a row where it holds a
+    # lone 1 and no other column has an entry, so a cocycle's coordinates
+    # are its entries at those rows
     rows = {}
-    for (r, c), v in m.entries.items():
+    for (r, c), v in inc.basis.entries.items():
         rows.setdefault(r, {})[c] = v
-    assert {c for row in rows.values() for c, v in row.items()
-            if len(row) == 1 and v == 1} == set(range(m.cols))
+    assert len(inc.units) == inc.basis.cols
+    for p, i in enumerate(inc.units):
+        assert rows.get(i) == {p: 1}, (p, i)
 
 
 def test_derived_pushforward_least_cells_are_the_open_cells():
@@ -1148,14 +1129,13 @@ def test_cone_kernel_refuses_a_non_cocycle_lift():
             "a cocycle"]
 
 
-# -- the arrow-emitted pushforward and the maps fixed by construction -------
+# -- the arrow-emitted pushforward and the maps read at unit rows ------------
 #
 # `kan_pushforward` writes each fiber's stalk from the arrows `flag_complex`
-# emits once and records each projection's pick list, and `truncate` writes
-# the columns of its cutoff maps that the cone contraction fixes.  The
+# emits once and records each projection's pick list, and `truncate` reads
+# every map at its cutoff at the target basis's unit rows.  The
 # references: `_ref_kan_pushforward` and `_ref_flag_complex`, which share
-# no code with them, and `solve_many` on every column, which is how every
-# truncated map was computed before.
+# no code with them, and `solve_many` on every column of the full product.
 
 _pushforward_cases = st.one_of(_built_pushforwards(),
                                _pushforwards_with_least_cells())
@@ -1183,11 +1163,15 @@ def test_arrow_emitted_pushforward_matches_references(case):
 
 
 def _assert_maps_match_solve_many(push, k, G):
-    # every map of G at the cutoff is the one solve_many finds for it, on
-    # every column, and every basis has a unit row per column
+    # every map of G at the cutoff, read or solved for, is the one
+    # solve_many finds for it from the full product, on every column; a
+    # caller subspace records no unit rows, every other basis one per column
     for c, cx in push.stalks.items():
         inc = G.inclusions[c]
-        _assert_unit_rows(inc.basis)
+        if c in G.subspace_cells:
+            assert inc.units is None
+        else:
+            _assert_unit_rows(inc)
         if k - 1 in G.stalks[c].dims and k in G.stalks[c].dims:
             assert G.stalks[c].diff(k - 1) == solve_many(
                 inc.basis, cx.diff(k - 1)), c
@@ -1204,12 +1188,8 @@ def test_truncated_maps_match_solve_many(case):
     _assert_maps_match_solve_many(push, k, truncate(push, k))
 
 
-@pytest.mark.parametrize("name", ["cone-s2", "cone-t2", "cone-genus2",
-                                  "suspension-s2", "suspension-t2",
-                                  "cone-cone-s1", "cone-product:s1,s1"])
-@pytest.mark.parametrize("perversity", ["lower-middle", "upper-middle"])
-def test_ladder_maps_match_solve_many(name, perversity):
-    # every step of the ih ladder on the benchmark's spaces
+def _ladder_steps(name, perversity):
+    # every step of the ih ladder: (pushforward, cutoff, its truncation)
     from strat_ic.ic import Perversity
     s, perv = get_example(name), Perversity.named(perversity)
     F = constant_sheaf(s)
@@ -1217,7 +1197,71 @@ def test_ladder_maps_match_solve_many(name, perversity):
         cut = perv(s.top - p)
         push = derived_pushforward(F, s.filtration_stage(p), through=cut + 1)
         F = truncate(push, cut)
-        _assert_maps_match_solve_many(push, cut, F)
+        yield push, cut, F
+
+
+def _second_step(cut, torsion, k):
+    # the last step of the cone-cone-s1 ladder, over a truncated sheaf whose
+    # restrictions between least cells are not identities: iota_a(z) meets
+    # the next least cell s_b in r(s_a, s_b) z, not in z
+    F, cmap = _ladder_step("cone-cone-s1", cut, torsion)
+    push = kan_pushforward(F, cmap, F.space, k + 1)
+    yield push, k, truncate(push, k)
+
+
+def _fibration_step(name):
+    # the truncated Kan pushforward of duality.fibration_decomposition
+    total, quotient, cmap = _collapse_case(name)
+    cut = get_example(name).dim - 1
+    push = kan_pushforward(constant_sheaf(total), cmap, quotient,
+                           through=cut + 1)
+    yield push, cut, truncate(push, cut)
+
+
+def _refined_step(name):
+    # refined_ic's truncation: caller subspaces at the cone points
+    from strat_ic.ic import (Mezzoperversity, lagrangian_subspaces,
+                             link_middle_form, refined_ic)
+    s = get_example(name)
+    G = refined_ic(s, Mezzoperversity({
+        v: lagrangian_subspaces(link_middle_form(s, v)[2], count_limit=1)[0]
+        for v in s.stratum(0)})).sheaf
+    assert G.subspace_cells
+    yield G.untruncated, G.cutoff, G
+
+
+def _truncated_twice():
+    # a certified sheaf that is not a pushforward: r B_a is the restriction
+    # times B_a, read at B_b's unit rows
+    F, _cmap = _ladder_step("cone-cone-s1", cut=1)
+    assert F.projections is None and F.certified
+    yield F, 0, truncate(F, 0)
+
+
+_CUTOFF_CASES = {
+    **{"ladder %s %s" % (name, perversity): partial(_ladder_steps, name,
+                                                    perversity)
+       for name in ["cone-s2", "cone-t2", "cone-genus2", "suspension-s2",
+                    "suspension-t2", "cone-cone-s1", "cone-product:s1,s1"]
+       for perversity in ["lower-middle", "upper-middle"]},
+    **{"second step cut %d torsion %s k %d" % args: partial(_second_step,
+                                                            *args)
+       for args in [(1, False, 1), (0, True, 0), (1, True, 1)]},
+    **{"fibration %s" % name: partial(_fibration_step, name)
+       for name in ["s1", "s2", "t2", "genus2"]},
+    "refined suspension-t2": partial(_refined_step, "suspension-t2"),
+    "truncation of a truncation": _truncated_twice,
+}
+
+
+@pytest.mark.parametrize("case", list(_CUTOFF_CASES))
+def test_cutoff_maps_match_solve_many(case):
+    # one differential test for every map at the cutoff, on the ih ladder's
+    # spaces, the second cone-cone-s1 step, the fibrations and a refined
+    # truncation; the drawn pushforwards go through the same check in
+    # test_truncated_maps_match_solve_many
+    for push, k, G in _CUTOFF_CASES[case]():
+        _assert_maps_match_solve_many(push, k, G)
 
 
 @pytest.mark.parametrize("case", [_cone_t2_case, _cone_cone_s1_case,
@@ -1237,28 +1281,25 @@ def test_truncate_by_projections_matches_full_products(case, monkeypatch):
                    for c in push.stalks), k
 
 
-def _solved_columns(push, k, G):
-    # the columns the truncation of `push` at k solves for: at a stalk
-    # without a contraction basis every column of d^(k-1), along a cover
-    # with such a stalk at either end every column; between contraction
-    # bases none
+def _solved_columns(push, k, G, cells):
+    # the columns the truncation of `push` at k hands solve_columns: d^(k-1)
+    # at each of `cells` and every cover with one of them at either end
     calls = []
     for c, cx in push.stalks.items():
-        if k - 1 not in G.stalks[c].dims or k not in G.stalks[c].dims:
-            continue
-        if push.least_cells[c] is None:
+        if c in cells and k - 1 in G.stalks[c].dims and k in G.stalks[c].dims:
             calls.append(cx.dim(k - 1))
     for (a, b), mats in push.restrictions.items():
-        if k in mats and None in (push.least_cells[a], push.least_cells[b]):
+        if k in mats and (a in cells or b in cells):
             calls.append(G.inclusions[a].basis.cols)
-    return sorted(n for n in calls if n)
+    return sorted(calls)
 
 
 def test_truncate_solves_only_the_columns_not_fixed(monkeypatch):
-    # the pushforward builds no identity matrix, and solve_columns sees
-    # exactly the columns the construction leaves open: no stalk with a
-    # contraction basis and no cover between two of them.  A contraction
-    # basis is solved against only along a cover out of a closed cell
+    # the pushforward builds no identity matrix, and a certified truncation
+    # without caller subspaces reads every map at the cutoff: solve_columns
+    # is not called.  It sees exactly the columns at the cells that took a
+    # caller subspace and along the covers touching one, and, for an
+    # uncertified copy of the same sheaf, every stalk's and every cover's
     s = get_example("suspension-t2")
     F = constant_sheaf(s, 1)
 
@@ -1271,34 +1312,38 @@ def test_truncate_solves_only_the_columns_not_fixed(monkeypatch):
     real = sheaves.solve_columns
 
     def counted(basis, target):
-        seen.append((basis, target.cols))
+        seen.append(target.cols)
         return real(basis, target)
     monkeypatch.setattr(sheaves, "solve_columns", counted)
-    G = truncate(push, 1)
-    assert sorted(n for _b, n in seen) == _solved_columns(push, 1, G)
-    least = push.least_cells
-    contracted = {id(G.inclusions[c].basis) for c, s in least.items()
-                  if s is not None}
-    out_of_closed = sorted(id(G.inclusions[b].basis)
-                           for (a, b), mats in push.restrictions.items()
-                           if 1 in mats and least[a] is None
-                           and least[b] is not None)
-    assert out_of_closed
-    assert sorted(id(basis) for basis, _n in seen
-                  if id(basis) in contracted) == out_of_closed
+    plain = truncate(push, 1)
+    assert seen == []
+    # caller subspaces equal to the kernel bases: the closed cells and one
+    # open cell; the maps solved for are the ones read without them
+    cells = {c for c, least in push.least_cells.items() if least is None}
+    assert len(cells) == 2
+    cells.add(min(c for c in push.stalks if c not in cells))
+    G = truncate(push, 1, {c: plain.inclusions[c].basis for c in cells})
+    assert sorted(seen) == _solved_columns(push, 1, G, cells)
+    assert G.restrictions == plain.restrictions
+    assert all(G.stalks[c].diffs == plain.stalks[c].diffs
+               for c in push.stalks)
+    seen.clear()
+    raw = SheafComplex(s, push.stalks, push.restrictions, check=False)
+    H = truncate(raw, 1)
+    assert sorted(seen) == _solved_columns(raw, 1, H, set(raw.stalks))
 
 
 # the certificates the pushforward and the truncation keep, each broken
 # once: a non-monotone map, an arrow of the wrong shape in an open-set flag
-# complex, a corrupted projection along a cover out of a closed cell, a
-# corrupted column of a closed cell's stalk that is solved for, a cover
-# whose fibers are not nested when its cutoff map walks them, and a
+# complex, a corrupted projection along a cover out of a cell that took a
+# caller subspace, a corrupted column of a stalk and a corrupted
+# restriction of an uncertified copy, whose maps are solved for, and a
 # component outside the top truncation in a pairing
 _KEPT_CERTIFICATES = "\n".join([
     "from strat_ic import duality, ic, sheaves",
     "from strat_ic.examples import get_example",
     "from strat_ic.linalg import (CertificateError, CochainComplex,",
-    "                             ExactMatrix, solve)",
+    "                             ExactMatrix, kernel_basis, solve)",
     "def attempt(label, call):",
     "    try:",
     "        call()",
@@ -1323,7 +1368,8 @@ _KEPT_CERTIFICATES = "\n".join([
     "cover = ((7,), (0, 7))",
     "picks[cover] = {q: p[1:] + p[:1] for q, p in picks[cover].items()}",
     "push.projections = picks",
-    "attempt('projection', lambda: sheaves.truncate(push, 1))",
+    "kept = {(7,): kernel_basis(push.stalks[(7,)].diff(1))}",
+    "attempt('projection', lambda: sheaves.truncate(push, 1, kept))",
     "push = sheaves.derived_pushforward(sheaves.constant_sheaf(s, 1),",
     "                                   s.filtration_stage(0), through=2)",
     "t = (7,)",
@@ -1335,17 +1381,18 @@ _KEPT_CERTIFICATES = "\n".join([
     "push.stalks[t] = CochainComplex(",
     "    cx.dims, {**cx.diffs, 0: ExactMatrix(m.rows, m.cols, ent)},",
     "    check=False)",
-    "attempt('read column', lambda: sheaves.truncate(push, 1))",
+    "raw = sheaves.SheafComplex(s, push.stalks, push.restrictions,",
+    "                           check=False)",
+    "attempt('read column', lambda: sheaves.truncate(raw, 1))",
     "push = sheaves.derived_pushforward(sheaves.constant_sheaf(s, 1),",
     "                                   s.filtration_stage(0), through=2)",
-    "G = sheaves.truncate(push, 1)",
-    "a, b = (0,), (0, 1)",
-    "layouts = dict(push.stalk_layouts)",
-    "layouts[a] = {0: [blk for blk in layouts[a][0]",
-    "                  if blk[:2] != push.stalk_layouts[b][0][-1][:2]]}",
-    "push.stalk_layouts = layouts",
-    "attempt('nested', lambda: sheaves._cutoff_map(",
-    "    push, (a, b), 1, G.inclusions, G.stalks, {}))",
+    "maps = dict(push.restrictions)",
+    "maps[cover] = {q: ExactMatrix(m.rows, m.cols, {",
+    "    (i, p[(i + 1) % len(p)]): 1 for i in range(len(p))})",
+    "    for q, m in maps[cover].items()",
+    "    for p in [push.projections[cover][q]]}",
+    "raw = sheaves.SheafComplex(s, push.stalks, maps, check=False)",
+    "attempt('restriction', lambda: sheaves.truncate(raw, 1))",
     "res = ic.deligne_construction(get_example('suspension-s1'),",
     "                              ic.Perversity.lower_middle())",
     "context = duality.PairingContext(res, res)",
@@ -1375,8 +1422,7 @@ def test_kept_certificates_raise_under_optimize():
         "has shape (2, 1), not its block's (1, 1)",
         "projection SheafError vector outside the chosen subspace",
         "read column SheafError vector outside the chosen subspace",
-        "nested SheafError the fiber over (0, 1) is not inside the fiber "
-        "over its face (0,)",
+        "restriction SheafError vector outside the chosen subspace",
         "project CertificateError component outside the truncated subspace "
         "at (0,)"]
 
