@@ -1045,13 +1045,16 @@ def _parser():
 
 def _run(config):
     """The command's report; a perversity or a link form asked for at a
-    stratum of codimension below 2, and a link form at a stratum that is
-    not isolated cone points with closed links, are faults of the given
-    space."""
+    stratum of codimension below 2, a link form at a stratum that is not
+    isolated cone points with closed links, and top cells that admit no
+    orientation (a space with boundary) are faults of the given space."""
     try:
         return _COMMANDS[config.command](config)
     except (ic.LowCodimension, ic.NotRefinable) as e:
         raise BadInput(str(e), "/filtration" if config.input_path
+                       else "/example") from None
+    except duality.NotOrientable as e:
+        raise BadInput(str(e), "/simplices" if config.input_path
                        else "/example") from None
 
 

@@ -229,8 +229,8 @@ def _order_cohomology(cells):
     is one +-1.  d o d = 0 by the alternating-sign rule: dropping entries
     i < j of a chain h reaches one chain two ways, j then i with sign
     (-1)^(i + j), and i then j - 1 with sign (-1)^(i + j - 1), which cancel.
-    So the complex is built `certified`, with no product, as the one d o d
-    rule builds the flag complexes of `sheaves`.
+    So the complex is built through `CochainComplex._of`, with no product,
+    as the one d o d rule builds the flag complexes of `sheaves`.
     """
     flags, drops = sheaves._flags(cells)
     if not flags:
@@ -245,9 +245,7 @@ def _order_cohomology(cells):
         (g - start[n + 1], m - start[n]): sign
         for g in range(start[n + 1], start[n + 2]) for m, sign in drops[g]})
         for n in range(len(dims) - 1)}
-    cx = CochainComplex(dims, diffs, check=False)
-    cx.certified = True
-    return cx.betti_numbers()
+    return CochainComplex._of(dims, diffs).betti_numbers()
 
 
 def _closed_cohomology(space, cells):

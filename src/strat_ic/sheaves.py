@@ -2,11 +2,12 @@
 
 A sheaf assigns to every cell a bounded cochain complex (the stalk, really
 the complex of sections over the cell's open star) and to every face
-relation a degreewise restriction map.  It is `certified` when its stalks
-square to zero and its restrictions are strictly functorial chain maps:
-`SheafComplex.validate` checks that by exact products, and the
-constructors below certify their output from how they build it, at every
-size, without it:
+relation a degreewise restriction map.  Every sheaf is certified: its
+stalks square to zero and its restrictions are strictly functorial chain
+maps of the stalks' shapes.  A caller's sheaf is checked by exact products
+when it is built (`SheafComplex.validate`); the constructors below build
+through `SheafComplex._of`, their output certified by how they build it,
+at every size:
 
 - `constant_sheaf`: identity restrictions.
 - `kan_pushforward`: d o d = 0 on one global flag complex, whose arrows
@@ -15,34 +16,33 @@ size, without it:
   each fiber at its offsets; every arrow into a fiber comes from inside
   it, and every fiber is nested in the fibers of its faces, so the
   projections, recorded as pick lists, are chain maps and compose.
-- `truncate`, of a certified sheaf: its maps below the cutoff, and at the
-  cutoff maps through bases of the cocycles (the cone contraction's on a
-  fiber with a least cell, else `kernel_basis`), each column with a row
-  where it holds a lone 1.  One rule gives every map at the cutoff: its
-  source, d^(k-1) or r B_a, is a cocycle, so it is read at the target
-  basis's unit rows, with no solve and no product.  Only a caller
-  subspace, which need not hold the source, or an uncertified input gets
-  its maps solved for and checked by one exact product.  It works cell
-  by cell and cover by cover, so `plain_truncation` turns a truncation
-  onto caller subspaces into the plain one by recomputing only the cells
-  that took a subspace and the covers that touch them.
-- `external_tensor`, of certified factors: Kronecker products of their
-  chain maps, each the shape of its block in the tensor layouts.
+- `truncate`: its maps below the cutoff, and at the cutoff maps through
+  bases of the cocycles (the cone contraction's on a fiber with a least
+  cell, else `kernel_basis`), each column with a row where it holds a
+  lone 1.  One rule gives every map at the cutoff: its source, d^(k-1)
+  or r B_a, is a cocycle, so it is read at the target basis's unit rows,
+  with no solve and no product.  Only a caller subspace, which need not
+  hold the source, gets its maps solved for and checked by one exact
+  product.  It works cell by cell and cover by cover, so
+  `plain_truncation` turns a truncation onto caller subspaces into the
+  plain one by recomputing only the cells that took a subspace and the
+  covers that touch them.
+- `external_tensor`: Kronecker products of its factors' chain maps, each
+  the shape of its block in the tensor layouts.
 
 Cohomology over the whole complex uses the incidence total complex (one
 summand per cell, horizontal differential weighted by incidence signs).
 Over a proper open up-set that model computes the compactly supported
 answer, so open sets get the flag complex instead: one summand per strict
 chain of cells, with the alternating-drop differential.  Both are signed
-by `spaces.facets`, so D o D = 0 on those of a certified sheaf (Curry,
-"Sheaves, Cosheaves and Applications", 2014): the stalk terms square to
-zero, a chain map cancels against the twist (-1)^dim of the stalk
-differentials, and the two paths around a codimension-2 face carry one
-composite with opposite signs.  Only for other sheaves is it multiplied
-out, at every size (`_total_complex`, which assembles both from their
-arrows).  Pushforwards take the pointwise homotopy Kan extension: every
-stalk of the image is a flag complex over the source cells sitting above
-the target cell, and every restriction is a flag projection, which makes
+by `spaces.facets`, so D o D = 0 on both (Curry, "Sheaves, Cosheaves and
+Applications", 2014): the stalk terms square to zero, a chain map cancels
+against the twist (-1)^dim of the stalk differentials, and the two paths
+around a codimension-2 face carry one composite with opposite signs; so
+`_total_complex` assembles both from their arrows with no product.
+Pushforwards take the pointwise homotopy Kan extension: every stalk of
+the image is a flag complex over the source cells sitting above the
+target cell, and every restriction is a flag projection, which makes
 functoriality strict instead of up-to-homotopy.  Those cells form an
 up-set, so every stalk is a slice of one flag complex over all mapped
 cells.  A canonical truncation at k reads stalks only in degrees up to
@@ -93,10 +93,9 @@ class SheafComplex:
     `restrictions[(a, b)][q]` is the degree-q matrix of the map stalk(a) ->
     stalk(b) for a covering pair a < b; missing degrees are zero maps.
     Restrictions along longer face relations are composites (functoriality
-    makes them path independent).  `certified` is set by validate() (which
-    check=True runs) or by the constructor of this module that built the
-    sheaf; the total complexes of any other sheaf are checked by exact
-    products when they are assembled (see the module docstring).
+    makes them path independent).  A caller's sheaf is checked by
+    `validate` when it is built; the constructors of this module build
+    through `_of` (see the module docstring).
 
     Provenance, recorded by the constructors that build such sheaves:
     `least_cells`, `projections` and `through` (with `stalk_layouts`) by
@@ -111,19 +110,23 @@ class SheafComplex:
     untruncated = None
     inclusions = None
 
-    def __init__(self, space, stalks, restrictions, check=True):
+    @classmethod
+    def _of(cls, space, stalks, restrictions):
+        """Sheaf that takes its stalks and restrictions as they are: keyed
+        by cell tuples, a stalk on every cell, and certified by how its
+        builder made them, so `validate` is not run."""
+        out = cls.__new__(cls)
+        out.space, out.stalks, out.restrictions = space, stalks, restrictions
+        out._composed = {}
+        return out
+
+    def __init__(self, space, stalks, restrictions):
         self.space = space
         self.stalks = {tuple(c): cx for c, cx in stalks.items()}
-        if set(self.stalks) != set(space.complex.cells):
-            raise SheafError("stalks must cover all cells")
-        self.restrictions = {}
-        for (a, b), mats in restrictions.items():
-            a, b = tuple(a), tuple(b)
-            self.restrictions[(a, b)] = dict(mats)
+        self.restrictions = {(tuple(a), tuple(b)): dict(mats)
+                             for (a, b), mats in restrictions.items()}
         self._composed = {}
-        self.certified = False
-        if check:
-            self.validate()
+        self.validate()
 
     def stalk(self, c):
         return self.stalks[tuple(c)]
@@ -169,15 +172,27 @@ class SheafComplex:
         return self._composed[key]
 
     def validate(self):
+        """Check the sheaf by exact products: a stalk on every cell,
+        restrictions stored on covering pairs with the shapes of their
+        stalks, stalks that square to zero (CertificateError), chain maps
+        and strict functoriality (SheafError)."""
         cells = self.space.complex.cells
         index = self.space.complex.cell_index
-        for (a, b) in self.restrictions:
+        if set(self.stalks) != set(cells):
+            raise SheafError("stalks must cover all cells")
+        for (a, b), mats in self.restrictions.items():
             if a not in index or b not in index:
                 raise SheafError("restriction %r -> %r off the complex"
                                  % (a, b))
             if not (set(a) < set(b) and len(b) == len(a) + 1):
                 raise SheafError("stored restrictions must follow covering "
                                  "pairs, got %r -> %r" % (a, b))
+            for q, m in mats.items():
+                want = (self.stalks[b].dim(q), self.stalks[a].dim(q))
+                if m.shape != want:
+                    raise SheafError("restriction %r -> %r in degree %d has "
+                                     "shape %r, not %r"
+                                     % (a, b, q, m.shape, want))
         for cx in self.stalks.values():
             cx.certify()
         # restrictions are chain maps
@@ -204,7 +219,6 @@ class SheafComplex:
                             raise SheafError(
                                 "restrictions %r -> %r not functorial"
                                 % (sig, rho))
-        self.certified = True
 
     def total_dimension(self):
         return sum(cx.dim(q) for cx in self.stalks.values()
@@ -223,12 +237,9 @@ def constant_sheaf(space, coefficient=1):
     stalk = CochainComplex({0: int(coefficient)}, {})
     stalks = {c: stalk for c in space.complex.cells}
     ident = {q: ExactMatrix.identity(stalk.dim(q)) for q in stalk.degrees()}
-    out = SheafComplex(space, stalks, {(sig, tau): ident
-                                       for tau in space.complex.cells
-                                       for sig, _s in facets(tau)},
-                       check=False)
-    out.certified = True
-    return out
+    return SheafComplex._of(space, stalks, {(sig, tau): ident
+                                            for tau in space.complex.cells
+                                            for sig, _s in facets(tau)})
 
 
 # -- total complexes -------------------------------------------------------
@@ -272,7 +283,7 @@ def incidence_complex(sheaf):
                     if r.entries:
                         mats.append((spot[0], sign, r))
             out.append((mats, ()))
-    return _total_complex(layout, arrows, sheaf.certified), layout
+    return _total_complex(layout, arrows), layout
 
 
 def incidence_layout(sheaf):
@@ -362,14 +373,10 @@ def _arrow_entries(targets, into, sources, sizes, shape):
     return ent
 
 
-def _total_complex(layout, arrows, certified):
+def _total_complex(layout, arrows):
     """The total complex with `layout` and `arrows` (see `flag_complex`;
     `incidence_complex` gathers its arrows the same way), assembled.
-
-    d o d = 0 holds by construction on the total complexes of a
-    `certified` sheaf (see the module docstring), so it is multiplied out,
-    at every size, only for an uncertified one (CertificateError); the
-    result is `certified` either way."""
+    d o d = 0 holds on it by construction (see the module docstring)."""
     if not layout:
         return CochainComplex({0: 0}, {})
     dims = _layout_dims(layout)
@@ -380,9 +387,7 @@ def _total_complex(layout, arrows, certified):
             ((n, blk[2]) for n, blk in enumerate(layout[k])), into,
             [blk[2] for blk in layout[k - 1]],
             [blk[3] for blk in layout[k]], shape))
-    out = CochainComplex(dims, diffs, check=not certified)
-    out.certified = True
-    return out
+    return CochainComplex._of(dims, diffs)
 
 
 def _flags(cells, longest=None):
@@ -519,7 +524,7 @@ def sheaf_cohomology(sheaf, open_cells=None, integral=False):
         if missing_face(closed, closed):
             raise NotOpen("cell set is not open (not an up-set)")
         arrows, layout = flag_complex(sheaf, open_cells)
-        cx = _total_complex(layout, arrows, sheaf.certified)
+        cx = _total_complex(layout, arrows)
     if integral:
         return cx.cohomology_groups()
     return cx.betti_numbers()
@@ -552,9 +557,8 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
     are recorded as `projections[(sig, tau)][q]`, next to
     `stalk_layouts`.
 
-    Certificate, at every size: the result is `certified`.  The global
-    flag complex squares to zero (by construction for a certified input,
-    else by the exact product: CertificateError), so every slice does.
+    Certificate, at every size.  The global flag complex squares to zero by
+    construction, so every slice does.
     The fiber over tau is nested in the fiber over each face sig
     (SheafError if a block of tau's layout is missing from sig's), and no
     arrow into tau's slice comes from outside it; so the projection onto
@@ -586,9 +590,6 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
     over = {b: [t for t in faces(b) if t in tcells]
             for b in set(cmap.values())}
     total = flag_complex(sheaf, list(cmap), through)
-    if not sheaf.certified:
-        # assembled only to multiply d o d out (CertificateError)
-        _total_complex(total[1], total[0], False)
     cells = target_space.complex.cells
     covers = [(sig, tau) for tau in cells for (sig, _s) in facets(tau)]
     fibers = {t: [] for t in cells}
@@ -608,8 +609,7 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
                                         dict.fromkeys(enumerate(pick), 1))
                      for k, pick in picks.items()}
         for (sig, tau), picks in projections.items()}
-    out = SheafComplex(target_space, stalks, restrictions, check=False)
-    out.certified = True
+    out = SheafComplex._of(target_space, stalks, restrictions)
     out.stalk_layouts = layouts
     out.projections = projections
     out.least_cells = least
@@ -674,7 +674,7 @@ def _fiber_slices(total, targets, over, covers):
                                  "%r is not an up-set" % (t,)) from None
             if ent:
                 diffs[k - 1] = ExactMatrix._of(*shape, ent)
-        stalks[t] = CochainComplex(dims, diffs, check=False)
+        stalks[t] = CochainComplex._of(dims, diffs)
     projections = {}
     for sig, tau in covers:
         picks = projections[(sig, tau)] = {}
@@ -721,7 +721,7 @@ def derived_pushforward(sheaf, closed_cells, through=None):
 def external_tensor(fx, fy, prod):
     """Sheaf on a product whose stalks are tensors of the factor stalks.
 
-    Certificate, from certified factors: each restriction is the Kronecker
+    Certificate: each restriction is the Kronecker
     product ra (x) rb blockwise, and a tensor of chain maps is a chain map
     of the Koszul total complexes; functoriality holds factor by factor,
     since (ra' ra) (x) (rb' rb) = (ra' (x) rb') (ra (x) rb).  At run time
@@ -774,9 +774,7 @@ def external_tensor(fx, fy, prod):
                 mats[k] = ExactMatrix(stalks[tau].dim(k),
                                       stalks[sig].dim(k), ent)
             restrictions[(sig, tau)] = mats
-    out = SheafComplex(prod, stalks, restrictions, check=False)
-    out.certified = fx.certified and fy.certified
-    return out
+    return SheafComplex._of(prod, stalks, restrictions)
 
 
 def _tensor_blocks(layout, dim):
@@ -826,9 +824,9 @@ def truncate(sheaf, degree, subspaces=None):
 
     Maps at the cutoff: one rule.  Below k the maps are the input's.  At k
     the truncation needs X with B X = d^(k-1) at each cell, B its basis,
-    and Y with B_b Y = r B_a along each cover (a, b).  For a certified
-    input, where neither end took a caller subspace, each is its source
-    read at the target basis's unit rows: X is d^(k-1) at B's unit rows,
+    and Y with B_b Y = r B_a along each cover (a, b).  Where neither end
+    took a caller subspace, each is its source read at the target basis's
+    unit rows: X is d^(k-1) at B's unit rows,
     and Y is r B_a at B_b's unit rows, that is B_a's rows at the
     projection's recorded pick list (`kan_pushforward`'s `projections`)
     composed with those rows, or the restriction's rows there times B_a
@@ -837,14 +835,12 @@ def truncate(sheaf, degree, subspaces=None):
     chain map, and B_a's columns are cocycles).  B spans ker d^k with a
     unit row per column, so a cocycle v is B y for one y, and row i of B y
     is y_p when i is the unit row of column p: y is v read at the unit
-    rows.  A caller subspace need not hold these sources, and an
-    uncertified input's sources need not be cocycles, so there every
+    rows.  A caller subspace need not hold these sources, so there every
     column is solved for (`solve_columns`): `solve_many` reads or
     eliminates and checks its answer by an exact product (SheafError when
-    a column is outside the span), as `_total_complex` multiplies d o d
-    out only for an uncertified sheaf.
+    a column is outside the span).
 
-    Certificate, from a certified input, at every size.  Kernel: the
+    Certificate, at every size.  Kernel: the
     A-columns are cocycles by the pushforward's d o d = 0 certificate, and
     d^k iota(Z) = 0 is checked with one product (CertificateError).  The
     columns are independent, each having a lone +1 row.  They span: every
@@ -947,13 +943,13 @@ def _truncated_stalk(sheaf, c, k, subspace=None):
             continue
         if q + 1 < k:
             diffs[q] = cx.diff(q)
-        elif sheaf.certified and inc.units is not None:
-            diffs[q] = _at_rows(cx.diff(q), inc.units)
-        else:
+        elif inc.units is None:
             diffs[q] = solve_columns(inc.basis, cx.diff(q))
+        else:
+            diffs[q] = _at_rows(cx.diff(q), inc.units)
     if not dims:
         dims = {k: 0}
-    return inc, CochainComplex(dims, diffs, check=False)
+    return inc, CochainComplex._of(dims, diffs)
 
 
 def _truncated_cover(sheaf, cover, k, bases):
@@ -970,14 +966,13 @@ def _truncated_cover(sheaf, cover, k, bases):
 
 def _cutoff_map(sheaf, cover, k, bases):
     """Y with B_b Y = r B_a at the cutoff k along the cover (a, b): r B_a
-    read at B_b's unit rows for a certified input when neither end took a
-    caller subspace, else solved for (`solve_columns`), as `truncate`
-    says.  The rows of r B_a are B_a's rows at the projection's pick list,
-    or the restriction's rows times B_a for a sheaf that is not a
-    pushforward."""
+    read at B_b's unit rows when neither end took a caller subspace, else
+    solved for (`solve_columns`), as `truncate` says.  The rows of r B_a
+    are B_a's rows at the projection's pick list, or the restriction's rows
+    times B_a for a sheaf that is not a pushforward."""
     a, b = cover
     A, B = bases[a], bases[b]
-    read = sheaf.certified and A.units is not None and B.units is not None
+    read = A.units is not None and B.units is not None
     rows = B.units if read else range(B.basis.rows)
     if sheaf.projections is None:
         ra = _at_rows(sheaf.restriction(a, b, k), rows) * A.basis
@@ -995,8 +990,7 @@ def _at_rows(m, rows):
 
 
 def _truncation(sheaf, k, stalks, restrictions, bases, subspace_cells):
-    out = SheafComplex(sheaf.space, stalks, restrictions, check=False)
-    out.certified = sheaf.certified
+    out = SheafComplex._of(sheaf.space, stalks, restrictions)
     # provenance for pairings: the ambient sheaf, how the cutoff degree
     # embeds back into it (an Inclusion per cell; lower degrees embed
     # identically), and the cells whose kernel a caller replaced

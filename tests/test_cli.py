@@ -462,6 +462,15 @@ BAD_INPUTS = [
     (["intersect", "--example", "cone-s1"], {}, "/example"),
     (["duality", "--example", "s2", "--degree", "9"], {}, "/degree"),
     (["duality", "--example", "cone-s1", "--degree", "9"], {}, "/degree"),
+    # nonsingular spaces with boundary: their top cells admit no
+    # orientation (intersect on the interval has nothing to pair)
+    (["duality", "--example", "interval"], {}, "/example"),
+    (["duality", "--example", "product:interval,s1"], {}, "/example"),
+    (["intersect", "--example", "product:interval,s1"], {}, "/example"),
+    (["duality", "--input", "{space}"],
+     {"space": {"n_vertices": 3, "simplices": [[0, 1], [1, 2]],
+                "filtration": {"1": [[0, 1], [1, 2], [0], [1], [2]]}}},
+     "/simplices"),
     (["mezzo", "--example", "s2"], {}, "/example"),
     # a link form needs a stratum of isolated cone points with closed links
     (["mezzo", "--example", "cone-cone-t2", "--dump"], {}, "/example"),

@@ -435,8 +435,7 @@ def test_pairing_refuses_a_top_truncation_above_n(monkeypatch, susp_s1):
     def one_degree_more(sheaf):
         cx, layout = real(sheaf)
         if sheaf is not susp_s1.sheaf.untruncated:
-            cx = linalg.CochainComplex({**cx.dims, cx.hi + 1: 1},
-                                       cx.diffs, check=False)
+            cx = linalg.CochainComplex({**cx.dims, cx.hi + 1: 1}, cx.diffs)
         return cx, layout
 
     monkeypatch.setattr(sheaves, "incidence_complex", one_degree_more)

@@ -1049,13 +1049,12 @@ def test_cohomology_groups_match_two_snf_reference(c):
 
 
 def test_cohomology_groups_certify_d_squared():
-    # d o d != 0 slips past construction with check=False; the integral
-    # computation must still refuse it, also under python -O
+    # a complex with d o d != 0 is refused when it is built, so integral
+    # cohomology is never asked of it
     d0 = ExactMatrix.from_rows([[1], [0]])
     d1 = ExactMatrix.from_rows([[1, 0]])
-    c = CochainComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1}, check=False)
-    with pytest.raises(CertificateError, match="degree 1"):
-        c.cohomology_groups()
+    with pytest.raises(CertificateError, match="d o d != 0 at degree 0"):
+        CochainComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1})
 
 
 def test_cohomology_groups_certify_d_squared_under_optimize():
@@ -1064,49 +1063,15 @@ def test_cohomology_groups_certify_d_squared_under_optimize():
         "ExactMatrix",
         "d0 = ExactMatrix.from_rows([[1], [0]])",
         "d1 = ExactMatrix.from_rows([[1, 0]])",
-        "c = CochainComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1}, check=False)",
-        "print(c.certified)",
         "try:",
+        "    c = CochainComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1})",
         "    print(c.cohomology_groups())",
         "except CertificateError as e:",
         "    print('rejected:', e)",
     ])
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "False", "rejected: image not contained in kernel at degree 1"]
-
-
-def test_certified_records_the_d_squared_check():
-    d0 = ExactMatrix.from_rows([[1], [-1]])
-    d1 = ExactMatrix.from_rows([[1, 1]])
-    assert CochainComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1}).certified
-    c = CochainComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1}, check=False)
-    assert not c.certified
-    c.certify()
-    assert c.certified
-    # total complexes of a certified sheaf are certified by construction
-    from strat_ic import sheaves
-    F = sheaves.constant_sheaf(get_example("s2"))
-    assert sheaves.incidence_complex(F)[0].certified
-
-
-def test_cohomology_groups_multiplies_only_uncertified_input(monkeypatch):
-    # the d o d product runs on the input only when it is not certified;
-    # the unit reduction certifies its own output either way
-    c = get_example("t2").complex.cochain_complex()
-    assert c.certified
-    calls = []
-    real = linalg._mul_rows
-    monkeypatch.setattr(linalg, "_mul_rows",
-                        lambda a, b: calls.append(1) or real(a, b))
-    want = c.cohomology_groups()
-    reduction_only = len(calls)
-    calls.clear()
-    c.certified = False
-    assert c.cohomology_groups() == want
-    # plus one product per pair of consecutive degrees of the input
-    assert len(calls) == reduction_only + (c.hi - c.lo)
+    assert proc.stdout.splitlines() == ["rejected: d o d != 0 at degree 0"]
 
 
 def test_cohomology_groups_reject_non_integers():
@@ -1224,11 +1189,11 @@ def test_cancel_certifies_the_unit():
 
 
 def _bad_square_after_cancelling():
-    # d^1 d^0 = (0 6) != 0, which check=False lets through; the unit at
+    # d^1 d^0 = (0 6) != 0, which `_of` takes as it is; the unit at
     # (0, 0) cancels and leaves Z -2-> Z -3-> Z, which still fails
     d0 = ExactMatrix.from_rows([[1, 0], [0, 2]])
     d1 = ExactMatrix.from_rows([[0, 3]])
-    return CochainComplex({0: 2, 1: 2, 2: 1}, {0: d0, 1: d1}, check=False)
+    return CochainComplex._of({0: 2, 1: 2, 2: 1}, {0: d0, 1: d1})
 
 
 def test_reduction_rechecks_d_squared():
@@ -1246,7 +1211,7 @@ def test_reduction_certificates_under_optimize():
         "ExactMatrix",
         "d0 = ExactMatrix.from_rows([[1, 0], [0, 2]])",
         "d1 = ExactMatrix.from_rows([[0, 3]])",
-        "c = CochainComplex({0: 2, 1: 2, 2: 1}, {0: d0, 1: d1}, check=False)",
+        "c = CochainComplex._of({0: 2, 1: 2, 2: 1}, {0: d0, 1: d1})",
         "for call in (lambda: linalg._cancel({0: [{0: 2}]}, {0: [{0}]}, "
         "0, 0, 0),",
         "             c.betti_numbers):",

@@ -417,7 +417,7 @@ def _flag_total(sheaf, cells, through=None):
     # the complex of `flag_complex`'s rows, as the open-set cohomology
     # assembles it
     arrows, layout = flag_complex(sheaf, cells, through)
-    return sheaves._total_complex(layout, arrows, sheaf.certified), layout
+    return sheaves._total_complex(layout, arrows), layout
 
 
 def _assert_same_total(got, want):
@@ -447,10 +447,9 @@ def _sheaf_and_up_set(draw):
 def test_total_complexes_match_source_side_reference(case):
     F, up = case
     assert _flags(up)[0] == _ref_flags(up)
-    assert F.certified
     got = _flag_total(F, up), incidence_complex(F)
     for cx, _layout in got:
-        cx.certify()    # assembled without the product, F being certified
+        cx.certify()    # assembled without the product
     _assert_same_total(got[0], _ref_flag_complex(F, up))
     _assert_same_total(got[1], _ref_incidence_complex(F))
 
@@ -492,7 +491,7 @@ def _ref_kan_pushforward(sheaf, cell_map, target_space):
                 if ent or (src_dim and tgt_dim):
                     mats[k] = ExactMatrix(tgt_dim, src_dim, ent)
             restrictions[(sig, tau)] = mats
-    out = SheafComplex(target_space, stalks, restrictions, check=False)
+    out = SheafComplex(target_space, stalks, restrictions)
     out.stalk_layouts = layouts
     return out
 
@@ -557,32 +556,30 @@ def test_non_monotone_cell_map_rejected():
 
 def test_pushforward_certifies_d_squared_above_check_limit():
     # a sheaf on s2 whose restriction (0,) -> (0, 1) is doubled, so the
-    # diamonds (0,) < (0, 1) < (0, 1, k) no longer commute.  The sheaf, the
-    # pushforward and every stalk over (0,) are above the size 1500 that
-    # once gated d o d checks; the sheaf is uncertified, so its global flag
-    # complex is multiplied out and refused, also under -O
+    # diamonds (0,) < (0, 1) < (0, 1, k) no longer commute and its
+    # pushforward's flag complex would not square to zero.  The sheaf is
+    # above the size 1500 that once gated d o d checks; it is refused when
+    # it is built, so no pushforward sees it, also under -O
     code = "\n".join([
         "from strat_ic.examples import get_example",
-        "from strat_ic.linalg import CertificateError",
-        "from strat_ic.sheaves import (SheafComplex, constant_sheaf,",
-        "                              derived_pushforward)",
+        "from strat_ic.sheaves import (SheafComplex, SheafError,",
+        "                              constant_sheaf, derived_pushforward)",
         "F = constant_sheaf(get_example('s2'), 120)",
         "bad = dict(F.restrictions)",
         "bad[((0,), (0, 1))] = {0: bad[((0,), (0, 1))][0].scale(2)}",
-        "F = SheafComplex(F.space, F.stalks, bad, check=False)",
         "print(F.total_dimension() > 1500)",
         "try:",
-        "    derived_pushforward(F, [(3,)])",
+        "    G = SheafComplex(F.space, F.stalks, bad)",
+        "    derived_pushforward(G, [(3,)])",
         "    print('accepted')",
-        "except CertificateError as e:",
+        "except SheafError as e:",
         "    print('rejected:', e)",
     ])
     for optimize in (False, True):
         proc = run_python("-c", code, optimize=optimize)
         assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert lines[0] == "True"
-        assert lines[1].startswith("rejected: d o d != 0"), lines
+        assert proc.stdout.splitlines() == [
+            "True", "rejected: restrictions (0,) -> (0, 1, 2) not functorial"]
 
 
 # -- differential: pushforwards assembled through a degree ------------------
@@ -659,14 +656,12 @@ def test_flags_stop_at_longest():
 #
 # No constructor calls `SheafComplex.validate`: pushforwards, truncations and
 # tensors certify themselves from how they are built, at every size.  The
-# generic check (chain maps and functoriality by exact products) and d o d = 0
-# on every stalk must still pass on each of them.
+# generic check (shapes, chain maps and functoriality by exact products) and
+# d o d = 0 on every stalk must still pass on each of them.
 
 def _assert_certified(F):
-    # certified without validate, then the generic check, and d o d = 0
-    # multiplied out on the stalks and on both total complexes, which are
-    # assembled without that product for a certified sheaf
-    assert F.certified
+    # the generic check, and d o d = 0 multiplied out on the stalks and on
+    # both total complexes, which are assembled without that product
     F.validate()
     cells = F.space.complex.cells
     for cx in [*F.stalks.values(), incidence_complex(F)[0],
@@ -707,25 +702,17 @@ def _open_map(space, closed):
 def _built_pushforwards(draw):
     # a derived pushforward off a random closed set of cone-s1 or off the
     # singular stratum of a cone or suspension, or a collapse pushforward;
-    # assembled in every degree or through k + 1 for a drawn cutoff k.  An
-    # uncertified caller-built copy of the constant sheaf has its global
-    # flag complex multiplied out.  Returns (push, k, (sheaf, map, through))
+    # assembled in every degree or through k + 1 for a drawn cutoff k.
+    # Returns (push, k, (sheaf, map, through))
     k = draw(st.integers(0, 2))
     through = draw(st.sampled_from([None, k + 1]))
-    kind = draw(st.sampled_from(["closed", "stratum", "collapse",
-                                 "uncertified"]))
+    kind = draw(st.sampled_from(["closed", "stratum", "collapse"]))
     rank_ = draw(st.sampled_from([1, 2]))
     if kind == "closed":
         # an empty closed set gives the constant sheaf itself
         s, closed = draw(_closed_subsets())
         push, src = _pushed(constant_sheaf(s, rank_), _open_map(s, closed),
                             s, through)
-    elif kind == "uncertified":
-        s, closed = draw(_closed_subsets().filter(lambda sc: sc[1]))
-        F = constant_sheaf(s, rank_)
-        push, src = _pushed(
-            SheafComplex(s, F.stalks, F.restrictions, check=False),
-            _open_map(s, closed), s, through)
     elif kind == "stratum":
         s = get_example(draw(st.sampled_from(["cone-s1", "cone-t2",
                                               "suspension-s2"])))
@@ -755,7 +742,7 @@ def test_constructed_sheaves_pass_generic_validate(case, data):
 
 def _assert_same_truncation(got, want):
     assert got.untruncated is want.untruncated
-    assert (got.cutoff, got.certified) == (want.cutoff, want.certified)
+    assert got.cutoff == want.cutoff
     assert list(got.stalks) == list(want.stalks)
     for c, cx in want.stalks.items():
         other = got.stalks[c]
@@ -1113,7 +1100,7 @@ def test_cone_kernel_refuses_a_non_cocycle_lift():
         "    if bad:",
         "        m = cx.diff(0)",
         "        push.stalks[t] = CochainComplex(",
-        "            cx.dims, {0: type(m)(m.rows, m.cols, d)}, check=False)",
+        "            cx.dims, {0: type(m)(m.rows, m.cols, d)})",
         "    try:",
         "        truncate(push, 0)",
         "        print('accepted')",
@@ -1234,7 +1221,7 @@ def _truncated_twice():
     # a certified sheaf that is not a pushforward: r B_a is the restriction
     # times B_a, read at B_b's unit rows
     F, _cmap = _ladder_step("cone-cone-s1", cut=1)
-    assert F.projections is None and F.certified
+    assert F.projections is None
     yield F, 0, truncate(F, 0)
 
 
@@ -1295,11 +1282,10 @@ def _solved_columns(push, k, G, cells):
 
 
 def test_truncate_solves_only_the_columns_not_fixed(monkeypatch):
-    # the pushforward builds no identity matrix, and a certified truncation
-    # without caller subspaces reads every map at the cutoff: solve_columns
-    # is not called.  It sees exactly the columns at the cells that took a
-    # caller subspace and along the covers touching one, and, for an
-    # uncertified copy of the same sheaf, every stalk's and every cover's
+    # the pushforward builds no identity matrix, and a truncation without
+    # caller subspaces reads every map at the cutoff: solve_columns is not
+    # called.  It sees exactly the columns at the cells that took a caller
+    # subspace and along the covers touching one
     s = get_example("suspension-t2")
     F = constant_sheaf(s, 1)
 
@@ -1327,18 +1313,14 @@ def test_truncate_solves_only_the_columns_not_fixed(monkeypatch):
     assert G.restrictions == plain.restrictions
     assert all(G.stalks[c].diffs == plain.stalks[c].diffs
                for c in push.stalks)
-    seen.clear()
-    raw = SheafComplex(s, push.stalks, push.restrictions, check=False)
-    H = truncate(raw, 1)
-    assert sorted(seen) == _solved_columns(raw, 1, H, set(raw.stalks))
 
 
-# the certificates the pushforward and the truncation keep, each broken
-# once: a non-monotone map, an arrow of the wrong shape in an open-set flag
-# complex, a corrupted projection along a cover out of a cell that took a
-# caller subspace, a corrupted column of a stalk and a corrupted
-# restriction of an uncertified copy, whose maps are solved for, and a
-# component outside the top truncation in a pairing
+# the certificates the constructors, the truncation and the pairing keep,
+# each broken once: a non-monotone map, a restriction of the wrong shape, a
+# corrupted projection along a cover out of a cell that took a caller
+# subspace, a corrupted column of a stalk and a corrupted restriction of a
+# caller's copy, both refused when they are built, and a component outside
+# the top truncation in a pairing
 _KEPT_CERTIFICATES = "\n".join([
     "from strat_ic import duality, ic, sheaves",
     "from strat_ic.examples import get_example",
@@ -1356,11 +1338,8 @@ _KEPT_CERTIFICATES = "\n".join([
     "cmap[(0,)], cmap[(0, 1)] = (0, 1), (0,)",
     "attempt('monotone', lambda: sheaves.kan_pushforward(F, cmap, s1))",
     "wide = {0: ExactMatrix(2, 1, {(0, 0): 1, (1, 0): 1})}",
-    "raw = sheaves.SheafComplex(s1, F.stalks,",
-    "                           {**F.restrictions, ((0,), (0, 1)): wide},",
-    "                           check=False)",
-    "attempt('shape', lambda: sheaves.sheaf_cohomology(",
-    "    raw, open_cells=s1.complex.cells))",
+    "attempt('shape', lambda: sheaves.SheafComplex(",
+    "    s1, F.stalks, {**F.restrictions, ((0,), (0, 1)): wide}))",
     "s = get_example('cone-t2')",
     "push = sheaves.derived_pushforward(sheaves.constant_sheaf(s, 1),",
     "                                   s.filtration_stage(0), through=2)",
@@ -1378,12 +1357,10 @@ _KEPT_CERTIFICATES = "\n".join([
     "ent = dict(m.entries)",
     "i = min(i for i, j in ent if j == 0)",
     "ent[(i, 0)] = ent[(i, 0)] + 1 or 1",
-    "push.stalks[t] = CochainComplex(",
-    "    cx.dims, {**cx.diffs, 0: ExactMatrix(m.rows, m.cols, ent)},",
-    "    check=False)",
-    "raw = sheaves.SheafComplex(s, push.stalks, push.restrictions,",
-    "                           check=False)",
-    "attempt('read column', lambda: sheaves.truncate(raw, 1))",
+    "attempt('read column', lambda: sheaves.SheafComplex(s, {",
+    "    **push.stalks, t: CochainComplex(cx.dims, {",
+    "        **cx.diffs, 0: ExactMatrix(m.rows, m.cols, ent)})},",
+    "    push.restrictions))",
     "push = sheaves.derived_pushforward(sheaves.constant_sheaf(s, 1),",
     "                                   s.filtration_stage(0), through=2)",
     "maps = dict(push.restrictions)",
@@ -1391,8 +1368,8 @@ _KEPT_CERTIFICATES = "\n".join([
     "    (i, p[(i + 1) % len(p)]): 1 for i in range(len(p))})",
     "    for q, m in maps[cover].items()",
     "    for p in [push.projections[cover][q]]}",
-    "raw = sheaves.SheafComplex(s, push.stalks, maps, check=False)",
-    "attempt('restriction', lambda: sheaves.truncate(raw, 1))",
+    "attempt('restriction', lambda: sheaves.SheafComplex(s, push.stalks,",
+    "                                                    maps))",
     "res = ic.deligne_construction(get_example('suspension-s1'),",
     "                              ic.Perversity.lower_middle())",
     "context = duality.PairingContext(res, res)",
@@ -1418,21 +1395,22 @@ def test_kept_certificates_raise_under_optimize():
     assert outs[0] == [
         "monotone SheafError cell map is not monotone: the fiber over (1,) "
         "is not an up-set",
-        "shape CertificateError arrow (((0,),), 0) -> (((0,), (0, 1)), 0) "
-        "has shape (2, 1), not its block's (1, 1)",
+        "shape SheafError restriction (0,) -> (0, 1) in degree 0 has shape "
+        "(2, 1), not (1, 1)",
         "projection SheafError vector outside the chosen subspace",
-        "read column SheafError vector outside the chosen subspace",
-        "restriction SheafError vector outside the chosen subspace",
+        "read column CertificateError d o d != 0 at degree 0",
+        "restriction SheafError restriction (7,) -> (0, 7) not a chain map "
+        "at degree 0",
         "project CertificateError component outside the truncated subspace "
         "at (0,)"]
 
 
 # -- one d o d rule for every total complex ----------------------------------
 #
-# The total complexes of a certified sheaf are assembled without multiplying
-# out d o d: the sign rule of `spaces.facets`, chain maps and functoriality
-# make it zero.  Those of any other sheaf are multiplied out, at every size,
-# and every arrow must fit its block.
+# Every sheaf is certified when it is built, so its total complexes are
+# assembled without multiplying out d o d: the sign rule of `spaces.facets`,
+# chain maps and functoriality make it zero.  Every arrow must still fit its
+# block.
 
 @given(st.lists(st.integers(-5, 20), min_size=1, max_size=7, unique=True))
 def test_facets_signs_cancel_around_codimension_two(entries):
@@ -1461,14 +1439,13 @@ def test_mezzo_pairing_complexes_above_1500_pass_certify(monkeypatch):
     built = []
     real = sheaves._total_complex
 
-    def keep(layout, arrows, certified):
-        built.append((real(layout, arrows, certified), certified))
-        return built[-1][0]
+    def keep(layout, arrows):
+        built.append(real(layout, arrows))
+        return built[-1]
     monkeypatch.setattr(sheaves, "_total_complex", keep)
     duality.ic_pairing(res, res, 1)
-    assert built and all(certified for _cx, certified in built)
-    assert max(cx.total_dimension() for cx, _c in built) > 1500
-    for cx, _c in built:
+    assert max(cx.total_dimension() for cx in built) > 1500
+    for cx in built:
         cx.certify()
 
 
@@ -1481,84 +1458,95 @@ def test_constructors_certify_without_validate(monkeypatch):
     F = constant_sheaf(s, 1)
     push = derived_pushforward(F, s.filtration_stage(0), through=1)
     total, quotient, cmap = _collapse_case("s1")
-    built = [F, push, truncate(push, 0),
-             derived_pushforward(torsion, s.filtration_stage(0)),
-             kan_pushforward(constant_sheaf(total, 2), cmap, quotient),
-             external_tensor(torsion, constant_sheaf(s, 1), product(s, s)),
-             external_tensor(truncate(push, 0), constant_sheaf(s, 1),
-                             product(s, s))]
-    assert all(G.certified for G in built)
-    # a caller's sheaf is uncertified, and so is what truncate and
-    # external_tensor make of it; a pushforward certifies its own output
-    raw = SheafComplex(s, F.stalks, F.restrictions, check=False)
-    assert not raw.certified
-    assert not truncate(raw, 0).certified
-    assert not external_tensor(raw, F, product(s, s)).certified
-    assert derived_pushforward(raw, s.filtration_stage(0)).certified
-    monkeypatch.undo()
-    assert SheafComplex(s, F.stalks, F.restrictions).certified
+    truncate(push, 0)
+    derived_pushforward(torsion, s.filtration_stage(0))
+    kan_pushforward(constant_sheaf(total, 2), cmap, quotient)
+    external_tensor(torsion, constant_sheaf(s, 1), product(s, s))
+    external_tensor(truncate(push, 0), constant_sheaf(s, 1), product(s, s))
+    # a caller's sheaf is checked when it is built
+    seen = []
+    monkeypatch.setattr(SheafComplex, "validate",
+                        lambda self: seen.append(self))
+    G = SheafComplex(s, F.stalks, F.restrictions)
+    assert seen == [G]
 
 
 def test_uncertified_sheaf_total_complexes_checked_at_every_size():
-    # the doubled restriction of the test above, at rank 1 (14 cochains)
-    # and at rank 120 (1680, above the size that once gated the check):
-    # both are refused by the incidence and the open-set flag complex,
-    # also under -O
+    # the doubled restriction of the pushforward test above, at rank 1 (14
+    # cochains) and at rank 120 (1680, above the size that once gated the
+    # check): refused when the sheaf is built, so no total complex is
+    # assembled from it, also under -O
     code = "\n".join([
         "from strat_ic.examples import get_example",
-        "from strat_ic.linalg import CertificateError",
-        "from strat_ic.sheaves import (SheafComplex, constant_sheaf,",
-        "                              incidence_complex, sheaf_cohomology)",
+        "from strat_ic.sheaves import (SheafComplex, SheafError,",
+        "                              constant_sheaf)",
         "for rank in (1, 120):",
         "    F = constant_sheaf(get_example('s2'), rank)",
         "    bad = dict(F.restrictions)",
         "    bad[((0,), (0, 1))] = {0: bad[((0,), (0, 1))][0].scale(2)}",
-        "    F = SheafComplex(F.space, F.stalks, bad, check=False)",
-        "    print(F.total_dimension(), F.certified)",
-        "    cells = F.space.complex.cells",
-        "    for call in (lambda: incidence_complex(F),",
-        "                 lambda: sheaf_cohomology(F, open_cells=cells)):",
-        "        try:",
-        "            call()",
-        "            print('accepted')",
-        "        except CertificateError as e:",
-        "            print('rejected:', e)",
-    ])
-    for optimize in (False, True):
-        proc = run_python("-c", code, optimize=optimize)
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert lines[0] == "14 False" and lines[3] == "1680 False", lines
-        for line in lines[1:3] + lines[4:]:
-            assert line.startswith("rejected: d o d != 0"), lines
-
-
-def test_arrow_that_does_not_fit_its_block_is_refused():
-    # a restriction (0,) -> (0, 1) of shape (2, 1) between rank-1 stalks:
-    # refused when the total complex is assembled, certified or not, also
-    # under -O
-    code = "\n".join([
-        "from strat_ic.examples import get_example",
-        "from strat_ic.linalg import CertificateError, ExactMatrix",
-        "from strat_ic.sheaves import (SheafComplex, constant_sheaf,",
-        "                              incidence_complex)",
-        "F = constant_sheaf(get_example('s1'), 1)",
-        "wide = {0: ExactMatrix(2, 1, {(0, 0): 1, (1, 0): 1})}",
-        "raw = SheafComplex(F.space, F.stalks,",
-        "                   {**F.restrictions, ((0,), (0, 1)): wide},",
-        "                   check=False)",
-        "F.restrictions[((0,), (0, 1))] = wide",
-        "for G in (F, raw):",
+        "    print(F.total_dimension())",
         "    try:",
-        "        incidence_complex(G)",
+        "        SheafComplex(F.space, F.stalks, bad)",
         "        print('accepted')",
-        "    except CertificateError as e:",
-        "        print(G.certified, 'rejected:', e)",
+        "    except SheafError as e:",
+        "        print('rejected:', e)",
     ])
     for optimize in (False, True):
         proc = run_python("-c", code, optimize=optimize)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            "%s rejected: arrow ((0,), 0) -> ((0, 1), 0) has shape (2, 1), "
-            "not its block's (1, 1)" % certified
-            for certified in (True, False)]
+            line for rank in (14, 1680) for line in (
+                str(rank),
+                "rejected: restrictions (0,) -> (0, 1, 2) not functorial")]
+
+
+def test_restriction_of_the_wrong_shape_refused_when_built():
+    # a restriction (0,) -> (0, 1) of shape (2, 1) between rank-1 stalks,
+    # on s1 (no codimension-2 diamond) and on s2 (where the diamond
+    # product cannot multiply it): refused by the shape check, also under -O
+    code = "\n".join([
+        "from strat_ic.examples import get_example",
+        "from strat_ic.linalg import ExactMatrix",
+        "from strat_ic.sheaves import (SheafComplex, SheafError,",
+        "                              constant_sheaf)",
+        "wide = {0: ExactMatrix(2, 1, {(0, 0): 1, (1, 0): 1})}",
+        "for name in ('s1', 's2'):",
+        "    F = constant_sheaf(get_example(name), 1)",
+        "    try:",
+        "        SheafComplex(F.space, F.stalks,",
+        "                     {**F.restrictions, ((0,), (0, 1)): wide})",
+        "        print(name, 'accepted')",
+        "    except SheafError as e:",
+        "        print(name, 'rejected:', e)",
+    ])
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "%s rejected: restriction (0,) -> (0, 1) in degree 0 has shape "
+            "(2, 1), not (1, 1)" % name for name in ("s1", "s2")]
+
+
+def test_arrow_that_does_not_fit_its_block_is_refused():
+    # a restriction (0,) -> (0, 1) of shape (2, 1) between rank-1 stalks,
+    # put into a built sheaf: refused when the total complex is assembled,
+    # also under -O
+    code = "\n".join([
+        "from strat_ic.examples import get_example",
+        "from strat_ic.linalg import CertificateError, ExactMatrix",
+        "from strat_ic.sheaves import constant_sheaf, incidence_complex",
+        "F = constant_sheaf(get_example('s1'), 1)",
+        "F.restrictions[((0,), (0, 1))] = {",
+        "    0: ExactMatrix(2, 1, {(0, 0): 1, (1, 0): 1})}",
+        "try:",
+        "    incidence_complex(F)",
+        "    print('accepted')",
+        "except CertificateError as e:",
+        "    print('rejected:', e)",
+    ])
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "rejected: arrow ((0,), 0) -> ((0, 1), 0) has shape (2, 1), "
+            "not its block's (1, 1)"]
