@@ -492,8 +492,15 @@ class PairingContext:
                 for i, v in enumerate(part):
                     out[off + i] = v
             else:
-                coords = solve(T.inclusions[cell].basis, part)
-                if coords is None:
+                # the top is a plain truncation, so its basis has unit rows
+                # and the coordinates are part read there; one product
+                # certifies that part lies in the span
+                inc = T.inclusions[cell]
+                if inc.units is None:
+                    raise CertificateError(
+                        "top truncation at %r has no unit rows" % (cell,))
+                coords = [part[i] for i in inc.units]
+                if inc.basis.apply(coords) != tuple(part):
                     raise CertificateError(
                         "component outside the truncated subspace at %r"
                         % (cell,))

@@ -66,7 +66,6 @@ __all__ = [
     "solve_many",
     "unit_rows",
     "smith_normal_form",
-    "tensor_complex",
 ]
 
 
@@ -990,65 +989,3 @@ def _reduce_units(cx):
             (dst[t], src[s]): x for t, row in enumerate(drows)
             for s, x in row.items()})
     return CochainComplex({k: len(ix) for k, ix in index.items()}, diffs)
-
-
-def tensor_complex(x, y):
-    """Total complex of the tensor product of two cochain complexes.
-
-    Basis of degree n: pairs (p, q) with p + q = n in increasing p, and within
-    a pair the index is i * dim_Y^q + j.  The differential follows the Koszul
-    rule d(a (x) b) = da (x) b + (-1)^p a (x) db.
-    Returns (complex, layout) where layout maps n to the list of
-    (p, q, offset) blocks.
-    """
-    dims = {}
-    layout = {}
-    lo = x.lo + y.lo
-    hi = x.hi + y.hi
-    for n in range(lo, hi + 1):
-        blocks = []
-        off = 0
-        for p in range(x.lo, x.hi + 1):
-            q = n - p
-            if q < y.lo or q > y.hi:
-                continue
-            sz = x.dim(p) * y.dim(q)
-            if sz:
-                blocks.append((p, q, off))
-                off += sz
-        dims[n] = off
-        layout[n] = blocks
-
-    def offset_of(n, p):
-        for (pp, qq, off) in layout[n]:
-            if pp == p:
-                return off
-        return None
-
-    diffs = {}
-    for n in range(lo, hi):
-        ent = {}
-        for (p, q, off) in layout[n]:
-            dx = x.diffs.get(p)
-            if dx is not None:
-                off2 = offset_of(n + 1, p + 1)
-                if off2 is not None:
-                    dy_dim = y.dim(q)
-                    for (i2, i1), val in dx.entries.items():
-                        for j in range(dy_dim):
-                            ent[(off2 + i2 * dy_dim + j, off + i1 * dy_dim + j)] = val
-            dy = y.diffs.get(q)
-            if dy is not None:
-                off2 = offset_of(n + 1, p)
-                if off2 is not None:
-                    sign = -1 if p % 2 else 1
-                    dyd = y.dim(q + 1)
-                    dyq = y.dim(q)
-                    for (j2, j1), val in dy.entries.items():
-                        for i in range(x.dim(p)):
-                            key = (off2 + i * dyd + j2, off + i * dyq + j1)
-                            ent[key] = ent.get(key, 0) + sign * val
-        m = ExactMatrix(dims[n + 1], dims[n], ent)
-        if not m.is_zero():
-            diffs[n] = m
-    return CochainComplex(dims, diffs), layout

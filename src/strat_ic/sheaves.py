@@ -27,8 +27,6 @@ at every size:
   `plain_truncation` turns a truncation onto caller subspaces into the
   plain one by recomputing only the cells that took a subspace and the
   covers that touch them.
-- `external_tensor`: Kronecker products of its factors' chain maps, each
-  the shape of its block in the tensor layouts.
 
 Cohomology over the whole complex uses the incidence total complex (one
 summand per cell, horizontal differential weighted by incidence signs).
@@ -58,7 +56,7 @@ from types import MappingProxyType
 
 from .linalg import (CertificateError, CochainComplex, ExactMatrix,
                      kernel_basis, rank, solve_many, unit_rows)
-from .spaces import faces, facets, missing_face, product_projections
+from .spaces import faces, facets, missing_face
 
 
 class SheafError(Exception):
@@ -716,73 +714,7 @@ def derived_pushforward(sheaf, closed_cells, through=None):
     return kan_pushforward(sheaf, cmap, sheaf.space, through)
 
 
-# -- tensor and truncation -------------------------------------------------
-
-def external_tensor(fx, fy, prod):
-    """Sheaf on a product whose stalks are tensors of the factor stalks.
-
-    Certificate: each restriction is the Kronecker
-    product ra (x) rb blockwise, and a tensor of chain maps is a chain map
-    of the Koszul total complexes; functoriality holds factor by factor,
-    since (ra' ra) (x) (rb' rb) = (ra' (x) rb') (ra (x) rb).  At run time
-    every ra (x) rb must have the shape of its (p, q) block in both stalk
-    layouts, so the index arithmetic stays inside it (SheafError if not).
-    """
-    ny = prod.n_right
-    from .linalg import tensor_complex
-    stalks = {}
-    layouts = {}
-    projs = {}
-    for c in prod.complex.cells:
-        a, b = product_projections(c, ny)
-        projs[c] = (a, b)
-        cx, layout = tensor_complex(fx.stalks[a], fy.stalks[b])
-        stalks[c] = cx
-        layouts[c] = layout
-    restrictions = {}
-    for tau in prod.complex.cells:
-        at, bt = projs[tau]
-        for (sig, _s) in facets(tau):
-            asig, bsig = projs[sig]
-            mats = {}
-            src_layout, tgt_layout = layouts[sig], layouts[tau]
-            for k in stalks[sig].degrees():
-                if stalks[tau].dim(k) == 0 or stalks[sig].dim(k) == 0:
-                    continue
-                ent = {}
-                tgt_blocks = _tensor_blocks(tgt_layout.get(k, []),
-                                            stalks[tau].dim(k))
-                src_blocks = _tensor_blocks(src_layout.get(k, []),
-                                            stalks[sig].dim(k))
-                for (p, q), (soff, ssize) in src_blocks.items():
-                    if (p, q) not in tgt_blocks:
-                        continue
-                    toff, tsize = tgt_blocks[(p, q)]
-                    ra = fx.restriction(asig, at, p)
-                    rb = fy.restriction(bsig, bt, q)
-                    # entry (i1 wyt + i2, j1 wy + j2) of ra (x) rb lands in
-                    # its block when ra (x) rb has the block's shape
-                    wyt, wy = rb.shape
-                    if (ra.rows * wyt, ra.cols * wy) != (tsize, ssize):
-                        raise SheafError(
-                            "restriction %r -> %r does not fill its tensor "
-                            "block %r in degree %d" % (sig, tau, (p, q), k))
-                    for (i1, j1), v1 in ra.entries.items():
-                        for (i2, j2), v2 in rb.entries.items():
-                            ent[(toff + i1 * wyt + i2,
-                                 soff + j1 * wy + j2)] = v1 * v2
-                mats[k] = ExactMatrix(stalks[tau].dim(k),
-                                      stalks[sig].dim(k), ent)
-            restrictions[(sig, tau)] = mats
-    return SheafComplex._of(prod, stalks, restrictions)
-
-
-def _tensor_blocks(layout, dim):
-    """{(p, q): (offset, size)} for one degree of a `tensor_complex` layout
-    whose degree has dimension dim."""
-    ends = [off for (_p, _q, off) in layout[1:]] + [dim]
-    return {(p, q): (off, end - off) for (p, q, off), end in zip(layout, ends)}
-
+# -- truncation ----------------------------------------------------------------
 
 def truncate(sheaf, degree, subspaces=None):
     """Canonical truncation: keep degrees below, the kernel at the cutoff.

@@ -409,13 +409,6 @@ def product_vertex(u, v, n_right):
     return u * n_right + v
 
 
-def product_projections(cell, n_right):
-    """Split a product cell back into its two factor cells."""
-    left = tuple(sorted({v // n_right for v in cell}))
-    right = tuple(sorted({v % n_right for v in cell}))
-    return left, right
-
-
 def product(sx, sy):
     """Categorical product of ordered-vertex complexes.
 

@@ -384,6 +384,21 @@ def test_pairing_certificate_outside_subspace(susp_s1):
         context.project_into(z, k)
 
 
+def test_pairing_certificate_needs_unit_rows(monkeypatch, susp_s1):
+    # a top truncation whose basis at some cell records no unit rows (as a
+    # caller subspace would) cannot be read there, so it is refused
+    context = PairingContext(susp_s1, susp_s1)
+    amb, T, n = context.ambient, context.top, context.n
+    cell = next(c for c, q, _o, size in context.top_layout[n]
+                if q == T.cutoff and size)
+    _c, _q, off, _s = next(b for b in amb.layout[n]
+                           if b[:2] == (cell, T.cutoff))
+    monkeypatch.setattr(T, "inclusions", {
+        **T.inclusions, cell: T.inclusions[cell]._replace(units=None)})
+    with pytest.raises(CertificateError, match="no unit rows"):
+        context.project_into(_unit(amb.cx.dim(n), off), n)
+
+
 # wraps the forward pass that `PairingContext` runs over [d^(n-1) | I] so
 # that the top-class functional it hands over is off by one at a row where
 # d^(n-1) is not zero: phi d^(n-1) then picks up that row
@@ -512,11 +527,10 @@ def test_pairing_value_matches_solve_reference(request, name):
 
 
 def test_pairing_reads_top_classes_without_solving(monkeypatch, res_w):
-    # in degrees 0 and n, `value` reads the top class with no solve of its
-    # own (the only solves left map blocks through the truncation's
-    # inclusions in `project_into`), and every rref runs inside a
-    # kernel_basis: the top generator and each cohomology basis take the
-    # forward pass alone
+    # in degrees 0 and n, `value` reads the top class with no solve
+    # (`project_into` reads each block at the top truncation's unit rows),
+    # and every rref runs inside a kernel_basis: the top generator and each
+    # cohomology basis take the forward pass alone
     callers, stray, inner, inside = [], [], [], []
     real_rref, real_kernel, real_solve = \
         linalg.rref, linalg.kernel_basis, linalg.solve
@@ -543,7 +557,7 @@ def test_pairing_reads_top_classes_without_solving(monkeypatch, res_w):
         monkeypatch.setattr(module, "solve", counted_solve)
     for k in (0, 3):
         assert PairingContext(res_w, res_w).matrix(k).nondegenerate()
-    assert set(callers) == {"project_into"}
+    assert callers == []
     assert stray == [] and inner
 def test_ic_pairing_same_under_optimize(susp_s1):
     # the pairing certificates are raises, not asserts, so -O keeps them

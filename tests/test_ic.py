@@ -10,7 +10,7 @@ import pytest
 from conftest import ref_deligne_construction, run_python, two_term_sheaf
 from hypothesis import given, settings, strategies as hst
 
-from strat_ic import ic, spaces
+from strat_ic import duality, ic, spaces
 from strat_ic.examples import get_example
 from strat_ic.ic import (
     EmptyRegularPart, FormDegenerate, ICError, Mezzoperversity,
@@ -120,6 +120,25 @@ def test_deligne_suspension_t2():
     st = get_example("suspension-t2")
     assert deligne_construction(st, M).betti() == (1, 0, 2, 1)
     assert deligne_construction(st, N).betti() == (1, 2, 0, 1)
+
+
+@pytest.mark.parametrize("name,perv,betti", [
+    # non-Witt: the two middle perversities differ on the product too
+    ("cone-t2", "m", (1, 1, 0, 0, 0)),
+    ("cone-t2", "n", (1, 3, 2, 0, 0)),
+    ("cone-s2", "m", (1, 1, 0, 0, 0)),
+    ("cone-s2", "n", (1, 1, 0, 0, 0)),
+])
+def test_deligne_on_products_with_a_circle_is_the_convolution(name, perv,
+                                                              betti):
+    # IC_p(X x M) = IC_p(X) [x] Q_M for a closed manifold M, so over Q the
+    # Betti row of the product is IH_p(X) convolved with H(M) (King,
+    # "Topological invariance of intersection homology without sheaves")
+    p = Perversity.named(perv)
+    got = deligne_construction(get_example("product:%s,s1" % name), p)
+    ih = deligne_construction(get_example(name), p).betti()
+    circle = get_example("s1").complex.betti_numbers()
+    assert got.betti() == duality._convolve(ih, circle, 5) == betti
 
 
 def test_deligne_nonsingular_is_ordinary_cohomology():

@@ -19,10 +19,10 @@ from strat_ic.linalg import (CochainComplex, ExactMatrix, kernel_basis, rank,
                              solve_many)
 from strat_ic.sheaves import (
     NotOpen, NotOpenComplement, SheafComplex, SheafError, _flags,
-    constant_sheaf, derived_pushforward, external_tensor, flag_complex,
+    constant_sheaf, derived_pushforward, flag_complex,
     incidence_complex, kan_pushforward, sheaf_cohomology, truncate,
 )
-from strat_ic.spaces import product, single_stratum
+from strat_ic.spaces import single_stratum
 
 
 def _betti_tuple(coh, top):
@@ -235,30 +235,6 @@ def test_truncation_with_explicit_kernel_is_canonical():
     A = truncate(Rj, 0)
     B = truncate(Rj, 0, subspaces=subs)
     assert sheaf_cohomology(A) == sheaf_cohomology(B)
-
-
-# -- tensor ----------------------------------------------------------------
-
-def test_external_tensor_kunneth_rational():
-    a = get_example("s1")
-    b = get_example("s1")
-    p = product(a, b)
-    F = external_tensor(constant_sheaf(a, 1), constant_sheaf(b, 1), p)
-    F.validate()
-    assert _betti_tuple(sheaf_cohomology(F), 2) == (1, 2, 1)
-
-
-def test_external_tensor_of_torsion_sheaves_derived_terms():
-    # Z/2 on both circles: the tensor of the two-term stalks has
-    # H^-1 = Tor(Z/2, Z/2) = Z/2, so hypercohomology starts in degree -1
-    a, b = get_example("s1"), get_example("s1")
-    M = external_tensor(two_term_sheaf(a, 0, (2,)), two_term_sheaf(b, 0, (2,)),
-                        product(a, b))
-    coh = sheaf_cohomology(M, integral=True)
-    assert coh[-1].describe() == "Z/2"
-    assert coh[0].describe() == "Z/2 + Z/2 + Z/2"
-    assert coh[1].describe() == "Z/2 + Z/2 + Z/2"
-    assert coh[2].describe() == "Z/2"
 
 
 # -- property: Leray holds for arbitrary closed subcomplexes ---------------
@@ -654,8 +630,8 @@ def test_flags_stop_at_longest():
 
 # -- differential: certified by construction against the generic validate ---
 #
-# No constructor calls `SheafComplex.validate`: pushforwards, truncations and
-# tensors certify themselves from how they are built, at every size.  The
+# No constructor calls `SheafComplex.validate`: pushforwards and truncations
+# certify themselves from how they are built, at every size.  The
 # generic check (shapes, chain maps and functoriality by exact products) and
 # d o d = 0 on every stalk must still pass on each of them.
 
@@ -777,46 +753,6 @@ def test_plain_truncation_matches_truncate(case, data):
         if not cells.intersection(cover):
             assert all(got.restrictions[cover][q] is m
                        for q, m in mats.items())
-
-
-@pytest.mark.parametrize("pair,coefficient", [
-    (("s1", "s1"), 1), (("cone-s1", "s1"), 2),
-    # (free rank, torsion) of two-term stalks in degrees -1 and 0
-    (("s1", "s1"), (1, (2,)))])
-def test_external_tensors_pass_generic_validate(pair, coefficient):
-    a, b = (get_example(n) for n in pair)
-    if isinstance(coefficient, tuple):
-        fx = two_term_sheaf(a, *coefficient)
-        fy = two_term_sheaf(b, *coefficient)
-    else:
-        fx, fy = constant_sheaf(a, coefficient), constant_sheaf(b, coefficient)
-    if a.singular_levels():
-        # a truncated pushforward factor: stalks in several degrees and
-        # restrictions that are not identities
-        fx = truncate(derived_pushforward(fx, a.filtration_stage(0)), 1)
-    _assert_certified(external_tensor(fx, fy, product(a, b)))
-
-
-def test_external_tensor_refuses_a_block_of_the_wrong_shape(monkeypatch):
-    # a layout that swaps the labels of two blocks of unequal size puts
-    # each Kronecker block where it does not fit; the tensor refuses it
-    from strat_ic import linalg
-    real = linalg.tensor_complex
-
-    def swapped(x, y):
-        cx, layout = real(x, y)
-        for n, blocks in layout.items():
-            if len(blocks) == 2:
-                (p0, q0, o0), (p1, q1, o1) = blocks
-                layout[n] = [(p1, q1, o0), (p0, q0, o1)]
-        return cx, layout
-    a, b = get_example("s1"), get_example("s1")
-    fx = two_term_sheaf(a, 1, (2,))     # dims 1, 2
-    fy = two_term_sheaf(b, 0, (2,))     # dims 1, 1
-    _assert_certified(external_tensor(fx, fy, product(a, b)))
-    monkeypatch.setattr(linalg, "tensor_complex", swapped)
-    with pytest.raises(SheafError, match="tensor block"):
-        external_tensor(fx, fy, product(a, b))
 
 
 def test_large_pushforward_passes_generic_validate():
@@ -1461,8 +1397,6 @@ def test_constructors_certify_without_validate(monkeypatch):
     truncate(push, 0)
     derived_pushforward(torsion, s.filtration_stage(0))
     kan_pushforward(constant_sheaf(total, 2), cmap, quotient)
-    external_tensor(torsion, constant_sheaf(s, 1), product(s, s))
-    external_tensor(truncate(push, 0), constant_sheaf(s, 1), product(s, s))
     # a caller's sheaf is checked when it is built
     seen = []
     monkeypatch.setattr(SheafComplex, "validate",

@@ -16,7 +16,7 @@ from strat_ic.examples import UnknownExample, get_example
 from strat_ic.spaces import (
     BadLevelMap, BadSimplex, CellNotFound, FiltrationNotClosed, FrontierViolation,
     SimplicialComplex, StratifiedComplex, SubcomplexNotClosed, build_stratified,
-    collapse, cone, link, product, product_projections,
+    collapse, cone, link, product,
 )
 
 
@@ -272,10 +272,11 @@ def test_product_levels_add():
     assert len(p.complex.connected_components(p.stratum(1))) == 1
 
 
-def test_product_projections_land_in_factors():
+def test_product_cells_split_into_factor_cells():
     p = get_example("product:s1,interval")
     for cell in p.complex.cells:
-        a, b = product_projections(cell, p.n_right)
+        a = tuple(sorted({v // p.n_right for v in cell}))
+        b = tuple(sorted({v % p.n_right for v in cell}))
         assert a in p.factors[0].complex.cell_index
         assert b in p.factors[1].complex.cell_index
         assert p.levels[cell] == p.factors[0].levels[a] + p.factors[1].levels[b]
