@@ -839,7 +839,7 @@ def _check_truncation(space):
     F = sheaves.constant_sheaf(space)
     cut = max(0, space.top - p - 2)
     G = sheaves.derived_pushforward(F, space.filtration_stage(p),
-                                    through=cut + 1)
+                                    through=cut)
     T = sheaves.truncate(G, cut)
     for c in space.filtration_stage(p):
         b = T.stalk(c).betti_numbers()

@@ -749,7 +749,7 @@ def fibration_decomposition(section):
     cut = d - 1
     quotient, cmap = spaces.collapse(total_space, slice_cells)
     Rf = sheaves.kan_pushforward(sheaves.constant_sheaf(total_space),
-                                 cmap, quotient, through=cut + 1)
+                                 cmap, quotient, through=cut)
     coh = sheaves.sheaf_cohomology(sheaves.truncate(Rf, cut))
     ih_row = tuple(coh.get(k, 0) for k in range(width))
     report = {

@@ -169,13 +169,15 @@ def _ladder(space, cutoff):
     """The rank-one constant sheaf pushed forward and truncated along the
     filtration: strata attach in decreasing level order, and attaching
     level p truncates stalk degrees above cutoff(p).  Each pushforward
-    assembles stalk degrees only through cutoff(p) + 1, the highest its
-    truncation reads.  Returns the sheaf and {level: cutoff}."""
+    is assembled through cutoff(p), and through cutoff(p) + 1 only over
+    the fibers with no least cell, whose kernels `truncate` eliminates:
+    the degrees its truncation reads.  Returns the sheaf and {level:
+    cutoff}."""
     F = constant_sheaf(space)
     cutoffs = {}
     for p in sorted(space.singular_levels(), reverse=True):
         cut = cutoffs[p] = cutoff(p)
-        F = derived_pushforward(F, space.filtration_stage(p), through=cut + 1)
+        F = derived_pushforward(F, space.filtration_stage(p), through=cut)
         F = truncate(F, cut)
     return F, cutoffs
 
@@ -608,6 +610,9 @@ def refined_ic(space, mezzo):
 
     c = space.top - level
     mid = (c - 1) // 2
+    # every fiber through mid + 1, not only those without a least cell:
+    # this pushforward is the ambient `duality.PairingContext` reuses,
+    # which reads degree mid + 1 on every stalk
     F = derived_pushforward(constant_sheaf(space),
                             space.filtration_stage(level), through=mid + 1)
 

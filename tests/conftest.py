@@ -61,11 +61,11 @@ def assert_normalized(m):
                       or (type(v) is Fraction and v.denominator > 1)), repr(v)
 
 
-def ladder_result(space, perversity, sheaf, full=False):
+def ladder_result(space, perversity, sheaf, full=False, beyond=0):
     """The ICResult of `ic.deligne_construction`'s ladder started from
-    `sheaf` instead of the rank-one constant sheaf.  Each pushforward stops
-    at the degree its truncation reads, as in the package, or assembles
-    every stalk degree when `full`."""
+    `sheaf` instead of the rank-one constant sheaf.  Each pushforward is
+    assembled through its cutoff, as in the package, or through `beyond`
+    degrees more, or in every stalk degree when `full`."""
     from strat_ic import ic, sheaves
     F = sheaf
     cutoffs = {}
@@ -73,7 +73,8 @@ def ladder_result(space, perversity, sheaf, full=False):
         cut = cutoffs[p] = perversity(space.top - p)
         F = sheaves.truncate(
             sheaves.derived_pushforward(F, space.filtration_stage(p),
-                                        through=None if full else cut + 1),
+                                        through=None if full
+                                        else cut + beyond),
             cut)
     return ic.ICResult(space, F, cutoffs, "ladder")
 

@@ -584,12 +584,15 @@ def test_embed_refuses_blocks_outside_the_ambient_under_optimize():
     # the ambient's block invariants are CertificateErrors, so -O keeps them
     code = "\n".join([
         "from types import SimpleNamespace",
-        "from strat_ic import duality, ic",
+        "from strat_ic import duality, ic, sheaves",
         "from strat_ic.examples import get_example",
         "from strat_ic.linalg import CertificateError",
-        "res = ic.deligne_construction(get_example('suspension-s1'),",
-        "                              ic.Perversity.lower_middle())",
-        "amb = duality._Ambient(res.sheaf.untruncated)",
+        "sp = get_example('suspension-s1')",
+        "res = ic.deligne_construction(sp, ic.Perversity.lower_middle())",
+        "# the ladder's pushforward stops its open fibers at the cutoff 0;",
+        "# one through 1 holds the open blocks of stalk degree 1",
+        "amb = duality._Ambient(sheaves.derived_pushforward(",
+        "    sheaves.constant_sheaf(sp), sp.filtration_stage(0), through=1))",
         "above = SimpleNamespace(cutoff=1, inclusions={})",
         "for sheaf, block, degree in (",
         "        (res.sheaf, ((99,), 0, 0, 1), 0),",
@@ -905,15 +908,25 @@ def ss2_results():
             for p in ("0", "m", "n", "t")}
 
 
+@pytest.fixture(scope="module")
+def ss2_reaching():
+    # the same ladders with each pushforward assembled through its cutoff
+    # + 1, so the ones cut at 1 reach the pairing's depth
+    sp = get_example("suspension-s2")
+    return {p: ladder_result(sp, Perversity.named(p),
+                             sheaves.constant_sheaf(sp), beyond=1)
+            for p in ("0", "m", "n", "t")}
+
+
 @pytest.mark.parametrize("low,high,reused", [
     ("0", "0", None),     # max(0 + 0, 1 + 1) = 2; both record through 1
     ("m", "n", "high"),   # max(0 + 1, 2) = 2; only n records through 2
     ("t", "t", "low"),    # max(1 + 1, 2) = 2; t records through 2
     ("0", "t", "high"),
 ])
-def test_pairing_ambient_depth_rule(ss2_results, low, high, reused):
+def test_pairing_ambient_depth_rule(ss2_reaching, low, high, reused):
     # suspension-s2: n = 3, cone points of codimension 3, cut_top = 1
-    a, b = ss2_results[low], ss2_results[high]
+    a, b = ss2_reaching[low], ss2_reaching[high]
     context = PairingContext(a, b)
     R = context.ambient.R
     assert R.through == 2
@@ -922,6 +935,32 @@ def test_pairing_ambient_depth_rule(ss2_results, low, high, reused):
         assert all(R is not x for x in recorded.values())
     else:
         assert R is recorded[reused]
+
+
+def test_ladder_pushforwards_fall_short_of_the_pairing_depth(ss2_results):
+    # the package's ladder assembles its open fibers only through the
+    # cutoff, so its pushforward never reaches the depth cut_top + 1 = 2 a
+    # pairing needs on suspension-s2 or suspension-t2: the context builds
+    # its own ambient, and the matrices stay those of full pushforwards
+    for res in ss2_results.values():
+        R = res.sheaf.untruncated
+        cut = res.sheaf.cutoff
+        assert R.through == cut and not duality._reaches(R, cut + 1)
+    sp = get_example("suspension-t2")
+    lo, hi = (deligne_construction(sp, Perversity.named(p)) for p in "mn")
+    context = PairingContext(lo, hi)
+    R = context.ambient.R
+    assert R.through == 2
+    assert R is not lo.sheaf.untruncated and R is not hi.sheaf.untruncated
+    full = PairingContext(*(ref_deligne_construction(sp, Perversity.named(p))
+                            for p in "mn"))
+    assert full.ambient.R.through is None
+    want = {0: [[1]], 1: [], 2: [[0, 1], [-1, 0]], 3: [[1]]}
+    for k in range(4):
+        got = context.matrix(k).matrix
+        assert got == full.matrix(k).matrix, k
+        assert [[got.entry(i, j) for j in range(got.cols)]
+                for i in range(got.rows)] == want[k], k
 
 
 def test_pairing_ambient_reaches_the_sum_of_the_cutoffs():
@@ -1048,9 +1087,10 @@ def test_top_truncation_from_the_result_pairs_like_truncate(
     assert seen == [res.sheaf for res in results]
 
 
-def test_top_truncation_is_the_result_when_it_took_no_subspace(ss2_results):
-    # perversity t cuts at cut_top = 1 with no subspaces: T is the result
-    res = ss2_results["t"]
+def test_top_truncation_is_the_result_when_it_took_no_subspace(ss2_reaching):
+    # perversity t cuts at cut_top = 1 with no subspaces, from a pushforward
+    # that serves as the ambient: T is the result
+    res = ss2_reaching["t"]
     context = PairingContext(res, res)
     assert context.top is res.sheaf
 

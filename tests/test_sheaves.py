@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from strat_ic.examples import get_example
 from strat_ic import duality, sheaves, spaces
 from strat_ic.linalg import (CochainComplex, ExactMatrix, kernel_basis, rank,
-                             solve_many)
+                             solve_many, unit_rows)
 from strat_ic.sheaves import (
     NotOpen, NotOpenComplement, SheafComplex, SheafError, _flags,
     constant_sheaf, derived_pushforward, flag_complex,
@@ -560,32 +560,49 @@ def test_pushforward_certifies_d_squared_above_check_limit():
 
 # -- differential: pushforwards assembled through a degree ------------------
 #
-# `through` must give the brutal truncation of the full pushforward: the
+# `through` must give, on each stalk, the brutal truncation of the full
+# pushforward at that stalk's top: through + 1 over a fiber with cells but
+# no least cell and over every fiber containing one, else through.  The
 # same stalk dimensions, differentials, layouts and restriction matrices in
-# every degree up to it, and nothing above.
+# every degree up to the top, and nothing above.
 
-def _assert_brutal_truncation(got, full, through):
+def _ref_tops(cmap, targets, through):
+    # brute force: each target cell's top stalk degree under `through`
+    fibers = {t: [c for c, b in cmap.items() if set(t) <= set(b)]
+              for t in targets}
+    open_ended = [u for u, fiber in fibers.items()
+                  if fiber and _ref_least_cell(cmap, u) is None]
+    return {t: through + any(set(t) <= set(u) for u in open_ended)
+            for t in targets}
+
+
+def _assert_brutal_truncation(got, full, cmap, through):
+    tops = _ref_tops(cmap, list(full.stalks), through)
     assert got.through == through and full.through is None
     assert list(got.stalks) == list(full.stalks)
     for t, cx in full.stalks.items():
-        mine = got.stalks[t]
+        mine, top = got.stalks[t], tops[t]
         assert got.stalk_layouts[t] == {
             k: blocks for k, blocks in full.stalk_layouts[t].items()
-            if k <= through}, t
+            if k <= top}, t
         for q in set(cx.degrees()) | set(mine.degrees()):
-            assert mine.dim(q) == (cx.dim(q) if q <= through else 0), (t, q)
-            if q < through:
+            assert mine.dim(q) == (cx.dim(q) if q <= top else 0), (t, q)
+            if q < top:
                 assert mine.diff(q) == cx.diff(q), (t, q)
     assert list(got.restrictions) == list(full.restrictions)
     for key, mats in full.restrictions.items():
         assert got.restrictions[key] == {
-            q: m for q, m in mats.items() if q <= through}, key
+            q: m for q, m in mats.items() if q <= tops[key[1]]}, key
 
+
+# each case: (through -> pushforward, the cell map it is pushed along)
 
 def _cone_t2_case():
     s = get_example("cone-t2")
-    return lambda through: derived_pushforward(
-        constant_sheaf(s, 1), s.filtration_stage(0), through=through)
+    F = constant_sheaf(s, 1)
+    return (lambda through: derived_pushforward(F, s.filtration_stage(0),
+                                                through=through),
+            _open_map(s, s.filtration_stage(0)))
 
 
 def _cone_cone_s1_case():
@@ -593,31 +610,38 @@ def _cone_cone_s1_case():
     s = get_example("cone-cone-s1")
     F = truncate(derived_pushforward(constant_sheaf(s, 1),
                                      s.filtration_stage(1)), 0)
-    return lambda through: derived_pushforward(F, s.filtration_stage(0),
-                                               through=through)
+    return (lambda through: derived_pushforward(F, s.filtration_stage(0),
+                                                through=through),
+            _open_map(s, s.filtration_stage(0)))
 
 
 def _torsion_case():
     # two-term stalks start in stalk degree -1
     s = get_example("cone-s1")
     F = two_term_sheaf(s, 1, (2,))
-    return lambda through: derived_pushforward(F, [(3,)], through=through)
+    return (lambda through: derived_pushforward(F, [(3,)], through=through),
+            _open_map(s, [(3,)]))
 
 
 def _s1_collapse_case():
     total, quotient, cmap = _collapse_case("s1")
     F = constant_sheaf(total, 1)
-    return lambda through: kan_pushforward(F, cmap, quotient, through=through)
+    return (lambda through: kan_pushforward(F, cmap, quotient,
+                                            through=through), cmap)
 
 
 @pytest.mark.parametrize("case", [_cone_t2_case, _cone_cone_s1_case,
                                   _torsion_case, _s1_collapse_case])
 def test_pushforward_through_is_brutal_truncation(case):
-    push = case()
+    # the brutal truncation of the full pushforward, on each stalk at that
+    # stalk's top
+    push, cmap = case()
     full = push(None)
     degrees = {k for lay in full.stalk_layouts.values() for k in lay}
     for through in range(min(degrees) - 1, max(degrees) + 2):
-        _assert_brutal_truncation(push(through), full, through)
+        got = push(through)
+        assert got.source is full.source
+        _assert_brutal_truncation(got, full, cmap, through)
 
 
 def test_flags_stop_at_longest():
@@ -626,6 +650,16 @@ def test_flags_stop_at_longest():
     for longest in range(1, 5):
         assert _flags(cells, longest)[0] == [f for f in every
                                           if len(f) <= longest]
+    # one cell more for the chains over an up-set: the star of a vertex
+    deeper = {c for c in cells if 3 in c}
+    for longest in range(1, 4):
+        flags, drops = _flags(cells, longest, deeper)
+        assert flags == [f for f in every if len(f) <= longest
+                         or (len(f) == longest + 1 and f[0] in deeper)]
+        for f, ds in zip(flags, drops):
+            assert [(flags[m], sign) for m, sign in ds] == [
+                (f[:i] + f[i + 1:], (-1) ** i) for i in range(len(f))
+                if len(f) > 1]
 
 
 # -- differential: certified by construction against the generic validate ---
@@ -911,8 +945,10 @@ def test_cone_kernel_spans_the_kernel(case):
         if s is None:
             assert inc.basis == old
             continue
-        new = sheaves._cone_kernel(cx, push.stalk_layouts[t], s, k)
-        assert inc.basis == new
+        got = sheaves._cone_kernel(push, t, k)
+        assert inc == got
+        assert got.units == unit_rows(got.basis)
+        new = got.basis
         assert_normalized(new)
         assert (cx.diff(k) * new).is_zero()
         assert (rank(new) == new.cols == old.cols
@@ -957,9 +993,10 @@ def test_truncate_eliminates_only_on_fibers_without_a_least_cell():
 
 
 def test_cone_kernel_refuses_a_missing_partner_block():
-    # cone-s1 cut at 0: the stalk over the edge (0, 1) holds the flags of
-    # its star; the last block of degree 1 is a partner, so dropping it
-    # leaves an A-flag of degree 0 without one.  Refused, also under -O
+    # cone-s1 cut at 1, assembled through 1: the stalk over the edge (0, 1)
+    # holds the flags of its star; the last block of degree 1 is a partner,
+    # so dropping it leaves an A-flag of degree 0 without one.  Refused,
+    # also under -O
     code = "\n".join([
         "from strat_ic.examples import get_example",
         "from strat_ic.sheaves import (SheafError, constant_sheaf,",
@@ -976,7 +1013,7 @@ def test_cone_kernel_refuses_a_missing_partner_block():
         "        layouts[t][1] = layouts[t][1][:-1]",
         "        push.stalk_layouts = layouts",
         "    try:",
-        "        truncate(push, 0)",
+        "        truncate(push, 1)",
         "        print('accepted')",
         "    except SheafError as e:",
         "        print('rejected:', e)",
@@ -989,6 +1026,7 @@ def test_cone_kernel_refuses_a_missing_partner_block():
         assert accepted == "accepted"
         assert rejected.startswith("rejected: block "), rejected
         assert "has no partner" in rejected
+        assert rejected.endswith("in stalk degrees 0 and 1 of its layout")
 
 
 def test_cone_kernel_refuses_a_partner_without_its_a_flag():
@@ -1010,33 +1048,26 @@ def test_cone_kernel_refuses_a_partner_without_its_a_flag():
 
 
 def test_cone_kernel_refuses_a_non_cocycle_lift():
-    # a stalk differential whose arrow out of a one-cell flag (c) is
-    # doubled after the pushforward certified it: iota(z), read off the
-    # (s, c) rows, no longer lies in the kernel.  Refused, also under -O
+    # the lift is read on the pushforward's input: a caller's copy of the
+    # constant sheaf (restrictions as stored, not recorded as identities),
+    # pushed forward through 0, then one of its restrictions doubled.  iota(z) would no longer be a cocycle; the two face paths
+    # from (0,) to (0, 1, 3) disagree on z.  Refused, also under -O
     code = "\n".join([
         "from strat_ic.examples import get_example",
-        "from strat_ic.linalg import CertificateError, CochainComplex",
-        "from strat_ic.sheaves import (constant_sheaf, derived_pushforward,",
-        "                              truncate)",
+        "from strat_ic.linalg import CertificateError, ExactMatrix",
+        "from strat_ic.sheaves import (SheafComplex, constant_sheaf,",
+        "                              derived_pushforward, truncate)",
         "s = get_example('cone-s1')",
-        "push = derived_pushforward(constant_sheaf(s, 1),",
-        "                           s.filtration_stage(0), through=1)",
-        "t = (0,)",
-        "cx = push.stalks[t]",
-        "layout = push.stalk_layouts[t]",
-        "one = {f: off for f, q, off, _ in layout[0]}",
-        "two = {f: off for f, q, off, _ in layout[1]}",
-        "c = next(f for f in one if f != (t,))",
-        "d = dict(cx.diff(0).entries)",
-        "row = next(off for f, off in two.items()",
-        "           if len(f) == 2 and f[0] == c[0])",
-        "d[(row, one[c])] *= 2",
-        "print(push.least_cells[t])",
+        "C = constant_sheaf(s, 1)",
+        "F = SheafComplex(s, C.stalks, C.restrictions)",
+        "push = derived_pushforward(F, s.filtration_stage(0), through=0)",
+        "print(push.least_cells[(0,)], F.identity_restrictions,",
+        "      push.source is F)",
         "for bad in (False, True):",
         "    if bad:",
-        "        m = cx.diff(0)",
-        "        push.stalks[t] = CochainComplex(",
-        "            cx.dims, {0: type(m)(m.rows, m.cols, d)})",
+        "        F.restrictions[((0, 1), (0, 1, 3))] = {",
+        "            0: ExactMatrix(1, 1, {(0, 0): 2})}",
+        "        F._composed.clear()",
         "    try:",
         "        truncate(push, 0)",
         "        print('accepted')",
@@ -1047,9 +1078,9 @@ def test_cone_kernel_refuses_a_non_cocycle_lift():
         proc = run_python("-c", code, optimize=optimize)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            "(0,)", "accepted",
-            "rejected: a lifted kernel vector of the stalk over (0,) is not "
-            "a cocycle"]
+            "(0,) False True", "accepted",
+            "rejected: the input's restrictions from (0,) to (0, 1, 3) "
+            "disagree along two face paths on a kernel vector"]
 
 
 # -- the arrow-emitted pushforward and the maps read at unit rows ------------
@@ -1076,7 +1107,7 @@ def test_arrow_emitted_pushforward_matches_references(case):
     if through is None:
         _assert_same_pushforward(push, ref)
     else:
-        _assert_brutal_truncation(push, ref, through)
+        _assert_brutal_truncation(push, ref, cmap, through)
     for cover, mats in push.restrictions.items():
         assert set(push.projections[cover]) == set(mats)
         for q, m in mats.items():
@@ -1118,7 +1149,7 @@ def _ladder_steps(name, perversity):
     F = constant_sheaf(s)
     for p in sorted(s.singular_levels(), reverse=True):
         cut = perv(s.top - p)
-        push = derived_pushforward(F, s.filtration_stage(p), through=cut + 1)
+        push = derived_pushforward(F, s.filtration_stage(p), through=cut)
         F = truncate(push, cut)
         yield push, cut, F
 
@@ -1137,7 +1168,7 @@ def _fibration_step(name):
     total, quotient, cmap = _collapse_case(name)
     cut = get_example(name).dim - 1
     push = kan_pushforward(constant_sheaf(total), cmap, quotient,
-                           through=cut + 1)
+                           through=cut)
     yield push, cut, truncate(push, cut)
 
 
@@ -1192,7 +1223,7 @@ def test_cutoff_maps_match_solve_many(case):
 def test_truncate_by_projections_matches_full_products(case, monkeypatch):
     # without the recorded pick lists every map at the cutoff is solved
     # for on every column of r B_a, the product
-    push = case()(None)
+    push = case()[0](None)
     degrees = sorted({k for lay in push.stalk_layouts.values() for k in lay})
     for k in degrees[:-1]:
         fast = truncate(push, k)
@@ -1249,6 +1280,129 @@ def test_truncate_solves_only_the_columns_not_fixed(monkeypatch):
     assert G.restrictions == plain.restrictions
     assert all(G.stalks[c].diffs == plain.stalks[c].diffs
                for c in push.stalks)
+
+
+# -- differential: open fibers stopped at the cutoff against the uniform rule
+#
+# A pushforward truncated at k holds degree k + 1 only over the fibers with
+# no least cell (and those containing one).  The reference is the uniform
+# rule: the pushforward through k + 1 cut brutally at k + 1 on every stalk
+# (`_uniform`, rebuilt here from the stalks, layouts and pick lists).  Truncated at k, both give the same
+# stalks, restrictions, inclusion bases and cohomology.
+
+def _uniform(push, top):
+    # every stalk, layout, pick list and restriction of `push` cut at `top`
+    stalks = {t: CochainComplex._of(
+        {q: n for q, n in cx.dims.items() if q <= top} or {top: 0},
+        {q: m for q, m in cx.diffs.items() if q < top})
+        for t, cx in push.stalks.items()}
+    out = SheafComplex._of(push.space, stalks, {
+        cover: {q: m for q, m in mats.items() if q <= top}
+        for cover, mats in push.restrictions.items()})
+    out.stalk_layouts = {t: {k: b for k, b in lay.items() if k <= top}
+                         for t, lay in push.stalk_layouts.items()}
+    out.projections = {cover: {k: p for k, p in picks.items() if k <= top}
+                       for cover, picks in push.projections.items()}
+    out.least_cells, out.source = push.least_cells, push.source
+    out.through = top
+    return out
+
+
+def _assert_same_cut(got, want):
+    # two truncations at one cutoff: equal stalks, maps, bases and
+    # cohomology
+    assert got.cutoff == want.cutoff
+    for c, cx in want.stalks.items():
+        assert got.stalks[c].dims == cx.dims, c
+        assert got.stalks[c].diffs == cx.diffs, c
+        assert got.inclusions[c].basis == want.inclusions[c].basis, c
+    assert got.restrictions == want.restrictions
+    assert sheaf_cohomology(got) == sheaf_cohomology(want)
+
+
+def _against_uniform(F, cmap, target, k):
+    # the truncation at k of the pushforward through k, checked against the
+    # uniform rule's, and returned
+    push = kan_pushforward(F, cmap, target, k)
+    old = _uniform(kan_pushforward(F, cmap, target, k + 1), k + 1)
+    assert push.through == k and old.through == k + 1
+    tops = _ref_tops(cmap, list(push.stalks), k)
+    for t, cx in push.stalks.items():
+        assert all(q <= tops[t] for q, n in cx.dims.items() if n), t
+    got = truncate(push, k)
+    _assert_same_cut(got, truncate(old, k))
+    return got
+
+
+_IH_LADDERS = [(name, perversity)
+               for name in ["cone-s2", "cone-t2", "cone-genus2",
+                            "suspension-s2", "suspension-t2", "cone-cone-s1",
+                            "cone-product:s1,s1"]
+               for perversity in ["lower-middle", "upper-middle"]]
+
+
+@pytest.mark.parametrize("name,perversity", _IH_LADDERS)
+def test_ladder_steps_match_the_uniform_rule(name, perversity):
+    from strat_ic.ic import Perversity, deligne_construction
+    s, perv = get_example(name), Perversity.named(perversity)
+    F = constant_sheaf(s)
+    for p in sorted(s.singular_levels(), reverse=True):
+        F = _against_uniform(F, _open_map(s, s.filtration_stage(p)), s,
+                             perv(s.top - p))
+    assert F.restrictions == deligne_construction(s, perv).sheaf.restrictions
+
+
+@given(_pushforward_cases)
+@settings(max_examples=30, deadline=None)
+def test_drawn_pushforwards_match_the_uniform_rule(case):
+    # the drawn pushforwards, two-term stalks from stalk degree -1 included
+    push, k, (F, cmap, _through) = case
+    if push is not F:
+        _against_uniform(F, cmap, push.space, k)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_two_term_pushforward_matches_the_uniform_rule(k):
+    # stalks from stalk degree -1 (Z + Z/2), pushed off the cone point
+    s = get_example("cone-s1")
+    _against_uniform(two_term_sheaf(s, 1, (2,)), _open_map(s, [(3,)]), s, k)
+
+
+@pytest.mark.parametrize("name", ["s1", "genus2"])
+def test_fibration_collapse_matches_the_uniform_rule(name):
+    total, quotient, cmap = _collapse_case(name)
+    _against_uniform(constant_sheaf(total), cmap, quotient,
+                     get_example(name).dim - 1)
+
+
+@pytest.mark.parametrize("name,perversity", _IH_LADDERS)
+def test_cone_kernel_units_are_the_scanned_unit_rows(name, perversity):
+    # the unit rows the contraction writes down are the ones the scan of
+    # linalg.unit_rows finds, on every contraction stalk of the ladder
+    seen = 0
+    for push, _k, G in _ladder_steps(name, perversity):
+        for t, s in push.least_cells.items():
+            if s is not None:
+                inc = G.inclusions[t]
+                assert inc.units == unit_rows(inc.basis), t
+                seen += 1
+    assert seen
+
+
+def test_ladder_pushforwards_stop_their_open_fibers_at_the_cutoff():
+    # a guard against assembling every fiber through cutoff + 1 again: the
+    # summed fiber-stalk dimensions of the lower-middle ladder pushforwards
+    # (1680 on cone-t2 and 2982 on suspension-t2 under the uniform rule),
+    # and no stalk over a fiber with a least cell above the cutoff
+    dims = {}
+    for name in ("cone-t2", "suspension-t2"):
+        (push, cut, _G), = _ladder_steps(name, "lower-middle")
+        assert push.through == cut == 0
+        dims[name] = sum(cx.total_dimension() for cx in push.stalks.values())
+        for t, cx in push.stalks.items():
+            if push.least_cells[t] is not None:
+                assert all(q <= cut for q, n in cx.dims.items() if n), t
+    assert dims == {"cone-t2": 672, "suspension-t2": 1176}
 
 
 # the certificates the constructors, the truncation and the pairing keep,
