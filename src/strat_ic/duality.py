@@ -398,9 +398,10 @@ class PairingContext:
     What is reused.  When a result was truncated from the ambient R at
     cut_top itself (every refined result here, whose cutoff (c - 1) // 2
     is c - 2 at the codimension-3 cone points, and every deligne result
-    at perversity t), T is `sheaves.plain_truncation` of that result's
-    sheaf: only the cells that took a Lagrangian subspace are truncated
-    again; a result that took no subspace is T itself.  Otherwise T is
+    at perversity t, or at the upper perversity of a complementary pair
+    whose cutoffs sum to cut_top), T is the plain truncation that
+    result's sheaf refines (`sheaves.refine`), or the sheaf itself when it
+    refines nothing; no cell is truncated again.  Otherwise T is
     `truncate(R, cut_top)`.  The ambient's incidence complex is assembled
     lazily, once per context, and only if a product has components above
     cut_top to clear.  A degree-0 class sits in stalk degree 0, so in
@@ -408,12 +409,14 @@ class PairingContext:
     perversity gives: only middle degrees assemble it.
 
     The ambient pushforward must hold every stalk degree up to
-    D = max(cutoff_low + cutoff_high, cut_top + 1): products land in stalk
-    degrees up to the sum of the cutoffs, and the top truncation reads one
-    above cut_top.  A result's recorded pushforward serves when it reaches
-    D; otherwise the single-step pushforward of the rank-one constant sheaf
-    is built through D, once per context.  Each recorded pushforward must
-    match the ambient's stalk dimensions on the degrees it holds.
+    D = max(cutoff_low + cutoff_high, cut_top): products land in stalk
+    degrees up to the sum of the cutoffs, and the top truncation is cut
+    at cut_top, which reads degree cut_top + 1 only over the fibers with
+    no least cell, and a pushforward through cut_top holds those.  A
+    result's recorded pushforward serves when it reaches D; otherwise the
+    single-step pushforward of the rank-one constant sheaf is built
+    through D, once per context.  Each recorded pushforward must match
+    the ambient's stalk dimensions on the degrees it holds.
     """
 
     def __init__(self, result_low, result_high):
@@ -433,7 +436,7 @@ class PairingContext:
         recorded = (_single_step_data(result_low),
                     _single_step_data(result_high))
         depth = max(result_low.sheaf.cutoff + result_high.sheaf.cutoff,
-                    cut_top + 1)
+                    cut_top)
         R = next((x for x in recorded if _reaches(x, depth)), None)
         if R is None:
             for x in recorded:
@@ -452,7 +455,7 @@ class PairingContext:
                        if x.sheaf.untruncated is R
                        and x.sheaf.cutoff == cut_top), None)
         self.top = (sheaves.truncate(R, cut_top) if source is None
-                    else sheaves.plain_truncation(source.sheaf))
+                    else source.sheaf.refines or source.sheaf)
         cxT, self.top_layout = sheaves.incidence_complex(self.top)
         if cxT.dim(n + 1):
             raise CertificateError(

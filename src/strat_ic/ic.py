@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import (CertificateError, CochainComplex, ExactMatrix,
-                     kernel_basis, pivot_columns, rank)
+from .linalg import (CochainComplex, ExactMatrix, kernel_basis,
+                     pivot_columns, rank)
 from . import sheaves
 from .sheaves import (SheafError, constant_sheaf, derived_pushforward,
-                      sheaf_cohomology, truncate)
+                      refine, sheaf_cohomology, truncate)
 from . import spaces as spaces_mod
 
 
@@ -591,12 +591,12 @@ def refined_ic(space, mezzo):
     over the constant sheaf on the regular part.
     """
     _check_regular_part(space)
-    refine = refinement_strata(space)
-    if len(space.singular_levels()) != 1 or not refine:
+    strata = refinement_strata(space)
+    if len(space.singular_levels()) != 1 or not strata:
         raise MezzoStrataMismatch(
             "refinement needs exactly one singular stratum, of odd "
             "codimension")
-    level = refine[0]
+    level = strata[0]
     stratum = space.stratum(level)
     if any(len(c) != 1 for c in stratum):
         raise NotRefinable(
@@ -612,7 +612,8 @@ def refined_ic(space, mezzo):
     mid = (c - 1) // 2
     # every fiber through mid + 1, not only those without a least cell:
     # this pushforward is the ambient `duality.PairingContext` reuses,
-    # which reads degree mid + 1 on every stalk
+    # which reads stalk degrees up to the sum of the cutoffs, 2 mid, and
+    # that is mid + 1 at codimension 3
     F = derived_pushforward(constant_sheaf(space),
                             space.filtration_stage(level), through=mid + 1)
 
@@ -634,14 +635,12 @@ def refined_ic(space, mezzo):
         layout = F.stalk_layouts[vertex]
         lam = last_vertex_cochain_map(vertex, layout, stalk.dim(mid), lk, mid)
         lifted = lam * w_cochain
-        # the transported classes must be cocycles in the stalk
-        if not (stalk.diff(mid) * lifted).is_zero():
-            raise CertificateError("transported classes fail to be cocycles")
         # the image plus the lifted classes, keeping independent columns in
-        # order (zero columns are never pivots)
+        # order (zero columns are never pivots); `refine` refuses them
+        # unless they are cocycles
         base = stalk.diff(mid - 1).stack_cols(lifted)
         subspaces[vertex] = base.submatrix_cols(pivot_columns(base))
-    G = truncate(F, mid, subspaces=subspaces)
+    G = refine(truncate(F, mid), subspaces)
     return ICResult(space, G, cutoffs, "IC_L")
 
 

@@ -360,8 +360,10 @@ def _unit(n, i):
     return v
 
 
-def test_pairing_certificate_sticks_out(susp_s1):
-    context = PairingContext(susp_s1, susp_s1)
+def test_pairing_certificate_sticks_out(res_w):
+    # the refined ambient holds stalk degree 2 on every stalk, above the
+    # top truncation's window at cut_top = 1
+    context = PairingContext(res_w, res_w)
     amb, n = context.ambient, context.n
     covered = {(c, q) for c, q, _o, _s in context.top_layout[n]}
     _c, _q, off, _s = next(b for b in amb.layout[n]
@@ -918,18 +920,18 @@ def ss2_reaching():
             for p in ("0", "m", "n", "t")}
 
 
-@pytest.mark.parametrize("low,high,reused", [
-    ("0", "0", None),     # max(0 + 0, 1 + 1) = 2; both record through 1
-    ("m", "n", "high"),   # max(0 + 1, 2) = 2; only n records through 2
-    ("t", "t", "low"),    # max(1 + 1, 2) = 2; t records through 2
-    ("0", "t", "high"),
+@pytest.mark.parametrize("low,high,reused,depth", [
+    ("0", "0", "low", 1),     # max(0 + 0, 1) = 1; both record through 1
+    ("m", "n", "low", 1),     # max(0 + 1, 1) = 1; m records through 1
+    ("t", "t", "low", 2),     # max(1 + 1, 1) = 2; t records through 2
+    ("0", "t", "low", 1),
 ])
-def test_pairing_ambient_depth_rule(ss2_reaching, low, high, reused):
+def test_pairing_ambient_depth_rule(ss2_reaching, low, high, reused, depth):
     # suspension-s2: n = 3, cone points of codimension 3, cut_top = 1
     a, b = ss2_reaching[low], ss2_reaching[high]
     context = PairingContext(a, b)
     R = context.ambient.R
-    assert R.through == 2
+    assert R.through == depth
     recorded = {"low": a.sheaf.untruncated, "high": b.sheaf.untruncated}
     if reused is None:
         assert all(R is not x for x in recorded.values())
@@ -937,11 +939,13 @@ def test_pairing_ambient_depth_rule(ss2_reaching, low, high, reused):
         assert R is recorded[reused]
 
 
-def test_ladder_pushforwards_fall_short_of_the_pairing_depth(ss2_results):
-    # the package's ladder assembles its open fibers only through the
-    # cutoff, so its pushforward never reaches the depth cut_top + 1 = 2 a
-    # pairing needs on suspension-s2 or suspension-t2: the context builds
-    # its own ambient, and the matrices stay those of full pushforwards
+def test_ladder_pushforwards_reach_the_complementary_pairing_depth(
+        ss2_results):
+    # the package's ladder assembles its pushforward through the cutoff,
+    # and a complementary pair's cutoffs sum to cut_top = 1 on
+    # suspension-s2 and suspension-t2: the lower x upper context reuses the
+    # upper result's pushforward and takes its top truncation from it, and
+    # the matrices stay those of full pushforwards
     for res in ss2_results.values():
         R = res.sheaf.untruncated
         cut = res.sheaf.cutoff
@@ -949,9 +953,9 @@ def test_ladder_pushforwards_fall_short_of_the_pairing_depth(ss2_results):
     sp = get_example("suspension-t2")
     lo, hi = (deligne_construction(sp, Perversity.named(p)) for p in "mn")
     context = PairingContext(lo, hi)
-    R = context.ambient.R
-    assert R.through == 2
-    assert R is not lo.sheaf.untruncated and R is not hi.sheaf.untruncated
+    assert context.ambient.R is hi.sheaf.untruncated
+    assert context.ambient.R.through == 1
+    assert context.top is hi.sheaf
     full = PairingContext(*(ref_deligne_construction(sp, Perversity.named(p))
                             for p in "mn"))
     assert full.ambient.R.through is None
@@ -963,9 +967,30 @@ def test_ladder_pushforwards_fall_short_of_the_pairing_depth(ss2_results):
                 for i in range(got.rows)] == want[k], k
 
 
+@pytest.mark.parametrize("name", ["suspension-s2", "suspension-t2"])
+def test_pairings_at_the_depth_rule_match_full_pushforwards(name):
+    # the ambient holds stalk degrees up to max(cut_low + cut_high,
+    # cut_top): pairs whose cutoffs sum to cut_top = 1 reuse a recorded
+    # pushforward, the others build one, and every matrix is that of full
+    # pushforwards
+    sp = get_example(name)
+    res = {p: deligne_construction(sp, Perversity.named(p)) for p in "0mnt"}
+    ref = {p: ref_deligne_construction(sp, Perversity.named(p))
+           for p in "0mnt"}
+    for low, high in ["mn", "0t", "t0", "mm", "nn"]:
+        context = PairingContext(res[low], res[high])
+        recorded = (res[low].sheaf.untruncated, res[high].sheaf.untruncated)
+        assert (context.ambient.R in recorded) == (low + high
+                                                   in ("mn", "0t", "t0"))
+        full = PairingContext(ref[low], ref[high])
+        for k in range(sp.dim + 1):
+            assert context.matrix(k).matrix == full.matrix(k).matrix, (
+                low, high, k)
+
+
 def test_pairing_ambient_reaches_the_sum_of_the_cutoffs():
     # cutoffs 1 and 2 on suspension-t2, where cut_top = 1: products land in
-    # stalk degrees up to 1 + 2 = 3 > cut_top + 1, and the ambient holds
+    # stalk degrees up to 1 + 2 = 3 > cut_top, and the ambient holds
     # them; the first result's pushforward, through 2, falls short
     sp = get_example("suspension-t2")
 
@@ -985,7 +1010,7 @@ def test_pairing_ambient_reaches_the_sum_of_the_cutoffs():
 
 
 def test_refined_pairing_reuses_its_pushforward(res_w):
-    # mid + 1 = 2 = max(1 + 1, 1 + 1): nothing is built for the pairing
+    # mid + 1 = 2 = max(1 + 1, 1): nothing is built for the pairing
     context = PairingContext(res_w, res_w)
     assert context.ambient.R is res_w.sheaf.untruncated
     assert context.ambient.R.through == 2
@@ -1071,20 +1096,18 @@ def test_suspension_genus2_matrices_are_pinned(refined_by_space):
 @pytest.mark.parametrize("name", ["suspension-t2", "suspension-genus2"])
 def test_top_truncation_from_the_result_pairs_like_truncate(
         monkeypatch, refined_by_space, name):
-    # the reference truncates the ambient again, as every context did
-    # before; each refined result was cut at cut_top, so every context
-    # takes its top truncation from the result
+    # each refined result was cut at cut_top, so every context takes its
+    # top truncation from the result: the plain truncation it refines.
+    # The reference truncates the ambient again and hands it to the
+    # contexts in its place
     results = refined_by_space[name]
     got = _all_matrices(results)
-    seen = []
-
-    def reference(G):
-        seen.append(G)
-        return sheaves.truncate(G.untruncated, G.cutoff)
-
-    monkeypatch.setattr(sheaves, "plain_truncation", reference)
+    for res in results:
+        G = res.sheaf
+        assert PairingContext(res, res).top is G.refines
+        monkeypatch.setattr(G, "refines",
+                            sheaves.truncate(G.untruncated, G.cutoff))
     assert _all_matrices(results) == got
-    assert seen == [res.sheaf for res in results]
 
 
 def test_top_truncation_is_the_result_when_it_took_no_subspace(ss2_reaching):

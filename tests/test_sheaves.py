@@ -8,6 +8,7 @@ part it came from.
 """
 
 from functools import partial
+from unittest import mock
 
 import pytest
 from conftest import assert_normalized, run_python, two_term_sheaf
@@ -20,7 +21,7 @@ from strat_ic.linalg import (CochainComplex, ExactMatrix, kernel_basis, rank,
 from strat_ic.sheaves import (
     NotOpen, NotOpenComplement, SheafComplex, SheafError, _flags,
     constant_sheaf, derived_pushforward, flag_complex,
-    incidence_complex, kan_pushforward, sheaf_cohomology, truncate,
+    incidence_complex, kan_pushforward, refine, sheaf_cohomology, truncate,
 )
 from strat_ic.spaces import single_stratum
 
@@ -233,7 +234,7 @@ def test_truncation_with_explicit_kernel_is_canonical():
     for c in s.complex.cells:
         subs[c] = kernel_basis(Rj.stalk(c).diff(0))
     A = truncate(Rj, 0)
-    B = truncate(Rj, 0, subspaces=subs)
+    B = refine(A, subs)
     assert sheaf_cohomology(A) == sheaf_cohomology(B)
 
 
@@ -742,12 +743,12 @@ def test_constructed_sheaves_pass_generic_validate(case, data):
     push, k, _src = case
     _assert_certified(push)
     _assert_certified(truncate(push, k))
-    # the same truncation through rebased kernels: caller subspaces without
-    # the unit-row witness, solved through the RREF
+    # the same truncation refined onto rebased kernels: caller subspaces
+    # without the unit-row witness, solved through the RREF
     cells = data.draw(st.sets(st.sampled_from(sorted(push.stalks))))
     subs = {c: _rebased(kernel_basis(push.stalk(c).diff(k)), data.draw)
             for c in cells}
-    _assert_certified(truncate(push, k, subspaces=subs))
+    _assert_certified(refine(truncate(push, k), subs))
 
 
 def _assert_same_truncation(got, want):
@@ -764,29 +765,28 @@ def _assert_same_truncation(got, want):
 
 @given(_built_pushforwards(), st.data())
 @settings(max_examples=20, deadline=None)
-def test_plain_truncation_matches_truncate(case, data):
-    # a truncation onto rebased kernels at drawn cells, turned back into
-    # the plain one: equal to truncating again, and away from the drawn
-    # cells made of the first truncation's own objects
+def test_refine_reuses_the_plain_truncation(case, data):
+    # a refinement onto rebased kernels at drawn cells records the plain
+    # truncation it refines, takes the caller's columns at the drawn cells,
+    # and away from them is made of the plain truncation's own objects
     push, k, _src = case
+    T = truncate(push, k)
     cells = data.draw(st.sets(st.sampled_from(sorted(push.stalks))))
     subs = {c: _rebased(kernel_basis(push.stalk(c).diff(k)), data.draw)
             for c in cells}
-    G = truncate(push, k, subspaces=subs)
-    assert G.subspace_cells == frozenset(cells)
-    got = sheaves.plain_truncation(G)
-    _assert_same_truncation(got, truncate(push, k))
-    assert got.subspace_cells == frozenset()
-    if not cells:
-        assert got is G
+    G = refine(T, subs)
+    assert G.refines is T and T.refines is None
+    assert G.untruncated is push and G.cutoff == k
+    assert list(G.stalks) == list(T.stalks)
     for c in push.stalks:
-        if c not in cells:
-            assert got.stalks[c] is G.stalks[c]
-            assert got.inclusions[c] is G.inclusions[c]
-    for cover, mats in G.restrictions.items():
+        if c in cells:
+            assert G.inclusions[c] == (subs[c], None)
+        else:
+            assert G.stalks[c] is T.stalks[c]
+            assert G.inclusions[c] is T.inclusions[c]
+    for cover, mats in T.restrictions.items():
         if not cells.intersection(cover):
-            assert all(got.restrictions[cover][q] is m
-                       for q, m in mats.items())
+            assert G.restrictions[cover] is mats
 
 
 def test_large_pushforward_passes_generic_validate():
@@ -799,7 +799,8 @@ def test_large_pushforward_passes_generic_validate():
 
 
 def test_refined_truncation_passes_generic_validate():
-    # refined_ic hands truncate caller subspaces: image plus lifted classes
+    # refined_ic refines the plain truncation onto caller subspaces: image
+    # plus lifted classes
     from strat_ic.ic import (Mezzoperversity, lagrangian_subspaces,
                              link_middle_form, refined_ic)
     s = get_example("suspension-t2")
@@ -809,7 +810,7 @@ def test_refined_truncation_passes_generic_validate():
     _assert_certified(refined_ic(s, Mezzoperversity(choices)).sheaf)
 
 
-def test_truncate_rejects_dependent_subspace_columns():
+def test_refine_rejects_dependent_subspace_columns():
     # the certificate multiplies by the basis and needs it injective; a
     # repeated kernel column spans the right space but is refused, also
     # under -O
@@ -817,13 +818,14 @@ def test_truncate_rejects_dependent_subspace_columns():
         "from strat_ic.examples import get_example",
         "from strat_ic.linalg import kernel_basis",
         "from strat_ic.sheaves import (SheafError, constant_sheaf,",
-        "                              derived_pushforward, truncate)",
+        "                              derived_pushforward, refine, truncate)",
         "Rj = derived_pushforward(constant_sheaf(get_example('cone-s1'), 1),",
         "                         [(3,)])",
+        "T = truncate(Rj, 0)",
         "kb = kernel_basis(Rj.stalk((3,)).diff(0))",
         "for subs in ({(3,): kb}, {(3,): kb.stack_cols(kb)}):",
         "    try:",
-        "        truncate(Rj, 0, subspaces=subs)",
+        "        refine(T, subs)",
         "        print('accepted')",
         "    except SheafError as e:",
         "        print('rejected:', e)",
@@ -834,6 +836,38 @@ def test_truncate_rejects_dependent_subspace_columns():
         assert proc.stdout.splitlines() == [
             "accepted",
             "rejected: subspace at (3,) has dependent columns",
+        ]
+
+
+def test_refine_rejects_subspaces_that_are_not_cocycles():
+    # e_0 at the open vertex (0,) is not a cocycle, yet every projection
+    # to a coface kills it, so no map along a cover sees it; the product
+    # B C == S refuses it, also under -O
+    code = "\n".join([
+        "from strat_ic.examples import get_example",
+        "from strat_ic.linalg import ExactMatrix",
+        "from strat_ic.sheaves import (SheafError, constant_sheaf,",
+        "                              derived_pushforward, refine, truncate)",
+        "Rj = derived_pushforward(constant_sheaf(get_example('cone-s1'), 1),",
+        "                         [(3,)])",
+        "cx = Rj.stalk((0,))",
+        "e0 = ExactMatrix(cx.dim(0), 1, {(0, 0): 1})",
+        "print('cocycle', (cx.diff(0) * e0).is_zero())",
+        "print('killed', all((Rj.restriction((0,), b, 0) * e0).is_zero()",
+        "                    for b in Rj.stalks if len(b) == 2 and 0 in b))",
+        "try:",
+        "    refine(truncate(Rj, 0), {(0,): e0})",
+        "    print('accepted')",
+        "except SheafError as e:",
+        "    print('rejected:', e)",
+    ])
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "cocycle False",
+            "killed True",
+            "rejected: subspace at (0,) is not made of cocycles",
         ]
 
 
@@ -1122,7 +1156,7 @@ def _assert_maps_match_solve_many(push, k, G):
     # caller subspace records no unit rows, every other basis one per column
     for c, cx in push.stalks.items():
         inc = G.inclusions[c]
-        if c in G.subspace_cells:
+        if G.refines is not None and inc is not G.refines.inclusions[c]:
             assert inc.units is None
         else:
             _assert_unit_rows(inc)
@@ -1138,8 +1172,15 @@ def _assert_maps_match_solve_many(push, k, G):
 @given(_pushforward_cases)
 @settings(max_examples=30, deadline=None)
 def test_truncated_maps_match_solve_many(case):
+    # truncate reads every map and solves for none
     push, k, _src = case
-    _assert_maps_match_solve_many(push, k, truncate(push, k))
+    with mock.patch.object(sheaves, "solve_columns", _no_solve):
+        G = truncate(push, k)
+    _assert_maps_match_solve_many(push, k, G)
+
+
+def _no_solve(basis, target):
+    raise AssertionError("solve_columns called")
 
 
 def _ladder_steps(name, perversity):
@@ -1173,14 +1214,15 @@ def _fibration_step(name):
 
 
 def _refined_step(name):
-    # refined_ic's truncation: caller subspaces at the cone points
+    # refined_ic's truncation: refined onto caller subspaces at the cone
+    # points
     from strat_ic.ic import (Mezzoperversity, lagrangian_subspaces,
                              link_middle_form, refined_ic)
     s = get_example(name)
     G = refined_ic(s, Mezzoperversity({
         v: lagrangian_subspaces(link_middle_form(s, v)[2], count_limit=1)[0]
         for v in s.stratum(0)})).sheaf
-    assert G.subspace_cells
+    assert any(inc.units is None for inc in G.inclusions.values())
     yield G.untruncated, G.cutoff, G
 
 
@@ -1236,23 +1278,25 @@ def test_truncate_by_projections_matches_full_products(case, monkeypatch):
 
 
 def _solved_columns(push, k, G, cells):
-    # the columns the truncation of `push` at k hands solve_columns: d^(k-1)
-    # at each of `cells` and every cover with one of them at either end
+    # the columns a refinement of the truncation of `push` at k onto
+    # subspaces at `cells` hands solve_columns: d^(k-1) at each of `cells`
+    # and the map along every cover into one of them
     calls = []
     for c, cx in push.stalks.items():
         if c in cells and k - 1 in G.stalks[c].dims and k in G.stalks[c].dims:
             calls.append(cx.dim(k - 1))
     for (a, b), mats in push.restrictions.items():
-        if k in mats and (a in cells or b in cells):
+        if k in mats and b in cells:
             calls.append(G.inclusions[a].basis.cols)
     return sorted(calls)
 
 
-def test_truncate_solves_only_the_columns_not_fixed(monkeypatch):
-    # the pushforward builds no identity matrix, and a truncation without
-    # caller subspaces reads every map at the cutoff: solve_columns is not
-    # called.  It sees exactly the columns at the cells that took a caller
-    # subspace and along the covers touching one
+def test_refine_solves_only_the_columns_it_changes(monkeypatch):
+    # the pushforward builds no identity matrix, and truncate reads every
+    # map at the cutoff: solve_columns is not called.  refine calls it once
+    # per subspace cell and once per cover into one, on exactly those
+    # columns; with the truncation's own bases as subspaces it gives the
+    # truncation's maps
     s = get_example("suspension-t2")
     F = constant_sheaf(s, 1)
 
@@ -1270,16 +1314,72 @@ def test_truncate_solves_only_the_columns_not_fixed(monkeypatch):
     monkeypatch.setattr(sheaves, "solve_columns", counted)
     plain = truncate(push, 1)
     assert seen == []
-    # caller subspaces equal to the kernel bases: the closed cells and one
-    # open cell; the maps solved for are the ones read without them
+    # caller subspaces equal to the kernel bases: the closed cells, one open
+    # vertex and one open edge, which is the target of two covers; the maps
+    # solved for are the ones read without them
     cells = {c for c, least in push.least_cells.items() if least is None}
     assert len(cells) == 2
     cells.add(min(c for c in push.stalks if c not in cells))
-    G = truncate(push, 1, {c: plain.inclusions[c].basis for c in cells})
+    cells.add(min(c for c in push.stalks if len(c) == 2))
+    G = refine(plain, {c: plain.inclusions[c].basis for c in cells})
+    into = [cover for cover in push.restrictions if cover[1] in cells]
+    assert len(into) == 2
+    assert len(seen) == len(cells) + len(into)
     assert sorted(seen) == _solved_columns(push, 1, G, cells)
     assert G.restrictions == plain.restrictions
     assert all(G.stalks[c].diffs == plain.stalks[c].diffs
                for c in push.stalks)
+
+
+# -- differential: refine against the route that solved for every map --------
+#
+# The reference, `_solved_refinement`, solves for every map at the cutoff
+# from the pushforward's stalks and restrictions: S X = d^(k-1) at every
+# cell and B_b Y = r B_a along every cover, by `solve_many` on the full
+# products, with S the caller's columns where given and the plain
+# truncation's basis elsewhere.  `refine` gives the same stalks,
+# restrictions and inclusions.
+
+def _solved_refinement(push, k, subspaces):
+    plain = truncate(push, k).inclusions
+    bases = {c: sheaves.Inclusion(subspaces[c], None) if c in subspaces
+             else plain[c] for c in push.stalks}
+    stalks = {}
+    for c, cx in push.stalks.items():
+        B = bases[c].basis
+        dims = {q: cx.dim(q) if q < k else B.cols
+                for q in cx.degrees() if q <= k} or {k: 0}
+        stalks[c] = CochainComplex._of(dims, {
+            q: cx.diff(q) if q + 1 < k else solve_many(B, cx.diff(q))
+            for q in dims if q + 1 in dims})
+    restrictions = {
+        (a, b): {q: m if q < k else solve_many(
+            bases[b].basis, push.restriction(a, b, k) * bases[a].basis)
+            for q, m in mats.items() if q <= k}
+        for (a, b), mats in push.restrictions.items()}
+    out = SheafComplex._of(push.space, stalks, restrictions)
+    out.untruncated, out.cutoff, out.inclusions = push, k, bases
+    return out
+
+
+@given(_built_pushforwards(), st.data())
+@settings(max_examples=20, deadline=None)
+def test_refine_matches_the_solved_route(case, data):
+    push, k, _src = case
+    cells = data.draw(st.sets(st.sampled_from(sorted(push.stalks))))
+    subs = {c: _rebased(kernel_basis(push.stalk(c).diff(k)), data.draw)
+            for c in cells}
+    _assert_same_truncation(refine(truncate(push, k), subs),
+                            _solved_refinement(push, k, subs))
+
+
+@pytest.mark.parametrize("name", ["suspension-t2", "suspension-genus2"])
+def test_refined_ic_matches_the_solved_route(name):
+    (push, k, G), = _refined_step(name)
+    subs = {c: inc.basis for c, inc in G.inclusions.items()
+            if inc.units is None}
+    assert sorted(subs) == sorted(get_example(name).stratum(0))
+    _assert_same_truncation(G, _solved_refinement(push, k, subs))
 
 
 # -- differential: open fibers stopped at the cutoff against the uniform rule
@@ -1405,17 +1505,18 @@ def test_ladder_pushforwards_stop_their_open_fibers_at_the_cutoff():
     assert dims == {"cone-t2": 672, "suspension-t2": 1176}
 
 
-# the certificates the constructors, the truncation and the pairing keep,
+# the certificates the constructors, the refinement and the pairing keep,
 # each broken once: a non-monotone map, a restriction of the wrong shape, a
-# corrupted projection along a cover out of a cell that took a caller
-# subspace, a corrupted column of a stalk and a corrupted restriction of a
-# caller's copy, both refused when they are built, and a component outside
-# the top truncation in a pairing
+# corrupted projection along a cover into a cell that took a caller
+# subspace (the coboundaries, which the true maps land in), a corrupted
+# column of a stalk and a corrupted restriction of a caller's copy, both
+# refused when they are built, and a component outside the top truncation
+# in a pairing
 _KEPT_CERTIFICATES = "\n".join([
     "from strat_ic import duality, ic, sheaves",
     "from strat_ic.examples import get_example",
     "from strat_ic.linalg import (CertificateError, CochainComplex,",
-    "                             ExactMatrix, kernel_basis, solve)",
+    "                             ExactMatrix, pivot_columns, solve)",
     "def attempt(label, call):",
     "    try:",
     "        call()",
@@ -1432,13 +1533,19 @@ _KEPT_CERTIFICATES = "\n".join([
     "    s1, F.stalks, {**F.restrictions, ((0,), (0, 1)): wide}))",
     "s = get_example('cone-t2')",
     "push = sheaves.derived_pushforward(sheaves.constant_sheaf(s, 1),",
-    "                                   s.filtration_stage(0), through=2)",
+    "                                   [(0,), (7,), (0, 7)], through=2)",
+    "def image(c):",
+    "    d = push.stalks[c].diff(0)",
+    "    return d.submatrix_cols(pivot_columns(d))",
+    "kept = {c: image(c) for c in [(0,), (0, 7)]}",
+    "attempt('coboundaries', lambda: sheaves.refine(",
+    "    sheaves.truncate(push, 1), kept))",
     "picks = dict(push.projections)",
     "cover = ((7,), (0, 7))",
     "picks[cover] = {q: p[1:] + p[:1] for q, p in picks[cover].items()}",
     "push.projections = picks",
-    "kept = {(7,): kernel_basis(push.stalks[(7,)].diff(1))}",
-    "attempt('projection', lambda: sheaves.truncate(push, 1, kept))",
+    "attempt('projection', lambda: sheaves.refine(",
+    "    sheaves.truncate(push, 1), kept))",
     "push = sheaves.derived_pushforward(sheaves.constant_sheaf(s, 1),",
     "                                   s.filtration_stage(0), through=2)",
     "t = (7,)",
@@ -1487,6 +1594,7 @@ def test_kept_certificates_raise_under_optimize():
         "is not an up-set",
         "shape SheafError restriction (0,) -> (0, 1) in degree 0 has shape "
         "(2, 1), not (1, 1)",
+        "coboundaries accepted",
         "projection SheafError vector outside the chosen subspace",
         "read column CertificateError d o d != 0 at degree 0",
         "restriction SheafError restriction (7,) -> (0, 7) not a chain map "
