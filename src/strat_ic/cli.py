@@ -355,10 +355,13 @@ def load_mezzo(path, space):
 
 
 def _example(name):
+    """The example space; an unknown id, or a composite whose filtration
+    is refused (a product that breaks the frontier condition), is a fault
+    of `--example`."""
     try:
         return get_example(name)
-    except UnknownExample as e:
-        raise BadInput(str(e), "/example")
+    except (UnknownExample, spaces.StratificationError) as e:
+        raise BadInput(str(e), "/example") from None
 
 
 def _resolve_space(config):
@@ -474,8 +477,9 @@ def cmd_duality(config):
     n = space.dim
     degree = _degree(config, n, None)
     if not space.singular_levels():
-        for k in range(n + 1) if degree is None else [degree]:
-            pm = duality.duality_pairing(space, k)
+        degrees = range(n + 1) if degree is None else [degree]
+        for pm in duality.duality_pairings(space, degrees):
+            k = pm.row_degree
             bundle.add("pairing-%d-%d" % (k, n - k), pm.matrix,
                        verdict=pm.nondegenerate())
     else:
@@ -501,6 +505,9 @@ def cmd_kunneth(config):
         rep = duality.kunneth(left, right, mode=config.mode)
     except duality.ModeMismatch as e:
         raise BadInput(str(e), "/mode") from None
+    except spaces.StratificationError as e:
+        # the product of two valid factors can break the frontier condition
+        raise BadInput(str(e), "/example") from None
     bundle.add("product", rep.lhs)
     bundle.add("prediction", rep.rhs, source="oracle", verdict=rep.match)
     if rep.detail:
@@ -654,9 +661,8 @@ def _scenario_witt(bundle):
 def _scenario_duality(bundle):
     for name in ("s2", "t2", "genus2"):
         space = get_example(name)
-        ok = True
-        for k in range(space.dim + 1):
-            ok = ok and duality.duality_pairing(space, k).nondegenerate()
+        ok = all(pm.nondegenerate() for pm in duality.duality_pairings(
+            space, range(space.dim + 1)))
         bundle.add("duality %s all degrees" % name, ok, verdict=ok)
 
 
@@ -789,7 +795,10 @@ def _space_doc(space):
 
 
 def _shrink(space, failing):
-    """Greedy one-pass shrink: drop maximal cells while the check fails."""
+    """Greedy one-pass shrink: drop maximal cells while the check fails.
+
+    Candidates go through the validating constructor and a refused one is
+    skipped, so every shrunk counterexample is a space `--input` takes."""
     current = space
     for t in current.complex.maximal_cells():
         remaining = [c for c in current.complex.maximal_cells() if c != t]
@@ -800,8 +809,7 @@ def _shrink(space, failing):
                 current.complex.n_vertices, remaining)
             levels = {c: current.levels.get(c, current.top)
                       for c in smaller_cx.cells}
-            smaller = spaces.StratifiedComplex(smaller_cx, levels,
-                                               check=False)
+            smaller = spaces.StratifiedComplex(smaller_cx, levels)
             if failing(smaller):
                 current = smaller
         except Exception:
@@ -891,10 +899,11 @@ def _check_graded_commutativity(space, flip=False):
     if not basis:
         return None
     sign = -1 if not flip else 1  # mutation flips the expected sign
+    pos = duality._positions(cx, 1)
     for a in basis:
         for b in basis:
-            ab = duality._cup_eval(cx, signs, 1, a, b)
-            ba = duality._cup_eval(cx, signs, 1, b, a)
+            ab = duality._cup_eval(signs, 1, a, b, pos, pos)
+            ba = duality._cup_eval(signs, 1, b, a, pos, pos)
             if ab != sign * ba:
                 return False
     return True

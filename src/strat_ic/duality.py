@@ -99,11 +99,14 @@ def orient_top_cells(cx):
 
 # -- cup evaluation --------------------------------------------------------
 
-def _cup_eval(cx, signs, p, alpha, beta):
-    """<alpha cup beta, [X]> with alpha in C^p, beta in C^(n-p)."""
-    n = cx.dim
-    pos_p = {c: i for i, c in enumerate(cx.cells_of_dim(p))}
-    pos_q = {c: i for i, c in enumerate(cx.cells_of_dim(n - p))}
+def _positions(cx, k):
+    """{cell: its place among the k-cells}, the coordinates of a k-cochain."""
+    return {c: i for i, c in enumerate(cx.cells_of_dim(k))}
+
+
+def _cup_eval(signs, p, alpha, beta, pos_p, pos_q):
+    """<alpha cup beta, [X]> with alpha in C^p, beta in C^(n-p); `pos_p`
+    and `pos_q` are the `_positions` of the p- and (n-p)-cells."""
     total = Fraction(0)
     for t, s in signs.items():
         a = alpha[pos_p[t[:p + 1]]]
@@ -113,6 +116,15 @@ def _cup_eval(cx, signs, p, alpha, beta):
         if b:
             total += s * a * b
     return total
+
+
+def _cup_matrix(signs, p, basis_p, basis_q, pos_p, pos_q):
+    """Matrix of <a cup b, [X]> over a in basis_p and b in basis_q."""
+    rows = [[_cup_eval(signs, p, a, b, pos_p, pos_q) for b in basis_q]
+            for a in basis_p]
+    if not rows:
+        return ExactMatrix.zeros(0, len(basis_q))
+    return ExactMatrix.from_rows(rows)
 
 
 def cup_pairing_matrix(cx, p, q, basis_p, basis_q):
@@ -125,11 +137,8 @@ def cup_pairing_matrix(cx, p, q, basis_p, basis_q):
     if p + q != cx.dim:
         raise DegreeMismatch(
             "degrees %d + %d do not sum to the dimension %d" % (p, q, cx.dim))
-    signs = orient_top_cells(cx)
-    rows = [[_cup_eval(cx, signs, p, a, b) for b in basis_q] for a in basis_p]
-    if not rows:
-        return ExactMatrix.zeros(0, len(basis_q))
-    return ExactMatrix.from_rows(rows)
+    return _cup_matrix(orient_top_cells(cx), p, basis_p, basis_q,
+                       _positions(cx, p), _positions(cx, q))
 
 
 class PairingMatrix:
@@ -155,17 +164,35 @@ class PairingMatrix:
             ", nondegenerate" if self.nondegenerate() else "")
 
 
-def duality_pairing(space, k):
-    """Poincare pairing H^k x H^(n-k) -> Q on a closed oriented space."""
+def duality_pairings(space, degrees):
+    """Poincare pairings H^k x H^(n-k) -> Q on a closed oriented space,
+    one PairingMatrix per k in `degrees`.
+
+    They share one cochain complex, one orientation, and each degree's
+    cohomology basis and cell positions, built once for all of them.
+    """
     cx = space.complex
     n = cx.dim
-    if k < 0 or k > n:
-        raise DegreeOutOfRange("degree %d outside 0..%d" % (k, n))
+    for k in degrees:
+        if k < 0 or k > n:
+            raise DegreeOutOfRange("degree %d outside 0..%d" % (k, n))
     cc = cx.cochain_complex()
-    basis_p = cc.cohomology_basis(k)
-    basis_q = cc.cohomology_basis(n - k)
-    mat = cup_pairing_matrix(cx, k, n - k, basis_p, basis_q)
-    return PairingMatrix(mat, k, n - k, label="H^%d x H^%d" % (k, n - k))
+    bases, positions = {}, {}
+    for k in degrees:
+        for j in (k, n - k):
+            if j not in bases:
+                bases[j] = cc.cohomology_basis(j)
+                positions[j] = _positions(cx, j)
+    signs = orient_top_cells(cx)
+    return [PairingMatrix(_cup_matrix(signs, k, bases[k], bases[n - k],
+                                      positions[k], positions[n - k]),
+                          k, n - k, label="H^%d x H^%d" % (k, n - k))
+            for k in degrees]
+
+
+def duality_pairing(space, k):
+    """Poincare pairing H^k x H^(n-k) -> Q on a closed oriented space."""
+    return duality_pairings(space, [k])[0]
 
 
 # -- pairings on intersection sheaves --------------------------------------
@@ -822,7 +849,8 @@ def intersection_number(space, class_a, class_b, p, q):
             "of truncation results through PairingContext for %r"
             % space.singular_levels())
     cx = space.complex
-    return _cup_eval(cx, orient_top_cells(cx), p, class_a, class_b)
+    return _cup_eval(orient_top_cells(cx), p, class_a, class_b,
+                     _positions(cx, p), _positions(cx, q))
 
 
 def local_contribution(space, mezzo, level=None):

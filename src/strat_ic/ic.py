@@ -252,9 +252,9 @@ def _order_cohomology(cells):
 
 def _closed_cohomology(space, cells):
     """Cohomology of a closed union of cells from its simplicial cochains;
-    equals `_order_cohomology(cells)` (subdivision invariance)."""
-    sub = spaces_mod.SimplicialComplex(space.complex.n_vertices, cells,
-                                       close=False)
+    equals `_order_cohomology(cells)` (subdivision invariance).  Callers
+    have checked that `cells` is closed under faces (`missing_face`)."""
+    sub = spaces_mod.SimplicialComplex._of(space.complex.n_vertices, cells)
     return sub.cochain_complex().betti_numbers()
 
 

@@ -5,12 +5,27 @@ strictly increasing tuple of vertex indices and the global cell order is
 (dimension, lexicographic).  A stratified complex adds a filtration by closed
 subcomplexes, encoded as the minimal filtration level of each cell.
 
-Constructors (cone, suspension, product, collapse, link) re-run the full
-validation on their output; nothing is trusted by construction.
+Every stratified complex is valid: its stages are closed, dim X^p <= p, and
+the frontier condition holds.  A caller's space is checked when it is built
+(`StratifiedComplex(...)`, `build_stratified`, and so `--input` files);
+the constructors below build through `SimplicialComplex._of` and
+`StratifiedComplex._of`, and each docstring proves what it does not check:
+
+- `single_stratum`, `cone` and `suspension` keep a valid filtration valid,
+  so they run no check.
+- `product` is closed and dimension-bounded by construction, but the level
+  sum of two valid filtrations can break the frontier condition; it is
+  read off the factors' stratum-closure tables, with no walk over the
+  product's cells, and a product that breaks it is refused by `validate`.
+- `collapse` and `link` build closed complexes but validate the
+  filtration: a collapse can break the frontier condition, and `link`
+  reads a refused shifted filtration as its cue to fall back to one
+  stratum.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 
 from .linalg import CochainComplex, ExactMatrix
@@ -125,16 +140,34 @@ def missing_face(cells, within):
 
 
 class SimplicialComplex:
-    """Finite abstract simplicial complex on vertices 0..n-1."""
+    """Finite abstract simplicial complex on vertices 0..n-1.
+
+    `cells` is sorted by (size, lexicographic), so the cells of one
+    dimension form one run: `starts[d]` is the place of the first cell of
+    dimension d, for d = 0..dim + 1, and `dim` is the size of the last cell
+    less one (-1 for no cells).  A caller's simplices are normalized, range
+    checked and closed (or checked to be closed) by `__init__`; the
+    constructors of this package hand cell sets that are closed under faces
+    by how they are built to `_of`.
+    """
+
+    @classmethod
+    def _of(cls, n_vertices, cells):
+        """Complex that takes `cells` as they are: strictly increasing
+        tuples of vertices in 0..n_vertices-1, closed under faces by how its
+        builder made them, so nothing is normalized or checked."""
+        out = cls.__new__(cls)
+        out._set(n_vertices, cells)
+        return out
 
     def __init__(self, n_vertices, simplices, close=True):
-        self.n_vertices = int(n_vertices)
+        n_vertices = int(n_vertices)
         cells = set()
         for s in simplices:
             t = _normalize_cell(s)
             if not t:
                 raise BadSimplex("empty simplex")
-            if t[0] < 0 or t[-1] >= self.n_vertices:
+            if t[0] < 0 or t[-1] >= n_vertices:
                 raise BadSimplex("vertex out of range in %r" % (t,))
             cells.add(t)
         if close:
@@ -143,24 +176,29 @@ class SimplicialComplex:
             missing = missing_face(cells, cells)
             if missing:
                 raise FiltrationNotClosed("cell %r missing face %r" % missing)
+        self._set(n_vertices, cells)
+
+    def _set(self, n_vertices, cells):
+        self.n_vertices = n_vertices
         self.cells = tuple(sorted(cells, key=lambda c: (len(c), c)))
         self.cell_index = {c: i for i, c in enumerate(self.cells)}
-
-    @property
-    def dim(self):
-        return max((len(c) for c in self.cells), default=0) - 1
+        self.dim = len(self.cells[-1]) - 1 if self.cells else -1
+        starts = [0]
+        for d in range(1, self.dim + 2):
+            starts.append(bisect_left(self.cells, d + 1, starts[-1], key=len))
+        self.starts = tuple(starts)
 
     def f_vector(self):
-        out = [0] * (self.dim + 1)
-        for c in self.cells:
-            out[len(c) - 1] += 1
-        return tuple(out)
+        s = self.starts
+        return tuple(s[d + 1] - s[d] for d in range(self.dim + 1))
 
     def euler_characteristic(self):
-        return sum((-1) ** (len(c) - 1) for c in self.cells)
+        return sum((-1) ** d * n for d, n in enumerate(self.f_vector()))
 
     def cells_of_dim(self, d):
-        return [c for c in self.cells if len(c) == d + 1]
+        if not 0 <= d <= self.dim:
+            return ()
+        return self.cells[self.starts[d]:self.starts[d + 1]]
 
     def maximal_cells(self):
         """Cells that are no cell's facet, in cell order.  The complex is
@@ -171,19 +209,33 @@ class SimplicialComplex:
     def coboundary_matrix(self, k):
         """Matrix of d^k from k-cochains to (k+1)-cochains, integer entries.
 
-        The incidence number of sigma < tau is its sign in `facets(tau)`.
+        The incidence number of sigma < tau is its sign in `facets(tau)`:
+        +-1 at a face of tau, which the complex holds since it is closed
+        under faces, and each face of tau once, so the entries go in as
+        they are (`ExactMatrix._of`).
         """
         rows = self.cells_of_dim(k + 1)
         cols = self.cells_of_dim(k)
         col_index = {c: j for j, c in enumerate(cols)}
         ent = {(i, col_index[face]): sign for i, tau in enumerate(rows)
                for face, sign in facets(tau)}
-        return ExactMatrix(len(rows), len(cols), ent)
+        return ExactMatrix._of(len(rows), len(cols), ent)
 
     def cochain_complex(self):
-        dims = {k: len(self.cells_of_dim(k)) for k in range(self.dim + 1)}
+        """Simplicial cochains over the cells, d^k = `coboundary_matrix(k)`.
+
+        d o d = 0 holds by the sign rule of `facets`: the entry of
+        d^(k+1) d^k at (rho, sigma), for sigma a face of rho of codimension
+        2, sums over the two cells between them, and the two paths drop the
+        same two vertices of rho in the two orders, with opposite signs (see
+        `facets`).  Every other entry is an empty sum.  So the complex is
+        built through `CochainComplex._of`, with no product; the tests run
+        `certify()` on it.
+        """
+        s = self.starts
+        dims = {k: s[k + 1] - s[k] for k in range(self.dim + 1)}
         diffs = {k: self.coboundary_matrix(k) for k in range(self.dim)}
-        return CochainComplex(dims, diffs)
+        return CochainComplex._of(dims, diffs)
 
     def betti_numbers(self):
         b = self.cochain_complex().betti_numbers()
@@ -234,19 +286,31 @@ class StratifiedComplex:
 
     `levels[c]` is the smallest p with c in X^p.  The filtration is recovered
     as X^p = {c : levels[c] <= p}.  `factors` is the pair of factors of a
-    `product`, None for any other space.
+    `product`, None for any other space.  A caller's level map is checked
+    by `validate` when the space is built; the constructors of this module
+    that preserve a valid filtration by how they build it go through `_of`
+    (see the module docstring).
     """
 
     factors = None
 
-    def __init__(self, complex_, levels, check=True):
+    @classmethod
+    def _of(cls, complex_, levels):
+        """Space that takes `levels` as it is: an int for every cell of
+        `complex_`, keyed by its cell tuples, and a valid filtration by how
+        its builder made it, so `validate` is not run."""
+        out = cls.__new__(cls)
+        out.complex, out.levels = complex_, levels
+        out.top = max(levels.values(), default=0)
+        return out
+
+    def __init__(self, complex_, levels):
         self.complex = complex_
         self.levels = {tuple(c): int(p) for c, p in levels.items()}
         if set(self.levels) != set(complex_.cells):
             raise BadLevelMap("level map must cover all cells")
         self.top = max(self.levels.values(), default=0)
-        if check:
-            self.validate()
+        self.validate()
 
     # -- structure ---------------------------------------------------------
 
@@ -254,16 +318,16 @@ class StratifiedComplex:
         return sorted(set(self.levels.values()))
 
     def stratum(self, p):
-        """Cells of S^p = X^p minus X^{p-1}, sorted."""
-        return sorted((c for c, q in self.levels.items() if q == p),
-                      key=lambda c: (len(c), c))
+        """Cells of S^p = X^p minus X^{p-1}, in cell order."""
+        levels = self.levels
+        return [c for c in self.complex.cells if levels[c] == p]
 
     def strata(self):
         return {p: self.stratum(p) for p in self.stratum_levels()}
 
     def filtration_stage(self, p):
-        return sorted((c for c, q in self.levels.items() if q <= p),
-                      key=lambda c: (len(c), c))
+        levels = self.levels
+        return [c for c in self.complex.cells if levels[c] <= p]
 
     def singular_levels(self):
         return [p for p in self.stratum_levels() if p != self.top]
@@ -347,8 +411,14 @@ def build_stratified(complex_, filtration):
 
 
 def single_stratum(complex_):
+    """`complex_` as one stratum at its dimension.
+
+    Valid by construction: the one stage X^dim is the whole complex, which
+    is closed and has dimension dim, and one stratum leaves no pair for the
+    frontier condition.
+    """
     levels = {c: complex_.dim for c in complex_.cells}
-    return StratifiedComplex(complex_, levels)
+    return StratifiedComplex._of(complex_, levels)
 
 
 # -- constructors ----------------------------------------------------------
@@ -358,7 +428,23 @@ def _apex_join(s, n_apexes):
     share a cell.
 
     Each apex is its own level-0 stratum; every other level shifts up by
-    one, so the join over the p-th stage is the (p+1)-st stage.
+    one, so the join over the p-th stage is the (p+1)-st stage.  For a
+    valid base the join is valid, so it is built through `_of`:
+
+    - Closed: the apexes come after every base vertex, so c + (a,) is a
+      sorted tuple, and its facets are c and f + (a,) for the facets f of c
+      (or the apex (a,) when c is a vertex), all cells of the join, as the
+      base is closed.
+    - Stages closed: a facet of c, or of c + (a,), sits at its base level
+      plus one, at most c's, or is an apex, at level 0.
+    - dim X^p <= p: a base cell has dim c <= l(c) < l(c) + 1, and
+      c + (a,) has dimension dim c + 1 <= l(c) + 1.
+    - Frontier: the closure of the stratum at level p + 1 >= 1 is
+      cl(S^p), cl(S^p) + (a,) for every apex a, and every apex.  It meets
+      the stratum at q + 1, which is S^q and S^q + (a,) for every a, only
+      where cl(S^p) meets S^q, and then holds S^q whole (the base's
+      frontier condition), and with it the whole stratum.  It holds all of
+      the level-0 stratum, the apexes.
     """
     base = s.complex
     apexes = [(v,) for v in range(base.n_vertices,
@@ -369,9 +455,8 @@ def _apex_join(s, n_apexes):
         levels[c] = lvl
         for a in apexes:
             levels[c + a] = lvl
-    complex_ = SimplicialComplex(base.n_vertices + n_apexes, levels,
-                                 close=False)
-    return StratifiedComplex(complex_, levels)
+    complex_ = SimplicialComplex._of(base.n_vertices + n_apexes, levels)
+    return StratifiedComplex._of(complex_, levels)
 
 
 def cone(s):
@@ -405,19 +490,90 @@ def _staircase_chains(p, q):
     return out
 
 
-def product_vertex(u, v, n_right):
-    return u * n_right + v
+def _closure_levels(s):
+    """{p: the levels of the cells in the closure of S^p} of a valid space.
+
+    A facet at level q of a cell at level p puts a cell of S^q into
+    cl(S^p).  In a valid space that puts all of S^q into cl(S^p) (frontier
+    condition), and so cl(S^q) too.  So the table is the reflexive and
+    transitive closure of the facet relation on levels.  A facet never sits
+    above its cell, so the rows complete in increasing level order.
+    """
+    levels = s.levels
+    below = {p: {p} for p in s.stratum_levels()}
+    for c, p in levels.items():
+        for face, _sign in facets(c):
+            below[p].add(levels[face])
+    for p in sorted(below):
+        for q in sorted(below[p]):
+            if q < p:
+                below[p] |= below[q]
+    return below
+
+
+def _product_frontier_holds(sx, sy):
+    """Whether the level-sum filtration of sx x sy meets the frontier
+    condition, for valid factors, read off their `_closure_levels`.
+
+    The product cells over a pair of factor cells (a, b) are the staircase
+    chains over them, and their faces are the chains over the pairs of
+    faces (a', b') (each chain over (a', b') extends to a maximal chain
+    over (a, b)).  Write P(c, d) for the product cells over S^c x S^d, one
+    nonempty block for each pair of factor levels.  The product stratum at
+    level q is the union of P(a, b) over a + b = q.  Its closure meets
+    P(c, d) exactly when some such (a, b) has c among the closure levels
+    of a and d among those of b, and then holds all of P(c, d), by the
+    factors' frontier conditions.  So the closure of stratum q holds
+    stratum p < q exactly when it holds every P(c, d) with c + d = p, and
+    the condition asks for that whenever it holds one.
+    """
+    bx, by = _closure_levels(sx), _closure_levels(sy)
+    pairs = {}
+    for a in bx:
+        for b in by:
+            pairs.setdefault(a + b, []).append((a, b))
+    for q, above in pairs.items():
+        for p, lower in pairs.items():
+            if p >= q:
+                continue
+            under = [any(c in bx[a] and d in by[b] for a, b in above)
+                     for c, d in lower]
+            if any(under) and not all(under):
+                return False
+    return True
 
 
 def product(sx, sy):
     """Categorical product of ordered-vertex complexes.
 
     Simplices are the monotone staircase chains over pairs of factor
-    simplices; a product cell's level is the sum of its projections' levels.
+    simplices, the pair of vertices (u, v) numbered u * n_right + v; a
+    product cell's level is the sum of its projections' levels.
+
+    For valid factors the product is closed and dimension-bounded by
+    construction, so it is built through `_of` once its frontier condition
+    holds:
+
+    - Closed: a chain is monotone in both coordinates, so its vertices
+      u * n_right + v increase along it.  Dropping one vertex leaves a
+      monotone chain that projects onto faces a' of a and b' of b, with
+      steps of +1 in one or both coordinates once reindexed onto them: a
+      staircase chain over (a', b'), cells of the factors, so a product
+      cell.  Each cell projects onto one pair, so its level is well
+      defined.
+    - Stages closed: a face projects onto faces, at factor levels at most
+      those of a and b.
+    - dim X^p <= p: a chain over (a, b) has dimension at most
+      dim a + dim b <= l(a) + l(b).
+    - Frontier: not implied.  The level sum of two valid filtrations can
+      break it (cone-point x cone-cone-interval does), so it is read off
+      the factors' closure tables (`_product_frontier_holds`).  A product
+      that breaks it is handed to `validate`, which raises the
+      FrontierViolation that names the pair of strata.
     """
     bx, by = sx.complex, sy.complex
     ny = by.n_vertices
-    cells = set()
+    chains = {}
     levels = {}
     for a in bx.cells:
         pa = len(a) - 1
@@ -425,13 +581,14 @@ def product(sx, sy):
         for b in by.cells:
             qb = len(b) - 1
             lb = sy.levels[b]
-            for chain in _staircase_chains(pa, qb):
-                cell = tuple(sorted(product_vertex(a[i], b[j], ny)
-                                    for (i, j) in chain))
-                cells.add(cell)
-                levels[cell] = la + lb
-    complex_ = SimplicialComplex(bx.n_vertices * ny, sorted(cells), close=False)
-    out = StratifiedComplex(complex_, levels)
+            if (pa, qb) not in chains:
+                chains[pa, qb] = _staircase_chains(pa, qb)
+            for chain in chains[pa, qb]:
+                levels[tuple(a[i] * ny + b[j] for i, j in chain)] = la + lb
+    complex_ = SimplicialComplex._of(bx.n_vertices * ny, levels)
+    out = StratifiedComplex._of(complex_, levels)
+    if not _product_frontier_holds(sx, sy):
+        out.validate()
     out.factors = (sx, sy)
     out.n_right = ny
     return out
@@ -445,6 +602,11 @@ def collapse(s, subcells):
     shipped uses (a factor slice inside a product) it is also the topological
     quotient.  The new vertex sits at filtration level 0; other cells keep the
     minimum level over their preimages.
+
+    The image complex is closed by construction: a face of an image cell is
+    the image of the face of a preimage spanned by the vertices that map
+    into it.  The filtration is not: a collapse can break the frontier
+    condition, so the quotient is validated.
     """
     sub = {_normalize_cell(c) for c in subcells}
     if not sub:
@@ -475,7 +637,7 @@ def collapse(s, subcells):
             levels[img] = min(levels[img], lvl)
         else:
             levels[img] = lvl
-    complex_ = SimplicialComplex(nxt, sorted(levels), close=False)
+    complex_ = SimplicialComplex._of(nxt, levels)
     return StratifiedComplex(complex_, levels), cell_map
 
 
@@ -486,6 +648,11 @@ def link(s, sigma):
     and `base_cell`.  Stratification: ambient level minus (dim sigma + 1)
     when that shift lands every cell at a level >= its own dimension's needs;
     otherwise the link is returned with a single stratum at its dimension.
+
+    The link is closed by construction: a face f of c with c + sigma a cell
+    has f + sigma a cell too, and the relabeling keeps the vertex order.
+    The shifted filtration is validated, and refused it falls back to one
+    stratum.
     """
     sigma = _normalize_cell(sigma)
     if sigma not in s.complex.cell_index:
@@ -501,7 +668,7 @@ def link(s, sigma):
     verts = sorted({v for c in ambient for v in c})
     vmap = {v: i for i, v in enumerate(verts)}
     cells = [tuple(vmap[v] for v in c) for c in ambient]
-    complex_ = SimplicialComplex(len(verts), cells, close=False)
+    complex_ = SimplicialComplex._of(len(verts), cells)
     shift = len(sigma)  # dim sigma + 1
     shifted = {}
     ok = True

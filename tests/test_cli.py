@@ -74,6 +74,30 @@ def test_mutation_sentinel_fails(tmp_path):
                if isinstance(r["values"], dict))
 
 
+def test_mutation_counterexample_replays_through_input(tmp_path):
+    # shrunk candidates are validated, so the counterexample is a space
+    # that --input accepts
+    code, payload = run(["proptest", "--seed", "0", "--mode", "mutate-cup"],
+                        tmp_path)
+    assert code == 1
+    found = [r["values"]["counterexample"] for r in json.loads(payload)["rows"]
+             if isinstance(r["values"], dict)]
+    assert found
+    for i, doc in enumerate(found):
+        stages = {}
+        for cell, level in doc["levels"]:
+            stages.setdefault(str(level), []).append(cell)
+        path = tmp_path / ("counterexample-%d.json" % i)
+        path.write_text(json.dumps({"schema": 1,
+                                    "n_vertices": doc["n_vertices"],
+                                    "simplices": doc["simplices"],
+                                    "filtration": stages}))
+        code, out = run(["build", "--input", str(path)], tmp_path,
+                        name="build-%d.json" % i)
+        assert code == 0, out
+        assert row(json.loads(out), "stratification-valid")["verdict"] is True
+
+
 # -- input validation ------------------------------------------------------
 
 def test_bad_input_json_pointer(tmp_path, capsys):
@@ -443,6 +467,12 @@ BAD_INPUTS = [
     (["kunneth", "--example", "product:"], {}, "/example"),
     (["kunneth", "--example", "product:t2,s1", "--mode", "bogus"], {},
      "/mode"),
+    # two valid factors whose level-sum product breaks the frontier
+    # condition
+    (["build", "--example", "product:cone-point,cone-cone-interval"], {},
+     "/example"),
+    (["kunneth", "--example", "product:cone-point,cone-cone-interval"], {},
+     "/example"),
     # the apex of a cone over a point has codimension 1, and so has the
     # end of an interval stratified as its own stratum
     (["ih", "--example", "cone-point"], {}, "/example"),

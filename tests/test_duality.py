@@ -238,6 +238,43 @@ def test_pairing_degree_errors():
                           cc.cohomology_basis(2))
 
 
+def _reference_cup(cx, signs, p, alpha, beta):
+    """<alpha cup beta, [X]> with the cell positions looked up afresh."""
+    n = cx.dim
+    pos_p = {c: i for i, c in enumerate(cx.cells_of_dim(p))}
+    pos_q = {c: i for i, c in enumerate(cx.cells_of_dim(n - p))}
+    return sum((s * alpha[pos_p[t[:p + 1]]] * beta[pos_q[t[p:]]]
+                for t, s in signs.items()), Fraction(0))
+
+
+@pytest.mark.parametrize("name", ["point", "s1", "s2", "t2", "genus2",
+                                  "product:s1,s1", "product:s2,s1"])
+def test_shared_pairings_match_a_pairing_per_degree(name):
+    # one complex, orientation, basis and position map per report give the
+    # matrices of a fresh complex, basis and orientation per degree
+    space = get_example(name)
+    cx = space.complex
+    n = cx.dim
+    shared = duality.duality_pairings(space, range(n + 1))
+    assert [pm.row_degree for pm in shared] == list(range(n + 1))
+    for k, pm in enumerate(shared):
+        cc = cx.cochain_complex()
+        signs = orient_top_cells(cx)
+        rows = [[_reference_cup(cx, signs, k, a, b)
+                 for b in cc.cohomology_basis(n - k)]
+                for a in cc.cohomology_basis(k)]
+        want = (ExactMatrix.from_rows(rows) if rows else
+                ExactMatrix.zeros(0, len(cc.cohomology_basis(n - k))))
+        assert pm.matrix.shape == want.shape
+        assert pm.matrix.entries == want.entries
+        assert (pm.row_degree, pm.col_degree, pm.label) == \
+            (k, n - k, "H^%d x H^%d" % (k, n - k))
+        single = duality_pairing(space, k)
+        assert single.matrix.entries == pm.matrix.entries
+    with pytest.raises(DegreeOutOfRange):
+        duality.duality_pairings(space, [0, n + 1])
+
+
 # -- chain-level product in the ambient pushforward ------------------------
 
 def test_ambient_product_satisfies_leibniz():

@@ -6,6 +6,7 @@ independently of the code under test.
 """
 
 import doctest
+import hashlib
 
 import pytest
 from conftest import run_python
@@ -487,7 +488,7 @@ def test_validate_matches_the_reference(simplices, kind, data):
         levels = {c: max(floor * (len(c) - 1),
                          min(w for m, w in weight.items() if set(c) <= set(m)))
                   for c in cx.cells}
-    s = StratifiedComplex(cx, levels, check=False)
+    s = StratifiedComplex._of(cx, levels)
     assert _outcome(s.validate) == _outcome(lambda: _ref_validate(s))
     assert cx.maximal_cells() == _ref_maximal_cells(cx)
 
@@ -496,7 +497,8 @@ _BASES = ["point", "interval", "s1", "s2", "t2", "genus2"]
 _FAMILY = (_BASES + ["cone-%s" % b for b in _BASES]
            + ["suspension-%s" % b for b in _BASES]
            + ["product:%s,%s" % (a, b) for i, a in enumerate(_BASES)
-              for b in _BASES[i:]])
+              for b in _BASES[i:]]
+           + ["cone-cone-s1", "suspension-cone-s2", "cone-suspension-interval"])
 
 
 @pytest.mark.parametrize("name", _FAMILY)
@@ -505,6 +507,8 @@ def test_examples_match_the_references(name):
     cx = s.complex
     assert _outcome(s.validate) == ("ok", None) == \
         _outcome(lambda: _ref_validate(s))
+    # built by construction, with the d o d product left to this audit
+    cx.cochain_complex().certify()
     for cells in s.strata().values():
         assert spaces.closure(cells) == _ref_closure(cells)
     maximal = cx.maximal_cells()
@@ -514,3 +518,240 @@ def test_examples_match_the_references(name):
         rebuilt = SimplicialComplex(cx.n_vertices, given_cells, close=close)
         assert rebuilt.cells == cx.cells == \
             _ref_complex_cells(cx.n_vertices, given_cells, close)
+
+
+# -- spaces certified by construction --------------------------------------
+# single_stratum, cone and suspension build through `_of` with no check, and
+# product checks only its frontier condition, from the factors' tables.  The
+# full validator and the d o d product stay as the independent audit.
+
+def _certify_space(s):
+    assert _outcome(s.validate) == ("ok", None)
+    cc = s.complex.cochain_complex()
+    cc.certify()
+    assert cc.dims == dict(enumerate(s.complex.f_vector()))
+
+
+def _delannoy(p, q):
+    """Staircase chains over a p-simplex times a q-simplex."""
+    if p == 0 or q == 0:
+        return 1
+    return (_delannoy(p - 1, q) + _delannoy(p, q - 1)
+            + _delannoy(p - 1, q - 1))
+
+
+def _product_size(x, y):
+    fx, fy = x.complex.f_vector(), y.complex.f_vector()
+    return sum(a * b * _delannoy(p, q) for p, a in enumerate(fx)
+               for q, b in enumerate(fy))
+
+
+_SMALL = ["point", "interval", "s1", "s2"]
+_JOINED = st.builds(lambda prefixes, base: "".join(prefixes) + base,
+                    st.lists(st.sampled_from(["cone-", "suspension-"]),
+                             max_size=3),
+                    st.sampled_from(_SMALL))
+
+
+@settings(max_examples=30)
+@given(_JOINED, _JOINED)
+def test_drawn_joins_and_products_validate_and_certify(a, b):
+    x, y = get_example(a), get_example(b)
+    for s in (x, y):
+        _certify_space(s)
+    if _product_size(x, y) > 3000:
+        return
+    got = _outcome(lambda: product(x, y))
+    if got[0] == "ok":
+        _certify_space(got[1])
+    else:
+        assert got[0] is FrontierViolation
+        assert got == _outcome(_unchecked_product(x, y).validate)
+
+
+def _unchecked_product(sx, sy):
+    """The product as it was built before it skipped validation: the
+    staircase cells checked closed by `SimplicialComplex`, its levels the
+    sums of the factor levels, through `_of` with no filtration check."""
+    ny = sy.complex.n_vertices
+    levels = {}
+    for a in sx.complex.cells:
+        for b in sy.complex.cells:
+            for chain in spaces._staircase_chains(len(a) - 1, len(b) - 1):
+                cell = tuple(sorted(a[i] * ny + b[j] for i, j in chain))
+                levels[cell] = sx.levels[a] + sy.levels[b]
+    cx = SimplicialComplex(sx.complex.n_vertices * ny, sorted(levels),
+                           close=False)
+    return StratifiedComplex._of(cx, levels)
+
+
+# point, interval, s1 and s2 under six prefixes, and their ordered products
+# up to 40000 cells: 555 products, 166 of which break the frontier condition
+_PREFIXES = ["", "cone-", "suspension-", "cone-cone-", "suspension-cone-",
+             "cone-suspension-"]
+_FACTORS = [p + b for p in _PREFIXES for b in _SMALL]
+_PRODUCT_CAP = 40000
+
+
+def _product_family(left):
+    x = get_example(left)
+    for right in _FACTORS:
+        y = get_example(right)
+        if _product_size(x, y) <= _PRODUCT_CAP:
+            yield right, x, y
+
+
+# per left factor, the first 16 hex digits of the sha256 of the lines
+# "<right>: <exception>: <message>" of its refused products, in _FACTORS
+# order, as the product raised them when it validated every output
+_REFUSALS = {
+    "point": "e3b0c44298fc1c14",
+    "interval": "e3b0c44298fc1c14",
+    "s1": "e3b0c44298fc1c14",
+    "s2": "e3b0c44298fc1c14",
+    "cone-point": "7c293445233c8627",
+    "cone-interval": "ce261f416d60d2d2",
+    "cone-s1": "d5658f6db31e1ad4",
+    "cone-s2": "85b42b52914411fd",
+    "suspension-point": "7c293445233c8627",
+    "suspension-interval": "ce261f416d60d2d2",
+    "suspension-s1": "d5658f6db31e1ad4",
+    "suspension-s2": "85b42b52914411fd",
+    "cone-cone-point": "af0869c2695edd49",
+    "cone-cone-interval": "d8340c4d2ac9508a",
+    "cone-cone-s1": "4873a9f34ccde934",
+    "cone-cone-s2": "8807a40feb7665d6",
+    "suspension-cone-point": "af0869c2695edd49",
+    "suspension-cone-interval": "d8340c4d2ac9508a",
+    "suspension-cone-s1": "923dfbd05342551f",
+    "suspension-cone-s2": "1866b0c10387dc44",
+    "cone-suspension-point": "af0869c2695edd49",
+    "cone-suspension-interval": "4873a9f34ccde934",
+    "cone-suspension-s1": "5a43f1b028558827",
+    "cone-suspension-s2": "4b7d07e1f7d04d96",
+}
+
+
+@pytest.mark.parametrize("left", _FACTORS)
+def test_product_frontier_table_matches_validate(left):
+    # the table's verdict is the full validator's: an accepted product
+    # passes validate(), and the refusals are the ones pinned above
+    refused = []
+    for right, x, y in _product_family(left):
+        holds = spaces._product_frontier_holds(x, y)
+        got = _outcome(lambda: product(x, y))
+        if got[0] == "ok":
+            assert holds, right
+            assert _outcome(got[1].validate) == ("ok", None), right
+        else:
+            assert not holds, right
+            refused.append("%s: %s: %s" % (right, got[0].__name__, got[1]))
+    digest = hashlib.sha256("\n".join(refused).encode()).hexdigest()[:16]
+    assert digest == _REFUSALS[left]
+
+
+def _three_step_tetrahedron():
+    """A tetrahedron at level 3 whose edge (0, 1) and its vertices are a
+    level-1 stratum.  Both triangles of the tetrahedron on that edge sit at
+    level 2, so no facet of a level-3 cell lies at level 1: level 1 is in
+    the closure of level 3 only through level 2."""
+    cx = SimplicialComplex(4, [(0, 1, 2, 3)])
+    levels = {c: 2 for c in cx.cells}
+    levels.update({(0,): 1, (1,): 1, (0, 1): 1})
+    levels.update({c: 3 for c in [(0, 1, 2, 3), (0, 2, 3), (1, 2, 3),
+                                  (2, 3)]})
+    return StratifiedComplex(cx, levels)
+
+
+@pytest.mark.parametrize("name", _FAMILY + ["three-step"])
+def test_closure_table_matches_the_stratum_closures(name):
+    s = (_three_step_tetrahedron() if name == "three-step"
+         else get_example(name))
+    want = {p: {s.levels[c] for c in _ref_closure(cells)}
+            for p, cells in s.strata().items()}
+    assert spaces._closure_levels(s) == want
+
+
+@pytest.mark.parametrize("other", ["point", "cone-point", "cone-interval",
+                                   "cone-cone-point", "suspension-s1"])
+def test_product_frontier_reads_the_closure_through_levels(other):
+    x, y = _three_step_tetrahedron(), get_example(other)
+    for a, b in ((x, y), (y, x)):
+        got = _outcome(lambda: product(a, b))
+        want = _outcome(_unchecked_product(a, b).validate)
+        assert got[0] == want[0] and (got[0] == "ok" or got == want)
+        assert spaces._product_frontier_holds(a, b) == (want[0] == "ok")
+
+
+def test_product_family_has_both_outcomes():
+    refused = [left + "," + right for left in _FACTORS
+               for right, x, y in _product_family(left)
+               if not spaces._product_frontier_holds(x, y)]
+    assert sum(1 for left in _FACTORS for _ in _product_family(left)) == 555
+    assert len(refused) == 166
+    assert "cone-point,cone-cone-interval" in refused
+    with pytest.raises(FrontierViolation,
+                       match=r"strata \(3, 1\): closure of S\^3 meets S\^1 "
+                             r"but misses \(3,\)"):
+        get_example("product:cone-point,cone-cone-interval")
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["cone-s1", "suspension-interval", "cone-cone-interval",
+                        "product:cone-point,s1", "cone-s2"]), st.data())
+def test_mutated_filtration_is_refused_by_the_public_constructors(name, data):
+    s = get_example(name)
+    cx = s.complex
+    cell = data.draw(st.sampled_from(cx.cells))
+    level = data.draw(st.integers(0, s.top + 1).filter(
+        lambda p: p != s.levels[cell]))
+    levels = dict(s.levels)
+    levels[cell] = level
+    want = _outcome(lambda: _ref_validate(StratifiedComplex._of(cx, levels)))
+    got = _outcome(lambda: StratifiedComplex(cx, levels))
+    assert got[0] == want[0] and (got[0] == "ok" or got == want)
+    stages = {}
+    for c, p in levels.items():
+        stages.setdefault(p, []).append(c)
+    got = _outcome(lambda: build_stratified(cx, stages))
+    assert got[0] == want[0] and (got[0] == "ok" or got == want)
+
+
+def test_broken_filtrations_are_refused():
+    s = get_example("cone-s1")
+    cx = s.complex
+    apex = (cx.n_vertices - 1,)
+    raised = dict(s.levels)
+    raised[apex] = 3  # the apex above its edges
+    lowered = dict(s.levels)
+    lowered[(0, 1)] = 0  # an edge below its vertices and its dimension
+    for levels, error in ((raised, FiltrationNotClosed),
+                          (lowered, FiltrationNotClosed)):
+        with pytest.raises(error):
+            StratifiedComplex(cx, levels)
+        stages = {}
+        for c, p in levels.items():
+            stages.setdefault(p, []).append(c)
+        with pytest.raises(error):
+            build_stratified(cx, stages)
+    bad = _unchecked_product(get_example("cone-point"),
+                             get_example("cone-cone-interval"))
+    with pytest.raises(FrontierViolation):
+        StratifiedComplex(bad.complex, bad.levels)
+
+
+@settings(max_examples=150)
+@given(_simplex_lists)
+def test_dimension_index_matches_the_scan(simplices):
+    cx = SimplicialComplex(6, simplices)
+    assert cx.dim == max(len(c) for c in cx.cells) - 1
+    for d in range(-1, cx.dim + 2):
+        assert list(cx.cells_of_dim(d)) == [c for c in cx.cells
+                                            if len(c) == d + 1]
+    assert cx.f_vector() == tuple(len(cx.cells_of_dim(d))
+                                  for d in range(cx.dim + 1))
+    assert cx.euler_characteristic() == sum((-1) ** (len(c) - 1)
+                                            for c in cx.cells)
+    sub = SimplicialComplex._of(6, [c for c in cx.cells if len(c) <= 2])
+    assert list(sub.cells) == [c for c in cx.cells if len(c) <= 2]
+    assert sub.dim == min(cx.dim, 1)
