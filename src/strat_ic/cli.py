@@ -422,13 +422,14 @@ def cmd_sheaf(config):
     bundle = ReportBundle("sheaf", digest)
     F = sheaves.constant_sheaf(space)
     width = space.dim + 1
-    coh = sheaves.sheaf_cohomology(F)
-    computed = _coh_list(coh, width)
+    # one incidence complex: its cohomology is the report, and the d o d
+    # row audits the same complex
+    cx, _lay = sheaves.incidence_complex(F)
+    computed = _coh_list(cx.betti_numbers(), width)
     oracle = _betti_list(space)
     bundle.add("sheaf-cohomology", computed)
     bundle.add("simplicial-betti", oracle, source="oracle",
                verdict=computed == oracle)
-    cx, _lay = sheaves.incidence_complex(F)
     square_zero = all(
         (cx.diff(k + 1) * cx.diff(k)).is_zero()
         for k in range(cx.lo, cx.hi))
@@ -798,7 +799,10 @@ def _shrink(space, failing):
     """Greedy one-pass shrink: drop maximal cells while the check fails.
 
     Candidates go through the validating constructor and a refused one is
-    skipped, so every shrunk counterexample is a space `--input` takes."""
+    skipped, so every shrunk counterexample is a space `--input` takes.  A
+    candidate the check refuses (a stratification, IC, sheaf or duality
+    error) is skipped too; any other error, a CertificateError among them,
+    is a bug and propagates."""
     current = space
     for t in current.complex.maximal_cells():
         remaining = [c for c in current.complex.maximal_cells() if c != t]
@@ -812,7 +816,8 @@ def _shrink(space, failing):
             smaller = spaces.StratifiedComplex(smaller_cx, levels)
             if failing(smaller):
                 current = smaller
-        except Exception:
+        except (spaces.StratificationError, ic.ICError, sheaves.SheafError,
+                duality.DualityError):
             continue
     return current
 
@@ -866,23 +871,14 @@ def _check_restrictions(space):
             space.filtration_stage(max(levels)), through=1)
     else:
         F = sheaves.constant_sheaf(space)
-    cells = sorted(space.complex.cells)
-    checked = 0
-    for a in cells:
-        for b in cells:
-            if len(b) <= len(a) or not set(a) <= set(b):
-                continue
-            for c in cells:
-                if len(c) <= len(b) or not set(b) <= set(c):
-                    continue
-                for q in (0, 1):
-                    direct = F.restriction(a, c, q)
-                    via = F.restriction(b, c, q) * F.restriction(a, b, q)
-                    if direct.entries != via.entries:
-                        return False
-                checked += 1
-                if checked >= 25:
-                    return True
+    # the first 25 chains a < b < c, in (a, b, c) order
+    flags, _drops = sheaves._flags(space.complex.cells, 3)
+    for a, b, c in [g for g in flags if len(g) == 3][:25]:
+        for q in (0, 1):
+            direct = F.restriction(a, c, q)
+            via = F.restriction(b, c, q) * F.restriction(a, b, q)
+            if direct.entries != via.entries:
+                return False
     return True
 
 
@@ -1055,11 +1051,13 @@ def _parser():
 def _run(config):
     """The command's report; a perversity or a link form asked for at a
     stratum of codimension below 2, a link form at a stratum that is not
-    isolated cone points with closed links, and top cells that admit no
-    orientation (a space with boundary) are faults of the given space."""
+    isolated cone points with closed links, a refinement of a space without
+    exactly one singular stratum, of odd codimension, and top cells that
+    admit no orientation (a space with boundary) are faults of the given
+    space."""
     try:
         return _COMMANDS[config.command](config)
-    except (ic.LowCodimension, ic.NotRefinable) as e:
+    except (ic.LowCodimension, ic.MezzoStrataMismatch) as e:
         raise BadInput(str(e), "/filtration" if config.input_path
                        else "/example") from None
     except duality.NotOrientable as e:

@@ -103,18 +103,21 @@ class SheafComplex:
     Provenance, recorded by the constructors that build such sheaves:
     `identity_restrictions` by `constant_sheaf`, whose restrictions are
     identities; `least_cells`, `projections`, `through` and `source` (with
-    `stalk_layouts`) by `kan_pushforward`; `untruncated` and `inclusions`
-    by `truncate` and `refine`, and `refines` by `refine`.  Any other sheaf
-    keeps the defaults below: restrictions as stored, no least cells, no
-    pick lists, every stalk degree assembled, no input, no truncation.
+    `stalk_layouts`) by `kan_pushforward`; `untruncated`, `cutoff` and
+    `inclusions` by `truncate` and `refine`, and `refines` by `refine`.  Any
+    other sheaf keeps the defaults below: restrictions as stored, no least
+    cells, no pick lists or flag layouts, every stalk degree assembled, no
+    input, no truncation.
     """
 
     identity_restrictions = False
     least_cells = MappingProxyType({})
     projections = None
+    stalk_layouts = None
     through = None
     source = None
     untruncated = None
+    cutoff = None
     inclusions = None
     refines = None
 

@@ -286,13 +286,18 @@ class StratifiedComplex:
 
     `levels[c]` is the smallest p with c in X^p.  The filtration is recovered
     as X^p = {c : levels[c] <= p}.  `factors` is the pair of factors of a
-    `product`, None for any other space.  A caller's level map is checked
-    by `validate` when the space is built; the constructors of this module
-    that preserve a valid filtration by how they build it go through `_of`
-    (see the module docstring).
+    `product` and `n_right` its right factor's vertex count; `vertex_map`
+    and `base_cell` are recorded by `link`.  Each is None on a space that
+    constructor did not make.  A caller's level map is checked by `validate`
+    when the space is built; the constructors of this module that preserve
+    a valid filtration by how they build it go through `_of` (see the
+    module docstring).
     """
 
     factors = None
+    n_right = None
+    vertex_map = None
+    base_cell = None
 
     @classmethod
     def _of(cls, complex_, levels):

@@ -3,11 +3,14 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from conftest import run_python
 
-from strat_ic import cli
+from strat_ic import cli, sheaves
+from strat_ic.examples import get_example
+from strat_ic.linalg import CertificateError
 
 
 def run(args, tmp_path, name="out.json"):
@@ -96,6 +99,90 @@ def test_mutation_counterexample_replays_through_input(tmp_path):
                         name="build-%d.json" % i)
         assert code == 0, out
         assert row(json.loads(out), "stratification-valid")["verdict"] is True
+
+
+def test_shrink_lets_a_certificate_failure_escape(tmp_path, monkeypatch):
+    # a CertificateError is a bug, not a refused candidate: raised by a
+    # check on a shrink candidate, it must reach the caller
+    shrinking, shrunk = [], []
+    real_shrink, real_check = cli._shrink, cli._check_graded_commutativity
+
+    def shrink(space, failing):
+        shrinking.append(space)
+        try:
+            return real_shrink(space, failing)
+        finally:
+            shrunk.append(shrinking.pop())
+
+    def check(space, flip=False):
+        if shrinking and space is not shrinking[-1]:
+            raise CertificateError("planted on a shrink candidate")
+        return real_check(space, flip)
+
+    monkeypatch.setattr(cli, "_shrink", shrink)
+    monkeypatch.setattr(cli, "_check_graded_commutativity", check)
+    with pytest.raises(CertificateError, match="planted"):
+        run(["proptest", "--seed", "0", "--mode", "mutate-cup"], tmp_path)
+    assert shrunk
+
+
+def _scanned_triples(cells, limit=25):
+    """The first `limit` chains a < b < c by a scan of every cell triple:
+    the reference for `_check_restrictions`' chains."""
+    cells = sorted(cells)
+    out = []
+    for a in cells:
+        for b in cells:
+            if len(b) <= len(a) or not set(a) <= set(b):
+                continue
+            for c in cells:
+                if len(c) > len(b) and set(b) <= set(c):
+                    out.append((a, b, c))
+                    if len(out) == limit:
+                        return out
+    return out
+
+
+def _restriction_check_examples():
+    """The proptest base spaces, then drawn cones, suspensions and
+    products of them that the check takes (at most 120 cells)."""
+    base = ["point", "interval", "s1", "s2", "t2"]
+    out = list(base)
+    rng = random.Random(5)
+    while len(out) < 16:
+        kind = rng.choice(["cone-", "suspension-", "product:"])
+        name = kind + rng.choice(base)
+        if kind == "product:":
+            name += "," + rng.choice(base)
+        if (name not in out
+                and len(get_example(name).complex.cells) <= 120):
+            out.append(name)
+    return out
+
+
+@pytest.mark.parametrize("name", _restriction_check_examples())
+def test_restriction_check_reads_the_scanned_triples(name, monkeypatch):
+    # the top-level restrictions the check asks for, three per chain at
+    # q = 0: (a, c), then (b, c) and (a, b)
+    calls, depth = [], [0]
+    real = sheaves.SheafComplex.restriction
+
+    def restriction(self, a, b, q):
+        if depth[0] == 0 and q == 0:
+            calls.append((tuple(a), tuple(b)))
+        depth[0] += 1
+        try:
+            return real(self, a, b, q)
+        finally:
+            depth[0] -= 1
+
+    space = get_example(name)
+    monkeypatch.setattr(sheaves.SheafComplex, "restriction", restriction)
+    assert cli._check_restrictions(space) is True
+    assert len(calls) % 3 == 0
+    chains = [(a, b, c) for (a, c), (b, _c), (_a, _b)
+              in zip(calls[0::3], calls[1::3], calls[2::3])]
+    assert chains == _scanned_triples(space.complex.cells)
 
 
 # -- input validation ------------------------------------------------------
@@ -453,6 +540,16 @@ def test_point_has_a_duality_report(tmp_path, command, label):
                    [["1/1"]])
 
 
+def _input_doc(name):
+    """The `--input` document of a built-in example."""
+    doc = cli._space_doc(get_example(name))
+    stages = {}
+    for cell, level in doc["levels"]:
+        stages.setdefault(str(level), []).append(cell)
+    return {"n_vertices": doc["n_vertices"], "simplices": doc["simplices"],
+            "filtration": stages}
+
+
 # every documented bad-input form: argv (with {name} for the path of a file
 # written from `files`: a document, or JSON text written as it stands) and
 # the JSON pointer the error must carry
@@ -506,6 +603,10 @@ BAD_INPUTS = [
     (["mezzo", "--example", "cone-cone-t2", "--dump"], {}, "/example"),
     (["mezzo", "--example", "product:cone-t2,s1"], {}, "/example"),
     (["mezzo", "--example", "cone-cone-s1"], {}, "/example"),
+    # two singular strata: a refinement needs exactly one
+    (["mezzo", "--example", "cone-suspension-s1", "--dump"], {}, "/example"),
+    (["mezzo", "--input", "{space}", "--dump"],
+     {"space": _input_doc("cone-suspension-s1")}, "/filtration"),
     # the apex of a tetrahedron: its link, a triangle, has boundary
     (["mezzo", "--input", "{space}"],
      {"space": {"n_vertices": 4, "simplices": [[0, 1, 2, 3]],
@@ -671,6 +772,9 @@ GOLDEN_REPORTS = [
      "5b255dac9b582b667e94ce10099c57bfddf39bb793a04501c1de85cb5fc27045"),
     (["build", "--example", "cone-cone-s1", "--dump"],
      "7e0072c89eb924de0b6203c1f3743e5b901110c762facaafd28097df717d6d41"),
+    # the cohomology row and the d o d row read one incidence complex
+    (["sheaf", "--example", "product:t2,s1"],
+     "1bf644b73a3f5f536e60ebbe735f14989263b76b4bfcc27dcffdd268870ded90"),
 ]
 
 
@@ -687,7 +791,7 @@ GOLDEN_REPORTS = [
                               "mezzo-suspension-t2-dump",
                               "build-genus2-t2", "build-cone-t2-dump",
                               "build-suspension-genus2-dump",
-                              "build-cone-cone-s1-dump"])
+                              "build-cone-cone-s1-dump", "sheaf-t2-s1"])
 def test_report_bytes_match_golden_digest(tmp_path, args, digest):
     code, data = run(args, tmp_path)
     assert code == 0

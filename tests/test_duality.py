@@ -305,6 +305,62 @@ def test_ambient_product_satisfies_leibniz():
                            for a, b, c in zip(dz, lhs, rhs)), (k, l, i, j)
 
 
+def _cup_by_restriction(amb, x, k, y, l):
+    """The ambient cup with every restriction built and applied as a
+    matrix: the reference for `_Ambient.cup`, which reads them by flag."""
+    R = amb.R
+    z = [Fraction(0)] * amb.dim(k + l)
+    for tau, q, off, _size in amb.layout.get(k + l, ()):
+        p = len(tau) - 1
+        fidx = amb.fidx[tau]
+        for i in range(p + 1):
+            q1, q2 = k - i, l - (p - i)
+            front, back = tau[:i + 1], tau[i:]
+            sa, sb = amb.lmap.get((front, q1)), amb.lmap.get((back, q2))
+            if q1 < 0 or q2 < 0 or sa is None or sb is None:
+                continue
+            a = R.restriction(front, tau, q1).apply(x[sa[1]:sa[1] + sa[2]])
+            b = R.restriction(back, tau, q2).apply(y[sb[1]:sb[1] + sb[2]])
+            sign = (-1) ** (q1 * (p - i))
+            for g, _q, _off, _size in R.stalk_layouts[tau].get(q, ()):
+                z[off + fidx[g]] += \
+                    sign * a[fidx[g[:q1 + 1]]] * b[fidx[g[q1:]]]
+    return z
+
+
+def _sparse_cochain(rng, size):
+    """A cochain with about a third of its entries nonzero."""
+    x = [Fraction(0)] * size
+    for i in rng.sample(range(size), max(1, size // 3)):
+        x[i] = Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 1, 2]))
+    return x
+
+
+@pytest.mark.parametrize("name", ["suspension-s1", "suspension-s2",
+                                  "suspension-t2",
+                                  "product:suspension-s1,s1"])
+def test_ambient_cup_reads_the_restrictions_by_flag(name):
+    sp = get_example(name)
+    n = sp.dim
+    R = sheaves.derived_pushforward(
+        sheaves.constant_sheaf(sp, 1),
+        sp.filtration_stage(sp.singular_levels()[0]), through=n)
+    amb = duality._Ambient(R)
+    rng = random.Random(name)
+    nonzero = 0
+    for k in range(n + 1):
+        for l in range(n + 1 - k):
+            if not amb.dim(k) or not amb.dim(l):
+                continue
+            for _ in range(3):
+                x = _sparse_cochain(rng, amb.dim(k))
+                y = _sparse_cochain(rng, amb.dim(l))
+                z = amb.cup(x, k, y, l)
+                assert z == _cup_by_restriction(amb, x, k, y, l), (k, l)
+                nonzero += any(z)
+    assert nonzero
+
+
 def test_middle_perversity_pairing(res_m, res_n):
     pm0 = ic_pairing(res_m, res_n, 0)
     assert pm0.matrix.to_triples() == [(0, 0, "1/1")]
