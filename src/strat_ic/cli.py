@@ -528,9 +528,9 @@ def cmd_intersect(config):
                        "refined results in code for singular ones",
                        "/example")
     k = _degree(config, n, n // 2)
-    cc = space.complex.cochain_complex()
-    basis_p = cc.cohomology_basis(k)
-    basis_q = cc.cohomology_basis(n - k)
+    red = space.complex.cochain_complex().reduction()
+    basis_p = red.cohomology_basis(k)
+    basis_q = red.cohomology_basis(n - k)
     pairing = None
     matrix = [[] for _ in basis_p]
     if basis_p and basis_q:
@@ -549,7 +549,7 @@ def cmd_intersect(config):
         bundle.add("nondegenerate", full, verdict=full)
     if n > 0:
         # degrees that do not sum to the dimension must contribute zero
-        pt = cc.cohomology_basis(0)[0]
+        pt = red.cohomology_basis(0)[0]
         off = duality.intersection_number(space, pt, pt, 0, 0)
         bundle.add("complementary-bookkeeping-zero", off, verdict=off == 0)
     return bundle
@@ -822,14 +822,12 @@ def _shrink(space, failing):
     return current
 
 
-def _check_d_squared(space):
-    cc = space.complex.cochain_complex()
+def _check_d_squared(space, cc):
     return all((cc.diff(k + 1) * cc.diff(k)).is_zero()
                for k in range(cc.lo, cc.hi))
 
 
-def _check_rank_nullity(space):
-    cc = space.complex.cochain_complex()
+def _check_rank_nullity(space, cc):
     for k in range(cc.lo, cc.hi + 1):
         d = cc.diff(k)
         if d.cols and rank(d) + kernel_basis(d).cols != d.cols:
@@ -837,11 +835,12 @@ def _check_rank_nullity(space):
     return True
 
 
-def _check_gluing(space):
+def _check_gluing(space, cc):
     coh = sheaves.sheaf_cohomology(sheaves.constant_sheaf(space))
+    betti = cc.betti_numbers()
     width = space.dim + 1
     return [coh.get(k, 0) for k in range(width)] == \
-        list(space.complex.betti_numbers())
+        [betti[k] for k in range(width)]
 
 
 def _check_truncation(space):
@@ -882,7 +881,7 @@ def _check_restrictions(space):
     return True
 
 
-def _check_graded_commutativity(space, flip=False):
+def _check_graded_commutativity(space, cc, flip=False):
     cx = space.complex
     if space.singular_levels() or cx.dim != 2:
         return None
@@ -890,7 +889,6 @@ def _check_graded_commutativity(space, flip=False):
         signs = duality.orient_top_cells(cx)
     except duality.NotOrientable:
         return None
-    cc = cx.cochain_complex()
     basis = cc.cohomology_basis(1)
     if not basis:
         return None
@@ -961,26 +959,31 @@ def property_suite(seed=0, mutate=None):
     # a fixed closed surface keeps the cup checks honest every run
     pool.append(("t2", get_example("t2")))
 
+    # each check takes a space and its simplicial cochain complex, built
+    # once per space
     checks = [
         ("d-squared-zero", _check_d_squared),
         ("rank-nullity", _check_rank_nullity),
         ("sheaf-gluing", _check_gluing),
-        ("truncation-stalk-contract", _check_truncation),
-        ("restriction-composition", _check_restrictions),
+        ("truncation-stalk-contract", lambda s, _cc: _check_truncation(s)),
+        ("restriction-composition", lambda s, _cc: _check_restrictions(s)),
         ("graded-commutativity",
-         lambda s: _check_graded_commutativity(s, flip=mutate == "cup-sign")),
-        ("support-certificate", _check_support),
+         lambda s, cc: _check_graded_commutativity(
+             s, cc, flip=mutate == "cup-sign")),
+        ("support-certificate", lambda s, _cc: _check_support(s)),
     ]
     for label, sp in pool:
+        cc = sp.complex.cochain_complex()
         for cname, fn in checks:
-            got = fn(sp)
+            got = fn(sp, cc)
             if got is None:
                 continue
             row_label = "%s: %s" % (label, cname)
             if got:
                 bundle.add(row_label, True, verdict=True)
             else:
-                shrunk = _shrink(sp, lambda s: fn(s) is False)
+                shrunk = _shrink(sp, lambda s: fn(
+                    s, s.complex.cochain_complex()) is False)
                 bundle.add(row_label,
                            {"counterexample": _space_doc(shrunk)},
                            verdict=False)

@@ -168,20 +168,21 @@ def duality_pairings(space, degrees):
     """Poincare pairings H^k x H^(n-k) -> Q on a closed oriented space,
     one PairingMatrix per k in `degrees`.
 
-    They share one cochain complex, one orientation, and each degree's
-    cohomology basis and cell positions, built once for all of them.
+    They share one cochain complex and its one unit reduction, one
+    orientation, and each degree's cohomology basis and cell positions,
+    built once for all of them.
     """
     cx = space.complex
     n = cx.dim
     for k in degrees:
         if k < 0 or k > n:
             raise DegreeOutOfRange("degree %d outside 0..%d" % (k, n))
-    cc = cx.cochain_complex()
+    red = cx.cochain_complex().reduction()
     bases, positions = {}, {}
     for k in degrees:
         for j in (k, n - k):
             if j not in bases:
-                bases[j] = cc.cohomology_basis(j)
+                bases[j] = red.cohomology_basis(j)
                 positions[j] = _positions(cx, j)
     signs = orient_top_cells(cx)
     return [PairingMatrix(_cup_matrix(signs, k, bases[k], bases[n - k],
@@ -417,8 +418,10 @@ class PairingContext:
     column f, is [0 | phi] with phi d = 0, phi_f != 0 and phi_j = 0 for
     j < f.  The identity pivot columns are those of the RREF, that is the
     basis vectors independent of im d and the ones before them, so there
-    is exactly one (DualityError otherwise) and e_f is the generator
-    `cohomology_basis(n)` of T picks.  A top cochain z is c e_f + d w for
+    is exactly one (DualityError otherwise): e_f is the first basis
+    vector outside im d, and its class generates H^n(T).  The value is
+    normalized against that class, whatever representatives
+    `cohomology_basis` picks.  A top cochain z is c e_f + d w for
     exactly one c, the pairing value, and phi z = c phi_f + phi d w =
     c phi_f: `value` returns phi z / phi_f, with no elimination.  The
     certificate runs at every size, also under `python -O`: exactly one
@@ -561,12 +564,13 @@ class PairingContext:
                    Fraction(0)) / self.lead
 
     def _basis(self, result, k):
-        """Cohomology basis of `result` in degree k, computed once per
-        context; results have identity hashes, so one result paired with
-        itself shares its entries."""
+        """Cohomology basis of `result` in degree k, read off the unit
+        reduction the result holds, once per context; results have
+        identity hashes, so one result paired with itself shares its
+        entries."""
         key = (result, k)
         if key not in self._bases:
-            self._bases[key] = result.complex.cohomology_basis(k)
+            self._bases[key] = result.reduction.cohomology_basis(k)
         return self._bases[key]
 
     def matrix(self, k):

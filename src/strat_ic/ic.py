@@ -137,14 +137,17 @@ class ICResult:
 
     `complex` and `layout` are the sheaf's incidence total complex and its
     block layout (see sheaves.incidence_complex); classes of the result are
-    coordinate vectors of that complex.
+    coordinate vectors of that complex.  `reduction` is that complex's
+    unit reduction, which gives `cohomology` and, to a pairing, the
+    cohomology bases.
     """
 
     def __init__(self, space, sheaf, cutoffs, label):
         self.space = space
         self.sheaf = sheaf
         self.complex, self.layout = sheaves.incidence_complex(sheaf)
-        self.cohomology = self.complex.betti_numbers()
+        self.reduction = self.complex.reduction()
+        self.cohomology = self.reduction.betti_numbers()
         self.cutoffs = cutoffs  # stratum level -> stalk degree cutoff
         self.label = label
 

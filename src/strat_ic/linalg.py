@@ -16,26 +16,35 @@ Row elimination happens in exactly three routines:
 - One forward pass over Q, `_echelon` (pivots in column order, each
   clearing its column from the unused rows only), answers every span and
   rank query.  Queries that read only pivot columns stop there, through
-  `pivot_columns`: `rank` (the number of pivots), which drives
-  `CochainComplex.betti_numbers` and independence checks, and
-  `CochainComplex.cohomology_basis` (pivot columns of [image | kernel
-  basis]).  The pairing's top-class functional is a row of the forward
-  pass too (see `duality.PairingContext`).  `rref` adds back substitution
-  for the queries that read the reduced rows: `kernel_basis`, and `solve`
-  and `solve_many` (one elimination of [m | targets]).  RREF is unique,
-  so every basis it picks is deterministic.  `kernel_basis` returns a
-  sparse matrix whose columns are the basis; it is the identity on the
-  rows of the free columns, so `solve_many` against it, or against any
-  matrix with such rows (`unit_rows`), reads the answer off those rows
-  and certifies it with one exact product on the other rows instead of
-  eliminating.  It works fraction-free (after Bareiss, Math. Comp. 1968)
-  on integer rows with a column -> rows index; see `_eliminate`.
+  `pivot_columns`: `rank` (the number of pivots), which drives Betti
+  numbers and independence checks, and the greedy classes of a unit
+  reduction's remainder (pivot columns of [image | kernel basis]).  The
+  pairing's top-class functional is a row of the forward pass too (see
+  `duality.PairingContext`).  `rref` adds back substitution for the
+  queries that read the reduced rows: `kernel_basis` (of stalk
+  differentials, of remainders, and in proptest's rank-nullity check),
+  and `solve` and `solve_many` (one elimination of [m | targets]).  RREF
+  is unique, so every basis it picks is deterministic.  `kernel_basis`
+  returns a sparse matrix whose columns are the basis; it is the identity
+  on the rows of the free columns, so `solve_many` against it, or against
+  any matrix with such rows (`unit_rows`), reads the answer off those
+  rows and certifies it with one exact product on the other rows instead
+  of eliminating.  It works fraction-free (after Bareiss, Math. Comp.
+  1968) on integer rows with a column -> rows index; see `_eliminate`.
 - `_reduce_units` cancels every pair of cells joined by a +-1 incidence
   from a cochain complex, on row dicts with a column -> rows index through
-  `_axpy` (see `_cancel`).  The remainder has the same cohomology over Z,
-  so `CochainComplex.cohomology_groups` and `betti_numbers` hand only the
-  remainder's differentials, which hold no +-1, to `smith_normal_form`
-  and `rank`; on the closed torsion-free examples they are all zero.
+  `_axpy` (see `_cancel`), and records each cancellation.  The remainder
+  has the same cohomology over Z, and the `UnitReduction` it returns
+  answers every cohomology question about the complex from it: Betti
+  numbers and integral groups hand only the remainder's differentials,
+  which hold no +-1, to `rank` and `smith_normal_form` (on the closed
+  torsion-free examples they are all zero), and a cohomology basis is a
+  basis of the remainder's cohomology lifted back through the recorded
+  cancellations, with no elimination on the whole complex.  The bases
+  depend on the order in which `_reduce_units` picks its pivots, so a
+  change of that rule moves the printed pairing matrices.  A caller with
+  several questions about one complex holds one reduction
+  (`CochainComplex.reduction`); an `ICResult` holds its complex's.
 - `smith_normal_form` (over Z) drives integral cohomology and
   presentations, on plain row dicts through `_axpy`: it sees only what
   `_reduce_units` leaves, zero on every shipped example, so it keeps no
@@ -43,7 +52,8 @@ Row elimination happens in exactly three routines:
   u * m * v == d, u * u^-1 == I and v * v^-1 == I in exact integers; an
   integer matrix with an integer inverse is unimodular.  A failed check
   raises `CertificateError`, also under `python -O`, as do the unit and
-  d o d = 0 re-checks of the reduction.
+  d o d = 0 re-checks of the reduction and the cocycle check of every
+  lifted class.
 """
 
 from __future__ import annotations
@@ -58,6 +68,7 @@ __all__ = [
     "ExactMatrix",
     "FGAbelianGroup",
     "CochainComplex",
+    "UnitReduction",
     "rank",
     "rref",
     "pivot_columns",
@@ -833,15 +844,60 @@ class CochainComplex:
     def euler_characteristic(self):
         return sum((-1) ** k * d for k, d in self.dims.items())
 
-    def betti_numbers(self):
-        """Q-cohomology dimensions per degree.
+    def reduction(self):
+        """The unit reduction of this complex (`UnitReduction`), made
+        afresh on every call: a caller with several questions about one
+        complex holds one reduction and asks it."""
+        return _reduce_units(self)
 
-        Read off `_reduce_units(self)`, which has the same cohomology, by
-        rank-nullity per degree: dim = rank d_k + dim ker d_k, and
-        b_k = dim ker d_k - rank d_{k-1}.  `rank` sees only the
-        remainder's differentials, which hold no +-1.
+    def betti_numbers(self):
+        """Q-cohomology dimensions per degree (`UnitReduction.betti_numbers`)."""
+        return _reduce_units(self).betti_numbers()
+
+    def cohomology_basis(self, k):
+        """Deterministic representatives of H^k over Q, as coordinate tuples
+        (`UnitReduction.cohomology_basis`)."""
+        return _reduce_units(self).cohomology_basis(k)
+
+    def cohomology_groups(self):
+        """Integral cohomology per degree as FGAbelianGroup
+        (`UnitReduction.cohomology_groups`)."""
+        return _reduce_units(self).cohomology_groups()
+
+    def __repr__(self):
+        spans = ", ".join("%d:%d" % (k, self.dims[k]) for k in self.degrees())
+        return "CochainComplex(%s)" % spans
+
+
+class UnitReduction:
+    """A cochain complex with its unit reduction (`_reduce_units`), which
+    answers every cohomology question about it: Betti numbers, integral
+    groups and bases.  Build it through `CochainComplex.reduction`.
+
+    `complex` is the input and `remainder` the complex left: `index[k]`
+    maps each cell of C^k that is left to its place in the remainder, in
+    increasing order of both.  `steps` lists the cancellations in the
+    order made, as (k, s, p, row): cell s of C^k went against a cell t of
+    C^(k+1) through the unit p = row[s], where row is row t of d^k at
+    that moment.  `_cancel` replaces row t with a new dict, and nothing
+    writes to the old one again, so row is kept as it is, not copied.
+    """
+
+    __slots__ = ("complex", "remainder", "index", "steps")
+
+    def __init__(self, cx, remainder, index, steps):
+        self.complex = cx
+        self.remainder = remainder
+        self.index = index
+        self.steps = steps
+
+    def betti_numbers(self):
+        """Q-cohomology dimensions per degree, read off the remainder by
+        rank-nullity: dim = rank d_k + dim ker d_k, and b_k = dim ker d_k -
+        rank d_{k-1}.  `rank` sees only the remainder's differentials,
+        which hold no +-1.
         """
-        red = _reduce_units(self)
+        red = self.remainder
         rks = {k: rank(red.diff(k)) for k in range(red.lo, red.hi)}
         out = {}
         for k in red.degrees():
@@ -853,38 +909,74 @@ class CochainComplex:
         return out
 
     def cohomology_basis(self, k):
-        """Deterministic representatives of H^k over Q, as coordinate tuples.
+        """Deterministic representatives of H^k over Q, as coordinate
+        tuples of `complex`.
 
-        Representatives are kernel basis vectors that extend a basis of the
-        image, taken greedily in kernel-basis order: the pivot columns of
-        [d^(k-1) | ker] in the kernel block, from the forward pass alone
-        (`pivot_columns`).  When d^(k-1) is zero every kernel column is
-        one, with no elimination: `kernel_basis` columns are independent,
-        each with a lone 1 on its own free row.
+        First a basis of the remainder's H^k: the kernel basis vectors of
+        its d^k that extend a basis of its image, taken greedily in
+        kernel-basis order (the pivot columns of [d^(k-1) | ker] in the
+        kernel block, from the forward pass `pivot_columns`; every kernel
+        column when d^(k-1) is zero).  Then each is lifted through the
+        cancellations of degree k, in reverse order: x_s = -p (row . x),
+        which zeroes (d x)_t and leaves every other entry of d x as the
+        remainder's; cells cancelled as the upper cell t of a step stay 0.
+        This is the chain inclusion of the reduction, so the lifts are a
+        basis of H^k (Kaczynski, Mischaikow and Mrozek, "Computational
+        Homology", 2004).  One exact product d^k X == 0 over the lifts X
+        certifies them (CertificateError, also under `python -O`).
+
+        The basis depends on the order in which `_reduce_units` picks its
+        pivots: changing that rule, for instance by cancelling a matching
+        found elsewhere first, moves the printed pairing matrices.
         """
-        ker = kernel_basis(self.diff(k))
-        img = self.diff(k - 1)
-        if img.is_zero():
-            return [ker.column(j) for j in range(ker.cols)]
-        return [ker.column(j - img.cols)
-                for j in pivot_columns(img.stack_cols(ker)) if j >= img.cols]
+        red = self.remainder
+        ker = kernel_basis(red.diff(k))
+        img = red.diff(k - 1)
+        picked = range(ker.cols) if img.is_zero() else [
+            j - img.cols for j in pivot_columns(img.stack_cols(ker))
+            if j >= img.cols]
+        cells = list(self.index.get(k, ()))
+        vecs = [{} for _ in range(ker.cols)]
+        for (i, j), v in ker.entries.items():
+            vecs[j][cells[i]] = v
+        mine = [(s, p, row) for deg, s, p, row in reversed(self.steps)
+                if deg == k]
+        lifts = []
+        for j in picked:
+            x = vecs[j]
+            for s, p, row in mine:
+                v = sum(c * x[i] for i, c in row.items() if i in x)
+                if v:
+                    x[s] = -p * v
+            lifts.append(x)
+        n = self.complex.dim(k)
+        if any(_mul_rows(_rows(self.complex.diff(k)), _transpose(lifts, n))):
+            raise CertificateError(
+                "a lifted class of degree %d is not a cocycle" % k)
+        out = []
+        for x in lifts:
+            vec = [Fraction(0)] * n
+            for i, v in x.items():
+                vec[i] = Fraction(v)
+            out.append(tuple(vec))
+        return out
 
     def cohomology_groups(self):
         """Integral cohomology per degree as FGAbelianGroup.
 
         Requires integer differentials (ValueError).  The groups are read
-        off `_reduce_units(self)`, which has the same cohomology and whose
-        differentials hold no +-1.
-        There ker d^k is a direct summand of C^k (C^k / ker d^k embeds in
-        the free group C^{k+1}), so C^k / im d^{k-1} = H^k + Z^{rank d^k}:
-        one Smith form of d^{k-1} gives the cokernel, whose free rank loses
-        rank d^k.  The Smith form of d^k, taken once for degree k + 1, gives
-        that rank too, as dim C^{k+1} minus the free rank of its cokernel.
-        A zero remainder differential needs no Smith form at all.
+        off the remainder, which has the same cohomology over Z and whose
+        differentials hold no +-1.  There ker d^k is a direct summand of
+        C^k (C^k / ker d^k embeds in the free group C^{k+1}), so
+        C^k / im d^{k-1} = H^k + Z^{rank d^k}: one Smith form of d^{k-1}
+        gives the cokernel, whose free rank loses rank d^k.  The Smith form
+        of d^k, taken once for degree k + 1, gives that rank too, as
+        dim C^{k+1} minus the free rank of its cokernel.  A zero remainder
+        differential needs no Smith form at all.
         """
-        if not all(m.is_integral() for m in self.diffs.values()):
+        if not all(m.is_integral() for m in self.complex.diffs.values()):
             raise ValueError("cohomology_groups needs integer differentials")
-        red = _reduce_units(self)
+        red = self.remainder
         out = {}
         coker = FGAbelianGroup.free(red.dim(red.lo))    # C^lo / 0
         for k in red.degrees():
@@ -893,10 +985,6 @@ class CochainComplex:
             out[k] = FGAbelianGroup(coker.free_rank - rank_a, coker.torsion)
             coker = nxt
         return out
-
-    def __repr__(self):
-        spans = ", ".join("%d:%d" % (k, self.dims[k]) for k in self.degrees())
-        return "CochainComplex(%s)" % spans
 
 
 def _cancel(rows, cols, k, t, s):
@@ -930,11 +1018,12 @@ def _cancel(rows, cols, k, t, s):
 
 
 def _reduce_units(cx):
-    """The complex left after cancelling every pair of cells joined by a
-    unit incidence (see `_cancel`): the elementary reduction of Kaczynski,
-    Mischaikow and Mrozek ("Computational Homology", 2004).  Each pair
-    splits off a summand Z s -+1-> Z t, so the remainder has the same
-    cohomology over Z, and its differentials hold no +-1.
+    """The `UnitReduction` of cx: cancel every pair of cells joined by a
+    unit incidence (see `_cancel`), the elementary reduction of Kaczynski,
+    Mischaikow and Mrozek ("Computational Homology", 2004), and record
+    each cancellation.  Each pair splits off a summand Z s -+1-> Z t, so
+    the remainder has the same cohomology over Z, and its differentials
+    hold no +-1.
 
     Pivots are picked to limit fill-in: the sparsest row with a unit, then
     its unit column with the fewest entries.  The remainder is a new
@@ -943,13 +1032,15 @@ def _reduce_units(cx):
     """
     # rows[k][t]: row t of d^k; cols[k][s]: the rows with a nonzero at s
     rows, cols = {}, {}
+    dims = cx.dims
     for k in range(cx.lo, cx.hi):
-        rows[k] = [{} for _ in range(cx.dim(k + 1))]
-        cols[k] = [set() for _ in range(cx.dim(k))]
-        for (i, j), v in cx.diff(k).entries.items():
-            rows[k][i][j] = v
-            cols[k][j].add(i)
-    alive = {k: [True] * cx.dim(k) for k in cx.degrees()}
+        rows[k] = [{} for _ in range(dims[k + 1])]
+        cols[k] = [set() for _ in range(dims[k])]
+        if k in cx.diffs:
+            for (i, j), v in cx.diffs[k].entries.items():
+                rows[k][i][j] = v
+                cols[k][j].add(i)
+    alive = {k: [True] * n for k, n in dims.items()}
     # one (length, degree, row) entry per queued row.  A row popped under a
     # stale length goes back under its own; a row popped without a unit
     # leaves the queue until an update changes it; a cancelled cell's row
@@ -958,6 +1049,7 @@ def _reduce_units(cx):
             if row]
     heapq.heapify(heap)
     queued = {k: [bool(row) for row in rows[k]] for k in rows}
+    steps = []
     while heap:
         n, k, t = heapq.heappop(heap)
         prow = rows[k][t]
@@ -974,18 +1066,21 @@ def _reduce_units(cx):
         if best is None:
             continue
         s = best[1]
+        steps.append((k, s, prow[s], prow))
         for r in _cancel(rows, cols, k, t, s):
             if not queued[k][r]:
                 queued[k][r] = True
                 heapq.heappush(heap, (len(rows[k][r]), k, r))
         alive[k][s] = alive[k + 1][t] = False
     index = {k: {old: new for new, old in
-                 enumerate(i for i, a in enumerate(alive[k]) if a)}
-             for k in cx.degrees()}
+                 enumerate(i for i, a in enumerate(live) if a)}
+             for k, live in alive.items()}
     diffs = {}
     for k, drows in rows.items():
         src, dst = index[k], index[k + 1]
-        diffs[k] = ExactMatrix(len(dst), len(src), {
-            (dst[t], src[s]): x for t, row in enumerate(drows)
-            for s, x in row.items()})
-    return CochainComplex({k: len(ix) for k, ix in index.items()}, diffs)
+        ent = {(dst[t], src[s]): x for t, row in enumerate(drows)
+               for s, x in row.items()}
+        if ent:
+            diffs[k] = ExactMatrix(len(dst), len(src), ent)
+    remainder = CochainComplex({k: len(ix) for k, ix in index.items()}, diffs)
+    return UnitReduction(cx, remainder, index, steps)

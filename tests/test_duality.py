@@ -362,13 +362,65 @@ def test_ambient_cup_reads_the_restrictions_by_flag(name):
 
 
 def test_middle_perversity_pairing(res_m, res_n):
+    # pinned in the bases lifted through the unit reduction; the greedy
+    # bases of the whole complexes gave 1 in degree 0 and [[0, 1], [-1, 0]]
+    # in degree 2 (`test_pairings_move_by_the_change_of_basis` relates them)
     pm0 = ic_pairing(res_m, res_n, 0)
-    assert pm0.matrix.to_triples() == [(0, 0, "1/1")]
+    assert pm0.matrix.to_triples() == [(0, 0, "-1/1")]
     pm2 = ic_pairing(res_m, res_n, 2)
-    assert pm2.matrix.to_triples() == [(0, 1, "1/1"), (1, 0, "-1/1")]
-    assert pm2.nondegenerate() and pm2.antisymmetric()
+    assert pm2.matrix.to_triples() == [(0, 0, "-1/1"), (1, 1, "-1/1")]
+    assert pm2.nondegenerate()
+    # graded symmetry, which holds in any bases:
+    # m_(n,m)(1) = (-1)^(1 * 2) m_(m,n)(2)^T
+    assert ic_pairing(res_n, res_m, 1).matrix == pm2.matrix.transpose()
     pm3 = ic_pairing(res_m, res_n, 3)
     assert pm3.matrix.to_triples() == [(0, 0, "1/1")]
+
+
+def _greedy_basis(c, k):
+    """The greedy basis of H^k on the whole complex: the kernel basis
+    columns of d^k that extend a basis of im d^(k-1)."""
+    ker = linalg.kernel_basis(c.diff(k))
+    img = c.diff(k - 1)
+    _, pivots = linalg.rref(img.stack_cols(ker))
+    return [ker.column(j - img.cols) for j in pivots if j >= img.cols]
+
+
+def _change_of_basis(c, k, new, old):
+    """A with new_i = sum_j A[i, j] old_j + d^(k-1) w_i: old is a basis of
+    H^k, so the coefficients on old are unique."""
+    olds = ExactMatrix(c.dim(k), len(old), {
+        (r, j): x for j, v in enumerate(old) for r, x in enumerate(v)})
+    m = olds.stack_cols(c.diff(k - 1))
+    ent = {}
+    for i, v in enumerate(new):
+        y = solve(m, v)
+        assert y is not None
+        ent.update({(i, j): x for j, x in enumerate(y[:len(old)])})
+    return ExactMatrix(len(new), len(old), ent)
+
+
+@pytest.mark.parametrize("pair", ["m-n", "n-m", "w-w"])
+def test_pairings_move_by_the_change_of_basis(request, pair):
+    # the pairing matrices in the lifted bases are those in the greedy
+    # bases of the whole complexes under the change of basis of each side:
+    # the bases name the same classes, and the values are class invariant
+    low, high = (request.getfixturevalue("res_" + p) for p in pair.split("-"))
+    context = PairingContext(low, high)
+    n = context.n
+    for k in range(n + 1):
+        new_a, new_b = low.reduction.cohomology_basis(k), \
+            high.reduction.cohomology_basis(n - k)
+        old_a, old_b = _greedy_basis(low.complex, k), \
+            _greedy_basis(high.complex, n - k)
+        a = _change_of_basis(low.complex, k, new_a, old_a)
+        b = _change_of_basis(high.complex, n - k, new_b, old_b)
+        old = ExactMatrix(len(old_a), len(old_b), {
+            (i, j): context.value(x, k, y) for i, x in enumerate(old_a)
+            for j, y in enumerate(old_b)})
+        got = context.matrix(k).matrix
+        assert got == a * old * b.transpose(), k
+        assert got.shape == old.shape and rank(got) == rank(old) == got.rows
 
 
 def test_refined_pairing_nondegenerate_every_degree(res_w):
@@ -407,30 +459,31 @@ def test_pairing_context_answers_every_degree(susp_s1):
     for k in (2, 0, 1, 2):
         assert context.matrix(k).matrix == \
             ic_pairing(susp_s1, susp_s1, k).matrix
-    assert context.matrix(0).matrix.to_triples() == [(0, 0, "1/1")]
+    assert context.matrix(0).matrix.to_triples() == [(0, 0, "-1/1")]
     with pytest.raises(DegreeOutOfRange):
         context.matrix(3)
 
 
 def _count_cohomology_bases(monkeypatch):
     calls = []
-    real = linalg.CochainComplex.cohomology_basis
+    real = linalg.UnitReduction.cohomology_basis
 
     def counted(self, k):
         calls.append((id(self), k))
         return real(self, k)
 
-    monkeypatch.setattr(linalg.CochainComplex, "cohomology_basis", counted)
+    monkeypatch.setattr(linalg.UnitReduction, "cohomology_basis", counted)
     return calls
 
 
 def test_pairing_context_computes_each_basis_once(monkeypatch, res_w):
     # the refined-duality scenario: one context, the same result on both
-    # sides, degrees 0..3; each of the four bases is computed once
+    # sides, degrees 0..3; each of the four bases is computed once, off
+    # the reduction the result holds
     context = PairingContext(res_w, res_w)
     calls = _count_cohomology_bases(monkeypatch)
     got = [context.matrix(k).matrix for k in range(4)]
-    assert sorted(calls) == [(id(res_w.complex), k) for k in range(4)]
+    assert sorted(calls) == [(id(res_w.reduction), k) for k in range(4)]
     calls.clear()
     assert [context.matrix(k).matrix for k in range(4)] == got
     assert calls == []
@@ -441,10 +494,10 @@ def test_pairing_context_keeps_two_results_apart(monkeypatch, res_m, res_n):
     calls = _count_cohomology_bases(monkeypatch)
     for k in (1, 2, 1):
         context.matrix(k)
-    assert sorted(calls) == sorted([(id(res_m.complex), 1),
-                                    (id(res_n.complex), 2),
-                                    (id(res_m.complex), 2),
-                                    (id(res_n.complex), 1)])
+    assert sorted(calls) == sorted([(id(res_m.reduction), 1),
+                                    (id(res_n.reduction), 2),
+                                    (id(res_m.reduction), 2),
+                                    (id(res_n.reduction), 1)])
 
 
 def _unit(n, i):
@@ -624,8 +677,8 @@ def test_pairing_value_matches_solve_reference(request, name):
 def test_pairing_reads_top_classes_without_solving(monkeypatch, res_w):
     # in degrees 0 and n, `value` reads the top class with no solve
     # (`project_into` reads each block at the top truncation's unit rows),
-    # and every rref runs inside a kernel_basis: the top generator and each
-    # cohomology basis take the forward pass alone
+    # and no rref runs outside a kernel_basis: the top generator takes the
+    # forward pass alone
     callers, stray, inner, inside = [], [], [], []
     real_rref, real_kernel, real_solve = \
         linalg.rref, linalg.kernel_basis, linalg.solve
@@ -653,7 +706,9 @@ def test_pairing_reads_top_classes_without_solving(monkeypatch, res_w):
     for k in (0, 3):
         assert PairingContext(res_w, res_w).matrix(k).nondegenerate()
     assert callers == []
-    assert stray == [] and inner
+    # the bases are lifted from the result's reduction, whose remainder
+    # here has zero differentials: no rref runs at all
+    assert stray == inner == []
 def test_ic_pairing_same_under_optimize(susp_s1):
     # the pairing certificates are raises, not asserts, so -O keeps them
     # and must not change the answer
@@ -951,7 +1006,7 @@ def test_intersection_number_singular_route(res_m, res_n):
     # classes of intersection sheaves pair through the pairing context
     a0 = res_m.complex.cohomology_basis(0)[0]
     b3 = res_n.complex.cohomology_basis(3)[0]
-    assert PairingContext(res_m, res_n).value(a0, 0, b3) == 1
+    assert PairingContext(res_m, res_n).value(a0, 0, b3) == -1
 
 
 def test_intersection_number_rejects_singular_plain_route(st):
@@ -1052,7 +1107,7 @@ def test_ladder_pushforwards_reach_the_complementary_pairing_depth(
     full = PairingContext(*(ref_deligne_construction(sp, Perversity.named(p))
                             for p in "mn"))
     assert full.ambient.R.through is None
-    want = {0: [[1]], 1: [], 2: [[0, 1], [-1, 0]], 3: [[1]]}
+    want = {0: [[-1]], 1: [], 2: [[-1, 0], [0, -1]], 3: [[1]]}
     for k in range(4):
         got = context.matrix(k).matrix
         assert got == full.matrix(k).matrix, k
@@ -1147,10 +1202,10 @@ def test_rebuilt_ambient_refuses_rank_two_coefficients():
 # -- the top truncation from a result's own, and the lazy ambient complex ---
 
 # sha256 of the matrices `_all_matrices` gives for three Lagrangians on
-# suspension-genus2, frozen before the top truncation was taken from the
-# results' own truncations
+# suspension-genus2 in the bases lifted through the unit reduction; the
+# greedy bases of the whole complexes gave 632e1ddd...
 SUSPENSION_GENUS2_MATRICES = \
-    "632e1ddd55074a6ed936205d16fb8bd0649fcf9d1f8a2f4e175ce7dd73f16930"
+    "5a80533288a2b52fb71e802eb04a609ea5c0f7e8e12cb0754e1e4ff1e9d355f5"
 
 
 def _refined_results(name, count=3):
@@ -1182,6 +1237,11 @@ def _all_matrices(results):
 def test_suspension_genus2_matrices_are_pinned(refined_by_space):
     got = _all_matrices(refined_by_space["suspension-genus2"])
     assert [len(m) for _i, k, m in got if k in (1, 2)] == [2] * 6
+    # graded symmetry, m(2) = (-1)^(1 * 2) m(1)^T, and nondegeneracy
+    for i, k, m in got:
+        want = [list(r) for r in zip(*got[4 * i + 3 - k][2])]
+        assert m == want and rank(ExactMatrix.from_rows(
+            [[Fraction(x) for x in r] for r in m])) == len(m)
     assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == \
         SUSPENSION_GENUS2_MATRICES
 
@@ -1212,6 +1272,8 @@ def test_top_truncation_is_the_result_when_it_took_no_subspace(ss2_reaching):
 
 
 def test_ambient_complex_only_where_a_product_overshoots(monkeypatch, res_w):
+    # in the lifted bases only the degree-2 products have components above
+    # cut_top; a second matrix in that degree reuses the assembled complex
     R = res_w.sheaf.untruncated
     assembled = []
     real = sheaves.incidence_complex
@@ -1225,7 +1287,7 @@ def test_ambient_complex_only_where_a_product_overshoots(monkeypatch, res_w):
         PairingContext(res_w, res_w).matrix(k)
     assert sum(assembled) == 0
     context = PairingContext(res_w, res_w)
-    context.matrix(1)
+    context.matrix(2)
     assert sum(assembled) == 1
     context.matrix(2)
     assert sum(assembled) == 1

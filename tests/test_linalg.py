@@ -972,7 +972,9 @@ def test_cohomology_basis_is_greedy_extension(c):
         both = img.stack_cols(ker)
         want = [ker.column(j - img.cols) for j in _greedy_columns(both)
                 if j >= img.cols]
-        assert c.cohomology_basis(k) == want
+        got = c.cohomology_basis(k)
+        assert got == _matching_lift_reference(c.reduction(), k)
+        _assert_same_classes(c, k, got, want)
         assert len(want) == c.betti_numbers()[k]
 
 
@@ -1177,7 +1179,7 @@ def _assert_reduction_matches_references(c):
     assert groups == _two_snf_cohomology_groups(c)
     assert c.betti_numbers() == _rank_betti_numbers(c) == \
         {k: g.free_rank for k, g in groups.items()}
-    red = linalg._reduce_units(c)
+    red = linalg._reduce_units(c).remainder
     assert all(v * v != 1 for m in red.diffs.values()
                for v in m.entries.values())
     return groups
@@ -1208,7 +1210,7 @@ def test_reduction_requeues_rows_that_gain_a_unit():
     # turns it into (0 1), whose unit must then be cancelled too
     d0 = ExactMatrix.from_rows([[2, 3], [1, 1]])
     red = linalg._reduce_units(CochainComplex({0: 2, 1: 2}, {0: d0}))
-    assert red.dims == {0: 0, 1: 0}
+    assert red.remainder.dims == {0: 0, 1: 0}
 
 
 def test_cancel_certifies_the_unit():
@@ -1656,12 +1658,112 @@ def _gauss_jordan_rref(m):
 
 
 def _two_rref_cohomology_basis(c, k):
-    """Reference: `cohomology_basis` as two full eliminations, the kernel
-    of d^k and then the pivot columns of [d^(k-1) | kernel]."""
+    """Reference: the greedy basis of H^k on the whole complex, by two
+    full eliminations, the kernel of d^k and then the pivot columns of
+    [d^(k-1) | kernel].  `cohomology_basis` takes this rule on the
+    remainder of the unit reduction only, so on the whole complex it is a
+    class-level reference (`_assert_same_classes`)."""
     ker = kernel_basis(c.diff(k))
     img = c.diff(k - 1)
     _, pivots = _gauss_jordan_rref(img.stack_cols(ker))
     return [ker.column(j - img.cols) for j in pivots if j >= img.cols]
+
+
+def _solve_by_fractions(rows, rhs):
+    """x with rows . x == rhs for a square, invertible system of sparse
+    Fraction rows ({column: value}), by plain Gauss-Jordan elimination."""
+    rows = [{j: Fraction(v) for j, v in r.items()} for r in rows]
+    rhs = [Fraction(v) for v in rhs]
+    pivot_row = {}    # column -> row whose pivot it is
+    for i, row in enumerate(rows):
+        for col, r in list(pivot_row.items()):
+            f = row.get(col, 0)
+            if f:
+                for j, v in rows[r].items():
+                    row[j] = row.get(j, 0) - f * v
+                    if not row[j]:
+                        del row[j]
+                rhs[i] -= f * rhs[r]
+        col = min(row)    # raises on a singular system
+        p = row[col]
+        for j in row:
+            row[j] /= p
+        rhs[i] /= p
+        for r in pivot_row.values():
+            f = rows[r].get(col, 0)
+            if f:
+                for j, v in row.items():
+                    rows[r][j] = rows[r].get(j, 0) - f * v
+                    if not rows[r][j]:
+                        del rows[r][j]
+                rhs[r] -= f * rhs[i]
+        pivot_row[col] = i
+    return {col: rhs[r] for col, r in pivot_row.items()}
+
+
+def _matching_lift_reference(red, k):
+    """Reference for `UnitReduction.cohomology_basis` from the matching
+    alone: which cells were cancelled, and which remainder cell is which.
+    L are the cells of C^k cancelled as the lower cell s of a step, U the
+    cells of C^(k+1) cancelled as the upper cell t, R the remainder's
+    cells of C^k.  Each greedy remainder class z extends to the cocycle
+    with x_R = z, zero on the other cancelled cells of C^k and x_L the
+    solution of d[U, L] x_L = -d[U, R] z."""
+    c = red.complex
+    lower = {k: [], k + 1: []}
+    for deg, s, _p, _row in red.steps:
+        if deg in lower:
+            lower[deg].append(s)
+    kept = red.index.get(k + 1, {})
+    upper = [t for t in range(c.dim(k + 1))
+             if t not in kept and t not in set(lower[k + 1])]
+    place = red.index.get(k, {})
+    low, rem = lower[k], sorted(place, key=place.get)
+    col = {j: i for i, j in enumerate(low)}
+    assert len(upper) == len(low)
+    d = linalg._rows(c.diff(k))
+    out = []
+    for z in _two_rref_cohomology_basis(red.remainder, k):
+        x = [Fraction(0)] * c.dim(k)
+        for i, v in zip(rem, z):
+            x[i] = v
+        if low:
+            sol = _solve_by_fractions(
+                [{col[j]: v for j, v in d[u].items() if j in col}
+                 for u in upper],
+                [-sum((v * x[j] for j, v in d[u].items()), Fraction(0))
+                 for u in upper])
+            for t, v in sol.items():
+                x[low[t]] = v
+        out.append(tuple(x))
+    return out
+
+
+def _assert_same_classes(c, k, got, want):
+    """got and want are bases of one H^k: equally many, each independent
+    modulo im d^(k-1), and spanning the same space with it."""
+    img = c.diff(k - 1)
+
+    def rank_with(*bases):
+        vecs = [v for b in bases for v in b]
+        cols = ExactMatrix(c.dim(k), len(vecs), {
+            (i, j): x for j, v in enumerate(vecs) for i, x in enumerate(v)})
+        return rank(img.stack_cols(cols))
+
+    base = rank(img)
+    assert len(got) == len(want)
+    assert rank_with(got) - base == rank_with(want) - base == \
+        rank_with(got, want) - base == len(got)
+
+
+def _assert_basis_matches_references(c):
+    red = c.reduction()
+    for k in c.degrees():
+        got = c.cohomology_basis(k)
+        assert got == red.cohomology_basis(k) == \
+            _matching_lift_reference(red, k)
+        _assert_same_classes(c, k, got, _two_rref_cohomology_basis(c, k))
+        assert len(got) == c.betti_numbers()[k]
 
 
 @st.composite
@@ -1702,19 +1804,105 @@ def test_forward_pass_pivots_are_rref_pivots(m):
 @given(st.one_of(two_step_complex(), two_step_complex(sparse_rationals),
                  two_step_complex(unit_ints)))
 def test_cohomology_basis_matches_two_rref_reference(c):
-    for k in range(c.lo - 1, c.hi + 2):
-        assert c.cohomology_basis(k) == _two_rref_cohomology_basis(c, k)
+    _assert_basis_matches_references(c)
+    for k in (c.lo - 1, c.hi + 1):
+        assert c.cohomology_basis(k) == _two_rref_cohomology_basis(c, k) == []
+
+
+@given(integer_complexes())
+def test_cohomology_basis_matches_references_on_integer_complexes(c):
+    _assert_basis_matches_references(c)
+
+
+@given(unit_reducible_complexes())
+def test_cohomology_basis_matches_references_on_direct_sums(case):
+    _assert_basis_matches_references(case[0])
+
+
+@pytest.mark.parametrize("name", ["point", "s1", "s2", "t2", "genus2",
+                                  "product:s1,s1", "product:t2,s1"])
+def test_cohomology_basis_matches_references_on_closed_examples(name):
+    _assert_basis_matches_references(
+        get_example(name).complex.cochain_complex())
 
 
 def test_cohomology_basis_without_image_eliminates_nothing(monkeypatch):
-    # d^0 = 0: every kernel column of d^1 is a class, read off as it is
+    # d^0 = 0, and the unit at (0, 0) of d^1 cancels: the remainder's
+    # differentials are zero, so its kernel columns are the classes, read
+    # off as they are, and each lifts to a kernel column of d^1
     c = CochainComplex({0: 2, 1: 3, 2: 1},
                        {1: ExactMatrix.from_rows([[1, -1, 2]])})
-    want = _two_rref_cohomology_basis(c, 1)
+    want = _matching_lift_reference(c.reduction(), 1)
     monkeypatch.setattr(linalg, "_echelon", None)
     monkeypatch.setattr(linalg, "rref", _gauss_jordan_rref)
     assert c.cohomology_basis(1) == want == [
         kernel_basis(c.diff(1)).column(j) for j in range(2)]
+
+
+def test_lift_through_rows_copied_when_recorded(monkeypatch):
+    # `_cancel` replaces the pivot row and never writes to the old one, so
+    # the recorded references still hold the rows as they were when their
+    # cells cancelled: lifting through copies taken then gives the same
+    # vectors
+    copies = []
+    real = linalg._cancel
+
+    def cancel(rows, cols, k, t, s):
+        copies.append(dict(rows[k][t]))
+        return real(rows, cols, k, t, s)
+
+    monkeypatch.setattr(linalg, "_cancel", cancel)
+    for name in ("t2", "product:t2,s1"):
+        copies.clear()
+        c = get_example(name).complex.cochain_complex()
+        red = c.reduction()
+        assert len(copies) == len(red.steps)
+        assert [row for _k, _s, _p, row in red.steps] == copies
+        copied = linalg.UnitReduction(
+            c, red.remainder, red.index,
+            [(k, s, p, row) for (k, s, p, _row), row
+             in zip(red.steps, copies)])
+        for k in c.degrees():
+            assert copied.cohomology_basis(k) == red.cohomology_basis(k)
+
+
+_TAMPER = """
+def tampered(c, k):
+    # the reduction of c with the unit of its last step in degree k
+    # negated, so the lift through that step breaks (d x)_t = 0
+    red = c.reduction()
+    last = max(i for i, step in enumerate(red.steps) if step[0] == k)
+    steps = list(red.steps)
+    deg, s, p, row = steps[last]
+    steps[last] = (deg, s, -p, row)
+    return linalg.UnitReduction(c, red.remainder, red.index, steps)
+"""
+
+
+def test_tampered_lift_fails_its_certificate():
+    scope = {"linalg": linalg}
+    exec(_TAMPER, scope)
+    c = get_example("s1").complex.cochain_complex()
+    with pytest.raises(CertificateError, match="not a cocycle"):
+        scope["tampered"](c, 0).cohomology_basis(0)
+
+
+def test_lift_certificate_under_optimize():
+    # -O strips asserts, so the lift's certificate may not be one
+    code = "\n".join([
+        "from strat_ic import linalg",
+        "from strat_ic.examples import get_example",
+        _TAMPER,
+        "c = get_example('s1').complex.cochain_complex()",
+        "try:",
+        "    print(tampered(c, 0).cohomology_basis(0))",
+        "except linalg.CertificateError as e:",
+        "    print('rejected:', e)",
+    ])
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: a lifted class of degree 0 is not a cocycle"]
 
 
 def _example_result(name, kind):
@@ -1737,6 +1925,10 @@ def _example_result(name, kind):
     for kind in ("m", "n")
 ] + [("suspension-t2", "refined"), ("suspension-genus2", "refined")])
 def test_cohomology_basis_matches_two_rref_reference_on_results(name, kind):
-    c = _example_result(name, kind).complex
+    res = _example_result(name, kind)
+    c = res.complex
     for k in c.degrees():
-        assert c.cohomology_basis(k) == _two_rref_cohomology_basis(c, k)
+        got = res.reduction.cohomology_basis(k)
+        assert got == c.cohomology_basis(k) == \
+            _matching_lift_reference(res.reduction, k)
+        _assert_same_classes(c, k, got, _two_rref_cohomology_basis(c, k))
