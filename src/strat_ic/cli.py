@@ -861,7 +861,14 @@ def _check_truncation(space):
 
 
 def _check_restrictions(space):
+    """Whether restrictions compose along the first 25 chains a < b < c,
+    in (a, b, c) order; None, checking nothing, on a space over 120 cells
+    or with no such chain."""
     if len(space.complex.cells) > 120:
+        return None
+    flags, _drops = sheaves._flags(space.complex.cells, 3)
+    chains = [g for g in flags if len(g) == 3][:25]
+    if not chains:
         return None
     levels = space.singular_levels()
     if levels:
@@ -870,9 +877,7 @@ def _check_restrictions(space):
             space.filtration_stage(max(levels)), through=1)
     else:
         F = sheaves.constant_sheaf(space)
-    # the first 25 chains a < b < c, in (a, b, c) order
-    flags, _drops = sheaves._flags(space.complex.cells, 3)
-    for a, b, c in [g for g in flags if len(g) == 3][:25]:
+    for a, b, c in chains:
         for q in (0, 1):
             direct = F.restriction(a, c, q)
             via = F.restriction(b, c, q) * F.restriction(a, b, q)

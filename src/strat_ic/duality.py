@@ -7,6 +7,7 @@ drives Poincare pairings on closed spaces, the refined pairings on
 intersection sheaves, Kunneth comparisons, and intersection numbers.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .linalg import (CertificateError, ExactMatrix, FGAbelianGroup, _echelon,
@@ -249,7 +250,17 @@ class _Ambient:
     complex, its block index, the flag offsets and the size of each total
     degree.  The incidence complex itself, `cx`, is assembled on first use
     and kept; only `clear_overshoot` reads it, when a product has
-    components above the cutoff."""
+    components above the cutoff.
+
+    Cochains are sparse.  An ambient cochain of one total degree is a dict
+    {(cell, q): block} over the blocks where it has support, a block being
+    the list of its entries in the order of the stalk's flags (`fidx`); a
+    cochain of a result or of the top truncation is a dict {coordinate:
+    value} of its incidence complex.  Every step reads only the blocks
+    where its input has support: `embed` writes the blocks of a class,
+    `cup` multiplies the (front, back) block pairs that meet in a cell,
+    and `clear_overshoot` and `PairingContext.project_into` visit the
+    product's own blocks."""
 
     def __init__(self, R):
         self.R = R
@@ -258,6 +269,7 @@ class _Ambient:
         self.fidx = _flag_offsets(R)
         self.dims = sheaves._layout_dims(self.layout)
         self._cx = None
+        self._columns = {}
 
     @property
     def cx(self):
@@ -268,24 +280,34 @@ class _Ambient:
     def dim(self, degree):
         return self.dims.get(degree, 0)
 
-    def embed(self, result, vec, degree):
-        """Coordinates of a class of `result` inside the ambient complex."""
+    def embed(self, result, x, degree):
+        """The ambient cochain of a cochain x = {coordinate: value} of
+        `result`'s incidence complex in `degree`: only the blocks where x
+        has support.  A block below the cutoff is copied, a block at it is
+        sent through the cell's inclusion basis, and a block that does not
+        fit its ambient block is refused (CertificateError)."""
         sheaf = result.sheaf
-        out = [Fraction(0)] * self.dim(degree)
-        for cell, q, off, size in result.layout.get(degree, ()):
-            block = vec[off:off + size]
-            if not any(block):
-                continue
-            roff, rsize = self.spot(cell, q, degree)
+        blocks = result.layout.get(degree, ())
+        starts = [off for _c, _q, off, _s in blocks]
+        parts = {}
+        for i, v in x.items():
+            b = bisect_right(starts, i) - 1
+            part = parts.get(b)
+            if part is None:
+                part = parts[b] = [0] * blocks[b][3]
+            part[i - starts[b]] = v
+        out = {}
+        for b, part in sorted(parts.items()):
+            cell, q, _off, size = blocks[b]
+            _roff, rsize = self.spot(cell, q, degree)
             if q > sheaf.cutoff or (q < sheaf.cutoff and rsize != size):
                 raise CertificateError(
                     "block %r in stalk degree %d (cutoff %d, size %d) does "
                     "not fit the ambient block of size %d"
                     % (cell, q, sheaf.cutoff, size, rsize))
             if q == sheaf.cutoff:
-                block = sheaf.inclusions[cell].basis.apply(block)
-            for i, v in enumerate(block):
-                out[roff + i] += v
+                part = sheaf.inclusions[cell].basis.apply(part)
+            out[(cell, q)] = part
         return out
 
     def spot(self, cell, q, degree):
@@ -298,13 +320,20 @@ class _Ambient:
                 "total degree %d" % (cell, q, degree))
         return spot[1], spot[2]
 
-    def cup(self, x, k, y, l):
-        """Front-face / back-face product of ambient total cochains.
+    def cup(self, x, y):
+        """Front-face / back-face product of ambient total cochains x of
+        degree k and y of degree l (each block's degree is its cell's
+        dimension plus its stalk degree, so k and l are not passed).
 
         Component at a cell tau of dimension p with stalk degree q: sum over
         splits of tau at position i of the stalk product of the restricted
         front component of x (stalk degree k - i) with the restricted back
-        component of y, with the double-complex sign (-1)^(q1 (p - i)).
+        component of y, with the double-complex sign (-1)^(q1 (p - i)).  A
+        split contributes only where x has the front block and y the back
+        block, so the product runs over the pairs of a block (front, q1) of
+        x and a block (back, q2) of y with front[-1] == back[0]: such a
+        pair is the split of tau = front + back[1:] at i = dim front, when
+        tau is a cell, into its block (tau, q1 + q2).
 
         The restrictions are read by flag, not built.  `kan_pushforward`
         makes the restriction from a face to tau the projection onto tau's
@@ -314,59 +343,47 @@ class _Ambient:
         entry at that flag's offset in the front face's stalk, and
         likewise for the back.
         """
-        n = k + l
-        z = [Fraction(0)] * self.dim(n)
-        for tau, q, off, size in self.layout.get(n, ()):
-            p = len(tau) - 1
-            fidx = self.fidx[tau]
-            flags = [f for f, _q, _off, _size
-                     in self.R.stalk_layouts[tau].get(q, ())]
-            for i in range(p + 1):
-                q1 = k - i
-                q2 = l - (p - i)
-                if q1 < 0 or q2 < 0:
+        backs = {}
+        for (back, q2), yb in y.items():
+            backs.setdefault(back[0], []).append((back, q2, yb))
+        z = {}
+        for (front, q1), xa in x.items():
+            fa = self.fidx[front]
+            for back, q2, yb in backs.get(front[-1], ()):
+                tau, q = front + back[1:], q1 + q2
+                spot = self.lmap.get((tau, q))
+                if spot is None:
                     continue
-                front, back = tau[:i + 1], tau[i:]
-                sa = self.lmap.get((front, q1))
-                sb = self.lmap.get((back, q2))
-                if sa is None or sb is None:
-                    continue
-                xa = x[sa[1]:sa[1] + sa[2]]
-                yb = y[sb[1]:sb[1] + sb[2]]
-                if not any(xa) or not any(yb):
-                    continue
-                fa, fb = self.fidx[front], self.fidx[back]
-                sign = -1 if (q1 * (p - i)) % 2 else 1
-                for g in flags:
+                out = z.get((tau, q))
+                if out is None:
+                    out = z[(tau, q)] = [0] * spot[2]
+                fidx, fb = self.fidx[tau], self.fidx[back]
+                sign = -1 if (q1 * (len(back) - 1)) % 2 else 1
+                for g, _q, _off, _size in self.R.stalk_layouts[tau][q]:
                     va = xa[fa[g[:q1 + 1]]]
                     if not va:
                         continue
                     vb = yb[fb[g[q1:]]]
                     if vb:
-                        z[off + fidx[g]] += sign * va * vb
+                        out[fidx[g]] += sign * va * vb
         return z
 
     def clear_overshoot(self, z, degree, cutoff):
         """Push a top-degree ambient cocycle into stalk degrees <= cutoff.
 
         Components above the cutoff are removed by subtracting the total
-        differential of a stalkwise preimage; solvability is exactly the
-        vanishing of the offending stalk classes (for refined sheaves, the
-        Lagrangian condition).  The ambient complex is assembled only when
+        differential of a stalkwise preimage, highest stalk degree first;
+        solvability is exactly the vanishing of the offending stalk
+        classes (for refined sheaves, the Lagrangian condition).  Only z's
+        own blocks are read, and the ambient complex is assembled only when
         there is something to remove.
         """
-        blocks = self.layout.get(degree, ())
-        qs = sorted({q for _c, q, _o, _s in blocks}, reverse=True)
-        for q in qs:
-            if q <= cutoff:
-                break
-            w = [Fraction(0)] * self.dim(degree - 1)
-            dirty = False
-            for cell, bq, off, size in blocks:
-                if bq != q:
-                    continue
-                part = z[off:off + size]
-                if not any(part):
+        q = max((bq for (_c, bq), part in z.items() if any(part)),
+                default=cutoff)
+        while q > cutoff:
+            w = {}
+            for (cell, bq), part in z.items():
+                if bq != q or not any(part):
                     continue
                 sgn = -1 if (len(cell) - 1) % 2 else 1
                 d = self.R.stalks[cell].diff(q - 1)
@@ -377,12 +394,31 @@ class _Ambient:
                         "%d at cell %r; the middle conditions are not "
                         "complementary" % (q, cell))
                 woff, _ = self.spot(cell, q - 1, degree - 1)
-                for i, v in enumerate(u):
-                    w[woff + i] += v
-                dirty = True
-            if dirty:
-                dw = self.cx.diff(degree - 1).apply(w)
-                z = [a - b for a, b in zip(z, dw)]
+                w.update((woff + i, v) for i, v in enumerate(u) if v)
+            if w:
+                z = self._minus_coboundary(z, w, degree)
+            q -= 1
+        return z
+
+    def _minus_coboundary(self, z, w, degree):
+        """z - d w for an ambient cochain z of `degree` and w = {offset:
+        value} of degree - 1, reading the columns of d at w's support (the
+        columns of d^(degree-1) are indexed on first use and kept)."""
+        cols = self._columns.get(degree - 1)
+        if cols is None:
+            cols = self._columns[degree - 1] = _rows(
+                self.cx.diff(degree - 1).transpose())
+        blocks = self.layout[degree]
+        starts = [off for _c, _q, off, _s in blocks]
+        z = dict(z)
+        copied = set()
+        for j, x in w.items():
+            for i, v in cols[j].items():
+                cell, q, off, size = blocks[bisect_right(starts, i) - 1]
+                if (cell, q) not in copied:
+                    copied.add((cell, q))
+                    z[(cell, q)] = list(z.get((cell, q), [0] * size))
+                z[(cell, q)][i - off] -= v * x
         return z
 
 
@@ -406,6 +442,21 @@ class PairingContext:
     pairs the cohomology bases of complementary degrees; each basis is
     computed on first use and kept for the context's life.  Only spaces
     with a single attachment step are supported.
+
+    What is gathered of T.  The reader needs d = d_T^(n-1), the layout of
+    degree n (the coordinates phi reads and `project_into` writes) and
+    that of degree n - 1 (d's columns), so only the arrows into total
+    degree n are gathered (`sheaves._incidence_into`, the loop
+    `incidence_complex` gathers through, with its shape checks); T's
+    incidence complex is never assembled.
+
+    Sparse cochains.  The bases are the results' lifted classes as
+    {coordinate: value} dicts (`UnitReduction._lifts`), never written out
+    densely.  `matrix` embeds each class once, as the ambient blocks where
+    it has support, and every value is read off the product of two
+    embedded classes: the cup runs over the block pairs where both have
+    support, and clearing, projection and phi read the product's own
+    blocks (see `_Ambient`).
 
     The top-class reader.  A cell of dimension p has stalk degree at most
     n - p, so T has no total degree n + 1 (refused with CertificateError
@@ -488,11 +539,11 @@ class PairingContext:
                        and x.sheaf.cutoff == cut_top), None)
         self.top = (sheaves.truncate(R, cut_top) if source is None
                     else source.sheaf.refines or source.sheaf)
-        cxT, self.top_layout = sheaves.incidence_complex(self.top)
-        if cxT.dim(n + 1):
+        self.top_layout, d = sheaves._incidence_into(self.top, n)
+        if self.top_layout.get(n + 1):
             raise CertificateError(
                 "top truncation has cochains in degree %d" % (n + 1))
-        d = cxT.diff(n - 1)
+        self.top_index = sheaves._block_index(self.top_layout)
         rows, _cols, pivots = _echelon(
             d.stack_cols(ExactMatrix.identity(d.rows)))
         gens = [(col, r) for col, r in pivots if col >= d.cols]
@@ -510,22 +561,27 @@ class PairingContext:
                 % (n - 1))
 
     def project_into(self, z, degree):
-        """Coordinates of an ambient window cochain in the top truncation."""
-        amb, T, layT = self.ambient, self.top, self.top_layout
-        out = [Fraction(0)] * sum(s for _c, _q, _o, s in layT.get(degree, ()))
-        for cell, q, off, size in layT.get(degree, ()):
-            spot = amb.lmap.get((cell, q))
-            if spot is None:
+        """Coordinates {coordinate: value} in the top truncation's
+        incidence complex of an ambient window cochain z of `degree`, read
+        off z's own blocks; CertificateError for a block outside the
+        window, or at the cutoff outside the truncated subspace."""
+        T = self.top
+        out = {}
+        for (cell, q), part in z.items():
+            if not any(part):
                 continue
-            _, roff, rsize = spot
-            part = z[roff:roff + rsize]
+            spot = self.top_index.get((cell, q))
+            if spot is None or spot[0] != degree:
+                raise CertificateError(
+                    "cochain still sticks out of the truncation window at %r"
+                    % (cell,))
+            _, off, size = spot
             if q < T.cutoff:
-                if rsize != size:
+                if len(part) != size:
                     raise CertificateError(
                         "ambient block %r of size %d against %d in the top "
-                        "truncation" % (cell, rsize, size))
-                for i, v in enumerate(part):
-                    out[off + i] = v
+                        "truncation" % (cell, len(part), size))
+                coords = part
             else:
                 # the top is a plain truncation, so its basis has unit rows
                 # and the coordinates are part read there; one product
@@ -539,53 +595,59 @@ class PairingContext:
                     raise CertificateError(
                         "component outside the truncated subspace at %r"
                         % (cell,))
-                for i, v in enumerate(coords):
-                    out[off + i] = v
-        # anything in the ambient complex outside the window must be gone
-        covered = {(c, q) for c, q, _o, _s in layT.get(degree, ())}
-        for cell, q, off, size in amb.layout.get(degree, ()):
-            if (cell, q) not in covered and any(z[off:off + size]):
-                raise CertificateError(
-                    "cochain still sticks out of the truncation window at %r"
-                    % (cell,))
+            out.update((off + i, v) for i, v in enumerate(coords) if v)
         return out
+
+    def _read(self, z):
+        """The pairing value of a top-degree ambient cocycle z: z cleared
+        into the window and projected into the top truncation, then phi z
+        / phi_f, reading phi only at z's support."""
+        z = self.ambient.clear_overshoot(z, self.n, self.cut_top)
+        zt = self.project_into(z, self.n)
+        phi = self.functional
+        return Fraction(sum(phi[j] * v for j, v in zt.items()
+                            if j in phi)) / self.lead
 
     def value(self, xa, k, yb):
         """Pairing of a degree-k cochain of the first result with a
         degree-(n-k) cochain of the second (coordinate vectors of their
         incidence complexes)."""
         amb, n = self.ambient, self.n
-        x = amb.embed(self.low, xa, k)
-        y = amb.embed(self.high, yb, n - k)
-        z = amb.cup(x, k, y, n - k)
-        z = amb.clear_overshoot(z, n, self.cut_top)
-        zt = self.project_into(z, n)
-        return sum((v * zt[j] for j, v in self.functional.items()),
-                   Fraction(0)) / self.lead
+        x = amb.embed(self.low, _support(xa), k)
+        y = amb.embed(self.high, _support(yb), n - k)
+        return self._read(amb.cup(x, y))
 
     def _basis(self, result, k):
-        """Cohomology basis of `result` in degree k, read off the unit
-        reduction the result holds, once per context; results have
-        identity hashes, so one result paired with itself shares its
-        entries."""
+        """Cohomology basis of `result` in degree k, sparse, read off the
+        unit reduction the result holds (`UnitReduction._lifts`), once per
+        context; results have identity hashes, so one result paired with
+        itself shares its entries."""
         key = (result, k)
         if key not in self._bases:
-            self._bases[key] = result.reduction.cohomology_basis(k)
+            self._bases[key] = result.reduction._lifts(k)
         return self._bases[key]
 
     def matrix(self, k):
         """PairingMatrix of H^k of the first result against H^(n-k) of the
-        second, in their deterministic cohomology bases."""
-        n = self.n
+        second, in their deterministic cohomology bases.  Each basis class
+        is embedded once, and every value is read off the product of two
+        embedded classes."""
+        amb, n = self.ambient, self.n
         if k < 0 or k > n:
             raise DegreeOutOfRange("degree %d outside 0..%d" % (k, n))
-        basis_a = self._basis(self.low, k)
-        basis_b = self._basis(self.high, n - k)
-        rows = [[self.value(xa, k, yb) for yb in basis_b] for xa in basis_a]
+        xs = [amb.embed(self.low, x, k) for x in self._basis(self.low, k)]
+        ys = [amb.embed(self.high, y, n - k)
+              for y in self._basis(self.high, n - k)]
+        rows = [[self._read(amb.cup(x, y)) for y in ys] for x in xs]
         mat = ExactMatrix.from_rows(rows) if rows else \
-            ExactMatrix.zeros(0, len(basis_b))
+            ExactMatrix.zeros(0, len(ys))
         return PairingMatrix(mat, k, n - k, label="%s x %s" % (
             self.low.label, self.high.label))
+
+
+def _support(vec):
+    """{coordinate: value} over the nonzero entries of a vector."""
+    return {i: v for i, v in enumerate(vec) if v}
 
 
 def ic_pairing(result_low, result_high, k):

@@ -40,7 +40,8 @@ Row elimination happens in exactly three routines:
   which hold no +-1, to `rank` and `smith_normal_form` (on the closed
   torsion-free examples they are all zero), and a cohomology basis is a
   basis of the remainder's cohomology lifted back through the recorded
-  cancellations, with no elimination on the whole complex.  The bases
+  cancellations, with no elimination on the whole complex (pairings take
+  the lifts as sparse dicts, `UnitReduction._lifts`).  The bases
   depend on the order in which `_reduce_units` picks its pivots, so a
   change of that rule moves the printed pairing matrices.  A caller with
   several questions about one complex holds one reduction
@@ -910,7 +911,19 @@ class UnitReduction:
 
     def cohomology_basis(self, k):
         """Deterministic representatives of H^k over Q, as coordinate
-        tuples of `complex`.
+        tuples of `complex`: the lifts of `_lifts`, written out densely."""
+        n = self.complex.dim(k)
+        out = []
+        for x in self._lifts(k):
+            vec = [Fraction(0)] * n
+            for i, v in x.items():
+                vec[i] = Fraction(v)
+            out.append(tuple(vec))
+        return out
+
+    def _lifts(self, k):
+        """The cohomology basis of degree k, each vector sparse as
+        {coordinate of `complex`: nonzero value}.
 
         First a basis of the remainder's H^k: the kernel basis vectors of
         its d^k that extend a basis of its image, taken greedily in
@@ -953,13 +966,7 @@ class UnitReduction:
         if any(_mul_rows(_rows(self.complex.diff(k)), _transpose(lifts, n))):
             raise CertificateError(
                 "a lifted class of degree %d is not a cocycle" % k)
-        out = []
-        for x in lifts:
-            vec = [Fraction(0)] * n
-            for i, v in x.items():
-                vec[i] = Fraction(v)
-            out.append(tuple(vec))
-        return out
+        return lifts
 
     def cohomology_groups(self):
         """Integral cohomology per degree as FGAbelianGroup.

@@ -266,14 +266,34 @@ def incidence_complex(sheaf):
 
     Returns (complex, layout) where layout[k] is a list of blocks
     (cell, stalk_degree, offset, size).  The arrows into each block are
-    gathered as `flag_complex` gathers them, with the same shape check,
-    and `_total_complex` assembles them.
+    gathered by `_incidence_arrows` and `_total_complex` assembles them.
     """
+    layout, arrows = _incidence_arrows(sheaf)
+    return _total_complex(layout, arrows), layout
+
+
+def _incidence_into(sheaf, k):
+    """(layout, d^(k-1)) of `incidence_complex(sheaf)`, from the arrows into
+    total degree k alone: the same layout and the same matrix, with no
+    other differential gathered or assembled."""
+    layout, arrows = _incidence_arrows(sheaf, k)
+    dims = _layout_dims(layout)
+    shape = (dims.get(k, 0), dims.get(k - 1, 0))
+    if k not in arrows:
+        return layout, ExactMatrix._of(*shape, {})
+    return layout, _differential(layout, arrows[k], k, shape)
+
+
+def _incidence_arrows(sheaf, into=None):
+    """(layout, arrows) of the incidence complex, the arrows gathered as
+    `flag_complex` gathers them, with the same shape check: into every
+    degree, or into degree `into` alone."""
     cells = sheaf.space.complex.cells
     index = sheaf.space.complex.cell_index
     sizes = _stalk_sizes(sheaf, cells)
     layout, place = _layout(cells, lambda c: len(c) - 1, sizes)
-    arrows = {k: [] for k in layout if k - 1 in layout}
+    arrows = {k: [] for k in layout
+              if k - 1 in layout and (into is None or k == into)}
     for n, c in enumerate(cells):
         twist = -1 if len(c) % 2 == 0 else 1
         for q, size in sizes[c]:
@@ -296,7 +316,7 @@ def incidence_complex(sheaf):
                     if r.entries:
                         mats.append((spot[0], sign, r))
             out.append((mats, ()))
-    return _total_complex(layout, arrows), layout
+    return layout, arrows
 
 
 def incidence_layout(sheaf):
@@ -394,14 +414,17 @@ def _total_complex(layout, arrows):
     if not layout:
         return CochainComplex({0: 0}, {})
     dims = _layout_dims(layout)
-    diffs = {}
-    for k, into in arrows.items():
-        shape = (dims[k], dims[k - 1])
-        diffs[k - 1] = ExactMatrix._of(*shape, _arrow_entries(
-            ((n, blk[2]) for n, blk in enumerate(layout[k])), into,
-            [blk[2] for blk in layout[k - 1]],
-            [blk[3] for blk in layout[k]], shape))
+    diffs = {k - 1: _differential(layout, into, k, (dims[k], dims[k - 1]))
+             for k, into in arrows.items()}
     return CochainComplex._of(dims, diffs)
+
+
+def _differential(layout, into, k, shape):
+    """d^(k-1) of `shape`, from the arrows `into` degree k."""
+    return ExactMatrix._of(*shape, _arrow_entries(
+        ((n, blk[2]) for n, blk in enumerate(layout[k])), into,
+        [blk[2] for blk in layout[k - 1]], [blk[3] for blk in layout[k]],
+        shape))
 
 
 def _flags(cells, longest=None, deeper=frozenset()):

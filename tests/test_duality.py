@@ -277,6 +277,28 @@ def test_shared_pairings_match_a_pairing_per_degree(name):
 
 # -- chain-level product in the ambient pushforward ------------------------
 
+def _blocks(amb, vec, degree):
+    """A dense ambient cochain of `degree` in `_Ambient`'s sparse form:
+    {(cell, q): block} over the blocks where it has support."""
+    return {(c, q): list(vec[off:off + size])
+            for c, q, off, size in amb.layout.get(degree, ())
+            if any(vec[off:off + size])}
+
+
+def _dense(amb, z, degree):
+    """A sparse ambient cochain of `degree`, written out densely."""
+    out = [Fraction(0)] * amb.dim(degree)
+    for key, part in z.items():
+        _k, off, size = amb.lmap[key]
+        out[off:off + size] = part
+    return out
+
+
+def _dense_cup(amb, x, k, y, l):
+    """`_Ambient.cup` on dense cochains, its product written out densely."""
+    return _dense(amb, amb.cup(_blocks(amb, x, k), _blocks(amb, y, l)), k + l)
+
+
 def test_ambient_product_satisfies_leibniz():
     # D(x.y) = Dx.y + (-1)^k x.Dy for the front/back product on total
     # cochains of the pushforward; checked on every unit cochain pair in
@@ -296,10 +318,10 @@ def test_ambient_product_satisfies_leibniz():
                 y = [Fraction(0)] * cx.dim(l)
                 y[j] = Fraction(1)
                 dy = list(cx.diff(l).apply(y))
-                z = amb.cup(x, k, y, l)
+                z = _dense_cup(amb, x, k, y, l)
                 dz = list(cx.diff(k + l).apply(z))
-                lhs = amb.cup(dx, k + 1, y, l)
-                rhs = amb.cup(x, k, dy, l + 1)
+                lhs = _dense_cup(amb, dx, k + 1, y, l)
+                rhs = _dense_cup(amb, x, k, dy, l + 1)
                 sign = (-1) ** k
                 assert all(a == b + sign * c
                            for a, b, c in zip(dz, lhs, rhs)), (k, l, i, j)
@@ -355,10 +377,197 @@ def test_ambient_cup_reads_the_restrictions_by_flag(name):
             for _ in range(3):
                 x = _sparse_cochain(rng, amb.dim(k))
                 y = _sparse_cochain(rng, amb.dim(l))
-                z = amb.cup(x, k, y, l)
+                z = _dense_cup(amb, x, k, y, l)
                 assert z == _cup_by_restriction(amb, x, k, y, l), (k, l)
                 nonzero += any(z)
     assert nonzero
+
+
+# -- the sparse pairing path against the dense one it replaced -------------
+#
+# The references are `_Ambient.embed`, `cup` and `clear_overshoot` and
+# `PairingContext.project_into` as they were on dense cochains, each the
+# size of its whole complex.
+
+def _ref_embed(amb, result, vec, degree):
+    sheaf = result.sheaf
+    out = [Fraction(0)] * amb.dim(degree)
+    for cell, q, off, size in result.layout.get(degree, ()):
+        block = vec[off:off + size]
+        if not any(block):
+            continue
+        roff, rsize = amb.spot(cell, q, degree)
+        if q > sheaf.cutoff or (q < sheaf.cutoff and rsize != size):
+            raise CertificateError("block %r does not fit" % (cell,))
+        if q == sheaf.cutoff:
+            block = sheaf.inclusions[cell].basis.apply(block)
+        for i, v in enumerate(block):
+            out[roff + i] += v
+    return out
+
+
+def _ref_cup(amb, x, k, y, l):
+    n = k + l
+    z = [Fraction(0)] * amb.dim(n)
+    for tau, q, off, _size in amb.layout.get(n, ()):
+        p = len(tau) - 1
+        fidx = amb.fidx[tau]
+        flags = [f for f, _q, _off, _size in amb.R.stalk_layouts[tau].get(q, ())]
+        for i in range(p + 1):
+            q1, q2 = k - i, l - (p - i)
+            if q1 < 0 or q2 < 0:
+                continue
+            front, back = tau[:i + 1], tau[i:]
+            sa, sb = amb.lmap.get((front, q1)), amb.lmap.get((back, q2))
+            if sa is None or sb is None:
+                continue
+            xa, yb = x[sa[1]:sa[1] + sa[2]], y[sb[1]:sb[1] + sb[2]]
+            fa, fb = amb.fidx[front], amb.fidx[back]
+            sign = -1 if (q1 * (p - i)) % 2 else 1
+            for g in flags:
+                z[off + fidx[g]] += sign * xa[fa[g[:q1 + 1]]] * yb[fb[g[q1:]]]
+    return z
+
+
+def _ref_clear_overshoot(amb, z, degree, cutoff):
+    blocks = amb.layout.get(degree, ())
+    for q in sorted({q for _c, q, _o, _s in blocks}, reverse=True):
+        if q <= cutoff:
+            break
+        w = [Fraction(0)] * amb.dim(degree - 1)
+        for cell, bq, off, size in blocks:
+            part = z[off:off + size]
+            if bq != q or not any(part):
+                continue
+            sgn = -1 if (len(cell) - 1) % 2 else 1
+            u = solve(amb.R.stalks[cell].diff(q - 1), [sgn * v for v in part])
+            if u is None:
+                raise DualityError("product class does not descend")
+            woff, _ = amb.spot(cell, q - 1, degree - 1)
+            for i, v in enumerate(u):
+                w[woff + i] += v
+        dw = amb.cx.diff(degree - 1).apply(w)
+        z = [a - b for a, b in zip(z, dw)]
+    return z
+
+
+def _ref_project_into(context, layT, z, degree):
+    """`layT` is the layout of the top truncation's incidence complex."""
+    amb, T = context.ambient, context.top
+    out = [Fraction(0)] * sum(s for _c, _q, _o, s in layT.get(degree, ()))
+    for cell, q, off, size in layT.get(degree, ()):
+        spot = amb.lmap.get((cell, q))
+        if spot is None:
+            continue
+        part = z[spot[1]:spot[1] + spot[2]]
+        if q < T.cutoff:
+            coords = part
+        else:
+            inc = T.inclusions[cell]
+            coords = [part[i] for i in inc.units]
+            if inc.basis.apply(coords) != tuple(part):
+                raise CertificateError(
+                    "component outside the truncated subspace at %r" % (cell,))
+        out[off:off + size] = coords
+    covered = {(c, q) for c, q, _o, _s in layT.get(degree, ())}
+    for cell, q, off, size in amb.layout.get(degree, ()):
+        if (cell, q) not in covered and any(z[off:off + size]):
+            raise CertificateError(
+                "cochain still sticks out of the truncation window at %r"
+                % (cell,))
+    return out
+
+
+def _ref_value(context, layT, xa, k, yb):
+    amb, n = context.ambient, context.n
+    z = _ref_cup(amb, _ref_embed(amb, context.low, xa, k), k,
+                 _ref_embed(amb, context.high, yb, n - k), n - k)
+    zt = _ref_project_into(
+        context, layT, _ref_clear_overshoot(amb, z, n, context.cut_top), n)
+    return sum((v * zt[j] for j, v in context.functional.items()),
+               Fraction(0)) / context.lead
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (CertificateError, DualityError) as e:
+        return type(e).__name__, str(e)
+
+
+def _drawn_classes(result, k, rng, count=2):
+    """Drawn cocycles of degree k: integer combinations of the cohomology
+    basis plus a drawn coboundary."""
+    cx = result.complex
+    basis = result.reduction.cohomology_basis(k)
+    out = []
+    for _ in range(count):
+        vec = [Fraction(0)] * cx.dim(k)
+        for b in basis:
+            c = rng.choice([-2, -1, 1, 3])
+            vec = [a + c * x for a, x in zip(vec, b)]
+        out.append(_shifted(cx, k, vec, rng))
+    return out
+
+
+def _cut_results(name):
+    """Truncations of one pushforward through n at every cutoff up to the
+    top truncation's, as results."""
+    sp = get_example(name)
+    level = sp.singular_levels()[0]
+    R = sheaves.derived_pushforward(
+        sheaves.constant_sheaf(sp, 1), sp.filtration_stage(level),
+        through=sp.dim)
+    return [ICResult(sp, sheaves.truncate(R, c), {level: c}, "cut %d" % c)
+            for c in range(sp.top - level - 1)]
+
+
+@pytest.mark.parametrize("name", ["suspension-s1", "suspension-s2",
+                                  "suspension-t2",
+                                  "product:suspension-s1,s1"])
+def test_sparse_pairing_matches_the_dense_reference(name):
+    rng = random.Random(name)
+    results = _cut_results(name)
+    n = results[0].space.dim
+    drawn = {(res, k): _drawn_classes(res, k, rng)
+             for res in results for k in range(n + 1)}
+    products = 0
+    for low in results:
+        for high in results:
+            context = PairingContext(low, high)
+            amb = context.ambient
+            layT = sheaves.incidence_complex(context.top)[1]
+            for (res, k), vecs in drawn.items():
+                for v in vecs:
+                    got = amb.embed(res, {i: x for i, x in enumerate(v) if x},
+                                    k)
+                    assert _dense(amb, got, k) == _ref_embed(amb, res, v, k)
+            # every degree split: products below n, and values at n
+            for k in range(n + 1):
+                for l in range(n + 1 - k):
+                    for xa in drawn[(low, k)]:
+                        x = _ref_embed(amb, low, xa, k)
+                        for yb in drawn[(high, l)]:
+                            y = _ref_embed(amb, high, yb, l)
+                            z = _ref_cup(amb, x, k, y, l)
+                            assert _dense_cup(amb, x, k, y, l) == z, (k, l)
+                            products += any(z)
+                            if k + l == n:
+                                assert _outcome(context.value, xa, k, yb) \
+                                    == _outcome(_ref_value, context, layT,
+                                                xa, k, yb), k
+            # unit cochains at both ends of each top block, in the window
+            # or out of it
+            for i in sorted({i for _c, _q, off, size in amb.layout[n]
+                             for i in (off, off + size - 1)}):
+                z = _unit(amb.dim(n), i)
+                want = _outcome(_ref_project_into, context, layT, z, n)
+                got = _outcome(context.project_into, _blocks(amb, z, n), n)
+                if isinstance(got, dict):
+                    got = [got.get(i, 0) for i in range(len(want))]
+                assert got == want
+    assert products
 
 
 def test_middle_perversity_pairing(res_m, res_n):
@@ -466,13 +675,13 @@ def test_pairing_context_answers_every_degree(susp_s1):
 
 def _count_cohomology_bases(monkeypatch):
     calls = []
-    real = linalg.UnitReduction.cohomology_basis
+    real = linalg.UnitReduction._lifts
 
     def counted(self, k):
         calls.append((id(self), k))
         return real(self, k)
 
-    monkeypatch.setattr(linalg.UnitReduction, "cohomology_basis", counted)
+    monkeypatch.setattr(linalg.UnitReduction, "_lifts", counted)
     return calls
 
 
@@ -515,7 +724,7 @@ def test_pairing_certificate_sticks_out(res_w):
     _c, _q, off, _s = next(b for b in amb.layout[n]
                                if (b[0], b[1]) not in covered)
     with pytest.raises(CertificateError, match="sticks out"):
-        context.project_into(_unit(amb.cx.dim(n), off), n)
+        context.project_into(_blocks(amb, _unit(amb.cx.dim(n), off), n), n)
 
 
 def test_pairing_certificate_outside_subspace(susp_s1):
@@ -529,7 +738,7 @@ def test_pairing_certificate_outside_subspace(susp_s1):
                 for i in range(size)
                 if solve(T.inclusions[c].basis, _unit(size, i)) is None)
     with pytest.raises(CertificateError, match="truncated subspace"):
-        context.project_into(z, k)
+        context.project_into(_blocks(amb, z, k), k)
 
 
 def test_pairing_certificate_needs_unit_rows(monkeypatch, susp_s1):
@@ -544,7 +753,7 @@ def test_pairing_certificate_needs_unit_rows(monkeypatch, susp_s1):
     monkeypatch.setattr(T, "inclusions", {
         **T.inclusions, cell: T.inclusions[cell]._replace(units=None)})
     with pytest.raises(CertificateError, match="no unit rows"):
-        context.project_into(_unit(amb.cx.dim(n), off), n)
+        context.project_into(_blocks(amb, _unit(amb.cx.dim(n), off), n), n)
 
 
 # wraps the forward pass that `PairingContext` runs over [d^(n-1) | I] so
@@ -593,15 +802,14 @@ def test_pairing_certificate_not_a_class(monkeypatch, susp_s1):
 
 def test_pairing_refuses_a_top_truncation_above_n(monkeypatch, susp_s1):
     # the reader needs d_T^n = 0; a T with cochains in degree n + 1 is a bug
-    real = sheaves.incidence_complex
+    real = sheaves._incidence_into
 
-    def one_degree_more(sheaf):
-        cx, layout = real(sheaf)
-        if sheaf is not susp_s1.sheaf.untruncated:
-            cx = linalg.CochainComplex({**cx.dims, cx.hi + 1: 1}, cx.diffs)
-        return cx, layout
+    def one_degree_more(sheaf, k):
+        layout, d = real(sheaf, k)
+        top = max(layout)
+        return {**layout, top + 1: [((0,), top + 1, 0, 1)]}, d
 
-    monkeypatch.setattr(sheaves, "incidence_complex", one_degree_more)
+    monkeypatch.setattr(sheaves, "_incidence_into", one_degree_more)
     with pytest.raises(CertificateError, match="cochains in degree 3"):
         PairingContext(susp_s1, susp_s1)
 
@@ -660,8 +868,13 @@ def test_pairing_value_matches_solve_reference(request, name):
         # `value` read, as `value` did before
         tops = []
         project = context.project_into
-        context.project_into = lambda z, degree: \
-            tops.append(project(z, degree)) or tops[-1]
+
+        def project_and_keep(z, degree):
+            zt = project(z, degree)
+            tops.append([zt.get(i, 0) for i in range(read.rows)])
+            return zt
+
+        context.project_into = project_and_keep
         cx, n = res.complex, context.n
         for k in range(n + 1):
             for xa in cx.cohomology_basis(k):
@@ -750,7 +963,7 @@ def test_embed_refuses_blocks_outside_the_ambient_under_optimize():
         "        (above, ((0,), 0, 0, 2), 0)):",
         "    fake = SimpleNamespace(sheaf=sheaf, layout={degree: [block]})",
         "    try:",
-        "        amb.embed(fake, [1] * block[3], degree)",
+        "        amb.embed(fake, dict.fromkeys(range(block[3]), 1), degree)",
         "        print('accepted')",
         "    except CertificateError as e:",
         "        print('rejected:', e)",
@@ -1291,3 +1504,106 @@ def test_ambient_complex_only_where_a_product_overshoots(monkeypatch, res_w):
     assert sum(assembled) == 1
     context.matrix(2)
     assert sum(assembled) == 1
+
+
+# -- the top-class reader gathers only the arrows into degree n -------------
+
+@pytest.fixture(scope="module")
+def top_contexts(refined_by_space, ss2_results):
+    """Contexts over refined results (three Lagrangians on suspension-t2,
+    one on suspension-genus2) and the Deligne m/n pairs on suspension-t2
+    and suspension-s2, both ways round."""
+    st2 = get_example("suspension-t2")
+    t2 = {p: deligne_construction(st2, Perversity.named(p)) for p in "mn"}
+    out = {"refined suspension-t2": [PairingContext(res, res) for res
+                                     in refined_by_space["suspension-t2"]],
+           "refined suspension-genus2": [PairingContext(
+               *[refined_by_space["suspension-genus2"][0]] * 2)]}
+    for name, res in (("suspension-t2", t2), ("suspension-s2", ss2_results)):
+        out["m/n " + name] = [PairingContext(res["m"], res["n"]),
+                              PairingContext(res["n"], res["m"])]
+    return out
+
+
+@pytest.mark.parametrize("case", ["refined suspension-t2",
+                                  "refined suspension-genus2",
+                                  "m/n suspension-t2", "m/n suspension-s2"])
+def test_top_reader_gathers_the_last_differential_of_incidence_complex(
+        top_contexts, case):
+    # d^(n-1) and the layouts of degrees n - 1 and n, gathered from the
+    # arrows into degree n, are those of the whole incidence complex, and
+    # those of the source-side reference assembly
+    from test_sheaves import _ref_incidence_complex
+    for context in top_contexts[case]:
+        T, n = context.top, context.n
+        layout, d = sheaves._incidence_into(T, n)
+        cx, full = sheaves.incidence_complex(T)
+        ref_cx, ref = _ref_incidence_complex(T)
+        assert n + 1 not in layout and cx.dim(n + 1) == 0
+        for k in (n - 1, n):
+            assert layout[k] == full[k] == ref[k] == context.top_layout[k]
+        assert d.shape == cx.diff(n - 1).shape == ref_cx.diff(n - 1).shape
+        assert d.entries == cx.diff(n - 1).entries == \
+            ref_cx.diff(n - 1).entries
+        assert d.entries
+
+
+def test_pairing_assembles_no_complex_in_the_edge_degrees(monkeypatch, res_w):
+    # in degrees 0 and n nothing overshoots the window, and the top reader
+    # gathers d^(n-1) alone: no incidence complex is assembled
+    assembled = []
+    real = sheaves.incidence_complex
+
+    def counted(sheaf):
+        assembled.append(sheaf)
+        return real(sheaf)
+
+    monkeypatch.setattr(sheaves, "incidence_complex", counted)
+    for k in (0, 3):
+        assert PairingContext(res_w, res_w).matrix(k).nondegenerate()
+    assert assembled == []
+
+
+def test_pairing_refusals_raise_under_optimize():
+    # the top-class functional's phi d == 0 check, the truncated-subspace
+    # (span) check and the window check are raises, so -O keeps them
+    code = "\n".join([
+        _CORRUPT_FUNCTIONAL,
+        "from strat_ic import ic",
+        "from strat_ic.examples import get_example",
+        "from strat_ic.linalg import solve",
+        "res = ic.deligne_construction(get_example('suspension-s1'),",
+        "                              ic.Perversity.lower_middle())",
+        "context = duality.PairingContext(res, res)",
+        "amb, T = context.ambient, context.top",
+        "def blocks(z, k):",
+        "    return {(c, q): z[off:off + size] for c, q, off, size",
+        "            in amb.layout[k] if any(z[off:off + size])}",
+        "def unit(n, i):",
+        "    return [int(j == i) for j in range(n)]",
+        "def attempt(f):",
+        "    try:",
+        "        f()",
+        "        print('accepted')",
+        "    except linalg.CertificateError as e:",
+        "        print('rejected:', e)",
+        "covered = {(c, q) for blocks_k in context.top_layout.values()",
+        "           for c, q, _o, _s in blocks_k}",
+        "k, off = next((k, b[2]) for k, blocks_k in sorted(amb.layout.items())",
+        "              for b in blocks_k if b[:2] not in covered)",
+        "attempt(lambda: context.project_into(",
+        "    blocks(unit(amb.dim(k), off), k), k))",
+        "k, z = next((k, unit(amb.dim(k), off + i))",
+        "            for k, blocks_k in sorted(amb.layout.items())",
+        "            for c, q, off, size in blocks_k if q == T.cutoff",
+        "            for i in range(size)",
+        "            if solve(T.inclusions[c].basis, unit(size, i)) is None)",
+        "attempt(lambda: context.project_into(blocks(z, k), k))",
+        "duality._echelon = corrupt",
+        "attempt(lambda: duality.PairingContext(res, res))",
+    ])
+    out = _run_optimized(code).splitlines()
+    assert [line.split(" at ")[0] for line in out] == [
+        "rejected: cochain still sticks out of the truncation window",
+        "rejected: component outside the truncated subspace",
+        "rejected: the top-class functional does not vanish on im d^1"]
