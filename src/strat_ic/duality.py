@@ -199,31 +199,41 @@ def duality_pairing(space, k):
 
 # -- pairings on intersection sheaves --------------------------------------
 #
-# Intersection classes pair at the chain level.  Both sheaves embed into the
-# pushforward their truncations were cut from, assembled through the stalk
-# degrees the product reaches (see PairingContext); its stalks are scalar
-# cochains on order complexes, hence honest algebras, and the front-face /
-# back-face product there satisfies the Leibniz rule for the total
-# differential.  The product of two classes then descends into the top
-# truncation window (clearing any overshoot through stalk-exact corrections,
-# which is exactly where the Lagrangian condition enters) and is read off
-# against the canonical top-degree generator.
+# Intersection classes pair at the chain level.  Both sheaves embed into a
+# pushforward like the one their truncations were cut from, assembled
+# through the stalk degrees the product reaches (see PairingContext); its
+# stalks are scalar cochains on order complexes, hence honest algebras, and
+# the front-face / back-face product there satisfies the Leibniz rule for
+# the total differential.  The product of two classes then descends into
+# the top truncation window (clearing any overshoot through stalk-exact
+# corrections, which is exactly where the Lagrangian condition enters) and
+# is read off against the canonical top-degree generator.
 
-def _flag_offsets(R):
-    """cell -> {flag: offset in the cell's stalk} for a pushforward R whose
-    stalk blocks are all one scalar in stalk degree 0; DualityError if not.
-    """
-    fidx = {}
-    for cell, lay in R.stalk_layouts.items():
-        d = {}
-        for blocks in lay.values():
-            for flag, q, off, size in blocks:
-                if q != 0 or size != 1:
-                    raise DualityError(
-                        "pairing needs rank-one scalar coefficients")
-                d[flag] = off
-        fidx[cell] = d
-    return fidx
+def _rank_one(R):
+    """Refuse (DualityError) a pushforward R whose input has a stalk that
+    is not one scalar in stalk degree 0.  Read once per input cell: every
+    flag block of R is then (flag, 0, offset, 1), so a flag's place in its
+    stalk is its offset (`_FlagOffsets`)."""
+    for cx in R.source.stalks.values():
+        if any(size and (q, size) != (0, 1) for q, size in cx.dims.items()):
+            raise DualityError("pairing needs rank-one scalar coefficients")
+
+
+class _FlagOffsets(dict):
+    """cell -> {flag: offset in the cell's stalk} of a pushforward whose
+    flag blocks are all one scalar in stalk degree 0 (`_rank_one`), each
+    cell's table built from its stalk layout when it is first read."""
+
+    __slots__ = ("layouts",)
+
+    def __init__(self, layouts):
+        super().__init__()
+        self.layouts = layouts
+
+    def __missing__(self, cell):
+        out = self[cell] = {flag: off for blocks in self.layouts[cell].values()
+                            for flag, _q, off, _size in blocks}
+        return out
 
 
 def _reaches(R, degree):
@@ -247,10 +257,11 @@ def _same_dims(R, A):
 class _Ambient:
     """Index structures for cupping inside a pushforward R that holds
     every stalk degree the products reach: the layout of R's incidence
-    complex, its block index, the flag offsets and the size of each total
-    degree.  The incidence complex itself, `cx`, is assembled on first use
-    and kept; only `clear_overshoot` reads it, when a product has
-    components above the cutoff.
+    complex, its block index, the size of each total degree, and the flag
+    offsets of each cell `cup` touches, built when it first touches it.
+    The incidence complex itself, `cx`, is assembled on first use and
+    kept; only `clear_overshoot` reads it, when a product has components
+    above the cutoff.
 
     Cochains are sparse.  An ambient cochain of one total degree is a dict
     {(cell, q): block} over the blocks where it has support, a block being
@@ -266,7 +277,7 @@ class _Ambient:
         self.R = R
         self.layout = sheaves.incidence_layout(R)
         self.lmap = sheaves._block_index(self.layout)
-        self.fidx = _flag_offsets(R)
+        self.fidx = _FlagOffsets(R.stalk_layouts)
         self.dims = sheaves._layout_dims(self.layout)
         self._cx = None
         self._columns = {}
@@ -425,23 +436,24 @@ class _Ambient:
 def _single_step_data(result):
     sheaf = result.sheaf
     R = sheaf.untruncated
-    if R is None or sheaf.inclusions is None:
+    if R is None or sheaf.inclusions is None or R.source is None:
         raise DualityError(
-            "sheaf records no truncation provenance; build it through the "
-            "constructions in this package")
+            "sheaf records no truncation of a pushforward; build it through "
+            "the constructions in this package")
     return R
 
 
 class PairingContext:
     """Everything needed to pair classes of two truncation results.
 
-    Built once per pair of results and owned by the caller: the ambient
-    pushforward's index structures, the top truncation T of the ambient
-    sheaf, its layout, and the functional phi that reads a top class of T
-    against the canonical generator.  `value` pairs two cochains, `matrix`
-    pairs the cohomology bases of complementary degrees; each basis is
-    computed on first use and kept for the context's life.  Only spaces
-    with a single attachment step are supported.
+    Built once per pair of results and owned by the caller: the top
+    truncation T of the ambient sheaf, its layout, the functional phi that
+    reads a top class of T against the canonical generator, and, for each
+    degree asked about, the index structures of an ambient pushforward
+    deep enough for it (`ambient`).  `value` pairs two cochains, `matrix`
+    pairs the cohomology bases of complementary degrees; each basis and
+    each ambient is built on first use and kept for the context's life.
+    Only spaces with a single attachment step are supported.
 
     What is gathered of T.  The reader needs d = d_T^(n-1), the layout of
     degree n (the coordinates phi reads and `project_into` writes) and
@@ -478,28 +490,38 @@ class PairingContext:
     certificate runs at every size, also under `python -O`: exactly one
     identity pivot, and one exact product phi d == 0 (CertificateError).
 
-    What is reused.  When a result was truncated from the ambient R at
-    cut_top itself (every refined result here, whose cutoff (c - 1) // 2
-    is c - 2 at the codimension-3 cone points, and every deligne result
-    at perversity t, or at the upper perversity of a complementary pair
-    whose cutoffs sum to cut_top), T is the plain truncation that
-    result's sheaf refines (`sheaves.refine`), or the sheaf itself when it
-    refines nothing; no cell is truncated again.  Otherwise T is
-    `truncate(R, cut_top)`.  The ambient's incidence complex is assembled
-    lazily, once per context, and only if a product has components above
-    cut_top to clear.  A degree-0 class sits in stalk degree 0, so in
-    degrees 0 and n that takes a cutoff above cut_top, which no
-    perversity gives: only middle degrees assemble it.
+    What is reused.  When a result was truncated at cut_top itself (every
+    refined result here, whose cutoff (c - 1) // 2 is c - 2 at the
+    codimension-3 cone points, and every deligne result at perversity t,
+    or at the upper perversity of a complementary pair whose cutoffs sum
+    to cut_top), T is the plain truncation that result's sheaf refines
+    (`sheaves.refine`), or the sheaf itself when it refines nothing; no
+    cell is truncated again.  Otherwise T is `truncate(R, cut_top)`, R the
+    first pushforward below that reaches cut_top.  An ambient's incidence
+    complex is assembled lazily, once per ambient, and only if a product
+    has components above cut_top to clear.  A degree-0 class sits in
+    stalk degree 0, so in degrees 0 and n that takes a cutoff above
+    cut_top, which no perversity gives: only middle degrees assemble it.
 
-    The ambient pushforward must hold every stalk degree up to
-    D = max(cutoff_low + cutoff_high, cut_top): products land in stalk
-    degrees up to the sum of the cutoffs, and the top truncation is cut
-    at cut_top, which reads degree cut_top + 1 only over the fibers with
-    no least cell, and a pushforward through cut_top holds those.  A
-    result's recorded pushforward serves when it reaches D; otherwise the
-    single-step pushforward of the rank-one constant sheaf is built
-    through D, once per context.  Each recorded pushforward must match
-    the ambient's stalk dimensions on the degrees it holds.
+    The depth of each degree.  A degree-k class has stalk degrees at most
+    min(k, cutoff), so the product of a degree-k class of the first
+    result and a degree-(n - k) class of the second lands in stalk
+    degrees up to min(cutoff_low, k) + min(cutoff_high, n - k).  The
+    ambient for degree k holds every stalk degree up to
+    D(k) = max(min(cutoff_low, k) + min(cutoff_high, n - k), cut_top):
+    the top truncation is cut at cut_top, which reads degree cut_top + 1
+    only over the fibers with no least cell, and a pushforward through
+    cut_top holds those.  So D(0) = max(cutoff_high, cut_top) and D(n) =
+    max(cutoff_low, cut_top), which a result cut at cut_top reaches by
+    itself.  A recorded pushforward that reaches D(k) serves; otherwise
+    the single-step pushforward of the rank-one constant sheaf is built
+    through D(k) on first need, kept, and serves every later degree it
+    reaches.  A pushforward's stalks are its brutal truncation, with the
+    same blocks, offsets and maps in every degree it keeps, so which one
+    serves moves no value.  The recorded pushforwards must have rank-one
+    scalar inputs and the same stalk dimensions in the degrees both hold,
+    refused (DualityError) when the context is built; a built one must
+    match them too.
     """
 
     def __init__(self, result_low, result_high):
@@ -516,29 +538,25 @@ class PairingContext:
         cut_top = space.top - levels[0] - 2
         if cut_top < 0:
             raise DualityError("singular stratum has codimension below two")
-        recorded = (_single_step_data(result_low),
-                    _single_step_data(result_high))
-        depth = max(result_low.sheaf.cutoff + result_high.sheaf.cutoff,
-                    cut_top)
-        R = next((x for x in recorded if _reaches(x, depth)), None)
-        if R is None:
-            for x in recorded:
-                _flag_offsets(x)    # refuse rank two before comparing dims
-            R = sheaves.derived_pushforward(
-                sheaves.constant_sheaf(space, 1),
-                space.filtration_stage(levels[0]), through=depth)
-        if not all(_same_dims(x, R) for x in recorded):
-            raise DualityError(
-                "ambient pushforwards differ; rebuild both results alike")
+        # the pushforwards an ambient sits on: the recorded ones, then the
+        # ones built for depths no earlier one reaches; and the _Ambient of
+        # each that has served, by its place in the list
+        self._pushforwards = list(dict.fromkeys(
+            (_single_step_data(result_low), _single_step_data(result_high))))
+        self._ambients = {}
+        self._check_dims(self._pushforwards[-1])    # the recorded two
+        for R in self._pushforwards:
+            _rank_one(R)
         self.low, self.high = result_low, result_high
         self.n, self.cut_top = n, cut_top
         self._bases = {}  # (result, degree) -> cohomology basis
-        self.ambient = _Ambient(R)
         source = next((x for x in (result_low, result_high)
-                       if x.sheaf.untruncated is R
-                       and x.sheaf.cutoff == cut_top), None)
-        self.top = (sheaves.truncate(R, cut_top) if source is None
-                    else source.sheaf.refines or source.sheaf)
+                       if x.sheaf.cutoff == cut_top), None)
+        if source is None:
+            R = self._pushforwards[self._reaching(cut_top)]
+            self.top = sheaves.truncate(R, cut_top)
+        else:
+            self.top = source.sheaf.refines or source.sheaf
         self.top_layout, d = sheaves._incidence_into(self.top, n)
         if self.top_layout.get(n + 1):
             raise CertificateError(
@@ -559,6 +577,46 @@ class PairingContext:
             raise CertificateError(
                 "the top-class functional does not vanish on im d^%d"
                 % (n - 1))
+
+    def _check_dims(self, R):
+        """Refuse (DualityError) a pushforward R whose stalk dimensions
+        differ from those of the context's pushforwards in a degree both
+        hold."""
+        if not all(x is R or _same_dims(x, R) for x in self._pushforwards):
+            raise DualityError(
+                "ambient pushforwards differ; rebuild both results alike")
+
+    def _reaching(self, depth):
+        """The place in `_pushforwards` of the first one that holds every
+        stalk degree up to `depth`; when none does, the single-step
+        pushforward of the rank-one constant sheaf through `depth` is
+        built and appended."""
+        for i, R in enumerate(self._pushforwards):
+            if _reaches(R, depth):
+                return i
+        space = self.low.space
+        R = sheaves.derived_pushforward(
+            sheaves.constant_sheaf(space, 1),
+            space.filtration_stage(space.singular_levels()[0]), through=depth)
+        self._check_dims(R)
+        self._pushforwards.append(R)
+        return len(self._pushforwards) - 1
+
+    def ambient(self, k):
+        """The `_Ambient` in which degree-k classes of the first result
+        pair with degree-(n - k) classes of the second: the first
+        pushforward that reaches D(k) (see the class docstring), its index
+        structures built on first use and kept."""
+        n = self.n
+        if k < 0 or k > n:
+            raise DegreeOutOfRange("degree %d outside 0..%d" % (k, n))
+        depth = max(min(self.low.sheaf.cutoff, k)
+                    + min(self.high.sheaf.cutoff, n - k), self.cut_top)
+        i = self._reaching(depth)
+        amb = self._ambients.get(i)
+        if amb is None:
+            amb = self._ambients[i] = _Ambient(self._pushforwards[i])
+        return amb
 
     def project_into(self, z, degree):
         """Coordinates {coordinate: value} in the top truncation's
@@ -598,11 +656,11 @@ class PairingContext:
             out.update((off + i, v) for i, v in enumerate(coords) if v)
         return out
 
-    def _read(self, z):
-        """The pairing value of a top-degree ambient cocycle z: z cleared
-        into the window and projected into the top truncation, then phi z
-        / phi_f, reading phi only at z's support."""
-        z = self.ambient.clear_overshoot(z, self.n, self.cut_top)
+    def _read(self, amb, z):
+        """The pairing value of a top-degree cocycle z of the ambient amb:
+        z cleared into the window and projected into the top truncation,
+        then phi z / phi_f, reading phi only at z's support."""
+        z = amb.clear_overshoot(z, self.n, self.cut_top)
         zt = self.project_into(z, self.n)
         phi = self.functional
         return Fraction(sum(phi[j] * v for j, v in zt.items()
@@ -612,10 +670,10 @@ class PairingContext:
         """Pairing of a degree-k cochain of the first result with a
         degree-(n-k) cochain of the second (coordinate vectors of their
         incidence complexes)."""
-        amb, n = self.ambient, self.n
+        amb, n = self.ambient(k), self.n
         x = amb.embed(self.low, _support(xa), k)
         y = amb.embed(self.high, _support(yb), n - k)
-        return self._read(amb.cup(x, y))
+        return self._read(amb, amb.cup(x, y))
 
     def _basis(self, result, k):
         """Cohomology basis of `result` in degree k, sparse, read off the
@@ -632,13 +690,11 @@ class PairingContext:
         second, in their deterministic cohomology bases.  Each basis class
         is embedded once, and every value is read off the product of two
         embedded classes."""
-        amb, n = self.ambient, self.n
-        if k < 0 or k > n:
-            raise DegreeOutOfRange("degree %d outside 0..%d" % (k, n))
+        amb, n = self.ambient(k), self.n
         xs = [amb.embed(self.low, x, k) for x in self._basis(self.low, k)]
         ys = [amb.embed(self.high, y, n - k)
               for y in self._basis(self.high, n - k)]
-        rows = [[self._read(amb.cup(x, y)) for y in ys] for x in xs]
+        rows = [[self._read(amb, amb.cup(x, y)) for y in ys] for x in xs]
         mat = ExactMatrix.from_rows(rows) if rows else \
             ExactMatrix.zeros(0, len(ys))
         return PairingMatrix(mat, k, n - k, label="%s x %s" % (

@@ -168,20 +168,26 @@ def _check_regular_part(space):
             "top stratum is not dense; some cells see no regular part")
 
 
+def _ladder_step(F, space, level, cut):
+    """One step of the ladder: F pushed forward off the filtration stage
+    of `level` and truncated at `cut`.  The pushforward is assembled
+    through cut, and through cut + 1 only over the fibers with no least
+    cell, whose kernels `truncate` eliminates: the degrees its truncation
+    reads.  The truncation records it as `untruncated`."""
+    F = derived_pushforward(F, space.filtration_stage(level), through=cut)
+    return truncate(F, cut)
+
+
 def _ladder(space, cutoff):
     """The rank-one constant sheaf pushed forward and truncated along the
     filtration: strata attach in decreasing level order, and attaching
-    level p truncates stalk degrees above cutoff(p).  Each pushforward
-    is assembled through cutoff(p), and through cutoff(p) + 1 only over
-    the fibers with no least cell, whose kernels `truncate` eliminates:
-    the degrees its truncation reads.  Returns the sheaf and {level:
-    cutoff}."""
+    level p truncates stalk degrees above cutoff(p) (`_ladder_step`).
+    Returns the sheaf and {level: cutoff}."""
     F = constant_sheaf(space)
     cutoffs = {}
     for p in sorted(space.singular_levels(), reverse=True):
         cut = cutoffs[p] = cutoff(p)
-        F = derived_pushforward(F, space.filtration_stage(p), through=cut)
-        F = truncate(F, cut)
+        F = _ladder_step(F, space, p, cut)
     return F, cutoffs
 
 
@@ -592,6 +598,14 @@ def refined_ic(space, mezzo):
     cells are isolated vertices are supported: the last-vertex transport of
     link classes into stalk coordinates is only valid one ladder step deep,
     over the constant sheaf on the regular part.
+
+    That step is the ladder's own (`_ladder_step`, cut at mid = (c - 1) //
+    2): the pushforward F, its `untruncated`, is assembled through mid,
+    and through mid + 1 only over the fibers with no least cell, the cone
+    points' among them.  The Lagrangians are read in F's stalks in degrees
+    up to mid, and `refine` cuts the truncation down to them.  A pairing
+    that needs stalk degrees above mid builds its own ambient
+    (`duality.PairingContext`).
     """
     _check_regular_part(space)
     strata = refinement_strata(space)
@@ -613,12 +627,8 @@ def refined_ic(space, mezzo):
 
     c = space.top - level
     mid = (c - 1) // 2
-    # every fiber through mid + 1, not only those without a least cell:
-    # this pushforward is the ambient `duality.PairingContext` reuses,
-    # which reads stalk degrees up to the sum of the cutoffs, 2 mid, and
-    # that is mid + 1 at codimension 3
-    F = derived_pushforward(constant_sheaf(space),
-                            space.filtration_stage(level), through=mid + 1)
+    T = _ladder_step(constant_sheaf(space), space, level, mid)
+    F = T.untruncated
 
     subspaces = {}
     cutoffs = {level: mid}
@@ -643,7 +653,7 @@ def refined_ic(space, mezzo):
         # unless they are cocycles
         base = stalk.diff(mid - 1).stack_cols(lifted)
         subspaces[vertex] = base.submatrix_cols(pivot_columns(base))
-    G = refine(truncate(F, mid), subspaces)
+    G = refine(T, subspaces)
     return ICResult(space, G, cutoffs, "IC_L")
 
 

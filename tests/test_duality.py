@@ -451,9 +451,10 @@ def _ref_clear_overshoot(amb, z, degree, cutoff):
     return z
 
 
-def _ref_project_into(context, layT, z, degree):
-    """`layT` is the layout of the top truncation's incidence complex."""
-    amb, T = context.ambient, context.top
+def _ref_project_into(context, amb, layT, z, degree):
+    """`layT` is the layout of the top truncation's incidence complex, and
+    z a cochain of the ambient amb."""
+    T = context.top
     out = [Fraction(0)] * sum(s for _c, _q, _o, s in layT.get(degree, ()))
     for cell, q, off, size in layT.get(degree, ()):
         spot = amb.lmap.get((cell, q))
@@ -479,11 +480,12 @@ def _ref_project_into(context, layT, z, degree):
 
 
 def _ref_value(context, layT, xa, k, yb):
-    amb, n = context.ambient, context.n
+    amb, n = context.ambient(k), context.n
     z = _ref_cup(amb, _ref_embed(amb, context.low, xa, k), k,
                  _ref_embed(amb, context.high, yb, n - k), n - k)
     zt = _ref_project_into(
-        context, layT, _ref_clear_overshoot(amb, z, n, context.cut_top), n)
+        context, amb, layT, _ref_clear_overshoot(amb, z, n, context.cut_top),
+        n)
     return sum((v * zt[j] for j, v in context.functional.items()),
                Fraction(0)) / context.lead
 
@@ -536,7 +538,10 @@ def test_sparse_pairing_matches_the_dense_reference(name):
     for low in results:
         for high in results:
             context = PairingContext(low, high)
-            amb = context.ambient
+            # the results' pushforward holds every stalk degree: it serves
+            # every degree
+            amb = context.ambient(0)
+            assert all(context.ambient(k) is amb for k in range(n + 1))
             layT = sheaves.incidence_complex(context.top)[1]
             for (res, k), vecs in drawn.items():
                 for v in vecs:
@@ -562,7 +567,7 @@ def test_sparse_pairing_matches_the_dense_reference(name):
             for i in sorted({i for _c, _q, off, size in amb.layout[n]
                              for i in (off, off + size - 1)}):
                 z = _unit(amb.dim(n), i)
-                want = _outcome(_ref_project_into, context, layT, z, n)
+                want = _outcome(_ref_project_into, context, amb, layT, z, n)
                 got = _outcome(context.project_into, _blocks(amb, z, n), n)
                 if isinstance(got, dict):
                     got = [got.get(i, 0) for i in range(len(want))]
@@ -716,10 +721,10 @@ def _unit(n, i):
 
 
 def test_pairing_certificate_sticks_out(res_w):
-    # the refined ambient holds stalk degree 2 on every stalk, above the
-    # top truncation's window at cut_top = 1
+    # the ambient of degree 1 holds stalk degree 2 on every stalk, above
+    # the top truncation's window at cut_top = 1
     context = PairingContext(res_w, res_w)
-    amb, n = context.ambient, context.n
+    amb, n = context.ambient(1), context.n
     covered = {(c, q) for c, q, _o, _s in context.top_layout[n]}
     _c, _q, off, _s = next(b for b in amb.layout[n]
                                if (b[0], b[1]) not in covered)
@@ -729,7 +734,7 @@ def test_pairing_certificate_sticks_out(res_w):
 
 def test_pairing_certificate_outside_subspace(susp_s1):
     context = PairingContext(susp_s1, susp_s1)
-    amb, T = context.ambient, context.top
+    amb, T = context.ambient(0), context.top
     # a unit cochain at the cutoff stalk degree outside the truncation's
     # kernel subspace, in whatever total degree one exists
     k, z = next((k, _unit(amb.cx.dim(k), off + i))
@@ -745,7 +750,7 @@ def test_pairing_certificate_needs_unit_rows(monkeypatch, susp_s1):
     # a top truncation whose basis at some cell records no unit rows (as a
     # caller subspace would) cannot be read there, so it is refused
     context = PairingContext(susp_s1, susp_s1)
-    amb, T, n = context.ambient, context.top, context.n
+    amb, T, n = context.ambient(0), context.top, context.n
     cell = next(c for c, q, _o, size in context.top_layout[n]
                 if q == T.cutoff and size)
     _c, _q, off, _s = next(b for b in amb.layout[n]
@@ -1089,6 +1094,16 @@ def test_pairing_rejects_second_space(res_m):
         ic_pairing(res_m, other, 0)
 
 
+def test_pairing_refuses_a_truncation_of_no_pushforward():
+    # the rank-one check reads the pushforward's input stalks, so a
+    # truncation of a sheaf that is not a pushforward is refused as such
+    sp = get_example("suspension-s1")
+    res = ICResult(sp, sheaves.truncate(sheaves.constant_sheaf(sp), 0),
+                   {0: 0}, "not pushed")
+    with pytest.raises(DualityError, match="no truncation of a pushforward"):
+        PairingContext(res, res)
+
+
 # -- stratumwise mirror audit ----------------------------------------------
 
 def test_stratumwise_mirror_closed_surface():
@@ -1281,23 +1296,31 @@ def ss2_reaching():
             for p in ("0", "m", "n", "t")}
 
 
-@pytest.mark.parametrize("low,high,reused,depth", [
-    ("0", "0", "low", 1),     # max(0 + 0, 1) = 1; both record through 1
-    ("m", "n", "low", 1),     # max(0 + 1, 1) = 1; m records through 1
-    ("t", "t", "low", 2),     # max(1 + 1, 1) = 2; t records through 2
-    ("0", "t", "low", 1),
+def _depths(context):
+    """D(k) = max(min(cut_low, k) + min(cut_high, n - k), cut_top) for
+    k = 0..n, written out."""
+    a, b, n = context.low.sheaf.cutoff, context.high.sheaf.cutoff, context.n
+    return [max(min(a, k) + min(b, n - k), context.cut_top)
+            for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("low,high,depths", [
+    ("0", "0", [1, 1, 1, 1]),     # both record through 1
+    ("m", "n", [1, 1, 1, 1]),     # m records through 1
+    ("t", "t", [1, 2, 2, 1]),     # t records through 2
+    ("0", "t", [1, 1, 1, 1]),
 ])
-def test_pairing_ambient_depth_rule(ss2_reaching, low, high, reused, depth):
-    # suspension-s2: n = 3, cone points of codimension 3, cut_top = 1
+def test_pairing_ambient_depth_rule(ss2_reaching, low, high, depths):
+    # suspension-s2: n = 3, cone points of codimension 3, cut_top = 1;
+    # each pushforward here reaches one degree past its cutoff, so the
+    # first result's serves every degree
     a, b = ss2_reaching[low], ss2_reaching[high]
     context = PairingContext(a, b)
-    R = context.ambient.R
-    assert R.through == depth
-    recorded = {"low": a.sheaf.untruncated, "high": b.sheaf.untruncated}
-    if reused is None:
-        assert all(R is not x for x in recorded.values())
-    else:
-        assert R is recorded[reused]
+    assert _depths(context) == depths
+    for k, depth in enumerate(depths):
+        R = context.ambient(k).R
+        assert R is a.sheaf.untruncated and duality._reaches(R, depth), k
+    assert all(context.ambient(k) is context.ambient(0) for k in range(4))
 
 
 def test_ladder_pushforwards_reach_the_complementary_pairing_depth(
@@ -1314,12 +1337,14 @@ def test_ladder_pushforwards_reach_the_complementary_pairing_depth(
     sp = get_example("suspension-t2")
     lo, hi = (deligne_construction(sp, Perversity.named(p)) for p in "mn")
     context = PairingContext(lo, hi)
-    assert context.ambient.R is hi.sheaf.untruncated
-    assert context.ambient.R.through == 1
+    assert _depths(context) == [1] * 4
+    for k in range(4):
+        assert context.ambient(k).R is hi.sheaf.untruncated
+    assert hi.sheaf.untruncated.through == 1
     assert context.top is hi.sheaf
     full = PairingContext(*(ref_deligne_construction(sp, Perversity.named(p))
                             for p in "mn"))
-    assert full.ambient.R.through is None
+    assert full.ambient(0).R.through is None
     want = {0: [[-1]], 1: [], 2: [[-1, 0], [0, -1]], 3: [[1]]}
     for k in range(4):
         got = context.matrix(k).matrix
@@ -1330,19 +1355,21 @@ def test_ladder_pushforwards_reach_the_complementary_pairing_depth(
 
 @pytest.mark.parametrize("name", ["suspension-s2", "suspension-t2"])
 def test_pairings_at_the_depth_rule_match_full_pushforwards(name):
-    # the ambient holds stalk degrees up to max(cut_low + cut_high,
-    # cut_top): pairs whose cutoffs sum to cut_top = 1 reuse a recorded
-    # pushforward, the others build one, and every matrix is that of full
+    # the ambient of degree k holds stalk degrees up to D(k): a recorded
+    # pushforward, each through its cutoff, serves where it reaches D(k)
+    # (y), and otherwise one is built (n); every matrix is that of full
     # pushforwards
     sp = get_example(name)
     res = {p: deligne_construction(sp, Perversity.named(p)) for p in "0mnt"}
     ref = {p: ref_deligne_construction(sp, Perversity.named(p))
            for p in "0mnt"}
-    for low, high in ["mn", "0t", "t0", "mm", "nn"]:
+    reused = {"mn": "yyyy", "0t": "yyyy", "t0": "yyyy", "mm": "nnnn",
+              "nn": "ynny"}
+    for (low, high), want in reused.items():
         context = PairingContext(res[low], res[high])
         recorded = (res[low].sheaf.untruncated, res[high].sheaf.untruncated)
-        assert (context.ambient.R in recorded) == (low + high
-                                                   in ("mn", "0t", "t0"))
+        assert "".join("y" if context.ambient(k).R in recorded else "n"
+                       for k in range(4)) == want, (low, high)
         full = PairingContext(ref[low], ref[high])
         for k in range(sp.dim + 1):
             assert context.matrix(k).matrix == full.matrix(k).matrix, (
@@ -1350,9 +1377,11 @@ def test_pairings_at_the_depth_rule_match_full_pushforwards(name):
 
 
 def test_pairing_ambient_reaches_the_sum_of_the_cutoffs():
-    # cutoffs 1 and 2 on suspension-t2, where cut_top = 1: products land in
-    # stalk degrees up to 1 + 2 = 3 > cut_top, and the ambient holds
-    # them; the first result's pushforward, through 2, falls short
+    # cutoffs 1 and 2 on suspension-t2, where cut_top = 1: products of
+    # degree-1 and degree-2 classes land in stalk degrees up to 1 + 2 = 3 >
+    # cut_top, and the ambient of degree 1 holds them; the first result's
+    # pushforward, through 2, falls short there and serves the other
+    # degrees
     sp = get_example("suspension-t2")
 
     def cut_at(cut, through):
@@ -1363,18 +1392,28 @@ def test_pairing_ambient_reaches_the_sum_of_the_cutoffs():
 
     low, high = cut_at(1, 2), cut_at(2, 3)
     context = PairingContext(low, high)
-    assert context.ambient.R is high.sheaf.untruncated
-    assert context.ambient.R.through == 3
+    assert _depths(context) == [2, 3, 2, 1]
+    assert [context.ambient(k).R is high.sheaf.untruncated
+            for k in range(4)] == [False, True, False, False]
+    assert all(context.ambient(k).R is low.sheaf.untruncated
+               for k in (0, 2, 3))
     full = PairingContext(cut_at(1, None), cut_at(2, None))
     for k in range(4):
         assert context.matrix(k).matrix == full.matrix(k).matrix, k
 
 
 def test_refined_pairing_reuses_its_pushforward(res_w):
-    # mid + 1 = 2 = max(1 + 1, 1): nothing is built for the pairing
+    # the refined result's pushforward, through mid = 1, serves the edge
+    # degrees, whose depth is max(1 + 0, 1) = 1; the middle degrees need
+    # max(1 + 1, 1) = 2 and share one pushforward built through 2
     context = PairingContext(res_w, res_w)
-    assert context.ambient.R is res_w.sheaf.untruncated
-    assert context.ambient.R.through == 2
+    R = res_w.sheaf.untruncated
+    assert R.through == 1 and _depths(context) == [1, 2, 2, 1]
+    assert context.ambient(0) is context.ambient(3)
+    assert context.ambient(0).R is R
+    built = context.ambient(1)
+    assert built is context.ambient(2)
+    assert built.R is not R and built.R.through == 2
 
 
 def test_rebuilt_ambient_pairs_like_full_pushforward(ss2_results):
@@ -1383,9 +1422,9 @@ def test_rebuilt_ambient_pairs_like_full_pushforward(ss2_results):
     assert ref.sheaf.untruncated.through is None
     rebuilt = PairingContext(res, res)
     full = PairingContext(ref, ref)
-    assert rebuilt.ambient.R is not res.sheaf.untruncated
-    assert full.ambient.R is ref.sheaf.untruncated
     for k in range(4):
+        assert rebuilt.ambient(k).R is not res.sheaf.untruncated
+        assert full.ambient(k).R is ref.sheaf.untruncated
         assert rebuilt.matrix(k).matrix == full.matrix(k).matrix, k
 
 
@@ -1486,24 +1525,106 @@ def test_top_truncation_is_the_result_when_it_took_no_subspace(ss2_reaching):
 
 def test_ambient_complex_only_where_a_product_overshoots(monkeypatch, res_w):
     # in the lifted bases only the degree-2 products have components above
-    # cut_top; a second matrix in that degree reuses the assembled complex
-    R = res_w.sheaf.untruncated
+    # cut_top; the complex assembled is that of the ambient the middle
+    # degrees share, and a second matrix in that degree reuses it
     assembled = []
     real = sheaves.incidence_complex
 
     def counted(sheaf):
-        assembled.append(sheaf is R)
+        assembled.append(sheaf)
         return real(sheaf)
 
     monkeypatch.setattr(sheaves, "incidence_complex", counted)
     for k in (0, 3):
         PairingContext(res_w, res_w).matrix(k)
-    assert sum(assembled) == 0
+    assert assembled == []
     context = PairingContext(res_w, res_w)
+    context.matrix(1)
+    assert assembled == []
     context.matrix(2)
-    assert sum(assembled) == 1
+    assert assembled == [context.ambient(2).R]
     context.matrix(2)
-    assert sum(assembled) == 1
+    context.matrix(1)
+    assert assembled == [context.ambient(1).R]
+
+
+def test_pairing_builds_an_ambient_only_for_the_middle_degrees(monkeypatch,
+                                                              res_w):
+    # counted per context: the refined result's own pushforward serves the
+    # edge degrees, and degrees 1 and 2 share one built through 2 (the
+    # overshoot complex is counted in the test above)
+    pushed = []
+    real = sheaves.kan_pushforward
+
+    def counted(sheaf, cell_map, target_space, through=None):
+        pushed.append(through)
+        return real(sheaf, cell_map, target_space, through)
+
+    monkeypatch.setattr(sheaves, "kan_pushforward", counted)
+    n = res_w.space.dim
+    for k in (0, n):
+        PairingContext(res_w, res_w).matrix(k)
+    assert pushed == []
+    context = PairingContext(res_w, res_w)
+    context.matrix(1)
+    context.matrix(2)
+    assert pushed == [2]
+    for k in (0, n, 2, 1):
+        context.matrix(k)
+    assert pushed == [2]
+    # flag offsets are built for the cells the cup touched, not all
+    amb = context.ambient(0)
+    assert 0 < len(amb.fidx) < len(amb.R.stalks)
+
+
+@pytest.mark.parametrize("name", ["suspension-t2", "suspension-genus2"])
+def test_refined_results_by_the_ladder_step_match_full_pushforwards(
+        monkeypatch, refined_by_space, name):
+    # refined results whose pushforward stops where the ladder's step does
+    # (through mid, and mid + 1 only over fibers with no least cell) against
+    # results from the pushforward in every stalk degree: the pushforwards
+    # agree up to mid, and the refined sheaves, their complexes,
+    # reductions, bases and pairing matrices are equal
+    results = refined_by_space[name]
+    real = sheaves.derived_pushforward
+    with monkeypatch.context() as m:
+        m.setattr(ic_module, "derived_pushforward",
+                  lambda F, closed, through=None: real(F, closed))
+        refs = _refined_results(name)
+    assert len(results) == len(refs) == 3
+    for res, ref in zip(results, refs):
+        G, H = res.sheaf, ref.sheaf
+        F, full = G.untruncated, H.untruncated
+        mid, n = G.cutoff, res.space.dim
+        assert (F.through, full.through, H.cutoff) == (mid, None, mid)
+        for c, cx in F.stalks.items():
+            other = full.stalks[c]
+            assert [cx.dim(q) for q in range(mid + 1)] == \
+                [other.dim(q) for q in range(mid + 1)], c
+            assert all(cx.diff(q) == other.diff(q) for q in range(mid)), c
+            assert {q: b for q, b in F.stalk_layouts[c].items()
+                    if q <= mid} == {q: b for q, b
+                                     in full.stalk_layouts[c].items()
+                                     if q <= mid}, c
+        for cover, mats in F.restrictions.items():
+            assert {q: x for q, x in mats.items() if q <= mid} == \
+                {q: x for q, x in full.restrictions[cover].items()
+                 if q <= mid}, cover
+        assert G.stalks.keys() == H.stalks.keys()
+        for c, cx in G.stalks.items():
+            assert (cx.dims, cx.diffs) == (H.stalks[c].dims,
+                                           H.stalks[c].diffs), c
+        assert G.restrictions == H.restrictions
+        assert G.inclusions == H.inclusions
+        assert (res.complex.dims, res.complex.diffs, res.layout) == \
+            (ref.complex.dims, ref.complex.diffs, ref.layout)
+        assert res.reduction.steps == ref.reduction.steps
+        context, full_context = PairingContext(res, res), \
+            PairingContext(ref, ref)
+        for k in range(n + 1):
+            assert res.reduction._lifts(k) == ref.reduction._lifts(k), k
+            assert context.matrix(k).matrix == \
+                full_context.matrix(k).matrix, k
 
 
 # -- the top-class reader gathers only the arrows into degree n -------------
@@ -1575,7 +1696,7 @@ def test_pairing_refusals_raise_under_optimize():
         "res = ic.deligne_construction(get_example('suspension-s1'),",
         "                              ic.Perversity.lower_middle())",
         "context = duality.PairingContext(res, res)",
-        "amb, T = context.ambient, context.top",
+        "amb, T = context.ambient(0), context.top",
         "def blocks(z, k):",
         "    return {(c, q): z[off:off + size] for c, q, off, size",
         "            in amb.layout[k] if any(z[off:off + size])}",

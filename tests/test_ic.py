@@ -404,6 +404,21 @@ def test_refined_same_choice_both_points():
     assert res.betti() == (1, 1, 1, 1)
 
 
+def test_refined_pushforward_stops_its_open_fibers_at_mid():
+    # the ladder's step: through mid = 1, and mid + 1 only over the fibers
+    # with no least cell; a guard against assembling every fiber through
+    # mid + 1 again (4746 summed fiber-stalk dimensions under that rule)
+    st = get_example("suspension-t2")
+    res = refined_ic(st, _mezzo(st, [0, 0]))
+    F, mid = res.sheaf.untruncated, res.sheaf.cutoff
+    assert F.through == mid == 1
+    assert res.sheaf.refines.untruncated is F
+    assert sum(cx.total_dimension() for cx in F.stalks.values()) == 3150
+    for t, cx in F.stalks.items():
+        if F.least_cells[t] is not None:
+            assert all(q <= mid for q, n in cx.dims.items() if n), t
+
+
 def test_refined_mixed_choices():
     st = get_example("suspension-t2")
     res = refined_ic(st, _mezzo(st, [0, 1]))

@@ -1570,7 +1570,7 @@ _KEPT_CERTIFICATES = "\n".join([
     "res = ic.deligne_construction(get_example('suspension-s1'),",
     "                              ic.Perversity.lower_middle())",
     "context = duality.PairingContext(res, res)",
-    "amb, T, n = context.ambient, context.top, context.n",
+    "amb, T, n = context.ambient(0), context.top, context.n",
     "def unit(n, i):",
     "    return [int(j == i) for j in range(n)]",
     "k, z = next((k, unit(amb.dim(k), off + i))",
@@ -1645,7 +1645,8 @@ def test_mezzo_pairing_complexes_above_1500_pass_certify(monkeypatch):
         return built[-1]
     monkeypatch.setattr(sheaves, "_total_complex", keep)
     # degree 2 has a product above the top truncation's window, which
-    # assembles the ambient complex
+    # assembles the complex of the ambient built for the middle degrees
+    # (through stalk degree 2; the result's own stops at 1)
     for k in (1, 2):
         duality.ic_pairing(res, res, k)
     assert max(cx.total_dimension() for cx in built) > 1500
