@@ -1031,7 +1031,9 @@ _COMMANDS = {
 def _parser():
     """One flat parser: a `command` positional and the options all commands
     share, each declared once.  Options may come before or after the
-    command.  Built per call, so the module holds no parser state."""
+    command.  `main` parses with the one built at import (`_PARSER`):
+    `parse_args` keeps nothing between calls, each returns a new namespace
+    from the declared defaults, so no value of one call reaches the next."""
     p = argparse.ArgumentParser(
         prog="strat-ic",
         description="Exact intersection-cohomology toolkit over "
@@ -1087,8 +1089,11 @@ def _write(text, path):
                        "/output") from None
 
 
+_PARSER = _parser()
+
+
 def main(argv=None):
-    config = RunConfig(**vars(_parser().parse_args(argv)))
+    config = RunConfig(**vars(_PARSER.parse_args(argv)))
     try:
         config.validate()
         bundle = _run(config)

@@ -1033,10 +1033,16 @@ def _reduce_units(cx):
     hold no +-1.
 
     Pivots are picked to limit fill-in: the sparsest row with a unit, then
-    its unit column with the fewest entries.  The remainder is a new
-    `CochainComplex`, so d o d = 0 is re-checked on it in exact arithmetic
-    and raises CertificateError when it fails.
+    its unit column with the fewest entries.  The remainder of a complex
+    with a differential is a new `CochainComplex`, so d o d = 0 is
+    re-checked on it in exact arithmetic and raises CertificateError when
+    it fails.  A complex with no differential has nothing to cancel and
+    nothing to re-check: it is its own remainder, with the identity
+    `index` and no `steps`.
     """
+    if not cx.diffs:
+        return UnitReduction(cx, cx, {k: dict(enumerate(range(n)))
+                                      for k, n in cx.dims.items()}, [])
     # rows[k][t]: row t of d^k; cols[k][s]: the rows with a nonzero at s
     rows, cols = {}, {}
     dims = cx.dims

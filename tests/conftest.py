@@ -42,13 +42,14 @@ def two_term_sheaf(space, free_rank, torsion):
                          for sig, _s in spaces.facets(tau)})
 
 
-def run_python(*args, optimize=True, timeout=120):
+def run_python(*args, optimize=True, timeout=120, text=True):
     """Run a fresh interpreter on `args` with this package's source on
     PYTHONPATH, under `-O` unless `optimize` is false.  `-O` strips asserts,
-    so a check that must hold there has to be a typed raise."""
+    so a check that must hold there has to be a typed raise.  With `text`
+    false, stdout and stderr are the bytes written, newlines untranslated."""
     flags = ["-O"] if optimize else []
     return subprocess.run([sys.executable] + flags + list(args),
-                          capture_output=True, text=True, timeout=timeout,
+                          capture_output=True, text=text, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=SRC))
 
 

@@ -911,9 +911,46 @@ PARSED = {"example": "s1", "input_path": "space.json", "output": "out.json",
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_every_command_takes_every_option(command):
-    for argv in ([command] + EVERY_OPTION, EVERY_OPTION + [command]):
-        args = vars(cli._parser().parse_args(argv))
-        assert args == dict(PARSED, command=command)
+    # a new parser, and the one `main` shares across calls
+    for parser in (cli._parser(), cli._PARSER):
+        for argv in ([command] + EVERY_OPTION, EVERY_OPTION + [command]):
+            args = vars(parser.parse_args(argv))
+            assert args == dict(PARSED, command=command)
+
+
+def test_main_builds_no_parser_and_carries_nothing_over(capsys, monkeypatch):
+    # `main` parses with the parser built at import: it constructs none,
+    # and after a refused argv and a chosen format each call answers as a
+    # fresh interpreter does, so no option value reaches the next call
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__",
+                        counting_init)
+    calls = (["build", "--example", "s1", "--dump", "--format", "xml"],
+             ["build", "--example", "s1", "--format", "csv"],
+             ["build", "--example", "s1"])
+    codes = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        codes.append(code)
+        out, err = capsys.readouterr()
+        for optimize in (False, True):
+            proc = run_python("-m", "strat_ic.cli", *argv, optimize=optimize,
+                              text=False)
+            assert (code, out, err) == (proc.returncode,
+                                        proc.stdout.decode("utf-8"),
+                                        proc.stderr.decode("utf-8"))
+    assert built == []
+    assert codes == [2, 0, 0]
 
 
 bad_argv = pytest.mark.parametrize(

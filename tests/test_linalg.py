@@ -1213,6 +1213,36 @@ def test_reduction_requeues_rows_that_gain_a_unit():
     assert red.remainder.dims == {0: 0, 1: 0}
 
 
+def _with_zero_diffs(c):
+    """c with every differential held as an explicit zero matrix, which a
+    `CochainComplex` drops when built, so `_reduce_units` takes its
+    general path on it (a one-degree complex holds a 0 x n placeholder,
+    which the reduction never reads)."""
+    twin = CochainComplex._of(c.dims)
+    twin.diffs = {k: ExactMatrix.zeros(c.dim(k + 1), c.dim(k))
+                  for k in range(c.lo, c.hi)} or {
+        c.lo: ExactMatrix.zeros(0, c.dim(c.lo))}
+    return twin
+
+
+@given(st.integers(-2, 3), st.lists(st.integers(0, 3), min_size=1,
+                                    max_size=4))
+def test_reduction_without_differential_matches_general_path(lo, sizes):
+    # a complex with no differential is its own remainder; the general
+    # path, run on the same complex with zero matrices, cancels nothing
+    # and gives the same index, Betti numbers and lifted bases
+    c = CochainComplex({lo + i: n for i, n in enumerate(sizes)})
+    fast = linalg._reduce_units(c)
+    general = linalg._reduce_units(_with_zero_diffs(c))
+    assert fast.remainder is c
+    assert fast.steps == general.steps == []
+    assert fast.index == general.index
+    assert fast.remainder.dims == general.remainder.dims == c.dims
+    assert fast.betti_numbers() == general.betti_numbers() == c.dims
+    for k in c.degrees():
+        assert fast._lifts(k) == general._lifts(k)
+
+
 def test_cancel_certifies_the_unit():
     # d^0 = (2): not a unit, so the cancellation must refuse it
     rows, cols = {0: [{0: 2}]}, {0: [{0}]}
