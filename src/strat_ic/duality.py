@@ -451,9 +451,11 @@ class PairingContext:
     reads a top class of T against the canonical generator, and, for each
     degree asked about, the index structures of an ambient pushforward
     deep enough for it (`ambient`).  `value` pairs two cochains, `matrix`
-    pairs the cohomology bases of complementary degrees; each basis and
-    each ambient is built on first use and kept for the context's life.
-    Only spaces with a single attachment step are supported.
+    pairs the cohomology bases of complementary degrees; each ambient is
+    built on first use and kept for the context's life.  The context keeps
+    no bases: each result's unit reduction keeps its own per degree
+    (`UnitReduction.lifts`), so every context on one result reads the
+    same ones.  Only spaces with a single attachment step are supported.
 
     What is gathered of T.  The reader needs d = d_T^(n-1), the layout of
     degree n (the coordinates phi reads and `project_into` writes) and
@@ -463,7 +465,7 @@ class PairingContext:
     incidence complex is never assembled.
 
     Sparse cochains.  The bases are the results' lifted classes as
-    {coordinate: value} dicts (`UnitReduction._lifts`), never written out
+    {coordinate: value} dicts (`UnitReduction.lifts`), never written out
     densely.  `matrix` embeds each class once, as the ambient blocks where
     it has support, and every value is read off the product of two
     embedded classes: the cup runs over the block pairs where both have
@@ -549,7 +551,6 @@ class PairingContext:
             _rank_one(R)
         self.low, self.high = result_low, result_high
         self.n, self.cut_top = n, cut_top
-        self._bases = {}  # (result, degree) -> cohomology basis
         source = next((x for x in (result_low, result_high)
                        if x.sheaf.cutoff == cut_top), None)
         if source is None:
@@ -675,25 +676,16 @@ class PairingContext:
         y = amb.embed(self.high, _support(yb), n - k)
         return self._read(amb, amb.cup(x, y))
 
-    def _basis(self, result, k):
-        """Cohomology basis of `result` in degree k, sparse, read off the
-        unit reduction the result holds (`UnitReduction._lifts`), once per
-        context; results have identity hashes, so one result paired with
-        itself shares its entries."""
-        key = (result, k)
-        if key not in self._bases:
-            self._bases[key] = result.reduction._lifts(k)
-        return self._bases[key]
-
     def matrix(self, k):
         """PairingMatrix of H^k of the first result against H^(n-k) of the
         second, in their deterministic cohomology bases.  Each basis class
         is embedded once, and every value is read off the product of two
         embedded classes."""
         amb, n = self.ambient(k), self.n
-        xs = [amb.embed(self.low, x, k) for x in self._basis(self.low, k)]
+        xs = [amb.embed(self.low, x, k)
+              for x in self.low.reduction.lifts(k)]
         ys = [amb.embed(self.high, y, n - k)
-              for y in self._basis(self.high, n - k)]
+              for y in self.high.reduction.lifts(n - k)]
         rows = [[self._read(amb, amb.cup(x, y)) for y in ys] for x in xs]
         mat = ExactMatrix.from_rows(rows) if rows else \
             ExactMatrix.zeros(0, len(ys))

@@ -32,8 +32,12 @@ Row elimination happens in exactly three routines:
   of eliminating.  It works fraction-free (after Bareiss, Math. Comp.
   1968) on integer rows with a column -> rows index; see `_eliminate`.
 - `_reduce_units` cancels every pair of cells joined by a +-1 incidence
-  from a cochain complex, on row dicts with a column -> rows index through
-  `_axpy` (see `_cancel`), and records each cancellation.  The remainder
+  from a cochain complex, on row dicts with a column -> rows index (see
+  `_cancel`, whose Schur update is written out inline), and records each
+  cancellation.  Pairs handed over with the complex go first, in the
+  order given: an `ICResult` hands over the cone matching its truncation
+  recorded, cofaces first, so each coface's rows are gone before a face's
+  pair is cancelled.  A heap search finds the rest.  The remainder
   has the same cohomology over Z, and the `UnitReduction` it returns
   answers every cohomology question about the complex from it: Betti
   numbers and integral groups hand only the remainder's differentials,
@@ -41,10 +45,11 @@ Row elimination happens in exactly three routines:
   torsion-free examples they are all zero), and a cohomology basis is a
   basis of the remainder's cohomology lifted back through the recorded
   cancellations, with no elimination on the whole complex (pairings take
-  the lifts as sparse dicts, `UnitReduction._lifts`).  The bases
-  depend on the order in which `_reduce_units` picks its pivots, so a
-  change of that rule moves the printed pairing matrices.  A caller with
-  several questions about one complex holds one reduction
+  the lifts as sparse dicts, `UnitReduction.lifts`, kept per degree once
+  computed).  The bases depend on the order in which `_reduce_units`
+  picks its pivots, so a change of that rule, or of the pairs handed
+  over, moves the printed pairing matrices.  A caller with several
+  questions about one complex holds one reduction
   (`CochainComplex.reduction`); an `ICResult` holds its complex's.
 - `smith_normal_form` (over Z) drives integral cohomology and
   presentations, on plain row dicts through `_axpy`: it sees only what
@@ -845,11 +850,12 @@ class CochainComplex:
     def euler_characteristic(self):
         return sum((-1) ** k * d for k, d in self.dims.items())
 
-    def reduction(self):
+    def reduction(self, matching=()):
         """The unit reduction of this complex (`UnitReduction`), made
         afresh on every call: a caller with several questions about one
-        complex holds one reduction and asks it."""
-        return _reduce_units(self)
+        complex holds one reduction and asks it.  `matching` lists unit
+        pairs to cancel first (see `_reduce_units`)."""
+        return _reduce_units(self, matching)
 
     def betti_numbers(self):
         """Q-cohomology dimensions per degree (`UnitReduction.betti_numbers`)."""
@@ -878,19 +884,25 @@ class UnitReduction:
     `complex` is the input and `remainder` the complex left: `index[k]`
     maps each cell of C^k that is left to its place in the remainder, in
     increasing order of both.  `steps` lists the cancellations in the
-    order made, as (k, s, p, row): cell s of C^k went against a cell t of
-    C^(k+1) through the unit p = row[s], where row is row t of d^k at
-    that moment.  `_cancel` replaces row t with a new dict, and nothing
-    writes to the old one again, so row is kept as it is, not copied.
+    order made, handed-over pairs first, as (k, s, p, row): cell s of C^k
+    went against a cell t of C^(k+1) through the unit p = row[s], where
+    row is row t of d^k at that moment.  `_cancel` replaces row t with a
+    new dict, and nothing writes to the old one again, so row is kept as
+    it is, not copied.
+
+    The lifted basis of each degree (`_lifts`) is computed once, on first
+    use, and kept in `_kept` for the reduction's life, so every reader of
+    one reduction (each pairing context on one result) shares it.
     """
 
-    __slots__ = ("complex", "remainder", "index", "steps")
+    __slots__ = ("complex", "remainder", "index", "steps", "_kept")
 
     def __init__(self, cx, remainder, index, steps):
         self.complex = cx
         self.remainder = remainder
         self.index = index
         self.steps = steps
+        self._kept = {}     # degree -> the lifts of `_lifts`
 
     def betti_numbers(self):
         """Q-cohomology dimensions per degree, read off the remainder by
@@ -911,19 +923,31 @@ class UnitReduction:
 
     def cohomology_basis(self, k):
         """Deterministic representatives of H^k over Q, as coordinate
-        tuples of `complex`: the lifts of `_lifts`, written out densely."""
+        tuples of `complex`: the lifts of `lifts`, written out densely as
+        new tuples on every call."""
         n = self.complex.dim(k)
         out = []
-        for x in self._lifts(k):
+        for x in self.lifts(k):
             vec = [Fraction(0)] * n
             for i, v in x.items():
                 vec[i] = Fraction(v)
             out.append(tuple(vec))
         return out
 
+    def lifts(self, k):
+        """The cohomology basis of degree k, each vector sparse as
+        {coordinate of `complex`: nonzero value}: `_lifts(k)`, run on the
+        first call for k and kept.  Callers read the list and its dicts and
+        never write to them."""
+        out = self._kept.get(k)
+        if out is None:
+            out = self._kept[k] = self._lifts(k)
+        return out
+
     def _lifts(self, k):
         """The cohomology basis of degree k, each vector sparse as
-        {coordinate of `complex`: nonzero value}.
+        {coordinate of `complex`: nonzero value}; read it through `lifts`,
+        which keeps it.
 
         First a basis of the remainder's H^k: the kernel basis vectors of
         its d^k that extend a basis of its image, taken greedily in
@@ -939,8 +963,9 @@ class UnitReduction:
         certifies them (CertificateError, also under `python -O`).
 
         The basis depends on the order in which `_reduce_units` picks its
-        pivots: changing that rule, for instance by cancelling a matching
-        found elsewhere first, moves the printed pairing matrices.
+        pivots: a matching handed over to it (an `ic.ICResult`'s) is
+        cancelled first, so its pairs and their order move the printed
+        pairing matrices of a truncation's result.
         """
         red = self.remainder
         ker = kernel_basis(red.diff(k))
@@ -1001,30 +1026,51 @@ def _cancel(rows, cols, k, t, s):
     d^k[r, c] -= d^k[r, s] * p * d^k[t, c] (1/p = p) and loses row t and
     column s, d^{k-1} loses row s and d^{k+1} loses column t.  Returns the
     rows of d^k the update changed.  Raises CertificateError when p is not
-    +-1."""
-    prow = rows[k][t]
+    +-1, also for a pair handed to `_reduce_units` that is not joined.
+
+    The update is `_axpy`'s, written out: entries that appear are indexed,
+    entries that vanish are dropped, and column s vanishes from every
+    touched row."""
+    rk, ck = rows[k], cols[k]
+    prow = rk[t]
     p = prow.get(s, 0)
     if p * p != 1:
         raise CertificateError("cancelled coefficient %r is not a unit" % (p,))
-    touched = [r for r in cols[k][s] if r != t]
+    touched = [r for r in ck[s] if r != t]
+    pitems = prow.items()
     for r in touched:
-        row = rows[k][r]
-        _axpy(row, prow, -row[s] * p, cols=cols[k], i=r)
+        row = rk[r]
+        f = -row[s] * p
+        get = row.get
+        for c, x in pitems:
+            v = get(c)
+            if v is None:
+                row[c] = f * x
+                ck[c].add(r)
+            else:
+                v += f * x
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+                    ck[c].discard(r)
     for c in prow:
-        cols[k][c].discard(t)
-    rows[k][t] = {}
+        ck[c].discard(t)
+    rk[t] = {}
     if k - 1 in rows:
+        below = cols[k - 1]
         for c in rows[k - 1][s]:
-            cols[k - 1][c].discard(s)
+            below[c].discard(s)
         rows[k - 1][s] = {}
     if k + 1 in rows:
+        above = rows[k + 1]
         for r in cols[k + 1][t]:
-            del rows[k + 1][r][t]
+            del above[r][t]
         cols[k + 1][t] = set()
     return touched
 
 
-def _reduce_units(cx):
+def _reduce_units(cx, matching=()):
     """The `UnitReduction` of cx: cancel every pair of cells joined by a
     unit incidence (see `_cancel`), the elementary reduction of Kaczynski,
     Mischaikow and Mrozek ("Computational Homology", 2004), and record
@@ -1032,28 +1078,42 @@ def _reduce_units(cx):
     the remainder has the same cohomology over Z, and its differentials
     hold no +-1.
 
-    Pivots are picked to limit fill-in: the sparsest row with a unit, then
-    its unit column with the fewest entries.  The remainder of a complex
-    with a differential is a new `CochainComplex`, so d o d = 0 is
-    re-checked on it in exact arithmetic and raises CertificateError when
-    it fails.  A complex with no differential has nothing to cancel and
-    nothing to re-check: it is its own remainder, with the identity
-    `index` and no `steps`.
+    `matching` lists pairs (k, s, t) known in advance to be joined by
+    units, cell s of C^k against cell t of C^(k+1): an `ic.ICResult`
+    hands over the cone matching its truncation recorded, cofaces first.
+    They are cancelled first, in the order given, each through `_cancel`,
+    which re-checks its unit (CertificateError, also under `python -O`),
+    and recorded as the first `steps`.  A matching that is acyclic keeps
+    every later coefficient it names as it was (Skoldberg, "Morse theory
+    from an algebraic viewpoint", Trans. AMS 2006), and its order only
+    sets the fill-in.  Then the rest is searched: pivots are picked to
+    limit fill-in, the sparsest row with a unit, then its unit column with
+    the fewest entries.  The remainder of a complex with a differential is
+    a new `CochainComplex`, so d o d = 0 is re-checked on it in exact
+    arithmetic and raises CertificateError when it fails.  A complex with
+    no differential has nothing to cancel and nothing to re-check: it is
+    its own remainder, with the identity `index` and no `steps`.
     """
-    if not cx.diffs:
+    if not (cx.diffs or matching):
         return UnitReduction(cx, cx, {k: dict(enumerate(range(n)))
                                       for k, n in cx.dims.items()}, [])
     # rows[k][t]: row t of d^k; cols[k][s]: the rows with a nonzero at s
     rows, cols = {}, {}
     dims = cx.dims
     for k in range(cx.lo, cx.hi):
-        rows[k] = [{} for _ in range(dims[k + 1])]
-        cols[k] = [set() for _ in range(dims[k])]
+        rk = rows[k] = [{} for _ in range(dims[k + 1])]
+        ck = cols[k] = [set() for _ in range(dims[k])]
         if k in cx.diffs:
             for (i, j), v in cx.diffs[k].entries.items():
-                rows[k][i][j] = v
-                cols[k][j].add(i)
+                rk[i][j] = v
+                ck[j].add(i)
     alive = {k: [True] * n for k, n in dims.items()}
+    steps = []
+    for k, s, t in matching:
+        prow = rows[k][t]
+        _cancel(rows, cols, k, t, s)
+        steps.append((k, s, prow[s], prow))
+        alive[k][s] = alive[k + 1][t] = False
     # one (length, degree, row) entry per queued row.  A row popped under a
     # stale length goes back under its own; a row popped without a unit
     # leaves the queue until an update changes it; a cancelled cell's row
@@ -1062,7 +1122,6 @@ def _reduce_units(cx):
             if row]
     heapq.heapify(heap)
     queued = {k: [bool(row) for row in rows[k]] for k in rows}
-    steps = []
     while heap:
         n, k, t = heapq.heappop(heap)
         prow = rows[k][t]

@@ -22,7 +22,8 @@ at every size:
   cell, else `kernel_basis`), each column with a row where it holds a
   lone 1.  One rule gives every map at the cutoff: its source, d^(k-1)
   or r B_a, is a cocycle, so it is read at the target basis's unit rows,
-  with no solve and no product.
+  with no solve and no product.  The contraction's unit pairs are recorded
+  as it builds each basis (`matching`), for the result's reduction.
 - `refine`: a truncation cut down to caller subspaces at chosen cells.
   Each subspace is read in the truncation's basis at its unit rows and
   checked by one exact product.  The maps at the cutoff that touch it
@@ -103,11 +104,11 @@ class SheafComplex:
     Provenance, recorded by the constructors that build such sheaves:
     `identity_restrictions` by `constant_sheaf`, whose restrictions are
     identities; `least_cells`, `projections`, `through` and `source` (with
-    `stalk_layouts`) by `kan_pushforward`; `untruncated`, `cutoff` and
-    `inclusions` by `truncate` and `refine`, and `refines` by `refine`.  Any
-    other sheaf keeps the defaults below: restrictions as stored, no least
-    cells, no pick lists or flag layouts, every stalk degree assembled, no
-    input, no truncation.
+    `stalk_layouts`) by `kan_pushforward`; `untruncated`, `cutoff`,
+    `inclusions` and `matching` by `truncate` and `refine`, and `refines`
+    by `refine`.  Any other sheaf keeps the defaults below: restrictions as
+    stored, no least cells, no pick lists or flag layouts, every stalk
+    degree assembled, no input, no truncation, no matching.
     """
 
     identity_restrictions = False
@@ -119,6 +120,7 @@ class SheafComplex:
     untruncated = None
     cutoff = None
     inclusions = None
+    matching = MappingProxyType({})
     refines = None
 
     @classmethod
@@ -877,22 +879,36 @@ def truncate(sheaf, degree):
     each output identity at k (d o d = 0, chain map, functoriality) times
     B on the left is the input's, and B is injective.
 
-    The result records its input as `untruncated`, k as `cutoff` and the
-    `Inclusion` of each cell's basis as `inclusions`; `refine` cuts it
-    down at chosen cells.
+    The matching.  Each truncated stalk over a fiber with a least cell
+    keeps the contraction's pairs, each a unit of an identity block of its
+    differential: every A-block of degree q < k - 1 with its partner block
+    of degree q + 1, and every A-column of degree k - 1 with its own basis
+    column, where X, being d^(k-1) read at the unit rows, holds the
+    partner row's lone 1 (`_cone_kernel` lists both as it builds the
+    basis).  Stalks eliminated by `kernel_basis` keep none.
+
+    The result records its input as `untruncated`, k as `cutoff`, the
+    `Inclusion` of each cell's basis as `inclusions`, and, as `matching`,
+    cell -> its pairs as runs (q, col, row, size): columns col to col +
+    size - 1 of the truncated stalk's degree q against rows row to row +
+    size - 1 of its degree q + 1, in that order.  `refine` cuts it down at
+    chosen cells, and an `ic.ICResult` hands the matching to its unit
+    reduction (`linalg._reduce_units`).
     """
     k = int(degree)
     if sheaf.through is not None and sheaf.through < k:
         raise SheafError("a pushforward assembled through stalk degree %d "
                          "cannot be truncated at %d" % (sheaf.through, k))
-    bases, stalks = {}, {}
+    bases, stalks, matching = {}, {}, {}
     for c in sheaf.stalks:
-        bases[c], stalks[c] = _truncated_stalk(sheaf, c, k)
+        bases[c], stalks[c], runs = _truncated_stalk(sheaf, c, k)
+        if runs:
+            matching[c] = runs
     restrictions = {cover: {q: m if q < k else _cutoff_map(sheaf, cover, k,
                                                            bases)
                             for q, m in mats.items() if q <= k}
                     for cover, mats in sheaf.restrictions.items()}
-    return _truncation(sheaf, k, stalks, restrictions, bases)
+    return _truncation(sheaf, k, stalks, restrictions, bases, matching)
 
 
 def refine(T, subspaces):
@@ -917,8 +933,9 @@ def refine(T, subspaces):
     output identity at k times S on the left is T's.
 
     The result records T's `untruncated` and `cutoff`, `Inclusion(S,
-    None)` at each subspace cell and T's elsewhere as `inclusions`, and T
-    as `refines`.
+    None)` at each subspace cell and T's elsewhere as `inclusions`, T's
+    `matching` away from the subspace cells, whose stalks changed at the
+    cutoff, and T as `refines`.
     """
     k = T.cutoff
     bases, stalks = dict(T.inclusions), dict(T.stalks)
@@ -944,7 +961,9 @@ def refine(T, subspaces):
             if b in coords:
                 y = solve_columns(coords[b], y)
             restrictions[(a, b)] = {**mats, k: y}
-    out = _truncation(T.untruncated, k, stalks, restrictions, bases)
+    matching = {c: runs for c, runs in T.matching.items()
+                if c not in subspaces}
+    out = _truncation(T.untruncated, k, stalks, restrictions, bases, matching)
     out.refines = T
     return out
 
@@ -960,21 +979,21 @@ class Inclusion(namedtuple("Inclusion", "basis units")):
 
 
 def _truncated_stalk(sheaf, c, k):
-    """(Inclusion of ker d^k, truncated stalk) at cell c, cut at k: the
-    cone contraction's basis on a fiber with a least cell, else
-    `kernel_basis`.  d^(k-1) in the basis is read at its unit rows, as
-    `truncate` says."""
+    """(Inclusion of ker d^k, truncated stalk, matching) at cell c, cut at
+    k: the cone contraction's basis and pairs on a fiber with a least cell,
+    else `kernel_basis` and no pairs.  d^(k-1) in the basis is read at its
+    unit rows, as `truncate` says."""
     cx = sheaf.stalks[c]
     if sheaf.least_cells.get(c) is None:
         basis = kernel_basis(cx.diff(k))
-        inc = Inclusion(basis, unit_rows(basis))
+        inc, runs = Inclusion(basis, unit_rows(basis)), ()
     else:
-        inc = _cone_kernel(sheaf, c, k)
+        inc, runs = _cone_kernel(sheaf, c, k)
     dims = {q: cx.dim(q) if q < k else inc.basis.cols
             for q in cx.degrees() if q <= k} or {k: 0}
     diffs = {q: cx.diff(q) if q + 1 < k else _at_rows(cx.diff(q), inc.units)
              for q in dims if q + 1 in dims}
-    return inc, CochainComplex._of(dims, diffs)
+    return inc, CochainComplex._of(dims, diffs), runs
 
 
 def _cutoff_map(sheaf, cover, k, bases):
@@ -997,14 +1016,15 @@ def _at_rows(m, rows):
                                              in m.entries.items() if i in at})
 
 
-def _truncation(sheaf, k, stalks, restrictions, bases):
+def _truncation(sheaf, k, stalks, restrictions, bases, matching):
     out = SheafComplex._of(sheaf.space, stalks, restrictions)
     # provenance for pairings: the ambient sheaf and how the cutoff degree
     # embeds back into it (an Inclusion per cell; lower degrees embed
-    # identically)
+    # identically); and for the result's reduction, the cone matching
     out.untruncated = sheaf
     out.cutoff = k
     out.inclusions = bases
+    out.matching = matching
     return out
 
 
@@ -1039,22 +1059,33 @@ def _partners(layout, s, deg):
 
 
 def _cone_kernel(sheaf, t, k):
-    """The `Inclusion` of ker d^k in the stalk over t of the pushforward
-    `sheaf`, whose fiber has the least cell s: the A-columns of d^(k-1),
-    then iota of the kernel of d_s on the input's stalk over s, with their
-    unit rows, certified as `truncate` says.  Only degrees up to k of the
-    stalk are read: the A-blocks and their partners come from one merge of
-    the layout (`_partners`), one pass over d^(k-1) picks out the
-    A-columns, and iota is written from the input (`_lifts`).  The unit
-    entries are written first, so the scan of `linalg.unit_rows` finds the
-    same rows."""
+    """(Inclusion, matching) of ker d^k in the stalk over t of the
+    pushforward `sheaf`, whose fiber has the least cell s: the A-columns of
+    d^(k-1), then iota of the kernel of d_s on the input's stalk over s,
+    with their unit rows, certified as `truncate` says.  Only degrees up to
+    k of the stalk are read: the A-blocks and their partners come from one
+    merge of the layout per degree (`_partners`), one pass over d^(k-1)
+    picks out the A-columns, and iota is written from the input
+    (`_lifts`).  The unit entries are written first, so the scan of
+    `linalg.unit_rows` finds the same rows.
+
+    The matching is the truncated stalk's, as runs (q, col, row, size)
+    (see `truncate`, and `_runs`, which joins adjacent pairs): the
+    A-columns of degree k - 1 against their basis columns, recorded from
+    the merge that places them (`where`), then the A-blocks of each lower
+    degree against their partners, highest degree first."""
     cx, layout = sheaf.stalks[t], sheaf.stalk_layouts[t]
     s = sheaf.least_cells[t]
     # each column of d^(k-1): its basis column p >= 0 at an A-flag, else -1
-    where, units = [-1] * cx.dim(k - 1), []
+    where, units, cut = [-1] * cx.dim(k - 1), [], []
     for (_f, _q, off, size), (_g, _p, poff, _n) in _partners(layout, s, k - 1):
+        cut.append((off, len(units), size))
         where[off:off + size] = range(len(units), len(units) + size)
         units.extend(range(poff, poff + size))
+    runs = _runs(k - 1, cut)
+    for q in range(k - 2, min(layout, default=k) - 1, -1):
+        runs += _runs(q, [(off, poff, size) for (_f, _q, off, size),
+                          (_g, _p, poff, _n) in _partners(layout, s, q)])
     na = len(units)
     # the one-cell flags come first in each degree, and iota lives on them
     heads = []
@@ -1080,7 +1111,23 @@ def _cone_kernel(sheaf, t, k):
     ent.update(((i, where[j]), v) for (i, j), v
                in cx.diff(k - 1).entries.items() if where[j] >= 0)
     ent.update(iota)
-    return Inclusion(ExactMatrix._of(cx.dim(k), na + nz, ent), tuple(units))
+    return (Inclusion(ExactMatrix._of(cx.dim(k), na + nz, ent), tuple(units)),
+            tuple(runs))
+
+
+def _runs(q, pairs):
+    """The pairs (col, row, size) of stalk degree q, in order, as runs (q,
+    col, row, size), merging each pair that starts where the last ended on
+    both sides.  The flags with bottom s are adjacent in each length, so
+    the A-flags of a length, and their partners, form few runs."""
+    out = []
+    for col, row, size in pairs:
+        if out and out[-1][1] + out[-1][3] == col and \
+                out[-1][2] + out[-1][3] == row:
+            out[-1] = (q, out[-1][1], out[-1][2], out[-1][3] + size)
+        else:
+            out.append((q, col, row, size))
+    return out
 
 
 def _lifts(source, s, k, z, cells):

@@ -734,14 +734,16 @@ def test_golden_kunneth_torus(tmp_path):
 # deliberate change of cohomology bases moves the reports that print
 # pairing matrices: lifting the bases through the unit reduction moved
 # refined-duality (was e58514fe...), intersect product:t2,s1 (c50596e7...)
-# and reproduce (e71af8e1...)
+# and reproduce (e71af8e1...); cancelling the truncation's cone matching
+# first moved refined-duality (was 7b9b4491...) and reproduce
+# (87a59672...) again, each refined pairing value by a sign
 GOLDEN_REPORTS = [
     (["ih", "--example", "cone-t2", "--perversity", "upper-middle"],
      "7f86f77b324b8f1609c6a1db6d50c80d8fd99f52f20341b35f8e0dda824c47af"),
     (["sheaf", "--example", "cone-s1"],
      "4d6fb17513c4e5dfe6028295717bd176df820d4c5fe595ab1dabc1137fabe399"),
     (["reproduce", "--example", "refined-duality"],
-     "7b9b4491e26adb80d2ec77a45907073fec8a4abe5520c0ca1bb20980f1e00045"),
+     "535aa93805f71eb685cfc18a488464f85a6b3e70eb9da894d4fb3ca95b2787c8"),
     # reports that render matrix entries and pairing values, where an int
     # in place of a Fraction would print as a bare number
     (["intersect", "--example", "t2"],
@@ -775,7 +777,7 @@ GOLDEN_REPORTS = [
     # every scenario; the Tor row is the one path through
     # FGAbelianGroup.tor
     (["reproduce"],
-     "87a59672fd2de0483f70eb6074a626fbfe6eee1d4fb0093c29dd55e2bf26bde7"),
+     "db5521dbccf70614904ff326d9b596ab46457cc689b18a5c2e7090973bd47a96"),
     (["reproduce", "--example", "tor-correction"],
      "e74d4015ad30c2ce66a2c2fd32c99fb13d2f2db1cf1645e71201d7eff98b4d30"),
     (["mezzo", "--example", "suspension-t2", "--dump"],

@@ -576,13 +576,16 @@ def test_sparse_pairing_matches_the_dense_reference(name):
 
 
 def test_middle_perversity_pairing(res_m, res_n):
-    # pinned in the bases lifted through the unit reduction; the greedy
-    # bases of the whole complexes gave 1 in degree 0 and [[0, 1], [-1, 0]]
-    # in degree 2 (`test_pairings_move_by_the_change_of_basis` relates them)
+    # pinned in the bases lifted through the unit reduction, which cancels
+    # the truncation's cone matching first; the greedy bases of the whole
+    # complexes gave 1 in degree 0 and [[0, 1], [-1, 0]] in degree 2, and
+    # the heap's own pivots -1 and [[-1, 0], [0, -1]]
+    # (`test_pairings_move_by_the_change_of_basis` relates them)
     pm0 = ic_pairing(res_m, res_n, 0)
-    assert pm0.matrix.to_triples() == [(0, 0, "-1/1")]
+    assert pm0.matrix.to_triples() == [(0, 0, "1/1")]
     pm2 = ic_pairing(res_m, res_n, 2)
-    assert pm2.matrix.to_triples() == [(0, 0, "-1/1"), (1, 1, "-1/1")]
+    assert pm2.matrix.to_triples() == [(0, 0, "-1/1"), (0, 1, "1/1"),
+                                       (1, 0, "1/1")]
     assert pm2.nondegenerate()
     # graded symmetry, which holds in any bases:
     # m_(n,m)(1) = (-1)^(1 * 2) m_(m,n)(2)^T
@@ -690,28 +693,47 @@ def _count_cohomology_bases(monkeypatch):
     return calls
 
 
+def _fresh(res):
+    # the same result with a new complex and reduction, no basis kept yet
+    return ic_module.ICResult(res.space, res.sheaf, res.cutoffs, res.label)
+
+
 def test_pairing_context_computes_each_basis_once(monkeypatch, res_w):
-    # the refined-duality scenario: one context, the same result on both
-    # sides, degrees 0..3; each of the four bases is computed once, off
-    # the reduction the result holds
-    context = PairingContext(res_w, res_w)
+    # the refined-duality scenario: two contexts, one after the other, on
+    # the same result on both sides, degrees 0..3; each of the four bases
+    # is computed once per reduction, off the reduction the result holds,
+    # and the second context reads the bases the first one left there
+    res = _fresh(res_w)
     calls = _count_cohomology_bases(monkeypatch)
-    got = [context.matrix(k).matrix for k in range(4)]
-    assert sorted(calls) == [(id(res_w.reduction), k) for k in range(4)]
+    first = PairingContext(res, res)
+    got = [first.matrix(k).matrix for k in range(4)]
+    assert sorted(calls) == [(id(res.reduction), k) for k in range(4)]
     calls.clear()
-    assert [context.matrix(k).matrix for k in range(4)] == got
+    second = PairingContext(res, res)
+    assert [second.matrix(k).matrix for k in range(4)] == got
+    assert [first.matrix(k).matrix for k in range(4)] == got
     assert calls == []
 
 
 def test_pairing_context_keeps_two_results_apart(monkeypatch, res_m, res_n):
-    context = PairingContext(res_m, res_n)
+    # two results in two contexts: each degree is computed once per
+    # reduction, and each result reads only its own
+    low, high = _fresh(res_m), _fresh(res_n)
     calls = _count_cohomology_bases(monkeypatch)
+    context = PairingContext(low, high)
     for k in (1, 2, 1):
         context.matrix(k)
-    assert sorted(calls) == sorted([(id(res_m.reduction), 1),
-                                    (id(res_n.reduction), 2),
-                                    (id(res_m.reduction), 2),
-                                    (id(res_n.reduction), 1)])
+    swapped = PairingContext(high, low)
+    for k in (1, 2):
+        swapped.matrix(k)
+    assert sorted(calls) == sorted([(id(low.reduction), 1),
+                                    (id(high.reduction), 2),
+                                    (id(low.reduction), 2),
+                                    (id(high.reduction), 1)])
+    for k in (1, 2):
+        assert low.reduction.lifts(k) is not high.reduction.lifts(k)
+        assert low.reduction.lifts(k) == res_m.reduction._lifts(k)
+        assert high.reduction.lifts(k) == res_n.reduction._lifts(k)
 
 
 def _unit(n, i):
@@ -1345,7 +1367,9 @@ def test_ladder_pushforwards_reach_the_complementary_pairing_depth(
     full = PairingContext(*(ref_deligne_construction(sp, Perversity.named(p))
                             for p in "mn"))
     assert full.ambient(0).R.through is None
-    want = {0: [[-1]], 1: [], 2: [[-1, 0], [0, -1]], 3: [[1]]}
+    # in the bases that cancel the cone matching first; the heap's own
+    # pivots gave [[-1]] in degree 0 and [[-1, 0], [0, -1]] in degree 2
+    want = {0: [[1]], 1: [], 2: [[-1, 1], [1, 0]], 3: [[1]]}
     for k in range(4):
         got = context.matrix(k).matrix
         assert got == full.matrix(k).matrix, k
@@ -1456,8 +1480,10 @@ def test_rebuilt_ambient_refuses_rank_two_coefficients():
 # sha256 of the matrices `_all_matrices` gives for three Lagrangians on
 # suspension-genus2 in the bases lifted through the unit reduction; the
 # greedy bases of the whole complexes gave 632e1ddd...
+# cancelling the truncation's cone matching first moved the bases, and
+# these matrices with them (was 5a805332...)
 SUSPENSION_GENUS2_MATRICES = \
-    "5a80533288a2b52fb71e802eb04a609ea5c0f7e8e12cb0754e1e4ff1e9d355f5"
+    "fe73459e52c3bde7bfc742f85b00d4abee2222fad3e2dc6a788cd371ba19d8cf"
 
 
 def _refined_results(name, count=3):
@@ -1524,9 +1550,12 @@ def test_top_truncation_is_the_result_when_it_took_no_subspace(ss2_reaching):
 
 
 def test_ambient_complex_only_where_a_product_overshoots(monkeypatch, res_w):
-    # in the lifted bases only the degree-2 products have components above
-    # cut_top; the complex assembled is that of the ambient the middle
-    # degrees share, and a second matrix in that degree reuses it
+    # in the bases lifted through the cone matching no product has
+    # components above cut_top, so no matrix assembles a complex.  The
+    # bases of the heap's own pivots (the reduction without the matching)
+    # are classes of the same complex whose degree-2 products do overshoot:
+    # `value` on them assembles the complex of the ambient the middle
+    # degrees share, once, and clears the overshoot to a nonzero value
     assembled = []
     real = sheaves.incidence_complex
 
@@ -1540,9 +1569,15 @@ def test_ambient_complex_only_where_a_product_overshoots(monkeypatch, res_w):
     assert assembled == []
     context = PairingContext(res_w, res_w)
     context.matrix(1)
-    assert assembled == []
     context.matrix(2)
+    assert assembled == []
+    plain = res_w.complex.reduction()
+    x, y = plain.cohomology_basis(1)[0], plain.cohomology_basis(2)[0]
+    assert context.value(x, 1, y) != 0
+    assert assembled == []
+    assert context.value(y, 2, x) != 0
     assert assembled == [context.ambient(2).R]
+    context.value(y, 2, x)
     context.matrix(2)
     context.matrix(1)
     assert assembled == [context.ambient(1).R]

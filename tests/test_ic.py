@@ -6,6 +6,8 @@ freeze) before the construction ran; the construction has to reproduce
 them exactly.
 """
 
+from types import MappingProxyType
+
 import pytest
 from conftest import ref_deligne_construction, run_python, two_term_sheaf
 from hypothesis import given, settings, strategies as hst
@@ -154,6 +156,18 @@ def test_support_conditions_audit():
         table = verify_support_conditions(deligne_construction(st, perv))
         assert all(row["ok"] for row in table.values())
         assert table[0]["allowed"] == perv(3)
+
+
+def test_support_audit_does_not_read_the_matching(monkeypatch):
+    # the audit is independent of the cone matching the truncation hands
+    # to the result's reduction: stripping it leaves the table as it was
+    st = get_example("suspension-t2")
+    for res in (deligne_construction(st, N),
+                deligne_construction(get_example("cone-cone-s1"), N)):
+        want = verify_support_conditions(res)
+        assert res.sheaf.matching
+        monkeypatch.setattr(res.sheaf, "matching", MappingProxyType({}))
+        assert verify_support_conditions(res) == want
 
 
 def test_empty_regular_part():

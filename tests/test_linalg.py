@@ -1935,7 +1935,7 @@ def test_lift_certificate_under_optimize():
         "rejected: a lifted class of degree 0 is not a cocycle"]
 
 
-def _example_result(name, kind):
+def _example_result(name, kind, lagrangian=0):
     from strat_ic import ic
     space = get_example(name)
     if kind != "refined":
@@ -1943,7 +1943,8 @@ def _example_result(name, kind):
     choices = {}
     for v in sorted(space.stratum(0)):
         _lk, _basis, form = ic.link_middle_form(space, v)
-        choices[v] = ic.lagrangian_subspaces(form, count_limit=1)[0]
+        choices[v] = ic.lagrangian_subspaces(
+            form, count_limit=lagrangian + 1)[lagrangian]
     return ic.refined_ic(space, ic.Mezzoperversity(choices))
 
 
@@ -1955,10 +1956,244 @@ def _example_result(name, kind):
     for kind in ("m", "n")
 ] + [("suspension-t2", "refined"), ("suspension-genus2", "refined")])
 def test_cohomology_basis_matches_two_rref_reference_on_results(name, kind):
+    # a result's reduction cancels its truncation's cone matching first, so
+    # its bases are those of a fresh reduction handed the same matching
+    # (a plain `c.reduction()` picks other pivots, and other bases)
+    from strat_ic import ic
     res = _example_result(name, kind)
     c = res.complex
+    again = c.reduction(ic._handed_over(res.sheaf, res.layout))
     for k in c.degrees():
         got = res.reduction.cohomology_basis(k)
-        assert got == c.cohomology_basis(k) == \
+        assert got == again.cohomology_basis(k) == \
             _matching_lift_reference(res.reduction, k)
         _assert_same_classes(c, k, got, _two_rref_cohomology_basis(c, k))
+
+
+# -- the cone matching handed over by the ladder -----------------------------
+#
+# A result of a truncation hands the cone matching its truncation recorded
+# to its unit reduction, which cancels those pairs first, cofaces first.
+# The references below rebuild the matching from the pushforward's flag
+# layouts by name: an A-flag f (bottom not the least cell s) goes with the
+# flag (s) + f, found by lookup, not by the merge of `sheaves._partners`.
+
+def _cone_pairs(res):
+    """(key, (k, s, t)) for every pair the ladder hands over, unsorted: each
+    A-flag of stalk degree q below the cutoff, at a cell whose fiber has a
+    least cell and whose stalk kept the plain kernel, with its partner in
+    degree q + 1 below the cutoff, or at the cutoff the basis column whose
+    unit row is the partner's; key = (-dim, -q, coordinate)."""
+    G = res.sheaf
+    F, cut = G.untruncated, G.cutoff
+    at = {(c, q): (deg, off) for deg, blocks in res.layout.items()
+          for c, q, off, _n in blocks}
+    out = []
+    for c, s in F.least_cells.items():
+        inc = G.inclusions[c]
+        if s is None or inc.units is None:
+            continue
+        layout = F.stalk_layouts[c]
+        place = {(f, q): off for q, blocks in layout.items()
+                 for f, _q, off, _n in blocks}
+        for q in range(cut):
+            for f, _q, off, size in layout.get(q, ()):
+                if f[0] == s:
+                    continue
+                poff = place[((s,) + f, q + 1)]
+                deg, lo = at[(c, q)]
+                hi = at[(c, q + 1)][1]
+                for i in range(size):
+                    up = poff + i
+                    if q + 1 == cut:
+                        up = inc.units.index(up)
+                    out.append(((-len(c), -q, lo + off + i),
+                                (deg, lo + off + i, hi + up)))
+    return out
+
+
+def _a_flags_below_the_cutoff(res):
+    """The number of A-flag coordinates of stalk degree below the cutoff
+    over every stalk with a least cell and the plain kernel."""
+    G = res.sheaf
+    F = G.untruncated
+    return sum(size for c, s in F.least_cells.items()
+               if s is not None and G.inclusions[c].units is not None
+               for q, blocks in F.stalk_layouts[c].items() if q < G.cutoff
+               for f, _q, _off, size in blocks if f[0] != s)
+
+
+_HANDOVER_RESULTS = [
+    (name, kind, 0)
+    for name in ("cone-s2", "cone-t2", "cone-genus2", "cone-cone-s1",
+                 "suspension-s2", "suspension-t2", "suspension-genus2")
+    for kind in ("m", "n", "t")
+] + [("cone-product:s2,s1", "t", 0)] + [
+    (name, "refined", i) for name in ("suspension-t2", "suspension-genus2")
+    for i in range(3)]
+
+
+@pytest.mark.parametrize("name, kind, lagrangian", _HANDOVER_RESULTS)
+def test_handed_over_reduction_matches_the_plain_one(name, kind, lagrangian):
+    # the reduction that cancels the cone matching first has the Betti
+    # numbers of the plain one, bases of the same classes as the greedy
+    # basis of the whole complex, and lifts that are cocycles; its first
+    # steps are the handed-over pairs, in their order (`cone-product:s2,s1`
+    # at t, cut at 2, is the one case with pairs below the cutoff's)
+    res = _example_result(name, kind, lagrangian)
+    c, red = res.complex, res.reduction
+    want = [pair for _key, pair in sorted(_cone_pairs(res))]
+    assert bool(want) == (res.sheaf.cutoff > 0)
+    assert [(k, s) for k, s, _p, _row in red.steps[:len(want)]] == \
+        [(k, s) for k, s, _t in want]
+    assert red.betti_numbers() == c.reduction().betti_numbers()
+    for k in c.degrees():
+        d = linalg._rows(c.diff(k))
+        for x in red.lifts(k):
+            assert not any(sum(v * x[j] for j, v in row.items() if j in x)
+                           for row in d)
+        _assert_same_classes(c, k, red.cohomology_basis(k),
+                             _two_rref_cohomology_basis(c, k))
+
+
+@pytest.mark.parametrize("name, kind, lagrangian", [
+    ("cone-t2", "n", 0), ("cone-cone-s1", "t", 0),
+    ("suspension-genus2", "t", 0), ("cone-product:s2,s1", "t", 0),
+    ("suspension-t2", "refined", 1)])
+def test_handed_over_pairs_come_first_cofaces_first(name, kind, lagrangian):
+    # one pair per A-flag below the cutoff, cancelled first, by descending
+    # cell dimension, then descending stalk degree, then layout order
+    from strat_ic import ic
+    res = _example_result(name, kind, lagrangian)
+    keyed = sorted(_cone_pairs(res))
+    want = [pair for _key, pair in keyed]
+    assert len(want) == _a_flags_below_the_cutoff(res) > 0
+    assert ic._handed_over(res.sheaf, res.layout) == want
+    steps = res.reduction.steps[:len(want)]
+    assert [(k, s) for k, s, _p, _row in steps] == \
+        [(k, s) for k, s, _t in want]
+    assert all(p * p == 1 and row[s] == p for _k, s, p, row in steps)
+    dims = [(-key[0], -key[1]) for key, _pair in keyed]
+    assert dims == sorted(dims, reverse=True)
+    if name == "cone-product:s2,s1":
+        assert {q for _d, q in dims} == {0, 1}
+
+
+def test_handed_over_pair_that_is_not_a_unit_is_refused():
+    # a handed-over coefficient tampered to 2 is refused by the unit check
+    # of `_cancel`, plainly and under -O
+    code = "\n".join([
+        "from strat_ic import ic, linalg",
+        "from strat_ic.examples import get_example",
+        "res = ic.deligne_construction(get_example('cone-t2'),",
+        "                              ic.Perversity.named('n'))",
+        "pairs = ic._handed_over(res.sheaf, res.layout)",
+        "k, s, t = pairs[len(pairs) // 2]",
+        "cx = res.complex",
+        "d = cx.diffs[k]",
+        "print(d.entry(t, s) in (1, -1))",
+        "ent = dict(d.entries)",
+        "ent[(t, s)] = 2",
+        "bad = linalg.CochainComplex._of(cx.dims, {**cx.diffs, k:",
+        "    linalg.ExactMatrix._of(d.rows, d.cols, ent)})",
+        "try:",
+        "    linalg._reduce_units(bad, pairs)",
+        "    print('accepted')",
+        "except linalg.CertificateError as e:",
+        "    print('rejected:', e)",
+    ])
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "True", "rejected: cancelled coefficient 2 is not a unit"]
+
+
+# -- `_cancel` writes its Schur update inline: the pivots do not move -------
+
+def _reference_reduce_units(cx):
+    """(steps, index, remainder diffs) of the unit reduction, by a plain
+    copy of the loop before `_cancel` wrote its Schur update inline: each
+    touched row takes `_axpy`.  Same pivot rule: the sparsest queued row
+    with a unit, then its unit column with the fewest entries."""
+    rows, cols = {}, {}
+    for k in range(cx.lo, cx.hi):
+        rows[k] = [{} for _ in range(cx.dim(k + 1))]
+        cols[k] = [set() for _ in range(cx.dim(k))]
+        if k in cx.diffs:
+            for (i, j), v in cx.diffs[k].entries.items():
+                rows[k][i][j] = v
+                cols[k][j].add(i)
+
+    def cancel(k, t, s):
+        prow = rows[k][t]
+        p = prow[s]
+        assert p * p == 1
+        touched = [r for r in cols[k][s] if r != t]
+        for r in touched:
+            row = rows[k][r]
+            linalg._axpy(row, prow, -row[s] * p, cols=cols[k], i=r)
+        for c in prow:
+            cols[k][c].discard(t)
+        rows[k][t] = {}
+        if k - 1 in rows:
+            for c in rows[k - 1][s]:
+                cols[k - 1][c].discard(s)
+            rows[k - 1][s] = {}
+        if k + 1 in rows:
+            for r in cols[k + 1][t]:
+                del rows[k + 1][r][t]
+            cols[k + 1][t] = set()
+        return touched
+
+    alive = {k: [True] * n for k, n in cx.dims.items()}
+    heap = [(len(row), k, t) for k in rows for t, row in enumerate(rows[k])
+            if row]
+    heapq.heapify(heap)
+    queued = {k: [bool(row) for row in rows[k]] for k in rows}
+    steps = []
+    while heap:
+        n, k, t = heapq.heappop(heap)
+        prow = rows[k][t]
+        if prow and len(prow) != n:
+            heapq.heappush(heap, (len(prow), k, t))
+            continue
+        queued[k][t] = False
+        units = [(len(cols[k][s]), s) for s, x in prow.items() if x * x == 1]
+        if not units:
+            continue
+        s = min(units)[1]
+        steps.append((k, s, prow[s], prow))
+        for r in cancel(k, t, s):
+            if not queued[k][r]:
+                queued[k][r] = True
+                heapq.heappush(heap, (len(rows[k][r]), k, r))
+        alive[k][s] = alive[k + 1][t] = False
+    index = {k: {old: new for new, old in
+                 enumerate(i for i, a in enumerate(live) if a)}
+             for k, live in alive.items()}
+    diffs = {k: {(index[k + 1][t], index[k][s]): x
+                 for t, row in enumerate(drows) for s, x in row.items()}
+             for k, drows in rows.items()}
+    return steps, index, {k: e for k, e in diffs.items() if e}
+
+
+def _assert_reduction_matches_the_reference_loop(c):
+    red = linalg._reduce_units(c)
+    steps, index, diffs = _reference_reduce_units(c)
+    assert red.steps == steps
+    assert red.index == index
+    assert {k: m.entries for k, m in red.remainder.diffs.items()} == diffs
+
+
+@given(st.one_of(two_step_complex(), two_step_complex(sparse_rationals),
+                 two_step_complex(unit_ints), integer_complexes(),
+                 unit_reducible_complexes().map(lambda case: case[0])))
+def test_inline_schur_update_matches_the_reference_loop(c):
+    _assert_reduction_matches_the_reference_loop(c)
+
+
+@pytest.mark.parametrize("name", ["t2", "product:t2,s1"])
+def test_inline_schur_update_matches_the_reference_loop_on_cochains(name):
+    _assert_reduction_matches_the_reference_loop(
+        get_example(name).complex.cochain_complex())

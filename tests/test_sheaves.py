@@ -40,6 +40,23 @@ def test_constant_sheaf_matches_simplicial():
         assert _betti_tuple(coh, s.dim) == betti, name
 
 
+@pytest.mark.parametrize("name", ["s2", "t2", "genus2", "product:s1,s1",
+                                  "product:t2,s1", "cone-t2",
+                                  "suspension-s2"])
+def test_constant_sheaf_incidence_complex_is_the_cochain_complex(name):
+    # the incidence complex of the rank-one constant sheaf is the simplicial
+    # cochain complex entry for entry: the same cells in the same order and
+    # the same `facets` signs.  So the `sheaf` command's simplicial-betti
+    # oracle and proptest's sheaf-gluing row reduce one matrix twice: they
+    # check that the reduction is deterministic, not a second route
+    s = get_example(name)
+    cx, _layout = sheaves.incidence_complex(constant_sheaf(s, 1))
+    cc = s.complex.cochain_complex()
+    assert cx.dims == cc.dims
+    assert {k: m.entries for k, m in cx.diffs.items()} == \
+        {k: m.entries for k, m in cc.diffs.items()}
+
+
 def test_flag_model_agrees_on_full_space():
     for name in ("s1", "cone-s1", "s2"):
         s = get_example(name)
@@ -979,8 +996,8 @@ def test_cone_kernel_spans_the_kernel(case):
         if s is None:
             assert inc.basis == old
             continue
-        got = sheaves._cone_kernel(push, t, k)
-        assert inc == got
+        got, runs = sheaves._cone_kernel(push, t, k)
+        assert inc == got and cut.matching.get(t, ()) == runs
         assert got.units == unit_rows(got.basis)
         new = got.basis
         assert_normalized(new)
@@ -1644,11 +1661,16 @@ def test_mezzo_pairing_complexes_above_1500_pass_certify(monkeypatch):
         built.append(real(layout, arrows))
         return built[-1]
     monkeypatch.setattr(sheaves, "_total_complex", keep)
-    # degree 2 has a product above the top truncation's window, which
-    # assembles the complex of the ambient built for the middle degrees
-    # (through stalk degree 2; the result's own stops at 1)
+    # a degree-2 class of the heap's own pivots (the reduction without the
+    # cone matching) times a degree-1 class has a product above the top
+    # truncation's window, which assembles the complex of the ambient
+    # built for the middle degrees (through stalk degree 2; the result's
+    # own stops at 1)
     for k in (1, 2):
         duality.ic_pairing(res, res, k)
+    plain = res.complex.reduction()
+    duality.PairingContext(res, res).value(plain.cohomology_basis(2)[0], 2,
+                                           plain.cohomology_basis(1)[0])
     assert max(cx.total_dimension() for cx in built) > 1500
     for cx in built:
         cx.certify()
