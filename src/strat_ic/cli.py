@@ -716,9 +716,10 @@ def _scenario_local(bundle):
         bundle.add("local W%d on cone-t2" % (i + 1), out["value"],
                    verdict=out["value"] == 1)
     s2 = get_example("s2")
-    pt = s2.complex.cochain_complex().cohomology_basis(0)[0]
-    z = duality.intersection_number(s2, pt, pt, 0, 0)
-    bundle.add("point class bookkeeping zero", z, verdict=z == 0)
+    cc = s2.complex.cochain_complex()
+    pt, top = cc.cohomology_basis(0)[0], cc.cohomology_basis(2)[0]
+    z = duality.intersection_number(s2, pt, top, 0, 2)
+    bundle.add("point class against top class", z, verdict=z != 0)
 
 
 def _scenario_tor(bundle):
@@ -887,25 +888,20 @@ def _check_restrictions(space):
 
 
 def _check_graded_commutativity(space, cc, flip=False):
+    """Whether the cup pairing M on H^1 of a closed oriented surface has
+    M == -M^T (M == M^T under the mutation, which flips the expected
+    sign); None on any other space, or on an empty H^1."""
     cx = space.complex
     if space.singular_levels() or cx.dim != 2:
-        return None
-    try:
-        signs = duality.orient_top_cells(cx)
-    except duality.NotOrientable:
         return None
     basis = cc.cohomology_basis(1)
     if not basis:
         return None
-    sign = -1 if not flip else 1  # mutation flips the expected sign
-    pos = duality._positions(cx, 1)
-    for a in basis:
-        for b in basis:
-            ab = duality._cup_eval(signs, 1, a, b, pos, pos)
-            ba = duality._cup_eval(signs, 1, b, a, pos, pos)
-            if ab != sign * ba:
-                return False
-    return True
+    try:
+        m = duality.cup_pairing_matrix(cx, 1, 1, basis, basis)
+    except duality.NotOrientable:
+        return None
+    return m.transpose() == (m if flip else m.scale(-1))
 
 
 def _check_support(space):

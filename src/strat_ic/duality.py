@@ -967,8 +967,8 @@ def intersection_number(space, class_a, class_b, p, q):
                      _positions(cx, p), _positions(cx, q))
 
 
-def local_contribution(space, mezzo, level=None):
-    """Rank of W meeting its perpendicular at one singular stratum.
+def local_contribution(space, mezzo, level):
+    """Rank of W meeting its perpendicular at the singular stratum `level`.
 
     The local count an intersection pairing picks up at an isolated
     singular point is the rank of W intersected with its perp under the
@@ -976,12 +976,6 @@ def local_contribution(space, mezzo, level=None):
     perp trivially gives zero.
     """
     from . import ic
-    if level is None:
-        levels = space.singular_levels()
-        if len(levels) != 1:
-            raise DualityError("pass level= unless there is exactly one "
-                               "singular stratum, got %r" % levels)
-        level = levels[0]
     if level not in space.stratum_levels():
         raise StratumNotFound("no stratum at level %d" % level)
     out = {}

@@ -140,7 +140,8 @@ class ICResult:
     coordinate vectors of that complex.  `reduction` is that complex's
     unit reduction, which gives `cohomology` and, to a pairing, the
     cohomology bases (kept on it per degree).  It cancels the cone
-    matching the sheaf's truncation recorded first (`_handed_over`).
+    matching the sheaf's truncation recorded first
+    (`sheaves.matched_pairs`).
     """
 
     def __init__(self, space, sheaf, cutoffs, label):
@@ -148,7 +149,7 @@ class ICResult:
         self.sheaf = sheaf
         self.complex, self.layout = sheaves.incidence_complex(sheaf)
         self.reduction = self.complex.reduction(
-            _handed_over(sheaf, self.layout))
+            sheaves.matched_pairs(sheaf, self.layout))
         self.cohomology = self.reduction.betti_numbers()
         self.cutoffs = cutoffs  # stratum level -> stalk degree cutoff
         self.label = label
@@ -159,37 +160,6 @@ class ICResult:
 
     def __repr__(self):
         return "ICResult(%s, %r)" % (self.label, self.betti())
-
-
-def _handed_over(sheaf, layout):
-    """The cone matching of a truncation (`SheafComplex.matching`, see
-    `sheaves.truncate`) as pairs (k, s, t) of its incidence complex with
-    `layout`: cell s of total degree k against cell t of degree k + 1.  A
-    stalk pair of cell c sits in the vertical differential of c, twisted by
-    (-1)^dim c, so it is still a unit there; the blocks (c, q) and
-    (c, q + 1) place it.
-
-    Order: by descending cell dimension, then descending stalk degree, then
-    layout order.  A pair of c is joined to the rest of the complex by the
-    restrictions to c's cofaces, so cancelling the cofaces' pairs first
-    leaves less of a face's pair to carry into the Schur update.  The
-    stalkwise matchings are acyclic, the complex is filtered by cell and
-    restrictions only go up in it, so their union is acyclic on the total
-    complex (Skoldberg, "Morse theory from an algebraic viewpoint", Trans.
-    AMS 2006): every pair stays a unit in any order, and `_reduce_units`
-    re-checks each one."""
-    if not sheaf.matching:
-        return ()
-    at = sheaves._block_index(layout)
-    runs = []
-    for c, cell_runs in sheaf.matching.items():
-        for q, col, row, size in cell_runs:
-            k, off, _size = at[(c, q)]
-            runs.append((-len(c), -q, off + col, k, at[(c, q + 1)][1] + row,
-                         size))
-    runs.sort()
-    return [(k, s + i, t + i) for _d, _q, s, k, t, size in runs
-            for i in range(size)]
 
 
 def _check_regular_part(space):
@@ -688,17 +658,3 @@ def refined_ic(space, mezzo):
         subspaces[vertex] = base.submatrix_cols(pivot_columns(base))
     G = refine(T, subspaces)
     return ICResult(space, G, cutoffs, "IC_L")
-
-
-def dual_mezzoperversity(space, mezzo):
-    """Replace each Lagrangian by its symplectic complement.
-
-    For honest Lagrangians this is the identity on subspaces; the returned
-    data carries independently computed complements, so comparing the two is
-    a real check.
-    """
-    out = {}
-    for vertex, w in mezzo.choices.items():
-        _lk, _basis, form = link_middle_form(space, vertex)
-        out[vertex] = lagrangian_perp(form, w)
-    return Mezzoperversity(out)

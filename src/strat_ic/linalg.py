@@ -23,14 +23,14 @@ Row elimination happens in exactly three routines:
   `duality.PairingContext`).  `rref` adds back substitution for the
   queries that read the reduced rows: `kernel_basis` (of stalk
   differentials, of remainders, and in proptest's rank-nullity check),
-  and `solve` and `solve_many` (one elimination of [m | targets]).  RREF
-  is unique, so every basis it picks is deterministic.  `kernel_basis`
-  returns a sparse matrix whose columns are the basis; it is the identity
-  on the rows of the free columns, so `solve_many` against it, or against
-  any matrix with such rows (`unit_rows`), reads the answer off those
-  rows and certifies it with one exact product on the other rows instead
-  of eliminating.  It works fraction-free (after Bareiss, Math. Comp.
-  1968) on integer rows with a column -> rows index; see `_eliminate`.
+  and `solve` and `solve_many` (one elimination of [m | targets],
+  certified by one exact product).  RREF is unique, so every basis it
+  picks is deterministic.  `kernel_basis` returns a sparse matrix whose
+  columns are the basis; it is the identity on the rows of the free
+  columns (`unit_rows`), so a cocycle's coordinates in it are its entries
+  there, with no solve.  It works fraction-free (after Bareiss, Math.
+  Comp. 1968) on integer rows with a column -> rows index; see
+  `_eliminate`.
 - `_reduce_units` cancels every pair of cells joined by a +-1 incidence
   from a cochain complex, on row dicts with a column -> rows index (see
   `_cancel`, whose Schur update is written out inline), and records each
@@ -352,7 +352,7 @@ def kernel_basis(m):
     Free columns are parametrized in increasing index order; basis column t
     belongs to the t-th free column f and has a 1 in row f.  That row has no
     other nonzero, so the basis is the identity on the free rows (see
-    `solve_many`).
+    `unit_rows`).
 
     A zero matrix has every column free, so its basis is the identity,
     with no elimination.
@@ -381,8 +381,9 @@ def unit_rows(m):
     tuple indexed by column; None when some column has no such row.
 
     Such columns are independent, and a vector m y is y read at these rows:
-    row units[j] of m y is y_j.  Every `kernel_basis` result has them, on
-    its free rows.
+    row units[j] of m y is y_j, so a vector in the span of m has its
+    coordinates there, with no solve.  Every `kernel_basis` result has
+    them, on its free rows.
 
     >>> unit_rows(ExactMatrix.from_rows([[1, 0], [2, 1], [0, 1]]))
     (0, 2)
@@ -402,18 +403,11 @@ def unit_rows(m):
 def solve_many(m, targets):
     """Matrix X with m * X == targets, or None if some column is inconsistent.
 
-    When every column j of m has a row whose only nonzero is a 1 at j
-    (`unit_rows`), row j of X is forced to be the targets' row there: one
-    such row per column is read off.  On a row read off, m * X is the row
-    of X it was copied to, so that row of m * X == targets holds by
-    construction; the exact product is checked on every other row, which
-    is the whole check (if it fails, nothing solves).  Such columns are
-    independent, so the answer is unique.  Otherwise one elimination of
-    [m | targets]: a column lies in the span of m exactly when no pivot
-    lands in the target block; free variables are set to zero, so X is
-    read off the pivot rows, and the full product certifies it
-    (CertificateError if it fails).  So every X returned satisfies
-    m * X == targets exactly.
+    One elimination of [m | targets]: a column lies in the span of m
+    exactly when no pivot lands in the target block; free variables are
+    set to zero, so X is read off the pivot rows, and the full product
+    certifies it (CertificateError if it fails).  So every X returned
+    satisfies m * X == targets exactly.
 
     >>> m = ExactMatrix.from_rows([[1, 1], [0, 0]])
     >>> solve_many(m, ExactMatrix.from_rows([[2, 3], [0, 0]])).to_triples()
@@ -427,20 +421,6 @@ def solve_many(m, targets):
     if targets.rows != m.rows:
         raise ValueError("targets of shape %r for a matrix of shape %r"
                          % (targets.shape, m.shape))
-    units = unit_rows(m)
-    if units is not None:
-        col_of = {i: j for j, i in enumerate(units)}
-        x = ExactMatrix._of(m.cols, targets.cols,
-                            {(col_of[i], c): v
-                             for (i, c), v in targets.entries.items()
-                             if i in col_of})
-        rest = ExactMatrix._of(m.rows, m.cols,
-                               {ij: v for ij, v in m.entries.items()
-                                if ij[0] not in col_of})
-        want = ExactMatrix._of(targets.rows, targets.cols,
-                               {ic: v for ic, v in targets.entries.items()
-                                if ic[0] not in col_of})
-        return x if rest * x == want else None
     r, pivot_cols = rref(m.stack_cols(targets))
     if pivot_cols and pivot_cols[-1] >= m.cols:
         return None

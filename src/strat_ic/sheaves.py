@@ -78,9 +78,8 @@ class NotOpenComplement(SheafError):
 
 
 def solve_columns(basis, target):
-    """Matrix Y with basis * Y == target (`solve_many`): read off the
-    basis's unit rows and checked by one exact product when every column
-    has one, else from one elimination of both.  `refine` is its one caller.
+    """Matrix Y with basis * Y == target (`solve_many`): one elimination
+    of both, checked by one exact product.  `refine` is its one caller.
 
     Raises SheafError when some column is not in the span: the caller picked
     a subspace that is not stable under the maps being expressed.
@@ -563,12 +562,13 @@ def flag_complex(sheaf, cells, through=None, deeper=frozenset()):
     return arrows, layout
 
 
-def sheaf_cohomology(sheaf, open_cells=None, integral=False):
+def sheaf_cohomology(sheaf, open_cells=None):
     """Hypercohomology over the whole space or an open up-set U.
 
-    Returns a dict degree -> rational betti number, or degree ->
-    FGAbelianGroup when integral=True.  For a sheaf concentrated in stalk
-    degree 0, degree 0 is the space of sections over U.
+    Returns a dict degree -> rational betti number.  For a sheaf
+    concentrated in stalk degree 0, degree 0 is the space of sections over
+    U.  Integral groups over the whole space are
+    `incidence_complex(sheaf)[0].cohomology_groups()`.
     """
     if open_cells is None:
         cx, _ = incidence_complex(sheaf)
@@ -582,8 +582,6 @@ def sheaf_cohomology(sheaf, open_cells=None, integral=False):
             raise NotOpen("cell set is not open (not an up-set)")
         arrows, layout = flag_complex(sheaf, open_cells)
         cx = _total_complex(layout, arrows)
-    if integral:
-        return cx.cohomology_groups()
     return cx.betti_numbers()
 
 
@@ -839,8 +837,8 @@ def truncate(sheaf, degree):
     A-columns vanish (an arrow into a one-cell flag comes only from its
     own stalk) and the other iota columns do too; iota vanishes on the
     partner rows.  A `kernel_basis` column has one on its free row, found
-    by the scan `solve_many` uses (`linalg.unit_rows`).  `Inclusion.units`
-    records one per column.
+    by the scan of `linalg.unit_rows`.  `Inclusion.units` records one per
+    column.
 
     Maps at the cutoff: one rule.  Below k the maps are the input's.  At k
     the truncation needs X with B X = d^(k-1) at each cell, B its basis,
@@ -892,8 +890,9 @@ def truncate(sheaf, degree):
     cell -> its pairs as runs (q, col, row, size): columns col to col +
     size - 1 of the truncated stalk's degree q against rows row to row +
     size - 1 of its degree q + 1, in that order.  `refine` cuts it down at
-    chosen cells, and an `ic.ICResult` hands the matching to its unit
-    reduction (`linalg._reduce_units`).
+    chosen cells, and an `ic.ICResult` hands it, as `matched_pairs` reads
+    it into its incidence complex, to its unit reduction
+    (`linalg._reduce_units`).
     """
     k = int(degree)
     if sheaf.through is not None and sheaf.through < k:
@@ -1128,6 +1127,37 @@ def _runs(q, pairs):
         else:
             out.append((q, col, row, size))
     return out
+
+
+def matched_pairs(sheaf, layout):
+    """The cone matching of a truncation (`SheafComplex.matching`, runs as
+    `_runs` writes them) as pairs (k, s, t) of its incidence complex with
+    `layout`: cell s of total degree k against cell t of degree k + 1.  A
+    stalk pair of cell c sits in the vertical differential of c, twisted by
+    (-1)^dim c, so it is still a unit there; the blocks (c, q) and
+    (c, q + 1) place it.
+
+    Order: by descending cell dimension, then descending stalk degree, then
+    layout order.  A pair of c is joined to the rest of the complex by the
+    restrictions to c's cofaces, so cancelling the cofaces' pairs first
+    leaves less of a face's pair to carry into the Schur update.  The
+    stalkwise matchings are acyclic, the complex is filtered by cell and
+    restrictions only go up in it, so their union is acyclic on the total
+    complex (Skoldberg, "Morse theory from an algebraic viewpoint", Trans.
+    AMS 2006): every pair stays a unit in any order, and
+    `linalg._reduce_units` re-checks each one."""
+    if not sheaf.matching:
+        return ()
+    at = _block_index(layout)
+    runs = []
+    for c, cell_runs in sheaf.matching.items():
+        for q, col, row, size in cell_runs:
+            k, off, _size = at[(c, q)]
+            runs.append((-len(c), -q, off + col, k, at[(c, q + 1)][1] + row,
+                         size))
+    runs.sort()
+    return [(k, s + i, t + i) for _d, _q, s, k, t, size in runs
+            for i in range(size)]
 
 
 def _lifts(source, s, k, z, cells):

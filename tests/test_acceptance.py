@@ -385,7 +385,7 @@ class TestLocalContribution:
             v: ic.lagrangian_subspaces(
                 ic.link_middle_form(st, v)[2], count_limit=1)[0]
             for v in verts})
-        out = duality.local_contribution(st, mezzo)
+        out = duality.local_contribution(st, mezzo, level=0)
         assert out["value"] == 2
         assert sorted(out["per_vertex"].values()) == [1, 1]
 

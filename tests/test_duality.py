@@ -1075,30 +1075,6 @@ def test_pairing_rejects_different_ambients(st, res_w):
                                     "rebuild both results alike\n")
 
 
-def test_local_contribution_needs_level_with_several_strata():
-    # cone-cone-s1 has singular strata at levels 0 and 1; a typed raise, so
-    # -O refuses too instead of picking level 0
-    cc = get_example("cone-cone-s1")
-    mezzo = Mezzoperversity({v: ExactMatrix(0, 0) for v in cc.stratum(0)})
-    with pytest.raises(DualityError, match="pass level="):
-        local_contribution(cc, mezzo)
-    code = "\n".join([
-        "from strat_ic import duality, ic",
-        "from strat_ic.examples import get_example",
-        "from strat_ic.linalg import ExactMatrix",
-        "cc = get_example('cone-cone-s1')",
-        "mezzo = ic.Mezzoperversity({v: ExactMatrix(0, 0)",
-        "                            for v in cc.stratum(0)})",
-        "try:",
-        "    print(duality.local_contribution(cc, mezzo))",
-        "except duality.DualityError as e:",
-        "    print('rejected:', e)",
-    ])
-    assert _run_optimized(code) == (
-        "rejected: pass level= unless there is exactly one singular "
-        "stratum, got [0, 1]\n")
-
-
 def test_pairing_keeps_no_ambient_sheaf_alive():
     res = deligne_construction(get_example("suspension-s1"),
                                Perversity.lower_middle())
@@ -1277,7 +1253,7 @@ def test_local_contribution_lagrangian_rank_one(st):
     for v in verts:
         _lk, _basis, form = link_middle_form(st, v)
         choices[v] = lagrangian_subspaces(form, count_limit=1)[0]
-    out = local_contribution(st, Mezzoperversity(choices))
+    out = local_contribution(st, Mezzoperversity(choices), level=0)
     assert out["per_vertex"] == {verts[0]: 1, verts[1]: 1}
     assert out["value"] == 2
 
@@ -1285,7 +1261,8 @@ def test_local_contribution_lagrangian_rank_one(st):
 def test_local_contribution_full_space_zero(st):
     verts = sorted(st.stratum(0))
     full = ExactMatrix.identity(2)
-    out = local_contribution(st, Mezzoperversity({v: full for v in verts}))
+    out = local_contribution(st, Mezzoperversity({v: full for v in verts}),
+                             level=0)
     assert out["value"] == 0
 
 
@@ -1293,7 +1270,7 @@ def test_local_contribution_errors(st):
     verts = sorted(st.stratum(0))
     full = ExactMatrix.identity(2)
     with pytest.raises(StratumNotFound):
-        local_contribution(st, Mezzoperversity({verts[0]: full}))
+        local_contribution(st, Mezzoperversity({verts[0]: full}), level=0)
     with pytest.raises(StratumNotFound):
         local_contribution(st, Mezzoperversity({v: full for v in verts}),
                            level=2)

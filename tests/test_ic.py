@@ -17,7 +17,7 @@ from strat_ic.examples import get_example
 from strat_ic.ic import (
     EmptyRegularPart, FormDegenerate, ICError, Mezzoperversity,
     MezzoStrataMismatch, NotLagrangian, Perversity, deligne_construction,
-    dual_mezzoperversity, is_lagrangian, lagrangian_perp,
+    is_lagrangian, lagrangian_perp,
     lagrangian_subspaces, link_middle_form, refined_ic, skew_gram_matrix,
     stratified_de_rham, stratumwise_rows, verify_support_conditions,
     witt_check,
@@ -472,12 +472,16 @@ def test_refined_rejects_even_codimension():
         refined_ic(cs, Mezzoperversity({}))
 
 
-def test_dual_mezzoperversity_fixes_lagrangians():
-    st = get_example("suspension-t2")
-    mez = _mezzo(st, [0, 1])
-    dual = dual_mezzoperversity(st, mez)
-    for v, w in mez.choices.items():
-        assert rank(w.stack_cols(dual.choices[v])) == rank(w)
+@pytest.mark.parametrize("name", ["suspension-t2", "suspension-genus2"])
+def test_lagrangian_perp_spans_each_lagrangian(name):
+    # a Lagrangian is its own symplectic complement, computed independently
+    # of the subspace it came from
+    space = get_example(name)
+    for v in sorted(space.stratum(0)):
+        form = link_middle_form(space, v)[2]
+        for w in lagrangian_subspaces(form, count_limit=3):
+            perp = lagrangian_perp(form, w)
+            assert rank(perp) == rank(w) == rank(w.stack_cols(perp))
 
 
 # -- differential: pushforwards through the cutoff against full ones --------

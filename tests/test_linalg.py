@@ -11,6 +11,7 @@ from conftest import assert_normalized, projective_plane, run_python
 from hypothesis import given, strategies as st
 
 import strat_ic.linalg as linalg
+import strat_ic.sheaves as sheaves
 from strat_ic.examples import get_example
 from strat_ic.linalg import (
     CertificateError,
@@ -793,21 +794,6 @@ def system(draw):
     return m, ExactMatrix.from_rows(b)
 
 
-@given(system())
-def test_solve_many_matches_gauss_reference(sys_):
-    m, targets = sys_
-    x = solve_many(m, targets)
-    ref = _gauss_solve(_dense(m), _dense(targets))
-    assert (x is None) == (rank(m.stack_cols(targets)) > rank(m))
-    if x is None:
-        assert ref is None
-        return
-    assert m * x == targets
-    assert ref is not None and x == ExactMatrix.from_rows(ref)
-    for j in range(targets.cols):
-        assert solve(m, targets.column(j)) == x.column(j)
-
-
 def _rref_solve(m, targets):
     """Reference: X read off the RREF of [m | targets], free variables
     zero; None if a pivot lands in the target block."""
@@ -824,13 +810,13 @@ nonzero_rationals = st.fractions(-3, 3, max_denominator=4).filter(bool)
 
 @st.composite
 def identity_row_systems(draw):
-    """(m, targets, fast, outside) for the identity-row path of solve_many.
+    """(m, targets, outside): m with rows of the identity, or nearly.
 
     m is a kernel basis, a row-permuted [I; A], or a near miss of the
     latter: the identity row of one column (whose A part is zeroed) holds a
-    2, or a second nonzero.  `fast` says whether every column keeps a row
-    with a lone 1.  targets is m * C, and when `outside` is set one entry in
-    a row off the identity is perturbed, which leaves the span.
+    2, or a second nonzero.  targets is m * C, and when `outside` is set
+    one entry in a row off the identity is perturbed, which leaves the
+    span.
     """
     kind = draw(st.sampled_from(["kernel", "stacked", "two", "second"]))
     if kind == "kernel":
@@ -868,15 +854,13 @@ def identity_row_systems(draw):
         j = draw(st.integers(0, nb - 1))
         delta = ExactMatrix(m.rows, nb, {(i, j): draw(nonzero_rationals)})
         targets = targets + delta
-    return m, targets, kind in ("kernel", "stacked"), outside
+    return m, targets, outside
 
 
 @given(identity_row_systems())
 def test_solve_many_identity_rows_match_references(case):
-    m, targets, fast, outside = case
-    with mock.patch.object(linalg, "rref", wraps=linalg.rref) as spy:
-        x = solve_many(m, targets)
-    assert spy.called == (not fast)
+    m, targets, outside = case
+    x = solve_many(m, targets)
     assert x == _rref_solve(m, targets)
     ref = _gauss_solve(_dense(m), _dense(targets))
     if x is None:
@@ -888,14 +872,13 @@ def test_solve_many_identity_rows_match_references(case):
 
 @st.composite
 def unit_row_systems(draw):
-    """(m, targets) for the unit-row path of solve_many, with a corrupted
-    read-off half the time.
+    """(m, targets): m with a unit row per column, targets perturbed half
+    the time.
 
     Each column of m has one or two rows holding a lone 1, the other rows
     are random.  targets is m * C; half the time one entry is perturbed in
-    a row that solve_many reads X off (so the X read off is corrupted),
-    in a second unit row of a column (which contradicts it) or in another
-    row.
+    a unit row of a column, in a second unit row (which contradicts the
+    first) or in another row.
     """
     r = draw(st.integers(1, 4))
     twins = draw(st.sets(st.integers(0, r - 1), max_size=2))
@@ -923,21 +906,21 @@ def unit_row_systems(draw):
     return m, targets
 
 
-@given(unit_row_systems())
-def test_solve_many_unit_rows_certify_like_the_full_product(case):
-    # the product on the rows not read off refuses exactly what the full
-    # product refuses; every answer returned passes the full product
-    m, targets = case
-    with mock.patch.object(linalg, "rref", wraps=linalg.rref) as spy:
-        x = solve_many(m, targets)
-    assert not spy.called
-    ref = _rref_solve(m, targets)
-    assert x == ref
+@given(st.one_of(system(), unit_row_systems(),
+                 identity_row_systems().map(lambda case: case[:2])))
+def test_solve_many_matches_gauss_reference(sys_):
+    m, targets = sys_
+    x = solve_many(m, targets)
+    ref = _gauss_solve(_dense(m), _dense(targets))
+    assert (x is None) == (rank(m.stack_cols(targets)) > rank(m))
     if x is None:
-        assert rank(m.stack_cols(targets)) > rank(m)
-    else:
-        assert m * x == targets
-        assert_normalized(x)
+        assert ref is None
+        return
+    assert m * x == targets
+    assert_normalized(x)
+    assert ref is not None and x == ExactMatrix.from_rows(ref)
+    for j in range(targets.cols):
+        assert solve(m, targets.column(j)) == x.column(j)
 
 
 def test_solve_many_certifies_rref_answers():
@@ -1959,10 +1942,9 @@ def test_cohomology_basis_matches_two_rref_reference_on_results(name, kind):
     # a result's reduction cancels its truncation's cone matching first, so
     # its bases are those of a fresh reduction handed the same matching
     # (a plain `c.reduction()` picks other pivots, and other bases)
-    from strat_ic import ic
     res = _example_result(name, kind)
     c = res.complex
-    again = c.reduction(ic._handed_over(res.sheaf, res.layout))
+    again = c.reduction(sheaves.matched_pairs(res.sheaf, res.layout))
     for k in c.degrees():
         got = res.reduction.cohomology_basis(k)
         assert got == again.cohomology_basis(k) == \
@@ -2063,12 +2045,11 @@ def test_handed_over_reduction_matches_the_plain_one(name, kind, lagrangian):
 def test_handed_over_pairs_come_first_cofaces_first(name, kind, lagrangian):
     # one pair per A-flag below the cutoff, cancelled first, by descending
     # cell dimension, then descending stalk degree, then layout order
-    from strat_ic import ic
     res = _example_result(name, kind, lagrangian)
     keyed = sorted(_cone_pairs(res))
     want = [pair for _key, pair in keyed]
     assert len(want) == _a_flags_below_the_cutoff(res) > 0
-    assert ic._handed_over(res.sheaf, res.layout) == want
+    assert sheaves.matched_pairs(res.sheaf, res.layout) == want
     steps = res.reduction.steps[:len(want)]
     assert [(k, s) for k, s, _p, _row in steps] == \
         [(k, s) for k, s, _t in want]
@@ -2083,11 +2064,11 @@ def test_handed_over_pair_that_is_not_a_unit_is_refused():
     # a handed-over coefficient tampered to 2 is refused by the unit check
     # of `_cancel`, plainly and under -O
     code = "\n".join([
-        "from strat_ic import ic, linalg",
+        "from strat_ic import ic, linalg, sheaves",
         "from strat_ic.examples import get_example",
         "res = ic.deligne_construction(get_example('cone-t2'),",
         "                              ic.Perversity.named('n'))",
-        "pairs = ic._handed_over(res.sheaf, res.layout)",
+        "pairs = sheaves.matched_pairs(res.sheaf, res.layout)",
         "k, s, t = pairs[len(pairs) // 2]",
         "cx = res.complex",
         "d = cx.diffs[k]",
