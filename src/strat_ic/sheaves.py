@@ -52,6 +52,9 @@ fiber with one, the cone contraction reads degrees up to k.  So a
 pushforward that feeds one is assembled through k, and through k + 1 only
 over the fibers with no least cell and the fibers containing one (on each
 stalk its brutal truncation: the same blocks in every degree it keeps).
+Its restrictions are built as matrices below k alone; at k and k + 1 the
+pick lists stand for them, and a reader that asks for one of those maps
+gets its matrix made from the list (`SheafComplex._cover_matrix`).
 """
 
 from __future__ import annotations
@@ -94,11 +97,16 @@ class SheafComplex:
     """Stalk complexes on cells plus restriction maps along face relations.
 
     `restrictions[(a, b)][q]` is the degree-q matrix of the map stalk(a) ->
-    stalk(b) for a covering pair a < b; missing degrees are zero maps.
-    Restrictions along longer face relations are composites (functoriality
-    makes them path independent).  A caller's sheaf is checked by
-    `validate` when it is built; the constructors of this module build
-    through `_of` (see the module docstring).
+    stalk(b) for a covering pair a < b; missing degrees are zero maps,
+    except where a pushforward records a pick list instead: one assembled
+    through k (`through`) stores no matrix in degrees k and k + 1, which a
+    truncation at k replaces, and its map there is the pick matrix of
+    `projections[(a, b)][q]`.  Read a map through `restriction`, which
+    gives the same matrix at every degree either way.  Restrictions along
+    longer face relations are composites (functoriality makes them path
+    independent).  A caller's sheaf is checked by `validate` when it is
+    built; the constructors of this module build through `_of` (see the
+    module docstring).
 
     Provenance, recorded by the constructors that build such sheaves:
     `identity_restrictions` by `constant_sheaf`, whose restrictions are
@@ -149,10 +157,16 @@ class SheafComplex:
         return range(lo, hi + 1)
 
     def _cover_matrix(self, a, b, q):
+        """Degree-q map along the cover a < b, read where it is stored: its
+        matrix in `restrictions`, else the pick matrix of its pick list in
+        `projections` (made on each call, not kept), else zero."""
         mats = self.restrictions.get((a, b))
         m = None if mats is None else mats.get(q)
         if m is not None:
             return m
+        pick = (self.projections or {}).get((a, b), {}).get(q)
+        if pick is not None:
+            return _pick_matrix(pick, self.stalks[a].dim(q))
         return ExactMatrix(self.stalks[b].dim(q), self.stalks[a].dim(q), {})
 
     def restriction(self, a, b, q):
@@ -288,7 +302,9 @@ def _incidence_into(sheaf, k):
 def _incidence_arrows(sheaf, into=None):
     """(layout, arrows) of the incidence complex, the arrows gathered as
     `flag_complex` gathers them, with the same shape check: into every
-    degree, or into degree `into` alone."""
+    degree, or into degree `into` alone.  The arrows along `facets(c)` are
+    covers, so each map is read where it is stored (`_cover_matrix`), with
+    no face check and nothing kept in `restriction`'s cache."""
     cells = sheaf.space.complex.cells
     index = sheaf.space.complex.cell_index
     sizes = _stalk_sizes(sheaf, cells)
@@ -311,7 +327,7 @@ def _incidence_arrows(sheaf, into=None):
             for sig, sign in facets(c):
                 spot = place.get((index[sig], q))
                 if spot is not None:
-                    r = sheaf.restriction(sig, c, q)
+                    r = sheaf._cover_matrix(sig, c, q)
                     if r.rows != size or r.cols != spot[1]:
                         _misfit(r, size, spot, below, (c, q))
                     if r.entries:
@@ -614,7 +630,11 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
     projection onto the target
     fiber's flags: row i holds a lone 1, in column pick[i].  The pick lists
     are recorded as `projections[(sig, tau)][q]`, next to
-    `stalk_layouts`.
+    `stalk_layouts`.  Their matrices are built into `restrictions` only in
+    the degrees below `through`: a truncation at through reads the lists
+    at through and through + 1 and replaces those maps, so no matrix is
+    built there for it, and any other reader gets the matrix from the list
+    (`SheafComplex._cover_matrix`).
 
     Certificate, at every size.  The global flag complex squares to zero by
     construction, so every slice does: each holds every block of its flags
@@ -676,9 +696,9 @@ def kan_pushforward(sheaf, cell_map, target_space, through=None):
     stalks, layouts, projections = _fiber_slices(
         total, cells, lambda f: over[cmap[f[0]]], covers, through, deep)
     restrictions = {
-        (sig, tau): {k: ExactMatrix._of(stalks[tau].dim(k), stalks[sig].dim(k),
-                                        dict.fromkeys(enumerate(pick), 1))
-                     for k, pick in picks.items()}
+        (sig, tau): {k: _pick_matrix(pick, stalks[sig].dim(k))
+                     for k, pick in picks.items()
+                     if through is None or k < through}
         for (sig, tau), picks in projections.items()}
     out = SheafComplex._of(target_space, stalks, restrictions)
     out.stalk_layouts = layouts
@@ -764,6 +784,11 @@ def _fiber_slices(total, targets, over, covers, through, deep):
     return stalks, layouts, projections
 
 
+def _pick_matrix(pick, cols):
+    """The projection whose row i holds a lone 1, in column pick[i]."""
+    return ExactMatrix._of(len(pick), cols, dict.fromkeys(enumerate(pick), 1))
+
+
 def _not_nested(a, b):
     """The refusal of a cover (a, b) whose fiber over b is not inside the
     fiber over a."""
@@ -847,12 +872,14 @@ def truncate(sheaf, degree):
     and Y is r B_a at B_b's unit rows, that is B_a's rows at the
     projection's recorded pick list (`kan_pushforward`'s `projections`)
     composed with those rows, or the restriction's rows there times B_a
-    for a sheaf that is not a pushforward.  Proof: the sources are
-    cocycles, since d^k d^(k-1) = 0 and d_b r B_a = r d_a B_a = 0 (r is a
-    chain map, and B_a's columns are cocycles).  B spans ker d^k with a
-    unit row per column, so a cocycle v is B y for one y, and row i of B y
-    is y_p when i is the unit row of column p: y is v read at the unit
-    rows.  No map is solved for.
+    for a sheaf that is not a pushforward.  So a pushforward's maps at the
+    cutoff stay pick lists: its covers and degrees are taken from
+    `projections`, and no matrix of those maps is built.  Proof: the
+    sources are cocycles, since d^k d^(k-1) = 0 and d_b r B_a = r d_a B_a
+    = 0 (r is a chain map, and B_a's columns are cocycles).  B spans ker
+    d^k with a unit row per column, so a cocycle v is B y for one y, and
+    row i of B y is y_p when i is the unit row of column p: y is v read at
+    the unit rows.  No map is solved for.
 
     Certificate, at every size.  Kernel: the A-columns are cocycles by
     the pushforward's d o d = 0 certificate (its blocks up to degree k are
@@ -885,6 +912,15 @@ def truncate(sheaf, degree):
     partner row's lone 1 (`_cone_kernel` lists both as it builds the
     basis).  Stalks eliminated by `kernel_basis` keep none.
 
+    Each kind of work is done once per call.  An input stalk object that
+    several fibers' least cells share (the constant sheaf hands one to
+    every cell) has its kernel, that kernel's product d_s Z = 0 and its
+    unit rows computed once, at the first fiber that reads it, and kept
+    for the call; each basis B_a gets one index of its rows, at the first
+    cover out of a, which every map out of a reads; and the contraction
+    writes the A-columns of B and d^(k-1) at B's unit rows from one pass
+    over d^(k-1).
+
     The result records its input as `untruncated`, k as `cutoff`, the
     `Inclusion` of each cell's basis as `inclusions`, and, as `matching`,
     cell -> its pairs as runs (q, col, row, size): columns col to col +
@@ -898,15 +934,19 @@ def truncate(sheaf, degree):
     if sheaf.through is not None and sheaf.through < k:
         raise SheafError("a pushforward assembled through stalk degree %d "
                          "cannot be truncated at %d" % (sheaf.through, k))
+    # per call: each input stalk's kernel, and each basis's row index
+    kernels, index = {}, {}
     bases, stalks, matching = {}, {}, {}
     for c in sheaf.stalks:
-        bases[c], stalks[c], runs = _truncated_stalk(sheaf, c, k)
+        bases[c], stalks[c], runs = _truncated_stalk(sheaf, c, k, kernels)
         if runs:
             matching[c] = runs
-    restrictions = {cover: {q: m if q < k else _cutoff_map(sheaf, cover, k,
-                                                           bases)
-                            for q, m in mats.items() if q <= k}
-                    for cover, mats in sheaf.restrictions.items()}
+    maps = sheaf.restrictions
+    degrees = maps if sheaf.projections is None else sheaf.projections
+    restrictions = {cover: {q: maps[cover][q] if q < k
+                            else _cutoff_map(sheaf, cover, k, bases, index)
+                            for q in qs if q <= k}
+                    for cover, qs in degrees.items()}
     return _truncation(sheaf, k, stalks, restrictions, bases, matching)
 
 
@@ -977,35 +1017,44 @@ class Inclusion(namedtuple("Inclusion", "basis units")):
     __slots__ = ()
 
 
-def _truncated_stalk(sheaf, c, k):
+def _truncated_stalk(sheaf, c, k, kernels):
     """(Inclusion of ker d^k, truncated stalk, matching) at cell c, cut at
-    k: the cone contraction's basis and pairs on a fiber with a least cell,
-    else `kernel_basis` and no pairs.  d^(k-1) in the basis is read at its
-    unit rows, as `truncate` says."""
+    k: the cone contraction's basis and pairs on a fiber with a least cell
+    (`kernels` as `_cone_kernel` takes it), else `kernel_basis` and no
+    pairs.  d^(k-1) in the basis is read at its unit rows, as `truncate`
+    says: by the contraction's own pass over d^(k-1), or `_at_rows`."""
     cx = sheaf.stalks[c]
     if sheaf.least_cells.get(c) is None:
         basis = kernel_basis(cx.diff(k))
         inc, runs = Inclusion(basis, unit_rows(basis)), ()
+        read = _at_rows(cx.diff(k - 1), inc.units)
     else:
-        inc, runs = _cone_kernel(sheaf, c, k)
+        inc, read, runs = _cone_kernel(sheaf, c, k, kernels)
     dims = {q: cx.dim(q) if q < k else inc.basis.cols
             for q in cx.degrees() if q <= k} or {k: 0}
-    diffs = {q: cx.diff(q) if q + 1 < k else _at_rows(cx.diff(q), inc.units)
+    diffs = {q: cx.diff(q) if q + 1 < k else read
              for q in dims if q + 1 in dims}
     return inc, CochainComplex._of(dims, diffs), runs
 
 
-def _cutoff_map(sheaf, cover, k, bases):
+def _cutoff_map(sheaf, cover, k, bases, index):
     """Y with B_b Y = r B_a at the cutoff k along the cover (a, b): r B_a
     read at B_b's unit rows, as `truncate` says.  The rows of r B_a are
-    B_a's rows at the projection's pick list, or the restriction's rows
-    times B_a for a sheaf that is not a pushforward."""
+    B_a's rows at the projection's pick list, read through B_a's row index
+    (`index[a]`, made at the first cover out of a), or the restriction's
+    rows times B_a for a sheaf that is not a pushforward."""
     a, b = cover
-    rows = bases[b].units
+    rows, basis = bases[b].units, bases[a].basis
     if sheaf.projections is None:
-        return _at_rows(sheaf.restriction(a, b, k), rows) * bases[a].basis
+        return _at_rows(sheaf._cover_matrix(a, b, k), rows) * basis
+    at = index.get(a)
+    if at is None:
+        at = index[a] = {}
+        for (i, j), v in basis.entries.items():
+            at.setdefault(i, []).append((j, v))
     pick = sheaf.projections[cover][k]
-    return _at_rows(bases[a].basis, [pick[i] for i in rows])
+    return ExactMatrix._of(len(rows), basis.cols, {
+        (p, j): v for p, i in enumerate(rows) for j, v in at.get(pick[i], ())})
 
 
 def _at_rows(m, rows):
@@ -1057,15 +1106,18 @@ def _partners(layout, s, deg):
     return list(zip(ablocks, pblocks))
 
 
-def _cone_kernel(sheaf, t, k):
-    """(Inclusion, matching) of ker d^k in the stalk over t of the
-    pushforward `sheaf`, whose fiber has the least cell s: the A-columns of
-    d^(k-1), then iota of the kernel of d_s on the input's stalk over s,
-    with their unit rows, certified as `truncate` says.  Only degrees up to
-    k of the stalk are read: the A-blocks and their partners come from one
-    merge of the layout per degree (`_partners`), one pass over d^(k-1)
-    picks out the A-columns, and iota is written from the input
-    (`_lifts`).  The unit entries are written first, so the scan of
+def _cone_kernel(sheaf, t, k, kernels):
+    """(Inclusion, d^(k-1) in its basis, matching) of ker d^k in the stalk
+    over t of the pushforward `sheaf`, whose fiber has the least cell s:
+    the A-columns of d^(k-1), then iota of the kernel of d_s on the input's
+    stalk over s, with their unit rows, certified as `truncate` says.
+    Only degrees up to k of the stalk are read: the A-blocks and their
+    partners come from one merge of the layout per degree (`_partners`),
+    one pass over d^(k-1) picks out the A-columns and reads d^(k-1) at the
+    unit rows, and iota is written from the input (`_lifts`).  The kernel
+    of d_s, its certificate and its unit rows are looked up in `kernels`,
+    keyed by the input's stalk object, and computed and kept there on a
+    miss.  The unit entries are written first, so the scan of
     `linalg.unit_rows` finds the same rows.
 
     The matching is the truncated stalk's, as runs (q, col, row, size)
@@ -1095,23 +1147,34 @@ def _cone_kernel(sheaf, t, k):
     iota, nz = {}, 0
     spot = next((blk for blk in heads if blk[0] == (s,)), None)
     if spot is not None:
-        d_s = sheaf.source.stalks[s].diff(k)
-        z = kernel_basis(d_s)
-        if not (d_s * z).is_zero():
-            raise CertificateError("a kernel vector of the input's stalk "
-                                   "over %r is not a cocycle" % (s,))
+        stalk = sheaf.source.stalks[s]
+        kernel = kernels.get(stalk)
+        if kernel is None:
+            d_s = stalk.diff(k)
+            z = kernel_basis(d_s)
+            if not (d_s * z).is_zero():
+                raise CertificateError("a kernel vector of the input's stalk "
+                                       "over %r is not a cocycle" % (s,))
+            kernel = kernels[stalk] = (z, unit_rows(z))
+        z, zunits = kernel
         nz = z.cols
-        units.extend(spot[2] + i for i in unit_rows(z))
+        units.extend(spot[2] + i for i in zunits)
         lifts = _lifts(sheaf.source, s, k, z, [blk[0][0] for blk in heads])
         for (f, _q, off, _size) in heads:
             iota.update(((off + i, na + j), v)
                         for (i, j), v in lifts[f[0]].entries.items())
-    ent = {(i, p): 1 for p, i in enumerate(units)}
-    ent.update(((i, where[j]), v) for (i, j), v
-               in cx.diff(k - 1).entries.items() if where[j] >= 0)
+    at = {i: p for p, i in enumerate(units)}
+    ent = {(i, p): 1 for i, p in at.items()}
+    read = {}
+    for (i, j), v in cx.diff(k - 1).entries.items():
+        if where[j] >= 0:
+            ent[(i, where[j])] = v
+        p = at.get(i)
+        if p is not None:
+            read[(p, j)] = v
     ent.update(iota)
     return (Inclusion(ExactMatrix._of(cx.dim(k), na + nz, ent), tuple(units)),
-            tuple(runs))
+            ExactMatrix._of(len(units), cx.dim(k - 1), read), tuple(runs))
 
 
 def _runs(q, pairs):

@@ -834,6 +834,31 @@ GOLDEN_REPORTS = [
     # the cohomology row and the d o d row read one incidence complex
     (["sheaf", "--example", "product:t2,s1"],
      "1bf644b73a3f5f536e60ebbe735f14989263b76b4bfcc27dcffdd268870ded90"),
+    # the other ih jobs of perfbench's ih-ladder list
+    (["ih", "--example", "cone-s2", "--perversity", "lower-middle"],
+     "ea0b80bdf3d59dfbea07465dded0dea21f48c5238083c8b7c677aa6737cd659f"),
+    (["ih", "--example", "cone-t2", "--perversity", "lower-middle"],
+     "e8dc489d94b81e9c69b7d92a5bd9ff5849ac7ea746acf659376d6f92fe10aa6c"),
+    (["ih", "--example", "cone-genus2", "--perversity", "lower-middle"],
+     "0630e8cb2479c0bd746c0ee2d90e65c15bd586c668e694d71fa65f08656bb493"),
+    (["ih", "--example", "suspension-s2", "--perversity", "lower-middle"],
+     "fa6ea7a7cb034968bafe90f6a74ceb208836e7469d4ac35686e8a31c3ed43052"),
+    (["ih", "--example", "suspension-t2", "--perversity", "lower-middle"],
+     "fcfd4f3c930001e519805fdee3040d1920b6526320448f794335b7f422fd5ca5"),
+    (["ih", "--example", "cone-cone-s1", "--perversity", "lower-middle"],
+     "d9aa7dca549fd881c845239980cd1a7c02b965d39c8db4fc0516fc01f95ca955"),
+    (["ih", "--example", "cone-product:s1,s1",
+      "--perversity", "lower-middle"],
+     "d3b670bab0b5a50f2f326f50158a74637ed141b5044698c257e484cf6bdec6d5"),
+    (["ih", "--example", "cone-s2", "--perversity", "upper-middle"],
+     "05cd35909d351f3007e8721e8f46773071dc26a7be834c061aef7f595052c776"),
+    (["ih", "--example", "suspension-s2", "--perversity", "upper-middle"],
+     "90c48bffe5314623138c87ed5c5be2d03e5cbc63674abacd5f7fce3f696e1b5a"),
+    (["ih", "--example", "cone-cone-s1", "--perversity", "upper-middle"],
+     "248e635a3bf5ff9f21c4e58ee437ec64b7b3e55722b039cbd0d7545b60fd06dc"),
+    (["ih", "--example", "cone-product:s1,s1",
+      "--perversity", "upper-middle"],
+     "36aea9c7a3a2ea757f5586e61186fa9da2f269808ee52de72aeba0a896f48321"),
 ]
 
 
@@ -850,7 +875,15 @@ GOLDEN_REPORTS = [
                               "mezzo-suspension-t2-dump",
                               "build-genus2-t2", "build-cone-t2-dump",
                               "build-suspension-genus2-dump",
-                              "build-cone-cone-s1-dump", "sheaf-t2-s1"])
+                              "build-cone-cone-s1-dump", "sheaf-t2-s1",
+                              "ih-cone-s2-lower", "ih-cone-t2-lower",
+                              "ih-cone-genus2-lower", "ih-suspension-s2-lower",
+                              "ih-suspension-t2-lower",
+                              "ih-cone-cone-s1-lower",
+                              "ih-cone-product-s1-s1-lower",
+                              "ih-cone-s2-upper", "ih-suspension-s2-upper",
+                              "ih-cone-cone-s1-upper",
+                              "ih-cone-product-s1-s1-upper"])
 def test_report_bytes_match_golden_digest(tmp_path, args, digest):
     code, data = run(args, tmp_path)
     assert code == 0

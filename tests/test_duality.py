@@ -1618,10 +1618,10 @@ def test_refined_results_by_the_ladder_step_match_full_pushforwards(
                     if q <= mid} == {q: b for q, b
                                      in full.stalk_layouts[c].items()
                                      if q <= mid}, c
-        for cover, mats in F.restrictions.items():
-            assert {q: x for q, x in mats.items() if q <= mid} == \
-                {q: x for q, x in full.restrictions[cover].items()
-                 if q <= mid}, cover
+        for cover, mats in full.restrictions.items():
+            assert {q: F.restriction(*cover, q) for q in F.projections[cover]
+                    if q <= mid} == \
+                {q: x for q, x in mats.items() if q <= mid}, cover
         assert G.stalks.keys() == H.stalks.keys()
         for c, cx in G.stalks.items():
             assert (cx.dims, cx.diffs) == (H.stalks[c].dims,

@@ -607,9 +607,12 @@ def _assert_brutal_truncation(got, full, cmap, through):
             assert mine.dim(q) == (cx.dim(q) if q <= top else 0), (t, q)
             if q < top:
                 assert mine.diff(q) == cx.diff(q), (t, q)
+    # no matrix is stored at through or above; the pick lists give them
     assert list(got.restrictions) == list(full.restrictions)
     for key, mats in full.restrictions.items():
-        assert got.restrictions[key] == {
+        assert all(q < through for q in got.restrictions[key]), key
+        assert {q: got.restriction(*key, q)
+                for q in got.projections[key]} == {
             q: m for q, m in mats.items() if q <= tops[key[1]]}, key
 
 
@@ -660,6 +663,32 @@ def test_pushforward_through_is_brutal_truncation(case):
         got = push(through)
         assert got.source is full.source
         _assert_brutal_truncation(got, full, cmap, through)
+
+
+@pytest.mark.parametrize("case", [_cone_t2_case, _cone_cone_s1_case,
+                                  _torsion_case, _s1_collapse_case])
+def test_capped_pushforward_restrictions_match_the_full_ones(case):
+    # a pushforward through k stores matrices below k alone; read through
+    # `restriction`, every map up to k + 1 is its projection's pick matrix
+    # and the full pushforward's, cut to the stalks it keeps, and the
+    # generic check passes
+    push, cmap = case()
+    full = push(None)
+    degrees = {k for lay in full.stalk_layouts.values() for k in lay}
+    for through in range(min(degrees), max(degrees) + 1):
+        got = push(through)
+        tops = _ref_tops(cmap, list(full.stalks), through)
+        for (a, b), picks in got.projections.items():
+            assert all(q < through for q in got.restrictions[(a, b)])
+            for q in range(min(degrees), through + 2):
+                m = got.restriction(a, b, q)
+                assert m.shape == (got.stalks[b].dim(q),
+                                   got.stalks[a].dim(q)), (a, b, q)
+                assert m.entries == dict.fromkeys(
+                    enumerate(picks.get(q, ())), 1), (a, b, q)
+                if q <= tops[b]:
+                    assert m == full.restriction(a, b, q), (a, b, q)
+        got.validate()
 
 
 def test_flags_stop_at_longest():
@@ -996,8 +1025,9 @@ def test_cone_kernel_spans_the_kernel(case):
         if s is None:
             assert inc.basis == old
             continue
-        got, runs = sheaves._cone_kernel(push, t, k)
+        got, read, runs = sheaves._cone_kernel(push, t, k, {})
         assert inc == got and cut.matching.get(t, ()) == runs
+        assert read == sheaves._at_rows(cx.diff(k - 1), got.units)
         assert got.units == unit_rows(got.basis)
         new = got.basis
         assert_normalized(new)
@@ -1159,10 +1189,12 @@ def test_arrow_emitted_pushforward_matches_references(case):
         _assert_same_pushforward(push, ref)
     else:
         _assert_brutal_truncation(push, ref, cmap, through)
-    for cover, mats in push.restrictions.items():
-        assert set(push.projections[cover]) == set(mats)
-        for q, m in mats.items():
-            pick = push.projections[cover][q]
+    # a matrix is stored below through alone; every map is the pick matrix
+    for cover, picks in push.projections.items():
+        assert set(push.restrictions[cover]) == {
+            q for q in picks if through is None or q < through}
+        for q, pick in picks.items():
+            m = push.restriction(*cover, q)
             assert m == ExactMatrix(m.rows, m.cols, dict.fromkeys(
                 enumerate(pick), 1)), (cover, q)
 
@@ -1277,6 +1309,107 @@ def test_cutoff_maps_match_solve_many(case):
         _assert_maps_match_solve_many(push, k, G)
 
 
+def _two_scan_cone_kernel(sheaf, t, k):
+    # the contraction as it read d^(k-1) twice: once for the A-columns of
+    # the basis, once more (`_at_rows`) for the truncated stalk's d^(k-1)
+    cx, layout = sheaf.stalks[t], sheaf.stalk_layouts[t]
+    s = sheaf.least_cells[t]
+    where, units, cut = [-1] * cx.dim(k - 1), [], []
+    for (_f, _q, off, size), (_g, _p, poff, _n) in sheaves._partners(
+            layout, s, k - 1):
+        cut.append((off, len(units), size))
+        where[off:off + size] = range(len(units), len(units) + size)
+        units.extend(range(poff, poff + size))
+    runs = sheaves._runs(k - 1, cut)
+    for q in range(k - 2, min(layout, default=k) - 1, -1):
+        runs += sheaves._runs(q, [
+            (off, poff, size) for (_f, _q, off, size), (_g, _p, poff, _n)
+            in sheaves._partners(layout, s, q)])
+    na = len(units)
+    heads = [blk for blk in layout.get(k, ()) if len(blk[0]) == 1]
+    iota, nz = {}, 0
+    spot = next((blk for blk in heads if blk[0] == (s,)), None)
+    if spot is not None:
+        z = kernel_basis(sheaf.source.stalks[s].diff(k))
+        nz = z.cols
+        units.extend(spot[2] + i for i in unit_rows(z))
+        lifts = sheaves._lifts(sheaf.source, s, k, z,
+                               [blk[0][0] for blk in heads])
+        for (f, _q, off, _size) in heads:
+            iota.update(((off + i, na + j), v)
+                        for (i, j), v in lifts[f[0]].entries.items())
+    ent = {(i, p): 1 for p, i in enumerate(units)}
+    ent.update(((i, where[j]), v) for (i, j), v
+               in cx.diff(k - 1).entries.items() if where[j] >= 0)
+    ent.update(iota)
+    basis = ExactMatrix._of(cx.dim(k), na + nz, ent)
+    return (sheaves.Inclusion(basis, tuple(units)),
+            sheaves._at_rows(cx.diff(k - 1), units), tuple(runs))
+
+
+_CONTRACTED_CASES = [case for case in _CUTOFF_CASES
+                     if case != "truncation of a truncation"]
+
+
+@pytest.mark.parametrize("case", _CONTRACTED_CASES)
+def test_one_pass_cone_kernel_matches_two_scans(case):
+    # the basis and the truncated d^(k-1) from one pass over d^(k-1), entry
+    # for entry and in the same order, against the two scans; the input
+    # kernels shared through `kernels` are those each stalk computes alone
+    seen = 0
+    for push, k, _G in _CUTOFF_CASES[case]():
+        kernels = {}
+        for t, s in push.least_cells.items():
+            if s is None:
+                continue
+            inc, read, runs = sheaves._cone_kernel(push, t, k, kernels)
+            want = _two_scan_cone_kernel(push, t, k)
+            assert (inc, read, runs) == want, t
+            assert list(inc.basis.entries.items()) == \
+                list(want[0].basis.entries.items()), t
+            assert list(read.entries.items()) == \
+                list(want[1].entries.items()), t
+            seen += 1
+        stalks = {push.source.stalks[s] for s in push.least_cells.values()
+                  if s is not None}
+        assert set(kernels) <= stalks
+    assert seen
+
+
+@pytest.mark.parametrize(
+    "case", [case for case in _CUTOFF_CASES if case.startswith("ladder")]
+    + ["refined suspension-t2"])
+def test_cutoff_maps_match_the_rescanned_face_basis(case):
+    # every map at the cutoff read through one row index per cell, against
+    # a scan of the whole face basis per cover
+    for push, k, G in _CUTOFF_CASES[case]():
+        T = G.refines or G
+        bases, index = T.inclusions, {}
+        for (a, b), picks in push.projections.items():
+            if k not in picks:
+                assert k not in T.restrictions[(a, b)]
+                continue
+            want = sheaves._at_rows(bases[a].basis,
+                                    [picks[k][i] for i in bases[b].units])
+            got = sheaves._cutoff_map(push, (a, b), k, bases, index)
+            assert got == want == T.restrictions[(a, b)][k], (a, b)
+        assert set(index) == {a for (a, b), picks
+                              in push.projections.items() if k in picks}
+
+
+@pytest.mark.parametrize("case", list(_CUTOFF_CASES))
+def test_incidence_complex_reads_cover_maps_where_stored(case):
+    # the total complex of each pushforward and truncation, its cover maps
+    # read where they are stored, against the reference that reads each
+    # through `restriction`; the sheaf keeps no composed map for it
+    for push, _k, G in _CUTOFF_CASES[case]():
+        for F in (push, G):
+            assert F._composed == {}
+            got = incidence_complex(F)
+            assert F._composed == {}
+            _assert_same_total(got, _ref_incidence_complex(F))
+
+
 @pytest.mark.parametrize("case", [_cone_t2_case, _cone_cone_s1_case,
                                   _torsion_case, _s1_collapse_case])
 def test_truncate_by_projections_matches_full_products(case, monkeypatch):
@@ -1369,11 +1502,12 @@ def _solved_refinement(push, k, subspaces):
         stalks[c] = CochainComplex._of(dims, {
             q: cx.diff(q) if q + 1 < k else solve_many(B, cx.diff(q))
             for q in dims if q + 1 in dims})
+    degrees = push.projections or push.restrictions
     restrictions = {
-        (a, b): {q: m if q < k else solve_many(
+        (a, b): {q: push.restriction(a, b, q) if q < k else solve_many(
             bases[b].basis, push.restriction(a, b, k) * bases[a].basis)
-            for q, m in mats.items() if q <= k}
-        for (a, b), mats in push.restrictions.items()}
+            for q in qs if q <= k}
+        for (a, b), qs in degrees.items()}
     out = SheafComplex._of(push.space, stalks, restrictions)
     out.untruncated, out.cutoff, out.inclusions = push, k, bases
     return out
@@ -1577,7 +1711,8 @@ _KEPT_CERTIFICATES = "\n".join([
     "    push.restrictions))",
     "push = sheaves.derived_pushforward(sheaves.constant_sheaf(s, 1),",
     "                                   s.filtration_stage(0), through=2)",
-    "maps = dict(push.restrictions)",
+    "maps = {c: {q: push.restriction(*c, q) for q in picks}",
+    "        for c, picks in push.projections.items()}",
     "maps[cover] = {q: ExactMatrix(m.rows, m.cols, {",
     "    (i, p[(i + 1) % len(p)]): 1 for i in range(len(p))})",
     "    for q, m in maps[cover].items()",
@@ -1621,6 +1756,49 @@ def test_kept_certificates_raise_under_optimize():
         "at degree 0",
         "project CertificateError component outside the truncated subspace "
         "at (0,)"]
+
+
+def test_shared_input_kernel_is_certified_under_optimize():
+    # the two-term sheaf hands every cell one stalk object, so a truncation
+    # of its pushforward finds the kernel of d_s once and shares it among
+    # the open cells' contractions; a kernel that fails d_s Z = 0 is still
+    # refused, also under -O
+    code = "\n".join([
+        "from strat_ic import sheaves",
+        "from strat_ic.examples import get_example",
+        "from strat_ic.linalg import (CertificateError, CochainComplex,",
+        "                             ExactMatrix)",
+        "from strat_ic.spaces import facets",
+        "s = get_example('cone-s1')",
+        "d = ExactMatrix(2, 1, {(1, 0): 2})",
+        "stalk = CochainComplex({-1: 1, 0: 2}, {-1: d})",
+        "ident = {q: ExactMatrix.identity(stalk.dim(q)) for q in (-1, 0)}",
+        "F = sheaves.SheafComplex(s, {c: stalk for c in s.complex.cells},",
+        "                         {(a, b): ident for b in s.complex.cells",
+        "                          for a, _s in facets(b)})",
+        "push = sheaves.derived_pushforward(F, [(3,)], through=-1)",
+        "real, calls = sheaves.kernel_basis, []",
+        "def counted(m):",
+        "    calls.append(m is d)",
+        "    return real(m)",
+        "def wrong(m):",
+        "    return ExactMatrix.identity(m.cols)",
+        "opened = sum(c is not None for c in push.least_cells.values())",
+        "for kernel in (counted, wrong):",
+        "    sheaves.kernel_basis = kernel",
+        "    try:",
+        "        sheaves.truncate(push, -1)",
+        "        print('accepted', opened > 1, calls.count(True))",
+        "    except CertificateError as e:",
+        "        print('rejected:', e)",
+    ])
+    for optimize in (False, True):
+        proc = run_python("-c", code, optimize=optimize)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "accepted True 1",
+            "rejected: a kernel vector of the input's stalk over (0,) is "
+            "not a cocycle"]
 
 
 # -- one d o d rule for every total complex ----------------------------------
