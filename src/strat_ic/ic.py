@@ -519,8 +519,9 @@ def link_middle_form(space, vertex):
     and the antisymmetric cup pairing matrix between them.  A stratum below
     codimension 2 has a link of dimension 0 or less, which carries no
     antisymmetric middle form: LowCodimension.  A stratum that is not made
-    of isolated vertices, or a link with a ridge outside exactly two top
-    cells (a link with boundary), has no form either: NotRefinable.
+    of isolated vertices, an empty link (a vertex on no higher cell), or a
+    link with a ridge outside exactly two top cells (a link with boundary)
+    has no form either: NotRefinable.
     """
     from .duality import NotOrientable, cup_pairing_matrix
     vertex = tuple(vertex)
@@ -533,6 +534,8 @@ def link_middle_form(space, vertex):
         raise NotRefinable("the refinement stratum of %r must consist of "
                            "isolated vertices" % (vertex,))
     lk = spaces_mod.link(space, vertex)
+    if not lk.complex.cells:
+        raise NotRefinable("the link of %r is empty" % (vertex,))
     mid = (c - 1) // 2
     cx = lk.complex.cochain_complex()
     basis = cx.cohomology_basis(mid)

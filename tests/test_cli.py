@@ -8,9 +8,9 @@ import random
 import pytest
 from conftest import run_python
 
-from strat_ic import cli, sheaves
+from strat_ic import cli, linalg, sheaves
 from strat_ic.examples import get_example
-from strat_ic.linalg import CertificateError
+from strat_ic.linalg import CertificateError, CochainComplex
 
 
 def run(args, tmp_path, name="out.json"):
@@ -159,6 +159,91 @@ def test_shrink_lets_a_certificate_failure_escape(tmp_path, monkeypatch):
     with pytest.raises(CertificateError, match="planted"):
         run(["proptest", "--seed", "0", "--mode", "mutate-cup"], tmp_path)
     assert shrunk
+
+
+# -- the constant sheaf against the cochains -------------------------------
+
+def _count_reductions(monkeypatch):
+    """The complexes `linalg._reduce_units` is called on from now on."""
+    reduced = []
+    reduce_units = linalg._reduce_units
+
+    def counting(cx, matching=()):
+        reduced.append(cx)
+        return reduce_units(cx, matching)
+
+    monkeypatch.setattr(linalg, "_reduce_units", counting)
+    return reduced
+
+
+def _alter_constant_sheaf_complex(monkeypatch, change):
+    """Make `sheaves.incidence_complex` of a constant sheaf return its
+    complex with each differential d^k replaced by `change(k, d^k)`, so
+    that it differs from the simplicial cochains, which no built-in example
+    does."""
+    incidence_complex = sheaves.incidence_complex
+
+    def altered(sheaf):
+        cx, layout = incidence_complex(sheaf)
+        if sheaf.identity_restrictions:
+            cx = CochainComplex._of(cx.dims, {k: change(k, d)
+                                              for k, d in cx.diffs.items()})
+        return cx, layout
+
+    monkeypatch.setattr(sheaves, "incidence_complex", altered)
+
+
+def test_sheaf_reduces_one_complex(tmp_path, monkeypatch):
+    # the incidence complex equals the cochains, so the oracle reads its
+    # reduction and the cochains are not reduced again
+    reduced = _count_reductions(monkeypatch)
+    code, payload = run(["sheaf", "--example", "product:t2,s1"], tmp_path)
+    assert code == 0
+    assert len(reduced) == 1
+    assert row(json.loads(payload), "simplicial-betti")["values"] == \
+        [1, 3, 3, 1]
+    # and proptest's gluing check reduces neither
+    reduced.clear()
+    space = get_example("product:t2,s1")
+    assert cli._check_gluing(space, space.complex.cochain_complex()) is True
+    assert reduced == []
+
+
+def test_sheaf_reduces_cochains_that_differ_with_equal_betti(
+        tmp_path, monkeypatch):
+    _alter_constant_sheaf_complex(monkeypatch, lambda k, d: d.scale(-1))
+    reduced = _count_reductions(monkeypatch)
+    code, payload = run(["sheaf", "--example", "t2"], tmp_path)
+    assert code == 0
+    assert len(reduced) == 2
+    doc = json.loads(payload)
+    assert row(doc, "simplicial-betti")["values"] == [1, 2, 1]
+    assert row(doc, "simplicial-betti")["verdict"] is True
+    code, payload = run(["proptest", "--seed", "0"], tmp_path)
+    assert code == 0
+
+
+def test_sheaf_and_gluing_fail_when_the_betti_numbers_differ(
+        tmp_path, monkeypatch):
+    # a zero d^0 raises H^0 and H^1 of the sheaf: the oracle row shows the
+    # simplicial Betti numbers and fails, and so does every gluing row,
+    # each with a shrunk counterexample
+    _alter_constant_sheaf_complex(
+        monkeypatch, lambda k, d: d.scale(0) if k == 0 else d)
+    code, payload = run(["sheaf", "--example", "t2"], tmp_path)
+    assert code == 1
+    doc = json.loads(payload)
+    assert row(doc, "sheaf-cohomology")["values"] == [7, 8, 1]
+    assert row(doc, "simplicial-betti")["values"] == [1, 2, 1]
+    assert row(doc, "simplicial-betti")["verdict"] is False
+    code, payload = run(["proptest", "--seed", "0"], tmp_path)
+    assert code == 1
+    gluing = [r for r in json.loads(payload)["rows"]
+              if r["label"].endswith(": sheaf-gluing")]
+    assert gluing and all(r["verdict"] is False for r in gluing)
+    for r in gluing:
+        shrunk = r["values"]["counterexample"]
+        assert len(shrunk["simplices"]) == 1
 
 
 def _scanned_triples(cells, limit=25):
@@ -441,12 +526,6 @@ def test_file_input_builds(tmp_path):
     assert betti["values"] == [1, 1]
 
 
-def test_config_rejects_two_sources():
-    cfg = cli.RunConfig(command="build", example="s1", input_path="x.json")
-    with pytest.raises(cli.BadInput):
-        cfg.validate()
-
-
 def test_mezzo_file_input(tmp_path, capsys):
     p = tmp_path / "mezzo.json"
     p.write_text(json.dumps({
@@ -596,11 +675,28 @@ def _input_doc(name):
             "filtration": stages}
 
 
+# a vertex alone at level 0 beside a tetrahedron at level 3
+_ISOLATED_CONE_POINT = {
+    "n_vertices": 5, "simplices": [[0], [1, 2, 3, 4]],
+    "filtration": {"0": [[0]], "3": [
+        list(c) for n in range(1, 5)
+        for c in itertools.combinations(range(1, 5), n)]}}
+
 # every documented bad-input form: argv (with {name} for the path of a file
 # written from `files`: a document, or JSON text written as it stands) and
 # the JSON pointer the error must carry
 BAD_INPUTS = [
     (["build"], {}, "/"),
+    # an option given empty is given: an unknown example, an unreadable
+    # file, an unknown scenario, an unwritable path
+    (["build", "--example", ""], {}, "/example"),
+    (["build", "--input", ""], {}, "/"),
+    (["build", "--example", "s1", "--input", "space.json"], {}, "/"),
+    (["kunneth", "--example", "product:t2,s1", "--input", ""], {},
+     "/example"),
+    (["mezzo", "--example", "cone-t2", "--mezzo", ""], {}, "/"),
+    (["reproduce", "--example", ""], {}, "/example"),
+    (["build", "--example", "s1", "--output", ""], {}, "/output"),
     (["build", "--example", "nope"], {}, "/example"),
     (["build", "--example", "product:t2"], {}, "/example"),
     (["ih", "--example", "cone-s1", "--perversity", "sideways"], {},
@@ -660,6 +756,13 @@ BAD_INPUTS = [
                     list(c) for n in range(1, 5)
                     for c in itertools.combinations(range(4), n)
                     if c != (0,)]}}},
+     "/filtration"),
+    # the isolated cone point's link is empty: no middle cohomology to
+    # choose from
+    (["mezzo", "--input", "{space}"], {"space": _ISOLATED_CONE_POINT},
+     "/filtration"),
+    (["mezzo", "--input", "{space}", "--mezzo", "{mezzo}"],
+     {"space": _ISOLATED_CONE_POINT, "mezzo": {"choices": {"0": [[1]]}}},
      "/filtration"),
     # a report path that cannot be written: a directory, a missing one
     (["build", "--example", "t2", "--output", "{out.parent}"], {"out": {}},

@@ -47,8 +47,8 @@ def test_constant_sheaf_incidence_complex_is_the_cochain_complex(name):
     # the incidence complex of the rank-one constant sheaf is the simplicial
     # cochain complex entry for entry: the same cells in the same order and
     # the same `facets` signs.  So the `sheaf` command's simplicial-betti
-    # oracle and proptest's sheaf-gluing row reduce one matrix twice: they
-    # check that the reduction is deterministic, not a second route
+    # oracle and proptest's sheaf-gluing row compare the two complexes and
+    # reduce the cochains only when they differ
     s = get_example(name)
     cx, _layout = sheaves.incidence_complex(constant_sheaf(s, 1))
     cc = s.complex.cochain_complex()
